@@ -13,6 +13,11 @@ Cost model:
 
 * ciphertext-ciphertext and ciphertext-plaintext multiplications each
   consume one level (the latter models rescaling after a plaintext mask);
+* a noise-free product by a scalar plaintext is charged at ``mul_plain``
+  but computed by the op that consumes it: ``add`` and ``sub`` fuse it into
+  their own output array, every other op materialises it first.  Scales
+  are never folded together, so every slot is the same double the eager
+  product gives;
 * additions, subtractions, negation, and rotations are level-free;
 * ``levels_consumed`` tracks ``max_level - level`` over every produced
   ciphertext, i.e. the longest multiplication chain seen so far;
@@ -103,6 +108,7 @@ class Ciphertext:
     """
 
     __slots__ = ("slots", "level", "rot_chain", "params")
+    pending = None  # (base, scale) on a _PendingProduct
 
     def __init__(self, slots: np.ndarray, level: int, rot_chain: int, params: HEParams):
         slots.setflags(write=False)
@@ -114,6 +120,34 @@ class Ciphertext:
     def __repr__(self):
         head = np.array2string(self.slots[:4], precision=4, separator=", ")
         return f"Ciphertext(level={self.level}, slots[:4]={head}, n={self.slots.size})"
+
+
+class _PendingProduct(Ciphertext):
+    """A ciphertext worth ``base * scale`` whose product is not computed yet.
+
+    Reading ``slots`` computes it once and drops ``pending``, so ``base`` is
+    not kept alive; ``HESimulator.add`` and ``sub`` compute the product
+    straight into their own output instead.
+    """
+
+    __slots__ = ("pending", "_value")
+
+    def __init__(self, base: np.ndarray, scale: float, level: int, rot_chain: int, params: HEParams):
+        self.pending = (base, scale)
+        self._value = None
+        self.level = level
+        self.rot_chain = rot_chain
+        self.params = params
+
+    @property
+    def slots(self) -> np.ndarray:
+        pending = self.pending
+        if pending is not None:
+            base, scale = pending
+            value = base * scale
+            value.setflags(write=False)
+            self._value, self.pending = value, None
+        return self._value
 
 
 @dataclass(frozen=True)
@@ -189,14 +223,14 @@ class HESimulator:
 
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
-        slots = self._noisy(x.slots + y.slots)
+        slots = self._noisy(self._combine(np.add, x, y))
         with self._lock:
             self._adds += 1
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
-        slots = self._noisy(x.slots - y.slots)
+        slots = self._noisy(self._combine(np.subtract, x, y))
         with self._lock:
             self._adds += 1
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
@@ -207,7 +241,7 @@ class HESimulator:
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         self._check(x)
-        slots = self._noisy(x.slots + self.plain(p))
+        slots = self._noisy(x.slots + self._plain_operand(p))
         with self._lock:
             self._adds += 1
         return self._emit(slots, x.level, x.rot_chain)
@@ -226,10 +260,12 @@ class HESimulator:
         self._check(x)
         if x.level < 1:
             raise DepthBudgetError(site, x.level)
-        slots = self._noisy(x.slots * self.plain(p))
+        p = self._plain_operand(p)
         with self._lock:
             self._ctpt += 1
-        return self._emit(slots, x.level - 1, x.rot_chain)
+        if isinstance(p, float) and self.params.noise_sigma == 0:
+            return self._emit(x.slots, x.level - 1, x.rot_chain, scale=p)
+        return self._emit(self._noisy(x.slots * p), x.level - 1, x.rot_chain)
 
     def rotate(self, x: Ciphertext, k: int) -> Ciphertext:
         """Cyclic rotation of the full slot vector; k > 0 rotates left.
@@ -313,6 +349,34 @@ class HESimulator:
                     f"ciphertext parameters {c.params} do not match engine {self.params}"
                 )
 
+    def _plain_operand(self, p) -> float | np.ndarray:
+        """A Python or numpy scalar as a float, which broadcasts to the same
+        doubles as its slot vector; anything else through ``plain``.
+
+        Cheaper than ``np.isscalar``, which ``plain`` calls anyway.
+        """
+        return float(p) if isinstance(p, (float, int, np.generic)) else self.plain(p)
+
+    @staticmethod
+    def _combine(op, x: Ciphertext, y: Ciphertext) -> np.ndarray:
+        """``op(x, y)`` into one fresh array.
+
+        A pending product of either operand is computed into that array
+        and ``op`` then runs in place, so the product is never stored on
+        its own.
+        """
+        pending = x.pending
+        if pending is not None:
+            base, scale = pending
+            out = base * scale
+            return op(out, y.slots, out=out)
+        pending = y.pending
+        if pending is not None:
+            base, scale = pending
+            out = base * scale
+            return op(x.slots, out, out=out)
+        return op(x.slots, y.slots)
+
     def _noisy(self, slots: np.ndarray) -> np.ndarray:
         if self.params.noise_sigma > 0:
             with self._lock:
@@ -320,9 +384,13 @@ class HESimulator:
             return slots + noise
         return slots
 
-    def _emit(self, slots: np.ndarray, level: int, rot_chain: int) -> Ciphertext:
+    def _emit(
+        self, slots: np.ndarray, level: int, rot_chain: int, scale: float | None = None
+    ) -> Ciphertext:
         consumed = self.params.max_level - level
         with self._lock:
             if consumed > self._levels:
                 self._levels = consumed
+        if scale is not None:
+            return _PendingProduct(slots, scale, level, rot_chain, self.params)
         return Ciphertext(np.asarray(slots, dtype=np.float64), level, rot_chain, self.params)

@@ -233,3 +233,100 @@ def test_ideal_map_burns_levels():
     assert np.array_equal(eng.decrypt(out)[:2], [1, 1])
     with pytest.raises(DepthBudgetError):
         eng.ideal_map(lambda s: s, out, levels=2)
+
+
+# A noise-free product by a scalar plaintext is computed by the op that
+# consumes it; each consumer must give the same doubles as eager numpy.
+
+SCALE = 0.1  # inexact in binary, so any change in rounding shows
+
+
+def deferred_setup(slot_count=64):
+    eng = make_engine(slot_count=slot_count)
+    rng = np.random.default_rng(3)
+    v, w = rng.normal(size=slot_count), rng.normal(size=slot_count)
+    x, y = eng.encrypt(v), eng.encrypt(w)
+    prod = eng.mul_plain(x, SCALE)
+    assert prod.pending is not None
+    return eng, prod, y, v * SCALE, w
+
+
+def test_deferred_product_consumers_match_eager_numpy():
+    cases = {
+        "add": (lambda e, p, y: e.add(p, y), lambda pv, w: pv + w),
+        "add reversed": (lambda e, p, y: e.add(y, p), lambda pv, w: w + pv),
+        "sub": (lambda e, p, y: e.sub(p, y), lambda pv, w: pv - w),
+        "sub reversed": (lambda e, p, y: e.sub(y, p), lambda pv, w: w - pv),
+        "add to itself": (lambda e, p, y: e.add(p, p), lambda pv, w: pv + pv),
+        "add_plain": (lambda e, p, y: e.add_plain(p, 0.3), lambda pv, w: pv + 0.3),
+        "negate": (lambda e, p, y: e.negate(p), lambda pv, w: -pv),
+        "mul": (lambda e, p, y: e.mul(p, y), lambda pv, w: pv * w),
+        "rotate": (lambda e, p, y: e.rotate(p, 5), lambda pv, w: np.roll(pv, -5)),
+        "ideal_map": (lambda e, p, y: e.ideal_map(np.tanh, p, levels=1), lambda pv, w: np.tanh(pv)),
+        "mul_plain": (lambda e, p, y: e.mul_plain(p, 3.7), lambda pv, w: pv * 3.7),
+    }
+    for name, (op, eager) in cases.items():
+        eng, prod, y, pv, w = deferred_setup()
+        assert np.array_equal(eng.decrypt(op(eng, prod, y)), eager(pv, w)), name
+    eng, prod, _, pv, _ = deferred_setup()
+    assert np.array_equal(eng.decrypt(prod), pv)
+    assert prod.pending is None  # a computed product no longer holds its base
+
+
+def test_deferred_product_of_two_pending_operands():
+    eng, prod, y, pv, w = deferred_setup()
+    other = eng.mul_plain(y, -2.3)
+    assert np.array_equal(eng.decrypt(eng.add(prod, other)), pv + w * -2.3)
+    assert np.array_equal(eng.decrypt(eng.sub(other, prod)), w * -2.3 - pv)
+
+
+def test_chained_scalar_products_are_not_folded():
+    eng = make_engine(slot_count=64)
+    v = np.random.default_rng(4).normal(size=64)
+    a, b = 0.1, 0.7
+    assert not np.array_equal((v * a) * b, v * (a * b))
+    out = eng.decrypt(eng.mul_plain(eng.mul_plain(eng.encrypt(v), a), b))
+    assert np.array_equal(out, (v * a) * b)
+
+
+def test_deferred_product_is_charged_at_mul_plain():
+    eng = make_engine(slot_count=8, max_level=1)
+    x = eng.encrypt([1.0, 2.0])
+    prod = eng.mul_plain(x, 0.5)
+    rep = eng.cost_snapshot()
+    assert prod.level == 0
+    assert rep.ctpt_mults == 1
+    assert rep.levels_consumed == 1
+    with pytest.raises(DepthBudgetError) as err:
+        eng.mul_plain(prod, 2.0, site="leaf-at-zero")
+    assert err.value.site == "leaf-at-zero"
+    assert eng.cost_snapshot() == rep
+
+
+def test_numpy_and_int_scalars_are_deferred():
+    eng = make_engine(slot_count=16)
+    v = np.random.default_rng(7).normal(size=16)
+    x = eng.encrypt(v)
+    for c in (np.float32(0.1), np.float64(0.1), np.int64(3), 2):
+        prod = eng.mul_plain(x, c)
+        assert prod.pending is not None
+        assert np.array_equal(eng.decrypt(prod), v * np.full(16, float(c)))
+
+
+def test_noisy_scalar_product_is_eager_and_seeded():
+    sigma, seed = 1e-3, 9
+    eng = make_engine(slot_count=32, sigma=sigma, seed=seed)
+    v = np.random.default_rng(5).normal(size=32)
+    prod = eng.mul_plain(eng.encrypt(v), SCALE)
+    assert prod.pending is None
+    expected = v * SCALE + np.random.default_rng(seed).normal(0.0, sigma, 32)
+    assert np.array_equal(eng.decrypt(prod), expected)
+
+
+def test_scalar_add_plain_matches_vector_plaintext():
+    eng = make_engine(slot_count=16)
+    x = eng.encrypt(np.random.default_rng(6).normal(size=16))
+    scalar = eng.decrypt(eng.add_plain(x, 0.3))
+    vector = eng.decrypt(eng.add_plain(x, eng.plain(0.3)))
+    assert np.array_equal(scalar, vector)
+    assert eng.plain(0.3).shape == (16,)
