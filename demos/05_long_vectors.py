@@ -56,9 +56,3 @@ corrected = block_merge(eng, multi_rank(eng, block_split(eng, v), cfg, tie_corre
 print("  permutation of 1..40:", bool(np.array_equal(np.sort(corrected), np.arange(1.0, 41.0))))
 print("  equals the plaintext oracle:",
       bool(np.array_equal(corrected, reference.corrected_ranks(v))))
-
-print("\nThe comparison loop is independent per block pair and can run on a")
-print("thread pool (parallel=True) without changing the result:")
-serial = block_merge(eng, multi_rank(eng, block_split(eng, v), cfg))
-threaded = block_merge(eng, multi_rank(eng, block_split(eng, v), cfg, parallel=True))
-print("  identical outputs:", bool(np.array_equal(serial, threaded)))

@@ -75,7 +75,8 @@ class KernelConfig:
     input_range: interval the caller promises all kernel inputs lie in.
     tie_margin: shift applied by the strict/weak comparisons in chebyshev
         mode to push exact ties off the step discontinuity; pick about half
-        the smallest expected gap between distinct values.
+        the smallest expected gap between distinct values.  Those
+        comparisons widen ``input_range`` by the margin on one side.
     goldschmidt_iters: squaring steps of the reciprocal iteration.
     """
 
@@ -334,28 +335,29 @@ def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: Kerne
     return ps_eval(engine, diff, _step_poly(cfg.degree))
 
 
-def compare_gt_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
-    """Strict comparison: 1 where x > y, else 0 (ties count as 0)."""
+def _compare_shifted(engine, x, y, cfg, predicate, margin, site):
+    # Strict (margin < 0) or weak (margin > 0) comparison.  Chebyshev mode
+    # compares x + margin with y; the declared range is widened by the
+    # margin so the shifted difference still maps into the fit interval.
     if cfg.mode == "ideal":
         engine.note_compare_eval()
         return engine.ideal_map(
-            lambda xs, ys: (xs > ys).astype(np.float64),
-            x, y, levels=_ideal_levels(cfg.degree), site="compare-gt",
+            lambda xs, ys: predicate(xs, ys).astype(np.float64),
+            x, y, levels=_ideal_levels(cfg.degree), site=site,
         )
-    shifted = engine.add_plain(x, -cfg.tie_margin)
-    return compare_kernel(engine, shifted, y, cfg)
+    lo, hi = cfg.input_range
+    widened = with_input_range(cfg, lo + min(margin, 0.0), hi + max(margin, 0.0))
+    return compare_kernel(engine, engine.add_plain(x, margin), y, widened)
+
+
+def compare_gt_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
+    """Strict comparison: 1 where x > y, else 0 (ties count as 0)."""
+    return _compare_shifted(engine, x, y, cfg, np.greater, -cfg.tie_margin, "compare-gt")
 
 
 def compare_ge_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
     """Weak comparison: 1 where x >= y, else 0 (ties count as 1)."""
-    if cfg.mode == "ideal":
-        engine.note_compare_eval()
-        return engine.ideal_map(
-            lambda xs, ys: (xs >= ys).astype(np.float64),
-            x, y, levels=_ideal_levels(cfg.degree), site="compare-ge",
-        )
-    shifted = engine.add_plain(x, cfg.tie_margin)
-    return compare_kernel(engine, shifted, y, cfg)
+    return _compare_shifted(engine, x, y, cfg, np.greater_equal, cfg.tie_margin, "compare-ge")
 
 
 def indicator_kernel(

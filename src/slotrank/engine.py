@@ -3,8 +3,9 @@
 A ciphertext is a fixed-width float64 slot vector plus a remaining-level
 counter.  Arithmetic is exact slotwise double-precision math (optionally
 perturbed by additive Gaussian noise), rotation is cyclic over the whole
-slot vector, and every operation updates shared cost counters so pipelines
-can assert their rotation and depth budgets.
+slot vector, and every operation updates the engine's cost counters so
+pipelines can assert their rotation and depth budgets.  An engine is
+single-threaded: use one engine per thread.
 
 Nothing here is cryptographic: slot values are stored in the clear.  The
 point is functional correctness plus faithful cost accounting.
@@ -28,7 +29,6 @@ Cost model:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,15 +167,14 @@ class CostReport:
 class HESimulator:
     """Engine owning the parameters, noise generator, and cost counters.
 
-    Counters are protected by a lock so independent pipelines may run
-    concurrently; ``cost_snapshot`` is meant to be taken at quiescence.
+    Not thread-safe: use one engine per thread.  Engines are cheap to build,
+    and a single thread keeps noisy runs reproducible for a fixed seed.
     """
 
     def __init__(self, params: HEParams):
         self.params = params
         self._rng = np.random.default_rng(params.seed)
-        self._lock = threading.Lock()
-        self.trace: list[tuple[str, int]] = []
+        self.trace: list[int] = []
         self._reset_counters()
 
     def _reset_counters(self):
@@ -224,15 +223,13 @@ class HESimulator:
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
         slots = self._noisy(self._combine(np.add, x, y))
-        with self._lock:
-            self._adds += 1
+        self._adds += 1
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
         slots = self._noisy(self._combine(np.subtract, x, y))
-        with self._lock:
-            self._adds += 1
+        self._adds += 1
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
 
     def negate(self, x: Ciphertext) -> Ciphertext:
@@ -242,8 +239,7 @@ class HESimulator:
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         self._check(x)
         slots = self._noisy(x.slots + self._plain_operand(p))
-        with self._lock:
-            self._adds += 1
+        self._adds += 1
         return self._emit(slots, x.level, x.rot_chain)
 
     def mul(self, x: Ciphertext, y: Ciphertext, site: str = "mul") -> Ciphertext:
@@ -252,8 +248,7 @@ class HESimulator:
         if level < 1:
             raise DepthBudgetError(site, level)
         slots = self._noisy(x.slots * y.slots)
-        with self._lock:
-            self._ctct += 1
+        self._ctct += 1
         return self._emit(slots, level - 1, max(x.rot_chain, y.rot_chain))
 
     def mul_plain(self, x: Ciphertext, p, site: str = "mul_plain") -> Ciphertext:
@@ -261,8 +256,7 @@ class HESimulator:
         if x.level < 1:
             raise DepthBudgetError(site, x.level)
         p = self._plain_operand(p)
-        with self._lock:
-            self._ctpt += 1
+        self._ctpt += 1
         if isinstance(p, float) and self.params.noise_sigma == 0:
             return self._emit(x.slots, x.level - 1, x.rot_chain, scale=p)
         return self._emit(self._noisy(x.slots * p), x.level - 1, x.rot_chain)
@@ -279,11 +273,10 @@ class HESimulator:
             return x
         slots = np.roll(x.slots, -k_eff)
         chain = x.rot_chain + 1
-        with self._lock:
-            self._rotations += 1
-            if chain > self._critical:
-                self._critical = chain
-            self.trace.append(("rotate", k_eff))
+        self._rotations += 1
+        if chain > self._critical:
+            self._critical = chain
+        self.trace.append(k_eff)
         return self._emit(slots, x.level, chain)
 
     def ideal_map(self, fn, *cts: Ciphertext, levels: int = 0, site: str = "ideal_map") -> Ciphertext:
@@ -308,35 +301,30 @@ class HESimulator:
     # ------------------------------------------------------------------
 
     def note_compare_eval(self):
-        with self._lock:
-            self._cmp_evals += 1
+        self._cmp_evals += 1
 
     def note_indicator_eval(self):
-        with self._lock:
-            self._ind_evals += 1
+        self._ind_evals += 1
 
     def cost_snapshot(self) -> CostReport:
-        with self._lock:
-            return CostReport(
-                rotations=self._rotations,
-                ctct_mults=self._ctct,
-                ctpt_mults=self._ctpt,
-                additions=self._adds,
-                cmp_evals=self._cmp_evals,
-                ind_evals=self._ind_evals,
-                levels_consumed=self._levels,
-                critical_rotations=self._critical,
-            )
+        return CostReport(
+            rotations=self._rotations,
+            ctct_mults=self._ctct,
+            ctpt_mults=self._ctpt,
+            additions=self._adds,
+            cmp_evals=self._cmp_evals,
+            ind_evals=self._ind_evals,
+            levels_consumed=self._levels,
+            critical_rotations=self._critical,
+        )
 
     def cost_reset(self):
-        with self._lock:
-            self._reset_counters()
-            self.trace = []
+        self._reset_counters()
+        self.trace = []
 
     def rotation_offsets(self) -> list[int]:
         """Effective offsets of all counted rotations, in issue order."""
-        with self._lock:
-            return [k for op, k in self.trace if op == "rotate"]
+        return list(self.trace)
 
     # ------------------------------------------------------------------
     # internals
@@ -379,18 +367,15 @@ class HESimulator:
 
     def _noisy(self, slots: np.ndarray) -> np.ndarray:
         if self.params.noise_sigma > 0:
-            with self._lock:
-                noise = self._rng.normal(0.0, self.params.noise_sigma, slots.shape)
-            return slots + noise
+            return slots + self._rng.normal(0.0, self.params.noise_sigma, slots.shape)
         return slots
 
     def _emit(
         self, slots: np.ndarray, level: int, rot_chain: int, scale: float | None = None
     ) -> Ciphertext:
         consumed = self.params.max_level - level
-        with self._lock:
-            if consumed > self._levels:
-                self._levels = consumed
+        if consumed > self._levels:
+            self._levels = consumed
         if scale is not None:
             return _PendingProduct(slots, scale, level, rot_chain, self.params)
         return Ciphertext(np.asarray(slots, dtype=np.float64), level, rot_chain, self.params)

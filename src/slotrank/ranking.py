@@ -15,7 +15,6 @@ transposition.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -310,14 +309,12 @@ def multi_rank_pipeline(
     cfg: KernelConfig,
     *,
     tie_correction: bool = False,
-    parallel: bool = False,
 ) -> MultiRankPipeline:
     """Blockwise ranking with complement reuse.
 
     Only the L(L+1)/2 ordered block pairs are compared; the remaining
     comparisons are recovered column-wise from 1 - C and transposed once
-    per block after summation.  The pair loop is independent per (i, j)
-    and may run on a thread pool.
+    per block after summation.
     """
     b, count = bv.block_size, len(bv.blocks)
     layout = MatrixLayout(b, engine.params.slot_count)
@@ -330,23 +327,17 @@ def multi_rank_pipeline(
         for blk in bv.blocks
     ]
 
-    def compare_pair(pair):
-        i, j = pair
-        c = compare_kernel(engine, row_rep[i], col_rep[j], cfg)
-        if padded and j == count - 1:
-            # rows belonging to padding entries of the last block carry
-            # comparisons against zeros; drop them before any aggregation
-            c = engine.mul_plain(
-                c, _row_band_mask(layout.slot_count, b, valid_last), site="block-pad-mask"
-            )
-        return pair, c
-
-    pairs = [(i, j) for i in range(count) for j in range(i, count)]
-    if parallel and len(pairs) > 1:
-        with ThreadPoolExecutor() as pool:
-            comparisons = dict(pool.map(compare_pair, pairs))
-    else:
-        comparisons = dict(compare_pair(p) for p in pairs)
+    comparisons = {}
+    for i in range(count):
+        for j in range(i, count):
+            c = compare_kernel(engine, row_rep[i], col_rep[j], cfg)
+            if padded and j == count - 1:
+                # rows belonging to padding entries of the last block carry
+                # comparisons against zeros; drop them before any aggregation
+                c = engine.mul_plain(
+                    c, _row_band_mask(layout.slot_count, b, valid_last), site="block-pad-mask"
+                )
+            comparisons[(i, j)] = c
 
     equalities = {}
     if tie_correction:
@@ -429,9 +420,6 @@ def multi_rank(
     cfg: KernelConfig,
     *,
     tie_correction: bool = False,
-    parallel: bool = False,
 ) -> BlockVector:
     """Per-block fractional (or tie-corrected) ranks of a block vector."""
-    return multi_rank_pipeline(
-        engine, bv, cfg, tie_correction=tie_correction, parallel=parallel
-    ).ranks
+    return multi_rank_pipeline(engine, bv, cfg, tie_correction=tie_correction).ranks

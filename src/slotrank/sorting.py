@@ -103,22 +103,14 @@ def sort(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> Cipher
     return sort_full(engine, ct, n, cfg).values
 
 
-def multi_sort(
-    engine: HESimulator,
-    bv: BlockVector,
-    cfg: SortConfig,
-    *,
-    parallel: bool = False,
-) -> BlockVector:
+def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVector:
     """Blockwise sorting: output block i holds sorted positions i*B+1..(i+1)*B.
 
     Reuses the ranking's replicated input blocks; the indicator runs once
     per (output block, rank block) pair, L^2 evaluations in total, each
     shifted by the global ranks the output block is responsible for.
     """
-    ranking = multi_rank_pipeline(
-        engine, bv, cfg.kernel, tie_correction=cfg.tie_correction, parallel=parallel
-    )
+    ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction)
     layout = ranking.layout
     b, count = bv.block_size, len(bv.blocks)
     window_cfg = with_input_range(cfg.kernel, -float(b * count), float(b * count))

@@ -250,6 +250,21 @@ def test_strict_weak_chebyshev_with_margin():
     assert np.max(np.abs(ge - (xs >= ys))) < 0.1
 
 
+@pytest.mark.parametrize("margin", [1 / 512, 0.02])
+def test_strict_weak_chebyshev_margin_at_range_ends(margin):
+    # the shifted difference must stay inside the fit interval even when
+    # the operands sit at opposite ends of the declared input range
+    eng = make_engine(slot_count=8)
+    cfg = cheb_cfg(degree=256, tie_margin=margin)
+    xs = np.array([0.0, 1.0, 0.0, 0.999, 0.001, 1.0])
+    ys = np.array([0.999, 0.0, 1.0, 0.0, 1.0, 0.001])
+    x, y = eng.encrypt(xs), eng.encrypt(ys)
+    gt = eng.decrypt(compare_gt_kernel(eng, x, y, cfg))[:6]
+    ge = eng.decrypt(compare_ge_kernel(eng, x, y, cfg))[:6]
+    assert np.max(np.abs(gt - (xs > ys))) < 1e-3
+    assert np.max(np.abs(ge - (xs >= ys))) < 1e-3
+
+
 # ----------------------------------------------------------------------
 # indicator and equality
 # ----------------------------------------------------------------------

@@ -194,3 +194,13 @@ def test_chebyshev_mode_min_value():
     v = [0.15, 0.55, 0.35, 0.95, 0.05, 0.75, 0.25, 0.85]
     out = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("min"), cfg))
     assert abs(out - 0.05) < 1e-2
+
+
+def test_chebyshev_mode_extremes_span_the_whole_range():
+    eng = make_engine(64, max_level=72)
+    cfg = KernelConfig(mode="chebyshev", degree=256, tie_margin=1 / 512)
+    v = [0.3, 1.0, 0.6, 0.0, 0.45, 0.8, 0.15, 0.7]
+    lo = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("min"), cfg))
+    hi = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("max"), cfg))
+    assert abs(lo - 0.0) < 1e-2
+    assert abs(hi - 1.0) < 1e-2
