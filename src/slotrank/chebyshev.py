@@ -74,9 +74,18 @@ class KernelConfig:
     indicator_degree: degree of the indicator kernel; defaults to ``degree``.
     input_range: interval the caller promises all kernel inputs lie in.
     tie_margin: shift applied by the strict/weak comparisons in chebyshev
-        mode to push exact ties off the step discontinuity; pick about half
-        the smallest expected gap between distinct values.  Those
-        comparisons widen ``input_range`` by the margin on one side.
+        mode to push exact ties off the step discontinuity.  Those
+        comparisons widen ``input_range`` by the margin on one side.  The
+        fitted step rises over about (hi - lo) / degree, so a tie reads
+        roughly Phi(-margin * degree / (hi - lo)) off its exact value (0
+        strict, 1 weak; Phi the normal CDF), plus the fit's ripple.  Half
+        the smallest gap is therefore too small a margin unless that gap
+        spans several transition widths: at degree 256 on [0, 1] with
+        margin 1/512, ``gt(0.5, 0.5)`` reads 0.39, and ``max`` of [0.3,
+        0.9, 0.6, 0.1, 0.45, 0.9, 0.15, 0.7] returns 0.848.  A margin of
+        2-4 transition widths brings a tie within about 0.05, but the
+        margin must also stay below the smallest gap between distinct
+        values, or those compare like ties.
     goldschmidt_iters: squaring steps of the reciprocal iteration.
     """
 

@@ -156,6 +156,16 @@ def test_input_errors(tmp_path):
     assert main(["rank", "--input", str(bad)]) == EXIT_INPUT
 
 
+def test_bench_sort_on_ties_without_correction_fails(tmp_path, capsys):
+    code, out, cost = run(
+        tmp_path, "bench", "--task", "sort", "--count", "16", "--seeds", "2",
+        "--degrees", "64", "--tie-fraction", "0.1",
+    )
+    assert code == EXIT_INPUT
+    assert "sort_full" in capsys.readouterr().err
+    assert not out.exists() and not cost.exists()
+
+
 def test_depth_budget_error(tmp_path, tied_vector):
     code = main([
         "rank", "--input", str(tied_vector), "--mode", "chebyshev",

@@ -314,3 +314,69 @@ def test_scalar_add_plain_matches_vector_plaintext():
     vector = eng.decrypt(eng.add_plain(x, eng.plain(0.3)))
     assert np.array_equal(scalar, vector)
     assert eng.plain(0.3).shape == (16,)
+
+
+def test_rotate_matches_roll_and_is_fresh_and_read_only():
+    n = 16
+    v = np.random.default_rng(8).normal(size=n)
+    for pending in (False, True):
+        for k in (1, -1, 3, n - 1, n + 3, -n - 3):
+            eng = make_engine(slot_count=n)
+            x = eng.mul_plain(eng.encrypt(v), SCALE) if pending else eng.encrypt(v)
+            base = v * SCALE if pending else v
+            out = eng.rotate(x, k)
+            assert np.array_equal(out.slots, np.roll(base, -k)), (pending, k)
+            assert not out.slots.flags.writeable
+            assert not np.shares_memory(out.slots, x.slots)
+            assert eng.rotation_offsets() == [k % n]
+        for k in (0, n, 2 * n, -n):
+            eng = make_engine(slot_count=n)
+            x = eng.mul_plain(eng.encrypt(v), SCALE) if pending else eng.encrypt(v)
+            before = eng.cost_snapshot()
+            assert eng.rotate(x, k) is x
+            assert eng.cost_snapshot() == before
+            assert eng.rotation_offsets() == []
+
+
+# every op that checks its operands, applied to one or two ciphertexts
+CHECKED_OPS = {
+    "decrypt": (1, lambda e, x: e.decrypt(x)),
+    "negate": (1, lambda e, x: e.negate(x)),
+    "add_plain": (1, lambda e, x: e.add_plain(x, 0.5)),
+    "mul_plain": (1, lambda e, x: e.mul_plain(x, 0.5)),
+    "mul_plain vector": (1, lambda e, x: e.mul_plain(x, e.plain(np.arange(8.0)))),
+    "rotate": (1, lambda e, x: e.rotate(x, 3)),
+    "add": (2, lambda e, x, y: e.add(x, y)),
+    "sub": (2, lambda e, x, y: e.sub(x, y)),
+    "mul": (2, lambda e, x, y: e.mul(x, y)),
+    "ideal_map": (2, lambda e, x, y: e.ideal_map(np.maximum, x, y, levels=1)),
+}
+
+
+def operand_sets(arity, eng, other):
+    """Every way to hand ``other`` one operand and ``eng`` the rest."""
+    v = np.arange(8.0)
+    for foreign in range(arity):
+        yield [other.encrypt(v) if i == foreign else eng.encrypt(v) for i in range(arity)]
+
+
+@pytest.mark.parametrize("name", CHECKED_OPS)
+def test_ops_accept_equal_params_from_another_engine(name):
+    arity, op = CHECKED_OPS[name]
+    eng, other = make_engine(slot_count=8), make_engine(slot_count=8)
+    assert other.params is not eng.params and other.params == eng.params
+    for cts in operand_sets(arity, eng, other):
+        out = op(eng, *cts)
+        if name != "decrypt":
+            assert out.slots.shape == (8,)
+            assert not out.slots.flags.writeable
+
+
+@pytest.mark.parametrize("name", CHECKED_OPS)
+def test_ops_reject_unequal_params(name):
+    arity, op = CHECKED_OPS[name]
+    eng = make_engine(slot_count=8)
+    for other in (make_engine(slot_count=8, max_level=11), make_engine(slot_count=8, seed=1)):
+        for cts in operand_sets(arity, eng, other):
+            with pytest.raises(IncompatibleParamsError):
+                op(eng, *cts)

@@ -57,6 +57,16 @@ def test_sort_with_ties_needs_correction():
     assert np.array_equal(read_row(eng, out, 4), [10, 20, 20, 40])
 
 
+@pytest.mark.parametrize("optimized", [True, False])
+def test_sort_without_correction_rejects_ties(optimized):
+    eng = make_engine(16)
+    with pytest.raises(ValueError, match="sort_full"):
+        sort(eng, eng.encrypt([0.3, 0.1, 0.3, 0.7]), 4, cfg(tie_correction=False, optimized=optimized))
+    # zero padding past n is not a tie with a real zero
+    out = sort(eng, eng.encrypt([0.3, 0.0, 0.7]), 3, cfg(tie_correction=False, optimized=optimized))
+    assert np.array_equal(read_row(eng, out, 3), [0.0, 0.3, 0.7])
+
+
 def test_sort_matches_oracle_randomised():
     rng = np.random.default_rng(91)
     for n in (4, 8, 16, 32):
@@ -171,6 +181,17 @@ def test_multi_sort_with_ties_and_padding():
         v[rng.integers(0, n, size=n // 3)] = v[rng.integers(0, n, size=n // 3)]
         out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg()))
         assert np.array_equal(out, np.sort(v))
+
+
+def test_multi_sort_without_correction_rejects_ties():
+    eng = make_engine(16)  # block side 4
+    v = np.array([0.5, 0.1, 0.9, 0.2, 0.7, 0.9])  # the tie spans two blocks
+    with pytest.raises(ValueError, match="multi_sort"):
+        multi_sort(eng, block_split(eng, v), cfg(tie_correction=False))
+    # zero padding of the last block is not a tie with a real zero
+    v[-1] = 0.0
+    out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(tie_correction=False)))
+    assert np.array_equal(out, np.sort(v))
 
 
 def test_multi_sort_large_vector():
