@@ -5,8 +5,9 @@ A length-N vector needs N^2 slots for the all-pairs comparison; once that
 exceeds the ciphertext, the vector is split into blocks of side B and the
 comparison runs block against block.  Because cmp(x, y) = 1 - cmp(y, x),
 only the ordered block pairs are evaluated: L(L+1)/2 comparisons instead
-of L^2, with the mirrored half recovered column-wise and transposed once
-per block after summation.
+of L^2.  Each block folds its comparisons against earlier blocks along the
+other axis and transposes that one sum.  A vector that fits one matrix is
+the one-block case of the same pipeline.
 """
 
 import numpy as np

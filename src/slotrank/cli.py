@@ -171,14 +171,8 @@ def _run_rank(args) -> int:
     engine = _engine_for(args, n)
     cfg = _kernel_config(args)
     start = time.perf_counter()
-    if next_pow2(n) ** 2 <= engine.params.slot_count:
-        pipe = rank_pipeline(engine, engine.encrypt(scaled), n, cfg, tie_correction=args.tie_correction)
-        ranks = read_row(engine, pipe.result.ranks, n)
-    else:
-        blocks = block_split(engine, scaled)
-        ranks = block_merge(
-            engine, multi_rank(engine, blocks, cfg, tie_correction=args.tie_correction)
-        )
+    blocks = block_split(engine, scaled)
+    ranks = block_merge(engine, multi_rank(engine, blocks, cfg, tie_correction=args.tie_correction))
     wall_ms = (time.perf_counter() - start) * 1000.0
     report = engine.cost_snapshot()
     oracle = (
@@ -200,10 +194,7 @@ def _run_sort(args) -> int:
     engine = _engine_for(args, n)
     cfg = SortConfig(kernel=_kernel_config(args), tie_correction=args.tie_correction)
     start = time.perf_counter()
-    if next_pow2(n) ** 2 <= engine.params.slot_count:
-        out = read_row(engine, sort(engine, engine.encrypt(scaled), n, cfg), n)
-    else:
-        out = block_merge(engine, multi_sort(engine, block_split(engine, scaled), cfg))
+    out = block_merge(engine, multi_sort(engine, block_split(engine, scaled), cfg))
     wall_ms = (time.perf_counter() - start) * 1000.0
     report = engine.cost_snapshot()
     result = scale.back(out)

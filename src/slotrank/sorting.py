@@ -6,6 +6,10 @@ into a permutation mask; multiplying by the replicated input and summing
 recovers the sorted vector.  The default layout keeps the ranking in
 column form, which reuses both replication products of the ranking step
 and saves the final transposition.
+
+One placement step serves every vector length: a block vector of L blocks
+runs it once per (output block, rank block) pair, and a vector that fits
+one matrix is the one-block case.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator
 from .matrix import MatrixLayout, replicate, sum_axis, transpose_vector
-from .ranking import BlockVector, multi_rank_pipeline, rank_pipeline
+from .ranking import BlockVector, _rank_blocks, rank_pipeline
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
 
@@ -28,9 +32,10 @@ class SortConfig:
     """tie_correction must stay on unless the caller asserts distinct values;
     without it, sorting tied input raises ``ValueError``.
 
-    optimized_layout runs the ranking in column form (fewer rotations); the
-    row-form path is kept for budget comparisons and ends with an explicit
-    transposition of the result vector.
+    optimized_layout runs the ranking in column form (fewer rotations), in
+    ``sort`` and ``multi_sort`` alike; the row-form path is kept for budget
+    comparisons and ends with an explicit transposition of each output
+    block, log2(B) more rotations per block.
     """
 
     kernel: KernelConfig
@@ -47,7 +52,7 @@ class SortResult:
 
 
 @lru_cache(maxsize=None)
-def _neg_rank_targets(slot_count: int, n_dim: int, axis: str, start: int = 1) -> np.ndarray:
+def _neg_rank_targets(slot_count: int, n_dim: int, axis: str, start: int) -> np.ndarray:
     # row r of the plain matrix holds -(start+r) everywhere (axis="row"), or
     # column c holds -(start+c) (axis="col"); -0.0 outside the matrix, as
     # negating the targets gives
@@ -70,43 +75,51 @@ def _require_distinct(values: np.ndarray, pipeline: str):
         )
 
 
+def _place(engine, ranks, replicated, layout, kernel_cfg, column_form):
+    # Output block i holds sorted positions i*B+1..(i+1)*B: rank block j is
+    # spread over the matrix, shifted by those targets, turned into a
+    # selection mask and multiplied by the replicated input block j.  In
+    # column form the ranks sit in column 0 and the fold along rows lands
+    # the values in row 0; in row form the values need a transposition.
+    # Returns the output blocks and the last selection mask.
+    b, count = layout.n_dim, len(ranks)
+    spread_axis, fold_axis = ("col", "row") if column_form else ("row", "col")
+    window_cfg = with_input_range(kernel_cfg, -float(b * count), float(b * count))
+    spread = [replicate(engine, r, layout, spread_axis) for r in ranks]
+    values = []
+    for i in range(count):
+        neg_targets = _neg_rank_targets(layout.slot_count, b, spread_axis, start=b * i + 1)
+        acc = None
+        for j in range(count):
+            shifted = engine.add_plain(spread[j], neg_targets)
+            selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg, boundary="open")
+            placed = engine.mul(selection, replicated[j], site="sort-place")
+            acc = placed if acc is None else engine.add(acc, placed)
+        block = sum_axis(engine, acc, layout, fold_axis)
+        if not column_form:
+            block = transpose_vector(engine, block, layout, "col_to_row")
+        values.append(block)
+    return values, selection
+
+
 def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> SortResult:
     """Sort the first ``n`` slots ascending; result in row 0.
 
     Exactly one comparison and one indicator evaluation regardless of n.
     Duplicate elements require tie_correction; without it they would
     collapse onto the same rank, so a ``ValueError`` is raised instead.
+    This is the one-block case of ``multi_sort``.
     """
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n], "sort_full")
-    kernel_cfg = cfg.kernel
+    column_form = cfg.optimized_layout
     pipe = rank_pipeline(
-        engine,
-        ct,
-        n,
-        kernel_cfg,
-        column_form=cfg.optimized_layout,
-        tie_correction=cfg.tie_correction,
+        engine, ct, n, cfg.kernel, column_form=column_form, tie_correction=cfg.tie_correction
     )
-    side = pipe.result.layout.n_dim
-    layout = pipe.result.layout
-    window_cfg = with_input_range(kernel_cfg, -float(side), float(side))
-
-    if cfg.optimized_layout:
-        spread = replicate(engine, pipe.result.ranks, layout, "col")
-        shifted = engine.add_plain(spread, _neg_rank_targets(layout.slot_count, side, "col"))
-        selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg, boundary="open")
-        placed = engine.mul(selection, pipe.col_replicated, site="sort-place")
-        values = sum_axis(engine, placed, layout, "row")
-    else:
-        spread = replicate(engine, pipe.result.ranks, layout, "row")
-        shifted = engine.add_plain(spread, _neg_rank_targets(layout.slot_count, side, "row"))
-        selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg, boundary="open")
-        placed = engine.mul(selection, pipe.row_replicated, site="sort-place")
-        values = transpose_vector(
-            engine, sum_axis(engine, placed, layout, "col"), layout, "col_to_row"
-        )
-    return SortResult(values=values, selection=selection, ranks=pipe.result.ranks, layout=layout)
+    ranks, layout = pipe.result.ranks, pipe.result.layout
+    replicated = pipe.col_replicated if column_form else pipe.row_replicated
+    (values,), selection = _place(engine, [ranks], [replicated], layout, cfg.kernel, column_form)
+    return SortResult(values=values, selection=selection, ranks=ranks, layout=layout)
 
 
 def sort(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> Ciphertext:
@@ -127,25 +140,12 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
             np.concatenate([blk.slots[: bv.valid_in(i)] for i, blk in enumerate(bv.blocks)]),
             "multi_sort",
         )
-    ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction)
-    layout = ranking.layout
-    b, count = bv.block_size, len(bv.blocks)
-    window_cfg = with_input_range(cfg.kernel, -float(b * count), float(b * count))
-
-    rank_spread = [
-        replicate(engine, blk, layout, "row") for blk in ranking.ranks.blocks
-    ]
-    out_blocks = []
-    for i in range(count):
-        acc = None
-        neg_targets = _neg_rank_targets(layout.slot_count, b, "row", start=b * i + 1)
-        for j in range(count):
-            shifted = engine.add_plain(rank_spread[j], neg_targets)
-            selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg, boundary="open")
-            placed = engine.mul(selection, ranking.row_replicated[j], site="sort-place")
-            acc = placed if acc is None else engine.add(acc, placed)
-        block = transpose_vector(
-            engine, sum_axis(engine, acc, layout, "col"), layout, "col_to_row"
-        )
-        out_blocks.append(block)
-    return BlockVector(blocks=tuple(out_blocks), block_size=b, total_len=bv.total_len)
+    column_form = cfg.optimized_layout
+    ranking = _rank_blocks(
+        engine, bv, cfg.kernel, column_form=column_form, tie_correction=cfg.tie_correction
+    )
+    replicated = ranking.col_replicated if column_form else ranking.row_replicated
+    values, _ = _place(
+        engine, ranking.ranks.blocks, replicated, ranking.layout, cfg.kernel, column_form
+    )
+    return BlockVector(blocks=tuple(values), block_size=bv.block_size, total_len=bv.total_len)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slotrank import HEParams, HESimulator, KernelConfig, SortConfig, sort
 from slotrank.cli import (
     EXIT_DEPTH,
     EXIT_INPUT,
@@ -10,6 +11,7 @@ from slotrank.cli import (
     load_values,
     main,
 )
+from slotrank.ranking import rank_pipeline
 
 
 @pytest.fixture
@@ -86,6 +88,31 @@ def test_multi_ciphertext_rank_via_slot_count(tmp_path):
     ranks = np.array([float(x) for x in out.read_text().splitlines()[1].split(",")])
     v = generate_values(12, 4, 0.0)
     assert np.array_equal(np.sort(ranks), np.sort(np.argsort(np.argsort(v)) + 1.0))
+
+
+def test_one_matrix_input_costs_as_the_single_vector_pipeline(tmp_path):
+    # rank and sort always run block_split -> multi_* -> block_merge; an input
+    # that fits one matrix is one block and costs exactly the single-vector circuit
+    v = generate_values(5, 3, 0.0)
+    kernel = KernelConfig(mode="ideal", degree=256)
+    for task in ("rank", "sort"):
+        code, _, cost = run(
+            tmp_path, task, "--gen", "uniform", "--count", "5", "--seed", "3",
+            "--slot-count", "256", "--mode", "ideal", "--tie-correction",
+        )
+        assert code == EXIT_OK
+        header, row = (line.split(",") for line in cost.read_text().splitlines()[:2])
+        record = dict(zip(header, row))
+        eng = HESimulator(HEParams(slot_count=256, max_level=64))
+        if task == "rank":
+            rank_pipeline(eng, eng.encrypt(v), 5, kernel, tie_correction=True)
+        else:
+            sort(eng, eng.encrypt(v), 5, SortConfig(kernel=kernel))
+        rep = eng.cost_snapshot()
+        for column in ("rotations", "critical_rotations", "ctct_mults", "ctpt_mults",
+                       "cmp_evals", "ind_evals", "levels_consumed"):
+            assert int(record[column]) == getattr(rep, column), (task, column)
+        assert float(record["max_err"]) == 0.0
 
 
 def test_bench_rank_sweep(tmp_path):

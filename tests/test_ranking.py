@@ -206,11 +206,18 @@ def test_multi_rank_matches_single_and_oracle():
 
 
 def test_multi_rank_single_block_degenerates_to_rank():
-    eng = make_engine(16)
-    v = np.array([0.4, 0.1, 0.9, 0.6])
-    multi = block_merge(eng, multi_rank(eng, block_split(eng, v), IDEAL))
-    single = read_row(eng, rank(eng, eng.encrypt(v), 4, IDEAL).ranks, 4)
-    assert np.array_equal(multi, single)
+    # same circuit: equal ranks, equal counters, same rotations in the same order
+    for v in ([0.4, 0.1, 0.9, 0.6], [0.4, 0.1, 0.4]):  # the second is padded and tied
+        v = np.array(v)
+        n = v.size
+        for tie_correction in (False, True):
+            multi_eng, single_eng = make_engine(16), make_engine(16)
+            bv = block_split(multi_eng, v)
+            multi = block_merge(multi_eng, multi_rank(multi_eng, bv, IDEAL, tie_correction=tie_correction))
+            pipe = rank_pipeline(single_eng, single_eng.encrypt(v), n, IDEAL, tie_correction=tie_correction)
+            assert np.array_equal(multi, read_row(single_eng, pipe.result.ranks, n))
+            assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
+            assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
 
 
 def test_multi_rank_comparison_count():
@@ -226,6 +233,16 @@ def test_multi_rank_with_padding():
     v = np.array([50.0, 10.0, 20.0, 20.0, 40.0])
     merged = block_merge(eng, multi_rank(eng, block_split(eng, v), IDEAL))
     assert np.array_equal(merged, [5, 1, 2.5, 2.5, 4])
+
+
+def test_multi_rank_leaves_padding_slots_zero():
+    # block_pack needs every slot past the valid row-0 prefix to be zero
+    eng = make_engine(16)  # block side 4
+    v = np.array([0.5, 0.1, 0.9, 0.5, 0.7, 0.1])
+    for tie_correction in (False, True):
+        ranks = multi_rank(eng, block_split(eng, v), IDEAL, tie_correction=tie_correction)
+        for i, blk in enumerate(ranks.blocks):
+            assert np.all(eng.decrypt(blk)[ranks.valid_in(i):] == 0)
 
 
 def test_multi_rank_tie_correction_matches_oracle():

@@ -122,6 +122,18 @@ def test_unoptimized_path_costs_more_rotations():
     assert costs[False].rotations == costs[True].rotations + (n - 1).bit_length()
     assert costs[False].critical_rotations > costs[True].critical_rotations
 
+    # blocks: the row form transposes each of the L output blocks, log2(B) rotations each
+    for n in (16, 11):
+        v = np.random.default_rng(n).permutation(n) / n
+        for optimized in (True, False):
+            eng = make_engine(16)  # block side 4
+            sort_cfg = cfg(tie_correction=False, optimized=optimized)
+            out = block_merge(eng, multi_sort(eng, block_split(eng, v), sort_cfg))
+            assert np.array_equal(out, np.sort(v))
+            costs[optimized] = eng.cost_snapshot()
+        blocks = -(-n // 4)
+        assert costs[False].rotations == costs[True].rotations + blocks * 2
+
 
 def test_tie_corrected_sort_budget_keeps_critical_path():
     n = 16
@@ -156,11 +168,19 @@ def test_multi_sort_reverse_input():
 
 
 def test_multi_sort_single_block_equals_sort():
-    eng = make_engine(16)
-    v = np.array([0.4, 0.1, 0.9, 0.6])
-    multi = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg()))
-    single = read_row(eng, sort(eng, eng.encrypt(v), 4, cfg()), 4)
-    assert np.array_equal(multi, single)
+    # same circuit: equal values, equal counters, same rotations in the same order
+    for v in ([0.4, 0.1, 0.9, 0.6], [0.4, 0.1, 0.4]):  # the second is padded and tied
+        v = np.array(v)
+        n = v.size
+        for optimized in (True, False):
+            multi_eng, single_eng = make_engine(16), make_engine(16)
+            bv = block_split(multi_eng, v)
+            multi = block_merge(multi_eng, multi_sort(multi_eng, bv, cfg(optimized=optimized)))
+            single = sort(single_eng, single_eng.encrypt(v), n, cfg(optimized=optimized))
+            assert np.array_equal(multi, read_row(single_eng, single, n))
+            assert np.array_equal(multi, np.sort(v))
+            assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
+            assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
 
 
 def test_multi_sort_indicator_count_is_block_count_squared():
@@ -173,13 +193,14 @@ def test_multi_sort_indicator_count_is_block_count_squared():
     assert rep.cmp_evals == 10
 
 
-def test_multi_sort_with_ties_and_padding():
+@pytest.mark.parametrize("optimized", [True, False])
+def test_multi_sort_with_ties_and_padding(optimized):
     rng = np.random.default_rng(33)
     eng = make_engine(16)
     for n in (5, 8, 11, 16):
         v = rng.uniform(0, 1, n)
         v[rng.integers(0, n, size=n // 3)] = v[rng.integers(0, n, size=n // 3)]
-        out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg()))
+        out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(optimized=optimized)))
         assert np.array_equal(out, np.sort(v))
 
 
