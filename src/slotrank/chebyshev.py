@@ -86,7 +86,6 @@ class KernelConfig:
         2-4 transition widths brings a tie within about 0.05, but the
         margin must also stay below the smallest gap between distinct
         values, or those compare like ties.
-    goldschmidt_iters: squaring steps of the reciprocal iteration.
     """
 
     mode: str = "ideal"
@@ -94,7 +93,6 @@ class KernelConfig:
     indicator_degree: int | None = None
     input_range: tuple[float, float] = (0.0, 1.0)
     tie_margin: float = 0.0
-    goldschmidt_iters: int = 8
 
     def __post_init__(self):
         if self.mode not in ("ideal", "chebyshev"):
@@ -108,8 +106,6 @@ class KernelConfig:
             raise ValueError(f"input_range must satisfy lo < hi, got [{lo}, {hi}]")
         if self.tie_margin < 0:
             raise ValueError("tie_margin must be non-negative")
-        if self.goldschmidt_iters < 1:
-            raise ValueError("goldschmidt_iters must be >= 1")
 
     @property
     def ind_degree(self) -> int:
@@ -375,24 +371,20 @@ def indicator_kernel(
     a: float,
     b: float,
     cfg: KernelConfig,
-    boundary: str = "closed",
 ) -> Ciphertext:
-    """Membership of [a, b]: 1 inside, 0 outside.
+    """Membership of the open interval (a, b): 1 inside, 0 outside.
 
-    ``boundary`` only matters in ideal mode: "closed" includes the
-    endpoints, "open" excludes them.  The rank-extraction pipelines use
-    open windows so that half-integer fractional ranks sitting exactly on
-    a window edge are not picked up.
+    The endpoints read 0 in ideal mode, so that half-integer fractional
+    ranks sitting exactly on a rank window's edge are not picked up.
     """
     if not (a < b):
         raise ValueError(f"indicator interval must satisfy a < b, got [{a}, {b}]")
     engine.note_indicator_eval()
     if cfg.mode == "ideal":
-        if boundary == "closed":
-            fn = lambda s: ((s >= a) & (s <= b)).astype(np.float64)
-        else:
-            fn = lambda s: ((s > a) & (s < b)).astype(np.float64)
-        return engine.ideal_map(fn, x, levels=_ideal_levels(cfg.ind_degree), site="indicator")
+        return engine.ideal_map(
+            lambda s: ((s > a) & (s < b)).astype(np.float64),
+            x, levels=_ideal_levels(cfg.ind_degree), site="indicator",
+        )
     lo, hi = cfg.input_range
     return ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))
 

@@ -13,6 +13,11 @@ affinely scaled into [0, 1] before comparison; the scale is recorded in
 the results file and undone on value outputs.  Every run writes a results
 file and a cost-report file and self-checks against the plaintext oracle.
 
+All four commands run one task at a time through the same pipelines, so
+``bench`` splits a vector larger than one matrix into blocks (``--slot-count``
+below the matrix size) and honours ``--tie-correction`` as ``rank``,
+``sort`` and ``stat`` do.
+
 Exit codes: 0 success, 2 usage error, 3 input error, 4 depth budget
 exhausted.
 """
@@ -29,20 +34,22 @@ import numpy as np
 
 from . import reference
 from .chebyshev import KernelConfig
-from .engine import CapacityError, DepthBudgetError, HEParams, HESimulator
-from .ranking import block_split, block_merge, multi_rank, next_pow2, rank_pipeline, read_row
-from .select import StatisticQuery, order_statistic_value
-from .sorting import SortConfig, multi_sort, sort
+from .engine import CapacityError, CostReport, DepthBudgetError, HEParams, HESimulator
+from .ranking import block_split, block_merge, multi_rank, next_pow2
+from .select import StatisticQuery, median, order_statistic_value
+from .sorting import SortConfig, multi_sort
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_DEPTH = 4
 
-COST_COLUMNS = (
-    "task,n,mode,cmp_degree,ind_degree,rotations,critical_rotations,"
-    "ctct_mults,ctpt_mults,cmp_evals,ind_evals,levels_consumed,"
-    "avg_err,max_err,wall_ms"
+COUNTERS = (
+    "rotations", "critical_rotations", "ctct_mults", "ctpt_mults",
+    "cmp_evals", "ind_evals", "levels_consumed",
+)
+COST_COLUMNS = ",".join(
+    ("task", "n", "mode", "cmp_degree", "ind_degree", *COUNTERS, "avg_err", "max_err", "wall_ms")
 )
 
 
@@ -99,12 +106,11 @@ def generate_values(count: int, seed: int, tie_fraction: float) -> np.ndarray:
     return values
 
 
-def _kernel_config(args, input_range=(0.0, 1.0)) -> KernelConfig:
+def _kernel_config(args) -> KernelConfig:
     return KernelConfig(
         mode=args.mode,
         degree=args.cmp_degree,
         indicator_degree=args.ind_degree,
-        input_range=input_range,
         tie_margin=args.tie_margin,
     )
 
@@ -131,24 +137,13 @@ def _write_cost(path: str, rows: list[str]):
     Path(path).write_text("\n".join([COST_COLUMNS, *rows]) + "\n", encoding="utf-8")
 
 
-def _cost_row(task, n, args, report, avg_err, max_err, wall_ms) -> str:
+def _cost_row(task: str, n: int, mode: str, record: dict) -> str:
+    report = record["report"]
     return ",".join(
         [
-            task,
-            str(n),
-            args.mode,
-            str(args.cmp_degree),
-            str(args.ind_degree or args.cmp_degree),
-            str(report.rotations),
-            str(report.critical_rotations),
-            str(report.ctct_mults),
-            str(report.ctpt_mults),
-            str(report.cmp_evals),
-            str(report.ind_evals),
-            str(report.levels_consumed),
-            _fmt(avg_err),
-            _fmt(max_err),
-            _fmt(wall_ms),
+            task, str(n), mode, str(record["cmp_degree"]), str(record["ind_degree"]),
+            *(str(getattr(report, c)) for c in COUNTERS),
+            _fmt(record["avg_err"]), _fmt(record["max_err"]), _fmt(record["wall_ms"]),
         ]
     )
 
@@ -163,152 +158,119 @@ def _obtain_values(args) -> np.ndarray:
     return values
 
 
-def _run_rank(args) -> int:
-    values = _obtain_values(args)
-    scale = _make_scale(values)
-    scaled = scale.forward(values)
-    n = values.size
-    engine = _engine_for(args, n)
-    cfg = _kernel_config(args)
-    start = time.perf_counter()
-    blocks = block_split(engine, scaled)
-    ranks = block_merge(engine, multi_rank(engine, blocks, cfg, tie_correction=args.tie_correction))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    report = engine.cost_snapshot()
-    oracle = (
-        reference.corrected_ranks(scaled) if args.tie_correction else reference.fractional_ranks(scaled)
-    )
-    err = np.abs(ranks - oracle)
-    meta = {"task": "rank", "n": n, "mode": args.mode, "scale_lo": _fmt(scale.lo), "scale_span": _fmt(scale.span)}
-    _write_results(args.output, meta, [_fmt_row(ranks)])
-    _write_cost(args.cost_output, [_cost_row("rank", n, args, report, err.mean(), err.max(), wall_ms)])
-    print(_fmt_row(ranks))
-    return EXIT_OK
-
-
-def _run_sort(args) -> int:
-    values = _obtain_values(args)
-    scale = _make_scale(values)
-    scaled = scale.forward(values)
-    n = values.size
-    engine = _engine_for(args, n)
-    cfg = SortConfig(kernel=_kernel_config(args), tie_correction=args.tie_correction)
-    start = time.perf_counter()
-    out = block_merge(engine, multi_sort(engine, block_split(engine, scaled), cfg))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    report = engine.cost_snapshot()
-    result = scale.back(out)
-    err = np.abs(result - reference.sorted_values(values))
-    meta = {"task": "sort", "n": n, "mode": args.mode, "scale_lo": _fmt(scale.lo), "scale_span": _fmt(scale.span)}
-    _write_results(args.output, meta, [_fmt_row(result)])
-    _write_cost(args.cost_output, [_cost_row("sort", n, args, report, err.mean(), err.max(), wall_ms)])
-    print(_fmt_row(result))
-    return EXIT_OK
-
-
-def _stat_query(args, n: int) -> StatisticQuery:
-    if args.stat == "kth":
+def _stat_query(task: str, args) -> StatisticQuery:
+    if task == "kth":
         return StatisticQuery("kth", k=args.k)
-    if args.stat == "percentile":
+    if task == "percentile":
         return StatisticQuery("percentile", p=args.p)
-    return StatisticQuery(args.stat)
+    return StatisticQuery(task)
 
 
-def _stat_oracle(values: np.ndarray, args) -> float:
-    if args.stat == "min":
+def _stat_oracle(query: StatisticQuery, values: np.ndarray) -> float:
+    if query.kind == "min":
         return float(values.min())
-    if args.stat == "max":
+    if query.kind == "max":
         return float(values.max())
-    if args.stat == "median":
+    if query.kind == "median":
         return reference.median_value(values)
-    if args.stat == "kth":
-        return reference.kth_smallest(values, args.k)
-    return reference.percentile_value(values, args.p)
+    if query.kind == "kth":
+        return reference.kth_smallest(values, query.k)
+    return reference.percentile_value(values, query.p)
 
 
-def _run_stat(args) -> int:
-    values = _obtain_values(args)
+@dataclass
+class TaskRun:
+    """One task on one input vector: its output, the per-entry error against
+    the plaintext oracle, the cost counters and the scale of the input."""
+
+    output: np.ndarray
+    err: np.ndarray
+    report: CostReport
+    wall_ms: float
+    scale: Scale
+
+
+def run_task(task: str, values: np.ndarray, args) -> TaskRun:
+    """Run ``task`` ("rank", "sort" or a statistic kind) on ``values``.
+
+    Rank and sort go ``block_split`` -> ``multi_rank``/``multi_sort`` ->
+    ``block_merge``, a vector that fits one matrix being the one-block case.
+    Ranks are scored against the fractional or, with tie correction, the
+    corrected ranks of the scaled input; values against the input itself.
+    """
     scale = _make_scale(values)
     scaled = scale.forward(values)
     n = values.size
     engine = _engine_for(args, n)
     cfg = _kernel_config(args)
-    query = _stat_query(args, n)
     start = time.perf_counter()
-    if args.stat == "median":
-        from .select import median as median_op
-
-        ct = median_op(engine, engine.encrypt(scaled), n, cfg)
+    if task == "rank":
+        ranks = multi_rank(engine, block_split(engine, scaled), cfg, tie_correction=args.tie_correction)
+        output = block_merge(engine, ranks)
+        oracle = (reference.corrected_ranks if args.tie_correction else reference.fractional_ranks)(scaled)
+    elif task == "sort":
+        sort_cfg = SortConfig(kernel=cfg, tie_correction=args.tie_correction)
+        output = scale.back(block_merge(engine, multi_sort(engine, block_split(engine, scaled), sort_cfg)))
+        oracle = reference.sorted_values(values)
     else:
-        ct = order_statistic_value(
-            engine, engine.encrypt(scaled), n, query, cfg, tie_correction=args.tie_correction
-        )
+        query = _stat_query(task, args)
+        ct = engine.encrypt(scaled)
+        if task == "median":
+            ct = median(engine, ct, n, cfg)
+        else:
+            ct = order_statistic_value(engine, ct, n, query, cfg, tie_correction=args.tie_correction)
+        output = scale.back(engine.decrypt(ct)[:1])
+        oracle = _stat_oracle(query, values)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    report = engine.cost_snapshot()
-    value = float(scale.back(engine.decrypt(ct)[0]))
-    err = abs(value - _stat_oracle(values, args))
-    meta = {
-        "task": f"stat:{args.stat}", "n": n, "mode": args.mode,
-        "scale_lo": _fmt(scale.lo), "scale_span": _fmt(scale.span),
+    return TaskRun(output, np.abs(output - oracle), engine.cost_snapshot(), wall_ms, scale)
+
+
+def _record(cmp_degree: int, ind_degree: int | None, runs: list[TaskRun]) -> dict:
+    """Oracle error over all runs; the cost counters of the last one (the
+    circuit shape does not depend on the input values)."""
+    errs = np.concatenate([r.err for r in runs])
+    return {
+        "cmp_degree": cmp_degree,
+        "ind_degree": ind_degree or cmp_degree,
+        "avg_err": float(errs.mean()),
+        "max_err": float(errs.max()),
+        "report": runs[-1].report,
+        "wall_ms": sum(r.wall_ms for r in runs) / len(runs),
     }
-    _write_results(args.output, meta, [_fmt(value)])
-    _write_cost(args.cost_output, [_cost_row(f"stat:{args.stat}", n, args, report, err, err, wall_ms)])
-    print(_fmt(value))
+
+
+def _run_once(args) -> int:
+    task = args.stat if args.command == "stat" else args.command
+    label = f"stat:{task}" if args.command == "stat" else task
+    values = _obtain_values(args)
+    run = run_task(task, values, args)
+    meta = {
+        "task": label, "n": values.size, "mode": args.mode,
+        "scale_lo": _fmt(run.scale.lo), "scale_span": _fmt(run.scale.span),
+    }
+    _write_results(args.output, meta, [_fmt_row(run.output)])
+    record = _record(args.cmp_degree, args.ind_degree, [run])
+    _write_cost(args.cost_output, [_cost_row(label, values.size, args.mode, record)])
+    print(_fmt_row(run.output))
     return EXIT_OK
 
 
 def bench_sweep(args) -> tuple[list[dict], bool]:
     """One aggregated record per (cmp_degree, ind_degree); trend flag for rank.
 
-    Each record averages the oracle error over ``seeds`` runs and carries
-    the cost counters of one run (the circuit shape does not depend on the
-    seed).
+    Each record averages the oracle error over ``seeds`` generated inputs,
+    each run through ``run_task``.
     """
-    degrees = args.degrees
     ind_degrees = args.ind_degrees or [None]
     records = []
-    for dc in degrees:
+    for dc in args.degrees:
         for di in ind_degrees:
-            errs = []
-            wall = 0.0
-            report = None
-            for s in range(args.seeds):
-                values = generate_values(args.count, args.seed + s, args.tie_fraction)
-                scale = _make_scale(values)
-                scaled = scale.forward(values)
-                n = values.size
-                run_args = argparse.Namespace(**vars(args))
-                run_args.cmp_degree = dc
-                run_args.ind_degree = di
-                engine = _engine_for(run_args, n)
-                cfg = _kernel_config(run_args)
-                start = time.perf_counter()
-                if args.task == "rank":
-                    pipe = rank_pipeline(engine, engine.encrypt(scaled), n, cfg)
-                    est = read_row(engine, pipe.result.ranks, n)
-                    errs.append(reference.rank_displacement(est, scaled))
-                elif args.task == "sort":
-                    sc = SortConfig(kernel=cfg, tie_correction=args.tie_correction)
-                    out = read_row(engine, sort(engine, engine.encrypt(scaled), n, sc), n)
-                    errs.append(np.abs(scale.back(out) - reference.sorted_values(values)))
-                else:
-                    query = StatisticQuery(args.task)
-                    ct = order_statistic_value(engine, engine.encrypt(scaled), n, query, cfg)
-                    truth = float(values.min() if args.task == "min" else values.max())
-                    errs.append(np.abs(scale.back(engine.decrypt(ct)[0]) - truth))
-                wall += (time.perf_counter() - start) * 1000.0
-                report = engine.cost_snapshot()
-            flat = np.concatenate([np.atleast_1d(e) for e in errs])
-            records.append(
-                {
-                    "cmp_degree": dc,
-                    "ind_degree": di or dc,
-                    "avg_err": float(flat.mean()),
-                    "max_err": float(flat.max()),
-                    "report": report,
-                    "wall_ms": wall / args.seeds,
-                }
-            )
+            run_args = argparse.Namespace(**{**vars(args), "cmp_degree": dc, "ind_degree": di})
+            runs = [
+                run_task(args.task, generate_values(args.count, args.seed + s, args.tie_fraction), run_args)
+                for s in range(args.seeds)
+            ]
+            records.append(_record(dc, di, runs))
     if len(ind_degrees) == 1:
         by_degree = [r["avg_err"] for r in records]
         monotone = all(b <= a * 1.10 for a, b in zip(by_degree, by_degree[1:]))
@@ -320,7 +282,6 @@ def bench_sweep(args) -> tuple[list[dict], bool]:
 def _run_bench(args) -> int:
     records, monotone = bench_sweep(args)
     result_lines = ["task,n,mode,cmp_degree,ind_degree,avg_err,max_err"]
-    cost_rows = []
     for r in records:
         result_lines.append(
             ",".join(
@@ -331,19 +292,10 @@ def _run_bench(args) -> int:
                 ]
             )
         )
-        row_args = argparse.Namespace(**vars(args))
-        row_args.cmp_degree = r["cmp_degree"]
-        row_args.ind_degree = r["ind_degree"]
-        cost_rows.append(
-            _cost_row(
-                args.task, args.count, row_args, r["report"],
-                r["avg_err"], r["max_err"], r["wall_ms"],
-            )
-        )
     result_lines.append(f"# avg_err_non_increasing={'yes' if monotone else 'no'} tolerance=10%")
     meta = {"task": f"bench:{args.task}", "n": args.count, "mode": args.mode, "seeds": args.seeds}
     _write_results(args.output, meta, result_lines)
-    _write_cost(args.cost_output, cost_rows)
+    _write_cost(args.cost_output, [_cost_row(args.task, args.count, args.mode, r) for r in records])
     for line in result_lines:
         print(line)
     return EXIT_OK
@@ -434,9 +386,6 @@ def _validate(parser, args):
         args.cost_output = f"{args.command}_cost.csv"
 
 
-_RUNNERS = {"rank": _run_rank, "sort": _run_sort, "stat": _run_stat, "bench": _run_bench}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -445,7 +394,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _RUNNERS[args.command](args)
+        return (_run_bench if args.command == "bench" else _run_once)(args)
     except DepthBudgetError as exc:
         print(f"error: depth budget: {exc}", file=sys.stderr)
         return EXIT_DEPTH

@@ -25,6 +25,10 @@ __all__ = [
     "percentile",
 ]
 
+# Squaring steps of the Goldschmidt reciprocal that normalises a selection
+# mask's L1 norm (at most n) away.
+_GOLDSCHMIDT_ITERS = 8
+
 
 @dataclass(frozen=True)
 class StatisticQuery:
@@ -82,9 +86,7 @@ def _window_mask(engine, pipe: RankPipeline, k: int, n: int, cfg: KernelConfig) 
     # must reach down to 0 because the empty slots of the rank vector hold
     # zeros and the fitted polynomial is evaluated on every slot.
     window_cfg = with_input_range(cfg, -0.5, n + 0.5)
-    return indicator_kernel(
-        engine, pipe.result.ranks, k - 0.5, k + 0.5, window_cfg, boundary="open"
-    )
+    return indicator_kernel(engine, pipe.result.ranks, k - 0.5, k + 0.5, window_cfg)
 
 
 def order_statistic_mask(
@@ -110,7 +112,7 @@ def _value_from_mask(engine, sel, ct, n, layout, cfg) -> Ciphertext:
     product = engine.mul(sel, ct, site="statistic-inner-product")
     numerator = sum_axis(engine, product, layout, "col")
     norm = sum_axis(engine, sel, layout, "col")
-    inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), cfg.goldschmidt_iters)
+    inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _GOLDSCHMIDT_ITERS)
     return engine.mul(numerator, inv, site="statistic-normalise")
 
 

@@ -92,7 +92,7 @@ def _place(engine, ranks, replicated, layout, kernel_cfg, column_form):
         acc = None
         for j in range(count):
             shifted = engine.add_plain(spread[j], neg_targets)
-            selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg, boundary="open")
+            selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg)
             placed = engine.mul(selection, replicated[j], site="sort-place")
             acc = placed if acc is None else engine.add(acc, placed)
         block = sum_axis(engine, acc, layout, fold_axis)

@@ -270,12 +270,12 @@ def test_strict_weak_chebyshev_margin_at_range_ends(margin):
 # ----------------------------------------------------------------------
 
 
-def test_indicator_ideal_closed_interval():
+def test_indicator_ideal_open_interval():
     eng = make_engine()
     cfg = ideal_cfg(input_range=(0.0, 2.0))
     x = eng.encrypt([1.0, 2.0, 0.5])
     out = eng.decrypt(indicator_kernel(eng, x, 0.5, 1.5, cfg))
-    assert np.array_equal(out[:3], [1, 0, 1])
+    assert np.array_equal(out[:3], [1, 0, 0])  # the endpoint 0.5 lies outside
 
 
 def test_indicator_covering_whole_range():

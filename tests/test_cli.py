@@ -153,6 +153,31 @@ def test_bench_single_degree_single_row(tmp_path):
     assert len([l for l in cost.read_text().splitlines()[1:] if l]) == 1
 
 
+@pytest.mark.parametrize("size", [["--count", "8"], ["--count", "12", "--slot-count", "16"]])
+@pytest.mark.parametrize("task", ["rank", "sort"])
+def test_bench_matches_the_single_run_commands(tmp_path, task, size):
+    # bench runs the pipelines of rank/sort; the multi-block case splits into blocks
+    common = [*size, "--seed", "5", "--mode", "ideal", "--no-tie-correction"]
+    code, _, bench_cost = run(tmp_path, "bench", "--task", task, "--seeds", "1", "--degrees", "256", *common)
+    assert code == EXIT_OK
+    bench_row = bench_cost.read_text().splitlines()[1].split(",")[:-1]
+    code, _, cost = run(tmp_path, task, "--gen", "uniform", *common)
+    assert code == EXIT_OK
+    assert cost.read_text().splitlines()[1].split(",")[:-1] == bench_row
+
+
+def test_bench_rank_applies_tie_correction(tmp_path):
+    code, _, cost = run(
+        tmp_path, "bench", "--task", "rank", "--mode", "ideal", "--tie-correction",
+        "--tie-fraction", "0.5", "--count", "8", "--seeds", "1", "--degrees", "256",
+    )
+    assert code == EXIT_OK
+    header, row = (line.split(",") for line in cost.read_text().splitlines()[:2])
+    record = dict(zip(header, row))
+    assert float(record["max_err"]) == 0.0  # against the corrected ranks
+    assert int(record["ctct_mults"]) == 1  # the tie-offset product
+
+
 def test_deterministic_outputs(tmp_path):
     runs = []
     for tag in ("a", "b"):
@@ -189,7 +214,7 @@ def test_bench_sort_on_ties_without_correction_fails(tmp_path, capsys):
         "--degrees", "64", "--tie-fraction", "0.1",
     )
     assert code == EXIT_INPUT
-    assert "sort_full" in capsys.readouterr().err
+    assert "multi_sort" in capsys.readouterr().err
     assert not out.exists() and not cost.exists()
 
 
