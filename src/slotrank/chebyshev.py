@@ -14,6 +14,11 @@ Every kernel runs in one of two modes:
                    are testable without approximation error;
 * ``chebyshev`` -- a cached Chebyshev interpolant of the target function
                    is evaluated on the ciphertext.
+
+The fitted targets keep their exact parity: the comparison step is odd
+about 1/2, and an indicator window centred in its fit interval (every
+sort placement window) is even.  Their other-parity coefficients are
+exactly zero, so the evaluator skips them and they cost nothing.
 """
 
 from __future__ import annotations
@@ -303,18 +308,37 @@ _STEP_WIDTH = 1.0
 _WINDOW_WIDTH = 3.0
 
 
+def _zero_from(poly: ChebyshevPolynomial, start: int) -> ChebyshevPolynomial:
+    """Set c_start, c_{start+2}, ... to exactly 0.0.
+
+    The first-kind nodes are symmetric about the interval's centre and
+    T_k(-t) = (-1)^k T_k(t), so the interpolant of a target that is odd
+    (even) about the centre has exactly zero coefficients of even (odd) k;
+    only the rounding of the fit leaves noise there.  Zeroing it lets the
+    evaluator skip those terms instead of paying a product for each.
+    """
+    coeffs = np.array(poly.coeffs)
+    coeffs[start::2] = 0.0
+    return replace(poly, coeffs=tuple(coeffs.tolist()))
+
+
 @lru_cache(maxsize=None)
 def _step_poly(degree: int) -> ChebyshevPolynomial:
+    # 1/2 plus an odd function of t: every even k >= 2 is zero.
     w = _STEP_WIDTH / degree * math.sqrt(2.0)
-    return cheb_fit(lambda t: 0.5 * (1.0 + _erf(t / w)), (-1.0, 1.0), degree)
+    poly = cheb_fit(lambda t: 0.5 * (1.0 + _erf(t / w)), (-1.0, 1.0), degree)
+    return _zero_from(poly, 2)
 
 
 @lru_cache(maxsize=None)
 def _window_poly(a: float, b: float, lo: float, hi: float, degree: int) -> ChebyshevPolynomial:
+    # A window centred in the fit interval is even about the centre: every
+    # odd k is zero.
     w = _WINDOW_WIDTH * (hi - lo) / degree * math.sqrt(2.0)
-    return cheb_fit(
+    poly = cheb_fit(
         lambda t: 0.5 * (_erf((t - a) / w) - _erf((t - b) / w)), (lo, hi), degree
     )
+    return _zero_from(poly, 1) if a + b == lo + hi else poly
 
 
 def _ideal_levels(degree: int) -> int:

@@ -8,7 +8,8 @@ Subcommands::
     slotrank bench  --task rank --count 128 --degrees 64,128,256,512
 
 Input vectors come from a file (one value per line, or a single
-comma-separated line) or from the built-in uniform generator.  Values are
+comma-separated line) or from the built-in uniform generator; ``bench``
+always generates its inputs and takes no ``--input``.  Values are
 affinely scaled into [0, 1] before comparison; the scale is recorded in
 the results file and undone on value outputs.  Every run writes a results
 file and a cost-report file and self-checks against the plaintext oracle.
@@ -216,7 +217,7 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
         query = _stat_query(task, args)
         ct = engine.encrypt(scaled)
         if task == "median":
-            ct = median(engine, ct, n, cfg)
+            ct = median(engine, ct, n, cfg, tie_correction=args.tie_correction)
         else:
             ct = order_statistic_value(engine, ct, n, query, cfg, tie_correction=args.tie_correction)
         output = scale.back(engine.decrypt(ct)[:1])
@@ -363,6 +364,8 @@ def _validate(parser, args):
         args.mode = "chebyshev" if args.command == "bench" else "ideal"
     if args.tie_correction is None:
         args.tie_correction = args.command not in ("rank", "bench")
+    if args.command == "bench" and args.input:
+        parser.error("bench generates its inputs from --count, --seed and --tie-fraction; --input is not accepted")
     if args.command != "bench" and not args.input and not args.gen:
         parser.error("either --input or --gen is required")
     if args.command == "stat":

@@ -132,15 +132,25 @@ def order_statistic_value(
     return _value_from_mask(engine, sel, ct, n, pipe.result.layout, cfg)
 
 
-def median(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> Ciphertext:
+def median(
+    engine: HESimulator,
+    ct: Ciphertext,
+    n: int,
+    cfg: KernelConfig,
+    *,
+    tie_correction: bool = True,
+) -> Ciphertext:
     """Median in slot 0; the even case averages the two middle statistics.
 
-    Both middle statistics reuse one tie-corrected ranking, so the even
-    case costs one extra indicator, inner product, and a plaintext 0.5.
+    Both middle statistics reuse one ranking, so the even case costs one
+    extra indicator, inner product, and a plaintext 0.5.  Without tie
+    correction a tied middle rank can be unoccupied, as in
+    ``order_statistic_value``.
     """
     if n % 2 == 1:
-        return order_statistic_value(engine, ct, n, StatisticQuery("kth", k=(n + 1) // 2), cfg)
-    pipe = _rank_for_query(engine, ct, n, "fractional", cfg, tie_correction=True)
+        query = StatisticQuery("kth", k=(n + 1) // 2)
+        return order_statistic_value(engine, ct, n, query, cfg, tie_correction=tie_correction)
+    pipe = _rank_for_query(engine, ct, n, "fractional", cfg, tie_correction)
     layout = pipe.result.layout
     lo_sel = _window_mask(engine, pipe, n // 2, n, cfg)
     hi_sel = _window_mask(engine, pipe, n // 2 + 1, n, cfg)

@@ -9,6 +9,7 @@ from slotrank import (
     HEParams,
     HESimulator,
     KernelConfig,
+    cheb_eval,
     cheb_fit,
     compare_ge_kernel,
     compare_gt_kernel,
@@ -19,6 +20,7 @@ from slotrank import (
     kernel_depth,
     ps_eval,
 )
+from slotrank import chebyshev
 
 
 def make_engine(slot_count=64, max_level=40, sigma=0.0):
@@ -80,6 +82,59 @@ def test_fit_rejects_non_finite_targets():
         cheb_fit(lambda t: np.full_like(t, np.inf), (-1.0, 1.0), 4)
     with pytest.raises(ValueError):
         cheb_fit(lambda t: t, (1.0, 1.0), 4)
+
+
+# ----------------------------------------------------------------------
+# exact parity of the kernel fits
+# ----------------------------------------------------------------------
+
+
+def _step_target(d):
+    w = chebyshev._STEP_WIDTH / d * math.sqrt(2.0)
+    return lambda t: 0.5 * (1.0 + chebyshev._erf(t / w))
+
+
+def _window_target(a, b, lo, hi, d):
+    w = chebyshev._WINDOW_WIDTH * (hi - lo) / d * math.sqrt(2.0)
+    return lambda t: 0.5 * (chebyshev._erf((t - a) / w) - chebyshev._erf((t - b) / w))
+
+
+@pytest.mark.parametrize("d", [64, 256, 1024])
+def test_step_fit_is_one_half_plus_odd(d):
+    coeffs = np.array(chebyshev._step_poly(d).coeffs)
+    assert coeffs[0] == 0.5
+    assert np.all(coeffs[2::2] == 0.0)
+    assert np.all(coeffs[1::2] != 0.0)
+
+
+@pytest.mark.parametrize("bound,d", [(16.0, 256), (64.0, 1024)])
+def test_centred_window_fit_is_even(bound, d):
+    coeffs = np.array(chebyshev._window_poly(-0.5, 0.5, -bound, bound, d).coeffs)
+    assert np.all(coeffs[1::2] == 0.0)
+    assert np.count_nonzero(coeffs[0::2]) > d // 4
+
+
+def test_off_centre_window_keeps_odd_terms():
+    coeffs = np.array(chebyshev._window_poly(1.5, 2.5, -0.5, 64.5, 256).coeffs)
+    assert np.max(np.abs(coeffs[1::2])) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "poly,target,interval,d",
+    [
+        *[(chebyshev._step_poly(d), _step_target(d), (-1.0, 1.0), d) for d in (64, 256, 1024)],
+        *[
+            (chebyshev._window_poly(*w), _window_target(*w), w[2:4], w[4])
+            for w in [(-0.5, 0.5, -64.0, 64.0, 1024), (1.5, 2.5, -0.5, 64.5, 256), (31.5, 32.5, -0.5, 64.5, 256)]
+        ],
+    ],
+)
+def test_parity_projection_only_drops_rounding(poly, target, interval, d):
+    # the projected fit, evaluated homomorphically, matches the plain fit
+    xs = np.linspace(*interval, 1024)
+    eng = make_engine(slot_count=1024)
+    out = eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly))
+    assert np.max(np.abs(out - cheb_eval(cheb_fit(target, interval, d), xs))) < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,22 @@ def test_stat_median_and_kth(tmp_path, tied_vector):
     assert out.read_text().splitlines()[1] == "40"
 
 
+@pytest.mark.parametrize("text", ["50,10,20,30,40,60", "50,10,20,30,40"])
+def test_stat_median_honours_tie_correction(tmp_path, text):
+    path = tmp_path / "distinct.csv"
+    path.write_text(text + "\n")
+    rows = {}
+    for flag in ("--tie-correction", "--no-tie-correction"):
+        code, out, cost = run(tmp_path, "stat", "--stat", "median", "--input", str(path), flag)
+        assert code == EXIT_OK
+        header, row = (line.split(",") for line in cost.read_text().splitlines()[:2])
+        rows[flag] = (out.read_text().splitlines()[1], dict(zip(header, row)))
+    (on_value, on), (off_value, off) = rows["--tie-correction"], rows["--no-tie-correction"]
+    assert on_value == off_value
+    assert int(on["ctct_mults"]) - int(off["ctct_mults"]) == 1  # the tie offset's product
+    assert (on["cmp_evals"], on["ind_evals"]) == (off["cmp_evals"], off["ind_evals"])
+
+
 def test_stat_percentile(tmp_path, tied_vector):
     code, out, _ = run(
         tmp_path, "stat", "--stat", "percentile", "--p", "100", "--input", str(tied_vector)
@@ -199,6 +215,13 @@ def test_usage_errors(tmp_path, tied_vector):
     assert main(["rank"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["rank", "--gen", "uniform", "--count", "1"]) == EXIT_USAGE
+
+
+def test_bench_rejects_input_file(tmp_path, tied_vector, capsys):
+    code, out, cost = run(tmp_path, "bench", "--task", "rank", "--input", str(tied_vector))
+    assert code == EXIT_USAGE
+    assert "--count, --seed and --tie-fraction" in capsys.readouterr().err
+    assert not out.exists() and not cost.exists()
 
 
 def test_input_errors(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slotrank import (
+    CostReport,
     HEParams,
     HESimulator,
     KernelConfig,
@@ -153,6 +154,17 @@ def test_chebyshev_sort_well_separated():
         kernel = KernelConfig(mode="chebyshev", degree=d)
         out = read_row(eng, sort(eng, eng.encrypt(v), 8, cfg(tie_correction=False, kernel=kernel)), 8)
         assert np.max(np.abs(out - np.sort(v))) < 1e-6
+
+
+def test_chebyshev_sort_circuit_is_pinned():
+    # the step and the centred placement window skip their zero-parity terms
+    eng = make_engine(256, max_level=40)
+    v = np.random.default_rng(3).uniform(0, 1, 16)
+    sort(eng, eng.encrypt(v), 16, cfg(kernel=KernelConfig(mode="chebyshev", degree=64)))
+    assert eng.cost_snapshot() == CostReport(
+        rotations=32, ctct_mults=32, ctpt_mults=66, additions=136,
+        cmp_evals=1, ind_evals=1, levels_consumed=22, critical_rotations=20,
+    )
 
 
 # ----------------------------------------------------------------------
