@@ -199,32 +199,39 @@ def _split_by_cheb_power(coeffs: np.ndarray, g: int) -> tuple[np.ndarray, np.nda
     return q, work[:g]
 
 
-class _PowerCache:
-    """Lazily computed Chebyshev basis polynomials T_i of the input.
+def _powers(
+    engine: HESimulator, x: Ciphertext, interval: tuple[float, float], wanted: tuple[int, ...]
+) -> dict[int, Ciphertext]:
+    """The Chebyshev basis polynomials T_i(t), t the affine map of ``x``
+    from ``interval`` onto [-1, 1], for each i in ``wanted``.
+
+    The lower powers built on the way are released unless wanted.
+    """
+    a, b = interval
+    if (a, b) != (-1.0, 1.0):
+        x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a), site="cheb-normalize"), -(a + b) / (b - a))
+    cache = {1: x}
+    return {i: _power(engine, cache, i) for i in wanted}
+
+
+def _power(engine: HESimulator, cache: dict[int, Ciphertext], i: int) -> Ciphertext:
+    """T_i from ``cache``, built there first if missing.
 
     Each T_i is built by index halving (T_{a+b} = 2 T_a T_b - T_{a-b}),
     costing one ciphertext-ciphertext multiplication and giving T_i a
     multiplication depth of ceil(log2 i).
     """
-
-    def __init__(self, engine: HESimulator, t1: Ciphertext):
-        self.engine = engine
-        self.cache: dict[int, Ciphertext] = {1: t1}
-
-    def get(self, i: int) -> Ciphertext:
-        ct = self.cache.get(i)
-        if ct is not None:
-            return ct
-        eng = self.engine
+    ct = cache.get(i)
+    if ct is None:
         hi, lo = (i + 1) // 2, i // 2
-        prod = eng.mul(self.get(hi), self.get(lo), site=f"cheb-power-{i}")
-        doubled = eng.add(prod, prod)
+        prod = engine.mul(_power(engine, cache, hi), _power(engine, cache, lo), site=f"cheb-power-{i}")
+        doubled = engine.add(prod, prod)
         if i % 2 == 0:
-            ct = eng.add_plain(doubled, -1.0)
+            ct = engine.add_plain(doubled, -1.0)
         else:
-            ct = eng.sub(doubled, self.get(1))
-        self.cache[i] = ct
-        return ct
+            ct = engine.sub(doubled, cache[1])
+        cache[i] = ct
+    return ct
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -234,29 +241,71 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: nz[-1] + 1]
 
 
-def _bsgs_eval(engine, coeffs: np.ndarray, powers: _PowerCache, bs: int):
-    """Recursive evaluation; returns (ciphertext_part or None, constant_part)."""
-    coeffs = _trim(coeffs)
-    deg = len(coeffs) - 1
-    if deg < bs:
-        acc = None
-        for i in range(1, deg + 1):
-            if coeffs[i] == 0.0:
-                continue
-            term = engine.mul_plain(powers.get(i), coeffs[i], site="cheb-leaf")
-            acc = term if acc is None else engine.add(acc, term)
-        return acc, float(coeffs[0])
-    g = 1 << int(math.floor(math.log2(deg)))
-    q, r = _split_by_cheb_power(coeffs, g)
-    q_ct, q_const = _bsgs_eval(engine, q, powers, bs)
-    t_g = powers.get(g)
+# Leaves issued, and computed by one ``HESimulator.realise``, at a time: each
+# batch reads the baby-step powers once, and only this many leaves are alive.
+_LEAF_BATCH = 4
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The baby-step / giant-step split of one polynomial.
+
+    leaves: the nonzero (i, c_i), i >= 1, of each leaf, in the order the
+        walk consumes them;
+    tree: a leaf node is (index into ``leaves`` or None, constant), a split
+        node (g, quotient node, remainder node) for q * T_g + r;
+    powers: the T_i the walk reads, the baby-step powers of the leaves
+        in ascending order and then the giant powers g.
+    """
+
+    leaves: tuple[tuple[tuple[int, float], ...], ...]
+    tree: tuple
+    powers: tuple[int, ...]
+
+
+# Bounded, unlike the kernel fits: ps_eval takes any caller's polynomial.
+@lru_cache(maxsize=256)
+def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
+    leaves: list[tuple[tuple[int, float], ...]] = []
+    giants: set[int] = set()
+
+    def split(c: np.ndarray) -> tuple:
+        c = _trim(c)
+        deg = len(c) - 1
+        if deg < bs:
+            terms = tuple((i, float(c[i])) for i in range(1, deg + 1) if c[i] != 0.0)
+            if terms:
+                leaves.append(terms)
+            return (len(leaves) - 1 if terms else None, float(c[0]))
+        g = 1 << int(math.floor(math.log2(deg)))
+        giants.add(g)
+        q, r = _split_by_cheb_power(c, g)
+        return (g, split(q), split(r))
+
+    tree = split(np.asarray(coeffs, dtype=np.float64))
+    baby = sorted({i for terms in leaves for i, _ in terms})
+    return _Plan(tuple(leaves), tree, tuple(baby + sorted(giants)))
+
+
+def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leaf) -> tuple:
+    """Evaluate the giant-step tree below ``node``.
+
+    Returns (ciphertext part or None, constant part); ``leaf(j)`` gives the
+    computed leaf j.
+    """
+    if len(node) == 2:
+        j, const = node
+        return (None if j is None else leaf(j)), const
+    g, q_node, r_node = node
+    q_ct, q_const = _walk(engine, q_node, powers, leaf)
+    t_g = powers[g]
     if q_ct is None:
         prod = engine.mul_plain(t_g, q_const, site="cheb-giant") if q_const != 0.0 else None
     else:
         if q_const != 0.0:
             q_ct = engine.add_plain(q_ct, q_const)
         prod = engine.mul(q_ct, t_g, site="cheb-giant")
-    r_ct, r_const = _bsgs_eval(engine, r, powers, bs)
+    r_ct, r_const = _walk(engine, r_node, powers, leaf)
     if prod is None:
         return r_ct, r_const
     if r_ct is None:
@@ -270,22 +319,41 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     Ciphertext-ciphertext multiplications stay below
     2*ceil(sqrt(d+1)) + ceil(log2(d+1)) + 4 and the consumed depth below
     ceil(log2(d+1)) + 2; a degree-0 polynomial costs nothing.
+
+    The split of the polynomial into leaves of degree below the baby step
+    and giant-step products is cached per (coefficients, baby step).  Each
+    call builds the powers first: the baby-step powers the leaves read, the
+    giant powers, and whatever lower powers those need; it then releases
+    the baby-step powers no leaf reads.  The walk of the giant-step tree
+    issues the leaves ``_LEAF_BATCH`` at a time, through the same charged
+    ``mul_plain`` and ``add`` calls, when it first needs one, and computes
+    each batch with one ``HESimulator.realise``, so every power is read once
+    per batch rather than once per term.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
     if deg == 0:
         c0 = float(coeffs[0])
         return engine.ideal_map(lambda s: np.full_like(s, c0), x, site="cheb-constant")
-    a, b = poly.interval
-    if (a, b) == (-1.0, 1.0):
-        t1 = x
-    else:
-        scaled = engine.mul_plain(x, 2.0 / (b - a), site="cheb-normalize")
-        t1 = engine.add_plain(scaled, -(a + b) / (b - a))
     m = max(1, math.ceil(math.log2(deg + 1)))
-    bs = 1 << max(1, m // 2)
-    powers = _PowerCache(engine, t1)
-    ct, const = _bsgs_eval(engine, coeffs, powers, bs)
+    plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
+    powers = _powers(engine, x, poly.interval, plan.powers)
+    issued: dict[int, Ciphertext] = {}
+
+    def leaf(j: int) -> Ciphertext:
+        if j not in issued:
+            batch = range(j, min(j + _LEAF_BATCH, len(plan.leaves)))
+            sums = []
+            for k in batch:
+                acc = None
+                for i, c in plan.leaves[k]:
+                    term = engine.mul_plain(powers[i], c, site="cheb-leaf")
+                    acc = term if acc is None else engine.add(acc, term)
+                sums.append(acc)
+            issued.update(zip(batch, engine.realise(sums)))
+        return issued.pop(j)
+
+    ct, const = _walk(engine, plan.tree, powers, leaf)
     if ct is None:
         return engine.ideal_map(lambda s: np.full_like(s, const), x, site="cheb-constant")
     if const != 0.0:

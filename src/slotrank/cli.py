@@ -167,6 +167,13 @@ def _stat_query(task: str, args) -> StatisticQuery:
     return StatisticQuery(task)
 
 
+def _by_fractional_rank(query: StatisticQuery) -> bool:
+    """Whether the statistic selects by fractional rank: kth, median and a
+    percentile strictly inside (0, 100); min and max use the strict and weak
+    comparisons, where ties all land on rank 1 or n."""
+    return query.kind in ("kth", "median") or (query.kind == "percentile" and 0.0 < query.p < 100.0)
+
+
 def _stat_oracle(query: StatisticQuery, values: np.ndarray) -> float:
     if query.kind == "min":
         return float(values.min())
@@ -198,6 +205,8 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
     ``block_merge``, a vector that fits one matrix being the one-block case.
     Ranks are scored against the fractional or, with tie correction, the
     corrected ranks of the scaled input; values against the input itself.
+    Tied input without tie correction raises ``ValueError`` for a sort and
+    for a statistic selected by fractional rank, whose output would be wrong.
     """
     scale = _make_scale(values)
     scaled = scale.forward(values)
@@ -215,6 +224,11 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
         oracle = reference.sorted_values(values)
     else:
         query = _stat_query(task, args)
+        if not args.tie_correction and _by_fractional_rank(query) and np.unique(scaled).size < n:
+            raise ValueError(
+                f"stat {task}: input has tied values but tie_correction=False; a tied rank "
+                "can fall between the rank windows and select nothing, so enable tie_correction"
+            )
         ct = engine.encrypt(scaled)
         if task == "median":
             ct = median(engine, ct, n, cfg, tie_correction=args.tie_correction)

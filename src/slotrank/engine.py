@@ -19,6 +19,13 @@ Cost model:
   their own output array, every other op materialises it first.  Scales
   are never folded together, so every slot is the same double the eager
   product gives;
+* ``add`` and ``sub`` of two such pending operands charge their addition
+  and return a pending sum, a lazy linear combination of slot vectors.  A
+  lone read of its ``slots`` folds the terms left to right, which gives the
+  same doubles as the eager chain of products and additions; ``realise``
+  computes a batch of pending sums at once, as one BLAS product per slot
+  tile, and so rounds each slot within a few ulps of
+  sum_i |scale_i * base_i| of the fold.  A noisy engine never defers;
 * additions, subtractions, negation, and rotations are level-free;
 * ``levels_consumed`` tracks ``max_level - level`` over every produced
   ciphertext, i.e. the longest multiplication chain seen so far;
@@ -70,6 +77,11 @@ class DepthBudgetError(EngineError):
         )
 
 
+# Width of the slot tiles ``realise`` computes at a time: the stacked bases
+# of one tile stay in cache while the BLAS product reads them.
+_SLOT_TILE = 4096
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -108,7 +120,7 @@ class Ciphertext:
     """
 
     __slots__ = ("slots", "level", "rot_chain", "params")
-    pending = None  # (base, scale) on a _PendingProduct
+    pending = None  # the (base, scale) terms of a _PendingSum
 
     def __init__(self, slots: np.ndarray, level: int, rot_chain: int, params: HEParams):
         slots.setflags(write=False)
@@ -122,18 +134,20 @@ class Ciphertext:
         return f"Ciphertext(level={self.level}, slots[:4]={head}, n={self.slots.size})"
 
 
-class _PendingProduct(Ciphertext):
-    """A ciphertext worth ``base * scale`` whose product is not computed yet.
+class _PendingSum(Ciphertext):
+    """A ciphertext worth sum_i ``base_i * scale_i`` that is not computed yet.
 
-    Reading ``slots`` computes it once and drops ``pending``, so ``base`` is
-    not kept alive; ``HESimulator.add`` and ``sub`` compute the product
-    straight into their own output instead.
+    ``pending`` holds the (base, scale) terms; one term is a deferred scalar
+    product.  Reading ``slots`` folds them left to right, as the eager chain
+    ``((b0*s0 + b1*s1) + b2*s2) + ...`` would, once, and drops ``pending`` so
+    the bases are not kept alive.  ``HESimulator.add`` and ``sub`` compute a
+    one-term product straight into their own output instead.
     """
 
     __slots__ = ("pending", "_value")
 
-    def __init__(self, base: np.ndarray, scale: float, level: int, rot_chain: int, params: HEParams):
-        self.pending = (base, scale)
+    def __init__(self, terms: tuple, level: int, rot_chain: int, params: HEParams):
+        self.pending = terms
         self._value = None
         self.level = level
         self.rot_chain = rot_chain
@@ -141,10 +155,14 @@ class _PendingProduct(Ciphertext):
 
     @property
     def slots(self) -> np.ndarray:
-        pending = self.pending
-        if pending is not None:
-            base, scale = pending
+        terms = self.pending
+        if terms is not None:
+            (base, scale), *rest = terms
             value = base * scale
+            if rest:
+                term = np.empty_like(value)
+                for base, scale in rest:
+                    value += np.multiply(base, scale, out=term)
             value.setflags(write=False)
             self._value, self.pending = value, None
         return self._value
@@ -222,14 +240,18 @@ class HESimulator:
 
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
-        slots = self._noisy(self._combine(np.add, x, y))
         self._adds += 1
+        if x.pending is not None and y.pending is not None:
+            return self._pending_sum(x, y, 1.0)
+        slots = self._noisy(self._combine(np.add, x, y))
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
-        slots = self._noisy(self._combine(np.subtract, x, y))
         self._adds += 1
+        if x.pending is not None and y.pending is not None:
+            return self._pending_sum(x, y, -1.0)
+        slots = self._noisy(self._combine(np.subtract, x, y))
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
 
     def negate(self, x: Ciphertext) -> Ciphertext:
@@ -258,7 +280,7 @@ class HESimulator:
         p = self._plain_operand(p)
         self._ctpt += 1
         if isinstance(p, float) and self.params.noise_sigma == 0:
-            return self._emit(x.slots, x.level - 1, x.rot_chain, scale=p)
+            return self._emit(None, x.level - 1, x.rot_chain, ((x.slots, p),))
         return self._emit(self._noisy(x.slots * p), x.level - 1, x.rot_chain)
 
     def rotate(self, x: Ciphertext, k: int) -> Ciphertext:
@@ -298,6 +320,48 @@ class HESimulator:
         if slots.shape != (self.params.slot_count,):
             raise ValueError("ideal_map function must preserve the slot shape")
         return self._emit(slots, level, max(c.rot_chain for c in cts))
+
+    def realise(self, cts: list[Ciphertext]) -> list[Ciphertext]:
+        """The ciphertexts of ``cts``, each pending sum computed; charges nothing.
+
+        The pending sums of the batch are computed together: their distinct
+        bases are stacked one slot tile at a time and multiplied by the
+        matrix of their scales, so each base is read once for the batch
+        instead of once per term.  BLAS rounds each slot within a few ulps
+        of sum_i |scale_i * base_i| of the left-to-right fold.  Each result
+        is a fresh read-only ciphertext at the pending sum's level; every
+        other ciphertext is returned as it is.
+        """
+        self._check(*cts)
+        pending = [c for c in cts if c.pending is not None]
+        if not pending:
+            return list(cts)
+        columns: dict[int, int] = {}
+        bases = []
+        for ct in pending:
+            for base, _ in ct.pending:
+                if id(base) not in columns:
+                    columns[id(base)] = len(bases)
+                    bases.append(base)
+        scales = np.zeros((len(pending), len(bases)))
+        for row, ct in enumerate(pending):
+            for base, scale in ct.pending:
+                scales[row, columns[id(base)]] += scale
+        n = self.params.slot_count
+        tile = min(n, _SLOT_TILE)
+        stacked = np.empty((len(bases), tile))
+        block = np.empty((len(pending), tile))
+        outs = [np.empty(n) for _ in pending]
+        for lo in range(0, n, tile):
+            np.stack([base[lo : lo + tile] for base in bases], out=stacked)
+            np.matmul(scales, stacked, out=block)
+            for out, row in zip(outs, block):
+                out[lo : lo + tile] = row
+        done = iter(outs)
+        return [
+            Ciphertext(next(done), c.level, c.rot_chain, self.params) if c.pending is not None else c
+            for c in cts
+        ]
 
     # ------------------------------------------------------------------
     # cost accounting
@@ -355,22 +419,35 @@ class HESimulator:
         """
         return float(p) if isinstance(p, (float, int, np.generic)) else self.plain(p)
 
+    def _pending_sum(self, x: Ciphertext, y: Ciphertext, sign: float) -> Ciphertext:
+        """``x + sign * y`` of two pending operands, as a pending sum.
+
+        ``x``'s terms come first, then ``y`` as one term: its own if it has
+        one, else its fold with scale 1.  The fold of the result is then
+        ``fold(x) +/- fold(y)`` to the double, since ``b * -s`` is
+        ``-(b * s)`` exactly.
+        """
+        head, tail = x.pending, y.pending
+        ((base, scale),) = tail if len(tail) == 1 else ((y.slots, 1.0),)
+        terms = head + ((base, sign * scale),)
+        return self._emit(None, min(x.level, y.level), max(x.rot_chain, y.rot_chain), terms)
+
     @staticmethod
     def _combine(op, x: Ciphertext, y: Ciphertext) -> np.ndarray:
         """``op(x, y)`` into one fresh array.
 
-        A pending product of either operand is computed into that array
-        and ``op`` then runs in place, so the product is never stored on
-        its own.
+        A pending scalar product of either operand is computed into that
+        array and ``op`` then runs in place, so the product is never stored
+        on its own; a longer pending sum is read through its fold.
         """
         pending = x.pending
-        if pending is not None:
-            base, scale = pending
+        if pending is not None and len(pending) == 1:
+            ((base, scale),) = pending
             out = base * scale
             return op(out, y.slots, out=out)
         pending = y.pending
-        if pending is not None:
-            base, scale = pending
+        if pending is not None and len(pending) == 1:
+            ((base, scale),) = pending
             out = base * scale
             return op(x.slots, out, out=out)
         return op(x.slots, y.slots)
@@ -387,13 +464,13 @@ class HESimulator:
         return slots
 
     def _emit(
-        self, slots: np.ndarray, level: int, rot_chain: int, scale: float | None = None
+        self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None
     ) -> Ciphertext:
         consumed = self.params.max_level - level
         if consumed > self._levels:
             self._levels = consumed
-        if scale is not None:
-            return _PendingProduct(slots, scale, level, rot_chain, self.params)
+        if terms is not None:
+            return _PendingSum(terms, level, rot_chain, self.params)
         # every op passes a float64 array of its own (ideal_map coerces the
         # function's result), so it is stored as is and made read-only
         return Ciphertext(slots, level, rot_chain, self.params)

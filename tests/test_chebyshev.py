@@ -6,6 +6,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from slotrank import (
     ChebyshevPolynomial,
+    CostReport,
     HEParams,
     HESimulator,
     KernelConfig,
@@ -197,6 +198,43 @@ def test_ps_eval_multiplication_economy():
             assert rep.ctct_mults < cap
             assert rep.ctct_mults < d / 4
         assert rep.levels_consumed <= math.ceil(math.log2(d + 1)) + 2
+
+
+# The exact counters of ps_eval on the two degree-1024 kernel fits.  How the
+# leaves are computed may change host time and rounding, never these.
+PINNED_PS_EVAL = {
+    "step": (
+        lambda: chebyshev._step_poly(1024),
+        CostReport(ctct_mults=59, ctpt_mults=512, additions=568, levels_consumed=11),
+    ),
+    "centred window": (
+        lambda: chebyshev._window_poly(31.5, 32.5, 0.0, 64.0, 1024),
+        CostReport(ctct_mults=59, ctpt_mults=482, additions=569, levels_consumed=12),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PS_EVAL)
+def test_ps_eval_degree_1024_costs_are_pinned(name):
+    make_poly, cost = PINNED_PS_EVAL[name]
+    poly = make_poly()
+    xs = np.random.default_rng(5).uniform(*poly.interval, 256)
+    eng = make_engine(slot_count=256)
+    out = ps_eval(eng, eng.encrypt(xs), poly)
+    assert eng.cost_snapshot() == cost
+    assert out.level == eng.params.max_level - cost.levels_consumed
+    assert np.max(np.abs(eng.decrypt(out) - cheb_eval(poly, xs))) < 1e-12
+
+
+def test_noisy_ps_eval_is_reproducible():
+    poly = chebyshev._window_poly(7.5, 8.5, 0.0, 16.0, 256)
+    xs = np.random.default_rng(6).uniform(0.0, 16.0, 64)
+    outs = []
+    for _ in range(2):
+        eng = HESimulator(HEParams(slot_count=64, max_level=40, noise_sigma=1e-6, seed=5))
+        outs.append(eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly)))
+    assert np.array_equal(*outs)
+    assert np.max(np.abs(outs[0] - cheb_eval(poly, xs))) < 1e-2
 
 
 def test_ps_eval_depth_budget_error_names_site():

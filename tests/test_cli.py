@@ -87,6 +87,25 @@ def test_stat_median_honours_tie_correction(tmp_path, text):
     assert (on["cmp_evals"], on["ind_evals"]) == (off["cmp_evals"], off["ind_evals"])
 
 
+def test_stat_on_ties_without_correction_fails(tmp_path, capsys):
+    # the tied middle rank 2.5 falls in no open window: uncorrected, the
+    # median would read 20 where the truth is 25
+    path = tmp_path / "tied.csv"
+    path.write_text("50,10,20,20,40,30\n")
+    for stat in (["median"], ["kth", "--k", "3"], ["percentile", "--p", "50"]):
+        code, out, cost = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
+        assert code == EXIT_INPUT, stat
+        assert f"stat {stat[0]}" in capsys.readouterr().err
+        assert not out.exists() and not cost.exists()
+    code, out, _ = run(tmp_path, "stat", "--stat", "median", "--input", str(path))
+    assert code == EXIT_OK
+    assert out.read_text().splitlines()[1] == "25"
+    for stat, value in ((["min"], "10"), (["max"], "50"), (["percentile", "--p", "100"], "50")):
+        code, out, _ = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
+        assert code == EXIT_OK, stat
+        assert out.read_text().splitlines()[1] == value
+
+
 def test_stat_percentile(tmp_path, tied_vector):
     code, out, _ = run(
         tmp_path, "stat", "--stat", "percentile", "--p", "100", "--input", str(tied_vector)

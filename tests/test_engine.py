@@ -316,6 +316,120 @@ def test_scalar_add_plain_matches_vector_plaintext():
     assert eng.plain(0.3).shape == (16,)
 
 
+# ``add`` and ``sub`` of two pending operands give a pending sum; a lone read
+# folds its terms left to right, as the eager chain of products and sums.
+
+
+def pending_sum(eng, vs, scales):
+    """sum_i vs[i] * scales[i] as a chain of charged ``add``s, and its eager fold."""
+    acc = fold = None
+    for v, s in zip(vs, scales):
+        term = eng.mul_plain(eng.encrypt(v), s)
+        acc = term if acc is None else eng.add(acc, term)
+        fold = v * s if fold is None else fold + v * s
+    return acc, fold
+
+
+def sum_inputs(slot_count=64, terms=4, seed=11):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=slot_count) for _ in range(terms)], rng.uniform(-2.0, 2.0, terms)
+
+
+def test_pending_sum_consumers_match_eager_fold():
+    vs, scales = sum_inputs()
+    ws, other_scales = sum_inputs(seed=12)
+    w = ws[0]
+    cases = {
+        "pending sum + concrete": (lambda e, p, q, y: e.add(p, y), lambda pf, qf: pf + w),
+        "concrete - pending sum": (lambda e, p, q, y: e.sub(y, p), lambda pf, qf: w - pf),
+        "pending sum - pending sum": (lambda e, p, q, y: e.sub(p, q), lambda pf, qf: pf - qf),
+        "pending sum + pending sum": (lambda e, p, q, y: e.add(q, p), lambda pf, qf: qf + pf),
+        "mul_plain": (lambda e, p, q, y: e.mul_plain(p, 3.7), lambda pf, qf: pf * 3.7),
+        "rotate": (lambda e, p, q, y: e.rotate(p, 5), lambda pf, qf: np.roll(pf, -5)),
+        "add to itself": (lambda e, p, q, y: e.add(p, p), lambda pf, qf: pf + pf),
+    }
+    for name, (op, eager) in cases.items():
+        eng = make_engine(slot_count=64)
+        p, p_fold = pending_sum(eng, vs, scales)
+        q, q_fold = pending_sum(eng, ws, other_scales)
+        assert len(p.pending) == len(vs), name
+        assert np.array_equal(eng.decrypt(op(eng, p, q, eng.encrypt(w))), eager(p_fold, q_fold)), name
+    eng = make_engine(slot_count=64)
+    p, p_fold = pending_sum(eng, vs, scales)
+    q, _ = pending_sum(eng, ws, other_scales)
+    assert eng.sub(p, q).pending is not None
+    assert np.array_equal(eng.decrypt(p), p_fold)
+    assert p.pending is None  # a folded sum no longer holds its bases
+
+
+def test_pending_sum_is_charged_at_each_add():
+    vs, scales = sum_inputs(terms=5)
+    eng = make_engine(slot_count=64)
+    p, _ = pending_sum(eng, vs, scales)
+    rep = eng.cost_snapshot()
+    assert (rep.ctpt_mults, rep.additions, rep.levels_consumed) == (5, 4, 1)
+    assert p.level == eng.params.max_level - 1
+
+
+def test_realise_matches_fold_within_rounding():
+    from slotrank.engine import _SLOT_TILE
+
+    for slot_count in (64, 2 * _SLOT_TILE):
+        vs, scales = sum_inputs(slot_count=slot_count, terms=6)
+        eng = make_engine(slot_count=slot_count)
+        shared = [eng.encrypt(v) for v in vs]
+        sums, folds, bounds = [], [], []
+        for r in range(3):
+            coeffs = np.roll(scales, r)
+            acc = None
+            for ct, s in zip(shared, coeffs):
+                term = eng.mul_plain(ct, s)
+                acc = term if acc is None else eng.add(acc, term)
+            sums.append(acc)
+            folds.append(sum((v * s for v, s in zip(vs[1:], coeffs[1:])), vs[0] * coeffs[0]))
+            bounds.append(sum(np.abs(v * s) for v, s in zip(vs, coeffs)))
+        doubled = eng.add(eng.mul_plain(shared[0], 0.1), eng.mul_plain(shared[0], 0.1))
+        sums.append(doubled)
+        folds.append(vs[0] * 0.1 + vs[0] * 0.1)
+        bounds.append(2 * np.abs(vs[0] * 0.1))
+        concrete = eng.encrypt(vs[1])
+        out = eng.realise([sums[0], concrete, *sums[1:]])
+        assert out[1] is concrete
+        results = [out[0], *out[2:]]
+        for res, fold, bound in zip(results, folds, bounds):
+            assert res.pending is None
+            assert np.all(np.abs(res.slots - fold) <= 1e-14 * bound)
+            assert not res.slots.flags.writeable
+            for other in [*results, *shared]:
+                assert other is res or not np.shares_memory(res.slots, other.slots)
+
+
+def test_realise_charges_nothing_and_keeps_levels():
+    vs, scales = sum_inputs(terms=3)
+    eng = make_engine(slot_count=64)
+    low, _ = pending_sum(eng, vs, scales)
+    x = eng.mul(eng.encrypt(vs[0]), eng.encrypt(vs[1]))
+    rotated = eng.rotate(eng.encrypt(vs[2]), 3)
+    deep = eng.add(eng.mul_plain(x, 0.5), eng.mul_plain(rotated, -0.25))
+    before = eng.cost_snapshot()
+    out = eng.realise([low, deep])
+    assert eng.cost_snapshot() == before
+    assert [c.level for c in out] == [low.level, deep.level] == [9, 8]
+    assert [c.rot_chain for c in out] == [0, 1]
+    assert eng.rotation_offsets() == [3]
+
+
+def test_noisy_engine_never_defers():
+    eng = make_engine(slot_count=16, sigma=1e-3, seed=2)
+    rng = np.random.default_rng(9)
+    x, y = eng.encrypt(rng.normal(size=16)), eng.encrypt(rng.normal(size=16))
+    p, q = eng.mul_plain(x, 0.3), eng.mul_plain(y, -1.1)
+    s = eng.add(p, q)
+    outs = [p, q, s, eng.sub(p, q), eng.add(s, s), eng.mul_plain(s, 0.5), eng.add_plain(s, 2.0)]
+    assert all(c.pending is None for c in outs)
+    assert all(a is b for a, b in zip(eng.realise(outs), outs))
+
+
 def test_rotate_matches_roll_and_is_fresh_and_read_only():
     n = 16
     v = np.random.default_rng(8).normal(size=n)
