@@ -19,8 +19,8 @@ All four commands run one task at a time through the same pipelines, so
 below the matrix size) and honours ``--tie-correction`` as ``rank``,
 ``sort`` and ``stat`` do.
 
-Exit codes: 0 success, 2 usage error, 3 input error, 4 depth budget
-exhausted.
+Exit codes: 0 success, 2 usage error, 3 input error or a non-finite
+result (``rank``, ``sort``, ``stat``), 4 depth budget exhausted.
 """
 
 from __future__ import annotations
@@ -258,7 +258,12 @@ def _run_once(args) -> int:
     task = args.stat if args.command == "stat" else args.command
     label = f"stat:{task}" if args.command == "stat" else task
     values = _obtain_values(args)
-    run = run_task(task, values, args)
+    # an overflow ends as a non-finite output, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = run_task(task, values, args)
+    if not np.isfinite(run.output).all():
+        print(f"error: result: {label} produced non-finite output", file=sys.stderr)
+        return EXIT_INPUT
     meta = {
         "task": label, "n": values.size, "mode": args.mode,
         "scale_lo": _fmt(run.scale.lo), "scale_span": _fmt(run.scale.span),

@@ -14,18 +14,26 @@ Cost model:
 
 * ciphertext-ciphertext and ciphertext-plaintext multiplications each
   consume one level (the latter models rescaling after a plaintext mask);
-* a noise-free product by a scalar plaintext is charged at ``mul_plain``
-  but computed by the op that consumes it: ``add`` and ``sub`` fuse it into
+* a product by a scalar plaintext is charged at ``mul_plain`` but computed
+  by the op that consumes it: ``add`` and ``sub`` fuse a noise-free one into
   their own output array, every other op materialises it first.  Scales
   are never folded together, so every slot is the same double the eager
   product gives;
-* ``add`` and ``sub`` of two such pending operands charge their addition
-  and return a pending sum, a lazy linear combination of slot vectors.  A
-  lone read of its ``slots`` folds the terms left to right, which gives the
-  same doubles as the eager chain of products and additions; ``realise``
-  computes a batch of pending sums at once, as one BLAS product per slot
-  tile, and so rounds each slot within a few ulps of
-  sum_i |scale_i * base_i| of the fold.  A noisy engine never defers;
+* ``add`` and ``sub`` of two distinct such pending operands charge their
+  addition and return a pending sum, a lazy linear combination of slot
+  vectors.  A lone read of its ``slots`` folds the terms left to right,
+  which gives the same doubles as the eager chain of products and
+  additions; ``realise`` computes a batch of pending sums at once, above
+  one slot tile as one BLAS product per tile, which rounds each slot
+  within a few ulps of sum_i |scale_i * base_i| of the fold;
+* noise: every charged arithmetic op adds independent N(0, sigma^2) noise
+  per slot.  A pending sum owes the noise of the ops it stands for and
+  draws it once, when it is read or realised, as one N(0, owed * sigma^2)
+  draw: the distribution of one draw per op, since no term of a sum is
+  read on its own.  An operand whose owed noise moved into a sum is spent,
+  and reading, summing or realising it raises ``EngineError``: its noise
+  would have to be correlated with the sum's.  ``add(p, p)`` reads ``p``
+  instead, so its noise is 2 e_p + e;
 * additions, subtractions, negation, and rotations are level-free;
 * ``levels_consumed`` tracks ``max_level - level`` over every produced
   ciphertext, i.e. the longest multiplication chain seen so far;
@@ -36,6 +44,7 @@ Cost model:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +101,9 @@ class HEParams:
 
     slot_count: number of SIMD lanes, a power of two >= 2.
     max_level:  multiplicative depth budget of a fresh ciphertext.
-    noise_sigma: std-dev of additive per-slot Gaussian noise applied on
-        every arithmetic operation (rotations stay exact); 0 means exact.
+    noise_sigma: std-dev of the additive per-slot Gaussian noise of every
+        arithmetic operation (rotations stay exact); finite, 0 means exact.
+        The noise a pending sum owes is drawn once, when it is read.
     seed: seed of the noise generator.
     """
 
@@ -107,8 +117,8 @@ class HEParams:
             raise ValueError(f"slot_count must be a power of two >= 2, got {self.slot_count}")
         if self.max_level < 1:
             raise ValueError(f"max_level must be >= 1, got {self.max_level}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
 
 class Ciphertext:
@@ -135,37 +145,68 @@ class Ciphertext:
 
 
 class _PendingSum(Ciphertext):
-    """A ciphertext worth sum_i ``base_i * scale_i`` that is not computed yet.
+    """A ciphertext worth sum_i ``base_i * scale_i``, plus the noise of
+    ``owed`` charged ops, that is not computed yet.
 
     ``pending`` holds the (base, scale) terms; one term is a deferred scalar
-    product.  Reading ``slots`` folds them left to right, as the eager chain
-    ``((b0*s0 + b1*s1) + b2*s2) + ...`` would, once, and drops ``pending`` so
-    the bases are not kept alive.  ``HESimulator.add`` and ``sub`` compute a
-    one-term product straight into their own output instead.
+    product.  ``owed`` counts the charged ops whose noise is not drawn yet;
+    it is 0 on a noise-free engine.  Reading ``slots`` folds the terms left
+    to right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) + ...`` would,
+    adds one draw of sigma * sqrt(owed) * Z and keeps the result, so every
+    later reader sees the same noise; it drops ``pending`` so the bases are
+    not kept alive.  ``HESimulator.add`` and ``sub`` compute a noise-free
+    one-term product straight into their own output instead.  A pending sum
+    whose owed noise moved into another sum is spent, and has no value.
     """
 
-    __slots__ = ("pending", "_value")
+    __slots__ = ("pending", "owed", "_value", "_engine")
 
-    def __init__(self, terms: tuple, level: int, rot_chain: int, params: HEParams):
+    def __init__(self, terms: tuple, owed: int, level: int, rot_chain: int, engine: HESimulator):
         self.pending = terms
+        self.owed = owed
         self._value = None
+        self._engine = engine
         self.level = level
         self.rot_chain = rot_chain
-        self.params = params
+        self.params = engine.params
 
     @property
     def slots(self) -> np.ndarray:
-        terms = self.pending
-        if terms is not None:
-            (base, scale), *rest = terms
-            value = base * scale
-            if rest:
-                term = np.empty_like(value)
-                for base, scale in rest:
-                    value += np.multiply(base, scale, out=term)
-            value.setflags(write=False)
-            self._value, self.pending = value, None
+        if self.pending is not None:
+            self._settle(_fold(self.pending))
+        elif self._value is None:
+            raise EngineError(
+                f"{self!r}: its owed noise moved into a sum, so it has no value; "
+                "read it before summing it to use it twice"
+            )
         return self._value
+
+    def _settle(self, fold: np.ndarray):
+        """Keep ``fold``, the fold of the terms, plus one draw of the owed noise."""
+        value = self._engine._noisy(fold, self.owed)
+        value.setflags(write=False)
+        self._value, self.pending, self.owed = value, None, 0
+
+    def __repr__(self):
+        if self._value is not None:
+            return super().__repr__()
+        if self.pending is None:
+            return f"Ciphertext(level={self.level}, spent, n={self.params.slot_count})"
+        return (
+            f"Ciphertext(level={self.level}, pending: {len(self.pending)} terms, "
+            f"owed={self.owed}, n={self.params.slot_count})"
+        )
+
+
+def _fold(terms: tuple) -> np.ndarray:
+    """sum_i ``base_i * scale_i`` into a fresh array, left to right."""
+    (base, scale), *rest = terms
+    value = base * scale
+    if rest:
+        term = np.empty_like(value)
+        for base, scale in rest:
+            value += np.multiply(base, scale, out=term)
+    return value
 
 
 @dataclass(frozen=True)
@@ -192,6 +233,8 @@ class HESimulator:
     def __init__(self, params: HEParams):
         self.params = params
         self._rng = np.random.default_rng(params.seed)
+        # the noise draws a charged op owes: none on a noise-free engine
+        self._op_noise = 1 if params.noise_sigma > 0 else 0
         self.trace: list[int] = []
         self._reset_counters()
 
@@ -241,7 +284,7 @@ class HESimulator:
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
         self._adds += 1
-        if x.pending is not None and y.pending is not None:
+        if x.pending is not None and y.pending is not None and x is not y:
             return self._pending_sum(x, y, 1.0)
         slots = self._noisy(self._combine(np.add, x, y))
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
@@ -249,7 +292,7 @@ class HESimulator:
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
         self._adds += 1
-        if x.pending is not None and y.pending is not None:
+        if x.pending is not None and y.pending is not None and x is not y:
             return self._pending_sum(x, y, -1.0)
         slots = self._noisy(self._combine(np.subtract, x, y))
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
@@ -279,8 +322,8 @@ class HESimulator:
             raise DepthBudgetError(site, x.level)
         p = self._plain_operand(p)
         self._ctpt += 1
-        if isinstance(p, float) and self.params.noise_sigma == 0:
-            return self._emit(None, x.level - 1, x.rot_chain, ((x.slots, p),))
+        if isinstance(p, float):
+            return self._emit(None, x.level - 1, x.rot_chain, ((x.slots, p),), self._op_noise)
         return self._emit(self._noisy(x.slots * p), x.level - 1, x.rot_chain)
 
     def rotate(self, x: Ciphertext, k: int) -> Ciphertext:
@@ -322,46 +365,47 @@ class HESimulator:
         return self._emit(slots, level, max(c.rot_chain for c in cts))
 
     def realise(self, cts: list[Ciphertext]) -> list[Ciphertext]:
-        """The ciphertexts of ``cts``, each pending sum computed; charges nothing.
+        """Compute every pending sum of ``cts`` and return ``cts``; charges nothing.
 
-        The pending sums of the batch are computed together: their distinct
-        bases are stacked one slot tile at a time and multiplied by the
-        matrix of their scales, so each base is read once for the batch
-        instead of once per term.  BLAS rounds each slot within a few ulps
-        of sum_i |scale_i * base_i| of the left-to-right fold.  Each result
-        is a fresh read-only ciphertext at the pending sum's level; every
-        other ciphertext is returned as it is.
+        Each pending sum ends as a read leaves it: it keeps its value, plus
+        one draw of the noise it owes, and reads as a read-only ciphertext at
+        its own level.  At or below one slot tile each sum is folded on its
+        own, as stacking would copy every base and save no time.  Above it
+        the sums of the batch are computed together: their distinct bases
+        are stacked one slot tile at a time and multiplied by the matrix of
+        their scales, so each base is read once for the batch instead of
+        once per term.  BLAS rounds each slot within a few ulps of
+        sum_i |scale_i * base_i| of the left-to-right fold.  A spent operand
+        raises ``EngineError``.
         """
         self._check(*cts)
         pending = [c for c in cts if c.pending is not None]
-        if not pending:
-            return list(cts)
-        columns: dict[int, int] = {}
-        bases = []
-        for ct in pending:
-            for base, _ in ct.pending:
-                if id(base) not in columns:
-                    columns[id(base)] = len(bases)
-                    bases.append(base)
-        scales = np.zeros((len(pending), len(bases)))
-        for row, ct in enumerate(pending):
-            for base, scale in ct.pending:
-                scales[row, columns[id(base)]] += scale
         n = self.params.slot_count
-        tile = min(n, _SLOT_TILE)
-        stacked = np.empty((len(bases), tile))
-        block = np.empty((len(pending), tile))
-        outs = [np.empty(n) for _ in pending]
-        for lo in range(0, n, tile):
-            np.stack([base[lo : lo + tile] for base in bases], out=stacked)
-            np.matmul(scales, stacked, out=block)
-            for out, row in zip(outs, block):
-                out[lo : lo + tile] = row
-        done = iter(outs)
-        return [
-            Ciphertext(next(done), c.level, c.rot_chain, self.params) if c.pending is not None else c
-            for c in cts
-        ]
+        if pending and n > _SLOT_TILE:
+            columns: dict[int, int] = {}
+            bases = []
+            for ct in pending:
+                for base, _ in ct.pending:
+                    if id(base) not in columns:
+                        columns[id(base)] = len(bases)
+                        bases.append(base)
+            scales = np.zeros((len(pending), len(bases)))
+            for row, ct in enumerate(pending):
+                for base, scale in ct.pending:
+                    scales[row, columns[id(base)]] += scale
+            stacked = np.empty((len(bases), _SLOT_TILE))
+            block = np.empty((len(pending), _SLOT_TILE))
+            outs = [np.empty(n) for _ in pending]
+            for lo in range(0, n, _SLOT_TILE):
+                np.stack([base[lo : lo + _SLOT_TILE] for base in bases], out=stacked)
+                np.matmul(scales, stacked, out=block)
+                for out, row in zip(outs, block):
+                    out[lo : lo + _SLOT_TILE] = row
+            for ct, out in zip(pending, outs):
+                ct._settle(out)
+        for ct in cts:
+            ct.slots  # folds what is still pending; a spent operand raises
+        return list(cts)
 
     # ------------------------------------------------------------------
     # cost accounting
@@ -425,52 +469,58 @@ class HESimulator:
         ``x``'s terms come first, then ``y`` as one term: its own if it has
         one, else its fold with scale 1.  The fold of the result is then
         ``fold(x) +/- fold(y)`` to the double, since ``b * -s`` is
-        ``-(b * s)`` exactly.
+        ``-(b * s)`` exactly.  The result owes the noise both operands owe
+        plus that of its own addition; an operand whose owed noise it takes
+        over is spent.
         """
         head, tail = x.pending, y.pending
-        ((base, scale),) = tail if len(tail) == 1 else ((y.slots, 1.0),)
+        ((base, scale),) = tail if len(tail) == 1 else ((_fold(tail), 1.0),)
         terms = head + ((base, sign * scale),)
-        return self._emit(None, min(x.level, y.level), max(x.rot_chain, y.rot_chain), terms)
+        owed = x.owed + y.owed + self._op_noise
+        if owed:
+            x.pending = y.pending = None  # spent
+        return self._emit(None, min(x.level, y.level), max(x.rot_chain, y.rot_chain), terms, owed)
 
     @staticmethod
     def _combine(op, x: Ciphertext, y: Ciphertext) -> np.ndarray:
         """``op(x, y)`` into one fresh array.
 
-        A pending scalar product of either operand is computed into that
-        array and ``op`` then runs in place, so the product is never stored
-        on its own; a longer pending sum is read through its fold.
+        A noise-free pending scalar product of either operand is computed
+        into that array and ``op`` then runs in place, so the product is
+        never stored on its own; any other pending sum is read.
         """
         pending = x.pending
-        if pending is not None and len(pending) == 1:
+        if pending is not None and len(pending) == 1 and not x.owed:
             ((base, scale),) = pending
             out = base * scale
             return op(out, y.slots, out=out)
         pending = y.pending
-        if pending is not None and len(pending) == 1:
+        if pending is not None and len(pending) == 1 and not y.owed:
             ((base, scale),) = pending
             out = base * scale
             return op(x.slots, out, out=out)
         return op(x.slots, y.slots)
 
-    def _noisy(self, slots: np.ndarray) -> np.ndarray:
+    def _noisy(self, slots: np.ndarray, owed: int = 1) -> np.ndarray:
+        """``slots`` plus one draw of the noise of ``owed`` ops, N(0, owed * sigma^2)."""
         sigma = self.params.noise_sigma
         if sigma > 0:
-            # the same doubles as ``slots + rng.normal(0, sigma, shape)``,
-            # from the same stream, without the temporaries
+            # for one op, the same doubles as ``slots + rng.normal(0, sigma,
+            # shape)``, from the same stream, without the temporaries
             noise = self._rng.standard_normal(slots.shape)
-            noise *= sigma
+            noise *= sigma * math.sqrt(owed)
             noise += slots
             return noise
         return slots
 
     def _emit(
-        self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None
+        self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None, owed: int = 0
     ) -> Ciphertext:
         consumed = self.params.max_level - level
         if consumed > self._levels:
             self._levels = consumed
         if terms is not None:
-            return _PendingSum(terms, level, rot_chain, self.params)
+            return _PendingSum(terms, owed, level, rot_chain, self)
         # every op passes a float64 array of its own (ideal_map coerces the
         # function's result), so it is stored as is and made read-only
         return Ciphertext(slots, level, rot_chain, self.params)

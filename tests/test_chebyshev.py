@@ -10,6 +10,9 @@ from slotrank import (
     HEParams,
     HESimulator,
     KernelConfig,
+    SortConfig,
+    StatisticQuery,
+    block_split,
     cheb_eval,
     cheb_fit,
     compare_ge_kernel,
@@ -19,7 +22,14 @@ from slotrank import (
     goldschmidt_inverse,
     indicator_kernel,
     kernel_depth,
+    median,
+    multi_rank,
+    multi_sort,
+    order_statistic_value,
+    percentile,
     ps_eval,
+    rank_corrected,
+    sort,
 )
 from slotrank import chebyshev
 
@@ -235,6 +245,61 @@ def test_noisy_ps_eval_is_reproducible():
         outs.append(eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly)))
     assert np.array_equal(*outs)
     assert np.max(np.abs(outs[0] - cheb_eval(poly, xs))) < 1e-2
+
+
+# The std of (noisy - noise-free) ps_eval output at 2^14 slots, sigma 1e-6,
+# averaged over seeds 0-11, as measured when every charged op drew its own
+# noise (spread over the seeds: 5.3e-6 and 2.5e-7).  When and how the noise
+# is drawn may move the outputs, never this distribution.
+PINNED_NOISE_STD = {
+    "step": (lambda: chebyshev._step_poly(256), 1.6127e-4),
+    "off-centre window": (lambda: chebyshev._window_poly(0.2, 0.45, 0.0, 1.0, 256), 2.0619e-5),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_NOISE_STD)
+def test_ps_eval_noise_distribution_is_pinned(name):
+    make_poly, pinned = PINNED_NOISE_STD[name]
+    poly = make_poly()
+    n = 1 << 14
+    xs = np.random.default_rng(0).uniform(*poly.interval, n)
+    exact = make_engine(slot_count=n, max_level=20)
+    clean = exact.decrypt(ps_eval(exact, exact.encrypt(xs), poly))
+    stds = []
+    for seed in range(12):
+        eng = HESimulator(HEParams(slot_count=n, max_level=20, noise_sigma=1e-6, seed=seed))
+        stds.append(np.std(eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly)) - clean))
+    assert abs(np.mean(stds) - pinned) < 0.05 * pinned
+
+
+# Every pipeline, with its values computed through noisy chebyshev kernels:
+# a pending sum read after its noise moved into another sum would raise.
+NOISY_PIPELINES = {
+    "rank": lambda e, xs, cfg: rank_corrected(e, e.encrypt(xs), xs.size, cfg).ranks,
+    "sort": lambda e, xs, cfg: sort(e, e.encrypt(xs), xs.size, SortConfig(kernel=cfg)),
+    "row-form sort": lambda e, xs, cfg: sort(
+        e, e.encrypt(xs), xs.size, SortConfig(kernel=cfg, optimized_layout=False)
+    ),
+    "multi_rank": lambda e, xs, cfg: multi_rank(e, block_split(e, xs), cfg, tie_correction=True).blocks[-1],
+    "multi_sort": lambda e, xs, cfg: multi_sort(e, block_split(e, xs), SortConfig(kernel=cfg)).blocks[-1],
+    "min": lambda e, xs, cfg: order_statistic_value(e, e.encrypt(xs), xs.size, StatisticQuery("min"), cfg),
+    "max": lambda e, xs, cfg: order_statistic_value(e, e.encrypt(xs), xs.size, StatisticQuery("max"), cfg),
+    "even median": lambda e, xs, cfg: median(e, e.encrypt(xs), xs.size, cfg),
+    "odd median": lambda e, xs, cfg: median(e, e.encrypt(xs[:-1]), xs.size - 1, cfg),
+    "kth": lambda e, xs, cfg: order_statistic_value(
+        e, e.encrypt(xs), xs.size, StatisticQuery("kth", k=3), cfg
+    ),
+    "percentile": lambda e, xs, cfg: percentile(e, e.encrypt(xs), xs.size, 40.0, cfg),
+}
+
+
+@pytest.mark.parametrize("name", NOISY_PIPELINES)
+def test_noisy_chebyshev_pipelines_run(name):
+    xs = np.array([0.5, 0.1, 0.2, 0.2, 0.4, 0.9, 0.7, 0.4])  # two tied pairs
+    slot_count = 16 if name.startswith("multi") else 64  # two blocks of 4
+    eng = HESimulator(HEParams(slot_count=slot_count, max_level=60, noise_sigma=1e-6, seed=3))
+    out = NOISY_PIPELINES[name](eng, xs, cheb_cfg(degree=64))
+    assert np.all(np.isfinite(eng.decrypt(out)))
 
 
 def test_ps_eval_depth_budget_error_names_site():

@@ -260,6 +260,27 @@ def test_bench_sort_on_ties_without_correction_fails(tmp_path, capsys):
     assert not out.exists() and not cost.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_noise_sigma_is_an_input_error(tmp_path, capsys, sigma):
+    code, out, cost = run(
+        tmp_path, "sort", "--gen", "uniform", "--count", "16", "--seed", "1",
+        "--mode", "chebyshev", "--noise-sigma", sigma,
+    )
+    assert code == EXIT_INPUT
+    assert "noise_sigma must be finite" in capsys.readouterr().err
+    assert not out.exists() and not cost.exists()
+
+
+def test_non_finite_result_is_refused(tmp_path, capsys):
+    code, out, cost = run(
+        tmp_path, "sort", "--gen", "uniform", "--count", "16", "--seed", "1",
+        "--mode", "chebyshev", "--noise-sigma", "1.0",
+    )
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: result: sort produced non-finite output\n"
+    assert not out.exists() and not cost.exists()
+
+
 def test_depth_budget_error(tmp_path, tied_vector):
     code = main([
         "rank", "--input", str(tied_vector), "--mode", "chebyshev",

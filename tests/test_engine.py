@@ -4,6 +4,7 @@ import pytest
 from slotrank import (
     CapacityError,
     DepthBudgetError,
+    EngineError,
     HEParams,
     HESimulator,
     IncompatibleParamsError,
@@ -23,6 +24,12 @@ def test_params_validation():
         HEParams(slot_count=8, max_level=0)
     with pytest.raises(ValueError):
         HEParams(slot_count=8, max_level=4, noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_params_reject_non_finite_noise_sigma(sigma):
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        HEParams(slot_count=8, max_level=4, noise_sigma=sigma)
 
 
 def test_encrypt_pads_with_zeros():
@@ -297,12 +304,12 @@ def test_numpy_and_int_scalars_are_deferred():
         assert np.array_equal(eng.decrypt(prod), v * np.full(16, float(c)))
 
 
-def test_noisy_scalar_product_is_eager_and_seeded():
+def test_noisy_scalar_product_is_deferred_and_seeded():
     sigma, seed = 1e-3, 9
     eng = make_engine(slot_count=32, sigma=sigma, seed=seed)
     v = np.random.default_rng(5).normal(size=32)
     prod = eng.mul_plain(eng.encrypt(v), SCALE)
-    assert prod.pending is None
+    assert prod.pending is not None
     expected = v * SCALE + np.random.default_rng(seed).normal(0.0, sigma, 32)
     assert np.array_equal(eng.decrypt(prod), expected)
 
@@ -419,15 +426,105 @@ def test_realise_charges_nothing_and_keeps_levels():
     assert eng.rotation_offsets() == [3]
 
 
-def test_noisy_engine_never_defers():
-    eng = make_engine(slot_count=16, sigma=1e-3, seed=2)
-    rng = np.random.default_rng(9)
-    x, y = eng.encrypt(rng.normal(size=16)), eng.encrypt(rng.normal(size=16))
-    p, q = eng.mul_plain(x, 0.3), eng.mul_plain(y, -1.1)
+# A noisy pending sum owes the noise of its charged ops and draws it once,
+# as one draw of the summed variance, when it is read or realised.
+
+SIGMA = 1e-3
+
+
+def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA):
+    """A fresh engine with noise ``sigma``, and ``count`` pending sums on it,
+    each of ``terms`` scalar products of the same base ciphertexts."""
+    eng = make_engine(slot_count=slot_count, sigma=sigma, seed=seed)
+    rng = np.random.default_rng(21)
+    bases = [eng.encrypt(rng.normal(size=slot_count)) for _ in range(terms)]
+    scales = rng.uniform(-2.0, 2.0, (count, terms))
+    sums = []
+    for row in scales:
+        acc = None
+        for ct, s in zip(bases, row):
+            term = eng.mul_plain(ct, s)
+            acc = term if acc is None else eng.add(acc, term)
+        sums.append(acc)
+    return eng, sums
+
+
+@pytest.mark.parametrize("realise", [False, True], ids=["slots", "realise"])
+@pytest.mark.parametrize("slot_count,count", [(1 << 16, 1), (1 << 12, 16)], ids=["2^16", "16x2^12"])
+def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count):
+    from slotrank.engine import _SLOT_TILE
+
+    assert (slot_count > _SLOT_TILE) == (count == 1)  # BLAS above one tile, folds below
+    terms = 5
+    eng, noisy = noisy_sums(slot_count, count, terms)
+    _, exact = noisy_sums(slot_count, count, terms, sigma=0.0)
+    assert all(c.owed == 2 * terms - 1 for c in noisy) and all(c.owed == 0 for c in exact)
+    if realise:
+        noisy = eng.realise(noisy)
+    std = np.std(np.concatenate([a.slots - b.slots for a, b in zip(noisy, exact)]))
+    assert abs(std / (SIGMA * np.sqrt(2 * terms - 1)) - 1.0) < 0.03
+
+
+def test_add_to_itself_reads_its_operand_once():
+    n = 1 << 16
+    eng = make_engine(slot_count=n, sigma=SIGMA, seed=4)
+    v = np.random.default_rng(8).normal(size=n)
+    p = eng.mul_plain(eng.encrypt(v), SCALE)
+    doubled = eng.add(p, p)  # noise 2 * e_p + e
+    assert doubled.pending is None and p.pending is None
+    assert abs(np.std(doubled.slots - 2 * (v * SCALE)) / (SIGMA * np.sqrt(5.0)) - 1.0) < 0.03
+    # e_p, the noise p drew when read, and e, the addition's own, are both N(0, sigma^2)
+    for noise in (p.slots - v * SCALE, doubled.slots - 2 * p.slots):
+        assert abs(np.std(noise) / SIGMA - 1.0) < 0.03
+
+
+def test_spent_operand_raises_on_read_sum_and_realise():
+    eng, (p, q) = noisy_sums(16, 2, 1)
     s = eng.add(p, q)
-    outs = [p, q, s, eng.sub(p, q), eng.add(s, s), eng.mul_plain(s, 0.5), eng.add_plain(s, 2.0)]
-    assert all(c.pending is None for c in outs)
-    assert all(a is b for a, b in zip(eng.realise(outs), outs))
+    assert s.owed == 3
+    concrete = eng.encrypt(np.ones(16))
+    uses = {
+        "read": lambda x: x.slots,
+        "decrypt": lambda x: eng.decrypt(x),
+        "sum with a pending sum": lambda x: eng.add(eng.mul_plain(concrete, 2.0), x),
+        "sum with itself": lambda x: eng.sub(x, x),
+        "sum with a ciphertext": lambda x: eng.add(concrete, x),
+        "mul_plain": lambda x: eng.mul_plain(x, 2.0),
+        "rotate": lambda x: eng.rotate(x, 1),
+        "realise": lambda x: eng.realise([s, x]),
+    }
+    for name, use in uses.items():
+        for spent in (p, q):
+            with pytest.raises(EngineError, match="spent") as err:
+                use(spent)
+            assert "noise moved into a sum" in str(err.value), name
+    assert np.isfinite(s.slots).all()
+
+
+def test_realise_keeps_the_drawn_noise_and_charges_nothing():
+    for slot_count in (64, 1 << 13):
+        eng, sums = noisy_sums(slot_count, 3, 4, seed=5)
+        concrete = eng.rotate(eng.encrypt(np.arange(4.0)), 1)
+        before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
+        out = eng.realise([sums[0], concrete, *sums[1:]])
+        assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
+        assert all(a is b for a, b in zip(out, [sums[0], concrete, *sums[1:]]))
+        values = [c.slots for c in sums]
+        assert all(c.pending is None and c.owed == 0 for c in sums)
+        assert all(not v.flags.writeable for v in values)
+        # later reads and later realises see the noise already drawn
+        assert all(a is b.slots for a, b in zip(values, eng.realise(sums)))
+
+
+def test_seeded_noisy_run_repeats_bit_for_bit():
+    def run(seed):
+        eng, sums = noisy_sums(1 << 13, 3, 4, seed=seed)
+        a, b, c = eng.realise(sums)
+        x = eng.mul(eng.sub(eng.mul_plain(a, 0.5), eng.mul_plain(b, 0.25)), c)
+        return eng.decrypt(eng.add(eng.rotate(x, 3), eng.add_plain(x, 1.0)))
+
+    assert np.array_equal(run(7), run(7))
+    assert not np.array_equal(run(7), run(8))
 
 
 def test_rotate_matches_roll_and_is_fresh_and_read_only():
