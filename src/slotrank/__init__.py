@@ -38,7 +38,6 @@ from .ranking import (
     BlockVector,
     RankResult,
     block_merge,
-    block_pack,
     block_size_for,
     block_split,
     multi_rank,
@@ -87,7 +86,6 @@ __all__ = [
     "block_size_for",
     "block_split",
     "block_merge",
-    "block_pack",
     "multi_rank",
     "read_row",
     "read_col",

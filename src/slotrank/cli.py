@@ -89,9 +89,16 @@ def load_values(path: str) -> np.ndarray:
     else:
         parts = [p for p in text.split() if p.strip()]
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from None
+    # inf and nan parse as floats, but the rescaling into [0, 1] turns them
+    # into NaN and every rank, sort or statistic into garbage
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        first = bad[0]
+        raise ValueError(f"{path}: value {first + 1} is {parts[first].strip()}; inputs must be finite")
+    return values
 
 
 def generate_values(count: int, seed: int, tie_fraction: float) -> np.ndarray:

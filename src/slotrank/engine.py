@@ -15,10 +15,8 @@ Cost model:
 * ciphertext-ciphertext and ciphertext-plaintext multiplications each
   consume one level (the latter models rescaling after a plaintext mask);
 * a product by a scalar plaintext is charged at ``mul_plain`` but computed
-  by the op that consumes it: ``add`` and ``sub`` fuse a noise-free one into
-  their own output array, every other op materialises it first.  Scales
-  are never folded together, so every slot is the same double the eager
-  product gives;
+  only when it is read.  Scales are never folded together, so every slot is
+  the same double the eager product gives;
 * ``add`` and ``sub`` of two distinct such pending operands charge their
   addition and return a pending sum, a lazy linear combination of slot
   vectors.  A lone read of its ``slots`` folds the terms left to right,
@@ -154,9 +152,8 @@ class _PendingSum(Ciphertext):
     to right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) + ...`` would,
     adds one draw of sigma * sqrt(owed) * Z and keeps the result, so every
     later reader sees the same noise; it drops ``pending`` so the bases are
-    not kept alive.  ``HESimulator.add`` and ``sub`` compute a noise-free
-    one-term product straight into their own output instead.  A pending sum
-    whose owed noise moved into another sum is spent, and has no value.
+    not kept alive.  A pending sum whose owed noise moved into another sum
+    is spent, and has no value.
     """
 
     __slots__ = ("pending", "owed", "_value", "_engine")
@@ -286,7 +283,7 @@ class HESimulator:
         self._adds += 1
         if x.pending is not None and y.pending is not None and x is not y:
             return self._pending_sum(x, y, 1.0)
-        slots = self._noisy(self._combine(np.add, x, y))
+        slots = self._noisy(x.slots + y.slots)
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
@@ -294,7 +291,7 @@ class HESimulator:
         self._adds += 1
         if x.pending is not None and y.pending is not None and x is not y:
             return self._pending_sum(x, y, -1.0)
-        slots = self._noisy(self._combine(np.subtract, x, y))
+        slots = self._noisy(x.slots - y.slots)
         return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
 
     def negate(self, x: Ciphertext) -> Ciphertext:
@@ -480,26 +477,6 @@ class HESimulator:
         if owed:
             x.pending = y.pending = None  # spent
         return self._emit(None, min(x.level, y.level), max(x.rot_chain, y.rot_chain), terms, owed)
-
-    @staticmethod
-    def _combine(op, x: Ciphertext, y: Ciphertext) -> np.ndarray:
-        """``op(x, y)`` into one fresh array.
-
-        A noise-free pending scalar product of either operand is computed
-        into that array and ``op`` then runs in place, so the product is
-        never stored on its own; any other pending sum is read.
-        """
-        pending = x.pending
-        if pending is not None and len(pending) == 1 and not x.owed:
-            ((base, scale),) = pending
-            out = base * scale
-            return op(out, y.slots, out=out)
-        pending = y.pending
-        if pending is not None and len(pending) == 1 and not y.owed:
-            ((base, scale),) = pending
-            out = base * scale
-            return op(x.slots, out, out=out)
-        return op(x.slots, y.slots)
 
     def _noisy(self, slots: np.ndarray, owed: int = 1) -> np.ndarray:
         """``slots`` plus one draw of the noise of ``owed`` ops, N(0, owed * sigma^2)."""

@@ -37,7 +37,6 @@ __all__ = [
     "block_size_for",
     "block_split",
     "block_merge",
-    "block_pack",
     "multi_rank",
     "multi_rank_pipeline",
     "MultiRankPipeline",
@@ -73,8 +72,6 @@ class RankPipeline:
     comparison: Ciphertext
     row_replicated: Ciphertext
     col_replicated: Ciphertext
-    valid: int
-    column_form: bool
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ def _strict(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     return engine.mul(c, twice_less_one, site="tie-strict")
 
 
-def _rank_blocks(
+def multi_rank_pipeline(
     engine: HESimulator,
     bv: BlockVector,
     cfg: KernelConfig,
@@ -162,17 +159,23 @@ def _rank_blocks(
 ) -> MultiRankPipeline:
     """Ranks of every block, in row 0 of each (column 0 in column form).
 
-    Block i is compared against blocks j >= i only.  Its ranks are the
-    own-axis fold of C_ii + sum_{j>i} C_ij plus, for the earlier blocks,
-    i*B minus the other-axis fold of sum_{j<i} C_ji, transposed.  Tie
-    correction orders equal values of different blocks by block, which
-    makes every cross-block comparison strict, and adds ``tie_offset`` of
-    each block against itself.  Zero padding of the last block is masked
-    out of its comparisons, so padded entries rank 0.  The complement
-    identity holds for the fractional kernel only, so the strict and weak
-    kernels take one block.
+    Only the L(L+1)/2 ordered block pairs are compared: block i against
+    blocks j >= i.  Its ranks are the own-axis fold of C_ii + sum_{j>i} C_ij
+    plus, for the earlier blocks, i*B minus the other-axis fold of
+    sum_{j<i} C_ji, transposed.  Tie correction orders equal values of
+    different blocks by block, which makes every cross-block comparison
+    strict, and adds ``tie_offset`` of each block against itself.  Zero
+    padding of the last block is masked out of its comparisons, so padded
+    entries rank 0.  The complement identity holds for the fractional
+    kernel only, so the strict and weak kernels take one block and raise
+    ``ValueError`` on more.
     """
     b, count = bv.block_size, len(bv.blocks)
+    if comparison != "fractional" and count > 1:
+        raise ValueError(
+            f"multi_rank_pipeline: the {comparison} comparison has no complement "
+            f"identity across blocks; it ranks one block, not {count}"
+        )
     layout = MatrixLayout(b, engine.params.slot_count)
     kernel, bias = _KERNELS[comparison]
     axis, other, direction = ("col", "row", "row_to_col") if column_form else ("row", "col", "col_to_row")
@@ -252,15 +255,12 @@ def rank_pipeline(
             f"vector of length {n} needs a {side}x{side} matrix "
             f"({side * side} slots > {engine.params.slot_count}); split into blocks"
         )
-    pipe = _rank_blocks(
+    pipe = multi_rank_pipeline(
         engine, BlockVector(blocks=(ct,), block_size=side, total_len=n), cfg,
         comparison=comparison, column_form=column_form, tie_correction=tie_correction,
     )
     result = RankResult(ranks=pipe.ranks.blocks[0], layout=pipe.layout, corrected=tie_correction)
-    return RankPipeline(
-        result, pipe.comparisons[(0, 0)], pipe.row_replicated[0], pipe.col_replicated[0],
-        valid=n, column_form=column_form,
-    )
+    return RankPipeline(result, pipe.comparisons[(0, 0)], pipe.row_replicated[0], pipe.col_replicated[0])
 
 
 def rank(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> RankResult:
@@ -329,41 +329,6 @@ def block_split(engine: HESimulator, values) -> BlockVector:
 def block_merge(engine: HESimulator, bv: BlockVector) -> np.ndarray:
     parts = [engine.decrypt(blk)[: bv.valid_in(i)] for i, blk in enumerate(bv.blocks)]
     return np.concatenate(parts)
-
-
-def block_pack(engine: HESimulator, bv: BlockVector) -> Ciphertext:
-    """Pack the per-block row-0 prefixes contiguously into one ciphertext.
-
-    Requires the merged vector to fit the slot count.  Each block is
-    assumed to carry data only in row 0, which holds for split inputs and
-    for every block-pipeline output, so packing is a rotation per block
-    and no multiplications.
-    """
-    if bv.total_len > engine.params.slot_count:
-        raise CapacityError(
-            f"merged vector of length {bv.total_len} does not fit "
-            f"{engine.params.slot_count} slots"
-        )
-    packed = bv.blocks[0]
-    for i, blk in enumerate(bv.blocks[1:], start=1):
-        packed = engine.add(packed, engine.rotate(blk, -i * bv.block_size))
-    return packed
-
-
-def multi_rank_pipeline(
-    engine: HESimulator,
-    bv: BlockVector,
-    cfg: KernelConfig,
-    *,
-    tie_correction: bool = False,
-) -> MultiRankPipeline:
-    """Blockwise fractional ranking with complement reuse, ranks in row 0.
-
-    Only the L(L+1)/2 ordered block pairs are compared; the mirrored half
-    comes from the complement identity, folded column-wise and transposed
-    once per block.
-    """
-    return _rank_blocks(engine, bv, cfg, tie_correction=tie_correction)
 
 
 def multi_rank(

@@ -1,11 +1,11 @@
 """Sorting by extracting every order statistic at once.
 
-The ranking is replicated across the matrix, each row is shifted by a
+The ranking is replicated across the matrix, each column is shifted by a
 different target rank, and a single indicator evaluation turns the result
 into a permutation mask; multiplying by the replicated input and summing
-recovers the sorted vector.  The default layout keeps the ranking in
-column form, which reuses both replication products of the ranking step
-and saves the final transposition.
+recovers the sorted vector.  The ranking runs in column form, so the sort
+reuses both replication products of the ranking step and its values land
+in row 0 with no final transposition.
 
 One placement step serves every vector length: a block vector of L blocks
 runs it once per (output block, rank block) pair, and a vector that fits
@@ -21,8 +21,8 @@ from functools import lru_cache
 
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator
-from .matrix import MatrixLayout, replicate, sum_axis, transpose_vector
-from .ranking import BlockVector, _rank_blocks, rank_pipeline
+from .matrix import MatrixLayout, replicate, sum_axis
+from .ranking import BlockVector, multi_rank_pipeline, rank_pipeline
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
 
@@ -30,17 +30,10 @@ __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
 @dataclass(frozen=True)
 class SortConfig:
     """tie_correction must stay on unless the caller asserts distinct values;
-    without it, sorting tied input raises ``ValueError``.
-
-    optimized_layout runs the ranking in column form (fewer rotations), in
-    ``sort`` and ``multi_sort`` alike; the row-form path is kept for budget
-    comparisons and ends with an explicit transposition of each output
-    block, log2(B) more rotations per block.
-    """
+    without it, sorting tied input raises ``ValueError``."""
 
     kernel: KernelConfig
     tie_correction: bool = True
-    optimized_layout: bool = True
 
 
 @dataclass
@@ -52,12 +45,10 @@ class SortResult:
 
 
 @lru_cache(maxsize=None)
-def _neg_rank_targets(slot_count: int, n_dim: int, axis: str, start: int) -> np.ndarray:
-    # row r of the plain matrix holds -(start+r) everywhere (axis="row"), or
-    # column c holds -(start+c) (axis="col"); -0.0 outside the matrix, as
-    # negating the targets gives
-    grid = np.arange(start, start + n_dim, dtype=np.float64)
-    block = np.tile(grid[:, None], (1, n_dim)) if axis == "row" else np.tile(grid, (n_dim, 1))
+def _neg_rank_targets(slot_count: int, n_dim: int, start: int) -> np.ndarray:
+    # column c of the plain matrix holds -(start+c); -0.0 outside the
+    # matrix, as negating the targets gives
+    block = np.tile(np.arange(start, start + n_dim, dtype=np.float64), (n_dim, 1))
     m = np.zeros(slot_count)
     m[: n_dim * n_dim] = block.ravel()
     m = -m
@@ -75,30 +66,26 @@ def _require_distinct(values: np.ndarray, pipeline: str):
         )
 
 
-def _place(engine, ranks, replicated, layout, kernel_cfg, column_form):
-    # Output block i holds sorted positions i*B+1..(i+1)*B: rank block j is
-    # spread over the matrix, shifted by those targets, turned into a
-    # selection mask and multiplied by the replicated input block j.  In
-    # column form the ranks sit in column 0 and the fold along rows lands
-    # the values in row 0; in row form the values need a transposition.
+def _place(engine, ranks, replicated, layout, kernel_cfg):
+    # Output block i holds sorted positions i*B+1..(i+1)*B: the ranks of
+    # block j, in column 0, are spread across the columns, column c is
+    # shifted by the target i*B+1+c, and the indicator turns that into a
+    # selection mask; multiplied by the column-replicated input block j and
+    # folded along the rows, it lands the values in row 0.
     # Returns the output blocks and the last selection mask.
     b, count = layout.n_dim, len(ranks)
-    spread_axis, fold_axis = ("col", "row") if column_form else ("row", "col")
     window_cfg = with_input_range(kernel_cfg, -float(b * count), float(b * count))
-    spread = [replicate(engine, r, layout, spread_axis) for r in ranks]
+    spread = [replicate(engine, r, layout, "col") for r in ranks]
     values = []
     for i in range(count):
-        neg_targets = _neg_rank_targets(layout.slot_count, b, spread_axis, start=b * i + 1)
+        neg_targets = _neg_rank_targets(layout.slot_count, b, start=b * i + 1)
         acc = None
         for j in range(count):
             shifted = engine.add_plain(spread[j], neg_targets)
             selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg)
             placed = engine.mul(selection, replicated[j], site="sort-place")
             acc = placed if acc is None else engine.add(acc, placed)
-        block = sum_axis(engine, acc, layout, fold_axis)
-        if not column_form:
-            block = transpose_vector(engine, block, layout, "col_to_row")
-        values.append(block)
+        values.append(sum_axis(engine, acc, layout, "row"))
     return values, selection
 
 
@@ -112,13 +99,9 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     """
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n], "sort_full")
-    column_form = cfg.optimized_layout
-    pipe = rank_pipeline(
-        engine, ct, n, cfg.kernel, column_form=column_form, tie_correction=cfg.tie_correction
-    )
+    pipe = rank_pipeline(engine, ct, n, cfg.kernel, column_form=True, tie_correction=cfg.tie_correction)
     ranks, layout = pipe.result.ranks, pipe.result.layout
-    replicated = pipe.col_replicated if column_form else pipe.row_replicated
-    (values,), selection = _place(engine, [ranks], [replicated], layout, cfg.kernel, column_form)
+    (values,), selection = _place(engine, [ranks], [pipe.col_replicated], layout, cfg.kernel)
     return SortResult(values=values, selection=selection, ranks=ranks, layout=layout)
 
 
@@ -140,12 +123,8 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
             np.concatenate([blk.slots[: bv.valid_in(i)] for i, blk in enumerate(bv.blocks)]),
             "multi_sort",
         )
-    column_form = cfg.optimized_layout
-    ranking = _rank_blocks(
-        engine, bv, cfg.kernel, column_form=column_form, tie_correction=cfg.tie_correction
+    ranking = multi_rank_pipeline(
+        engine, bv, cfg.kernel, column_form=True, tie_correction=cfg.tie_correction
     )
-    replicated = ranking.col_replicated if column_form else ranking.row_replicated
-    values, _ = _place(
-        engine, ranking.ranks.blocks, replicated, ranking.layout, cfg.kernel, column_form
-    )
+    values, _ = _place(engine, ranking.ranks.blocks, ranking.col_replicated, ranking.layout, cfg.kernel)
     return BlockVector(blocks=tuple(values), block_size=bv.block_size, total_len=bv.total_len)

@@ -277,9 +277,6 @@ def test_ps_eval_noise_distribution_is_pinned(name):
 NOISY_PIPELINES = {
     "rank": lambda e, xs, cfg: rank_corrected(e, e.encrypt(xs), xs.size, cfg).ranks,
     "sort": lambda e, xs, cfg: sort(e, e.encrypt(xs), xs.size, SortConfig(kernel=cfg)),
-    "row-form sort": lambda e, xs, cfg: sort(
-        e, e.encrypt(xs), xs.size, SortConfig(kernel=cfg, optimized_layout=False)
-    ),
     "multi_rank": lambda e, xs, cfg: multi_rank(e, block_split(e, xs), cfg, tie_correction=True).blocks[-1],
     "multi_sort": lambda e, xs, cfg: multi_sort(e, block_split(e, xs), SortConfig(kernel=cfg)).blocks[-1],
     "min": lambda e, xs, cfg: order_statistic_value(e, e.encrypt(xs), xs.size, StatisticQuery("min"), cfg),

@@ -281,6 +281,20 @@ def test_non_finite_result_is_refused(tmp_path, capsys):
     assert not out.exists() and not cost.exists()
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize("task", [("rank",), ("sort",), ("stat", "--stat", "median")])
+def test_non_finite_input_is_an_input_error(tmp_path, capsys, task, bad):
+    # inf and nan parse as floats; unchecked, ranking 1,2,inf,0.5 printed 1,1,0.5,1
+    path = tmp_path / "v.csv"
+    path.write_text(f"1,2,{bad},0.5\n")
+    code, out, cost = run(tmp_path, *task, "--input", str(path), "--mode", "ideal")
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: input: {path}: value 3 is {bad}; inputs must be finite\n"
+    )
+    assert not out.exists() and not cost.exists()
+
+
 def test_depth_budget_error(tmp_path, tied_vector):
     code = main([
         "rank", "--input", str(tied_vector), "--mode", "chebyshev",

@@ -226,8 +226,8 @@ def test_ideal_map_burns_levels():
         eng.ideal_map(lambda s: s, out, levels=2)
 
 
-# A noise-free product by a scalar plaintext is computed by the op that
-# consumes it; each consumer must give the same doubles as eager numpy.
+# A product by a scalar plaintext is computed when the op that consumes it
+# reads it; each consumer must give the same doubles as eager numpy.
 
 SCALE = 0.1  # inexact in binary, so any change in rounding shows
 

@@ -236,7 +236,7 @@ def test_multi_rank_with_padding():
 
 
 def test_multi_rank_leaves_padding_slots_zero():
-    # block_pack needs every slot past the valid row-0 prefix to be zero
+    # padded entries rank 0 and nothing lands past the valid row-0 prefix
     eng = make_engine(16)  # block side 4
     v = np.array([0.5, 0.1, 0.9, 0.5, 0.7, 0.1])
     for tie_correction in (False, True):
@@ -282,29 +282,29 @@ def test_multi_rank_complement_identity():
         assert np.array_equal(lhs + rhs.T, np.ones((b, b)))
 
 
+def test_multi_rank_pipeline_refuses_strict_and_weak_across_blocks():
+    # The tied minimum 0.1 sits in both blocks.  Only the fractional kernel
+    # has the complement identity the cross-block ranks rest on: without
+    # the guard, strict would rank the two copies 1 and 2, and weak would
+    # rank one of them 1 where one block ranks both 2.
+    v = np.array([0.3, 0.9, 0.1, 0.9, 0.5, 0.1, 0.7, 0.2])
+    eng = make_engine(16)  # block side 4, two blocks
+    for comparison in ("strict", "weak"):
+        with pytest.raises(ValueError, match=f"multi_rank_pipeline: the {comparison}"):
+            multi_rank_pipeline(eng, block_split(eng, v), IDEAL, comparison=comparison)
+    blocks = multi_rank_pipeline(eng, block_split(eng, v), IDEAL).ranks
+    assert len(blocks.blocks) == 2
+    one_eng = make_engine(64)
+    one_block = rank_pipeline(one_eng, one_eng.encrypt(v), 8, IDEAL).result.ranks
+    assert np.array_equal(block_merge(eng, blocks), read_row(one_eng, one_block, 8))
+
+
 def test_multi_rank_matches_single_when_both_fit():
     eng = make_engine(256)  # block side 16, and 16 values fit a single 16x16 matrix
     v = np.random.default_rng(12).uniform(size=16)
     single = read_row(eng, rank(eng, eng.encrypt(v), 16, IDEAL).ranks, 16)
     multi = block_merge(eng, multi_rank(eng, block_split(eng, v), IDEAL))
     assert np.array_equal(single, multi)
-
-
-def test_block_pack_merges_under_encryption():
-    from slotrank import block_pack
-
-    eng = make_engine(64)  # block side 8
-    v = np.random.default_rng(20).uniform(size=20)
-    bv = block_split(eng, v)
-    assert np.array_equal(eng.decrypt(block_pack(eng, bv))[:20], v)
-    eng.cost_reset()
-    ranks = multi_rank(eng, bv, IDEAL)
-    eng.cost_reset()
-    packed = block_pack(eng, ranks)
-    rep = eng.cost_snapshot()
-    assert np.array_equal(eng.decrypt(packed)[:20], reference.fractional_ranks(v))
-    assert rep.rotations == len(bv.blocks) - 1
-    assert rep.ctct_mults == 0 and rep.ctpt_mults == 0
 
 
 def test_polynomial_rank_tolerates_simulated_scheme_noise():

@@ -23,8 +23,8 @@ def make_engine(slot_count, max_level=48):
     return HESimulator(HEParams(slot_count=slot_count, max_level=max_level))
 
 
-def cfg(tie_correction=True, optimized=True, kernel=IDEAL):
-    return SortConfig(kernel=kernel, tie_correction=tie_correction, optimized_layout=optimized)
+def cfg(tie_correction=True, kernel=IDEAL):
+    return SortConfig(kernel=kernel, tie_correction=tie_correction)
 
 
 def test_sort_known_vector():
@@ -34,11 +34,11 @@ def test_sort_known_vector():
 
 
 def test_sort_mask_matrix_matches_rank_placement():
-    # row-form dataflow: row k of the selection picks the element of rank k+1
+    # column k of the selection picks the element of rank k+1
     eng = make_engine(16)
-    res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, cfg(tie_correction=False, optimized=False))
+    res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, cfg(tie_correction=False))
     expected_mask = np.array(
-        [[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
+        [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=float
     )
     assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4), expected_mask)
     assert np.array_equal(read_row(eng, res.values, 4), [10, 20, 30, 40])
@@ -58,13 +58,12 @@ def test_sort_with_ties_needs_correction():
     assert np.array_equal(read_row(eng, out, 4), [10, 20, 20, 40])
 
 
-@pytest.mark.parametrize("optimized", [True, False])
-def test_sort_without_correction_rejects_ties(optimized):
+def test_sort_without_correction_rejects_ties():
     eng = make_engine(16)
     with pytest.raises(ValueError, match="sort_full"):
-        sort(eng, eng.encrypt([0.3, 0.1, 0.3, 0.7]), 4, cfg(tie_correction=False, optimized=optimized))
+        sort(eng, eng.encrypt([0.3, 0.1, 0.3, 0.7]), 4, cfg(tie_correction=False))
     # zero padding past n is not a tie with a real zero
-    out = sort(eng, eng.encrypt([0.3, 0.0, 0.7]), 3, cfg(tie_correction=False, optimized=optimized))
+    out = sort(eng, eng.encrypt([0.3, 0.0, 0.7]), 3, cfg(tie_correction=False))
     assert np.array_equal(read_row(eng, out, 3), [0.0, 0.3, 0.7])
 
 
@@ -108,32 +107,6 @@ def test_optimized_sort_budgets():
         assert rep.rotations <= 6 * log_n
         assert rep.critical_rotations <= 5 * log_n
         assert rep.levels_consumed <= 9 + 9 + 6
-
-
-def test_unoptimized_path_costs_more_rotations():
-    n = 16
-    v = np.random.default_rng(4).permutation(n) / n
-    costs = {}
-    for optimized in (True, False):
-        eng = make_engine(n * n)
-        eng.cost_reset()
-        out = sort(eng, eng.encrypt(v), n, cfg(tie_correction=False, optimized=optimized))
-        assert np.array_equal(read_row(eng, out, n), np.sort(v))
-        costs[optimized] = eng.cost_snapshot()
-    assert costs[False].rotations == costs[True].rotations + (n - 1).bit_length()
-    assert costs[False].critical_rotations > costs[True].critical_rotations
-
-    # blocks: the row form transposes each of the L output blocks, log2(B) rotations each
-    for n in (16, 11):
-        v = np.random.default_rng(n).permutation(n) / n
-        for optimized in (True, False):
-            eng = make_engine(16)  # block side 4
-            sort_cfg = cfg(tie_correction=False, optimized=optimized)
-            out = block_merge(eng, multi_sort(eng, block_split(eng, v), sort_cfg))
-            assert np.array_equal(out, np.sort(v))
-            costs[optimized] = eng.cost_snapshot()
-        blocks = -(-n // 4)
-        assert costs[False].rotations == costs[True].rotations + blocks * 2
 
 
 def test_tie_corrected_sort_budget_keeps_critical_path():
@@ -184,15 +157,13 @@ def test_multi_sort_single_block_equals_sort():
     for v in ([0.4, 0.1, 0.9, 0.6], [0.4, 0.1, 0.4]):  # the second is padded and tied
         v = np.array(v)
         n = v.size
-        for optimized in (True, False):
-            multi_eng, single_eng = make_engine(16), make_engine(16)
-            bv = block_split(multi_eng, v)
-            multi = block_merge(multi_eng, multi_sort(multi_eng, bv, cfg(optimized=optimized)))
-            single = sort(single_eng, single_eng.encrypt(v), n, cfg(optimized=optimized))
-            assert np.array_equal(multi, read_row(single_eng, single, n))
-            assert np.array_equal(multi, np.sort(v))
-            assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
-            assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
+        multi_eng, single_eng = make_engine(16), make_engine(16)
+        multi = block_merge(multi_eng, multi_sort(multi_eng, block_split(multi_eng, v), cfg()))
+        single = sort(single_eng, single_eng.encrypt(v), n, cfg())
+        assert np.array_equal(multi, read_row(single_eng, single, n))
+        assert np.array_equal(multi, np.sort(v))
+        assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
+        assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
 
 
 def test_multi_sort_indicator_count_is_block_count_squared():
@@ -205,14 +176,13 @@ def test_multi_sort_indicator_count_is_block_count_squared():
     assert rep.cmp_evals == 10
 
 
-@pytest.mark.parametrize("optimized", [True, False])
-def test_multi_sort_with_ties_and_padding(optimized):
+def test_multi_sort_with_ties_and_padding():
     rng = np.random.default_rng(33)
     eng = make_engine(16)
     for n in (5, 8, 11, 16):
         v = rng.uniform(0, 1, n)
         v[rng.integers(0, n, size=n // 3)] = v[rng.integers(0, n, size=n // 3)]
-        out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(optimized=optimized)))
+        out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg()))
         assert np.array_equal(out, np.sort(v))
 
 
