@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -200,38 +200,37 @@ def _split_by_cheb_power(coeffs: np.ndarray, g: int) -> tuple[np.ndarray, np.nda
 
 
 def _powers(
-    engine: HESimulator, x: Ciphertext, interval: tuple[float, float], wanted: tuple[int, ...]
+    engine: HESimulator, x: Ciphertext, interval: tuple[float, float], baby: tuple[int, ...], giants: tuple[int, ...]
 ) -> dict[int, Ciphertext]:
     """The Chebyshev basis polynomials T_i(t), t the affine map of ``x``
-    from ``interval`` onto [-1, 1], for each i in ``wanted``.
+    from ``interval`` onto [-1, 1], for each i in ``baby`` and ``giants``.
 
-    The lower powers built on the way are released unless wanted.
+    Each baby-step power is copied into its row of one array as it is built,
+    so ``HESimulator.realise`` takes one product over them for a batch of
+    leaves; the lower powers built on the way are released unless wanted.
     """
     a, b = interval
     if (a, b) != (-1.0, 1.0):
         x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a), site="cheb-normalize"), -(a + b) / (b - a))
-    cache = {1: x}
-    return {i: _power(engine, cache, i) for i in wanted}
+    rows = dict(zip(baby, np.empty((len(baby), engine.params.slot_count))))
+    cache = {1: engine.copy_into(x, rows[1]) if 1 in rows else x}
+    return {i: _power(engine, cache, rows, i) for i in baby + giants}
 
 
-def _power(engine: HESimulator, cache: dict[int, Ciphertext], i: int) -> Ciphertext:
-    """T_i from ``cache``, built there first if missing.
+def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, np.ndarray], i: int) -> Ciphertext:
+    """T_i from ``cache``, built there first if missing, into ``rows[i]`` if any.
 
     Each T_i is built by index halving (T_{a+b} = 2 T_a T_b - T_{a-b}),
     costing one ciphertext-ciphertext multiplication and giving T_i a
     multiplication depth of ceil(log2 i).
     """
-    ct = cache.get(i)
-    if ct is None:
+    if i not in cache:
         hi, lo = (i + 1) // 2, i // 2
-        prod = engine.mul(_power(engine, cache, hi), _power(engine, cache, lo), site=f"cheb-power-{i}")
+        prod = engine.mul(_power(engine, cache, rows, hi), _power(engine, cache, rows, lo), site=f"cheb-power-{i}")
         doubled = engine.add(prod, prod)
-        if i % 2 == 0:
-            ct = engine.add_plain(doubled, -1.0)
-        else:
-            ct = engine.sub(doubled, cache[1])
-        cache[i] = ct
-    return ct
+        ct = engine.add_plain(doubled, -1.0) if i % 2 == 0 else engine.sub(doubled, cache[1])
+        cache[i] = ct if i not in rows else engine.copy_into(ct, rows[i])
+    return cache[i]
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -242,7 +241,8 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 
 
 # Leaves issued, and computed by one ``HESimulator.realise``, at a time: each
-# batch reads the baby-step powers once, and only this many leaves are alive.
+# batch is one BLAS product over the array of baby-step powers, which reads
+# every power once, and only this many leaves are alive.
 _LEAF_BATCH = 4
 
 
@@ -254,13 +254,14 @@ class _Plan:
         walk consumes them;
     tree: a leaf node is (index into ``leaves`` or None, constant), a split
         node (g, quotient node, remainder node) for q * T_g + r;
-    powers: the T_i the walk reads, the baby-step powers of the leaves
-        in ascending order and then the giant powers g.
+    baby: the baby-step powers i the leaves read, in ascending order;
+    giants: the giant powers g, in ascending order.
     """
 
     leaves: tuple[tuple[tuple[int, float], ...], ...]
     tree: tuple
-    powers: tuple[int, ...]
+    baby: tuple[int, ...]
+    giants: tuple[int, ...]
 
 
 # Bounded, unlike the kernel fits: ps_eval takes any caller's polynomial.
@@ -283,8 +284,7 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
         return (g, split(q), split(r))
 
     tree = split(np.asarray(coeffs, dtype=np.float64))
-    baby = sorted({i for terms in leaves for i, _ in terms})
-    return _Plan(tuple(leaves), tree, tuple(baby + sorted(giants)))
+    return _Plan(tuple(leaves), tree, tuple(sorted({i for t in leaves for i, _ in t})), tuple(sorted(giants)))
 
 
 def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leaf) -> tuple:
@@ -322,13 +322,13 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
 
     The split of the polynomial into leaves of degree below the baby step
     and giant-step products is cached per (coefficients, baby step).  Each
-    call builds the powers first: the baby-step powers the leaves read, the
-    giant powers, and whatever lower powers those need; it then releases
-    the baby-step powers no leaf reads.  The walk of the giant-step tree
+    call builds the powers first: the baby-step powers the leaves read, as
+    rows of one array, then the giant powers and whatever lower powers those
+    need, which it releases unless read.  The walk of the giant-step tree
     issues the leaves ``_LEAF_BATCH`` at a time, through the same charged
     ``mul_plain`` and ``add`` calls, when it first needs one, and computes
-    each batch with one ``HESimulator.realise``, so every power is read once
-    per batch rather than once per term.
+    each batch with one ``HESimulator.realise``: one BLAS product over the
+    rows, which reads every power once per batch rather than once per term.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
@@ -337,19 +337,16 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
         return engine.ideal_map(lambda s: np.full_like(s, c0), x, site="cheb-constant")
     m = max(1, math.ceil(math.log2(deg + 1)))
     plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
-    powers = _powers(engine, x, poly.interval, plan.powers)
+    powers = _powers(engine, x, poly.interval, plan.baby, plan.giants)
     issued: dict[int, Ciphertext] = {}
 
     def leaf(j: int) -> Ciphertext:
         if j not in issued:
             batch = range(j, min(j + _LEAF_BATCH, len(plan.leaves)))
-            sums = []
-            for k in batch:
-                acc = None
-                for i, c in plan.leaves[k]:
-                    term = engine.mul_plain(powers[i], c, site="cheb-leaf")
-                    acc = term if acc is None else engine.add(acc, term)
-                sums.append(acc)
+            sums = [
+                reduce(engine.add, (engine.mul_plain(powers[i], c, site="cheb-leaf") for i, c in plan.leaves[k]))
+                for k in batch
+            ]
             issued.update(zip(batch, engine.realise(sums)))
         return issued.pop(j)
 

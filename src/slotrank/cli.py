@@ -77,7 +77,10 @@ class Scale:
 def _make_scale(values: np.ndarray) -> Scale:
     lo = float(values.min())
     hi = float(values.max())
-    return Scale(lo=lo, span=(hi - lo) if hi > lo else 1.0)
+    span = (hi - lo) if hi > lo else 1.0
+    if not np.isfinite(span):  # finite values can still span more than a double holds
+        raise ValueError(f"input span {hi!r} - {lo!r} overflows to {span}; inputs must span a finite range")
+    return Scale(lo=lo, span=span)
 
 
 def load_values(path: str) -> np.ndarray:

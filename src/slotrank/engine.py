@@ -21,9 +21,9 @@ Cost model:
   addition and return a pending sum, a lazy linear combination of slot
   vectors.  A lone read of its ``slots`` folds the terms left to right,
   which gives the same doubles as the eager chain of products and
-  additions; ``realise`` computes a batch of pending sums at once, above
-  one slot tile as one BLAS product per tile, which rounds each slot
-  within a few ulps of sum_i |scale_i * base_i| of the fold;
+  additions; ``realise`` computes a batch of pending sums over the rows of
+  one 2D array (see ``copy_into``) as one BLAS product, which rounds each
+  slot within a few ulps of sum_i |scale_i * base_i| of the fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot.  A pending sum owes the noise of the ops it stands for and
   draws it once, when it is read or realised, as one N(0, owed * sigma^2)
@@ -82,11 +82,6 @@ class DepthBudgetError(EngineError):
             f"depth budget exhausted at '{site}': "
             f"{needed} level(s) needed, {available} available"
         )
-
-
-# Width of the slot tiles ``realise`` computes at a time: the stacked bases
-# of one tile stay in cache while the BLAS product reads them.
-_SLOT_TILE = 4096
 
 
 def _is_pow2(n: int) -> bool:
@@ -204,6 +199,21 @@ def _fold(terms: tuple) -> np.ndarray:
         for base, scale in rest:
             value += np.multiply(base, scale, out=term)
     return value
+
+
+def _rows_of_one_array(sums: list) -> tuple[np.ndarray | None, dict[int, int]]:
+    """The C-contiguous 2D array every base of the pending ``sums`` is a full
+    row of, or None if there is no such array, and each base's row by ``id``."""
+    bases = {id(base): base for ct in sums for base, _ in ct.pending}
+    array = next(iter(bases.values())).base if bases else None
+    if not (isinstance(array, np.ndarray) and array.ndim == 2 and array.flags.c_contiguous):
+        return None, {}
+    rows = {}
+    for key, base in bases.items():
+        rows[key], offset = divmod(base.ctypes.data - array.ctypes.data, array.strides[0])
+        if offset or base.base is not array or base.shape != array.shape[1:] or not base.flags.c_contiguous:
+            return None, {}
+    return array, rows
 
 
 @dataclass(frozen=True)
@@ -361,45 +371,35 @@ class HESimulator:
             raise ValueError("ideal_map function must preserve the slot shape")
         return self._emit(slots, level, max(c.rot_chain for c in cts))
 
+    def copy_into(self, ct: Ciphertext, row: np.ndarray) -> Ciphertext:
+        """``ct`` copied into ``row``, say a row of a 2D array, as a read-only
+        ciphertext at its level and rotation chain; charges nothing."""
+        self._check(ct)
+        np.copyto(row, ct.slots)
+        return Ciphertext(row, ct.level, ct.rot_chain, self.params)
+
     def realise(self, cts: list[Ciphertext]) -> list[Ciphertext]:
         """Compute every pending sum of ``cts`` and return ``cts``; charges nothing.
 
         Each pending sum ends as a read leaves it: it keeps its value, plus
         one draw of the noise it owes, and reads as a read-only ciphertext at
-        its own level.  At or below one slot tile each sum is folded on its
-        own, as stacking would copy every base and save no time.  Above it
-        the sums of the batch are computed together: their distinct bases
-        are stacked one slot tile at a time and multiplied by the matrix of
-        their scales, so each base is read once for the batch instead of
-        once per term.  BLAS rounds each slot within a few ulps of
-        sum_i |scale_i * base_i| of the left-to-right fold.  A spent operand
-        raises ``EngineError``.
+        its own level.  If every base of the sums is a row of one 2D array, as
+        ``copy_into`` leaves them, the batch is one BLAS product of the matrix
+        of their scales by that array: it reads each base once, copies none,
+        and rounds each slot within a few ulps of sum_i |scale_i * base_i| of
+        the left-to-right fold.  Other sums are folded on their own, as a
+        lone read does.  A spent operand raises ``EngineError``.
         """
         self._check(*cts)
         pending = [c for c in cts if c.pending is not None]
-        n = self.params.slot_count
-        if pending and n > _SLOT_TILE:
-            columns: dict[int, int] = {}
-            bases = []
-            for ct in pending:
-                for base, _ in ct.pending:
-                    if id(base) not in columns:
-                        columns[id(base)] = len(bases)
-                        bases.append(base)
-            scales = np.zeros((len(pending), len(bases)))
-            for row, ct in enumerate(pending):
+        array, rows = _rows_of_one_array(pending)
+        if array is not None:
+            scales = np.zeros((len(pending), len(array)))
+            for r, ct in enumerate(pending):
                 for base, scale in ct.pending:
-                    scales[row, columns[id(base)]] += scale
-            stacked = np.empty((len(bases), _SLOT_TILE))
-            block = np.empty((len(pending), _SLOT_TILE))
-            outs = [np.empty(n) for _ in pending]
-            for lo in range(0, n, _SLOT_TILE):
-                np.stack([base[lo : lo + _SLOT_TILE] for base in bases], out=stacked)
-                np.matmul(scales, stacked, out=block)
-                for out, row in zip(outs, block):
-                    out[lo : lo + _SLOT_TILE] = row
-            for ct, out in zip(pending, outs):
-                ct._settle(out)
+                    scales[r, rows[id(base)]] += scale
+            for ct, value in zip(pending, scales @ array):
+                ct._settle(value)
         for ct in cts:
             ct.slots  # folds what is still pending; a spent operand raises
         return list(cts)

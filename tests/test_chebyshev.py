@@ -224,12 +224,19 @@ PINNED_PS_EVAL = {
 }
 
 
-@pytest.mark.parametrize("name", PINNED_PS_EVAL)
-def test_ps_eval_degree_1024_costs_are_pinned(name):
+@pytest.mark.parametrize(
+    "name,slot_count",
+    [
+        pytest.param(name, n, id=name if n == 256 else f"{name}-2^16")
+        for n in (256, 1 << 16)  # 2^16: the shape sort_cheb runs
+        for name in PINNED_PS_EVAL
+    ],
+)
+def test_ps_eval_degree_1024_costs_are_pinned(name, slot_count):
     make_poly, cost = PINNED_PS_EVAL[name]
     poly = make_poly()
-    xs = np.random.default_rng(5).uniform(*poly.interval, 256)
-    eng = make_engine(slot_count=256)
+    xs = np.random.default_rng(5).uniform(*poly.interval, slot_count)
+    eng = make_engine(slot_count=slot_count)
     out = ps_eval(eng, eng.encrypt(xs), poly)
     assert eng.cost_snapshot() == cost
     assert out.level == eng.params.max_level - cost.levels_consumed

@@ -295,6 +295,19 @@ def test_non_finite_input_is_an_input_error(tmp_path, capsys, task, bad):
     assert not out.exists() and not cost.exists()
 
 
+@pytest.mark.parametrize("task", ["rank", "sort"])
+def test_input_span_overflow_is_an_input_error(tmp_path, capsys, task):
+    # each value is finite but max - min is not; unchecked, rank printed 0.5,1,1,1
+    path = tmp_path / "v.csv"
+    path.write_text("1e308,-1e308,0,5\n")
+    code, out, cost = run(tmp_path, task, "--input", str(path), "--mode", "ideal")
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: input: input span 1e+308 - -1e+308 overflows to inf; inputs must span a finite range\n"
+    )
+    assert not out.exists() and not cost.exists()
+
+
 def test_depth_budget_error(tmp_path, tied_vector):
     code = main([
         "rank", "--input", str(tied_vector), "--mode", "chebyshev",

@@ -378,13 +378,17 @@ def test_pending_sum_is_charged_at_each_add():
     assert p.level == eng.params.max_level - 1
 
 
-def test_realise_matches_fold_within_rounding():
-    from slotrank.engine import _SLOT_TILE
+def encrypt_as_rows(eng, vs):
+    """``vs`` encrypted as the rows of one 2D array, as ``copy_into`` fills them."""
+    return [eng.copy_into(eng.encrypt(v), row) for v, row in zip(vs, np.empty((len(vs), eng.params.slot_count)))]
 
-    for slot_count in (64, 2 * _SLOT_TILE):
+
+def test_realise_matches_fold_within_rounding():
+    # bases of their own are folded per sum; rows of one array take one product
+    for slot_count, as_rows in ((64, False), (1 << 13, False), (64, True), (1 << 16, True)):
         vs, scales = sum_inputs(slot_count=slot_count, terms=6)
         eng = make_engine(slot_count=slot_count)
-        shared = [eng.encrypt(v) for v in vs]
+        shared = encrypt_as_rows(eng, vs) if as_rows else [eng.encrypt(v) for v in vs]
         sums, folds, bounds = [], [], []
         for r in range(3):
             coeffs = np.roll(scales, r)
@@ -403,12 +407,38 @@ def test_realise_matches_fold_within_rounding():
         out = eng.realise([sums[0], concrete, *sums[1:]])
         assert out[1] is concrete
         results = [out[0], *out[2:]]
+        owners = [res.slots.base for res in results]
+        if as_rows:  # one product: the sums are the rows of one fresh block
+            assert owners[0] is not None and all(o is owners[0] for o in owners)
+        else:  # folded: each sum owns its array
+            assert all(o is None for o in owners)
         for res, fold, bound in zip(results, folds, bounds):
             assert res.pending is None
             assert np.all(np.abs(res.slots - fold) <= 1e-14 * bound)
             assert not res.slots.flags.writeable
             for other in [*results, *shared]:
                 assert other is res or not np.shares_memory(res.slots, other.slots)
+
+
+def test_copy_into_keeps_the_ciphertext_and_charges_nothing():
+    n = 64
+    eng = make_engine(slot_count=n)
+    v = np.random.default_rng(3).normal(size=n)
+    deep = eng.rotate(eng.mul(eng.encrypt(v), eng.encrypt(v)), 5)
+    pending = eng.mul_plain(deep, SCALE)
+    rows = np.empty((2, n))
+    before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
+    copies = [eng.copy_into(ct, row) for ct, row in zip((deep, pending), rows)]
+    assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
+    for src, copy, row in zip((deep, pending), copies, rows):
+        assert np.array_equal(copy.slots, src.slots)
+        assert (copy.level, copy.rot_chain) == (src.level, src.rot_chain)
+        assert copy.pending is None and np.shares_memory(copy.slots, row)
+        assert not np.shares_memory(copy.slots, src.slots)
+        assert not copy.slots.flags.writeable
+    assert pending.pending is None  # read, and folded, to be copied
+    assert (copies[1].level, copies[1].rot_chain) == (8, 1)
+    assert rows.flags.writeable  # only the views are read-only
 
 
 def test_realise_charges_nothing_and_keeps_levels():
@@ -432,12 +462,14 @@ def test_realise_charges_nothing_and_keeps_levels():
 SIGMA = 1e-3
 
 
-def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA):
+def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA, as_rows=False):
     """A fresh engine with noise ``sigma``, and ``count`` pending sums on it,
-    each of ``terms`` scalar products of the same base ciphertexts."""
+    each of ``terms`` scalar products of the same base ciphertexts, which are
+    the rows of one array if ``as_rows``."""
     eng = make_engine(slot_count=slot_count, sigma=sigma, seed=seed)
     rng = np.random.default_rng(21)
-    bases = [eng.encrypt(rng.normal(size=slot_count)) for _ in range(terms)]
+    vs = [rng.normal(size=slot_count) for _ in range(terms)]
+    bases = encrypt_as_rows(eng, vs) if as_rows else [eng.encrypt(v) for v in vs]
     scales = rng.uniform(-2.0, 2.0, (count, terms))
     sums = []
     for row in scales:
@@ -450,14 +482,14 @@ def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA):
 
 
 @pytest.mark.parametrize("realise", [False, True], ids=["slots", "realise"])
-@pytest.mark.parametrize("slot_count,count", [(1 << 16, 1), (1 << 12, 16)], ids=["2^16", "16x2^12"])
-def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count):
-    from slotrank.engine import _SLOT_TILE
-
-    assert (slot_count > _SLOT_TILE) == (count == 1)  # BLAS above one tile, folds below
+@pytest.mark.parametrize(
+    "slot_count,count,as_rows", [(1 << 16, 1, True), (1 << 12, 16, False)], ids=["2^16", "16x2^12"]
+)
+def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count, as_rows):
+    # realise takes one product over rows of one array, and folds other bases
     terms = 5
-    eng, noisy = noisy_sums(slot_count, count, terms)
-    _, exact = noisy_sums(slot_count, count, terms, sigma=0.0)
+    eng, noisy = noisy_sums(slot_count, count, terms, as_rows=as_rows)
+    _, exact = noisy_sums(slot_count, count, terms, sigma=0.0, as_rows=as_rows)
     assert all(c.owed == 2 * terms - 1 for c in noisy) and all(c.owed == 0 for c in exact)
     if realise:
         noisy = eng.realise(noisy)
