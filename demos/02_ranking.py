@@ -3,12 +3,13 @@
 
 The vector is replicated across matrix rows and, transposed, across matrix
 columns; one slotwise comparison of the two encodings yields every pairwise
-comparison at once, and summing the matrix gives the ranks.
+comparison at once, and summing each row gives the ranks, in column 0.
 """
 
 import numpy as np
 
-from slotrank import HEParams, HESimulator, KernelConfig, rank, rank_corrected, read_row
+from slotrank import HEParams, HESimulator, KernelConfig, rank, rank_corrected, read_col
+from slotrank import reference
 from slotrank.ranking import rank_pipeline
 
 eng = HESimulator(HEParams(slot_count=16, max_level=32))
@@ -22,9 +23,11 @@ print("\nrow-replicated encoding (each row is the vector):")
 print(eng.decrypt(pipe.row_replicated).reshape(4, 4))
 print("column-replicated encoding (each column is the vector):")
 print(eng.decrypt(pipe.col_replicated).reshape(4, 4))
-print("comparison matrix (1 greater, 0.5 tie, 0 smaller):")
+print("comparison matrix (row value vs column value: 1 greater, 0.5 tie, 0 smaller):")
 print(eng.decrypt(pipe.comparison).reshape(4, 4))
-print("ranks (column sums + 0.5):", read_row(eng, pipe.result.ranks, 4))
+ranks = read_col(eng, pipe.result.ranks, pipe.result.layout, 4)
+print("ranks (row sums + 0.5, in column 0):", ranks)
+print("ranks match the oracle:", np.array_equal(ranks, reference.fractional_ranks(v)))
 
 report = eng.cost_snapshot()
 print(f"\ncost: {report.cmp_evals} comparison, {report.rotations} rotations "
@@ -34,10 +37,14 @@ print("\nTied elements share their fractional rank:")
 tied = [50.0, 10.0, 20.0, 20.0, 40.0]
 eng5 = HESimulator(HEParams(slot_count=64, max_level=32))
 res = rank(eng5, eng5.encrypt(tied), 5, cfg)
-print("  ", tied, "->", read_row(eng5, res.ranks, 5))
+ranks = read_col(eng5, res.ranks, res.layout, 5)
+print("  ", tied, "->", ranks)
+print("   fractional ranks match the oracle:", np.array_equal(ranks, reference.fractional_ranks(tied)))
 
 print("\nThe tie-correction offset redistributes ties into a permutation:")
 eng5.cost_reset()
 res = rank_corrected(eng5, eng5.encrypt(tied), 5, cfg)
-print("  ", tied, "->", read_row(eng5, res.ranks, 5))
+ranks = read_col(eng5, res.ranks, res.layout, 5)
+print("  ", tied, "->", ranks)
+print("   corrected ranks match the oracle:", np.array_equal(ranks, reference.corrected_ranks(tied)))
 print("\ncomparisons used by the corrected ranking:", eng5.cost_snapshot().cmp_evals)

@@ -393,8 +393,14 @@ def _validate(parser, args):
         args.mode = "chebyshev" if args.command == "bench" else "ideal"
     if args.tie_correction is None:
         args.tie_correction = args.command not in ("rank", "bench")
-    if args.command == "bench" and args.input:
-        parser.error("bench generates its inputs from --count, --seed and --tie-fraction; --input is not accepted")
+    if args.command == "bench":
+        if args.input:
+            parser.error("bench generates its inputs from --count, --seed and --tie-fraction; --input is not accepted")
+        if args.seeds < 1:
+            parser.error("--seeds must be >= 1")
+        for flag, degrees in (("--degrees", args.degrees), ("--ind-degrees", args.ind_degrees)):
+            if degrees is not None and (not degrees or min(degrees) < 1):
+                parser.error(f"{flag} needs at least one degree, each >= 1")
     if args.command != "bench" and not args.input and not args.gen:
         parser.error("either --input or --gen is required")
     if args.command == "stat":

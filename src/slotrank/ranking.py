@@ -2,15 +2,16 @@
 
 The input vector is replicated across matrix rows and, transposed, across
 matrix columns; a single slotwise comparison of the two encodings yields
-the full pairwise comparison matrix, whose column sums (plus one half) are
-the fractional ranks.  A tie-correction offset derived from the same
-comparison matrix redistributes tied ranks into a permutation of 1..N.
+the full pairwise comparison matrix, whose row sums (plus one half) are
+the fractional ranks, in column 0.  A tie-correction offset derived from
+the same comparison matrix redistributes tied ranks into a permutation of
+1..N.
 
 One block-generic pipeline serves every vector length.  A vector longer
 than the matrix capacity is split into L blocks and only the L(L+1)/2
 ordered block pairs are compared; a block's comparisons against earlier
 blocks come from the complement identity cmp(x, y) = 1 - cmp(y, x), folded
-along the other axis and transposed once per block.  A vector that fits
+along the rows and transposed once per block.  A vector that fits
 one matrix is the one-block case of the same pipeline.
 """
 
@@ -57,7 +58,7 @@ def next_pow2(n: int) -> int:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Ranks in the leading row (or column) of the matrix encoding."""
+    """Ranks in column 0 of the matrix encoding."""
 
     ranks: Ciphertext
     layout: MatrixLayout
@@ -76,15 +77,18 @@ class RankPipeline:
 
 @dataclass(frozen=True)
 class BlockVector:
-    """A long vector split into equally sized row-0 blocks.
+    """A long vector split into equally sized blocks.
 
     The last block is zero padded; ``total_len`` records how many entries
-    are real.  Decrypted row-0 prefixes concatenate back to the vector.
+    are real.  Entries sit ``stride`` slots apart: 1 for a vector in row 0
+    (inputs, sorted values), the block side for one in column 0 (ranks).
+    Decrypted prefixes concatenate back to the vector.
     """
 
     blocks: tuple[Ciphertext, ...]
     block_size: int
     total_len: int
+    stride: int = 1
 
     def valid_in(self, i: int) -> int:
         if i < len(self.blocks) - 1:
@@ -102,12 +106,9 @@ class MultiRankPipeline:
 
 
 @lru_cache(maxsize=None)
-def _prefix_vector(slot_count: int, n_dim: int, count: int, value: float, axis: str) -> np.ndarray:
+def _prefix_vector(slot_count: int, n_dim: int, count: int, value: float) -> np.ndarray:
     v = np.zeros(slot_count)
-    if axis == "row":
-        v[:count] = value
-    else:
-        v[0 : count * n_dim : n_dim] = value
+    v[0 : count * n_dim : n_dim] = value
     v.setflags(write=False)
     return v
 
@@ -123,9 +124,9 @@ def _pad_mask(slot_count: int, n_dim: int, rows: int, cols: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triangle_mask(slot_count: int, n_dim: int, orient: str, scale: float) -> np.ndarray:
+def _triangle_mask(slot_count: int, n_dim: int, scale: float) -> np.ndarray:
     rows, cols = np.indices((n_dim, n_dim))
-    tri = (rows <= cols) if orient == "upper" else (cols <= rows)
+    tri = cols <= rows
     m = np.zeros(slot_count)
     m[: n_dim * n_dim] = tri.astype(np.float64).ravel() * scale
     m.setflags(write=False)
@@ -154,15 +155,15 @@ def multi_rank_pipeline(
     cfg: KernelConfig,
     *,
     comparison: str = "fractional",
-    column_form: bool = False,
     tie_correction: bool = False,
 ) -> MultiRankPipeline:
-    """Ranks of every block, in row 0 of each (column 0 in column form).
+    """Ranks of every block, in column 0 of each.
 
     Only the L(L+1)/2 ordered block pairs are compared: block i against
-    blocks j >= i.  Its ranks are the own-axis fold of C_ii + sum_{j>i} C_ij
-    plus, for the earlier blocks, i*B minus the other-axis fold of
-    sum_{j<i} C_ji, transposed.  Tie correction orders equal values of
+    blocks j >= i, as C_ij = cmp(column-replicated i, row-replicated j).
+    Its ranks are the column fold (row sums) of C_ii + sum_{j>i} C_ij plus,
+    for the earlier blocks, i*B minus the row fold of sum_{j<i} C_ji,
+    transposed.  Tie correction orders equal values of
     different blocks by block, which makes every cross-block comparison
     strict, and adds ``tie_offset`` of each block against itself.  Zero
     padding of the last block is masked out of its comparisons, so padded
@@ -171,6 +172,8 @@ def multi_rank_pipeline(
     ``ValueError`` on more.
     """
     b, count = bv.block_size, len(bv.blocks)
+    if bv.stride != 1:  # replicate reads row 0 only
+        raise ValueError(f"multi_rank_pipeline: blocks must hold their entries in row 0, not every {bv.stride}th slot")
     if comparison != "fractional" and count > 1:
         raise ValueError(
             f"multi_rank_pipeline: the {comparison} comparison has no complement "
@@ -178,24 +181,21 @@ def multi_rank_pipeline(
         )
     layout = MatrixLayout(b, engine.params.slot_count)
     kernel, bias = _KERNELS[comparison]
-    axis, other, direction = ("col", "row", "row_to_col") if column_form else ("row", "col", "col_to_row")
 
     row_rep = [replicate(engine, blk, layout, "row") for blk in bv.blocks]
     col_rep = [
         replicate(engine, transpose_vector(engine, blk, layout, "row_to_col"), layout, "col")
         for blk in bv.blocks
     ]
-    own_rep, other_rep = (col_rep, row_rep) if column_form else (row_rep, col_rep)
 
     comparisons = {}
     for i in range(count):
         for j in range(i, count):
-            c = kernel(engine, own_rep[i], other_rep[j], cfg)
+            c = kernel(engine, col_rep[i], row_rep[j], cfg)
             valid_i, valid_j = bv.valid_in(i), bv.valid_in(j)
             if valid_j < b:
                 # cells against zero padding would count as comparisons
-                rows, cols = (valid_i, valid_j) if column_form else (valid_j, valid_i)
-                c = engine.mul_plain(c, _pad_mask(layout.slot_count, b, rows, cols), site="pad-mask")
+                c = engine.mul_plain(c, _pad_mask(layout.slot_count, b, valid_i, valid_j), site="pad-mask")
             comparisons[(i, j)] = c
 
     cross = {}
@@ -206,21 +206,21 @@ def multi_rank_pipeline(
             c = comparisons[(i, j)]
             cross[(i, j)] = _strict(engine, c) if tie_correction else c
         own = reduce(engine.add, (cross[(i, j)] for j in range(i + 1, count)), comparisons[(i, i)])
-        ranks = sum_axis(engine, own, layout, axis)
+        ranks = sum_axis(engine, own, layout, "col")
         if i > 0:
             earlier = reduce(engine.add, (cross.pop((j, i)) for j in range(i)))
-            folded = sum_axis(engine, earlier, layout, other)
-            ranks = engine.sub(ranks, transpose_vector(engine, folded, layout, direction))
+            folded = sum_axis(engine, earlier, layout, "row")
+            ranks = engine.sub(ranks, transpose_vector(engine, folded, layout, "row_to_col"))
         shift = bias + i * b
         if shift != 0.0:
-            ranks = engine.add_plain(ranks, _prefix_vector(layout.slot_count, b, valid, shift, axis))
+            ranks = engine.add_plain(ranks, _prefix_vector(layout.slot_count, b, valid, shift))
         if tie_correction:
-            offset = tie_offset(engine, comparisons[(i, i)], layout, valid=valid, column_form=column_form)
+            offset = tie_offset(engine, comparisons[(i, i)], layout, valid=valid)
             ranks = engine.add(ranks, offset)
         rank_blocks.append(ranks)
 
     return MultiRankPipeline(
-        ranks=BlockVector(blocks=tuple(rank_blocks), block_size=b, total_len=bv.total_len),
+        ranks=BlockVector(blocks=tuple(rank_blocks), block_size=b, total_len=bv.total_len, stride=b),
         comparisons=comparisons,
         row_replicated=row_rep,
         col_replicated=col_rep,
@@ -234,7 +234,6 @@ def rank_pipeline(
     n: int,
     cfg: KernelConfig,
     *,
-    column_form: bool = False,
     comparison: str = "fractional",
     tie_correction: bool = False,
 ) -> RankPipeline:
@@ -242,10 +241,8 @@ def rank_pipeline(
 
     ``comparison`` picks the kernel: "fractional" gives 0.5-valued ties and
     fractional ranks, "strict" sends all minimal elements to rank 1, "weak"
-    sends all maximal elements to rank N.  ``column_form`` sums the
-    comparison matrix the other way so the ranks come out in column 0,
-    which lets the sorting pipeline skip the final transposition.  This is
-    the one-block case of the block pipeline.
+    sends all maximal elements to rank N.  The ranks land in column 0.
+    This is the one-block case of the block pipeline.
     """
     if n < 1:
         raise ValueError("vector length must be >= 1")
@@ -257,14 +254,14 @@ def rank_pipeline(
         )
     pipe = multi_rank_pipeline(
         engine, BlockVector(blocks=(ct,), block_size=side, total_len=n), cfg,
-        comparison=comparison, column_form=column_form, tie_correction=tie_correction,
+        comparison=comparison, tie_correction=tie_correction,
     )
     result = RankResult(ranks=pipe.ranks.blocks[0], layout=pipe.layout, corrected=tie_correction)
     return RankPipeline(result, pipe.comparisons[(0, 0)], pipe.row_replicated[0], pipe.col_replicated[0])
 
 
 def rank(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> RankResult:
-    """Fractional ranks of the first ``n`` slots, in row 0 of the result."""
+    """Fractional ranks of the first ``n`` slots, in column 0 of the result."""
     return rank_pipeline(engine, ct, n, cfg).result
 
 
@@ -279,7 +276,6 @@ def tie_offset(
     layout: MatrixLayout,
     *,
     valid: int | None = None,
-    column_form: bool = False,
 ) -> Ciphertext:
     """Offset vector redistributing tied fractional ranks of one block.
 
@@ -288,20 +284,18 @@ def tie_offset(
     a triangle mask that includes the diagonal, and shifts by half the tie
     size.  Scale factors are folded into the triangle and counting masks so
     the whole offset costs three levels on top of the comparison matrix.
+    The offset lands in column 0, as the ranks do.
     """
     side = layout.n_dim
     valid = side if valid is None else valid
     complement = engine.add_plain(engine.negate(cmp_matrix), 1.0)
     quarter_eq = engine.mul(cmp_matrix, complement, site="tie-equality")
-    orient, axis = ("lower", "col") if column_form else ("upper", "row")
-    counted = engine.mul_plain(
-        quarter_eq, _triangle_mask(layout.slot_count, side, orient, 4.0), site="tie-triangle"
-    )
+    counted = engine.mul_plain(quarter_eq, _triangle_mask(layout.slot_count, side, 4.0), site="tie-triangle")
     doubled = engine.mul_plain(quarter_eq, 2.0, site="tie-total")
-    position_in_tie = sum_axis(engine, counted, layout, axis)
-    half_tie_size = sum_axis(engine, doubled, layout, axis)
+    position_in_tie = sum_axis(engine, counted, layout, "col")
+    half_tie_size = sum_axis(engine, doubled, layout, "col")
     offset = engine.sub(position_in_tie, half_tie_size)
-    return engine.add_plain(offset, _prefix_vector(layout.slot_count, side, valid, -0.5, axis))
+    return engine.add_plain(offset, _prefix_vector(layout.slot_count, side, valid, -0.5))
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +321,7 @@ def block_split(engine: HESimulator, values) -> BlockVector:
 
 
 def block_merge(engine: HESimulator, bv: BlockVector) -> np.ndarray:
-    parts = [engine.decrypt(blk)[: bv.valid_in(i)] for i, blk in enumerate(bv.blocks)]
+    parts = [engine.decrypt(blk)[: bv.valid_in(i) * bv.stride : bv.stride] for i, blk in enumerate(bv.blocks)]
     return np.concatenate(parts)
 
 
@@ -338,5 +332,5 @@ def multi_rank(
     *,
     tie_correction: bool = False,
 ) -> BlockVector:
-    """Per-block fractional (or tie-corrected) ranks of a block vector."""
+    """Per-block fractional (or tie-corrected) ranks of a block vector, in column 0."""
     return multi_rank_pipeline(engine, bv, cfg, tie_correction=tie_correction).ranks

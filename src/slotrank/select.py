@@ -1,11 +1,12 @@
 """Order-statistic extraction from the encrypted ranking.
 
-A rank-window indicator applied to the ranking yields a selection mask
-(the argmin/argmax answer); the statistic's value is the inner product of
-that mask with the input, divided by the mask's L1 norm through a
-Goldschmidt reciprocal.  Minimum and maximum use the strict and weak
-comparison kernels so duplicated extremes all land on rank 1 and rank N,
-and the multi-hot mask is normalised away by the division.
+A rank-window indicator applied to the column-0 ranking yields a selection
+mask in column 0 (the argmin/argmax answer); the statistic's value is the
+inner product of that mask with the ranking's column-replicated input,
+divided by the mask's L1 norm through a Goldschmidt reciprocal.  Minimum
+and maximum use the strict and weak comparison kernels so duplicated
+extremes all land on rank 1 and rank N, and the multi-hot mask is
+normalised away by the division.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def order_statistic_mask(
     *,
     tie_correction: bool = True,
 ) -> Ciphertext:
-    """Selection mask: 1 in the positions whose rank equals the queried one.
+    """Column-0 selection mask: 1 in the positions whose rank is the queried one.
 
     With tie correction the mask is one-hot; without it, elements of an
     unoccupied fractional rank are simply missed (the mask is all zero).
@@ -108,10 +109,12 @@ def order_statistic_mask(
     return _window_mask(engine, pipe, k, n, cfg)
 
 
-def _value_from_mask(engine, sel, ct, n, layout, cfg) -> Ciphertext:
-    product = engine.mul(sel, ct, site="statistic-inner-product")
-    numerator = sum_axis(engine, product, layout, "col")
-    norm = sum_axis(engine, sel, layout, "col")
+def _value_from_mask(engine, sel, pipe: RankPipeline, n) -> Ciphertext:
+    # the mask and the replicated input share column 0; folding the rows
+    # lands both sums in slot 0
+    product = engine.mul(sel, pipe.col_replicated, site="statistic-inner-product")
+    numerator = sum_axis(engine, product, pipe.result.layout, "row")
+    norm = sum_axis(engine, sel, pipe.result.layout, "row")
     inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _GOLDSCHMIDT_ITERS)
     return engine.mul(numerator, inv, site="statistic-normalise")
 
@@ -129,7 +132,7 @@ def order_statistic_value(
     comparison, k = _resolve(query, n)
     pipe = _rank_for_query(engine, ct, n, comparison, cfg, tie_correction)
     sel = _window_mask(engine, pipe, k, n, cfg)
-    return _value_from_mask(engine, sel, ct, n, pipe.result.layout, cfg)
+    return _value_from_mask(engine, sel, pipe, n)
 
 
 def median(
@@ -151,11 +154,10 @@ def median(
         query = StatisticQuery("kth", k=(n + 1) // 2)
         return order_statistic_value(engine, ct, n, query, cfg, tie_correction=tie_correction)
     pipe = _rank_for_query(engine, ct, n, "fractional", cfg, tie_correction)
-    layout = pipe.result.layout
     lo_sel = _window_mask(engine, pipe, n // 2, n, cfg)
     hi_sel = _window_mask(engine, pipe, n // 2 + 1, n, cfg)
-    lo_val = _value_from_mask(engine, lo_sel, ct, n, layout, cfg)
-    hi_val = _value_from_mask(engine, hi_sel, ct, n, layout, cfg)
+    lo_val = _value_from_mask(engine, lo_sel, pipe, n)
+    hi_val = _value_from_mask(engine, hi_sel, pipe, n)
     return engine.mul_plain(engine.add(lo_val, hi_val), 0.5, site="median-average")
 
 

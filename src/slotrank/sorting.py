@@ -3,7 +3,7 @@
 The ranking is replicated across the matrix, each column is shifted by a
 different target rank, and a single indicator evaluation turns the result
 into a permutation mask; multiplying by the replicated input and summing
-recovers the sorted vector.  The ranking runs in column form, so the sort
+recovers the sorted vector.  The ranks land in column 0, so the sort
 reuses both replication products of the ranking step and its values land
 in row 0 with no final transposition.
 
@@ -99,7 +99,7 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     """
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n], "sort_full")
-    pipe = rank_pipeline(engine, ct, n, cfg.kernel, column_form=True, tie_correction=cfg.tie_correction)
+    pipe = rank_pipeline(engine, ct, n, cfg.kernel, tie_correction=cfg.tie_correction)
     ranks, layout = pipe.result.ranks, pipe.result.layout
     (values,), selection = _place(engine, [ranks], [pipe.col_replicated], layout, cfg.kernel)
     return SortResult(values=values, selection=selection, ranks=ranks, layout=layout)
@@ -123,8 +123,6 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
             np.concatenate([blk.slots[: bv.valid_in(i)] for i, blk in enumerate(bv.blocks)]),
             "multi_sort",
         )
-    ranking = multi_rank_pipeline(
-        engine, bv, cfg.kernel, column_form=True, tie_correction=cfg.tie_correction
-    )
+    ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction)
     values, _ = _place(engine, ranking.ranks.blocks, ranking.col_replicated, ranking.layout, cfg.kernel)
     return BlockVector(blocks=tuple(values), block_size=bv.block_size, total_len=bv.total_len)

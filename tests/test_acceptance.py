@@ -30,6 +30,7 @@ from slotrank import (
     ps_eval,
     rank,
     rank_corrected,
+    read_col,
     read_row,
     replicate,
     sort,
@@ -71,8 +72,8 @@ def test_c1_oracle_exactness_ideal_mode():
         rng = np.random.default_rng(n)
         for trial in range(500):
             v = generate(rng, n, trial)
-            ranks = read_row(eng, rank_corrected(eng, eng.encrypt(v), n, IDEAL).ranks, n)
-            assert np.array_equal(ranks, reference.corrected_ranks(v))
+            res = rank_corrected(eng, eng.encrypt(v), n, IDEAL)
+            assert np.array_equal(read_col(eng, res.ranks, res.layout, n), reference.corrected_ranks(v))
             out = read_row(eng, sort(eng, eng.encrypt(v), n, SortConfig(kernel=IDEAL)), n)
             assert np.array_equal(out, reference.sorted_values(v))
             k = int(rng.integers(1, n + 1))
@@ -96,7 +97,8 @@ def test_c2_corrected_ranks_are_permutations():
         cases.append(np.full(n, 0.37))                # all equal
         cases.append(np.repeat(rng.uniform(0, 1, max(1, n // 4)), 4)[:n])  # long runs
         for v in cases:
-            ranks = read_row(eng, rank_corrected(eng, eng.encrypt(v), n, IDEAL).ranks, n)
+            res = rank_corrected(eng, eng.encrypt(v), n, IDEAL)
+            ranks = read_col(eng, res.ranks, res.layout, n)
             assert np.array_equal(np.sort(ranks), np.arange(1.0, n + 1.0))
     report("criterion 2: tie-corrected ranks are a permutation of 1..N, all-equal included")
 
@@ -167,7 +169,7 @@ def test_c4_multi_ciphertext():
     for (i, j), stored in pipe.comparisons.items():
         if i == j:
             continue
-        reverse = compare_kernel(eng, pipe.row_replicated[j], pipe.col_replicated[i], IDEAL)
+        reverse = compare_kernel(eng, pipe.col_replicated[j], pipe.row_replicated[i], IDEAL)
         lhs = eng.decrypt(stored)[: side * side].reshape(side, side)
         rhs = eng.decrypt(reverse)[: side * side].reshape(side, side)
         assert np.array_equal(lhs + rhs.T, np.ones((side, side)))
@@ -282,8 +284,8 @@ def test_c7_paterson_stockmeyer_economy():
 def test_c8_paper_fixtures_bit_exact():
     eng = HESimulator(HEParams(slot_count=16, max_level=64))
 
-    ranks = read_row(eng, rank(eng, eng.encrypt([20, 30, 10, 40]), 4, IDEAL).ranks, 4)
-    assert np.array_equal(ranks, [2, 3, 1, 4])
+    res = rank(eng, eng.encrypt([20, 30, 10, 40]), 4, IDEAL)
+    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [2, 3, 1, 4])
 
     res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, SortConfig(kernel=IDEAL, tie_correction=False))
     assert np.array_equal(read_row(eng, res.values, 4), [10, 20, 30, 40])
@@ -293,14 +295,14 @@ def test_c8_paper_fixtures_bit_exact():
     assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4).T, expected_mask)
 
     pipe = rank_pipeline(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    offset = read_row(eng, tie_offset(eng, pipe.comparison, pipe.result.layout), 4)
+    offset = read_col(eng, tie_offset(eng, pipe.comparison, pipe.result.layout), pipe.result.layout, 4)
     assert np.array_equal(offset, [0, -0.5, 0.5, 0])
-    corrected = read_row(eng, rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL).ranks, 4)
-    assert np.array_equal(corrected, [1, 2, 3, 4])
+    corrected = rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
+    assert np.array_equal(read_col(eng, corrected.ranks, corrected.layout, 4), [1, 2, 3, 4])
 
     eng5 = HESimulator(HEParams(slot_count=64, max_level=64))
-    ranks = read_row(eng5, rank(eng5, eng5.encrypt([50, 10, 20, 20, 40]), 5, IDEAL).ranks, 5)
-    assert np.array_equal(ranks, [5, 1, 2.5, 2.5, 4])
+    res = rank(eng5, eng5.encrypt([50, 10, 20, 20, 40]), 5, IDEAL)
+    assert np.array_equal(read_col(eng5, res.ranks, res.layout, 5), [5, 1, 2.5, 2.5, 4])
 
     report(
         "criterion 8: fixtures reproduced bit-exactly - rank (20,30,10,40)->(2,3,1,4); "

@@ -243,6 +243,25 @@ def test_bench_rejects_input_file(tmp_path, tied_vector, capsys):
     assert not out.exists() and not cost.exists()
 
 
+@pytest.mark.parametrize(
+    "bad, flag",
+    [
+        (["--seeds", "0"], "--seeds"),
+        (["--seeds", "-2"], "--seeds"),
+        (["--degrees", ","], "--degrees"),
+        (["--degrees", "0,64"], "--degrees"),
+        (["--ind-degrees", ","], "--ind-degrees"),
+    ],
+)
+def test_bench_sweep_arguments_are_checked(tmp_path, capsys, bad, flag):
+    # unchecked, no seed fails deep in the sweep (exit 3) and no degree
+    # writes an empty table that reads as a passing trend (exit 0)
+    code, out, cost = run(tmp_path, "bench", "--task", "rank", "--count", "4", "--degrees", "16", *bad)
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists() and not cost.exists()
+
+
 def test_input_errors(tmp_path):
     assert main(["rank", "--input", str(tmp_path / "absent.csv")]) == EXIT_INPUT
     bad = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from slotrank import (
     CapacityError,
+    CostReport,
     HEParams,
     HESimulator,
     KernelConfig,
@@ -13,11 +14,11 @@ from slotrank import (
     multi_rank,
     rank,
     rank_corrected,
-    read_row,
+    read_col,
     tie_offset,
 )
 from slotrank import reference
-from slotrank.ranking import multi_rank_pipeline, rank_pipeline, read_col
+from slotrank.ranking import multi_rank_pipeline, rank_pipeline
 
 IDEAL = KernelConfig(mode="ideal", degree=256)
 
@@ -41,22 +42,24 @@ def tie_heavy_vector(rng, n):
 def test_rank_known_vector():
     eng = make_engine(16)
     res = rank(eng, eng.encrypt([20, 30, 10, 40]), 4, IDEAL)
-    assert np.array_equal(read_row(eng, res.ranks, 4), [2, 3, 1, 4])
+    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [2, 3, 1, 4])
     assert not res.corrected
 
 
 def test_rank_with_padding_fractional_ties():
     eng = make_engine(64)
     res = rank(eng, eng.encrypt([50, 10, 20, 20, 40]), 5, IDEAL)
-    assert np.array_equal(read_row(eng, res.ranks, 5), [5, 1, 2.5, 2.5, 4])
-    assert np.all(eng.decrypt(res.ranks)[5:] == 0)
+    assert np.array_equal(read_col(eng, res.ranks, res.layout, 5), [5, 1, 2.5, 2.5, 4])
+    rest = eng.decrypt(res.ranks)
+    rest[0 : 5 * res.layout.n_dim : res.layout.n_dim] = 0.0
+    assert np.all(rest == 0)  # nothing outside the valid column-0 prefix
 
 
 def test_rank_constant_vector():
     for n in (4, 8):
         eng = make_engine(64)
         res = rank(eng, eng.encrypt([3.3] * n), n, IDEAL)
-        assert np.array_equal(read_row(eng, res.ranks, n), [(n + 1) / 2] * n)
+        assert np.array_equal(read_col(eng, res.ranks, res.layout, n), [(n + 1) / 2] * n)
 
 
 def test_rank_budget_counters():
@@ -86,19 +89,7 @@ def test_rank_matches_oracle_randomised():
         for trial in range(30):
             v = tie_heavy_vector(rng, n) if trial % 5 == 0 else rng.uniform(0, 1, n)
             res = rank(eng, eng.encrypt(v), n, IDEAL)
-            assert np.array_equal(read_row(eng, res.ranks, n), reference.fractional_ranks(v))
-
-
-def test_column_form_rank_matches_row_form():
-    rng = np.random.default_rng(8)
-    eng = make_engine(64)
-    v = rng.uniform(0, 1, 8)
-    row = rank_pipeline(eng, eng.encrypt(v), 8, IDEAL)
-    col = rank_pipeline(eng, eng.encrypt(v), 8, IDEAL, column_form=True)
-    assert np.array_equal(
-        read_row(eng, row.result.ranks, 8),
-        read_col(eng, col.result.ranks, col.result.layout, 8),
-    )
+            assert np.array_equal(read_col(eng, res.ranks, res.layout, n), reference.fractional_ranks(v))
 
 
 # ----------------------------------------------------------------------
@@ -110,14 +101,14 @@ def test_tie_offset_known_vectors():
     eng = make_engine(16)
     pipe = rank_pipeline(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
     f = tie_offset(eng, pipe.comparison, pipe.result.layout)
-    assert np.array_equal(read_row(eng, f, 4), [0, -0.5, 0.5, 0])
+    assert np.array_equal(read_col(eng, f, pipe.result.layout, 4), [0, -0.5, 0.5, 0])
 
 
 def test_tie_offset_distinct_is_zero():
     eng = make_engine(16)
     pipe = rank_pipeline(eng, eng.encrypt([4, 1, 3, 2]), 4, IDEAL)
     f = tie_offset(eng, pipe.comparison, pipe.result.layout)
-    assert np.array_equal(read_row(eng, f, 4), [0, 0, 0, 0])
+    assert np.array_equal(read_col(eng, f, pipe.result.layout, 4), [0, 0, 0, 0])
 
 
 def test_tie_offset_all_equal():
@@ -125,9 +116,9 @@ def test_tie_offset_all_equal():
     eng = make_engine(16)
     pipe = rank_pipeline(eng, eng.encrypt([7, 7, 7, 7]), 4, IDEAL)
     f = tie_offset(eng, pipe.comparison, pipe.result.layout)
-    assert np.array_equal(read_row(eng, f, 4), [-1.5, -0.5, 0.5, 1.5])
+    assert np.array_equal(read_col(eng, f, pipe.result.layout, 4), [-1.5, -0.5, 0.5, 1.5])
     assert np.array_equal(
-        read_row(eng, f, 4), reference.tie_offsets([7.0, 7.0, 7.0, 7.0])
+        read_col(eng, f, pipe.result.layout, 4), reference.tie_offsets([7.0, 7.0, 7.0, 7.0])
     )
 
 
@@ -135,9 +126,9 @@ def test_rank_corrected_known_vectors():
     eng = make_engine(16)
     res = rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
     assert res.corrected
-    assert np.array_equal(read_row(eng, res.ranks, 4), [1, 2, 3, 4])
+    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [1, 2, 3, 4])
     res = rank_corrected(eng, eng.encrypt([5, 5, 5, 5]), 4, IDEAL)
-    assert np.array_equal(read_row(eng, res.ranks, 4), [1, 2, 3, 4])
+    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [1, 2, 3, 4])
 
 
 def test_rank_corrected_equals_rank_on_distinct_input():
@@ -146,7 +137,10 @@ def test_rank_corrected_equals_rank_on_distinct_input():
     v = rng.permutation(8) * 0.1
     plain = rank(eng, eng.encrypt(v), 8, IDEAL)
     corrected = rank_corrected(eng, eng.encrypt(v), 8, IDEAL)
-    assert np.array_equal(read_row(eng, plain.ranks, 8), read_row(eng, corrected.ranks, 8))
+    assert np.array_equal(
+        read_col(eng, plain.ranks, plain.layout, 8),
+        read_col(eng, corrected.ranks, corrected.layout, 8),
+    )
 
 
 def test_rank_corrected_is_permutation_and_respects_position_order():
@@ -155,7 +149,8 @@ def test_rank_corrected_is_permutation_and_respects_position_order():
         eng = make_engine(n * n)
         for trial in range(25):
             v = tie_heavy_vector(rng, n)
-            got = read_row(eng, rank_corrected(eng, eng.encrypt(v), n, IDEAL).ranks, n)
+            res = rank_corrected(eng, eng.encrypt(v), n, IDEAL)
+            got = read_col(eng, res.ranks, res.layout, n)
             assert np.array_equal(np.sort(got), np.arange(1, n + 1))
             assert np.array_equal(got, reference.corrected_ranks(v))
             # ranks inside a tie group increase with the position index
@@ -215,7 +210,7 @@ def test_multi_rank_single_block_degenerates_to_rank():
             bv = block_split(multi_eng, v)
             multi = block_merge(multi_eng, multi_rank(multi_eng, bv, IDEAL, tie_correction=tie_correction))
             pipe = rank_pipeline(single_eng, single_eng.encrypt(v), n, IDEAL, tie_correction=tie_correction)
-            assert np.array_equal(multi, read_row(single_eng, pipe.result.ranks, n))
+            assert np.array_equal(multi, read_col(single_eng, pipe.result.ranks, pipe.result.layout, n))
             assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
             assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
 
@@ -236,13 +231,25 @@ def test_multi_rank_with_padding():
 
 
 def test_multi_rank_leaves_padding_slots_zero():
-    # padded entries rank 0 and nothing lands past the valid row-0 prefix
+    # padded entries rank 0 and nothing lands outside the valid column-0 prefix
     eng = make_engine(16)  # block side 4
     v = np.array([0.5, 0.1, 0.9, 0.5, 0.7, 0.1])
     for tie_correction in (False, True):
         ranks = multi_rank(eng, block_split(eng, v), IDEAL, tie_correction=tie_correction)
+        assert ranks.stride == ranks.block_size
         for i, blk in enumerate(ranks.blocks):
-            assert np.all(eng.decrypt(blk)[ranks.valid_in(i):] == 0)
+            rest = eng.decrypt(blk)
+            rest[0 : ranks.valid_in(i) * ranks.stride : ranks.stride] = 0.0
+            assert np.all(rest == 0)
+
+
+def test_ranking_a_column_0_block_vector_is_refused():
+    # ranks sit in column 0, but the ranking replicates row 0; unchecked,
+    # re-ranking ranks 3, 5, 1, 6, 4, 2 gives 4.5, 4.5, 4.5, 5, 5, 1.5
+    eng = make_engine(16)
+    ranks = multi_rank(eng, block_split(eng, np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2])), IDEAL)
+    with pytest.raises(ValueError, match="row 0"):
+        multi_rank(eng, ranks, IDEAL)
 
 
 def test_multi_rank_tie_correction_matches_oracle():
@@ -276,7 +283,7 @@ def test_multi_rank_complement_identity():
     for (i, j), stored in pipe.comparisons.items():
         if i == j:
             continue
-        reverse = compare_kernel(eng, pipe.row_replicated[j], pipe.col_replicated[i], IDEAL)
+        reverse = compare_kernel(eng, pipe.col_replicated[j], pipe.row_replicated[i], IDEAL)
         lhs = eng.decrypt(stored)[: b * b].reshape(b, b)
         rhs = eng.decrypt(reverse)[: b * b].reshape(b, b)
         assert np.array_equal(lhs + rhs.T, np.ones((b, b)))
@@ -295,14 +302,15 @@ def test_multi_rank_pipeline_refuses_strict_and_weak_across_blocks():
     blocks = multi_rank_pipeline(eng, block_split(eng, v), IDEAL).ranks
     assert len(blocks.blocks) == 2
     one_eng = make_engine(64)
-    one_block = rank_pipeline(one_eng, one_eng.encrypt(v), 8, IDEAL).result.ranks
-    assert np.array_equal(block_merge(eng, blocks), read_row(one_eng, one_block, 8))
+    one_block = rank_pipeline(one_eng, one_eng.encrypt(v), 8, IDEAL).result
+    assert np.array_equal(block_merge(eng, blocks), read_col(one_eng, one_block.ranks, one_block.layout, 8))
 
 
 def test_multi_rank_matches_single_when_both_fit():
     eng = make_engine(256)  # block side 16, and 16 values fit a single 16x16 matrix
     v = np.random.default_rng(12).uniform(size=16)
-    single = read_row(eng, rank(eng, eng.encrypt(v), 16, IDEAL).ranks, 16)
+    res = rank(eng, eng.encrypt(v), 16, IDEAL)
+    single = read_col(eng, res.ranks, res.layout, 16)
     multi = block_merge(eng, multi_rank(eng, block_split(eng, v), IDEAL))
     assert np.array_equal(single, multi)
 
@@ -313,5 +321,21 @@ def test_polynomial_rank_tolerates_simulated_scheme_noise():
     eng = HESimulator(HEParams(slot_count=64, max_level=40, noise_sigma=1e-9, seed=3))
     cfg = KernelConfig(mode="chebyshev", degree=256)
     v = np.array([0.9, 0.1, 0.35, 0.55, 0.7])
-    got = read_row(eng, rank(eng, eng.encrypt(v), 5, cfg).ranks, 5)
+    res = rank(eng, eng.encrypt(v), 5, cfg)
+    got = read_col(eng, res.ranks, res.layout, 5)
     assert np.max(np.abs(got - reference.fractional_ranks(v))) < 1e-2
+
+
+def test_tie_corrected_multi_rank_circuit_is_pinned():
+    # three blocks of side 4 with ties inside and across blocks, ideal mode
+    eng = make_engine(16, max_level=64)
+    v = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
+    bv = block_split(eng, v)
+    assert len(bv.blocks) == 3
+    ranks = multi_rank(eng, bv, IDEAL, tie_correction=True)
+    assert np.array_equal(block_merge(eng, ranks), reference.corrected_ranks(v))
+    assert eng.cost_snapshot() == CostReport(
+        rotations=44, ctct_mults=6, ctpt_mults=22, additions=71,
+        cmp_evals=6, ind_evals=0, levels_consumed=13, critical_rotations=8,
+    )
+    assert len(eng.rotation_offsets()) == 44

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from slotrank import (
+    CostReport,
     HEParams,
     HESimulator,
     KernelConfig,
+    MatrixLayout,
     StatisticQuery,
     median,
     order_statistic_mask,
     order_statistic_value,
     percentile,
+    read_col,
 )
 from slotrank import reference
 
@@ -36,16 +39,17 @@ def test_query_validation():
 def test_mask_picks_rank_one_and_four():
     eng = make_engine(16)
     v = [0.20, 0.30, 0.10, 0.40]
-    m1 = eng.decrypt(order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=1), IDEAL))
-    assert np.array_equal(m1[:4], [0, 0, 1, 0])
-    m4 = eng.decrypt(order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=4), IDEAL))
-    assert np.array_equal(m4[:4], [0, 0, 0, 1])
+    layout = MatrixLayout(4, 16)  # masks land in column 0
+    m1 = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=1), IDEAL)
+    assert np.array_equal(read_col(eng, m1, layout, 4), [0, 0, 1, 0])
+    m4 = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=4), IDEAL)
+    assert np.array_equal(read_col(eng, m4, layout, 4), [0, 0, 0, 1])
 
 
 def test_min_mask_on_constant_vector_is_all_ones():
     eng = make_engine(16)
-    m = eng.decrypt(order_statistic_mask(eng, eng.encrypt([0.5] * 3), 3, StatisticQuery("min"), IDEAL))
-    assert np.array_equal(m[:3], [1, 1, 1])
+    m = order_statistic_mask(eng, eng.encrypt([0.5] * 3), 3, StatisticQuery("min"), IDEAL)
+    assert np.array_equal(read_col(eng, m, MatrixLayout(4, 16), 3), [1, 1, 1])
 
 
 def test_mask_l1_norm_counts_rank_holders():
@@ -204,3 +208,47 @@ def test_chebyshev_mode_extremes_span_the_whole_range():
     hi = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("max"), cfg))
     assert abs(lo - 0.0) < 1e-2
     assert abs(hi - 1.0) < 1e-2
+
+
+PINNED_INPUT = [0.62, 0.13, 0.91, 0.47, 0.05, 0.78, 0.34, 0.56]
+PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
+
+
+@pytest.mark.parametrize(
+    "statistic, report",
+    [
+        (
+            lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
+            CostReport(rotations=18, ctct_mults=52, ctpt_mults=96, additions=165,
+                       cmp_evals=1, ind_evals=1, levels_consumed=31, critical_rotations=12),
+        ),
+        (
+            lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
+            CostReport(rotations=18, ctct_mults=52, ctpt_mults=96, additions=164,
+                       cmp_evals=1, ind_evals=1, levels_consumed=31, critical_rotations=12),
+        ),
+        (
+            lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
+            CostReport(rotations=24, ctct_mults=53, ctpt_mults=100, additions=174,
+                       cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
+        ),
+        (
+            lambda e, c: median(e, c, 8, PINNED_CHEB),
+            CostReport(rotations=30, ctct_mults=88, ctpt_mults=130, additions=241,
+                       cmp_evals=1, ind_evals=2, levels_consumed=34, critical_rotations=12),
+        ),
+        (
+            lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
+            CostReport(rotations=24, ctct_mults=53, ctpt_mults=100, additions=174,
+                       cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
+        ),
+    ],
+    ids=["min", "max", "kth3", "median_even", "percentile75"],
+)
+def test_statistic_circuit_is_pinned(statistic, report):
+    # the full cost of each select path at chebyshev degree 64, n=8 in 64
+    # slots; a layout refactor must leave every counter where it is
+    eng = make_engine(64)
+    statistic(eng, eng.encrypt(PINNED_INPUT))
+    assert eng.cost_snapshot() == report
+    assert len(eng.rotation_offsets()) == report.rotations
