@@ -11,7 +11,6 @@ from slotrank import (
     HEParams,
     HESimulator,
     KernelConfig,
-    MatrixLayout,
     StatisticQuery,
     median,
     order_statistic_mask,
@@ -26,12 +25,11 @@ cfg = KernelConfig(mode="ideal", degree=256)
 
 v = [0.20, 0.30, 0.10, 0.40]
 print("input:", v)
-layout = MatrixLayout(4, 64)  # four values in a 4x4 matrix
 
 print("\nA rank-window indicator turns the ranking into a selection mask:")
 for k in (1, 4):
     m = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=k), cfg)
-    mask = read_col(eng, m, layout, 4)
+    mask = read_col(eng, m.mask, m.layout, 4)  # four values in a 4x4 matrix
     print(f"  rank {k} mask ->", mask)
     print(f"  rank {k} mask matches the oracle:", np.array_equal(mask, reference.corrected_ranks(v) == k))
 
@@ -55,7 +53,7 @@ hi = eng.decrypt(order_statistic_value(eng, eng.encrypt(dup), 6, StatisticQuery(
 m = order_statistic_mask(eng, eng.encrypt([0.7, 0.7, 0.7]), 3, StatisticQuery("min"), cfg)
 print(f"  min {dup} -> {lo:.6f}  matches the oracle:", abs(lo - min(dup)) < 1e-6)
 print(f"  max {dup} -> {hi:.6f}  matches the oracle:", abs(hi - max(dup)) < 1e-6)
-all_min = read_col(eng, m, layout, 3)
+all_min = read_col(eng, m.mask, m.layout, 3)
 print("  min mask of an all-equal vector ->", all_min)
 print("  every element is minimal:", np.array_equal(all_min, [1, 1, 1]))
 

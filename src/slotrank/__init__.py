@@ -47,7 +47,7 @@ from .ranking import (
     read_row,
     tie_offset,
 )
-from .select import StatisticQuery, median, order_statistic_mask, order_statistic_value, percentile
+from .select import StatisticMask, StatisticQuery, median, order_statistic_mask, order_statistic_value, percentile
 from .sorting import SortConfig, multi_sort, sort
 
 __version__ = "0.1.0"
@@ -90,6 +90,7 @@ __all__ = [
     "read_row",
     "read_col",
     "StatisticQuery",
+    "StatisticMask",
     "order_statistic_mask",
     "order_statistic_value",
     "median",

@@ -484,6 +484,7 @@ def equality_from_compare(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     Sends 0 and 1 to 0 and the tie value 0.5 to 1, costing one
     ciphertext-ciphertext and one ciphertext-plaintext multiplication.
     """
+    engine.share(c)  # read by both factors
     complement = engine.add_plain(engine.negate(c), 1.0)
     return engine.mul_plain(engine.mul(c, complement, site="equality"), 4.0, site="equality")
 
@@ -508,12 +509,14 @@ def goldschmidt_inverse(
     denom = m * m + 6.0 * m * mx + mx * mx
     a = -8.0 / denom
     b = 8.0 * (m + mx) / denom
+    engine.share(x)  # read by the seed and by the first error
     y = engine.add_plain(engine.mul_plain(x, a, site="reciprocal-seed"), b)
     err = engine.add_plain(engine.negate(engine.mul(x, y, site="reciprocal")), 1.0)
-    y = engine.mul(y, engine.add_plain(err, 1.0), site="reciprocal")
     for _ in range(iters):
-        err = engine.mul(err, err, site="reciprocal")
+        engine.share(err)  # read by the correction and by the next square
         y = engine.mul(y, engine.add_plain(err, 1.0), site="reciprocal")
+        err = engine.mul(err, err, site="reciprocal")
+    y = engine.mul(y, engine.add_plain(err, 1.0), site="reciprocal")
     return y
 
 

@@ -25,13 +25,21 @@ Cost model:
   one 2D array (see ``copy_into``) as one BLAS product, which rounds each
   slot within a few ulps of sum_i |scale_i * base_i| of the fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
-  per slot.  A pending sum owes the noise of the ops it stands for and
-  draws it once, when it is read or realised, as one N(0, owed * sigma^2)
-  draw: the distribution of one draw per op, since no term of a sum is
-  read on its own.  An operand whose owed noise moved into a sum is spent,
-  and reading, summing or realising it raises ``EngineError``: its noise
-  would have to be correlated with the sum's.  ``add(p, p)`` reads ``p``
-  instead, so its noise is 2 e_p + e;
+  per slot, but on a noisy engine it returns its noise-free value and
+  *owes* that noise, as a one-term pending sum, until something reads it.
+  ``owed`` is a variance weight: a read draws N(0, owed * sigma^2) once and
+  keeps it, so every later reader sees the same noise.  ``rotate``,
+  ``mul``, a vector ``mul_plain``, ``ideal_map``, ``copy_into``,
+  ``decrypt`` and ``slots`` read.  ``add`` and ``sub`` with one or both
+  operands owing, ``add_plain``, ``negate``, ``add(p, p)`` (scale 2) and a
+  scalar ``mul_plain`` (scale s, weight times s^2) instead take over an
+  owing operand's noise: a linear chain draws one Gaussian of the summed
+  variance, the distribution of one draw per op, since no link of the
+  chain is read on its own.  The operand is then spent, and reading,
+  summing or realising it raises ``EngineError``: its noise would have to
+  be correlated with the chain's.  ``share`` reads its arguments, so that
+  several ops may use a value; on a noise-free engine nothing owes and it
+  does nothing;
 * additions, subtractions, negation, and rotations are level-free;
 * ``levels_consumed`` tracks ``max_level - level`` over every produced
   ciphertext, i.e. the longest multiplication chain seen so far;
@@ -96,7 +104,8 @@ class HEParams:
     max_level:  multiplicative depth budget of a fresh ciphertext.
     noise_sigma: std-dev of the additive per-slot Gaussian noise of every
         arithmetic operation (rotations stay exact); finite, 0 means exact.
-        The noise a pending sum owes is drawn once, when it is read.
+        An op owes its noise until its value is read, and a linear op passes
+        the noise of an owing operand on: a chain draws it once.
     seed: seed of the noise generator.
     """
 
@@ -124,6 +133,7 @@ class Ciphertext:
 
     __slots__ = ("slots", "level", "rot_chain", "params")
     pending = None  # the (base, scale) terms of a _PendingSum
+    owed = 0.0  # the noise variance, in units of sigma^2, a _PendingSum owes
 
     def __init__(self, slots: np.ndarray, level: int, rot_chain: int, params: HEParams):
         slots.setflags(write=False)
@@ -138,22 +148,23 @@ class Ciphertext:
 
 
 class _PendingSum(Ciphertext):
-    """A ciphertext worth sum_i ``base_i * scale_i``, plus the noise of
-    ``owed`` charged ops, that is not computed yet.
+    """A ciphertext worth sum_i ``base_i * scale_i``, plus noise of variance
+    ``owed * sigma^2``, that is not computed yet.
 
-    ``pending`` holds the (base, scale) terms; one term is a deferred scalar
-    product.  ``owed`` counts the charged ops whose noise is not drawn yet;
-    it is 0 on a noise-free engine.  Reading ``slots`` folds the terms left
-    to right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) + ...`` would,
-    adds one draw of sigma * sqrt(owed) * Z and keeps the result, so every
-    later reader sees the same noise; it drops ``pending`` so the bases are
-    not kept alive.  A pending sum whose owed noise moved into another sum
-    is spent, and has no value.
+    ``pending`` holds the (base, scale) terms; a base is a slot vector or, for
+    an ``add_plain``, a plaintext scalar.  One term is a deferred scalar
+    product, or, on a noisy engine, the computed value of an op that owes its
+    noise.  ``owed`` is 0 on a noise-free engine.  Reading ``slots`` folds the
+    terms left to right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) +
+    ...`` would, adds one draw of sigma * sqrt(owed) * Z and keeps the
+    result, so every later reader sees the same noise; it drops ``pending``
+    so the bases are not kept alive.  An op that takes over the owed noise
+    takes the terms too and leaves the sum spent, with no value.
     """
 
     __slots__ = ("pending", "owed", "_value", "_engine")
 
-    def __init__(self, terms: tuple, owed: int, level: int, rot_chain: int, engine: HESimulator):
+    def __init__(self, terms: tuple, owed: float, level: int, rot_chain: int, engine: HESimulator):
         self.pending = terms
         self.owed = owed
         self._value = None
@@ -168,8 +179,8 @@ class _PendingSum(Ciphertext):
             self._settle(_fold(self.pending))
         elif self._value is None:
             raise EngineError(
-                f"{self!r}: its owed noise moved into a sum, so it has no value; "
-                "read it before summing it to use it twice"
+                f"{self!r}: its owed noise moved into another ciphertext, so it has no value; "
+                "HESimulator.share it before its first use to use it twice"
             )
         return self._value
 
@@ -177,7 +188,21 @@ class _PendingSum(Ciphertext):
         """Keep ``fold``, the fold of the terms, plus one draw of the owed noise."""
         value = self._engine._noisy(fold, self.owed)
         value.setflags(write=False)
-        self._value, self.pending, self.owed = value, None, 0
+        self._value, self.pending, self.owed = value, None, 0.0
+
+    def _computed(self, fold: np.ndarray):
+        """Keep ``fold`` as the one term of a sum that still owes noise, or as
+        the value of one that owes none."""
+        if self.owed:
+            self.pending = ((fold, 1.0),)
+        else:
+            self._settle(fold)
+
+    def _spend(self) -> tuple[tuple, float]:
+        """The terms and the owed noise, handed over; leaves the sum spent."""
+        taken = self.pending, self.owed
+        self.pending, self.owed = None, 0.0
+        return taken
 
     def __repr__(self):
         if self._value is not None:
@@ -186,32 +211,49 @@ class _PendingSum(Ciphertext):
             return f"Ciphertext(level={self.level}, spent, n={self.params.slot_count})"
         return (
             f"Ciphertext(level={self.level}, pending: {len(self.pending)} terms, "
-            f"owed={self.owed}, n={self.params.slot_count})"
+            f"owed={self.owed:g}, n={self.params.slot_count})"
         )
 
 
 def _fold(terms: tuple) -> np.ndarray:
-    """sum_i ``base_i * scale_i`` into a fresh array, left to right."""
+    """sum_i ``base_i * scale_i``, left to right: a lone base of scale 1 as it
+    is, else into a fresh array.  A scale of +-1 adds or subtracts its base,
+    which gives the same doubles as multiplying by it."""
     (base, scale), *rest = terms
+    if not rest and scale == 1.0:
+        return base
     value = base * scale
     if rest:
         term = np.empty_like(value)
         for base, scale in rest:
-            value += np.multiply(base, scale, out=term)
+            if scale == 1.0:
+                value += base
+            elif scale == -1.0:
+                value -= base
+            else:
+                value += np.multiply(base, scale, out=term)
     return value
+
+
+def _terms(ct: Ciphertext) -> tuple:
+    """The terms of a pending ``ct``, else its value as one term of scale 1."""
+    return ct.pending if ct.pending is not None else ((ct.slots, 1.0),)
 
 
 def _rows_of_one_array(sums: list) -> tuple[np.ndarray | None, dict[int, int]]:
     """The C-contiguous 2D array every base of the pending ``sums`` is a full
     row of, or None if there is no such array, and each base's row by ``id``."""
     bases = {id(base): base for ct in sums for base, _ in ct.pending}
-    array = next(iter(bases.values())).base if bases else None
+    array = getattr(next(iter(bases.values())), "base", None) if bases else None
     if not (isinstance(array, np.ndarray) and array.ndim == 2 and array.flags.c_contiguous):
         return None, {}
     rows = {}
     for key, base in bases.items():
+        # a plaintext scalar base has no ``base``
+        if getattr(base, "base", None) is not array or base.shape != array.shape[1:] or not base.flags.c_contiguous:
+            return None, {}
         rows[key], offset = divmod(base.ctypes.data - array.ctypes.data, array.strides[0])
-        if offset or base.base is not array or base.shape != array.shape[1:] or not base.flags.c_contiguous:
+        if offset:
             return None, {}
     return array, rows
 
@@ -240,8 +282,9 @@ class HESimulator:
     def __init__(self, params: HEParams):
         self.params = params
         self._rng = np.random.default_rng(params.seed)
-        # the noise draws a charged op owes: none on a noise-free engine
-        self._op_noise = 1 if params.noise_sigma > 0 else 0
+        # the noise variance, in units of sigma^2, a charged op owes: none
+        # on a noise-free engine
+        self._op_noise = 1.0 if params.noise_sigma > 0 else 0.0
         self.trace: list[int] = []
         self._reset_counters()
 
@@ -289,39 +332,36 @@ class HESimulator:
     # ------------------------------------------------------------------
 
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        self._check(x, y)
-        self._adds += 1
-        if x.pending is not None and y.pending is not None and x is not y:
-            return self._pending_sum(x, y, 1.0)
-        slots = self._noisy(x.slots + y.slots)
-        return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
+        return self._sum(x, y, 1.0)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        self._check(x, y)
-        self._adds += 1
-        if x.pending is not None and y.pending is not None and x is not y:
-            return self._pending_sum(x, y, -1.0)
-        slots = self._noisy(x.slots - y.slots)
-        return self._emit(slots, min(x.level, y.level), max(x.rot_chain, y.rot_chain))
+        return self._sum(x, y, -1.0)
 
     def negate(self, x: Ciphertext) -> Ciphertext:
         self._check(x)
+        if x.owed:
+            # -(b0*s0 + b1*s1 + ...) is b0*-s0 + b1*-s1 + ... to the double
+            terms, owed = x._spend()
+            return self._emit(None, x.level, x.rot_chain, tuple((b, -s) for b, s in terms), owed)
         return self._emit(-x.slots, x.level, x.rot_chain)
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         self._check(x)
-        slots = self._noisy(x.slots + self._plain_operand(p))
+        p = self._plain_operand(p)
         self._adds += 1
-        return self._emit(slots, x.level, x.rot_chain)
+        if x.owed:
+            terms, owed = x._spend()
+            return self._emit(None, x.level, x.rot_chain, terms + ((p, 1.0),), owed + self._op_noise)
+        return self._owing(x.slots + p, x.level, x.rot_chain)
 
     def mul(self, x: Ciphertext, y: Ciphertext, site: str = "mul") -> Ciphertext:
         self._check(x, y)
         level = min(x.level, y.level)
         if level < 1:
             raise DepthBudgetError(site, level)
-        slots = self._noisy(x.slots * y.slots)
+        slots = x.slots * y.slots
         self._ctct += 1
-        return self._emit(slots, level - 1, max(x.rot_chain, y.rot_chain))
+        return self._owing(slots, level - 1, max(x.rot_chain, y.rot_chain))
 
     def mul_plain(self, x: Ciphertext, p, site: str = "mul_plain") -> Ciphertext:
         self._check(x)
@@ -330,8 +370,8 @@ class HESimulator:
         p = self._plain_operand(p)
         self._ctpt += 1
         if isinstance(p, float):
-            return self._emit(None, x.level - 1, x.rot_chain, ((x.slots, p),), self._op_noise)
-        return self._emit(self._noisy(x.slots * p), x.level - 1, x.rot_chain)
+            return self._scaled(x, p, x.level - 1, x.rot_chain)
+        return self._owing(x.slots * p, x.level - 1, x.rot_chain)
 
     def rotate(self, x: Ciphertext, k: int) -> Ciphertext:
         """Cyclic rotation of the full slot vector; k > 0 rotates left.
@@ -381,14 +421,17 @@ class HESimulator:
     def realise(self, cts: list[Ciphertext]) -> list[Ciphertext]:
         """Compute every pending sum of ``cts`` and return ``cts``; charges nothing.
 
-        Each pending sum ends as a read leaves it: it keeps its value, plus
-        one draw of the noise it owes, and reads as a read-only ciphertext at
-        its own level.  If every base of the sums is a row of one 2D array, as
-        ``copy_into`` leaves them, the batch is one BLAS product of the matrix
-        of their scales by that array: it reads each base once, copies none,
-        and rounds each slot within a few ulps of sum_i |scale_i * base_i| of
-        the left-to-right fold.  Other sums are folded on their own, as a
-        lone read does.  A spent operand raises ``EngineError``.
+        Each pending sum keeps its computed value at its own level.  One that
+        owes no noise then reads as a read-only ciphertext, as a read leaves
+        it.  One that owes noise keeps owing it, as the one term of scale 1 of
+        a pending sum: the noise is drawn when the value is read, or joins
+        the op that takes it over.  If every base of the sums is a row of one
+        2D array, as ``copy_into`` leaves them, the batch is one BLAS product
+        of the matrix of their scales by that array: it reads each base once,
+        copies none, and rounds each slot within a few ulps of
+        sum_i |scale_i * base_i| of the left-to-right fold.  Other sums are
+        folded on their own, as a lone read does.  A spent operand raises
+        ``EngineError``.
         """
         self._check(*cts)
         pending = [c for c in cts if c.pending is not None]
@@ -399,10 +442,27 @@ class HESimulator:
                 for base, scale in ct.pending:
                     scales[r, rows[id(base)]] += scale
             for ct, value in zip(pending, scales @ array):
-                ct._settle(value)
+                ct._computed(value)
         for ct in cts:
-            ct.slots  # folds what is still pending; a spent operand raises
+            if ct.pending is not None:
+                ct._computed(_fold(ct.pending))
+            else:
+                ct.slots  # a spent operand raises
         return list(cts)
+
+    def share(self, *cts: Ciphertext) -> tuple[Ciphertext, ...]:
+        """Draw the noise ``cts`` owe, so that several ops may use each of
+        them, and return ``cts``; charges nothing.
+
+        An op that takes over an owing operand's noise leaves the operand
+        spent, so a value that two ops use is shared first.  On a noise-free
+        engine nothing owes, and this returns at once.
+        """
+        if self._op_noise:
+            self._check(*cts)
+            for ct in cts:
+                ct.slots  # a read draws the owed noise; a spent operand raises
+        return cts
 
     # ------------------------------------------------------------------
     # cost accounting
@@ -460,8 +520,25 @@ class HESimulator:
         """
         return float(p) if isinstance(p, (float, int, np.generic)) else self.plain(p)
 
-    def _pending_sum(self, x: Ciphertext, y: Ciphertext, sign: float) -> Ciphertext:
-        """``x + sign * y`` of two pending operands, as a pending sum.
+    def _sum(self, x: Ciphertext, y: Ciphertext, sign: float) -> Ciphertext:
+        """``x + sign * y``, charged as one addition.
+
+        An owing ``x + sign * x`` is ``x`` scaled by ``1 + sign``, so its
+        noise counts that many times.  With an owing operand, or, on a
+        noise-free engine, two distinct pending ones, the result is a pending
+        sum, else it is computed at once.
+        """
+        self._check(x, y)
+        self._adds += 1
+        level, chain = min(x.level, y.level), max(x.rot_chain, y.rot_chain)
+        if x is y and x.owed:
+            return self._scaled(x, 1.0 + sign, level, chain)
+        if x.owed or y.owed or (x.pending is not None and y.pending is not None and x is not y):
+            return self._pending_sum(x, y, sign, level, chain)
+        return self._owing(x.slots + y.slots if sign > 0 else x.slots - y.slots, level, chain)
+
+    def _pending_sum(self, x: Ciphertext, y: Ciphertext, sign: float, level: int, chain: int) -> Ciphertext:
+        """``x + sign * y`` as a pending sum.
 
         ``x``'s terms come first, then ``y`` as one term: its own if it has
         one, else its fold with scale 1.  The fold of the result is then
@@ -470,16 +547,36 @@ class HESimulator:
         plus that of its own addition; an operand whose owed noise it takes
         over is spent.
         """
-        head, tail = x.pending, y.pending
+        head, tail = _terms(x), _terms(y)
         ((base, scale),) = tail if len(tail) == 1 else ((_fold(tail), 1.0),)
         terms = head + ((base, sign * scale),)
         owed = x.owed + y.owed + self._op_noise
-        if owed:
-            x.pending = y.pending = None  # spent
-        return self._emit(None, min(x.level, y.level), max(x.rot_chain, y.rot_chain), terms, owed)
+        for ct in (x, y):
+            if ct.owed:
+                ct._spend()
+        return self._emit(None, level, chain, terms, owed)
 
-    def _noisy(self, slots: np.ndarray, owed: int = 1) -> np.ndarray:
-        """``slots`` plus one draw of the noise of ``owed`` ops, N(0, owed * sigma^2)."""
+    def _scaled(self, x: Ciphertext, s: float, level: int, chain: int) -> Ciphertext:
+        """``x * s`` for a scalar ``s``, deferred, charged by the caller.
+
+        The fold of an owing ``x`` is scaled as one term, so scales are never
+        folded together; its owed noise is scaled too, to ``s^2`` times its
+        weight, and ``x`` is spent.
+        """
+        if x.owed:
+            terms, owed = x._spend()
+            return self._emit(None, level, chain, ((_fold(terms), s),), s * s * owed + self._op_noise)
+        return self._emit(None, level, chain, ((x.slots, s),), self._op_noise)
+
+    def _owing(self, slots: np.ndarray, level: int, chain: int) -> Ciphertext:
+        """The computed ``slots`` of a charged op: owing the op's noise on a
+        noisy engine, as is on a noise-free one."""
+        if self._op_noise:
+            return self._emit(None, level, chain, ((slots, 1.0),), self._op_noise)
+        return self._emit(slots, level, chain)
+
+    def _noisy(self, slots: np.ndarray, owed: float) -> np.ndarray:
+        """``slots`` plus one draw of N(0, owed * sigma^2) noise."""
         sigma = self.params.noise_sigma
         if sigma > 0:
             # for one op, the same doubles as ``slots + rng.normal(0, sigma,
@@ -491,7 +588,7 @@ class HESimulator:
         return slots
 
     def _emit(
-        self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None, owed: int = 0
+        self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None, owed: float = 0.0
     ) -> Ciphertext:
         consumed = self.params.max_level - level
         if consumed > self._levels:

@@ -187,6 +187,7 @@ def multi_rank_pipeline(
         replicate(engine, transpose_vector(engine, blk, layout, "row_to_col"), layout, "col")
         for blk in bv.blocks
     ]
+    engine.share(*row_rep, *col_rep)  # each is compared with every block
 
     comparisons = {}
     for i in range(count):
@@ -197,6 +198,8 @@ def multi_rank_pipeline(
                 # cells against zero padding would count as comparisons
                 c = engine.mul_plain(c, _pad_mask(layout.slot_count, b, valid_i, valid_j), site="pad-mask")
             comparisons[(i, j)] = c
+    # summed into two blocks' ranks, or into one and its tie offset
+    engine.share(*comparisons.values())
 
     cross = {}
     rank_blocks = []
@@ -205,6 +208,8 @@ def multi_rank_pipeline(
         for j in range(i + 1, count):
             c = comparisons[(i, j)]
             cross[(i, j)] = _strict(engine, c) if tie_correction else c
+        # summed into block i's ranks here and block j's later
+        engine.share(*(cross[(i, j)] for j in range(i + 1, count)))
         own = reduce(engine.add, (cross[(i, j)] for j in range(i + 1, count)), comparisons[(i, i)])
         ranks = sum_axis(engine, own, layout, "col")
         if i > 0:
@@ -288,6 +293,7 @@ def tie_offset(
     """
     side = layout.n_dim
     valid = side if valid is None else valid
+    engine.share(cmp_matrix)  # read by both factors of the equality
     complement = engine.add_plain(engine.negate(cmp_matrix), 1.0)
     quarter_eq = engine.mul(cmp_matrix, complement, site="tie-equality")
     counted = engine.mul_plain(quarter_eq, _triangle_mask(layout.slot_count, side, 4.0), site="tie-triangle")

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator
-from .matrix import sum_axis
+from .matrix import MatrixLayout, sum_axis
 from .ranking import RankPipeline, rank_pipeline
 
 __all__ = [
     "StatisticQuery",
+    "StatisticMask",
     "order_statistic_mask",
     "order_statistic_value",
     "median",
@@ -46,6 +47,14 @@ class StatisticQuery:
             raise ValueError("kind='kth' needs k >= 1")
         if self.kind == "percentile" and (self.p is None or not 0.0 <= self.p <= 100.0):
             raise ValueError("kind='percentile' needs p in [0, 100]")
+
+
+@dataclass(frozen=True)
+class StatisticMask:
+    """Selection mask in column 0 of the matrix encoding."""
+
+    mask: Ciphertext
+    layout: MatrixLayout
 
 
 def _nearest_rank(n: int, p: float) -> int:
@@ -98,7 +107,7 @@ def order_statistic_mask(
     cfg: KernelConfig,
     *,
     tie_correction: bool = True,
-) -> Ciphertext:
+) -> StatisticMask:
     """Column-0 selection mask: 1 in the positions whose rank is the queried one.
 
     With tie correction the mask is one-hot; without it, elements of an
@@ -106,7 +115,7 @@ def order_statistic_mask(
     """
     comparison, k = _resolve(query, n)
     pipe = _rank_for_query(engine, ct, n, comparison, cfg, tie_correction)
-    return _window_mask(engine, pipe, k, n, cfg)
+    return StatisticMask(_window_mask(engine, pipe, k, n, cfg), pipe.result.layout)
 
 
 def _value_from_mask(engine, sel, pipe: RankPipeline, n) -> Ciphertext:
@@ -154,6 +163,7 @@ def median(
         query = StatisticQuery("kth", k=(n + 1) // 2)
         return order_statistic_value(engine, ct, n, query, cfg, tie_correction=tie_correction)
     pipe = _rank_for_query(engine, ct, n, "fractional", cfg, tie_correction)
+    engine.share(pipe.result.ranks)  # read by both windows
     lo_sel = _window_mask(engine, pipe, n // 2, n, cfg)
     hi_sel = _window_mask(engine, pipe, n // 2 + 1, n, cfg)
     lo_val = _value_from_mask(engine, lo_sel, pipe, n)

@@ -75,7 +75,8 @@ def _place(engine, ranks, replicated, layout, kernel_cfg):
     # Returns the output blocks and the last selection mask.
     b, count = layout.n_dim, len(ranks)
     window_cfg = with_input_range(kernel_cfg, -float(b * count), float(b * count))
-    spread = [replicate(engine, r, layout, "col") for r in ranks]
+    # each spread ranking is shifted once per output block
+    spread = engine.share(*[replicate(engine, r, layout, "col") for r in ranks])
     values = []
     for i in range(count):
         neg_targets = _neg_rank_targets(layout.slot_count, b, start=b * i + 1)

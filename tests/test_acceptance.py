@@ -126,9 +126,12 @@ def test_c3_cost_budgets():
 
             eng = engine_for(n)
             eng.cost_reset()
-            order_statistic_mask(eng, eng.encrypt(v), n, StatisticQuery("kth", k=1 + n // 2), cfg)
+            sel = order_statistic_mask(eng, eng.encrypt(v), n, StatisticQuery("kth", k=1 + n // 2), cfg)
             rep = eng.cost_snapshot()
             assert rep.levels_consumed <= d_c + d_i + 4
+            if cfg.mode == "ideal":
+                mask = read_col(eng, sel.mask, sel.layout, n)
+                assert np.array_equal(mask, reference.corrected_ranks(v) == 1 + n // 2)
 
             eng = engine_for(n)
             eng.cost_reset()

@@ -28,6 +28,7 @@ from slotrank import (
     order_statistic_value,
     percentile,
     ps_eval,
+    rank,
     rank_corrected,
     sort,
 )
@@ -279,13 +280,19 @@ def test_ps_eval_noise_distribution_is_pinned(name):
     assert abs(np.mean(stds) - pinned) < 0.05 * pinned
 
 
-# Every pipeline, with its values computed through noisy chebyshev kernels:
-# a pending sum read after its noise moved into another sum would raise.
+# Every pipeline, run on a noisy engine.  An op that takes over an owing
+# operand's noise spends it, so a value used twice that was not shared first
+# raises ``EngineError`` here.
 NOISY_PIPELINES = {
     "rank": lambda e, xs, cfg: rank_corrected(e, e.encrypt(xs), xs.size, cfg).ranks,
+    "fractional rank": lambda e, xs, cfg: rank(e, e.encrypt(xs), xs.size, cfg).ranks,
     "sort": lambda e, xs, cfg: sort(e, e.encrypt(xs), xs.size, SortConfig(kernel=cfg)),
     "multi_rank": lambda e, xs, cfg: multi_rank(e, block_split(e, xs), cfg, tie_correction=True).blocks[-1],
+    "uncorrected multi_rank": lambda e, xs, cfg: multi_rank(e, block_split(e, xs), cfg).blocks[-1],
     "multi_sort": lambda e, xs, cfg: multi_sort(e, block_split(e, xs), SortConfig(kernel=cfg)).blocks[-1],
+    "padded multi_sort": lambda e, xs, cfg: multi_sort(  # 3 of the last block's 4 entries are real
+        e, block_split(e, xs[:-1]), SortConfig(kernel=cfg)
+    ).blocks[-1],
     "min": lambda e, xs, cfg: order_statistic_value(e, e.encrypt(xs), xs.size, StatisticQuery("min"), cfg),
     "max": lambda e, xs, cfg: order_statistic_value(e, e.encrypt(xs), xs.size, StatisticQuery("max"), cfg),
     "even median": lambda e, xs, cfg: median(e, e.encrypt(xs), xs.size, cfg),
@@ -297,13 +304,29 @@ NOISY_PIPELINES = {
 }
 
 
-@pytest.mark.parametrize("name", NOISY_PIPELINES)
-def test_noisy_chebyshev_pipelines_run(name):
+@pytest.mark.parametrize(
+    "name,mode",
+    [
+        pytest.param(name, mode, id=name if mode == "chebyshev" else f"{name}-ideal")
+        for name in NOISY_PIPELINES
+        for mode in ("chebyshev", "ideal")
+    ],
+)
+def test_noisy_chebyshev_pipelines_run(name, mode):
     xs = np.array([0.5, 0.1, 0.2, 0.2, 0.4, 0.9, 0.7, 0.4])  # two tied pairs
-    slot_count = 16 if name.startswith("multi") else 64  # two blocks of 4
-    eng = HESimulator(HEParams(slot_count=slot_count, max_level=60, noise_sigma=1e-6, seed=3))
-    out = NOISY_PIPELINES[name](eng, xs, cheb_cfg(degree=64))
-    assert np.all(np.isfinite(eng.decrypt(out)))
+    slot_count = 16 if "multi" in name else 64  # blocks of 4
+    cfg = KernelConfig(mode=mode, degree=64)
+    outs = []
+    for sigma in (1e-9, 0.0):
+        eng = HESimulator(HEParams(slot_count=slot_count, max_level=60, noise_sigma=sigma, seed=3))
+        outs.append(eng.decrypt(NOISY_PIPELINES[name](eng, xs, cfg)))
+    noisy, clean = outs
+    assert np.all(np.isfinite(noisy))
+    if mode == "chebyshev":
+        assert np.max(np.abs(noisy - clean)) < 1e-3
+    # The ideal kernels are exact, so noise of any size breaks a tie (and the
+    # comparison of a value with itself) that the noise-free run sees as
+    # one: their outputs may move by a whole rank.
 
 
 def test_ps_eval_depth_budget_error_names_site():
@@ -488,6 +511,15 @@ def test_equality_composed_with_compare_is_exact_indicator():
     c = compare_kernel(eng, eng.encrypt(xs), eng.encrypt(ys), ideal_cfg())
     out = eng.decrypt(equality_from_compare(eng, c))
     assert np.array_equal(out, (xs == ys).astype(float))
+
+
+def test_noisy_equality_reads_an_owing_comparison_twice():
+    # 4c(1 - c) uses c in both factors, so an owing c is shared, not spent
+    eng = make_engine(sigma=1e-9)
+    c = eng.mul_plain(eng.encrypt([0.0, 0.5, 1.0, 0.6]), 1.0)
+    assert c.owed == 1
+    out = eng.decrypt(equality_from_compare(eng, c))
+    assert np.allclose(out[:4], [0.0, 1.0, 0.0, 0.96], atol=1e-6)
 
 
 # ----------------------------------------------------------------------

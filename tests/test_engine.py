@@ -498,15 +498,22 @@ def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count, as_
 
 
 def test_add_to_itself_reads_its_operand_once():
+    # add(p, p) is p scaled by 2: its noise 2 e_p + e is one draw of weight 4 + 1
     n = 1 << 16
     eng = make_engine(slot_count=n, sigma=SIGMA, seed=4)
     v = np.random.default_rng(8).normal(size=n)
     p = eng.mul_plain(eng.encrypt(v), SCALE)
-    doubled = eng.add(p, p)  # noise 2 * e_p + e
-    assert doubled.pending is None and p.pending is None
+    doubled = eng.add(p, p)
+    assert doubled.owed == 5 and doubled.pending is not None
+    with pytest.raises(EngineError, match="spent"):
+        p.slots
     assert abs(np.std(doubled.slots - 2 * (v * SCALE)) / (SIGMA * np.sqrt(5.0)) - 1.0) < 0.03
-    # e_p, the noise p drew when read, and e, the addition's own, are both N(0, sigma^2)
-    for noise in (p.slots - v * SCALE, doubled.slots - 2 * p.slots):
+    # a shared p is read first: e_p, the noise it drew, and e, the addition's
+    # own, are both N(0, sigma^2)
+    (q,) = eng.share(eng.mul_plain(eng.encrypt(v), SCALE))
+    doubled = eng.add(q, q)
+    assert doubled.owed == 1
+    for noise in (q.slots - v * SCALE, doubled.slots - 2 * q.slots):
         assert abs(np.std(noise) / SIGMA - 1.0) < 0.03
 
 
@@ -529,7 +536,7 @@ def test_spent_operand_raises_on_read_sum_and_realise():
         for spent in (p, q):
             with pytest.raises(EngineError, match="spent") as err:
                 use(spent)
-            assert "noise moved into a sum" in str(err.value), name
+            assert "noise moved into another ciphertext" in str(err.value), name
     assert np.isfinite(s.slots).all()
 
 
@@ -541,11 +548,117 @@ def test_realise_keeps_the_drawn_noise_and_charges_nothing():
         out = eng.realise([sums[0], concrete, *sums[1:]])
         assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
         assert all(a is b for a, b in zip(out, [sums[0], concrete, *sums[1:]]))
-        values = [c.slots for c in sums]
+        # computed, as one term each, but the noise of 4 products and 3 sums is still owed
+        assert all(len(c.pending) == 1 and c.owed == 7 for c in sums)
+        computed = [c.pending[0][0] for c in sums]
+        assert all(c.pending[0][0] is v for c, v in zip(eng.realise(sums), computed))
+        values = [c.slots for c in sums]  # the reads draw it
         assert all(c.pending is None and c.owed == 0 for c in sums)
         assert all(not v.flags.writeable for v in values)
         # later reads and later realises see the noise already drawn
         assert all(a is b.slots for a, b in zip(values, eng.realise(sums)))
+
+
+def test_realised_noise_joins_the_op_that_takes_it_over():
+    n = 1 << 16
+    eng, (leaf,) = noisy_sums(n, 1, 3, seed=6, as_rows=True)
+    _, (exact,) = noisy_sums(n, 1, 3, sigma=0.0, as_rows=True)
+    eng.realise([leaf])  # one product: its value is a row of the product block
+    x = eng.encrypt(np.ones(n))
+    # as the giant-step walk adds a constant and a product to a leaf
+    out = eng.add(eng.add_plain(leaf, 0.5), eng.mul(x, x))
+    assert out.owed == 5 + 1 + 1 + 1
+    with pytest.raises(EngineError, match="spent"):
+        leaf.slots
+    eng.realise([out])  # a row and a plaintext scalar: folded, not one product
+    assert abs(np.std(out.slots - (exact.slots + 1.5)) / (SIGMA * np.sqrt(8.0)) - 1.0) < 0.03
+
+
+# On a noisy engine every charged op owes its noise until a read; a linear op
+# takes over an owing operand's noise, scaled by its coefficient squared, and
+# leaves the operand spent.  Each case builds its ciphertext from x, y and
+# returns it, the operands it spent and its owed weight.
+FORWARDING = {
+    "add, first owing": lambda e, x, y: ((p := e.mul_plain(x, SCALE)), e.add(p, y), [p], 2),
+    "add, second owing": lambda e, x, y: ((p := e.mul_plain(x, SCALE)), e.add(y, p), [p], 2),
+    "sub, first owing": lambda e, x, y: ((p := e.mul(x, y)), e.sub(p, y), [p], 2),
+    "sub, second owing": lambda e, x, y: ((p := e.mul(x, y)), e.sub(y, p), [p], 2),
+    "add_plain": lambda e, x, y: ((p := e.mul_plain(x, SCALE)), e.add_plain(p, 0.3), [p], 2),
+    "negate": lambda e, x, y: ((p := e.mul(x, y)), e.negate(p), [p], 1),
+    "add to itself": lambda e, x, y: ((p := e.mul(x, y)), e.add(p, p), [p], 5),
+    "scalar mul_plain": lambda e, x, y: ((p := e.mul_plain(x, SCALE)), e.mul_plain(p, 3.0), [p], 10),
+    "mul, add(p, p), add_plain": lambda e, x, y: (
+        (m := e.mul(x, y)), (d := e.add(m, m)), e.add_plain(d, -1.0), [m, d], 6
+    ),
+    "mul, add(leaf), add_plain": lambda e, x, y: (
+        (m := e.mul(x, y)), (leaf := e.mul_plain(y, 0.7)), (s := e.add(m, leaf)),
+        e.add_plain(s, 0.25), [m, leaf, s], 4,
+    ),
+}
+
+
+def forwarded(name, sigma, n=1 << 16):
+    eng = make_engine(slot_count=n, sigma=sigma, seed=12)
+    rng = np.random.default_rng(13)
+    x, y = eng.encrypt(rng.normal(size=n)), eng.encrypt(rng.normal(size=n))
+    *_, out, spent, owed = FORWARDING[name](eng, x, y)
+    return eng, out, spent, owed
+
+
+@pytest.mark.parametrize("name", FORWARDING)
+def test_forwarding_op_owes_the_summed_variance(name):
+    eng, out, _, owed = forwarded(name, SIGMA)
+    _, exact, _, _ = forwarded(name, 0.0)
+    assert out.owed == owed and exact.owed == 0
+    before = eng.cost_snapshot()
+    eng.realise([out])  # computes the terms, a plaintext scalar among them, and keeps the noise owed
+    assert out.owed == owed and len(out.pending) == 1
+    noise = out.slots - exact.slots  # the read draws once and charges nothing
+    assert eng.cost_snapshot() == before
+    assert abs(np.std(noise) / (SIGMA * np.sqrt(owed)) - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("name", FORWARDING)
+def test_forwarding_op_spends_its_owing_operands(name):
+    eng, out, spent, _ = forwarded(name, SIGMA, n=16)
+    concrete = eng.encrypt(np.ones(16))
+    uses = {
+        "read": lambda c: c.slots,
+        "sum": lambda c: eng.add(concrete, c),
+        "rotate": lambda c: eng.rotate(c, 1),
+        "realise": lambda c: eng.realise([c]),
+        "share": lambda c: eng.share(c),
+    }
+    for ct in spent:
+        for use_name, use in uses.items():
+            with pytest.raises(EngineError, match="spent"):
+                use(ct)
+    assert np.isfinite(out.slots).all()
+
+
+def test_share_draws_the_owed_noise_and_charges_nothing():
+    for sigma in (SIGMA, 0.0):
+        eng = make_engine(slot_count=64, sigma=sigma, seed=2)
+        rng = np.random.default_rng(14)
+        x, y = eng.encrypt(rng.normal(size=64)), eng.encrypt(rng.normal(size=64))
+        p, m = eng.mul_plain(x, SCALE), eng.mul(x, y)
+        s = eng.add(eng.mul_plain(x, 0.5), eng.mul_plain(y, -0.25))
+        terms = [c.pending for c in (p, m, s)]
+        before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
+        out = eng.share(p, m, s, x)
+        assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
+        assert len(out) == 4 and all(a is b for a, b in zip(out, (p, m, s, x)))
+        if sigma:
+            # drawn once: every later use sees the same value
+            assert all(c.pending is None and c.owed == 0 for c in (p, m, s))
+            for c in (p, m, s):
+                value = c.slots
+                eng.add(c, y)
+                assert np.array_equal(eng.rotate(c, 1).slots, np.roll(value, -1))
+                assert c.slots is value
+        else:  # nothing owes, so nothing is read
+            assert [c.pending for c in (p, m, s)] == terms
+            assert m.pending is None and isinstance(m.slots, np.ndarray)
 
 
 def test_seeded_noisy_run_repeats_bit_for_bit():

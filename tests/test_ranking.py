@@ -122,6 +122,18 @@ def test_tie_offset_all_equal():
     )
 
 
+def test_noisy_tie_offset_reads_an_owing_comparison_twice():
+    # c(1 - c) uses c in both factors, so an owing c is shared, not spent
+    exact = make_engine(16)
+    pipe = rank_pipeline(exact, exact.encrypt([10, 20, 20, 40]), 4, IDEAL)
+    layout = pipe.result.layout
+    eng = HESimulator(HEParams(slot_count=16, max_level=40, noise_sigma=1e-9, seed=1))
+    owing = eng.mul_plain(eng.encrypt(exact.decrypt(pipe.comparison)), 1.0)
+    assert owing.owed == 1
+    f = tie_offset(eng, owing, layout)
+    assert np.allclose(read_col(eng, f, layout, 4), [0, -0.5, 0.5, 0], atol=1e-6)
+
+
 def test_rank_corrected_known_vectors():
     eng = make_engine(16)
     res = rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)

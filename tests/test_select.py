@@ -39,17 +39,17 @@ def test_query_validation():
 def test_mask_picks_rank_one_and_four():
     eng = make_engine(16)
     v = [0.20, 0.30, 0.10, 0.40]
-    layout = MatrixLayout(4, 16)  # masks land in column 0
     m1 = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=1), IDEAL)
-    assert np.array_equal(read_col(eng, m1, layout, 4), [0, 0, 1, 0])
+    assert m1.layout == MatrixLayout(4, 16)  # masks land in column 0
+    assert np.array_equal(read_col(eng, m1.mask, m1.layout, 4), [0, 0, 1, 0])
     m4 = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=4), IDEAL)
-    assert np.array_equal(read_col(eng, m4, layout, 4), [0, 0, 0, 1])
+    assert np.array_equal(read_col(eng, m4.mask, m4.layout, 4), [0, 0, 0, 1])
 
 
 def test_min_mask_on_constant_vector_is_all_ones():
     eng = make_engine(16)
     m = order_statistic_mask(eng, eng.encrypt([0.5] * 3), 3, StatisticQuery("min"), IDEAL)
-    assert np.array_equal(read_col(eng, m, MatrixLayout(4, 16), 3), [1, 1, 1])
+    assert np.array_equal(read_col(eng, m.mask, m.layout, 3), [1, 1, 1])
 
 
 def test_mask_l1_norm_counts_rank_holders():
@@ -59,7 +59,7 @@ def test_mask_l1_norm_counts_rank_holders():
         v = rng.uniform(0, 1, 8)
         k = int(rng.integers(1, 9))
         m = eng.decrypt(
-            order_statistic_mask(eng, eng.encrypt(v), 8, StatisticQuery("kth", k=k), IDEAL)
+            order_statistic_mask(eng, eng.encrypt(v), 8, StatisticQuery("kth", k=k), IDEAL).mask
         )
         assert m.sum() == 1.0
 
