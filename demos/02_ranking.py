@@ -20,12 +20,12 @@ print("input:", v)
 
 pipe = rank_pipeline(eng, eng.encrypt(v), 4, cfg)
 print("\nrow-replicated encoding (each row is the vector):")
-print(eng.decrypt(pipe.row_replicated).reshape(4, 4))
+print(eng.decrypt(pipe.row_replicated[0]).reshape(4, 4))
 print("column-replicated encoding (each column is the vector):")
-print(eng.decrypt(pipe.col_replicated).reshape(4, 4))
+print(eng.decrypt(pipe.col_replicated[0]).reshape(4, 4))
 print("comparison matrix (row value vs column value: 1 greater, 0.5 tie, 0 smaller):")
-print(eng.decrypt(pipe.comparison).reshape(4, 4))
-ranks = read_col(eng, pipe.result.ranks, pipe.result.layout, 4)
+print(eng.decrypt(pipe.comparisons[(0, 0)]).reshape(4, 4))
+ranks = read_col(eng, pipe.ranks.blocks[0], pipe.layout, 4)
 print("ranks (row sums + 0.5, in column 0):", ranks)
 print("ranks match the oracle:", np.array_equal(ranks, reference.fractional_ranks(v)))
 

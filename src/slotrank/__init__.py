@@ -47,7 +47,8 @@ from .ranking import (
     read_row,
     tie_offset,
 )
-from .select import StatisticMask, StatisticQuery, median, order_statistic_mask, order_statistic_value, percentile
+from .select import StatisticMask, StatisticQuery, median, multi_statistic
+from .select import order_statistic_mask, order_statistic_value, percentile
 from .sorting import SortConfig, multi_sort, sort
 
 __version__ = "0.1.0"
@@ -91,6 +92,7 @@ __all__ = [
     "read_col",
     "StatisticQuery",
     "StatisticMask",
+    "multi_statistic",
     "order_statistic_mask",
     "order_statistic_value",
     "median",

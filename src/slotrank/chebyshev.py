@@ -11,7 +11,8 @@ Every kernel runs in one of two modes:
 * ``ideal``     -- the exact mathematical function is applied slotwise
                    while the level budget is charged as if a circuit of
                    depth ceil(log2(degree+1)) had run, so depth budgets
-                   are testable without approximation error;
+                   are testable without approximation error; a noisy
+                   engine is refused, since noise breaks exact ties;
 * ``chebyshev`` -- a cached Chebyshev interpolant of the target function
                    is evaluated on the ciphertext.
 
@@ -406,8 +407,16 @@ def _window_poly(a: float, b: float, lo: float, hi: float, degree: int) -> Cheby
     return _zero_from(poly, 1) if a + b == lo + hi else poly
 
 
-def _ideal_levels(degree: int) -> int:
-    return math.ceil(math.log2(degree + 1))
+def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, degree: int, site: str) -> Ciphertext:
+    # The exact function is discontinuous, so noise of any size breaks every
+    # tie and every value's comparison with itself (the row and column
+    # replicas carry independent noise): refuse a noisy engine.
+    if engine.params.noise_sigma > 0:
+        raise ValueError(
+            f"ideal {site} kernel on an engine with noise_sigma={engine.params.noise_sigma:g}: "
+            "noise breaks the exact comparison of tied values; use mode='chebyshev'"
+        )
+    return engine.ideal_map(f, *cts, levels=math.ceil(math.log2(degree + 1)), site=site)
 
 
 def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
@@ -423,7 +432,7 @@ def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: Kerne
             out = np.where(xs > ys, 1.0, 0.0)
             return np.where(xs == ys, 0.5, out)
 
-        return engine.ideal_map(three_way, x, y, levels=_ideal_levels(cfg.degree), site="compare")
+        return _ideal_kernel(engine, three_way, x, y, degree=cfg.degree, site="compare")
     lo, hi = cfg.input_range
     diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo), site="compare-scale")
     return ps_eval(engine, diff, _step_poly(cfg.degree))
@@ -435,9 +444,8 @@ def _compare_shifted(engine, x, y, cfg, predicate, margin, site):
     # margin so the shifted difference still maps into the fit interval.
     if cfg.mode == "ideal":
         engine.note_compare_eval()
-        return engine.ideal_map(
-            lambda xs, ys: predicate(xs, ys).astype(np.float64),
-            x, y, levels=_ideal_levels(cfg.degree), site=site,
+        return _ideal_kernel(
+            engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, degree=cfg.degree, site=site
         )
     lo, hi = cfg.input_range
     widened = with_input_range(cfg, lo + min(margin, 0.0), hi + max(margin, 0.0))
@@ -470,9 +478,8 @@ def indicator_kernel(
         raise ValueError(f"indicator interval must satisfy a < b, got [{a}, {b}]")
     engine.note_indicator_eval()
     if cfg.mode == "ideal":
-        return engine.ideal_map(
-            lambda s: ((s > a) & (s < b)).astype(np.float64),
-            x, levels=_ideal_levels(cfg.ind_degree), site="indicator",
+        return _ideal_kernel(
+            engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, degree=cfg.ind_degree, site="indicator"
         )
     lo, hi = cfg.input_range
     return ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))

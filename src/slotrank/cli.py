@@ -14,10 +14,12 @@ affinely scaled into [0, 1] before comparison; the scale is recorded in
 the results file and undone on value outputs.  Every run writes a results
 file and a cost-report file and self-checks against the plaintext oracle.
 
-All four commands run one task at a time through the same pipelines, so
-``bench`` splits a vector larger than one matrix into blocks (``--slot-count``
-below the matrix size) and honours ``--tie-correction`` as ``rank``,
-``sort`` and ``stat`` do.
+All four commands run one task at a time through the same block
+pipelines: a vector larger than one matrix (``--slot-count`` below the
+matrix size) is split into blocks, for a statistic as for a ranking or a
+sort, and ``bench`` honours ``--tie-correction`` as ``rank``, ``sort`` and
+``stat`` do.  ``--mode ideal`` needs a noise-free engine: the exact kernels
+refuse ``--noise-sigma`` above 0 (exit 3).
 
 Exit codes: 0 success, 2 usage error, 3 input error or a non-finite
 result (``rank``, ``sort``, ``stat``), 4 depth budget exhausted.
@@ -37,7 +39,7 @@ from . import reference
 from .chebyshev import KernelConfig
 from .engine import CapacityError, CostReport, DepthBudgetError, HEParams, HESimulator
 from .ranking import block_split, block_merge, multi_rank, next_pow2
-from .select import StatisticQuery, median, order_statistic_value
+from .select import StatisticQuery, multi_statistic
 from .sorting import SortConfig, multi_sort
 
 EXIT_OK = 0
@@ -169,31 +171,19 @@ def _obtain_values(args) -> np.ndarray:
     return values
 
 
-def _stat_query(task: str, args) -> StatisticQuery:
-    if task == "kth":
-        return StatisticQuery("kth", k=args.k)
-    if task == "percentile":
-        return StatisticQuery("percentile", p=args.p)
-    return StatisticQuery(task)
-
-
 def _by_fractional_rank(query: StatisticQuery) -> bool:
     """Whether the statistic selects by fractional rank: kth, median and a
-    percentile strictly inside (0, 100); min and max use the strict and weak
-    comparisons, where ties all land on rank 1 or n."""
+    percentile strictly inside (0, 100); min and max find tied extremes
+    whatever the flag."""
     return query.kind in ("kth", "median") or (query.kind == "percentile" and 0.0 < query.p < 100.0)
 
 
 def _stat_oracle(query: StatisticQuery, values: np.ndarray) -> float:
-    if query.kind == "min":
-        return float(values.min())
-    if query.kind == "max":
-        return float(values.max())
     if query.kind == "median":
         return reference.median_value(values)
-    if query.kind == "kth":
-        return reference.kth_smallest(values, query.k)
-    return reference.percentile_value(values, query.p)
+    if query.kind == "percentile":
+        return reference.percentile_value(values, query.p)  # p=0 and p=100 are min and max
+    return reference.kth_smallest(values, {"min": 1, "max": values.size}.get(query.kind, query.k))
 
 
 @dataclass
@@ -211,8 +201,10 @@ class TaskRun:
 def run_task(task: str, values: np.ndarray, args) -> TaskRun:
     """Run ``task`` ("rank", "sort" or a statistic kind) on ``values``.
 
-    Rank and sort go ``block_split`` -> ``multi_rank``/``multi_sort`` ->
-    ``block_merge``, a vector that fits one matrix being the one-block case.
+    Every task goes ``block_split`` -> ``multi_rank``/``multi_sort``/
+    ``multi_statistic``, a vector that fits one matrix being the one-block
+    case; ranks and sorted values come back through ``block_merge``, a
+    statistic from slot 0.
     Ranks are scored against the fractional or, with tie correction, the
     corrected ranks of the scaled input; values against the input itself.
     Tied input without tie correction raises ``ValueError`` for a sort and
@@ -233,17 +225,14 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
         output = scale.back(block_merge(engine, multi_sort(engine, block_split(engine, scaled), sort_cfg)))
         oracle = reference.sorted_values(values)
     else:
-        query = _stat_query(task, args)
+        # the kind decides which of k and p is read; bench has neither flag
+        query = StatisticQuery(task, k=getattr(args, "k", None), p=getattr(args, "p", None))
         if not args.tie_correction and _by_fractional_rank(query) and np.unique(scaled).size < n:
             raise ValueError(
                 f"stat {task}: input has tied values but tie_correction=False; a tied rank "
                 "can fall between the rank windows and select nothing, so enable tie_correction"
             )
-        ct = engine.encrypt(scaled)
-        if task == "median":
-            ct = median(engine, ct, n, cfg, tie_correction=args.tie_correction)
-        else:
-            ct = order_statistic_value(engine, ct, n, query, cfg, tie_correction=args.tie_correction)
+        ct = multi_statistic(engine, block_split(engine, scaled), query, cfg, tie_correction=args.tie_correction)
         output = scale.back(engine.decrypt(ct)[:1])
         oracle = _stat_oracle(query, values)
     wall_ms = (time.perf_counter() - start) * 1000.0

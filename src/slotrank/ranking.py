@@ -29,7 +29,6 @@ from .matrix import MatrixLayout, replicate, sum_axis, transpose_vector
 
 __all__ = [
     "RankResult",
-    "RankPipeline",
     "BlockVector",
     "rank",
     "rank_corrected",
@@ -63,16 +62,6 @@ class RankResult:
     ranks: Ciphertext
     layout: MatrixLayout
     corrected: bool
-
-
-@dataclass
-class RankPipeline:
-    """Ranking output plus the intermediates downstream pipelines reuse."""
-
-    result: RankResult
-    comparison: Ciphertext
-    row_replicated: Ciphertext
-    col_replicated: Ciphertext
 
 
 @dataclass(frozen=True)
@@ -233,22 +222,9 @@ def multi_rank_pipeline(
     )
 
 
-def rank_pipeline(
-    engine: HESimulator,
-    ct: Ciphertext,
-    n: int,
-    cfg: KernelConfig,
-    *,
-    comparison: str = "fractional",
-    tie_correction: bool = False,
-) -> RankPipeline:
-    """Full ranking pipeline; the first ``n`` slots of ``ct`` hold the vector.
-
-    ``comparison`` picks the kernel: "fractional" gives 0.5-valued ties and
-    fractional ranks, "strict" sends all minimal elements to rank 1, "weak"
-    sends all maximal elements to rank N.  The ranks land in column 0.
-    This is the one-block case of the block pipeline.
-    """
+def one_block(engine: HESimulator, ct: Ciphertext, n: int) -> BlockVector:
+    """The first ``n`` slots of ``ct`` as a one-block vector; raises
+    ``CapacityError`` if its matrix does not fit the slots."""
     if n < 1:
         raise ValueError("vector length must be >= 1")
     side = next_pow2(n)
@@ -257,22 +233,40 @@ def rank_pipeline(
             f"vector of length {n} needs a {side}x{side} matrix "
             f"({side * side} slots > {engine.params.slot_count}); split into blocks"
         )
-    pipe = multi_rank_pipeline(
-        engine, BlockVector(blocks=(ct,), block_size=side, total_len=n), cfg,
-        comparison=comparison, tie_correction=tie_correction,
+    return BlockVector(blocks=(ct,), block_size=side, total_len=n)
+
+
+def rank_pipeline(
+    engine: HESimulator,
+    ct: Ciphertext,
+    n: int,
+    cfg: KernelConfig,
+    *,
+    comparison: str = "fractional",
+    tie_correction: bool = False,
+) -> MultiRankPipeline:
+    """Full ranking pipeline; the first ``n`` slots of ``ct`` hold the vector.
+
+    ``comparison`` picks the kernel: "fractional" gives 0.5-valued ties and
+    fractional ranks, "strict" sends all minimal elements to rank 1, "weak"
+    sends all maximal elements to rank N.  The ranks land in column 0.
+    This is the one-block case of the block pipeline.
+    """
+    return multi_rank_pipeline(
+        engine, one_block(engine, ct, n), cfg, comparison=comparison, tie_correction=tie_correction
     )
-    result = RankResult(ranks=pipe.ranks.blocks[0], layout=pipe.layout, corrected=tie_correction)
-    return RankPipeline(result, pipe.comparisons[(0, 0)], pipe.row_replicated[0], pipe.col_replicated[0])
 
 
 def rank(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> RankResult:
     """Fractional ranks of the first ``n`` slots, in column 0 of the result."""
-    return rank_pipeline(engine, ct, n, cfg).result
+    pipe = rank_pipeline(engine, ct, n, cfg)
+    return RankResult(pipe.ranks.blocks[0], pipe.layout, corrected=False)
 
 
 def rank_corrected(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> RankResult:
     """Tie-corrected ranks: a permutation of 1..n, ties broken by position."""
-    return rank_pipeline(engine, ct, n, cfg, tie_correction=True).result
+    pipe = rank_pipeline(engine, ct, n, cfg, tie_correction=True)
+    return RankResult(pipe.ranks.blocks[0], pipe.layout, corrected=True)
 
 
 def tie_offset(

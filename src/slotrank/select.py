@@ -1,35 +1,44 @@
 """Order-statistic extraction from the encrypted ranking.
 
-A rank-window indicator applied to the column-0 ranking yields a selection
+A rank-window indicator on each block's column-0 ranks yields a selection
 mask in column 0 (the argmin/argmax answer); the statistic's value is the
-inner product of that mask with the ranking's column-replicated input,
-divided by the mask's L1 norm through a Goldschmidt reciprocal.  Minimum
-and maximum use the strict and weak comparison kernels so duplicated
-extremes all land on rank 1 and rank N, and the multi-hot mask is
-normalised away by the division.
+inner product of the masks with the blocks' column-replicated inputs,
+summed over blocks and divided by the masks' L1 norm through a Goldschmidt
+reciprocal.  A vector that fits one matrix is the one-block case, where
+minimum and maximum use the strict and weak comparison kernels: duplicated
+extremes all land on rank 1 and rank N, and the division normalises the
+multi-hot mask away.  Across blocks those kernels have no complement
+identity, so the extremes take rank 1 and rank N of the tie-corrected
+fractional ranking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator
 from .matrix import MatrixLayout, sum_axis
-from .ranking import RankPipeline, rank_pipeline
+from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
 
 __all__ = [
     "StatisticQuery",
     "StatisticMask",
+    "multi_statistic",
     "order_statistic_mask",
     "order_statistic_value",
     "median",
     "percentile",
 ]
 
-# Squaring steps of the Goldschmidt reciprocal that normalises a selection
-# mask's L1 norm (at most n) away.
-_GOLDSCHMIDT_ITERS = 8
+
+def _goldschmidt_iters(n: int) -> int:
+    # Squaring steps of the reciprocal that normalises a selection mask's L1
+    # norm, in (0.5, n + 0.5), away: k steps leave a relative error of about
+    # exp(-2^(k+1) * 4/n), 1e-14 at k = log2(n) + 2.  Never fewer than 8.
+    return max(8, math.ceil(math.log2(n)) + 2)
 
 
 @dataclass(frozen=True)
@@ -57,46 +66,71 @@ class StatisticMask:
     layout: MatrixLayout
 
 
-def _nearest_rank(n: int, p: float) -> int:
-    k = int(p * n / 100.0 + 0.5)
-    return min(max(k, 1), n)
-
-
-def _resolve(query: StatisticQuery, n: int) -> tuple[str, int]:
-    """Map a query to (comparison kernel, target rank)."""
+def _resolve(query: StatisticQuery, n: int, blocks: int, tie_correction: bool) -> tuple[str, bool, tuple[int, ...]]:
+    """Map a query to (comparison kernel, tie correction, target ranks)."""
     kind = query.kind
-    if kind == "percentile":
-        if query.p == 0.0:
-            kind = "min"
-        elif query.p == 100.0:
-            kind = "max"
-        else:
-            return "fractional", _nearest_rank(n, query.p)
-    if kind == "min":
-        return "strict", 1
-    if kind == "max":
-        return "weak", n
-    if kind == "median":
-        if n % 2 == 0:
-            raise ValueError("even-length median needs two statistics; use median()")
-        return "fractional", (n + 1) // 2
-    if query.k > n:
-        raise ValueError(f"k={query.k} out of range for vector length {n}")
-    return "fractional", query.k
+    if kind == "percentile" and query.p in (0.0, 100.0):
+        kind = "min" if query.p == 0.0 else "max"
+    if kind in ("min", "max"):
+        k = 1 if kind == "min" else n
+        if blocks == 1:
+            return ("strict" if kind == "min" else "weak"), False, (k,)
+        return "fractional", True, (k,)  # correction makes rank 1 and rank n unique
+    if kind == "median":  # the one middle rank, or the two of an even length
+        return "fractional", tie_correction, tuple(dict.fromkeys(((n + 1) // 2, n // 2 + 1)))
+    k = min(max(int(query.p * n / 100.0 + 0.5), 1), n) if kind == "percentile" else query.k  # nearest rank
+    if k > n:
+        raise ValueError(f"k={k} out of range for vector length {n}")
+    return "fractional", tie_correction, (k,)
 
 
-def _rank_for_query(engine, ct, n, comparison, cfg, tie_correction) -> RankPipeline:
-    correct = tie_correction and comparison == "fractional"
-    return rank_pipeline(engine, ct, n, cfg, comparison=comparison, tie_correction=correct)
-
-
-def _window_mask(engine, pipe: RankPipeline, k: int, n: int, cfg: KernelConfig) -> Ciphertext:
+def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, list[list[Ciphertext]]]:
+    """The ranking of ``bv`` and, per target rank, one window mask per block."""
+    n = bv.total_len
+    comparison, correct, targets = _resolve(query, n, len(bv.blocks), tie_correction)
+    pipe = multi_rank_pipeline(engine, bv, cfg, comparison=comparison, tie_correction=correct)
+    if len(targets) > 1:
+        engine.share(*pipe.ranks.blocks)  # read by every window
     # open window: a half-integer fractional rank sitting exactly on the
     # edge (an uncorrected tie) belongs to no integer rank.  The fit range
-    # must reach down to 0 because the empty slots of the rank vector hold
-    # zeros and the fitted polynomial is evaluated on every slot.
+    # must reach down to 0 because the empty slots and the padded entries of
+    # the rank vector hold zeros and the fitted polynomial reads every slot.
     window_cfg = with_input_range(cfg, -0.5, n + 0.5)
-    return indicator_kernel(engine, pipe.result.ranks, k - 0.5, k + 0.5, window_cfg)
+    windows = [
+        [indicator_kernel(engine, ranks, k - 0.5, k + 0.5, window_cfg) for ranks in pipe.ranks.blocks]
+        for k in targets
+    ]
+    return pipe, windows
+
+
+def _value_from_masks(engine, sels, pipe: MultiRankPipeline, n) -> Ciphertext:
+    # each mask and its block's replicated input share column 0; folding the
+    # rows of the sums over blocks lands both sums in slot 0
+    products = [engine.mul(sel, rep, site="statistic-inner-product") for sel, rep in zip(sels, pipe.col_replicated)]
+    numerator = sum_axis(engine, reduce(engine.add, products), pipe.layout, "row")
+    norm = sum_axis(engine, reduce(engine.add, sels), pipe.layout, "row")
+    inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _goldschmidt_iters(n))
+    return engine.mul(numerator, inv, site="statistic-normalise")
+
+
+def multi_statistic(
+    engine: HESimulator,
+    bv: BlockVector,
+    query: StatisticQuery,
+    cfg: KernelConfig,
+    *,
+    tie_correction: bool = True,
+) -> Ciphertext:
+    """Value of the queried statistic of a block vector, in slot 0; zero if no rank matches.
+
+    Without tie correction a tied rank can be unoccupied and select nothing.
+    An even-length median averages the two middle statistics of one ranking.
+    """
+    pipe, windows = _select(engine, bv, query, cfg, tie_correction)
+    values = [_value_from_masks(engine, sels, pipe, bv.total_len) for sels in windows]
+    if len(values) == 1:
+        return values[0]
+    return engine.mul_plain(engine.add(*values), 0.5, site="median-average")
 
 
 def order_statistic_mask(
@@ -108,24 +142,14 @@ def order_statistic_mask(
     *,
     tie_correction: bool = True,
 ) -> StatisticMask:
-    """Column-0 selection mask: 1 in the positions whose rank is the queried one.
+    """Column-0 selection mask: 1 in the positions whose rank is the queried one
+    (either middle rank, for an even-length median).
 
     With tie correction the mask is one-hot; without it, elements of an
     unoccupied fractional rank are simply missed (the mask is all zero).
     """
-    comparison, k = _resolve(query, n)
-    pipe = _rank_for_query(engine, ct, n, comparison, cfg, tie_correction)
-    return StatisticMask(_window_mask(engine, pipe, k, n, cfg), pipe.result.layout)
-
-
-def _value_from_mask(engine, sel, pipe: RankPipeline, n) -> Ciphertext:
-    # the mask and the replicated input share column 0; folding the rows
-    # lands both sums in slot 0
-    product = engine.mul(sel, pipe.col_replicated, site="statistic-inner-product")
-    numerator = sum_axis(engine, product, pipe.result.layout, "row")
-    norm = sum_axis(engine, sel, pipe.result.layout, "row")
-    inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _GOLDSCHMIDT_ITERS)
-    return engine.mul(numerator, inv, site="statistic-normalise")
+    pipe, windows = _select(engine, one_block(engine, ct, n), query, cfg, tie_correction)
+    return StatisticMask(reduce(engine.add, (sels[0] for sels in windows)), pipe.layout)
 
 
 def order_statistic_value(
@@ -137,11 +161,8 @@ def order_statistic_value(
     *,
     tie_correction: bool = True,
 ) -> Ciphertext:
-    """Value of the queried statistic, in slot 0; zero if no rank matches."""
-    comparison, k = _resolve(query, n)
-    pipe = _rank_for_query(engine, ct, n, comparison, cfg, tie_correction)
-    sel = _window_mask(engine, pipe, k, n, cfg)
-    return _value_from_mask(engine, sel, pipe, n)
+    """Value of the queried statistic of the first ``n`` slots, in slot 0."""
+    return multi_statistic(engine, one_block(engine, ct, n), query, cfg, tie_correction=tie_correction)
 
 
 def median(
@@ -152,23 +173,8 @@ def median(
     *,
     tie_correction: bool = True,
 ) -> Ciphertext:
-    """Median in slot 0; the even case averages the two middle statistics.
-
-    Both middle statistics reuse one ranking, so the even case costs one
-    extra indicator, inner product, and a plaintext 0.5.  Without tie
-    correction a tied middle rank can be unoccupied, as in
-    ``order_statistic_value``.
-    """
-    if n % 2 == 1:
-        query = StatisticQuery("kth", k=(n + 1) // 2)
-        return order_statistic_value(engine, ct, n, query, cfg, tie_correction=tie_correction)
-    pipe = _rank_for_query(engine, ct, n, "fractional", cfg, tie_correction)
-    engine.share(pipe.result.ranks)  # read by both windows
-    lo_sel = _window_mask(engine, pipe, n // 2, n, cfg)
-    hi_sel = _window_mask(engine, pipe, n // 2 + 1, n, cfg)
-    lo_val = _value_from_mask(engine, lo_sel, pipe, n)
-    hi_val = _value_from_mask(engine, hi_sel, pipe, n)
-    return engine.mul_plain(engine.add(lo_val, hi_val), 0.5, site="median-average")
+    """Median in slot 0; the even case averages the two middle statistics."""
+    return order_statistic_value(engine, ct, n, StatisticQuery("median"), cfg, tie_correction=tie_correction)
 
 
 def percentile(engine: HESimulator, ct: Ciphertext, n: int, p: float, cfg: KernelConfig) -> Ciphertext:

@@ -101,9 +101,8 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n], "sort_full")
     pipe = rank_pipeline(engine, ct, n, cfg.kernel, tie_correction=cfg.tie_correction)
-    ranks, layout = pipe.result.ranks, pipe.result.layout
-    (values,), selection = _place(engine, [ranks], [pipe.col_replicated], layout, cfg.kernel)
-    return SortResult(values=values, selection=selection, ranks=ranks, layout=layout)
+    (values,), selection = _place(engine, pipe.ranks.blocks, pipe.col_replicated, pipe.layout, cfg.kernel)
+    return SortResult(values=values, selection=selection, ranks=pipe.ranks.blocks[0], layout=pipe.layout)
 
 
 def sort(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> Ciphertext:

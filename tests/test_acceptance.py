@@ -298,7 +298,7 @@ def test_c8_paper_fixtures_bit_exact():
     assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4).T, expected_mask)
 
     pipe = rank_pipeline(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    offset = read_col(eng, tie_offset(eng, pipe.comparison, pipe.result.layout), pipe.result.layout, 4)
+    offset = read_col(eng, tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout), pipe.layout, 4)
     assert np.array_equal(offset, [0, -0.5, 0.5, 0])
     corrected = rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
     assert np.array_equal(read_col(eng, corrected.ranks, corrected.layout, 4), [1, 2, 3, 4])

@@ -316,17 +316,21 @@ def test_noisy_chebyshev_pipelines_run(name, mode):
     xs = np.array([0.5, 0.1, 0.2, 0.2, 0.4, 0.9, 0.7, 0.4])  # two tied pairs
     slot_count = 16 if "multi" in name else 64  # blocks of 4
     cfg = KernelConfig(mode=mode, degree=64)
-    outs = []
-    for sigma in (1e-9, 0.0):
+
+    def run(sigma):
         eng = HESimulator(HEParams(slot_count=slot_count, max_level=60, noise_sigma=sigma, seed=3))
-        outs.append(eng.decrypt(NOISY_PIPELINES[name](eng, xs, cfg)))
-    noisy, clean = outs
+        return eng.decrypt(NOISY_PIPELINES[name](eng, xs, cfg))
+
+    if mode == "ideal":
+        # The ideal kernels are exact, so noise of any size would break a tie
+        # (and the comparison of a value with itself) that the noise-free run
+        # sees as one: they refuse a noisy engine instead of answering wrong.
+        with pytest.raises(ValueError, match=r"ideal (compare|compare-gt|compare-ge|indicator) kernel"):
+            run(1e-9)
+        return
+    noisy, clean = run(1e-9), run(0.0)
     assert np.all(np.isfinite(noisy))
-    if mode == "chebyshev":
-        assert np.max(np.abs(noisy - clean)) < 1e-3
-    # The ideal kernels are exact, so noise of any size breaks a tie (and the
-    # comparison of a value with itself) that the noise-free run sees as
-    # one: their outputs may move by a whole rank.
+    assert np.max(np.abs(noisy - clean)) < 1e-3
 
 
 def test_ps_eval_depth_budget_error_names_site():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from slotrank import HEParams, HESimulator, KernelConfig, SortConfig, sort
+from slotrank import (
+    HEParams,
+    HESimulator,
+    KernelConfig,
+    SortConfig,
+    StatisticQuery,
+    median,
+    order_statistic_value,
+    sort,
+)
 from slotrank.cli import (
     EXIT_DEPTH,
     EXIT_INPUT,
@@ -126,28 +135,61 @@ def test_multi_ciphertext_rank_via_slot_count(tmp_path):
 
 
 def test_one_matrix_input_costs_as_the_single_vector_pipeline(tmp_path):
-    # rank and sort always run block_split -> multi_* -> block_merge; an input
-    # that fits one matrix is one block and costs exactly the single-vector circuit
+    # rank, sort and stat always run block_split -> multi_* ; an input that
+    # fits one matrix is one block and costs exactly the single-vector circuit
     v = generate_values(5, 3, 0.0)
     kernel = KernelConfig(mode="ideal", degree=256)
-    for task in ("rank", "sort"):
+    single = {
+        "rank": lambda e, ct: rank_pipeline(e, ct, 5, kernel, tie_correction=True),
+        "sort": lambda e, ct: sort(e, ct, 5, SortConfig(kernel=kernel)),
+        "median": lambda e, ct: median(e, ct, 5, kernel),
+        "min": lambda e, ct: order_statistic_value(e, ct, 5, StatisticQuery("min"), kernel),
+    }
+    for task, circuit in single.items():
+        command = [task] if task in ("rank", "sort") else ["stat", "--stat", task]
         code, _, cost = run(
-            tmp_path, task, "--gen", "uniform", "--count", "5", "--seed", "3",
+            tmp_path, *command, "--gen", "uniform", "--count", "5", "--seed", "3",
             "--slot-count", "256", "--mode", "ideal", "--tie-correction",
         )
         assert code == EXIT_OK
         header, row = (line.split(",") for line in cost.read_text().splitlines()[:2])
         record = dict(zip(header, row))
         eng = HESimulator(HEParams(slot_count=256, max_level=64))
-        if task == "rank":
-            rank_pipeline(eng, eng.encrypt(v), 5, kernel, tie_correction=True)
-        else:
-            sort(eng, eng.encrypt(v), 5, SortConfig(kernel=kernel))
+        circuit(eng, eng.encrypt(v))
         rep = eng.cost_snapshot()
         for column in ("rotations", "critical_rotations", "ctct_mults", "ctpt_mults",
                        "cmp_evals", "ind_evals", "levels_consumed"):
             assert int(record[column]) == getattr(rep, column), (task, column)
-        assert float(record["max_err"]) == 0.0
+        # a statistic is divided by its mask's norm through the Goldschmidt
+        # reciprocal, which is exact to the last bits only
+        assert float(record["max_err"]) <= (0.0 if task in ("rank", "sort") else 1e-15), task
+
+
+@pytest.mark.parametrize("stat", ["median", "min"])
+def test_stat_splits_a_long_vector_into_blocks(tmp_path, stat):
+    # 100 values in 4096 slots: two 64x64 blocks, as rank and sort run them
+    code, out, cost = run(
+        tmp_path, "stat", "--stat", stat, "--gen", "uniform", "--count", "100",
+        "--slot-count", "4096", "--tie-fraction", "0.1", "--mode", "ideal",
+    )
+    assert code == EXIT_OK
+    header, row = (line.split(",") for line in cost.read_text().splitlines()[:2])
+    record = dict(zip(header, row))
+    assert int(record["cmp_evals"]) == 3  # the block pairs (0, 0), (0, 1), (1, 1)
+    assert float(record["max_err"]) <= 1e-15
+
+
+@pytest.mark.parametrize("task", [("rank",), ("sort",), ("stat", "--stat", "median"), ("stat", "--stat", "min")])
+def test_ideal_mode_refuses_a_noisy_engine(tmp_path, capsys, task):
+    # noise of any size breaks the exact kernels' ties: 8 tied values used to
+    # rank as 1,4,7,7,7,1,4,3 with exit 0
+    code, out, cost = run(
+        tmp_path, *task, "--mode", "ideal", "--noise-sigma", "1e-9", "--gen", "uniform",
+        "--count", "8", "--seed", "3", "--tie-fraction", "0.25", "--tie-correction",
+    )
+    assert code == EXIT_INPUT
+    assert "ideal compare" in capsys.readouterr().err
+    assert not out.exists() and not cost.exists()
 
 
 def test_bench_rank_sweep(tmp_path):

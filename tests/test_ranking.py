@@ -100,25 +100,25 @@ def test_rank_matches_oracle_randomised():
 def test_tie_offset_known_vectors():
     eng = make_engine(16)
     pipe = rank_pipeline(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    f = tie_offset(eng, pipe.comparison, pipe.result.layout)
-    assert np.array_equal(read_col(eng, f, pipe.result.layout, 4), [0, -0.5, 0.5, 0])
+    f = tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout)
+    assert np.array_equal(read_col(eng, f, pipe.layout, 4), [0, -0.5, 0.5, 0])
 
 
 def test_tie_offset_distinct_is_zero():
     eng = make_engine(16)
     pipe = rank_pipeline(eng, eng.encrypt([4, 1, 3, 2]), 4, IDEAL)
-    f = tie_offset(eng, pipe.comparison, pipe.result.layout)
-    assert np.array_equal(read_col(eng, f, pipe.result.layout, 4), [0, 0, 0, 0])
+    f = tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout)
+    assert np.array_equal(read_col(eng, f, pipe.layout, 4), [0, 0, 0, 0])
 
 
 def test_tie_offset_all_equal():
     # positions in the tie are 1..4, tie size 4: offsets (1..4) - 2 - 0.5
     eng = make_engine(16)
     pipe = rank_pipeline(eng, eng.encrypt([7, 7, 7, 7]), 4, IDEAL)
-    f = tie_offset(eng, pipe.comparison, pipe.result.layout)
-    assert np.array_equal(read_col(eng, f, pipe.result.layout, 4), [-1.5, -0.5, 0.5, 1.5])
+    f = tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout)
+    assert np.array_equal(read_col(eng, f, pipe.layout, 4), [-1.5, -0.5, 0.5, 1.5])
     assert np.array_equal(
-        read_col(eng, f, pipe.result.layout, 4), reference.tie_offsets([7.0, 7.0, 7.0, 7.0])
+        read_col(eng, f, pipe.layout, 4), reference.tie_offsets([7.0, 7.0, 7.0, 7.0])
     )
 
 
@@ -126,9 +126,9 @@ def test_noisy_tie_offset_reads_an_owing_comparison_twice():
     # c(1 - c) uses c in both factors, so an owing c is shared, not spent
     exact = make_engine(16)
     pipe = rank_pipeline(exact, exact.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    layout = pipe.result.layout
+    layout = pipe.layout
     eng = HESimulator(HEParams(slot_count=16, max_level=40, noise_sigma=1e-9, seed=1))
-    owing = eng.mul_plain(eng.encrypt(exact.decrypt(pipe.comparison)), 1.0)
+    owing = eng.mul_plain(eng.encrypt(exact.decrypt(pipe.comparisons[(0, 0)])), 1.0)
     assert owing.owed == 1
     f = tie_offset(eng, owing, layout)
     assert np.allclose(read_col(eng, f, layout, 4), [0, -0.5, 0.5, 0], atol=1e-6)
@@ -222,7 +222,7 @@ def test_multi_rank_single_block_degenerates_to_rank():
             bv = block_split(multi_eng, v)
             multi = block_merge(multi_eng, multi_rank(multi_eng, bv, IDEAL, tie_correction=tie_correction))
             pipe = rank_pipeline(single_eng, single_eng.encrypt(v), n, IDEAL, tie_correction=tie_correction)
-            assert np.array_equal(multi, read_col(single_eng, pipe.result.ranks, pipe.result.layout, n))
+            assert np.array_equal(multi, read_col(single_eng, pipe.ranks.blocks[0], pipe.layout, n))
             assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
             assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
 
@@ -314,7 +314,7 @@ def test_multi_rank_pipeline_refuses_strict_and_weak_across_blocks():
     blocks = multi_rank_pipeline(eng, block_split(eng, v), IDEAL).ranks
     assert len(blocks.blocks) == 2
     one_eng = make_engine(64)
-    one_block = rank_pipeline(one_eng, one_eng.encrypt(v), 8, IDEAL).result
+    one_block = rank(one_eng, one_eng.encrypt(v), 8, IDEAL)
     assert np.array_equal(block_merge(eng, blocks), read_col(one_eng, one_block.ranks, one_block.layout, 8))
 
 

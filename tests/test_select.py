@@ -8,7 +8,9 @@ from slotrank import (
     KernelConfig,
     MatrixLayout,
     StatisticQuery,
+    block_split,
     median,
+    multi_statistic,
     order_statistic_mask,
     order_statistic_value,
     percentile,
@@ -252,3 +254,87 @@ def test_statistic_circuit_is_pinned(statistic, report):
     statistic(eng, eng.encrypt(PINNED_INPUT))
     assert eng.cost_snapshot() == report
     assert len(eng.rotation_offsets()) == report.rotations
+
+
+def _tied_values(rng, n):
+    # uniform values of which 10-30% repeat another entry
+    v = rng.uniform(0, 1, n)
+    count = max(1, round(rng.uniform(0.1, 0.3) * n))
+    v[rng.choice(n, size=count, replace=False)] = v[rng.choice(n, size=count)]
+    return v
+
+
+def _oracle(query, v):
+    if query.kind == "median":
+        return reference.median_value(v)
+    if query.kind == "percentile":
+        return reference.percentile_value(v, query.p)
+    return reference.kth_smallest(v, {"min": 1, "max": v.size}.get(query.kind, query.k))
+
+
+def test_multi_block_statistics_match_the_oracle():
+    # one to four blocks of 8, the last one padded or full, odd and even
+    # lengths; ranks and masks are exact in ideal mode, so the only error
+    # left is the rounding of the Goldschmidt reciprocal of the mask norm
+    rng = np.random.default_rng(2024)
+    b = 8
+    checked = 0
+    for blocks in (1, 2, 3, 4):
+        for n in (blocks * b - 3, blocks * b - 2, blocks * b):
+            v = _tied_values(rng, n)
+            if n % 2 == 0:  # the last block repeats the extremes of the others
+                v[-2:] = v[:-2].min(), v[:-2].max()
+            queries = [
+                StatisticQuery("min"), StatisticQuery("max"), StatisticQuery("median"),
+                StatisticQuery("kth", k=int(rng.integers(1, n + 1))),
+                StatisticQuery("percentile", p=0.0), StatisticQuery("percentile", p=100.0),
+                StatisticQuery("percentile", p=float(rng.uniform(0, 100))),
+            ]
+            for query in queries:
+                for tie_correction in (True, False) if query.kind in ("min", "max") else (True,):
+                    eng = make_engine(b * b)
+                    bv = block_split(eng, v)
+                    assert len(bv.blocks) == blocks
+                    out = value_of(eng, multi_statistic(eng, bv, query, IDEAL, tie_correction=tie_correction))
+                    assert out == pytest.approx(_oracle(query, v), rel=1e-13, abs=0), (n, query)
+                    checked += 1
+    assert checked == 12 * 9
+
+
+def test_noisy_chebyshev_three_block_statistics():
+    # 40 values in 256 slots: three 16x16 blocks, the last one padded.  Shared
+    # operands that an op took the owed noise of would raise when read again.
+    rng = np.random.default_rng(8)
+    v = _tied_values(rng, 40)
+    cfg = KernelConfig(mode="chebyshev", degree=256)
+    queries = [
+        StatisticQuery("min"), StatisticQuery("max"), StatisticQuery("median"),
+        StatisticQuery("kth", k=13), StatisticQuery("percentile", p=90.0),
+    ]
+    for seed, query in enumerate(queries):
+        eng = HESimulator(HEParams(slot_count=256, max_level=64, noise_sigma=1e-6, seed=seed))
+        bv = block_split(eng, v)
+        assert len(bv.blocks) == 3 and bv.valid_in(2) == 8
+        out = value_of(eng, multi_statistic(eng, bv, query, cfg))
+        assert abs(out - _oracle(query, v)) < 2e-2, query
+
+
+def test_even_median_is_one_query_on_one_ranking():
+    v = [0.20, 0.30, 0.10, 0.40, 0.25, 0.35]
+    eng = make_engine(64)
+    via_query = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 6, StatisticQuery("median"), IDEAL))
+    assert via_query == pytest.approx(reference.median_value(v), rel=1e-13)
+    assert eng.cost_snapshot().cmp_evals == 1 and eng.cost_snapshot().ind_evals == 2
+    m = order_statistic_mask(eng, eng.encrypt(v), 6, StatisticQuery("median"), IDEAL)
+    assert np.array_equal(read_col(eng, m.mask, m.layout, 6), [0, 1, 0, 0, 1, 0])  # ranks 3 and 4
+
+
+def test_long_vector_statistic_keeps_full_precision():
+    # 300 values in nineteen 16x16 blocks: the mask norm's reciprocal takes
+    # more Goldschmidt steps as n grows (eight steps left 1e-6 here, 2% at n=1000)
+    rng = np.random.default_rng(5)
+    v = _tied_values(rng, 300)
+    for query in (StatisticQuery("median"), StatisticQuery("kth", k=211)):
+        eng = make_engine(256)
+        out = value_of(eng, multi_statistic(eng, block_split(eng, v), query, IDEAL))
+        assert out == pytest.approx(_oracle(query, v), rel=1e-13, abs=0), query
