@@ -41,10 +41,15 @@ ranks = read_col(eng5, res.ranks, res.layout, 5)
 print("  ", tied, "->", ranks)
 print("   fractional ranks match the oracle:", np.array_equal(ranks, reference.fractional_ranks(tied)))
 
-print("\nThe tie-correction offset redistributes ties into a permutation:")
+print("\nThe tie-correction offset redistributes ties into a permutation;")
+print("its cells join the comparisons before the one rank fold:")
 eng5.cost_reset()
 res = rank_corrected(eng5, eng5.encrypt(tied), 5, cfg)
 ranks = read_col(eng5, res.ranks, res.layout, 5)
 print("  ", tied, "->", ranks)
 print("   corrected ranks match the oracle:", np.array_equal(ranks, reference.corrected_ranks(tied)))
-print("\ncomparisons used by the corrected ranking:", eng5.cost_snapshot().cmp_evals)
+report = eng5.cost_snapshot()
+log_n = (5 - 1).bit_length()
+print(f"\ncost of the corrected ranking: {report.cmp_evals} comparison, "
+      f"{report.rotations} rotations (4*log2(8) = {4 * log_n})")
+print("   within the uncorrected rank budget:", report.rotations <= 4 * log_n)

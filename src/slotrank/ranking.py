@@ -3,9 +3,9 @@
 The input vector is replicated across matrix rows and, transposed, across
 matrix columns; a single slotwise comparison of the two encodings yields
 the full pairwise comparison matrix, whose row sums (plus one half) are
-the fractional ranks, in column 0.  A tie-correction offset derived from
-the same comparison matrix redistributes tied ranks into a permutation of
-1..N.
+the fractional ranks, in column 0.  Tie correction adds offset cells
+derived from the same comparison matrix before that one fold, which
+redistributes tied ranks into a permutation of 1..N.
 
 One block-generic pipeline serves every vector length.  A vector longer
 than the matrix capacity is split into L blocks and only the L(L+1)/2
@@ -113,11 +113,10 @@ def _pad_mask(slot_count: int, n_dim: int, rows: int, cols: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triangle_mask(slot_count: int, n_dim: int, scale: float) -> np.ndarray:
+def _tie_cell_mask(slot_count: int, n_dim: int) -> np.ndarray:
     rows, cols = np.indices((n_dim, n_dim))
-    tri = cols <= rows
     m = np.zeros(slot_count)
-    m[: n_dim * n_dim] = tri.astype(np.float64).ravel() * scale
+    m[: n_dim * n_dim] = np.where(cols <= rows, 2.0, -2.0).ravel()
     m.setflags(write=False)
     return m
 
@@ -154,7 +153,8 @@ def multi_rank_pipeline(
     for the earlier blocks, i*B minus the row fold of sum_{j<i} C_ji,
     transposed.  Tie correction orders equal values of
     different blocks by block, which makes every cross-block comparison
-    strict, and adds ``tie_offset`` of each block against itself.  Zero
+    strict, adds the ``tie_offset`` cells of each block against itself to
+    its own comparisons before their fold, and lowers the shift by 1/2.  Zero
     padding of the last block is masked out of its comparisons, so padded
     entries rank 0.  The complement identity holds for the fractional
     kernel only, so the strict and weak kernels take one block and raise
@@ -187,7 +187,7 @@ def multi_rank_pipeline(
                 # cells against zero padding would count as comparisons
                 c = engine.mul_plain(c, _pad_mask(layout.slot_count, b, valid_i, valid_j), site="pad-mask")
             comparisons[(i, j)] = c
-    # summed into two blocks' ranks, or into one and its tie offset
+    # summed into two blocks' ranks, or into one and its tie offset cells
     engine.share(*comparisons.values())
 
     cross = {}
@@ -200,17 +200,16 @@ def multi_rank_pipeline(
         # summed into block i's ranks here and block j's later
         engine.share(*(cross[(i, j)] for j in range(i + 1, count)))
         own = reduce(engine.add, (cross[(i, j)] for j in range(i + 1, count)), comparisons[(i, i)])
+        if tie_correction:
+            own = engine.add(own, tie_offset(engine, comparisons[(i, i)], layout))
         ranks = sum_axis(engine, own, layout, "col")
         if i > 0:
             earlier = reduce(engine.add, (cross.pop((j, i)) for j in range(i)))
             folded = sum_axis(engine, earlier, layout, "row")
             ranks = engine.sub(ranks, transpose_vector(engine, folded, layout, "row_to_col"))
-        shift = bias + i * b
+        shift = bias + i * b - (0.5 if tie_correction else 0.0)
         if shift != 0.0:
             ranks = engine.add_plain(ranks, _prefix_vector(layout.slot_count, b, valid, shift))
-        if tie_correction:
-            offset = tie_offset(engine, comparisons[(i, i)], layout, valid=valid)
-            ranks = engine.add(ranks, offset)
         rank_blocks.append(ranks)
 
     return MultiRankPipeline(
@@ -269,33 +268,23 @@ def rank_corrected(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfi
     return RankResult(pipe.ranks.blocks[0], pipe.layout, corrected=True)
 
 
-def tie_offset(
-    engine: HESimulator,
-    cmp_matrix: Ciphertext,
-    layout: MatrixLayout,
-    *,
-    valid: int | None = None,
-) -> Ciphertext:
-    """Offset vector redistributing tied fractional ranks of one block.
+def tie_offset(engine: HESimulator, cmp_matrix: Ciphertext, layout: MatrixLayout) -> Ciphertext:
+    """Tie-offset cells of one block against itself.
 
-    Derives the pairwise equality matrix from the comparison matrix via
-    c*(1-c), counts each element's predecessors inside its tie group with
-    a triangle mask that includes the diagonal, and shifts by half the tie
-    size.  Scale factors are folded into the triangle and counting masks so
-    the whole offset costs three levels on top of the comparison matrix.
-    The offset lands in column 0, as the ranks do.
+    Derives the quarter equality matrix c*(1-c) (1/4 on tied pairs, 0
+    elsewhere) from the comparison matrix and scales it by 4 on and below
+    the diagonal minus 2 everywhere, so a row of cells sums to the element's
+    position inside its tie group less half the group's size.  Folded along
+    the columns, less one half, the cells are the offset that redistributes
+    tied fractional ranks into a permutation.  The pipeline adds them to the
+    block's comparisons before its one rank fold and the half to its rank
+    shift, so the offset costs no rotation.  The cells cost one ct-ct and
+    one ct-pt product, two levels on top of the comparison matrix.
     """
-    side = layout.n_dim
-    valid = side if valid is None else valid
     engine.share(cmp_matrix)  # read by both factors of the equality
     complement = engine.add_plain(engine.negate(cmp_matrix), 1.0)
     quarter_eq = engine.mul(cmp_matrix, complement, site="tie-equality")
-    counted = engine.mul_plain(quarter_eq, _triangle_mask(layout.slot_count, side, 4.0), site="tie-triangle")
-    doubled = engine.mul_plain(quarter_eq, 2.0, site="tie-total")
-    position_in_tie = sum_axis(engine, counted, layout, "col")
-    half_tie_size = sum_axis(engine, doubled, layout, "col")
-    offset = engine.sub(position_in_tie, half_tie_size)
-    return engine.add_plain(offset, _prefix_vector(layout.slot_count, side, valid, -0.5))
+    return engine.mul_plain(quarter_eq, _tie_cell_mask(layout.slot_count, layout.n_dim), site="tie-cells")
 
 
 # ----------------------------------------------------------------------

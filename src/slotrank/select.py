@@ -4,10 +4,12 @@ A rank-window indicator on each block's column-0 ranks yields a selection
 mask in column 0 (the argmin/argmax answer); the statistic's value is the
 inner product of the masks with the blocks' column-replicated inputs,
 summed over blocks and divided by the masks' L1 norm through a Goldschmidt
-reciprocal.  A vector that fits one matrix is the one-block case, where
-minimum and maximum use the strict and weak comparison kernels: duplicated
-extremes all land on rank 1 and rank N, and the division normalises the
-multi-hot mask away.  Across blocks those kernels have no complement
+reciprocal.  An even-length median is one window spanning both middle
+ranks, whose mask norm is 2, so the division takes their average.  A
+vector that fits one matrix is the one-block case, where minimum and
+maximum use the strict and weak comparison kernels: duplicated extremes
+all land on rank 1 and rank N, and the division normalises the multi-hot
+mask away.  Across blocks those kernels have no complement
 identity, so the extremes take rank 1 and rank N of the tie-corrected
 fractional ranking.
 """
@@ -66,41 +68,36 @@ class StatisticMask:
     layout: MatrixLayout
 
 
-def _resolve(query: StatisticQuery, n: int, blocks: int, tie_correction: bool) -> tuple[str, bool, tuple[int, ...]]:
-    """Map a query to (comparison kernel, tie correction, target ranks)."""
+def _resolve(query: StatisticQuery, n: int, blocks: int, tie_correction: bool) -> tuple[str, bool, int, int]:
+    """Map a query to (comparison kernel, tie correction, first and last target rank)."""
     kind = query.kind
     if kind == "percentile" and query.p in (0.0, 100.0):
         kind = "min" if query.p == 0.0 else "max"
     if kind in ("min", "max"):
         k = 1 if kind == "min" else n
         if blocks == 1:
-            return ("strict" if kind == "min" else "weak"), False, (k,)
-        return "fractional", True, (k,)  # correction makes rank 1 and rank n unique
+            return ("strict" if kind == "min" else "weak"), False, k, k
+        return "fractional", True, k, k  # correction makes rank 1 and rank n unique
     if kind == "median":  # the one middle rank, or the two of an even length
-        return "fractional", tie_correction, tuple(dict.fromkeys(((n + 1) // 2, n // 2 + 1)))
+        return "fractional", tie_correction, (n + 1) // 2, n // 2 + 1
     k = min(max(int(query.p * n / 100.0 + 0.5), 1), n) if kind == "percentile" else query.k  # nearest rank
     if k > n:
         raise ValueError(f"k={k} out of range for vector length {n}")
-    return "fractional", tie_correction, (k,)
+    return "fractional", tie_correction, k, k
 
 
-def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, list[list[Ciphertext]]]:
-    """The ranking of ``bv`` and, per target rank, one window mask per block."""
+def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, list[Ciphertext]]:
+    """The ranking of ``bv`` and one window mask per block."""
     n = bv.total_len
-    comparison, correct, targets = _resolve(query, n, len(bv.blocks), tie_correction)
+    comparison, correct, first, last = _resolve(query, n, len(bv.blocks), tie_correction)
     pipe = multi_rank_pipeline(engine, bv, cfg, comparison=comparison, tie_correction=correct)
-    if len(targets) > 1:
-        engine.share(*pipe.ranks.blocks)  # read by every window
     # open window: a half-integer fractional rank sitting exactly on the
-    # edge (an uncorrected tie) belongs to no integer rank.  The fit range
+    # edge (an uncorrected tie) belongs to no target rank.  The fit range
     # must reach down to 0 because the empty slots and the padded entries of
     # the rank vector hold zeros and the fitted polynomial reads every slot.
     window_cfg = with_input_range(cfg, -0.5, n + 0.5)
-    windows = [
-        [indicator_kernel(engine, ranks, k - 0.5, k + 0.5, window_cfg) for ranks in pipe.ranks.blocks]
-        for k in targets
-    ]
-    return pipe, windows
+    sels = [indicator_kernel(engine, ranks, first - 0.5, last + 0.5, window_cfg) for ranks in pipe.ranks.blocks]
+    return pipe, sels
 
 
 def _value_from_masks(engine, sels, pipe: MultiRankPipeline, n) -> Ciphertext:
@@ -124,13 +121,11 @@ def multi_statistic(
     """Value of the queried statistic of a block vector, in slot 0; zero if no rank matches.
 
     Without tie correction a tied rank can be unoccupied and select nothing.
-    An even-length median averages the two middle statistics of one ranking.
+    An even-length median selects both middle ranks with one window, and the
+    normalisation by the mask norm, 2, averages them.
     """
-    pipe, windows = _select(engine, bv, query, cfg, tie_correction)
-    values = [_value_from_masks(engine, sels, pipe, bv.total_len) for sels in windows]
-    if len(values) == 1:
-        return values[0]
-    return engine.mul_plain(engine.add(*values), 0.5, site="median-average")
+    pipe, sels = _select(engine, bv, query, cfg, tie_correction)
+    return _value_from_masks(engine, sels, pipe, bv.total_len)
 
 
 def order_statistic_mask(
@@ -143,13 +138,13 @@ def order_statistic_mask(
     tie_correction: bool = True,
 ) -> StatisticMask:
     """Column-0 selection mask: 1 in the positions whose rank is the queried one
-    (either middle rank, for an even-length median).
+    (both middle ranks, for an even-length median).
 
-    With tie correction the mask is one-hot; without it, elements of an
-    unoccupied fractional rank are simply missed (the mask is all zero).
+    With tie correction the mask has one 1 per target rank; without it,
+    elements of an unoccupied fractional rank are simply missed.
     """
-    pipe, windows = _select(engine, one_block(engine, ct, n), query, cfg, tie_correction)
-    return StatisticMask(reduce(engine.add, (sels[0] for sels in windows)), pipe.layout)
+    pipe, (sel,) = _select(engine, one_block(engine, ct, n), query, cfg, tie_correction)
+    return StatisticMask(sel, pipe.layout)
 
 
 def order_statistic_value(
@@ -173,7 +168,8 @@ def median(
     *,
     tie_correction: bool = True,
 ) -> Ciphertext:
-    """Median in slot 0; the even case averages the two middle statistics."""
+    """Median in slot 0; the even case averages the two middle statistics
+    through one window spanning both."""
     return order_statistic_value(engine, ct, n, StatisticQuery("median"), cfg, tie_correction=tie_correction)
 
 

@@ -115,14 +115,19 @@ def test_c3_cost_budgets():
             log_n = (n - 1).bit_length()
             rng = np.random.default_rng(n)
             v = rng.permutation(n) / n + 0.5 / n
+            tied = np.floor(v * n / 2) / (n / 2) + 1 / n  # every value twice
 
-            eng = engine_for(n)
-            eng.cost_reset()
-            rank(eng, eng.encrypt(v), n, cfg)
-            rep = eng.cost_snapshot()
-            assert rep.cmp_evals == 1
-            assert rep.rotations <= 4 * log_n
-            assert rep.levels_consumed <= d_c + 4
+            # tie correction rides in the one rank fold: same budgets
+            for ranker, x in ((rank, v), (rank_corrected, tied)):
+                eng = engine_for(n)
+                eng.cost_reset()
+                res = ranker(eng, eng.encrypt(x), n, cfg)
+                rep = eng.cost_snapshot()
+                assert rep.cmp_evals == 1
+                assert rep.rotations <= 4 * log_n
+                assert rep.levels_consumed <= d_c + 4
+                if cfg.mode == "ideal" and res.corrected:
+                    assert np.array_equal(read_col(eng, res.ranks, res.layout, n), reference.corrected_ranks(x))
 
             eng = engine_for(n)
             eng.cost_reset()
@@ -133,18 +138,22 @@ def test_c3_cost_budgets():
                 mask = read_col(eng, sel.mask, sel.layout, n)
                 assert np.array_equal(mask, reference.corrected_ranks(v) == 1 + n // 2)
 
-            eng = engine_for(n)
-            eng.cost_reset()
-            sort(eng, eng.encrypt(v), n, SortConfig(kernel=cfg, tie_correction=False))
-            rep = eng.cost_snapshot()
-            assert rep.cmp_evals == 1
-            assert rep.ind_evals == 1
-            assert rep.rotations <= 6 * log_n
-            assert rep.critical_rotations <= 5 * log_n
-            assert rep.levels_consumed <= d_c + d_i + 6
+            for correct, x in ((False, v), (True, tied)):
+                eng = engine_for(n)
+                eng.cost_reset()
+                out = sort(eng, eng.encrypt(x), n, SortConfig(kernel=cfg, tie_correction=correct))
+                rep = eng.cost_snapshot()
+                assert rep.cmp_evals == 1
+                assert rep.ind_evals == 1
+                assert rep.rotations <= 6 * log_n
+                assert rep.critical_rotations <= 5 * log_n
+                assert rep.levels_consumed <= d_c + d_i + 6
+                if cfg.mode == "ideal":
+                    assert np.array_equal(read_row(eng, out, n), reference.sorted_values(x))
     report(
         "criterion 3: rank <= 4logN rotations @ 1 comparison, sort <= 6logN "
-        "(critical <= 5logN) @ 1 comparison + 1 indicator, level budgets met in both modes"
+        "(critical <= 5logN) @ 1 comparison + 1 indicator, with and without tie "
+        "correction, level budgets met in both modes"
     )
 
 
@@ -298,7 +307,8 @@ def test_c8_paper_fixtures_bit_exact():
     assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4).T, expected_mask)
 
     pipe = rank_pipeline(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    offset = read_col(eng, tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout), pipe.layout, 4)
+    cells = tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout)
+    offset = read_col(eng, sum_axis(eng, cells, pipe.layout, "col"), pipe.layout, 4) - 0.5
     assert np.array_equal(offset, [0, -0.5, 0.5, 0])
     corrected = rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
     assert np.array_equal(read_col(eng, corrected.ranks, corrected.layout, 4), [1, 2, 3, 4])

@@ -231,17 +231,17 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=24, ctct_mults=53, ctpt_mults=100, additions=174,
+            CostReport(rotations=18, ctct_mults=53, ctpt_mults=97, additions=165,
                        cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=30, ctct_mults=88, ctpt_mults=130, additions=241,
-                       cmp_evals=1, ind_evals=2, levels_consumed=34, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=53, ctpt_mults=97, additions=165,
+                       cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=24, ctct_mults=53, ctpt_mults=100, additions=174,
+            CostReport(rotations=18, ctct_mults=53, ctpt_mults=97, additions=165,
                        cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
         ),
     ],
@@ -324,9 +324,17 @@ def test_even_median_is_one_query_on_one_ranking():
     eng = make_engine(64)
     via_query = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 6, StatisticQuery("median"), IDEAL))
     assert via_query == pytest.approx(reference.median_value(v), rel=1e-13)
-    assert eng.cost_snapshot().cmp_evals == 1 and eng.cost_snapshot().ind_evals == 2
+    assert eng.cost_snapshot().cmp_evals == 1 and eng.cost_snapshot().ind_evals == 1
     m = order_statistic_mask(eng, eng.encrypt(v), 6, StatisticQuery("median"), IDEAL)
     assert np.array_equal(read_col(eng, m.mask, m.layout, 6), [0, 1, 0, 0, 1, 0])  # ranks 3 and 4
+
+
+def test_uncorrected_even_median_of_a_tied_middle_pair():
+    # the tied pair shares rank 2.5, inside the one window (1.5, 3.5)
+    eng = make_engine(16)
+    v = [0.10, 0.20, 0.20, 0.40]
+    out = value_of(eng, median(eng, eng.encrypt(v), 4, IDEAL, tie_correction=False))
+    assert out == pytest.approx(0.20, rel=1e-13)
 
 
 def test_long_vector_statistic_keeps_full_precision():

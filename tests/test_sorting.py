@@ -9,6 +9,7 @@ from slotrank import (
     SortConfig,
     block_merge,
     block_split,
+    multi_rank,
     multi_sort,
     read_row,
     sort,
@@ -135,7 +136,7 @@ def test_chebyshev_sort_circuit_is_pinned():
     v = np.random.default_rng(3).uniform(0, 1, 16)
     sort(eng, eng.encrypt(v), 16, cfg(kernel=KernelConfig(mode="chebyshev", degree=64)))
     assert eng.cost_snapshot() == CostReport(
-        rotations=32, ctct_mults=32, ctpt_mults=66, additions=136,
+        rotations=24, ctct_mults=32, ctpt_mults=63, additions=125,
         cmp_evals=1, ind_evals=1, levels_consumed=22, critical_rotations=20,
     )
 
@@ -174,6 +175,23 @@ def test_multi_sort_indicator_count_is_block_count_squared():
     rep = eng.cost_snapshot()
     assert rep.ind_evals == 16
     assert rep.cmp_evals == 10
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 5])
+def test_tie_corrected_rotations_follow_the_closed_forms(blocks):
+    # L blocks of side B = 8, the last one padded.  Per block: 3 log B to
+    # replicate and transpose, log B for the one rank fold (the tie offset
+    # rides in it), 2 log B per later block for the earlier blocks' row fold
+    # and its transpose; the sort adds a spread and a fold per block.
+    side, log_b = 8, 3
+    v = np.random.default_rng(blocks).integers(0, 6, size=blocks * side - 3) / 6.0
+    ranked, sorted_ = make_engine(side * side), make_engine(side * side)
+    ranks = multi_rank(ranked, block_split(ranked, v), IDEAL, tie_correction=True)
+    out = multi_sort(sorted_, block_split(sorted_, v), cfg())
+    assert np.array_equal(block_merge(ranked, ranks), reference.corrected_ranks(v))
+    assert np.array_equal(block_merge(sorted_, out), reference.sorted_values(v))
+    assert ranked.cost_snapshot().rotations == (6 * blocks - 2) * log_b
+    assert sorted_.cost_snapshot().rotations == (8 * blocks - 2) * log_b
 
 
 def test_multi_sort_with_ties_and_padding():
