@@ -17,25 +17,29 @@ Cost model:
 * a product by a scalar plaintext is charged at ``mul_plain`` but computed
   only when it is read.  Scales are never folded together, so every slot is
   the same double the eager product gives;
-* ``add`` and ``sub`` of two distinct such pending operands charge their
-  addition and return a pending sum, a lazy linear combination of slot
-  vectors.  A lone read of its ``slots`` folds the terms left to right,
-  which gives the same doubles as the eager chain of products and
-  additions; ``realise`` computes a batch of pending sums over the rows of
-  one 2D array (see ``copy_into``) as one BLAS product, which rounds each
-  slot within a few ulps of sum_i |scale_i * base_i| of the fold;
+* one linear rule: ``add``, ``sub``, ``add_plain`` and ``negate`` of such a
+  pending operand, and ``add(x, x)`` (scale 2), return a pending sum, a lazy
+  linear combination of slot vectors, and charge their additions (negation
+  is free); only an op on computed operands computes at once.  ``add``
+  takes n operands and charges n - 1 additions, as the left fold of binary
+  adds would.  A lone read of a pending sum's ``slots`` folds its terms
+  left to right, which gives the same doubles as the eager chain of
+  products and additions, signed zeros included; ``copy_into`` folds one
+  straight into a row of a 2D array, and ``realise`` computes a batch of
+  pending sums over such rows as one BLAS product, in column tiles, which
+  rounds each slot within a few ulps of sum_i |scale_i * base_i| of the
+  fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot, but on a noisy engine it returns its noise-free value and
   *owes* that noise, as a one-term pending sum, until something reads it.
   ``owed`` is a variance weight: a read draws N(0, owed * sigma^2) once and
   keeps it, so every later reader sees the same noise.  ``rotate``,
   ``mul``, a vector ``mul_plain``, ``ideal_map``, ``copy_into``,
-  ``decrypt`` and ``slots`` read.  ``add`` and ``sub`` with one or both
-  operands owing, ``add_plain``, ``negate``, ``add(p, p)`` (scale 2) and a
-  scalar ``mul_plain`` (scale s, weight times s^2) instead take over an
-  owing operand's noise: a linear chain draws one Gaussian of the summed
-  variance, the distribution of one draw per op, since no link of the
-  chain is read on its own.  The operand is then spent, and reading,
+  ``decrypt`` and ``slots`` read.  The linear ops above, ``sub(p, p)``
+  (scale 0) and a scalar ``mul_plain`` (scale s, weight times s^2) instead
+  take over an owing operand's noise: a linear chain draws one Gaussian of
+  the summed variance, the distribution of one draw per op, since no link
+  of the chain is read on its own.  The operand is then spent, and reading,
   summing or realising it raises ``EngineError``: its noise would have to
   be correlated with the chain's.  ``share`` reads its arguments, so that
   several ops may use a value; on a noise-free engine nothing owes and it
@@ -51,6 +55,7 @@ Cost model:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,9 +157,9 @@ class _PendingSum(Ciphertext):
     ``owed * sigma^2``, that is not computed yet.
 
     ``pending`` holds the (base, scale) terms; a base is a slot vector or, for
-    an ``add_plain``, a plaintext scalar.  One term is a deferred scalar
-    product, or, on a noisy engine, the computed value of an op that owes its
-    noise.  ``owed`` is 0 on a noise-free engine.  Reading ``slots`` folds the
+    an ``add_plain``, a plaintext.  A term is a deferred scalar product, a
+    computed operand of a linear op, or, on a noisy engine, the computed value
+    of an op that owes its noise.  ``owed`` is 0 on a noise-free engine.  Reading ``slots`` folds the
     terms left to right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) +
     ...`` would, adds one draw of sigma * sqrt(owed) * Z and keeps the
     result, so every later reader sees the same noise; it drops ``pending``
@@ -215,47 +220,37 @@ class _PendingSum(Ciphertext):
         )
 
 
-def _fold(terms: tuple) -> np.ndarray:
-    """sum_i ``base_i * scale_i``, left to right: a lone base of scale 1 as it
-    is, else into a fresh array.  A scale of +-1 adds or subtracts its base,
-    which gives the same doubles as multiplying by it."""
+def _fold(terms: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_i ``base_i * scale_i``, left to right, into ``out`` if given: a lone
+    base of scale 1 as it is, else into a fresh array.  A scale of +-1 adds or
+    subtracts its base, which gives the same doubles as multiplying by it."""
     (base, scale), *rest = terms
-    if not rest and scale == 1.0:
+    if out is None and not rest and scale == 1.0:
         return base
-    value = base * scale
-    if rest:
-        term = np.empty_like(value)
-        for base, scale in rest:
-            if scale == 1.0:
-                value += base
-            elif scale == -1.0:
-                value -= base
-            else:
-                value += np.multiply(base, scale, out=term)
+    value = base * scale if out is None else np.multiply(base, scale, out=out)
+    term = None
+    for base, scale in rest:
+        if scale == 1.0:
+            value += base
+        elif scale == -1.0:
+            value -= base
+        else:
+            if term is None:
+                term = np.empty_like(value)
+            value += np.multiply(base, scale, out=term)
     return value
 
 
-def _terms(ct: Ciphertext) -> tuple:
-    """The terms of a pending ``ct``, else its value as one term of scale 1."""
-    return ct.pending if ct.pending is not None else ((ct.slots, 1.0),)
+class _Row(weakref.ref):
+    """A weak reference to a full row of a C-contiguous 2D array, with the
+    ``id`` it is known by and its ``index`` in the array."""
+
+    __slots__ = ("key", "index")
 
 
-def _rows_of_one_array(sums: list) -> tuple[np.ndarray | None, dict[int, int]]:
-    """The C-contiguous 2D array every base of the pending ``sums`` is a full
-    row of, or None if there is no such array, and each base's row by ``id``."""
-    bases = {id(base): base for ct in sums for base, _ in ct.pending}
-    array = getattr(next(iter(bases.values())), "base", None) if bases else None
-    if not (isinstance(array, np.ndarray) and array.ndim == 2 and array.flags.c_contiguous):
-        return None, {}
-    rows = {}
-    for key, base in bases.items():
-        # a plaintext scalar base has no ``base``
-        if getattr(base, "base", None) is not array or base.shape != array.shape[1:] or not base.flags.c_contiguous:
-            return None, {}
-        rows[key], offset = divmod(base.ctypes.data - array.ctypes.data, array.strides[0])
-        if offset:
-            return None, {}
-    return array, rows
+# Columns of one matmul in ``HESimulator.realise``: a tile of the rows it reads
+# stays in cache while the scales of every sum pass over it.
+_COLUMN_TILE = 8192
 
 
 @dataclass(frozen=True)
@@ -286,6 +281,10 @@ class HESimulator:
         # on a noise-free engine
         self._op_noise = 1.0 if params.noise_sigma > 0 else 0.0
         self.trace: list[int] = []
+        # each base realise has met that is a row of a 2D array, by id; an
+        # entry goes when its base does
+        rows: dict[int, _Row] = {}
+        self._rows, self._forget_row = rows, lambda ref: rows.pop(ref.key, None)
         self._reset_counters()
 
     def _reset_counters(self):
@@ -331,26 +330,38 @@ class HESimulator:
     # arithmetic
     # ------------------------------------------------------------------
 
-    def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        return self._sum(x, y, 1.0)
+    def add(self, x: Ciphertext, y: Ciphertext, *more: Ciphertext) -> Ciphertext:
+        """``x + y + ...``, charged one addition per ``+``.
+
+        The same doubles, level, rotation chain and owed noise as the left
+        fold ``add(add(x, y), ...)`` of binary adds, with the same operands
+        spent, without building its intermediate sums.
+        """
+        self._check(x, y, *more)
+        self._adds += 1 + len(more)
+        return self._sum(x, (y, *more), 1.0)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        return self._sum(x, y, -1.0)
+        self._check(x, y)
+        self._adds += 1
+        return self._sum(x, (y,), -1.0)
 
     def negate(self, x: Ciphertext) -> Ciphertext:
         self._check(x)
-        if x.owed:
-            # -(b0*s0 + b1*s1 + ...) is b0*-s0 + b1*-s1 + ... to the double
-            terms, owed = x._spend()
-            return self._emit(None, x.level, x.rot_chain, tuple((b, -s) for b, s in terms), owed)
-        return self._emit(-x.slots, x.level, x.rot_chain)
+        if x.pending is None:
+            return self._emit(-x.slots, x.level, x.rot_chain)
+        # b * -s is -(b * s) to the double, signed zeros included; a sum of
+        # several terms is negated as one, since -(a + b) is -0.0 where
+        # (-a) + (-b) is +0.0
+        (base, scale), owed = self._one_term(x)
+        return self._emit(None, x.level, x.rot_chain, ((base, -scale),), owed)
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         self._check(x)
         p = self._plain_operand(p)
         self._adds += 1
-        if x.owed:
-            terms, owed = x._spend()
+        if x.pending is not None:
+            terms, owed = self._take(x)
             return self._emit(None, x.level, x.rot_chain, terms + ((p, 1.0),), owed + self._op_noise)
         return self._owing(x.slots + p, x.level, x.rot_chain)
 
@@ -370,7 +381,7 @@ class HESimulator:
         p = self._plain_operand(p)
         self._ctpt += 1
         if isinstance(p, float):
-            return self._scaled(x, p, x.level - 1, x.rot_chain)
+            return self._emit(None, x.level - 1, x.rot_chain, *self._scaled(x, p))
         return self._owing(x.slots * p, x.level - 1, x.rot_chain)
 
     def rotate(self, x: Ciphertext, k: int) -> Ciphertext:
@@ -412,10 +423,18 @@ class HESimulator:
         return self._emit(slots, level, max(c.rot_chain for c in cts))
 
     def copy_into(self, ct: Ciphertext, row: np.ndarray) -> Ciphertext:
-        """``ct`` copied into ``row``, say a row of a 2D array, as a read-only
-        ciphertext at its level and rotation chain; charges nothing."""
+        """``ct`` written into ``row``, say a row of a 2D array, as a read-only
+        ciphertext at its level and rotation chain; charges nothing.
+
+        A pending sum that owes no noise is folded straight into ``row``, to
+        the doubles a read gives, and stays pending; anything else is read
+        and copied.
+        """
         self._check(ct)
-        np.copyto(row, ct.slots)
+        if ct.pending is not None and not ct.owed:
+            _fold(ct.pending, out=row)
+        else:
+            np.copyto(row, ct.slots)
         return Ciphertext(row, ct.level, ct.rot_chain, self.params)
 
     def realise(self, cts: list[Ciphertext]) -> list[Ciphertext]:
@@ -426,22 +445,24 @@ class HESimulator:
         it.  One that owes noise keeps owing it, as the one term of scale 1 of
         a pending sum: the noise is drawn when the value is read, or joins
         the op that takes it over.  If every base of the sums is a row of one
-        2D array, as ``copy_into`` leaves them, the batch is one BLAS product
-        of the matrix of their scales by that array: it reads each base once,
-        copies none, and rounds each slot within a few ulps of
+        2D array, as ``copy_into`` leaves them, the batch is one product of
+        the matrix of their scales by that array, written into one block
+        ``_COLUMN_TILE`` columns at a time: it reads each base once, copies
+        none, and rounds each slot within a few ulps of
         sum_i |scale_i * base_i| of the left-to-right fold.  Other sums are
         folded on their own, as a lone read does.  A spent operand raises
         ``EngineError``.
         """
         self._check(*cts)
         pending = [c for c in cts if c.pending is not None]
-        array, rows = _rows_of_one_array(pending)
-        if array is not None:
-            scales = np.zeros((len(pending), len(array)))
-            for r, ct in enumerate(pending):
-                for base, scale in ct.pending:
-                    scales[r, rows[id(base)]] += scale
-            for ct, value in zip(pending, scales @ array):
+        over_rows = self._scales_over_rows(pending)
+        if over_rows is not None:
+            scales, array = over_rows
+            block = np.empty((len(pending), array.shape[1]))
+            for start in range(0, array.shape[1], _COLUMN_TILE):
+                tile = slice(start, start + _COLUMN_TILE)
+                np.matmul(scales, array[:, tile], out=block[:, tile])
+            for ct, value in zip(pending, block):
                 ct._computed(value)
         for ct in cts:
             if ct.pending is not None:
@@ -512,6 +533,43 @@ class HESimulator:
                     f"ciphertext parameters {c.params} do not match engine {self.params}"
                 )
 
+    def _scales_over_rows(self, sums: list) -> tuple[np.ndarray, np.ndarray] | None:
+        """The matrix of the pending ``sums``' scales over the rows of the one
+        C-contiguous 2D array every base is a full row of, and that array;
+        None if there is no such array."""
+        scales = array = None
+        for r, ct in enumerate(sums):
+            for base, scale in ct.pending:
+                row = self._rows.get(id(base))
+                if row is None or row() is not base:
+                    row = self._find_row(base)
+                    if row is None:
+                        return None
+                if array is None:
+                    array = base.base
+                    scales = np.zeros((len(sums), len(array)))
+                elif base.base is not array:
+                    return None
+                scales[r, row.index] += scale
+        return None if array is None else (scales, array)
+
+    def _find_row(self, base) -> _Row | None:
+        """``base``'s row if it is a full row of a C-contiguous 2D array, else
+        None; remembered for as long as ``base`` lives, so that the address of
+        each row is read once, not once per batch."""
+        array = getattr(base, "base", None)  # a plaintext scalar base has none
+        if not (
+            isinstance(array, np.ndarray) and array.ndim == 2 and array.flags.c_contiguous
+            and base.shape == array.shape[1:] and base.flags.c_contiguous
+        ):
+            return None
+        index, offset = divmod(base.ctypes.data - array.ctypes.data, array.strides[0])
+        if offset:
+            return None
+        row = self._rows[id(base)] = _Row(base, self._forget_row)
+        row.key, row.index = id(base), index
+        return row
+
     def _plain_operand(self, p) -> float | np.ndarray:
         """A Python or numpy scalar as a float, which broadcasts to the same
         doubles as its slot vector; anything else through ``plain``.
@@ -520,44 +578,65 @@ class HESimulator:
         """
         return float(p) if isinstance(p, (float, int, np.generic)) else self.plain(p)
 
-    def _sum(self, x: Ciphertext, y: Ciphertext, sign: float) -> Ciphertext:
-        """``x + sign * y``, charged as one addition.
+    def _sum(self, x: Ciphertext, ys: tuple[Ciphertext, ...], sign: float) -> Ciphertext:
+        """``x + sign * y`` for each y of ``ys`` in turn, the left fold of
+        binary sums; charged by the caller.
 
-        An owing ``x + sign * x`` is ``x`` scaled by ``1 + sign``, so its
-        noise counts that many times.  With an owing operand, or, on a
-        noise-free engine, two distinct pending ones, the result is a pending
-        sum, else it is computed at once.
+        ``x + x``, and an owing ``x - x``, is ``x`` scaled by ``1 + sign``,
+        to the double, so an owed noise counts that many times.  Computed
+        operands are summed at once, as long as every operand so far is
+        computed; from the first pending one on, the result is a pending sum
+        of ``x``'s terms and one term for each later operand.  Its fold is
+        the eager chain's to the double, since ``b * -s`` is ``-(b * s)``
+        exactly.  It owes the noise its operands owe plus that of each
+        addition; an operand whose owed noise it takes over is spent.
         """
-        self._check(x, y)
-        self._adds += 1
-        level, chain = min(x.level, y.level), max(x.rot_chain, y.rot_chain)
-        if x is y and x.owed:
-            return self._scaled(x, 1.0 + sign, level, chain)
-        if x.owed or y.owed or (x.pending is not None and y.pending is not None and x is not y):
-            return self._pending_sum(x, y, sign, level, chain)
-        return self._owing(x.slots + y.slots if sign > 0 else x.slots - y.slots, level, chain)
+        level, chain = x.level, x.rot_chain
+        value = terms = None  # the sum so far: computed, or its terms
+        if x is ys[0] and (sign > 0 or x.owed):
+            terms, owed = self._scaled(x, 1.0 + sign)
+            ys = ys[1:]
+        elif x.pending is None:
+            value, owed = x.slots, 0.0
+        else:
+            terms, owed = self._take(x)
+        for y in ys:
+            if y.level < level:
+                level = y.level
+            if y.rot_chain > chain:
+                chain = y.rot_chain
+            if value is not None and y.pending is None:
+                value = value + y.slots if sign > 0 else value - y.slots
+                owed += self._op_noise
+                continue
+            if value is not None:
+                terms, value = ((value, 1.0),), None
+            (base, scale), y_owed = self._one_term(y)
+            terms += ((base, sign * scale),)
+            owed += y_owed + self._op_noise
+        if value is None:
+            return self._emit(None, level, chain, terms, owed)
+        return self._emit(None, level, chain, ((value, 1.0),), owed) if owed else self._emit(value, level, chain)
 
-    def _pending_sum(self, x: Ciphertext, y: Ciphertext, sign: float, level: int, chain: int) -> Ciphertext:
-        """``x + sign * y`` as a pending sum.
+    @staticmethod
+    def _take(x: _PendingSum) -> tuple[tuple, float]:
+        """The terms of a pending ``x`` and the noise it owes, handed over:
+        an owing ``x`` is spent, one that owes nothing keeps its terms."""
+        return x._spend() if x.owed else (x.pending, 0.0)
 
-        ``x``'s terms come first, then ``y`` as one term: its own if it has
-        one, else its fold with scale 1.  The fold of the result is then
-        ``fold(x) +/- fold(y)`` to the double, since ``b * -s`` is
-        ``-(b * s)`` exactly.  The result owes the noise both operands owe
-        plus that of its own addition; an operand whose owed noise it takes
-        over is spent.
-        """
-        head, tail = _terms(x), _terms(y)
-        ((base, scale),) = tail if len(tail) == 1 else ((_fold(tail), 1.0),)
-        terms = head + ((base, sign * scale),)
-        owed = x.owed + y.owed + self._op_noise
-        for ct in (x, y):
-            if ct.owed:
-                ct._spend()
-        return self._emit(None, level, chain, terms, owed)
+    @staticmethod
+    def _one_term(x: Ciphertext) -> tuple[tuple, float]:
+        """``x`` as one (base, scale) term, and the noise it hands over: its
+        own term if it has one, else its fold with scale 1.  A noise-free
+        sum of several terms keeps that fold as its value."""
+        if x.pending is None or (len(x.pending) > 1 and not x.owed):
+            return (x.slots, 1.0), 0.0
+        terms, owed = HESimulator._take(x)
+        return (terms[0] if len(terms) == 1 else (_fold(terms), 1.0)), owed
 
-    def _scaled(self, x: Ciphertext, s: float, level: int, chain: int) -> Ciphertext:
-        """``x * s`` for a scalar ``s``, deferred, charged by the caller.
+    def _scaled(self, x: Ciphertext, s: float) -> tuple[tuple, float]:
+        """The terms and owed noise of ``x * s`` for a scalar ``s``, charged
+        by the caller.
 
         The fold of an owing ``x`` is scaled as one term, so scales are never
         folded together; its owed noise is scaled too, to ``s^2`` times its
@@ -565,8 +644,8 @@ class HESimulator:
         """
         if x.owed:
             terms, owed = x._spend()
-            return self._emit(None, level, chain, ((_fold(terms), s),), s * s * owed + self._op_noise)
-        return self._emit(None, level, chain, ((x.slots, s),), self._op_noise)
+            return ((_fold(terms), s),), s * s * owed + self._op_noise
+        return ((x.slots, s),), self._op_noise
 
     def _owing(self, slots: np.ndarray, level: int, chain: int) -> Ciphertext:
         """The computed ``slots`` of a charged op: owing the op's noise on a

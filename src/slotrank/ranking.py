@@ -137,6 +137,16 @@ def _strict(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     return engine.mul(c, twice_less_one, site="tie-strict")
 
 
+def _refuse_corrected_strict_or_weak(pipeline: str, comparison: str, tie_correction: bool):
+    # The tie offset rests on a tie reading 1/2; a strict or weak comparison
+    # reads 0 or 1 there, so correction would only lower every rank by 1/2.
+    if tie_correction and comparison != "fractional":
+        raise ValueError(
+            f"{pipeline}: tie correction needs the fractional comparison, whose ties read 1/2; "
+            f"the {comparison} comparison already breaks ties"
+        )
+
+
 def multi_rank_pipeline(
     engine: HESimulator,
     bv: BlockVector,
@@ -158,8 +168,9 @@ def multi_rank_pipeline(
     padding of the last block is masked out of its comparisons, so padded
     entries rank 0.  The complement identity holds for the fractional
     kernel only, so the strict and weak kernels take one block and raise
-    ``ValueError`` on more.
+    ``ValueError`` on more, or with tie correction.
     """
+    _refuse_corrected_strict_or_weak("multi_rank_pipeline", comparison, tie_correction)
     b, count = bv.block_size, len(bv.blocks)
     if bv.stride != 1:  # replicate reads row 0 only
         raise ValueError(f"multi_rank_pipeline: blocks must hold their entries in row 0, not every {bv.stride}th slot")
@@ -248,9 +259,11 @@ def rank_pipeline(
 
     ``comparison`` picks the kernel: "fractional" gives 0.5-valued ties and
     fractional ranks, "strict" sends all minimal elements to rank 1, "weak"
-    sends all maximal elements to rank N.  The ranks land in column 0.
-    This is the one-block case of the block pipeline.
+    sends all maximal elements to rank N; tie correction takes the
+    fractional one.  The ranks land in column 0.  This is the one-block case
+    of the block pipeline.
     """
+    _refuse_corrected_strict_or_weak("rank_pipeline", comparison, tie_correction)
     return multi_rank_pipeline(
         engine, one_block(engine, ct, n), cfg, comparison=comparison, tie_correction=tie_correction
     )

@@ -430,15 +430,34 @@ def test_copy_into_keeps_the_ciphertext_and_charges_nothing():
     before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
     copies = [eng.copy_into(ct, row) for ct, row in zip((deep, pending), rows)]
     assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
+    assert pending.pending is not None  # folded straight into its row, so not read
     for src, copy, row in zip((deep, pending), copies, rows):
         assert np.array_equal(copy.slots, src.slots)
         assert (copy.level, copy.rot_chain) == (src.level, src.rot_chain)
         assert copy.pending is None and np.shares_memory(copy.slots, row)
         assert not np.shares_memory(copy.slots, src.slots)
         assert not copy.slots.flags.writeable
-    assert pending.pending is None  # read, and folded, to be copied
     assert (copies[1].level, copies[1].rot_chain) == (8, 1)
     assert rows.flags.writeable  # only the views are read-only
+
+
+def test_realise_finds_rows_of_a_new_array_whose_views_reuse_old_ids():
+    # realise remembers each row's index while the row lives; rows of later
+    # arrays, whose views may take the ids of dead ones, are found afresh
+    import gc
+
+    eng = make_engine(slot_count=256)
+    rng = np.random.default_rng(34)
+    for _ in range(6):
+        vs = [rng.normal(size=256) for _ in range(5)]
+        rows = encrypt_as_rows(eng, vs)[::-1]  # rows in reverse, so a stale index shows
+        scales = rng.uniform(-2.0, 2.0, 5)
+        (out,) = eng.realise([eng.add(*(eng.mul_plain(ct, c) for ct, c in zip(rows, scales)))])
+        fold = sum((v * c for v, c in zip(vs[::-1][1:], scales[1:])), vs[-1] * scales[0])
+        assert np.allclose(out.slots, fold, rtol=0.0, atol=1e-13)
+        del rows, out
+        gc.collect()
+        assert not eng._rows  # an entry goes with its row
 
 
 def test_realise_charges_nothing_and_keeps_levels():
@@ -454,6 +473,95 @@ def test_realise_charges_nothing_and_keeps_levels():
     assert [c.level for c in out] == [low.level, deep.level] == [9, 8]
     assert [c.rot_chain for c in out] == [0, 1]
     assert eng.rotation_offsets() == [3]
+
+
+# One linear rule on both engines: ``add``, ``sub``, ``add_plain`` and
+# ``negate`` of a pending operand, and ``x + x``, give a pending sum, whose
+# fold is the eager chain's to the double, signed zeros included.
+
+
+def linear_operands(eng, n=64):
+    """A computed ciphertext, a pending scalar product and a pending sum of
+    two, with their eager values; half of every vector is negative."""
+    rng = np.random.default_rng(31)
+    u, v, w = (rng.normal(size=n) for _ in range(3))
+    computed = eng.encrypt(u)
+    product = eng.mul_plain(eng.encrypt(v), SCALE)
+    total = eng.add(eng.mul_plain(eng.encrypt(w), 0.7), eng.mul_plain(eng.encrypt(u), -1.3))
+    return {"computed": (computed, u), "product": (product, v * SCALE), "sum": (total, w * 0.7 + u * -1.3)}
+
+
+RAMP = np.linspace(-1.0, 1.0, 64)
+LINEAR = {
+    "x + x": (lambda e, x, y: e.add(x, x), lambda a, b: a + a),
+    "x + y": (lambda e, x, y: e.add(x, y), lambda a, b: a + b),
+    "y + x": (lambda e, x, y: e.add(y, x), lambda a, b: b + a),
+    "x - y": (lambda e, x, y: e.sub(x, y), lambda a, b: a - b),
+    "y - x": (lambda e, x, y: e.sub(y, x), lambda a, b: b - a),
+    "x - x": (lambda e, x, y: e.sub(x, x), lambda a, b: a - a),
+    "add_plain scalar": (lambda e, x, y: e.add_plain(x, -0.3), lambda a, b: a + -0.3),
+    "add_plain vector": (lambda e, x, y: e.add_plain(x, RAMP), lambda a, b: a + RAMP),
+    "negate": (lambda e, x, y: e.negate(x), lambda a, b: -a),
+    "negate of x - x": (lambda e, x, y: e.negate(e.sub(x, x)), lambda a, b: -(a - a)),
+}
+
+
+def same_doubles(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("kind", ["product", "sum", "computed"])
+@pytest.mark.parametrize("name", LINEAR)
+def test_linear_op_of_a_pending_operand_stays_pending(name, kind):
+    op, eager = LINEAR[name]
+    eng = make_engine(slot_count=64)
+    operands = linear_operands(eng)
+    (x, a), (y, b) = operands[kind], operands["computed" if kind != "computed" else "product"]
+    before = eng.cost_snapshot()
+    out = op(eng, x, y)
+    # an op on computed operands alone is computed at once, x + x excepted
+    eager_kinds = {"x - x", "negate", "negate of x - x", "add_plain scalar", "add_plain vector"}
+    stays_pending = kind != "computed" or name not in eager_kinds
+    assert (out.pending is not None) == stays_pending, (name, kind)
+    assert eng.cost_snapshot().additions - before.additions == (0 if name == "negate" else 1)
+    assert same_doubles(out.slots, eager(a, b)), (name, kind)
+    assert same_doubles(x.slots, a) and same_doubles(y.slots, b)  # operands keep their values
+
+
+def test_difference_with_itself_reads_positive_zero():
+    eng = make_engine(slot_count=64)
+    for kind, (x, a) in linear_operands(eng).items():
+        zero = eng.sub(x, x).slots
+        assert np.all(zero == 0.0) and not np.signbit(zero).any(), kind
+        # -(a - a) is -0.0 everywhere, as the eager negation gives
+        assert np.signbit(eng.negate(eng.sub(x, x)).slots).all(), kind
+
+
+@pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
+def test_copy_into_folds_a_pending_power_into_its_row(even):
+    # T_i = 2 T_a T_b - T_c as the baby steps build it: mul, add(p, p), then
+    # sub (odd i) or add_plain (even i), written once into its row
+    n = 1 << 12
+    eng = make_engine(slot_count=n)
+    rng = np.random.default_rng(32)
+    a, b, c = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+    ta, tb, tc = (eng.encrypt(v) for v in (a, b, c))
+    prod = eng.mul(ta, tb)
+    doubled = eng.add(prod, prod)
+    power = eng.add_plain(doubled, -1.0) if even else eng.sub(doubled, tc)
+    assert doubled.pending is not None and power.pending is not None
+    eager = (a * b + a * b) + -1.0 if even else (a * b + a * b) - c
+    before = eng.cost_snapshot()
+    rows = np.zeros((3, n))
+    copy = eng.copy_into(power, rows[1])
+    assert eng.cost_snapshot() == before
+    assert same_doubles(copy.slots, eager) and same_doubles(rows[1], eager)
+    assert (copy.level, copy.rot_chain) == (power.level, power.rot_chain)
+    assert np.shares_memory(copy.slots, rows[1]) and not rows[0].any() and not rows[2].any()
+    for other in (ta, tb, tc, prod):
+        assert not np.shares_memory(copy.slots, other.slots)
+    assert power.pending is not None  # folded into the row, not read
+    assert same_doubles(power.slots, eager) and not np.shares_memory(power.slots, rows)
 
 
 # A noisy pending sum owes the noise of its charged ops and draws it once,
@@ -672,6 +780,84 @@ def test_seeded_noisy_run_repeats_bit_for_bit():
     assert not np.array_equal(run(7), run(8))
 
 
+# ``add`` of n operands is the left fold of binary adds, charged n - 1
+# additions in one call: same doubles, level, rotation chain, owed noise and
+# spent operands.
+
+NARY_KINDS = ("product", "sum", "computed", "deep")
+
+
+def nary_operands(eng, kinds, repeat):
+    """Operands of the given kinds, the one at ``repeat`` (if any) replaced
+    by the first: a scalar product, a sum of two, a computed ciphertext
+    rotated once, and a product a level lower."""
+    rng = np.random.default_rng(33)
+    n = eng.params.slot_count
+    ops = []
+    for kind in kinds:
+        v, w = rng.normal(size=n), rng.normal(size=n)
+        if kind == "product":
+            ops.append(eng.mul_plain(eng.encrypt(v), SCALE))
+        elif kind == "sum":
+            ops.append(eng.add(eng.mul_plain(eng.encrypt(v), 0.7), eng.mul_plain(eng.encrypt(w), -1.3)))
+        elif kind == "computed":
+            ops.append(eng.rotate(eng.encrypt(v), 3))
+        else:
+            ops.append(eng.mul(eng.encrypt(v), eng.encrypt(w)))
+    if repeat is not None:
+        ops[repeat] = ops[0]
+    return ops
+
+
+def spent(ct):
+    return ct.pending is None and getattr(ct, "_value", 0) is None
+
+
+def left_fold_or_nary(nary, sigma, kinds, repeat):
+    from functools import reduce
+
+    eng = make_engine(slot_count=256, sigma=sigma, seed=5)
+    ops = nary_operands(eng, kinds, repeat)
+    owing = [ct.owed > 0 for ct in ops]
+    before = eng.cost_snapshot().additions
+    try:
+        out = eng.add(*ops) if nary else reduce(eng.add, ops)
+    except EngineError as err:
+        return eng, ops, owing, err
+    assert eng.cost_snapshot().additions - before == len(ops) - 1
+    return eng, ops, owing, out
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("repeat", [None, 1, -1], ids=["distinct", "x+x", "last repeats first"])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
+    kinds = [NARY_KINDS[(i + count) % len(NARY_KINDS)] for i in range(count)]
+    eng, ops, owing, out = left_fold_or_nary(True, sigma, kinds, repeat)
+    ref_eng, ref_ops, _, ref = left_fold_or_nary(False, sigma, kinds, repeat)
+    assert eng.cost_snapshot() == ref_eng.cost_snapshot()
+    if isinstance(ref, EngineError):
+        # an owing operand used again after an earlier add spent it
+        assert isinstance(out, EngineError) and "spent" in str(out)
+        assert sigma and repeat == -1 and owing[0]
+        return
+    assert not isinstance(out, EngineError)
+    assert (out.level, out.rot_chain, out.owed) == (ref.level, ref.rot_chain, ref.owed)
+    assert out.owed >= count - 1 if sigma else out.owed == 0
+    assert [spent(c) for c in ops] == [spent(c) for c in ref_ops]
+    assert same_doubles(out.slots, ref.slots)
+    assert eng.rotation_offsets() == ref_eng.rotation_offsets()
+    if sigma:
+        # every owing operand handed its noise over and is spent
+        for ct, owes in zip(ops, owing):
+            if owes:
+                with pytest.raises(EngineError, match="spent"):
+                    ct.slots
+    else:
+        for ct, ref_ct in zip(ops, ref_ops):
+            assert same_doubles(ct.slots, ref_ct.slots)
+
+
 def test_rotate_matches_roll_and_is_fresh_and_read_only():
     n = 16
     v = np.random.default_rng(8).normal(size=n)
@@ -736,3 +922,77 @@ def test_ops_reject_unequal_params(name):
         for cts in operand_sets(arity, eng, other):
             with pytest.raises(IncompatibleParamsError):
                 op(eng, *cts)
+
+
+# Every charge is made inside the engine op that names it, which is what
+# the benchmark's trace reconciles against ``cost_snapshot()``: the ct-pt
+# products of a leaf inside ``mul_plain``, its additions inside ``add``.
+# A single charged linear-combination op would break that.
+
+CHARGING_OPS = {
+    "mul": "ctct_mults",
+    "mul_plain": "ctpt_mults",
+    "add": "additions",
+    "sub": "additions",
+    "add_plain": "additions",
+    "rotate": "rotations",
+}
+
+
+def _sort_cheb(eng):
+    from slotrank import KernelConfig, SortConfig, sort
+
+    values = np.random.default_rng(41).uniform(size=16)
+    values[3] = values[9]
+    cfg = KernelConfig(mode="chebyshev", degree=64)
+    return sort(eng, eng.encrypt(values), 16, SortConfig(kernel=cfg))
+
+
+def _median_noisy(eng):
+    from slotrank import KernelConfig, median
+
+    values = np.random.default_rng(42).uniform(size=16)
+    return median(eng, eng.encrypt(values), 16, KernelConfig(mode="chebyshev", degree=64))
+
+
+def _ps_eval_1024(eng):
+    from slotrank import cheb_fit, ps_eval
+
+    poly = cheb_fit(np.tanh, (0.0, 2.0), 1024)
+    x = eng.encrypt(np.random.default_rng(43).uniform(0.0, 2.0, eng.params.slot_count))
+    return ps_eval(eng, x, poly)
+
+
+@pytest.mark.parametrize(
+    "run,params",
+    [
+        (_ps_eval_1024, HEParams(slot_count=1 << 16, max_level=20)),
+        (_sort_cheb, HEParams(slot_count=256, max_level=40)),
+        (_median_noisy, HEParams(slot_count=256, max_level=60, noise_sigma=1e-6, seed=3)),
+    ],
+    ids=["ps_eval degree 1024", "chebyshev sort", "noisy median"],
+)
+def test_every_charge_lands_inside_its_op(monkeypatch, run, params):
+    deltas = dict.fromkeys(((op, c) for op in CHARGING_OPS for c in set(CHARGING_OPS.values())), 0)
+
+    def wrap(name, fn):
+        def charged(self, *args, **kwargs):
+            before = self.cost_snapshot()
+            out = fn(self, *args, **kwargs)
+            after = self.cost_snapshot()
+            for counter in set(CHARGING_OPS.values()):
+                deltas[(name, counter)] += getattr(after, counter) - getattr(before, counter)
+            return out
+
+        return charged
+
+    for name in CHARGING_OPS:
+        monkeypatch.setattr(HESimulator, name, wrap(name, getattr(HESimulator, name)))
+    eng = HESimulator(params)
+    eng.decrypt(run(eng))
+    total = eng.cost_snapshot()
+    assert min(total.ctct_mults, total.ctpt_mults, total.additions) > 0
+    for counter in set(CHARGING_OPS.values()):
+        assert sum(deltas[(op, counter)] for op in CHARGING_OPS) == getattr(total, counter), counter
+    for (op, counter), delta in deltas.items():
+        assert counter == CHARGING_OPS[op] or delta == 0, (op, counter)

@@ -325,6 +325,26 @@ def test_multi_rank_pipeline_refuses_strict_and_weak_across_blocks():
     assert np.array_equal(block_merge(eng, blocks), read_col(one_eng, one_block.ranks, one_block.layout, 8))
 
 
+@pytest.mark.parametrize("comparison", ["strict", "weak"])
+def test_tie_correction_refuses_strict_and_weak(comparison):
+    # A strict or weak comparison reads 0 or 1 at a tie, so the tie offset
+    # adds nothing and correction only lowers every rank by 1/2: unchecked,
+    # [10, 20, 20, 40] ranked 0.5, 1.5, 1.5, 3.5 (strict) and 0.5, 2.5, 2.5,
+    # 3.5 (weak).
+    v = np.array([10.0, 20.0, 20.0, 40.0])
+    cfg = KernelConfig(mode="ideal", degree=256, input_range=(0.0, 64.0))
+    eng = make_engine(16)
+    with pytest.raises(ValueError, match="^rank_pipeline: tie correction needs the fractional"):
+        rank_pipeline(eng, eng.encrypt(v), 4, cfg, comparison=comparison, tie_correction=True)
+    with pytest.raises(ValueError, match="^multi_rank_pipeline: tie correction needs the fractional"):
+        multi_rank_pipeline(eng, block_split(eng, v), cfg, comparison=comparison, tie_correction=True)
+    assert eng.cost_snapshot() == CostReport()  # refused before any op
+    # uncorrected, the kernel still ranks as documented
+    pipe = rank_pipeline(eng, eng.encrypt(v), 4, cfg, comparison=comparison)
+    expected = [1.0, 2.0, 2.0, 4.0] if comparison == "strict" else [1.0, 3.0, 3.0, 4.0]
+    assert np.array_equal(block_merge(eng, pipe.ranks), expected)
+
+
 def test_multi_rank_matches_single_when_both_fit():
     eng = make_engine(256)  # block side 16, and 16 values fit a single 16x16 matrix
     v = np.random.default_rng(12).uniform(size=16)
