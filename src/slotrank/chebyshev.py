@@ -213,13 +213,15 @@ def _powers(
     a, b = interval
     if (a, b) != (-1.0, 1.0):
         x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a), site="cheb-normalize"), -(a + b) / (b - a))
-    rows = dict(zip(baby, np.empty((len(baby), engine.params.slot_count))))
-    cache = {1: engine.copy_into(x, rows[1]) if 1 in rows else x}
+    array = np.empty((len(baby), engine.params.slot_count))
+    rows = {i: (array, r) for r, i in enumerate(baby)}
+    cache = {1: engine.copy_into(x, *rows[1]) if 1 in rows else x}
     return {i: _power(engine, cache, rows, i) for i in baby + giants}
 
 
-def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, np.ndarray], i: int) -> Ciphertext:
-    """T_i from ``cache``, built there first if missing, into ``rows[i]`` if any.
+def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tuple], i: int) -> Ciphertext:
+    """T_i from ``cache``, built there first if missing, into its row if
+    ``rows`` gives it one, as (array, index).
 
     Each T_i is built by index halving (T_{a+b} = 2 T_a T_b - T_{a-b}),
     costing one ciphertext-ciphertext multiplication and giving T_i a
@@ -232,7 +234,7 @@ def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, np
         prod = engine.mul(_power(engine, cache, rows, hi), _power(engine, cache, rows, lo), site=f"cheb-power-{i}")
         doubled = engine.add(prod, prod)
         ct = engine.add_plain(doubled, -1.0) if i % 2 == 0 else engine.sub(doubled, cache[1])
-        cache[i] = ct if i not in rows else engine.copy_into(ct, rows[i])
+        cache[i] = ct if i not in rows else engine.copy_into(ct, *rows[i])
     return cache[i]
 
 
@@ -243,10 +245,10 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: nz[-1] + 1]
 
 
-# Leaves issued, and computed by one ``HESimulator.realise``, at a time: each
-# batch is one BLAS product over the array of baby-step powers, which reads
-# every power once, and only this many leaves are alive.  A batch of 8 raised
-# sort_cheb's peak memory by 9%.
+# Leaves computed by one ``HESimulator.realise`` at a time: each batch is one
+# BLAS product over the array of baby-step powers, which reads every power
+# once, and only this many leaves are alive.  A batch of 8 raised sort_cheb's
+# peak memory by 9%.
 _LEAF_BATCH = 4
 
 
@@ -256,8 +258,9 @@ class _Plan:
 
     leaves: the nonzero (i, c_i), i >= 1, of each leaf, in the order the
         walk consumes them;
-    tree: a leaf node is (index into ``leaves`` or None, constant), a split
-        node (g, quotient node, remainder node) for q * T_g + r;
+    tree: a leaf node is (whether it has a leaf, constant), a split node
+        (g, quotient node, remainder node) for q * T_g + r; the quotient's
+        top coefficient is c_deg or 2 c_deg, never zero;
     baby: the baby-step powers i the leaves read, in ascending order;
     giants: the giant powers g, in ascending order.
     """
@@ -281,7 +284,7 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
             terms = tuple((i, float(c[i])) for i in range(1, deg + 1) if c[i] != 0.0)
             if terms:
                 leaves.append(terms)
-            return (len(leaves) - 1 if terms else None, float(c[0]))
+            return (bool(terms), float(c[0]))
         g = 1 << int(math.floor(math.log2(deg)))
         giants.add(g)
         q, r = _split_by_cheb_power(c, g)
@@ -291,30 +294,38 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
     return _Plan(tuple(leaves), tree, tuple(sorted({i for t in leaves for i, _ in t})), tuple(sorted(giants)))
 
 
-def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leaf) -> tuple:
+def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
+    """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``;
+    each is handed over, not kept, so none outlives its use."""
+    for start in range(0, len(plan.leaves), _LEAF_BATCH):
+        batch = [
+            engine.add(*[engine.mul_plain(powers[i], c, site="cheb-leaf") for i, c in terms])
+            for terms in plan.leaves[start : start + _LEAF_BATCH]
+        ]
+        batch = engine.realise(batch)
+        while batch:
+            yield batch.pop(0)
+
+
+def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leaves) -> tuple:
     """Evaluate the giant-step tree below ``node``.
 
-    Returns (ciphertext part or None, constant part); ``leaf(j)`` gives the
-    computed leaf j.
+    Returns (ciphertext part or None, constant part); a node with a leaf
+    takes the next one from ``leaves``.
     """
     if len(node) == 2:
-        j, const = node
-        return (None if j is None else leaf(j)), const
+        has_leaf, const = node
+        return (next(leaves) if has_leaf else None), const
     g, q_node, r_node = node
-    q_ct, q_const = _walk(engine, q_node, powers, leaf)
-    t_g = powers[g]
+    q_ct, q_const = _walk(engine, q_node, powers, leaves)
     if q_ct is None:
-        prod = engine.mul_plain(t_g, q_const, site="cheb-giant") if q_const != 0.0 else None
+        prod = engine.mul_plain(powers[g], q_const, site="cheb-giant")
     else:
         if q_const != 0.0:
             q_ct = engine.add_plain(q_ct, q_const)
-        prod = engine.mul(q_ct, t_g, site="cheb-giant")
-    r_ct, r_const = _walk(engine, r_node, powers, leaf)
-    if prod is None:
-        return r_ct, r_const
-    if r_ct is None:
-        return prod, r_const
-    return engine.add(prod, r_ct), r_const
+        prod = engine.mul(q_ct, powers[g], site="cheb-giant")
+    r_ct, r_const = _walk(engine, r_node, powers, leaves)
+    return (prod if r_ct is None else engine.add(prod, r_ct)), r_const
 
 
 def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ciphertext:
@@ -329,11 +340,12 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     call builds the powers first: the baby-step powers the leaves read, as
     rows of one array, then the giant powers and whatever lower powers those
     need, which it releases unless read.  The walk of the giant-step tree
-    issues the leaves ``_LEAF_BATCH`` at a time when it first needs one: a
-    leaf is its charged scalar ``mul_plain`` products and one n-ary ``add``
-    of them.  One ``HESimulator.realise`` computes each batch: one BLAS
-    product over the rows, in column tiles, which reads every power once per
-    batch rather than once per term.
+    takes its leaves in turn from a stream, which computes ``_LEAF_BATCH`` of
+    them when the walk first needs one: a leaf is its charged scalar
+    ``mul_plain`` products and one n-ary ``add`` of them.  One
+    ``HESimulator.realise`` computes each batch: one BLAS product over the
+    rows, in column tiles, which reads every power once per batch rather
+    than once per term.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
@@ -343,21 +355,7 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     m = max(1, math.ceil(math.log2(deg + 1)))
     plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
     powers = _powers(engine, x, poly.interval, plan.baby, plan.giants)
-    issued: dict[int, Ciphertext] = {}
-
-    def leaf(j: int) -> Ciphertext:
-        if j not in issued:
-            batch = range(j, min(j + _LEAF_BATCH, len(plan.leaves)))
-            sums = []
-            for k in batch:
-                products = [engine.mul_plain(powers[i], c, site="cheb-leaf") for i, c in plan.leaves[k]]
-                sums.append(engine.add(*products) if len(products) > 1 else products[0])
-            issued.update(zip(batch, engine.realise(sums)))
-        return issued.pop(j)
-
-    ct, const = _walk(engine, plan.tree, powers, leaf)
-    if ct is None:
-        return engine.ideal_map(lambda s: np.full_like(s, const), x, site="cheb-constant")
+    ct, const = _walk(engine, plan.tree, powers, _leaves(engine, plan, powers))
     if const != 0.0:
         ct = engine.add_plain(ct, const)
     return ct
@@ -489,15 +487,19 @@ def indicator_kernel(
     return ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))
 
 
+def quarter_equality(engine: HESimulator, c: Ciphertext, site: str) -> Ciphertext:
+    """c*(1-c), one ct-ct product: 1/4 where the comparison ``c`` reads a tie, 0 where it reads 0 or 1."""
+    engine.share(c)  # read by both factors
+    return engine.mul(c, engine.add_plain(engine.negate(c), 1.0), site=site)
+
+
 def equality_from_compare(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     """Map a comparison matrix to an equality matrix: 4*c*(1-c).
 
     Sends 0 and 1 to 0 and the tie value 0.5 to 1, costing one
     ciphertext-ciphertext and one ciphertext-plaintext multiplication.
     """
-    engine.share(c)  # read by both factors
-    complement = engine.add_plain(engine.negate(c), 1.0)
-    return engine.mul_plain(engine.mul(c, complement, site="equality"), 4.0, site="equality")
+    return engine.mul_plain(quarter_equality(engine, c, "equality"), 4.0, site="equality")
 
 
 def goldschmidt_inverse(

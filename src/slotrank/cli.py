@@ -171,13 +171,6 @@ def _obtain_values(args) -> np.ndarray:
     return values
 
 
-def _by_fractional_rank(query: StatisticQuery) -> bool:
-    """Whether the statistic selects by fractional rank: kth, median and a
-    percentile strictly inside (0, 100); min and max find tied extremes
-    whatever the flag."""
-    return query.kind in ("kth", "median") or (query.kind == "percentile" and 0.0 < query.p < 100.0)
-
-
 def _stat_oracle(query: StatisticQuery, values: np.ndarray) -> float:
     if query.kind == "median":
         return reference.median_value(values)
@@ -207,8 +200,9 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
     statistic from slot 0.
     Ranks are scored against the fractional or, with tie correction, the
     corrected ranks of the scaled input; values against the input itself.
-    Tied input without tie correction raises ``ValueError`` for a sort and
-    for a statistic selected by fractional rank, whose output would be wrong.
+    Tied input without tie correction raises ``ValueError`` for a sort, and
+    for a statistic whose tied rank falls outside the window of target ranks,
+    whose output would be wrong.
     """
     scale = _make_scale(values)
     scaled = scale.forward(values)
@@ -227,11 +221,6 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
     else:
         # the kind decides which of k and p is read; bench has neither flag
         query = StatisticQuery(task, k=getattr(args, "k", None), p=getattr(args, "p", None))
-        if not args.tie_correction and _by_fractional_rank(query) and np.unique(scaled).size < n:
-            raise ValueError(
-                f"stat {task}: input has tied values but tie_correction=False; a tied rank "
-                "can fall between the rank windows and select nothing, so enable tie_correction"
-            )
         ct = multi_statistic(engine, block_split(engine, scaled), query, cfg, tie_correction=args.tie_correction)
         output = scale.back(engine.decrypt(ct)[:1])
         oracle = _stat_oracle(query, values)

@@ -22,13 +22,13 @@ Cost model:
   linear combination of slot vectors, and charge their additions (negation
   is free); only an op on computed operands computes at once.  ``add``
   takes n operands and charges n - 1 additions, as the left fold of binary
-  adds would.  A lone read of a pending sum's ``slots`` folds its terms
-  left to right, which gives the same doubles as the eager chain of
-  products and additions, signed zeros included; ``copy_into`` folds one
-  straight into a row of a 2D array, and ``realise`` computes a batch of
-  pending sums over such rows as one BLAS product, in column tiles, which
-  rounds each slot within a few ulps of sum_i |scale_i * base_i| of the
-  fold;
+  adds would, so ``add(x)`` is ``x``, uncharged.  A lone read of a pending
+  sum's ``slots`` folds its terms left to right, which gives the same
+  doubles as the eager chain of products and additions, signed zeros
+  included; ``copy_into`` folds one straight into the row of a 2D array it
+  is told, and ``realise`` computes a batch of pending sums over such rows
+  as one BLAS product, in column tiles, which rounds each slot within a few
+  ulps of sum_i |scale_i * base_i| of the fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot, but on a noisy engine it returns its noise-free value and
   *owes* that noise, as a one-term pending sum, until something reads it.
@@ -242,10 +242,10 @@ def _fold(terms: tuple, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class _Row(weakref.ref):
-    """A weak reference to a full row of a C-contiguous 2D array, with the
-    ``id`` it is known by and its ``index`` in the array."""
+    """A weak reference to row ``index`` of the 2D array ``rows``, with the
+    ``id`` it is known by."""
 
-    __slots__ = ("key", "index")
+    __slots__ = ("key", "rows", "index")
 
 
 # Columns of one matmul in ``HESimulator.realise``: a tile of the rows it reads
@@ -280,9 +280,9 @@ class HESimulator:
         # the noise variance, in units of sigma^2, a charged op owes: none
         # on a noise-free engine
         self._op_noise = 1.0 if params.noise_sigma > 0 else 0.0
-        self.trace: list[int] = []
-        # each base realise has met that is a row of a 2D array, by id; an
-        # entry goes when its base does
+        self._trace: list[int] = []
+        # each row ``copy_into`` has filled, by id; an entry goes when its
+        # row does
         rows: dict[int, _Row] = {}
         self._rows, self._forget_row = rows, lambda ref: rows.pop(ref.key, None)
         self._reset_counters()
@@ -330,16 +330,19 @@ class HESimulator:
     # arithmetic
     # ------------------------------------------------------------------
 
-    def add(self, x: Ciphertext, y: Ciphertext, *more: Ciphertext) -> Ciphertext:
-        """``x + y + ...``, charged one addition per ``+``.
+    def add(self, x: Ciphertext, *more: Ciphertext) -> Ciphertext:
+        """``x + ...``, charged one addition per ``+``; ``add(x)`` alone is
+        ``x`` itself, uncharged, as a zero rotation is.
 
         The same doubles, level, rotation chain and owed noise as the left
         fold ``add(add(x, y), ...)`` of binary adds, with the same operands
         spent, without building its intermediate sums.
         """
-        self._check(x, y, *more)
-        self._adds += 1 + len(more)
-        return self._sum(x, (y, *more), 1.0)
+        self._check(x, *more)
+        if not more:
+            return x
+        self._adds += len(more)
+        return self._sum(x, more, 1.0)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
@@ -402,7 +405,7 @@ class HESimulator:
         self._rotations += 1
         if chain > self._critical:
             self._critical = chain
-        self.trace.append(k_eff)
+        self._trace.append(k_eff)
         return self._emit(slots, x.level, chain)
 
     def ideal_map(self, fn, *cts: Ciphertext, levels: int = 0, site: str = "ideal_map") -> Ciphertext:
@@ -422,19 +425,22 @@ class HESimulator:
             raise ValueError("ideal_map function must preserve the slot shape")
         return self._emit(slots, level, max(c.rot_chain for c in cts))
 
-    def copy_into(self, ct: Ciphertext, row: np.ndarray) -> Ciphertext:
-        """``ct`` written into ``row``, say a row of a 2D array, as a read-only
-        ciphertext at its level and rotation chain; charges nothing.
+    def copy_into(self, ct: Ciphertext, rows: np.ndarray, i: int) -> Ciphertext:
+        """``ct`` written into row ``i`` of the 2D array ``rows``, as a
+        read-only ciphertext at its level and rotation chain; charges nothing.
 
-        A pending sum that owes no noise is folded straight into ``row``, to
+        A pending sum that owes no noise is folded straight into the row, to
         the doubles a read gives, and stays pending; anything else is read
-        and copied.
+        and copied.  While the row lives, ``realise`` knows it as row ``i``.
         """
         self._check(ct)
+        row = rows[i]
         if ct.pending is not None and not ct.owed:
             _fold(ct.pending, out=row)
         else:
             np.copyto(row, ct.slots)
+        memo = self._rows[id(row)] = _Row(row, self._forget_row)
+        memo.key, memo.rows, memo.index = id(row), rows, i
         return Ciphertext(row, ct.level, ct.rot_chain, self.params)
 
     def realise(self, cts: list[Ciphertext]) -> list[Ciphertext]:
@@ -444,8 +450,8 @@ class HESimulator:
         owes no noise then reads as a read-only ciphertext, as a read leaves
         it.  One that owes noise keeps owing it, as the one term of scale 1 of
         a pending sum: the noise is drawn when the value is read, or joins
-        the op that takes it over.  If every base of the sums is a row of one
-        2D array, as ``copy_into`` leaves them, the batch is one product of
+        the op that takes it over.  If every base of the sums is a row that
+        ``copy_into`` filled, all of one 2D array, the batch is one product of
         the matrix of their scales by that array, written into one block
         ``_COLUMN_TILE`` columns at a time: it reads each base once, copies
         none, and rounds each slot within a few ulps of
@@ -509,11 +515,11 @@ class HESimulator:
 
     def cost_reset(self):
         self._reset_counters()
-        self.trace = []
+        self._trace = []
 
     def rotation_offsets(self) -> list[int]:
         """Effective offsets of all counted rotations, in issue order."""
-        return list(self.trace)
+        return list(self._trace)
 
     # ------------------------------------------------------------------
     # internals
@@ -535,40 +541,21 @@ class HESimulator:
 
     def _scales_over_rows(self, sums: list) -> tuple[np.ndarray, np.ndarray] | None:
         """The matrix of the pending ``sums``' scales over the rows of the one
-        C-contiguous 2D array every base is a full row of, and that array;
-        None if there is no such array."""
+        2D array every base is a ``copy_into`` row of, and that array; None if
+        there is no such array."""
         scales = array = None
         for r, ct in enumerate(sums):
             for base, scale in ct.pending:
                 row = self._rows.get(id(base))
                 if row is None or row() is not base:
-                    row = self._find_row(base)
-                    if row is None:
-                        return None
+                    return None
                 if array is None:
-                    array = base.base
+                    array = row.rows
                     scales = np.zeros((len(sums), len(array)))
-                elif base.base is not array:
+                elif row.rows is not array:
                     return None
                 scales[r, row.index] += scale
         return None if array is None else (scales, array)
-
-    def _find_row(self, base) -> _Row | None:
-        """``base``'s row if it is a full row of a C-contiguous 2D array, else
-        None; remembered for as long as ``base`` lives, so that the address of
-        each row is read once, not once per batch."""
-        array = getattr(base, "base", None)  # a plaintext scalar base has none
-        if not (
-            isinstance(array, np.ndarray) and array.ndim == 2 and array.flags.c_contiguous
-            and base.shape == array.shape[1:] and base.flags.c_contiguous
-        ):
-            return None
-        index, offset = divmod(base.ctypes.data - array.ctypes.data, array.strides[0])
-        if offset:
-            return None
-        row = self._rows[id(base)] = _Row(base, self._forget_row)
-        row.key, row.index = id(base), index
-        return row
 
     def _plain_operand(self, p) -> float | np.ndarray:
         """A Python or numpy scalar as a float, which broadcasts to the same

@@ -5,7 +5,9 @@ An N x N matrix lives row by row in the first N^2 slots of a ciphertext
 eight building blocks used by the ranking pipelines: row/column masking,
 row/column summation, row/column replication, and the log-cost vector
 transposes.  All of them need exactly log2(N) rotations (transposes
-ceil(log2 N)); masks are cached plaintext vectors.
+ceil(log2 N)), each a rotate-and-add step of one loop.  Masks are cached
+plaintext vectors; ``grid_plain`` lays them out, and every other plaintext
+grid of the pipelines.
 
 Slots beyond N^2 must be zero on entry; every primitive that rotates data
 across that boundary ends with a mask, so pipelines built from these
@@ -45,15 +47,20 @@ class MatrixLayout:
         return self.n_dim.bit_length() - 1
 
 
-@lru_cache(maxsize=None)
-def _line_mask(n_dim: int, slot_count: int, axis: str, k: int) -> np.ndarray:
+def grid_plain(slot_count: int, grid: np.ndarray) -> np.ndarray:
+    """The N x N ``grid`` laid out row by row in a read-only plaintext of
+    ``slot_count`` slots, zero beyond N^2."""
     m = np.zeros(slot_count)
-    if axis == "row":
-        m[k * n_dim : (k + 1) * n_dim] = 1.0
-    else:
-        m[k : n_dim * n_dim : n_dim] = 1.0
+    m[: grid.size] = grid.ravel()
     m.setflags(write=False)
     return m
+
+
+@lru_cache(maxsize=None)
+def _line_mask(n_dim: int, slot_count: int, axis: str, k: int) -> np.ndarray:
+    grid = np.zeros((n_dim, n_dim))
+    grid[k] = 1.0
+    return grid_plain(slot_count, grid if axis == "row" else grid.T)
 
 
 def _check_axis(axis: str):
@@ -70,6 +77,14 @@ def mask(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str, k:
     return engine.mul_plain(x, plain, site=f"mask-{axis}-{k}")
 
 
+def _rotate_sum(engine: HESimulator, x: Ciphertext, offsets) -> Ciphertext:
+    """``x`` plus its rotation by the first offset, that sum plus its rotation
+    by the second, and so on."""
+    for k in offsets:
+        x = engine.add(x, engine.rotate(x, k))
+    return x
+
+
 def sum_axis(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str) -> Ciphertext:
     """Fold the matrix along ``axis``.
 
@@ -78,10 +93,7 @@ def sum_axis(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str
     """
     _check_axis(axis)
     step = layout.n_dim if axis == "row" else 1
-    acc = x
-    for i in range(layout.steps):
-        acc = engine.add(acc, engine.rotate(acc, step << i))
-    return mask(engine, acc, layout, axis, 0)
+    return mask(engine, _rotate_sum(engine, x, [step << i for i in range(layout.steps)]), layout, axis, 0)
 
 
 def replicate(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str) -> Ciphertext:
@@ -92,10 +104,7 @@ def replicate(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: st
     """
     _check_axis(axis)
     step = layout.n_dim if axis == "row" else 1
-    acc = x
-    for i in range(layout.steps):
-        acc = engine.add(acc, engine.rotate(acc, -(step << i)))
-    return acc
+    return _rotate_sum(engine, x, [-(step << i) for i in range(layout.steps)])
 
 
 def transpose_vector(
@@ -109,10 +118,6 @@ def transpose_vector(
     """
     if direction not in ("row_to_col", "col_to_row"):
         raise ValueError(f"unknown transpose direction {direction!r}")
-    n = layout.n_dim
-    acc = x
-    for i in range(1, layout.steps + 1):
-        offset = n * (n - 1) >> i
-        acc = engine.add(acc, engine.rotate(acc, -offset if direction == "row_to_col" else offset))
-    axis = "col" if direction == "row_to_col" else "row"
-    return mask(engine, acc, layout, axis, 0)
+    n, sign = layout.n_dim, -1 if direction == "row_to_col" else 1
+    acc = _rotate_sum(engine, x, [sign * (n * (n - 1) >> i) for i in range(1, layout.steps + 1)])
+    return mask(engine, acc, layout, "col" if direction == "row_to_col" else "row", 0)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import KernelConfig, compare_ge_kernel, compare_gt_kernel, compare_kernel
+from .chebyshev import KernelConfig, compare_ge_kernel, compare_gt_kernel, compare_kernel, quarter_equality
 from .engine import CapacityError, Ciphertext, HESimulator
-from .matrix import MatrixLayout, replicate, sum_axis, transpose_vector
+from .matrix import MatrixLayout, grid_plain, replicate, sum_axis, transpose_vector
 
 __all__ = [
     "RankResult",
@@ -84,6 +84,12 @@ class BlockVector:
             return self.block_size
         return self.total_len - (len(self.blocks) - 1) * self.block_size
 
+    def cleartext(self) -> np.ndarray:
+        """The entries, read in the clear, as the simulator can."""
+        return np.concatenate(
+            [blk.slots[: self.valid_in(i) * self.stride : self.stride] for i, blk in enumerate(self.blocks)]
+        )
+
 
 @dataclass
 class MultiRankPipeline:
@@ -96,29 +102,22 @@ class MultiRankPipeline:
 
 @lru_cache(maxsize=None)
 def _prefix_vector(slot_count: int, n_dim: int, count: int, value: float) -> np.ndarray:
-    v = np.zeros(slot_count)
-    v[0 : count * n_dim : n_dim] = value
-    v.setflags(write=False)
-    return v
+    grid = np.zeros((n_dim, n_dim))
+    grid[:count, 0] = value
+    return grid_plain(slot_count, grid)
 
 
 @lru_cache(maxsize=None)
 def _pad_mask(slot_count: int, n_dim: int, rows: int, cols: int) -> np.ndarray:
-    m = np.zeros(slot_count)
     grid = np.zeros((n_dim, n_dim))
     grid[:rows, :cols] = 1.0
-    m[: n_dim * n_dim] = grid.ravel()
-    m.setflags(write=False)
-    return m
+    return grid_plain(slot_count, grid)
 
 
 @lru_cache(maxsize=None)
 def _tie_cell_mask(slot_count: int, n_dim: int) -> np.ndarray:
     rows, cols = np.indices((n_dim, n_dim))
-    m = np.zeros(slot_count)
-    m[: n_dim * n_dim] = np.where(cols <= rows, 2.0, -2.0).ravel()
-    m.setflags(write=False)
-    return m
+    return grid_plain(slot_count, np.where(cols <= rows, 2.0, -2.0))
 
 
 def read_row(engine: HESimulator, ct: Ciphertext, count: int) -> np.ndarray:
@@ -210,12 +209,12 @@ def multi_rank_pipeline(
             cross[(i, j)] = _strict(engine, c) if tie_correction else c
         # summed into block i's ranks here and block j's later
         engine.share(*(cross[(i, j)] for j in range(i + 1, count)))
-        own = reduce(engine.add, (cross[(i, j)] for j in range(i + 1, count)), comparisons[(i, i)])
+        own = engine.add(comparisons[(i, i)], *[cross[(i, j)] for j in range(i + 1, count)])
         if tie_correction:
             own = engine.add(own, tie_offset(engine, comparisons[(i, i)], layout))
         ranks = sum_axis(engine, own, layout, "col")
         if i > 0:
-            earlier = reduce(engine.add, (cross.pop((j, i)) for j in range(i)))
+            earlier = engine.add(*[cross.pop((j, i)) for j in range(i)])
             folded = sum_axis(engine, earlier, layout, "row")
             ranks = engine.sub(ranks, transpose_vector(engine, folded, layout, "row_to_col"))
         shift = bias + i * b - (0.5 if tie_correction else 0.0)
@@ -294,9 +293,7 @@ def tie_offset(engine: HESimulator, cmp_matrix: Ciphertext, layout: MatrixLayout
     shift, so the offset costs no rotation.  The cells cost one ct-ct and
     one ct-pt product, two levels on top of the comparison matrix.
     """
-    engine.share(cmp_matrix)  # read by both factors of the equality
-    complement = engine.add_plain(engine.negate(cmp_matrix), 1.0)
-    quarter_eq = engine.mul(cmp_matrix, complement, site="tie-equality")
+    quarter_eq = quarter_equality(engine, cmp_matrix, "tie-equality")
     return engine.mul_plain(quarter_eq, _tie_cell_mask(layout.slot_count, layout.n_dim), site="tie-cells")
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+
+import numpy as np
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator
@@ -86,10 +87,28 @@ def _resolve(query: StatisticQuery, n: int, blocks: int, tie_correction: bool) -
     return "fractional", tie_correction, k, k
 
 
+def _require_selectable(values, first: int, last: int):
+    """Without tie correction a tie group at sorted positions a..b shares rank
+    (a+b)/2, and the window selects the statistic exactly when every group
+    holding a target position has that rank inside (first-1/2, last+1/2).
+    The simulator sees the cleartext, so it raises ``ValueError`` if not."""
+    ordered = np.sort(values)
+    targets = ordered[first - 1 : last]
+    shared = (np.searchsorted(ordered, targets, "left") + np.searchsorted(ordered, targets, "right") + 1) / 2
+    for p, rank in enumerate(shared, start=first):
+        if not first - 0.5 < rank < last + 0.5:
+            raise ValueError(
+                f"multi_statistic: sorted position {p} shares the tied rank {rank:g}, outside the window of "
+                f"target ranks {first}..{last}, so tie_correction=False would miss its value; enable tie_correction"
+            )
+
+
 def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, list[Ciphertext]]:
     """The ranking of ``bv`` and one window mask per block."""
     n = bv.total_len
     comparison, correct, first, last = _resolve(query, n, len(bv.blocks), tie_correction)
+    if comparison == "fractional" and not correct:
+        _require_selectable(bv.cleartext(), first, last)
     pipe = multi_rank_pipeline(engine, bv, cfg, comparison=comparison, tie_correction=correct)
     # open window: a half-integer fractional rank sitting exactly on the
     # edge (an uncorrected tie) belongs to no target rank.  The fit range
@@ -104,8 +123,8 @@ def _value_from_masks(engine, sels, pipe: MultiRankPipeline, n) -> Ciphertext:
     # each mask and its block's replicated input share column 0; folding the
     # rows of the sums over blocks lands both sums in slot 0
     products = [engine.mul(sel, rep, site="statistic-inner-product") for sel, rep in zip(sels, pipe.col_replicated)]
-    numerator = sum_axis(engine, reduce(engine.add, products), pipe.layout, "row")
-    norm = sum_axis(engine, reduce(engine.add, sels), pipe.layout, "row")
+    numerator = sum_axis(engine, engine.add(*products), pipe.layout, "row")
+    norm = sum_axis(engine, engine.add(*sels), pipe.layout, "row")
     inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _goldschmidt_iters(n))
     return engine.mul(numerator, inv, site="statistic-normalise")
 
@@ -118,11 +137,13 @@ def multi_statistic(
     *,
     tie_correction: bool = True,
 ) -> Ciphertext:
-    """Value of the queried statistic of a block vector, in slot 0; zero if no rank matches.
+    """Value of the queried statistic of a block vector, in slot 0.
 
-    Without tie correction a tied rank can be unoccupied and select nothing.
-    An even-length median selects both middle ranks with one window, and the
-    normalisation by the mask norm, 2, averages them.
+    Without tie correction a tie group shares its mean position as its rank,
+    which can fall outside the window of target ranks; such an input raises
+    ``ValueError`` rather than select a wrong value.  An even-length median
+    selects both middle ranks with one window, and the normalisation by the
+    mask norm, 2, averages them.
     """
     pipe, sels = _select(engine, bv, query, cfg, tie_correction)
     return _value_from_masks(engine, sels, pipe, bv.total_len)
@@ -140,8 +161,9 @@ def order_statistic_mask(
     """Column-0 selection mask: 1 in the positions whose rank is the queried one
     (both middle ranks, for an even-length median).
 
-    With tie correction the mask has one 1 per target rank; without it,
-    elements of an unoccupied fractional rank are simply missed.
+    With tie correction the mask has one 1 per target rank; without it, a
+    target's whole tie group shares its rank and is selected, and an input
+    whose tied rank falls outside the target window raises ``ValueError``.
     """
     pipe, (sel,) = _select(engine, one_block(engine, ct, n), query, cfg, tie_correction)
     return StatisticMask(sel, pipe.layout)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator
-from .matrix import MatrixLayout, replicate, sum_axis
+from .matrix import MatrixLayout, grid_plain, replicate, sum_axis
 from .ranking import BlockVector, multi_rank_pipeline, rank_pipeline
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
@@ -48,10 +48,7 @@ class SortResult:
 def _neg_rank_targets(slot_count: int, n_dim: int, start: int) -> np.ndarray:
     # column c of the plain matrix holds -(start+c); -0.0 outside the
     # matrix, as negating the targets gives
-    block = np.tile(np.arange(start, start + n_dim, dtype=np.float64), (n_dim, 1))
-    m = np.zeros(slot_count)
-    m[: n_dim * n_dim] = block.ravel()
-    m = -m
+    m = -grid_plain(slot_count, np.tile(np.arange(start, start + n_dim, dtype=np.float64), (n_dim, 1)))
     m.setflags(write=False)
     return m
 
@@ -80,13 +77,11 @@ def _place(engine, ranks, replicated, layout, kernel_cfg):
     values = []
     for i in range(count):
         neg_targets = _neg_rank_targets(layout.slot_count, b, start=b * i + 1)
-        acc = None
+        placed = []
         for j in range(count):
-            shifted = engine.add_plain(spread[j], neg_targets)
-            selection = indicator_kernel(engine, shifted, -0.5, 0.5, window_cfg)
-            placed = engine.mul(selection, replicated[j], site="sort-place")
-            acc = placed if acc is None else engine.add(acc, placed)
-        values.append(sum_axis(engine, acc, layout, "row"))
+            selection = indicator_kernel(engine, engine.add_plain(spread[j], neg_targets), -0.5, 0.5, window_cfg)
+            placed.append(engine.mul(selection, replicated[j], site="sort-place"))
+        values.append(sum_axis(engine, engine.add(*placed), layout, "row"))
     return values, selection
 
 
@@ -119,10 +114,7 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
     Without tie_correction, tied input values raise ``ValueError``.
     """
     if not cfg.tie_correction:
-        _require_distinct(
-            np.concatenate([blk.slots[: bv.valid_in(i)] for i, blk in enumerate(bv.blocks)]),
-            "multi_sort",
-        )
+        _require_distinct(bv.cleartext(), "multi_sort")
     ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction)
     values, _ = _place(engine, ranking.ranks.blocks, ranking.col_replicated, ranking.layout, cfg.kernel)
     return BlockVector(blocks=tuple(values), block_size=bv.block_size, total_len=bv.total_len)

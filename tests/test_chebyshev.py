@@ -184,6 +184,21 @@ def test_ps_eval_matches_scalar_clenshaw_random_degrees():
         assert np.max(np.abs(out - npcheb.chebval(xs, coeffs))) < 1e-8
 
 
+def test_ps_eval_matches_clenshaw_on_sparse_polynomials():
+    # zero coefficients leave leaves without terms and remainders of zero;
+    # a quotient never vanishes, since its top coefficient is c_d or 2 c_d
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-1, 1, 32)
+    for _ in range(400):
+        d = int(rng.integers(1, 301))
+        coeffs = rng.uniform(-1, 1, d + 1)
+        coeffs[rng.random(d + 1) < rng.uniform(0.0, 0.95)] = 0.0
+        poly = ChebyshevPolynomial(interval=(-1.0, 1.0), coeffs=tuple(coeffs))
+        eng = make_engine(slot_count=32)
+        out = eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly))
+        assert np.max(np.abs(out - cheb_eval(poly, xs))) < 1e-8, (d, np.flatnonzero(coeffs))
+
+
 def test_ps_eval_general_interval():
     rng = np.random.default_rng(3)
     coeffs = rng.uniform(-1, 1, 21)

@@ -104,7 +104,7 @@ def test_stat_on_ties_without_correction_fails(tmp_path, capsys):
     for stat in (["median"], ["kth", "--k", "3"], ["percentile", "--p", "50"]):
         code, out, cost = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
         assert code == EXIT_INPUT, stat
-        assert f"stat {stat[0]}" in capsys.readouterr().err
+        assert "multi_statistic: sorted position 3 shares the tied rank 2.5" in capsys.readouterr().err
         assert not out.exists() and not cost.exists()
     code, out, _ = run(tmp_path, "stat", "--stat", "median", "--input", str(path))
     assert code == EXIT_OK
@@ -113,6 +113,19 @@ def test_stat_on_ties_without_correction_fails(tmp_path, capsys):
         code, out, _ = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
         assert code == EXIT_OK, stat
         assert out.read_text().splitlines()[1] == value
+
+
+@pytest.mark.parametrize(
+    "text,stat,value",
+    [("0.1,0.2,0.2,0.4", ["median"], "0.2"), ("0.1,0.5,0.5,0.5,0.9", ["kth", "--k", "3"], "0.5")],
+)
+def test_stat_on_ties_without_correction_runs_when_the_window_holds_them(tmp_path, text, stat, value):
+    # the tied ranks 2.5 and 3 sit inside the windows (1.5, 3.5) and (2.5, 3.5)
+    path = tmp_path / "tied.csv"
+    path.write_text(text + "\n")
+    code, out, _ = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
+    assert code == EXIT_OK
+    assert out.read_text().splitlines()[1] == value
 
 
 def test_stat_percentile(tmp_path, tied_vector):

@@ -380,7 +380,8 @@ def test_pending_sum_is_charged_at_each_add():
 
 def encrypt_as_rows(eng, vs):
     """``vs`` encrypted as the rows of one 2D array, as ``copy_into`` fills them."""
-    return [eng.copy_into(eng.encrypt(v), row) for v, row in zip(vs, np.empty((len(vs), eng.params.slot_count)))]
+    rows = np.empty((len(vs), eng.params.slot_count))
+    return [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate(vs)]
 
 
 def test_realise_matches_fold_within_rounding():
@@ -428,7 +429,7 @@ def test_copy_into_keeps_the_ciphertext_and_charges_nothing():
     pending = eng.mul_plain(deep, SCALE)
     rows = np.empty((2, n))
     before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
-    copies = [eng.copy_into(ct, row) for ct, row in zip((deep, pending), rows)]
+    copies = [eng.copy_into(ct, rows, i) for i, ct in enumerate((deep, pending))]
     assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
     assert pending.pending is not None  # folded straight into its row, so not read
     for src, copy, row in zip((deep, pending), copies, rows):
@@ -442,8 +443,8 @@ def test_copy_into_keeps_the_ciphertext_and_charges_nothing():
 
 
 def test_realise_finds_rows_of_a_new_array_whose_views_reuse_old_ids():
-    # realise remembers each row's index while the row lives; rows of later
-    # arrays, whose views may take the ids of dead ones, are found afresh
+    # copy_into records each row's index while the row lives; rows of later
+    # arrays, whose views may take the ids of dead ones, are recorded afresh
     import gc
 
     eng = make_engine(slot_count=256)
@@ -553,7 +554,7 @@ def test_copy_into_folds_a_pending_power_into_its_row(even):
     eager = (a * b + a * b) + -1.0 if even else (a * b + a * b) - c
     before = eng.cost_snapshot()
     rows = np.zeros((3, n))
-    copy = eng.copy_into(power, rows[1])
+    copy = eng.copy_into(power, rows, 1)
     assert eng.cost_snapshot() == before
     assert same_doubles(copy.slots, eager) and same_doubles(rows[1], eager)
     assert (copy.level, copy.rot_chain) == (power.level, power.rot_chain)
@@ -856,6 +857,17 @@ def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
     else:
         for ct, ref_ct in zip(ops, ref_ops):
             assert same_doubles(ct.slots, ref_ct.slots)
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+def test_add_of_one_operand_is_that_operand_uncharged(sigma):
+    # as a zero rotation is: a sum over a list of one needs no branch
+    eng = make_engine(slot_count=16, sigma=sigma)
+    v = np.arange(16.0)
+    for x in (eng.encrypt(v), eng.mul_plain(eng.encrypt(v), SCALE)):
+        before, owed = eng.cost_snapshot(), x.owed
+        assert eng.add(x) is x
+        assert eng.cost_snapshot() == before and x.owed == owed
 
 
 def test_rotate_matches_roll_and_is_fresh_and_read_only():

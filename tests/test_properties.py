@@ -8,6 +8,8 @@ and the last block is padded whenever the length is not a multiple of the
 block side.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from slotrank import (
     multi_statistic,
 )
 from slotrank import reference
+from slotrank import select as select_module
 
 IDEAL = KernelConfig(mode="ideal", degree=256)
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -80,3 +83,37 @@ def test_tie_corrected_multi_statistic_matches_the_oracle(case, data):
         eng, bv = split(values, slot_count)
         out = eng.decrypt(multi_statistic(eng, bv, query, IDEAL, tie_correction=True))[0]
         assert out == pytest.approx(want, rel=1e-13, abs=0), (query, n)
+
+
+@PROPERTY
+@given(block_vectors(), st.data())
+def test_uncorrected_statistic_raises_exactly_when_it_would_be_wrong(case, data):
+    # without tie correction a tie group shares one rank, which can leave the
+    # window of target ranks; the call must raise when, and only when, the
+    # unchecked circuit's value differs from the oracle.  Values stay off
+    # zero, which a window that selects nothing also reads
+    values, slot_count = case
+    values = 0.5 + values / 2
+    n = values.size
+    query, want = data.draw(
+        st.one_of(
+            st.just((StatisticQuery("median"), reference.median_value(values))),
+            st.integers(1, n).map(lambda k: (StatisticQuery("kth", k=k), reference.kth_smallest(values, k))),
+            st.floats(1.0, 99.0).map(
+                lambda p: (StatisticQuery("percentile", p=p), reference.percentile_value(values, p))
+            ),
+        )
+    )
+
+    def run():
+        eng, bv = split(values, slot_count)
+        return float(eng.decrypt(multi_statistic(eng, bv, query, IDEAL, tie_correction=False))[0])
+
+    with mock.patch.object(select_module, "_require_selectable", lambda *args: None):
+        wrong = run() != pytest.approx(want, rel=1e-13)
+    try:
+        out = run()
+    except ValueError as exc:
+        assert wrong and "multi_statistic: sorted position" in str(exc)
+    else:
+        assert not wrong and out == pytest.approx(want, rel=1e-13)

@@ -85,16 +85,13 @@ def test_min_of_constant_vector_divides_by_multiplicity():
     assert abs(out - 0.7) < 1e-6
 
 
-def test_unoccupied_rank_yields_zero_without_correction():
+def test_unoccupied_rank_raises_without_correction():
+    # the tied pair shares rank 2.5, on the edge of the window (1.5, 2.5):
+    # uncorrected, the window would select nothing and read 0.0
     eng = make_engine(16)
     v = [0.10, 0.20, 0.20, 0.40]
-    out = value_of(
-        eng,
-        order_statistic_value(
-            eng, eng.encrypt(v), 4, StatisticQuery("kth", k=2), IDEAL, tie_correction=False
-        ),
-    )
-    assert out == 0.0
+    with pytest.raises(ValueError, match="multi_statistic: sorted position 2 shares the tied rank 2.5"):
+        order_statistic_value(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=2), IDEAL, tie_correction=False)
     with_fix = value_of(
         eng, order_statistic_value(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=2), IDEAL)
     )
@@ -270,6 +267,32 @@ def _oracle(query, v):
     if query.kind == "percentile":
         return reference.percentile_value(v, query.p)
     return reference.kth_smallest(v, {"min": 1, "max": v.size}.get(query.kind, query.k))
+
+
+# three 4x4 blocks in 16 slots, the last one padded, with ties inside and
+# across blocks: the input of the pinned tie-corrected multi_rank circuit
+PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
+
+
+@pytest.mark.parametrize("kind", ["median", "min"])
+@pytest.mark.parametrize(
+    "kernel, report",
+    [
+        (IDEAL, CostReport(rotations=36, ctct_mults=28, ctpt_mults=16, additions=71,
+                           cmp_evals=6, ind_evals=3, levels_consumed=35, critical_rotations=10)),
+        (PINNED_CHEB, CostReport(rotations=36, ctct_mults=169, ctpt_mults=388, additions=620,
+                                 cmp_evals=6, ind_evals=3, levels_consumed=33, critical_rotations=10)),
+    ],
+    ids=["ideal", "chebyshev"],
+)
+def test_multi_block_statistic_circuit_is_pinned(kind, kernel, report):
+    # the masks and the inner products of the blocks are each one add
+    eng = make_engine(16)
+    out = multi_statistic(eng, block_split(eng, PINNED_BLOCKS), StatisticQuery(kind), kernel)
+    if kernel.mode == "ideal":
+        assert value_of(eng, out) == pytest.approx(_oracle(StatisticQuery(kind), PINNED_BLOCKS), rel=1e-13)
+    assert eng.cost_snapshot() == report
+    assert len(eng.rotation_offsets()) == report.rotations
 
 
 def test_multi_block_statistics_match_the_oracle():

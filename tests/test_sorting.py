@@ -194,6 +194,32 @@ def test_tie_corrected_rotations_follow_the_closed_forms(blocks):
     assert sorted_.cost_snapshot().rotations == (8 * blocks - 2) * log_b
 
 
+# three 4x4 blocks in 16 slots, the last one padded, with ties inside and
+# across blocks: the input of the pinned tie-corrected multi_rank circuit
+PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
+
+
+@pytest.mark.parametrize(
+    "kernel, report",
+    [
+        (IDEAL, CostReport(rotations=44, ctct_mults=15, ctpt_mults=16, additions=79,
+                           cmp_evals=6, ind_evals=9, levels_consumed=24, critical_rotations=12)),
+        (KernelConfig(mode="chebyshev", degree=64),
+         CostReport(rotations=44, ctct_mults=240, ctpt_mults=448, additions=814,
+                    cmp_evals=6, ind_evals=9, levels_consumed=22, critical_rotations=12)),
+    ],
+    ids=["ideal", "chebyshev"],
+)
+def test_tie_corrected_multi_sort_circuit_is_pinned(kernel, report):
+    # each output block sums its placements over the rank blocks in one add
+    eng = make_engine(16, max_level=64)
+    out = block_merge(eng, multi_sort(eng, block_split(eng, PINNED_BLOCKS), cfg(kernel=kernel)))
+    if kernel.mode == "ideal":
+        assert np.array_equal(out, np.sort(PINNED_BLOCKS))
+    assert eng.cost_snapshot() == report
+    assert len(eng.rotation_offsets()) == report.rotations
+
+
 def test_multi_sort_with_ties_and_padding():
     rng = np.random.default_rng(33)
     eng = make_engine(16)
