@@ -19,7 +19,8 @@ Every kernel runs in one of two modes:
 The fitted targets keep their exact parity: the comparison step is odd
 about 1/2, and an indicator window centred in its fit interval (every
 sort placement window) is even.  Their other-parity coefficients are
-exactly zero, so the evaluator skips them and they cost nothing.
+exactly zero, so the evaluator skips them, and the basis polynomials of
+that parity are never built: they cost nothing.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ class KernelConfig:
 def kernel_depth(cfg: KernelConfig, kind: str = "compare") -> int:
     """Worst-case levels one kernel evaluation consumes under ``cfg``.
 
-    Ideal mode charges ceil(log2(d+1)); chebyshev mode adds two levels for
-    the input scaling and the final plaintext combination.
+    Ideal mode charges ceil(log2(d+1)); chebyshev mode adds two levels, for
+    the leaves' scalar products and for the scaling of the input onto the
+    fit interval, which a compare on a unit-length range does not pay.
     """
     d = cfg.degree if kind == "compare" else cfg.ind_degree
     base = math.ceil(math.log2(d + 1))
@@ -138,8 +140,9 @@ def cheb_fit(f, interval: tuple[float, float], degree: int) -> ChebyshevPolynomi
     """Interpolate ``f`` at the degree+1 Chebyshev nodes of the first kind.
 
     Returns the Chebyshev-basis coefficients of the unique degree-``degree``
-    interpolant on ``interval``.  The nodes avoid the interval endpoints, so
-    jump discontinuities in ``f`` are admissible targets.
+    interpolant on ``interval``, computed as one FFT of length 2(degree+1).
+    The nodes avoid the interval endpoints, so jump discontinuities in ``f``
+    are admissible targets.
     """
     a, b = interval
     if not (a < b):
@@ -157,8 +160,10 @@ def cheb_fit(f, interval: tuple[float, float], degree: int) -> ChebyshevPolynomi
         ys = np.array([float(f(float(t))) for t in nodes])
     if not np.all(np.isfinite(ys)):
         raise ValueError("target function produced non-finite values at the fit nodes")
-    k = np.arange(n)
-    coeffs = (2.0 / n) * (np.cos(np.outer(k, theta)) @ ys)
+    # c_k = (2/n) sum_j y_j cos(k theta_j) is a DCT-II of the node values:
+    # with V the FFT of y mirrored to length 2n, it is Re(e^{-i pi k / 2n} V_k) / n
+    spectrum = np.fft.rfft(np.concatenate((ys, ys[::-1])))[:n]
+    coeffs = (spectrum * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n
     coeffs[0] *= 0.5
     return ChebyshevPolynomial(interval=(float(a), float(b)), coeffs=tuple(coeffs))
 
@@ -223,18 +228,25 @@ def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tu
     """T_i from ``cache``, built there first if missing, into its row if
     ``rows`` gives it one, as (array, index).
 
-    Each T_i is built by index halving (T_{a+b} = 2 T_a T_b - T_{a-b}),
-    costing one ciphertext-ciphertext multiplication and giving T_i a
+    Each T_i is anchored at g, the largest power of two below i:
+    T_i = 2 T_g T_{i-g} - T_{2g-i}, with T_0 = 1 when i = 2g.  Both lower
+    indices have the parity of i, so an odd or even polynomial builds only
+    its own parity class and the powers of two.  Each T_i costs one
+    ciphertext-ciphertext multiplication and two additions and has a
     multiplication depth of ceil(log2 i).  The doubling and the subtraction
     are linear ops on a computed product, so T_i stays a pending sum until
-    ``copy_into`` folds it into its row in one pass, or a product reads it.
+    ``copy_into`` folds it into its row in one pass, or a product reads it;
+    a power with no row is shared, since several ops may read it.
     """
     if i not in cache:
-        hi, lo = (i + 1) // 2, i // 2
-        prod = engine.mul(_power(engine, cache, rows, hi), _power(engine, cache, rows, lo), site=f"cheb-power-{i}")
+        g = 1 << ((i - 1).bit_length() - 1)
+        prod = engine.mul(_power(engine, cache, rows, g), _power(engine, cache, rows, i - g), site=f"cheb-power-{i}")
         doubled = engine.add(prod, prod)
-        ct = engine.add_plain(doubled, -1.0) if i % 2 == 0 else engine.sub(doubled, cache[1])
-        cache[i] = ct if i not in rows else engine.copy_into(ct, *rows[i])
+        if i == 2 * g:
+            ct = engine.add_plain(doubled, -1.0)
+        else:
+            ct = engine.sub(doubled, _power(engine, cache, rows, 2 * g - i))
+        cache[i] = engine.copy_into(ct, *rows[i]) if i in rows else engine.share(ct)[0]
     return cache[i]
 
 
@@ -321,9 +333,7 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
     if q_ct is None:
         prod = engine.mul_plain(powers[g], q_const, site="cheb-giant")
     else:
-        if q_const != 0.0:
-            q_ct = engine.add_plain(q_ct, q_const)
-        prod = engine.mul(q_ct, powers[g], site="cheb-giant")
+        prod = engine.mul(engine.add_plain(q_ct, q_const), powers[g], site="cheb-giant")
     r_ct, r_const = _walk(engine, r_node, powers, leaves)
     return (prod if r_ct is None else engine.add(prod, r_ct)), r_const
 
@@ -356,9 +366,7 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
     powers = _powers(engine, x, poly.interval, plan.baby, plan.giants)
     ct, const = _walk(engine, plan.tree, powers, _leaves(engine, plan, powers))
-    if const != 0.0:
-        ct = engine.add_plain(ct, const)
-    return ct
+    return engine.add_plain(ct, const)
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +429,11 @@ def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, degree: int, site: s
     return engine.ideal_map(f, *cts, levels=math.ceil(math.log2(degree + 1)), site=site)
 
 
+def _three_way(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """1.0 where xs > ys, 0.5 where xs == ys, else 0.0."""
+    return (xs > ys) + 0.5 * (xs == ys)
+
+
 def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
     """Slotwise three-way comparison: 1 where x > y, 0.5 at ties, 0 where x < y.
 
@@ -430,11 +443,7 @@ def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: Kerne
     """
     engine.note_compare_eval()
     if cfg.mode == "ideal":
-        def three_way(xs, ys):
-            out = np.where(xs > ys, 1.0, 0.0)
-            return np.where(xs == ys, 0.5, out)
-
-        return _ideal_kernel(engine, three_way, x, y, degree=cfg.degree, site="compare")
+        return _ideal_kernel(engine, _three_way, x, y, degree=cfg.degree, site="compare")
     lo, hi = cfg.input_range
     diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo), site="compare-scale")
     return ps_eval(engine, diff, _step_poly(cfg.degree))

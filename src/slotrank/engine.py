@@ -44,6 +44,11 @@ Cost model:
   be correlated with the chain's.  ``share`` reads its arguments, so that
   several ops may use a value; on a noise-free engine nothing owes and it
   does nothing;
+* identities are free: ``mul_plain`` by the scalar 1 and ``add_plain`` of
+  the scalar +-0 return the operand itself, as ``rotate(x, 0)`` and
+  ``add(x)`` do, charging no op, level or noise and spending nothing (a
+  -0.0 slot then stays -0.0 where adding +0.0 would give +0.0, which
+  compares equal);
 * additions, subtractions, negation, and rotations are level-free;
 * ``levels_consumed`` tracks ``max_level - level`` over every produced
   ciphertext, i.e. the longest multiplication chain seen so far;
@@ -54,6 +59,7 @@ Cost model:
 
 from __future__ import annotations
 
+import ctypes
 import math
 import weakref
 from dataclasses import dataclass
@@ -248,6 +254,31 @@ class _Row(weakref.ref):
     __slots__ = ("key", "rows", "index")
 
 
+def _keep_freed_slot_vectors():
+    """Pin glibc's malloc so that freed slot vectors stay in the heap.
+
+    At 2^16 slots a slot vector is 512 KB and a degree-1024 ``ps_eval``
+    holds its baby-step powers in one 8 MB array.  glibc's default policy
+    returns the free top of the heap to the system once it exceeds twice the
+    largest mmapped block freed so far; when no block larger than a slot
+    vector was ever mmapped, every call re-faults about 12 MB of fresh pages:
+    3,170 minor faults per chebyshev sort of 256 values at degree 1024, which
+    made it about 15% slower on a 2-vCPU host.  Blocks up to 32 MB, the
+    dynamic policy's own ceiling, therefore come from the heap, and up to
+    64 MB of free heap is kept.  Elsewhere than glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
+_keep_freed_slot_vectors()
+
+
 # Columns of one matmul in ``HESimulator.realise``: a tile of the rows it reads
 # stays in cache while the scales of every sum pass over it.
 _COLUMN_TILE = 8192
@@ -360,8 +391,12 @@ class HESimulator:
         return self._emit(None, x.level, x.rot_chain, ((base, -scale),), owed)
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
+        """``x + p``, one addition; a scalar ``p`` of exactly +-0 returns
+        ``x`` itself, uncharged."""
         self._check(x)
         p = self._plain_operand(p)
+        if isinstance(p, float) and p == 0.0:
+            return x
         self._adds += 1
         if x.pending is not None:
             terms, owed = self._take(x)
@@ -378,10 +413,14 @@ class HESimulator:
         return self._owing(slots, level - 1, max(x.rot_chain, y.rot_chain))
 
     def mul_plain(self, x: Ciphertext, p, site: str = "mul_plain") -> Ciphertext:
+        """``x * p``, one ct-pt product and one level; a scalar ``p`` of
+        exactly 1 returns ``x`` itself, uncharged, at any level."""
         self._check(x)
+        p = self._plain_operand(p)
+        if isinstance(p, float) and p == 1.0:
+            return x
         if x.level < 1:
             raise DepthBudgetError(site, x.level)
-        p = self._plain_operand(p)
         self._ctpt += 1
         if isinstance(p, float):
             return self._emit(None, x.level - 1, x.rot_chain, *self._scaled(x, p))

@@ -89,6 +89,24 @@ def test_fit_reproduces_target_at_nodes():
     assert np.max(np.abs(got - f(nodes)) / np.maximum(1.0, np.abs(f(nodes)))) < 1e-9
 
 
+def _cosine_sum_fit(f, interval, d):
+    # the definition: c_k = (2/n) sum_j y_j cos(k theta_j), c_0 halved
+    a, b = interval
+    n = d + 1
+    theta = (np.arange(n) + 0.5) * np.pi / n
+    coeffs = (2.0 / n) * (np.cos(np.outer(np.arange(n), theta)) @ f(0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)))
+    coeffs[0] *= 0.5
+    return coeffs
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 63, 64, 255, 1024])
+def test_fit_matches_the_cosine_sum(d):
+    for f, interval in ((_step_target(max(d, 1)), (-1.0, 1.0)), (lambda t: np.sin(3 * t) + 0.25 * t * t, (0.0, 2.0))):
+        got = np.array(cheb_fit(f, interval, d).coeffs)
+        assert got.shape == (d + 1,)
+        assert np.max(np.abs(got - _cosine_sum_fit(f, interval, d))) < 1e-13
+
+
 def test_fit_rejects_non_finite_targets():
     with pytest.raises(ValueError):
         cheb_fit(lambda t: np.full_like(t, np.inf), (-1.0, 1.0), 4)
@@ -226,16 +244,47 @@ def test_ps_eval_multiplication_economy():
         assert rep.levels_consumed <= math.ceil(math.log2(d + 1)) + 2
 
 
+def _parity_coeffs(kind, d, rng):
+    coeffs = rng.uniform(-1, 1, d + 1)
+    coeffs[{"odd": 2, "even": 1, "full": d + 1}[kind]::2] = 0.0
+    coeffs[0] = 0.5
+    return coeffs
+
+
+@pytest.mark.parametrize("d", [15, 64, 255, 256, 1023, 1024])
+@pytest.mark.parametrize("kind", ["odd", "even", "full"])
+def test_powers_build_one_parity_and_the_powers_of_two(kind, d):
+    # each power is anchored at the power of two below it, so an odd or even
+    # polynomial builds its own parity class and the powers of two only
+    coeffs = _parity_coeffs(kind, d, np.random.default_rng(d))
+    plan = chebyshev._plan(tuple(chebyshev._trim(coeffs).tolist()), 1 << max(1, math.ceil(math.log2(d + 1)) // 2))
+    wanted = set(plan.baby) | set(plan.giants)
+    twos = {1 << k for k in range(1, max(wanted).bit_length()) if 1 << k <= max(wanted)}
+    built = (wanted | twos) - {1}
+    assert all(i % 2 == {"odd": 1, "even": 0}.get(kind, i % 2) for i in built - twos)
+    if d == 1024 and kind != "full":
+        # as the kernel fits; both parities below the baby step would take 28
+        assert len(built) == {"odd": 24, "even": 21}[kind]
+    eng = make_engine(slot_count=16, max_level=20)
+    powers = chebyshev._powers(eng, eng.encrypt(np.linspace(-1, 1, 16)), (-1.0, 1.0), plan.baby, plan.giants)
+    assert eng.cost_snapshot() == CostReport(
+        ctct_mults=len(built), additions=2 * len(built), levels_consumed=math.ceil(math.log2(max(wanted)))
+    )
+    for i, ct in powers.items():
+        assert ct.level == 20 - math.ceil(math.log2(i)), i
+        assert np.allclose(eng.decrypt(ct), np.cos(i * np.arccos(np.linspace(-1, 1, 16))), atol=1e-9), i
+
+
 # The exact counters of ps_eval on the two degree-1024 kernel fits.  How the
 # leaves are computed may change host time and rounding, never these.
 PINNED_PS_EVAL = {
     "step": (
         lambda: chebyshev._step_poly(1024),
-        CostReport(ctct_mults=59, ctpt_mults=512, additions=568, levels_consumed=11),
+        CostReport(ctct_mults=55, ctpt_mults=512, additions=560, levels_consumed=11),
     ),
     "centred window": (
         lambda: chebyshev._window_poly(31.5, 32.5, 0.0, 64.0, 1024),
-        CostReport(ctct_mults=59, ctpt_mults=482, additions=569, levels_consumed=12),
+        CostReport(ctct_mults=52, ctpt_mults=482, additions=555, levels_consumed=12),
     ),
 }
 
@@ -268,6 +317,18 @@ def test_noisy_ps_eval_is_reproducible():
         outs.append(eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly)))
     assert np.array_equal(*outs)
     assert np.max(np.abs(outs[0] - cheb_eval(poly, xs))) < 1e-2
+
+
+def test_noisy_ps_eval_reads_a_power_without_a_row_twice():
+    # T_3 has no row: T_5 = 2 T_4 T_1 - T_3 subtracts it and T_7 = 2 T_4 T_3 - T_1
+    # multiplies by it, so it is shared when built, not spent by the first
+    coeffs = np.zeros(64)
+    coeffs[[5, 7, 63]] = [0.3, -0.2, 0.1]
+    poly = ChebyshevPolynomial(interval=(-1.0, 1.0), coeffs=tuple(coeffs))
+    xs = np.linspace(-1.0, 1.0, 64)
+    eng = make_engine(slot_count=64, sigma=1e-9)
+    out = eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly))
+    assert np.max(np.abs(out - cheb_eval(poly, xs))) < 1e-5
 
 
 # The std of (noisy - noise-free) ps_eval output at 2^14 slots, sigma 1e-6,
@@ -384,6 +445,33 @@ def test_compare_ideal_burns_configured_depth():
     x = eng.encrypt([1.0])
     out = compare_kernel(eng, x, x, ideal_cfg(degree=256))
     assert x.level - out.level == math.ceil(math.log2(257))
+
+
+@pytest.mark.parametrize("d", [256, 1024])
+def test_unit_range_chebyshev_compare_takes_ideal_depth(d):
+    # on [0, 1] the difference needs no scaling, so the compare is the step's
+    # ps_eval alone: ceil(log2(d + 1)) levels, as ideal mode charges
+    xs = np.random.default_rng(d).uniform(0, 1, (2, 64))
+    levels = []
+    for cfg in (ideal_cfg(degree=d), cheb_cfg(degree=d)):
+        eng = make_engine(slot_count=64)
+        x, y = eng.encrypt(xs[0]), eng.encrypt(xs[1])
+        out = compare_kernel(eng, x, y, cfg)
+        assert x.level - out.level == eng.cost_snapshot().levels_consumed
+        levels.append(eng.cost_snapshot().levels_consumed)
+    assert levels == [math.ceil(math.log2(d + 1))] * 2
+    assert levels[1] < kernel_depth(cheb_cfg(degree=d))
+
+
+def test_three_way_gives_the_doubles_of_two_wheres():
+    rng = np.random.default_rng(12)
+    xs = np.concatenate([rng.uniform(-1, 1, 64), rng.integers(-2, 3, 64) / 2.0, [0.0, -0.0, 0.0, -0.0]])
+    ys = np.concatenate([rng.uniform(-1, 1, 64), rng.integers(-2, 3, 64) / 2.0, [-0.0, 0.0, 0.0, -0.0]])
+    for a, b in ((xs, ys), (ys, xs), (xs, xs)):
+        two_wheres = np.where(a == b, 0.5, np.where(a > b, 1.0, 0.0))
+        got = chebyshev._three_way(a, b)
+        assert got.dtype == np.float64 and got.tobytes() == two_wheres.tobytes()  # signed zeros too
+    assert np.count_nonzero(xs == ys) > 10  # ties and signed zeros were exercised
 
 
 def test_compare_chebyshev_close_to_ideal_for_separated_inputs():
@@ -535,7 +623,7 @@ def test_equality_composed_with_compare_is_exact_indicator():
 def test_noisy_equality_reads_an_owing_comparison_twice():
     # 4c(1 - c) uses c in both factors, so an owing c is shared, not spent
     eng = make_engine(sigma=1e-9)
-    c = eng.mul_plain(eng.encrypt([0.0, 0.5, 1.0, 0.6]), 1.0)
+    c = eng.mul_plain(eng.encrypt([0.0, 1.0, 2.0, 1.2]), 0.5)
     assert c.owed == 1
     out = eng.decrypt(equality_from_compare(eng, c))
     assert np.allclose(out[:4], [0.0, 1.0, 0.0, 0.96], atol=1e-6)

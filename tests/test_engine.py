@@ -108,7 +108,34 @@ def test_mul_plain_mask_and_scalar():
     assert np.array_equal(eng.decrypt(eng.mul_plain(x, [1, 1, 0, 0])), [5, 6, 0, 0])
     assert np.array_equal(eng.decrypt(eng.mul_plain(x, np.ones(4))), [5, 6, 7, 8])
     assert np.array_equal(eng.decrypt(eng.mul_plain(eng.encrypt([2, 4]), 0.5))[:2], [1, 2])
-    assert eng.mul_plain(x, 1.0).level == x.level - 1
+    assert eng.mul_plain(x, 0.5).level == x.level - 1
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-6], ids=["exact", "noisy"])
+def test_identity_scalars_return_the_operand_uncharged(sigma):
+    # times the scalar 1 and plus the scalar +-0 are free, as rotate(x, 0) is
+    eng = make_engine(slot_count=4, max_level=1, sigma=sigma)
+    x = eng.add_plain(eng.encrypt([-0.0, 1.5, -2.0, 3.0]), 0.25)  # owes on a noisy engine
+    owed, before = x.owed, eng.cost_snapshot()
+    for one in (1.0, 1, np.float64(1.0), np.int64(1)):
+        assert eng.mul_plain(x, one) is x
+    for zero in (0.0, -0.0, 0, np.float32(0.0)):
+        assert eng.add_plain(x, zero) is x
+    assert eng.cost_snapshot() == before
+    assert x.owed == owed and x.level == 1  # kept, not spent
+    low = eng.mul_plain(eng.encrypt([1.0]), 0.5)
+    assert eng.mul_plain(low, 1.0) is low  # free at level 0 too
+    assert eng.cost_snapshot().ctpt_mults == before.ctpt_mults + 1
+    assert np.allclose(eng.decrypt(x), [0.25, 1.75, -1.75, 3.25], atol=1e-4)
+    # a non-identity scalar and plaintext vectors are still charged
+    with pytest.raises(DepthBudgetError):
+        eng.mul_plain(low, 0.5)
+    y = eng.encrypt([2.0, 4.0])
+    assert eng.mul_plain(y, 0.5).level == 0
+    assert eng.mul_plain(y, np.ones(4)).level == 0
+    assert eng.add_plain(y, np.zeros(4)) is not y
+    rep = eng.cost_snapshot()
+    assert (rep.ctpt_mults, rep.additions) == (before.ctpt_mults + 3, before.additions + 1)
 
 
 def test_plain_length_is_enforced():

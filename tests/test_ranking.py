@@ -135,7 +135,7 @@ def test_noisy_tie_offset_reads_an_owing_comparison_twice():
     pipe = rank_pipeline(exact, exact.encrypt([10, 20, 20, 40]), 4, IDEAL)
     layout = pipe.layout
     eng = HESimulator(HEParams(slot_count=16, max_level=40, noise_sigma=1e-9, seed=1))
-    owing = eng.mul_plain(eng.encrypt(exact.decrypt(pipe.comparisons[(0, 0)])), 1.0)
+    owing = eng.mul_plain(eng.encrypt(2.0 * exact.decrypt(pipe.comparisons[(0, 0)])), 0.5)
     assert owing.owed == 1
     cells = tie_offset(eng, owing, layout)
     assert np.allclose(offset_of(eng, cells, layout, 4), [0, -0.5, 0.5, 0], atol=1e-6)

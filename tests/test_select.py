@@ -218,28 +218,28 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     [
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=52, ctpt_mults=96, additions=165,
-                       cmp_evals=1, ind_evals=1, levels_consumed=31, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=52, ctpt_mults=95, additions=164,
+                       cmp_evals=1, ind_evals=1, levels_consumed=30, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=52, ctpt_mults=96, additions=164,
-                       cmp_evals=1, ind_evals=1, levels_consumed=31, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=52, ctpt_mults=95, additions=163,
+                       cmp_evals=1, ind_evals=1, levels_consumed=30, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=53, ctpt_mults=97, additions=165,
-                       cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=53, ctpt_mults=96, additions=165,
+                       cmp_evals=1, ind_evals=1, levels_consumed=32, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=53, ctpt_mults=97, additions=165,
-                       cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=53, ctpt_mults=96, additions=165,
+                       cmp_evals=1, ind_evals=1, levels_consumed=32, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=53, ctpt_mults=97, additions=165,
-                       cmp_evals=1, ind_evals=1, levels_consumed=33, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=53, ctpt_mults=96, additions=165,
+                       cmp_evals=1, ind_evals=1, levels_consumed=32, critical_rotations=12),
         ),
     ],
     ids=["min", "max", "kth3", "median_even", "percentile75"],
@@ -280,8 +280,8 @@ PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6,
     [
         (IDEAL, CostReport(rotations=36, ctct_mults=28, ctpt_mults=16, additions=71,
                            cmp_evals=6, ind_evals=3, levels_consumed=35, critical_rotations=10)),
-        (PINNED_CHEB, CostReport(rotations=36, ctct_mults=169, ctpt_mults=388, additions=620,
-                                 cmp_evals=6, ind_evals=3, levels_consumed=33, critical_rotations=10)),
+        (PINNED_CHEB, CostReport(rotations=36, ctct_mults=169, ctpt_mults=382, additions=620,
+                                 cmp_evals=6, ind_evals=3, levels_consumed=32, critical_rotations=10)),
     ],
     ids=["ideal", "chebyshev"],
 )

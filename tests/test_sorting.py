@@ -136,8 +136,8 @@ def test_chebyshev_sort_circuit_is_pinned():
     v = np.random.default_rng(3).uniform(0, 1, 16)
     sort(eng, eng.encrypt(v), 16, cfg(kernel=KernelConfig(mode="chebyshev", degree=64)))
     assert eng.cost_snapshot() == CostReport(
-        rotations=24, ctct_mults=32, ctpt_mults=63, additions=125,
-        cmp_evals=1, ind_evals=1, levels_consumed=22, critical_rotations=20,
+        rotations=24, ctct_mults=31, ctpt_mults=62, additions=122,
+        cmp_evals=1, ind_evals=1, levels_consumed=21, critical_rotations=20,
     )
 
 
@@ -205,8 +205,8 @@ PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6,
         (IDEAL, CostReport(rotations=44, ctct_mults=15, ctpt_mults=16, additions=79,
                            cmp_evals=6, ind_evals=9, levels_consumed=24, critical_rotations=12)),
         (KernelConfig(mode="chebyshev", degree=64),
-         CostReport(rotations=44, ctct_mults=240, ctpt_mults=448, additions=814,
-                    cmp_evals=6, ind_evals=9, levels_consumed=22, critical_rotations=12)),
+         CostReport(rotations=44, ctct_mults=231, ctpt_mults=442, additions=787,
+                    cmp_evals=6, ind_evals=9, levels_consumed=21, critical_rotations=12)),
     ],
     ids=["ideal", "chebyshev"],
 )
