@@ -8,7 +8,17 @@ comparison at once, and summing each row gives the ranks, in column 0.
 
 import numpy as np
 
-from slotrank import HEParams, HESimulator, KernelConfig, rank, rank_corrected, read_col
+from slotrank import (
+    HEParams,
+    HESimulator,
+    KernelConfig,
+    compare_kernel,
+    rank,
+    rank_corrected,
+    read_col,
+    replicate,
+    transpose_vector,
+)
 from slotrank import reference
 from slotrank.ranking import rank_pipeline
 
@@ -18,19 +28,26 @@ cfg = KernelConfig(mode="ideal", degree=256)
 v = [20.0, 30.0, 10.0, 40.0]
 print("input:", v)
 
-pipe = rank_pipeline(eng, eng.encrypt(v), 4, cfg)
+ct = eng.encrypt(v)
+pipe = rank_pipeline(eng, ct, 4, cfg)
+# the pipeline keeps only the ranks and the column replication, so the
+# demo builds the three matrices again with the calls the pipeline makes
+report = eng.cost_snapshot()
+rows = replicate(eng, ct, pipe.layout, "row")
+cols = replicate(eng, transpose_vector(eng, ct, pipe.layout, "row_to_col"), pipe.layout, "col")
 print("\nrow-replicated encoding (each row is the vector):")
-print(eng.decrypt(pipe.row_replicated[0]).reshape(4, 4))
+print(eng.decrypt(rows).reshape(4, 4))
 print("column-replicated encoding (each column is the vector):")
-print(eng.decrypt(pipe.col_replicated[0]).reshape(4, 4))
+print(eng.decrypt(cols).reshape(4, 4))
+same = np.array_equal(eng.decrypt(cols), eng.decrypt(pipe.col_replicated[0]))
+print("   the pipeline's column replication is the same:", same)
 print("comparison matrix (row value vs column value: 1 greater, 0.5 tie, 0 smaller):")
-print(eng.decrypt(pipe.comparisons[(0, 0)]).reshape(4, 4))
+print(eng.decrypt(compare_kernel(eng, cols, rows, cfg)).reshape(4, 4))
 ranks = read_col(eng, pipe.ranks.blocks[0], pipe.layout, 4)
 print("ranks (row sums + 0.5, in column 0):", ranks)
 print("ranks match the oracle:", np.array_equal(ranks, reference.fractional_ranks(v)))
 
-report = eng.cost_snapshot()
-print(f"\ncost: {report.cmp_evals} comparison, {report.rotations} rotations "
+print(f"\ncost of the ranking: {report.cmp_evals} comparison, {report.rotations} rotations "
       f"(4*log2(4) = 8), {report.levels_consumed} levels")
 
 print("\nTied elements share their fractional rank:")

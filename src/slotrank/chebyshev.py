@@ -308,13 +308,18 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
 
 def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
     """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``;
-    each is handed over, not kept, so none outlives its use."""
+    each is handed over, not kept, so none outlives its use.  The baby-step
+    powers leave ``powers`` once the last batch is computed, which frees
+    their array for the rest of the walk."""
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
         batch = [
             engine.add(*[engine.mul_plain(powers[i], c, site="cheb-leaf") for i, c in terms])
             for terms in plan.leaves[start : start + _LEAF_BATCH]
         ]
         batch = engine.realise(batch)
+        if start + _LEAF_BATCH >= len(plan.leaves):
+            for i in plan.baby:
+                del powers[i]
         while batch:
             yield batch.pop(0)
 
@@ -355,7 +360,9 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     ``mul_plain`` products and one n-ary ``add`` of them.  One
     ``HESimulator.realise`` computes each batch: one BLAS product over the
     rows, in column tiles, which reads every power once per batch rather
-    than once per term.
+    than once per term.  The baby-step rows are released once the last
+    batch is computed, so the rest of the walk holds only the giant powers
+    and its partial sums.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
@@ -522,6 +529,12 @@ def goldschmidt_inverse(
     Starts from the equioscillating linear seed y0 = a*x + b on [m, M] and
     applies ``iters`` squaring steps, leaving a relative error of
     e0^(2^(iters+1)) with e0 = (M-m)^2 / (m^2 + 6mM + M^2).
+
+    The error of x itself is e(x) = 1 - x*y0(x), which is e0 at m and M, and
+    the iteration converges for every x in (0, m+M), where |e(x)| < 1.  A
+    value outside [m, M] starts further out, at |e(x)| > e0, and keeps
+    e(x)^(2^(iters+1)): on (0.5, 64.5) with 8 steps, x = 0.5 is left at
+    2.6e-14 but x = 0.23 at 6.7e-7, and x = 0.1 at 2.2e-3.
     """
     m, mx = value_range
     if not (0 < m <= mx):

@@ -4,8 +4,8 @@ The ranking is replicated across the matrix, each column is shifted by a
 different target rank, and a single indicator evaluation turns the result
 into a permutation mask; multiplying by the replicated input and summing
 recovers the sorted vector.  The ranks land in column 0, so the sort
-reuses both replication products of the ranking step and its values land
-in row 0 with no final transposition.
+reuses the ranking step's column replications of the input and its values
+land in row 0 with no final transposition.
 
 One placement step serves every vector length: a block vector of L blocks
 runs it once per (output block, rank block) pair, and a vector that fits

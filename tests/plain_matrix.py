@@ -1,10 +1,14 @@
 """Brute-force plaintext counterparts of the slot-matrix primitives.
 
 Everything operates on explicit N x N numpy arrays; used as the
-independent oracle for the rotation-based implementations.
+independent oracle for the rotation-based implementations.  The one
+exception, ``comparison_matrix``, rebuilds on an engine a block comparison
+matrix, which the rank pipeline computes but does not keep.
 """
 
 import numpy as np
+
+from slotrank import compare_kernel, replicate, transpose_vector
 
 
 def to_slots(matrix: np.ndarray, slot_count: int) -> np.ndarray:
@@ -49,3 +53,13 @@ def move_vector(m: np.ndarray, direction: str) -> np.ndarray:
     else:
         out[0, :] = m[:, 0]
     return out
+
+
+def comparison_matrix(engine, col_block, row_block, layout, cfg):
+    """The ciphertext whose cell (r, c) is cmp(x_r, y_c), entry r of
+    ``col_block`` against entry c of ``row_block`` (both vectors in row 0),
+    built from the public calls the rank pipeline makes: row replication,
+    transposition, column replication and one ``compare_kernel``."""
+    rows = replicate(engine, row_block, layout, "row")
+    cols = replicate(engine, transpose_vector(engine, col_block, layout, "row_to_col"), layout, "col")
+    return compare_kernel(engine, cols, rows, cfg)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plain_matrix import comparison_matrix, from_slots
 from slotrank import (
     CapacityError,
     CostReport,
@@ -10,7 +11,6 @@ from slotrank import (
     block_merge,
     block_size_for,
     block_split,
-    compare_kernel,
     multi_rank,
     rank,
     rank_corrected,
@@ -19,6 +19,7 @@ from slotrank import (
     tie_offset,
 )
 from slotrank import reference
+from slotrank.matrix import MatrixLayout
 from slotrank.ranking import multi_rank_pipeline, rank_pipeline
 
 IDEAL = KernelConfig(mode="ideal", degree=256)
@@ -104,41 +105,45 @@ def offset_of(eng, cells, layout, n):
     return read_col(eng, sum_axis(eng, cells, layout, "col"), layout, n) - 0.5
 
 
+LAYOUT_4 = MatrixLayout(4, 16)
+
+
+def self_comparison(eng, values):
+    ct = eng.encrypt(values)
+    return comparison_matrix(eng, ct, ct, LAYOUT_4, IDEAL)
+
+
 def test_tie_offset_known_vectors():
     eng = make_engine(16)
-    pipe = rank_pipeline(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    cells = tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout)
-    assert np.array_equal(offset_of(eng, cells, pipe.layout, 4), [0, -0.5, 0.5, 0])
+    cells = tie_offset(eng, self_comparison(eng, [10, 20, 20, 40]), LAYOUT_4)
+    assert np.array_equal(offset_of(eng, cells, LAYOUT_4, 4), [0, -0.5, 0.5, 0])
 
 
 def test_tie_offset_distinct_is_zero():
     eng = make_engine(16)
-    pipe = rank_pipeline(eng, eng.encrypt([4, 1, 3, 2]), 4, IDEAL)
-    cells = tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout)
-    assert np.array_equal(offset_of(eng, cells, pipe.layout, 4), [0, 0, 0, 0])
+    cells = tie_offset(eng, self_comparison(eng, [4, 1, 3, 2]), LAYOUT_4)
+    assert np.array_equal(offset_of(eng, cells, LAYOUT_4, 4), [0, 0, 0, 0])
 
 
 def test_tie_offset_all_equal():
     # positions in the tie are 1..4, tie size 4: offsets (1..4) - 2 - 0.5
     eng = make_engine(16)
-    pipe = rank_pipeline(eng, eng.encrypt([7, 7, 7, 7]), 4, IDEAL)
-    cells = tie_offset(eng, pipe.comparisons[(0, 0)], pipe.layout)
-    assert np.array_equal(offset_of(eng, cells, pipe.layout, 4), [-1.5, -0.5, 0.5, 1.5])
+    cells = tie_offset(eng, self_comparison(eng, [7, 7, 7, 7]), LAYOUT_4)
+    assert np.array_equal(offset_of(eng, cells, LAYOUT_4, 4), [-1.5, -0.5, 0.5, 1.5])
     assert np.array_equal(
-        offset_of(eng, cells, pipe.layout, 4), reference.tie_offsets([7.0, 7.0, 7.0, 7.0])
+        offset_of(eng, cells, LAYOUT_4, 4), reference.tie_offsets([7.0, 7.0, 7.0, 7.0])
     )
 
 
 def test_noisy_tie_offset_reads_an_owing_comparison_twice():
     # c(1 - c) uses c in both factors, so an owing c is shared, not spent
     exact = make_engine(16)
-    pipe = rank_pipeline(exact, exact.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    layout = pipe.layout
+    cmp_matrix = self_comparison(exact, [10, 20, 20, 40])
     eng = HESimulator(HEParams(slot_count=16, max_level=40, noise_sigma=1e-9, seed=1))
-    owing = eng.mul_plain(eng.encrypt(2.0 * exact.decrypt(pipe.comparisons[(0, 0)])), 0.5)
+    owing = eng.mul_plain(eng.encrypt(2.0 * exact.decrypt(cmp_matrix)), 0.5)
     assert owing.owed == 1
-    cells = tie_offset(eng, owing, layout)
-    assert np.allclose(offset_of(eng, cells, layout, 4), [0, -0.5, 0.5, 0], atol=1e-6)
+    cells = tie_offset(eng, owing, LAYOUT_4)
+    assert np.allclose(offset_of(eng, cells, LAYOUT_4, 4), [0, -0.5, 0.5, 0], atol=1e-6)
 
 
 def test_rank_corrected_known_vectors():
@@ -297,15 +302,19 @@ def test_noisy_multi_rank_is_reproducible_for_a_seed():
 def test_multi_rank_complement_identity():
     eng = make_engine(16)
     v = np.random.default_rng(6).uniform(size=16)
-    pipe = multi_rank_pipeline(eng, block_split(eng, v), IDEAL)
-    b = pipe.layout.n_dim
-    for (i, j), stored in pipe.comparisons.items():
-        if i == j:
-            continue
-        reverse = compare_kernel(eng, pipe.col_replicated[j], pipe.row_replicated[i], IDEAL)
-        lhs = eng.decrypt(stored)[: b * b].reshape(b, b)
-        rhs = eng.decrypt(reverse)[: b * b].reshape(b, b)
+    bv = block_split(eng, v)
+    pipe = multi_rank_pipeline(eng, bv, IDEAL)
+    b, count = pipe.layout.n_dim, len(bv.blocks)
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    for i, j in pairs:
+        forward = comparison_matrix(eng, bv.blocks[i], bv.blocks[j], pipe.layout, IDEAL)
+        reverse = comparison_matrix(eng, bv.blocks[j], bv.blocks[i], pipe.layout, IDEAL)
+        lhs = from_slots(eng.decrypt(forward), b)
+        rhs = from_slots(eng.decrypt(reverse), b)
         assert np.array_equal(lhs + rhs.T, np.ones((b, b)))
+    assert len(pairs) == count * (count - 1) // 2 == 6
+    # the pipeline's earlier-block ranks rest on the identity
+    assert np.array_equal(block_merge(eng, pipe.ranks), reference.fractional_ranks(v))
 
 
 def test_multi_rank_pipeline_refuses_strict_and_weak_across_blocks():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,27 @@ def test_multi_sort_large_vector():
     v = np.random.default_rng(9).uniform(0, 1, 256)
     out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(tie_correction=False)))
     assert np.array_equal(out, np.sort(v))
+
+
+def test_many_block_sort_holds_o_l_slot_vectors():
+    # 64 blocks of 64: the 2080 block comparisons, 2016 strict copies and 64
+    # row replications took 110 MB when all were kept until the ranks were
+    # done; each is released after its last reader, which leaves about 14 MB
+    rng = np.random.default_rng(3)
+    v = rng.uniform(0, 1, 4096)
+    v[rng.integers(0, 4096, size=400)] = v[rng.integers(0, 4096, size=400)]
+    eng = make_engine(4096)
+    bv = block_split(eng, v)
+    assert len(bv.blocks) == 64
+    tracemalloc.start()
+    try:
+        out = multi_sort(eng, bv, cfg())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(block_merge(eng, out), reference.sorted_values(v))
+    assert eng.cost_snapshot().rotations == (8 * 64 - 2) * 6
+    assert peak < 25e6
 
 
 def test_sort_config_requires_kernel():
