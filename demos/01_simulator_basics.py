@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from slotrank import HEParams, HESimulator
+from slotrank import DepthBudgetError, HEParams, HESimulator
 
 params = HEParams(slot_count=8, max_level=6)
 eng = HESimulator(params)
@@ -32,9 +32,9 @@ print("\nExhausting the level budget raises a depth-budget error:")
 deep = ct
 try:
     while True:
-        deep = eng.mul(deep, deep, site="demo-chain")
-except Exception as err:
-    print("  ", err)
+        deep = eng.mul(deep, deep)
+except DepthBudgetError as err:
+    print(f"   {err.site}: {err.needed} level(s) needed, {err.available} available")
 
 print("\nWith noise_sigma > 0 every arithmetic op perturbs the slots:")
 noisy = HESimulator(HEParams(slot_count=8, max_level=6, noise_sigma=1e-4, seed=1))

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import Ciphertext, HESimulator
+from .engine import Ciphertext, HESimulator, caller_path
 
 __all__ = [
     "ChebyshevPolynomial",
@@ -217,7 +217,7 @@ def _powers(
     """
     a, b = interval
     if (a, b) != (-1.0, 1.0):
-        x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a), site="cheb-normalize"), -(a + b) / (b - a))
+        x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a)), -(a + b) / (b - a))
     array = np.empty((len(baby), engine.params.slot_count))
     rows = {i: (array, r) for r, i in enumerate(baby)}
     cache = {1: engine.copy_into(x, *rows[1]) if 1 in rows else x}
@@ -240,7 +240,7 @@ def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tu
     """
     if i not in cache:
         g = 1 << ((i - 1).bit_length() - 1)
-        prod = engine.mul(_power(engine, cache, rows, g), _power(engine, cache, rows, i - g), site=f"cheb-power-{i}")
+        prod = engine.mul(_power(engine, cache, rows, g), _power(engine, cache, rows, i - g))
         doubled = engine.add(prod, prod)
         if i == 2 * g:
             ct = engine.add_plain(doubled, -1.0)
@@ -313,7 +313,7 @@ def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
     their array for the rest of the walk."""
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
         batch = [
-            engine.add(*[engine.mul_plain(powers[i], c, site="cheb-leaf") for i, c in terms])
+            engine.add(*[engine.mul_plain(powers[i], c) for i, c in terms])
             for terms in plan.leaves[start : start + _LEAF_BATCH]
         ]
         batch = engine.realise(batch)
@@ -336,9 +336,9 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
     g, q_node, r_node = node
     q_ct, q_const = _walk(engine, q_node, powers, leaves)
     if q_ct is None:
-        prod = engine.mul_plain(powers[g], q_const, site="cheb-giant")
+        prod = engine.mul_plain(powers[g], q_const)
     else:
-        prod = engine.mul(engine.add_plain(q_ct, q_const), powers[g], site="cheb-giant")
+        prod = engine.mul(engine.add_plain(q_ct, q_const), powers[g])
     r_ct, r_const = _walk(engine, r_node, powers, leaves)
     return (prod if r_ct is None else engine.add(prod, r_ct)), r_const
 
@@ -368,7 +368,7 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     deg = len(coeffs) - 1
     if deg == 0:
         c0 = float(coeffs[0])
-        return engine.ideal_map(lambda s: np.full_like(s, c0), x, site="cheb-constant")
+        return engine.ideal_map(lambda s: np.full_like(s, c0), x)
     m = max(1, math.ceil(math.log2(deg + 1)))
     plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
     powers = _powers(engine, x, poly.interval, plan.baby, plan.giants)
@@ -424,16 +424,16 @@ def _window_poly(a: float, b: float, lo: float, hi: float, degree: int) -> Cheby
     return _zero_from(poly, 1) if a + b == lo + hi else poly
 
 
-def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, degree: int, site: str) -> Ciphertext:
+def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, degree: int) -> Ciphertext:
     # The exact function is discontinuous, so noise of any size breaks every
     # tie and every value's comparison with itself (the row and column
     # replicas carry independent noise): refuse a noisy engine.
     if engine.params.noise_sigma > 0:
         raise ValueError(
-            f"ideal {site} kernel on an engine with noise_sigma={engine.params.noise_sigma:g}: "
+            f"{caller_path()}: ideal kernel on an engine with noise_sigma={engine.params.noise_sigma:g}: "
             "noise breaks the exact comparison of tied values; use mode='chebyshev'"
         )
-    return engine.ideal_map(f, *cts, levels=math.ceil(math.log2(degree + 1)), site=site)
+    return engine.ideal_map(f, *cts, levels=math.ceil(math.log2(degree + 1)))
 
 
 def _three_way(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -450,21 +450,19 @@ def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: Kerne
     """
     engine.note_compare_eval()
     if cfg.mode == "ideal":
-        return _ideal_kernel(engine, _three_way, x, y, degree=cfg.degree, site="compare")
+        return _ideal_kernel(engine, _three_way, x, y, degree=cfg.degree)
     lo, hi = cfg.input_range
-    diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo), site="compare-scale")
+    diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo))
     return ps_eval(engine, diff, _step_poly(cfg.degree))
 
 
-def _compare_shifted(engine, x, y, cfg, predicate, margin, site):
+def _compare_shifted(engine, x, y, cfg, predicate, margin):
     # Strict (margin < 0) or weak (margin > 0) comparison.  Chebyshev mode
     # compares x + margin with y; the declared range is widened by the
     # margin so the shifted difference still maps into the fit interval.
     if cfg.mode == "ideal":
         engine.note_compare_eval()
-        return _ideal_kernel(
-            engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, degree=cfg.degree, site=site
-        )
+        return _ideal_kernel(engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, degree=cfg.degree)
     lo, hi = cfg.input_range
     widened = with_input_range(cfg, lo + min(margin, 0.0), hi + max(margin, 0.0))
     return compare_kernel(engine, engine.add_plain(x, margin), y, widened)
@@ -472,12 +470,12 @@ def _compare_shifted(engine, x, y, cfg, predicate, margin, site):
 
 def compare_gt_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
     """Strict comparison: 1 where x > y, else 0 (ties count as 0)."""
-    return _compare_shifted(engine, x, y, cfg, np.greater, -cfg.tie_margin, "compare-gt")
+    return _compare_shifted(engine, x, y, cfg, np.greater, -cfg.tie_margin)
 
 
 def compare_ge_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
     """Weak comparison: 1 where x >= y, else 0 (ties count as 1)."""
-    return _compare_shifted(engine, x, y, cfg, np.greater_equal, cfg.tie_margin, "compare-ge")
+    return _compare_shifted(engine, x, y, cfg, np.greater_equal, cfg.tie_margin)
 
 
 def indicator_kernel(
@@ -496,17 +494,15 @@ def indicator_kernel(
         raise ValueError(f"indicator interval must satisfy a < b, got [{a}, {b}]")
     engine.note_indicator_eval()
     if cfg.mode == "ideal":
-        return _ideal_kernel(
-            engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, degree=cfg.ind_degree, site="indicator"
-        )
+        return _ideal_kernel(engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, degree=cfg.ind_degree)
     lo, hi = cfg.input_range
     return ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))
 
 
-def quarter_equality(engine: HESimulator, c: Ciphertext, site: str) -> Ciphertext:
+def quarter_equality(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     """c*(1-c), one ct-ct product: 1/4 where the comparison ``c`` reads a tie, 0 where it reads 0 or 1."""
     engine.share(c)  # read by both factors
-    return engine.mul(c, engine.add_plain(engine.negate(c), 1.0), site=site)
+    return engine.mul(c, engine.add_plain(engine.negate(c), 1.0))
 
 
 def equality_from_compare(engine: HESimulator, c: Ciphertext) -> Ciphertext:
@@ -515,7 +511,7 @@ def equality_from_compare(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     Sends 0 and 1 to 0 and the tie value 0.5 to 1, costing one
     ciphertext-ciphertext and one ciphertext-plaintext multiplication.
     """
-    return engine.mul_plain(quarter_equality(engine, c, "equality"), 4.0, site="equality")
+    return engine.mul_plain(quarter_equality(engine, c), 4.0)
 
 
 def goldschmidt_inverse(
@@ -545,13 +541,13 @@ def goldschmidt_inverse(
     a = -8.0 / denom
     b = 8.0 * (m + mx) / denom
     engine.share(x)  # read by the seed and by the first error
-    y = engine.add_plain(engine.mul_plain(x, a, site="reciprocal-seed"), b)
-    err = engine.add_plain(engine.negate(engine.mul(x, y, site="reciprocal")), 1.0)
+    y = engine.add_plain(engine.mul_plain(x, a), b)
+    err = engine.add_plain(engine.negate(engine.mul(x, y)), 1.0)
     for _ in range(iters):
         engine.share(err)  # read by the correction and by the next square
-        y = engine.mul(y, engine.add_plain(err, 1.0), site="reciprocal")
-        err = engine.mul(err, err, site="reciprocal")
-    y = engine.mul(y, engine.add_plain(err, 1.0), site="reciprocal")
+        y = engine.mul(y, engine.add_plain(err, 1.0))
+        err = engine.mul(err, err)
+    y = engine.mul(y, engine.add_plain(err, 1.0))
     return y
 
 

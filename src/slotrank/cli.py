@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +47,7 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_DEPTH = 4
 
-COUNTERS = (
-    "rotations", "critical_rotations", "ctct_mults", "ctpt_mults",
-    "cmp_evals", "ind_evals", "levels_consumed",
-)
+COUNTERS = tuple(f.name for f in fields(CostReport))
 COST_COLUMNS = ",".join(
     ("task", "n", "mode", "cmp_degree", "ind_degree", *COUNTERS, "avg_err", "max_err", "wall_ms")
 )

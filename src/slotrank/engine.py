@@ -61,8 +61,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
+import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,16 +93,28 @@ class IncompatibleParamsError(EngineError):
 
 
 class DepthBudgetError(EngineError):
-    """An operation would drop the remaining level below zero."""
+    """An operation would drop the remaining level below zero; ``site`` is its ``caller_path``."""
 
-    def __init__(self, site: str, available: int, needed: int = 1):
-        self.site = site
+    def __init__(self, available: int, needed: int = 1):
+        self.site = caller_path()
         self.available = available
         self.needed = needed
-        super().__init__(
-            f"depth budget exhausted at '{site}': "
-            f"{needed} level(s) needed, {available} available"
-        )
+        super().__init__(f"depth budget exhausted at '{self.site}': {needed} level(s) needed, {available} available")
+
+
+def caller_path() -> str:
+    """Each slotrank function on the stack, down to the caller's caller, as
+    ``module.function``, outermost first, joined by ``/``.  A recursion shows
+    once; comprehension and lambda frames, which some interpreters inline,
+    are left out."""
+    names = []
+    frame = sys._getframe(2)
+    while frame is not None:
+        module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+        if module.startswith("slotrank.") and not name.startswith("<"):
+            names.append(f"{module.removeprefix('slotrank.')}.{name}")
+        frame = frame.f_back
+    return "/".join(dict.fromkeys(reversed(names)))
 
 
 def _is_pow2(n: int) -> bool:
@@ -286,16 +300,21 @@ _COLUMN_TILE = 8192
 
 @dataclass(frozen=True)
 class CostReport:
-    """Snapshot of the engine counters."""
+    """Snapshot of the engine counters: the engine keeps each field as
+    ``_<field>``, so a new counter is one new field here."""
 
     rotations: int = 0
+    critical_rotations: int = 0
     ctct_mults: int = 0
     ctpt_mults: int = 0
     additions: int = 0
     cmp_evals: int = 0
     ind_evals: int = 0
     levels_consumed: int = 0
-    critical_rotations: int = 0
+
+
+_COUNTERS = tuple(f"_{f.name}" for f in fields(CostReport))
+_read_counters = operator.attrgetter(*_COUNTERS)
 
 
 class HESimulator:
@@ -311,22 +330,11 @@ class HESimulator:
         # the noise variance, in units of sigma^2, a charged op owes: none
         # on a noise-free engine
         self._op_noise = 1.0 if params.noise_sigma > 0 else 0.0
-        self._trace: list[int] = []
         # each row ``copy_into`` has filled, by id; an entry goes when its
         # row does
         rows: dict[int, _Row] = {}
         self._rows, self._forget_row = rows, lambda ref: rows.pop(ref.key, None)
-        self._reset_counters()
-
-    def _reset_counters(self):
-        self._rotations = 0
-        self._ctct = 0
-        self._ctpt = 0
-        self._adds = 0
-        self._cmp_evals = 0
-        self._ind_evals = 0
-        self._levels = 0
-        self._critical = 0
+        self.cost_reset()
 
     # ------------------------------------------------------------------
     # data movement
@@ -372,12 +380,12 @@ class HESimulator:
         self._check(x, *more)
         if not more:
             return x
-        self._adds += len(more)
+        self._additions += len(more)
         return self._sum(x, more, 1.0)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
-        self._adds += 1
+        self._additions += 1
         return self._sum(x, (y,), -1.0)
 
     def negate(self, x: Ciphertext) -> Ciphertext:
@@ -397,22 +405,22 @@ class HESimulator:
         p = self._plain_operand(p)
         if isinstance(p, float) and p == 0.0:
             return x
-        self._adds += 1
+        self._additions += 1
         if x.pending is not None:
             terms, owed = self._take(x)
             return self._emit(None, x.level, x.rot_chain, terms + ((p, 1.0),), owed + self._op_noise)
         return self._owing(x.slots + p, x.level, x.rot_chain)
 
-    def mul(self, x: Ciphertext, y: Ciphertext, site: str = "mul") -> Ciphertext:
+    def mul(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
         level = min(x.level, y.level)
         if level < 1:
-            raise DepthBudgetError(site, level)
+            raise DepthBudgetError(level)
         slots = x.slots * y.slots
-        self._ctct += 1
+        self._ctct_mults += 1
         return self._owing(slots, level - 1, max(x.rot_chain, y.rot_chain))
 
-    def mul_plain(self, x: Ciphertext, p, site: str = "mul_plain") -> Ciphertext:
+    def mul_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x * p``, one ct-pt product and one level; a scalar ``p`` of
         exactly 1 returns ``x`` itself, uncharged, at any level."""
         self._check(x)
@@ -420,8 +428,8 @@ class HESimulator:
         if isinstance(p, float) and p == 1.0:
             return x
         if x.level < 1:
-            raise DepthBudgetError(site, x.level)
-        self._ctpt += 1
+            raise DepthBudgetError(x.level)
+        self._ctpt_mults += 1
         if isinstance(p, float):
             return self._emit(None, x.level - 1, x.rot_chain, *self._scaled(x, p))
         return self._owing(x.slots * p, x.level - 1, x.rot_chain)
@@ -442,12 +450,12 @@ class HESimulator:
         slots = np.concatenate((s[k_eff:], s[:k_eff]))
         chain = x.rot_chain + 1
         self._rotations += 1
-        if chain > self._critical:
-            self._critical = chain
+        if chain > self._critical_rotations:
+            self._critical_rotations = chain
         self._trace.append(k_eff)
         return self._emit(slots, x.level, chain)
 
-    def ideal_map(self, fn, *cts: Ciphertext, levels: int = 0, site: str = "ideal_map") -> Ciphertext:
+    def ideal_map(self, fn, *cts: Ciphertext, levels: int = 0) -> Ciphertext:
         """Apply an exact slotwise function, burning ``levels`` levels.
 
         This is the simulator's ideal-functionality hook: kernels in
@@ -458,7 +466,7 @@ class HESimulator:
         self._check(*cts)
         level = min(c.level for c in cts) - levels
         if level < 0:
-            raise DepthBudgetError(site, min(c.level for c in cts), levels)
+            raise DepthBudgetError(min(c.level for c in cts), levels)
         slots = np.asarray(fn(*[c.slots for c in cts]), dtype=np.float64)
         if slots.shape != (self.params.slot_count,):
             raise ValueError("ideal_map function must preserve the slot shape")
@@ -541,20 +549,12 @@ class HESimulator:
         self._ind_evals += 1
 
     def cost_snapshot(self) -> CostReport:
-        return CostReport(
-            rotations=self._rotations,
-            ctct_mults=self._ctct,
-            ctpt_mults=self._ctpt,
-            additions=self._adds,
-            cmp_evals=self._cmp_evals,
-            ind_evals=self._ind_evals,
-            levels_consumed=self._levels,
-            critical_rotations=self._critical,
-        )
+        return CostReport(*_read_counters(self))
 
     def cost_reset(self):
-        self._reset_counters()
-        self._trace = []
+        for counter in _COUNTERS:
+            setattr(self, counter, 0)
+        self._trace: list[int] = []
 
     def rotation_offsets(self) -> list[int]:
         """Effective offsets of all counted rotations, in issue order."""
@@ -696,8 +696,8 @@ class HESimulator:
         self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None, owed: float = 0.0
     ) -> Ciphertext:
         consumed = self.params.max_level - level
-        if consumed > self._levels:
-            self._levels = consumed
+        if consumed > self._levels_consumed:
+            self._levels_consumed = consumed
         if terms is not None:
             return _PendingSum(terms, owed, level, rot_chain, self)
         # every op passes a float64 array of its own (ideal_map coerces the

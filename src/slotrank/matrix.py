@@ -74,7 +74,7 @@ def mask(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str, k:
     if not 0 <= k < layout.n_dim:
         raise IndexError(f"{axis} index {k} out of range for side {layout.n_dim}")
     plain = _line_mask(layout.n_dim, layout.slot_count, axis, k)
-    return engine.mul_plain(x, plain, site=f"mask-{axis}-{k}")
+    return engine.mul_plain(x, plain)
 
 
 def _rotate_sum(engine: HESimulator, x: Ciphertext, offsets) -> Ciphertext:

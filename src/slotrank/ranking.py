@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import KernelConfig, compare_ge_kernel, compare_gt_kernel, compare_kernel, quarter_equality
-from .engine import CapacityError, Ciphertext, HESimulator
+from .engine import CapacityError, Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, grid_plain, replicate, sum_axis, transpose_vector
 
 __all__ = [
@@ -147,15 +147,15 @@ def read_col(engine: HESimulator, ct: Ciphertext, layout: MatrixLayout, count: i
 def _strict(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     # c(2c - 1) maps a fractional comparison {0, 1/2, 1} to the strict {0, 0, 1}
     twice_less_one = engine.add_plain(engine.add(c, c), -1.0)
-    return engine.mul(c, twice_less_one, site="tie-strict")
+    return engine.mul(c, twice_less_one)
 
 
-def _refuse_corrected_strict_or_weak(pipeline: str, comparison: str, tie_correction: bool):
+def _refuse_corrected_strict_or_weak(comparison: str, tie_correction: bool):
     # The tie offset rests on a tie reading 1/2; a strict or weak comparison
     # reads 0 or 1 there, so correction would only lower every rank by 1/2.
     if tie_correction and comparison != "fractional":
         raise ValueError(
-            f"{pipeline}: tie correction needs the fractional comparison, whose ties read 1/2; "
+            f"{caller_path()}: tie correction needs the fractional comparison, whose ties read 1/2; "
             f"the {comparison} comparison already breaks ties"
         )
 
@@ -189,7 +189,7 @@ def multi_rank_pipeline(
     and charges; block j folds that sum and drops it.  Only the replications,
     block i's row of matrices and the L running sums are ever alive.
     """
-    _refuse_corrected_strict_or_weak("multi_rank_pipeline", comparison, tie_correction)
+    _refuse_corrected_strict_or_weak(comparison, tie_correction)
     b, count = bv.block_size, len(bv.blocks)
     if bv.stride != 1:  # replicate reads row 0 only
         raise ValueError(f"multi_rank_pipeline: blocks must hold their entries in row 0, not every {bv.stride}th slot")
@@ -212,7 +212,7 @@ def multi_rank_pipeline(
         c = kernel(engine, col_rep[i], row_rep[j], cfg)
         if bv.valid_in(j) < b:
             # cells against zero padding would count as comparisons
-            c = engine.mul_plain(c, _pad_mask(layout.slot_count, b, bv.valid_in(i), bv.valid_in(j)), site="pad-mask")
+            c = engine.mul_plain(c, _pad_mask(layout.slot_count, b, bv.valid_in(i), bv.valid_in(j)))
         return c
 
     earlier: dict[int, Ciphertext] = {}  # block j's running sum of C_ij over i < j
@@ -279,7 +279,6 @@ def rank_pipeline(
     fractional one.  The ranks land in column 0.  This is the one-block case
     of the block pipeline.
     """
-    _refuse_corrected_strict_or_weak("rank_pipeline", comparison, tie_correction)
     return multi_rank_pipeline(
         engine, one_block(engine, ct, n), cfg, comparison=comparison, tie_correction=tie_correction
     )
@@ -310,8 +309,8 @@ def tie_offset(engine: HESimulator, cmp_matrix: Ciphertext, layout: MatrixLayout
     shift, so the offset costs no rotation.  The cells cost one ct-ct and
     one ct-pt product, two levels on top of the comparison matrix.
     """
-    quarter_eq = quarter_equality(engine, cmp_matrix, "tie-equality")
-    return engine.mul_plain(quarter_eq, _tie_cell_mask(layout.slot_count, layout.n_dim), site="tie-cells")
+    quarter_eq = quarter_equality(engine, cmp_matrix)
+    return engine.mul_plain(quarter_eq, _tie_cell_mask(layout.slot_count, layout.n_dim))
 
 
 # ----------------------------------------------------------------------

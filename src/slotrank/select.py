@@ -122,11 +122,11 @@ def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, 
 def _value_from_masks(engine, sels, pipe: MultiRankPipeline, n) -> Ciphertext:
     # each mask and its block's replicated input share column 0; folding the
     # rows of the sums over blocks lands both sums in slot 0
-    products = [engine.mul(sel, rep, site="statistic-inner-product") for sel, rep in zip(sels, pipe.col_replicated)]
+    products = [engine.mul(sel, rep) for sel, rep in zip(sels, pipe.col_replicated)]
     numerator = sum_axis(engine, engine.add(*products), pipe.layout, "row")
     norm = sum_axis(engine, engine.add(*sels), pipe.layout, "row")
     inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _goldschmidt_iters(n))
-    return engine.mul(numerator, inv, site="statistic-normalise")
+    return engine.mul(numerator, inv)
 
 
 def multi_statistic(

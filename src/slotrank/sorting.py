@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
-from .engine import Ciphertext, HESimulator
+from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, grid_plain, replicate, sum_axis
 from .ranking import BlockVector, multi_rank_pipeline, rank_pipeline
 
@@ -53,12 +53,12 @@ def _neg_rank_targets(slot_count: int, n_dim: int, start: int) -> np.ndarray:
     return m
 
 
-def _require_distinct(values: np.ndarray, pipeline: str):
+def _require_distinct(values: np.ndarray):
     """Without tie correction, tied values collapse onto one rank and the
     sorted output is wrong; the simulator sees the cleartext, so say so."""
     if np.unique(values).size < values.size:
         raise ValueError(
-            f"{pipeline}: input has tied values but tie_correction=False; "
+            f"{caller_path()}: input has tied values but tie_correction=False; "
             "enable tie_correction for inputs that may contain duplicates"
         )
 
@@ -80,7 +80,7 @@ def _place(engine, ranks, replicated, layout, kernel_cfg):
         placed = []
         for j in range(count):
             selection = indicator_kernel(engine, engine.add_plain(spread[j], neg_targets), -0.5, 0.5, window_cfg)
-            placed.append(engine.mul(selection, replicated[j], site="sort-place"))
+            placed.append(engine.mul(selection, replicated[j]))
         values.append(sum_axis(engine, engine.add(*placed), layout, "row"))
     return values, selection
 
@@ -94,7 +94,7 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     This is the one-block case of ``multi_sort``.
     """
     if not cfg.tie_correction:
-        _require_distinct(ct.slots[:n], "sort_full")
+        _require_distinct(ct.slots[:n])
     pipe = rank_pipeline(engine, ct, n, cfg.kernel, tie_correction=cfg.tie_correction)
     (values,), selection = _place(engine, pipe.ranks.blocks, pipe.col_replicated, pipe.layout, cfg.kernel)
     return SortResult(values=values, selection=selection, ranks=pipe.ranks.blocks[0], layout=pipe.layout)
@@ -114,7 +114,7 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
     Without tie_correction, tied input values raise ``ValueError``.
     """
     if not cfg.tie_correction:
-        _require_distinct(bv.cleartext(), "multi_sort")
+        _require_distinct(bv.cleartext())
     ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction)
     values, _ = _place(engine, ranking.ranks.blocks, ranking.col_replicated, ranking.layout, cfg.kernel)
     return BlockVector(blocks=tuple(values), block_size=bv.block_size, total_len=bv.total_len)

@@ -7,6 +7,7 @@ from numpy.polynomial import chebyshev as npcheb
 from slotrank import (
     ChebyshevPolynomial,
     CostReport,
+    DepthBudgetError,
     HEParams,
     HESimulator,
     KernelConfig,
@@ -401,7 +402,9 @@ def test_noisy_chebyshev_pipelines_run(name, mode):
         # The ideal kernels are exact, so noise of any size would break a tie
         # (and the comparison of a value with itself) that the noise-free run
         # sees as one: they refuse a noisy engine instead of answering wrong.
-        with pytest.raises(ValueError, match=r"ideal (compare|compare-gt|compare-ge|indicator) kernel"):
+        with pytest.raises(
+            ValueError, match=r"chebyshev\.(compare_kernel|compare_gt_kernel|compare_ge_kernel|indicator_kernel)"
+        ):
             run(1e-9)
         return
     noisy, clean = run(1e-9), run(0.0)
@@ -413,9 +416,9 @@ def test_ps_eval_depth_budget_error_names_site():
     eng = make_engine(slot_count=8, max_level=2)
     coeffs = tuple(np.random.default_rng(0).uniform(-1, 1, 65))
     poly = ChebyshevPolynomial(interval=(-1.0, 1.0), coeffs=coeffs)
-    with pytest.raises(Exception) as err:
+    with pytest.raises(DepthBudgetError) as err:
         ps_eval(eng, eng.encrypt(np.zeros(8)), poly)
-    assert "cheb" in str(err.value)
+    assert err.value.site.startswith("chebyshev.ps_eval/")
 
 
 # ----------------------------------------------------------------------

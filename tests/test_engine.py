@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -90,8 +92,9 @@ def test_mul_consumes_level_and_errors_at_zero():
     assert np.array_equal(eng.decrypt(prod)[:2], [8, 15])
     assert prod.level == 0
     with pytest.raises(DepthBudgetError) as err:
-        eng.mul(prod, prod, site="second-mul")
-    assert "second-mul" in str(err.value)
+        eng.mul(prod, prod)
+    assert err.value.site.endswith("engine.mul")
+    assert err.value.site in str(err.value)
 
 
 def test_mul_by_ones_preserves_values():
@@ -184,10 +187,15 @@ def test_counters_are_exact():
         x = eng.rotate(x, k)
     for _ in range(4):
         x = eng.add(x, eng.sub(x, eng.add_plain(eng.negate(x), 1.0)))  # negate is free
+    eng.mul_plain(eng.mul(x, x), 0.5)
+    eng.note_compare_eval()
+    eng.note_indicator_eval()
     rep = eng.cost_snapshot()
     assert rep.rotations == 3
     assert rep.critical_rotations == 3
     assert rep.additions == 4 * 3
+    assert (rep.ctct_mults, rep.ctpt_mults, rep.cmp_evals, rep.ind_evals, rep.levels_consumed) == (1, 1, 1, 1, 2)
+    assert all(getattr(rep, f.name) for f in fields(rep))  # every counter moved, so the reset below zeroes each
     assert eng.rotation_offsets() == [1, 2, 3]
     eng.cost_reset()
     assert eng.cost_snapshot() == type(rep)()
@@ -316,8 +324,8 @@ def test_deferred_product_is_charged_at_mul_plain():
     assert rep.ctpt_mults == 1
     assert rep.levels_consumed == 1
     with pytest.raises(DepthBudgetError) as err:
-        eng.mul_plain(prod, 2.0, site="leaf-at-zero")
-    assert err.value.site == "leaf-at-zero"
+        eng.mul_plain(prod, 2.0)
+    assert err.value.site.endswith("engine.mul_plain")
     assert eng.cost_snapshot() == rep
 
 

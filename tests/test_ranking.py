@@ -343,9 +343,11 @@ def test_tie_correction_refuses_strict_and_weak(comparison):
     v = np.array([10.0, 20.0, 20.0, 40.0])
     cfg = KernelConfig(mode="ideal", degree=256, input_range=(0.0, 64.0))
     eng = make_engine(16)
-    with pytest.raises(ValueError, match="^rank_pipeline: tie correction needs the fractional"):
+    with pytest.raises(
+        ValueError, match=r"^ranking\.rank_pipeline/ranking\.multi_rank_pipeline: tie correction needs the fractional"
+    ):
         rank_pipeline(eng, eng.encrypt(v), 4, cfg, comparison=comparison, tie_correction=True)
-    with pytest.raises(ValueError, match="^multi_rank_pipeline: tie correction needs the fractional"):
+    with pytest.raises(ValueError, match=r"^ranking\.multi_rank_pipeline: tie correction needs the fractional"):
         multi_rank_pipeline(eng, block_split(eng, v), cfg, comparison=comparison, tie_correction=True)
     assert eng.cost_snapshot() == CostReport()  # refused before any op
     # uncorrected, the kernel still ranks as documented

@@ -5,6 +5,7 @@ import pytest
 
 from slotrank import (
     CostReport,
+    DepthBudgetError,
     HEParams,
     HESimulator,
     KernelConfig,
@@ -269,6 +270,23 @@ def test_many_block_sort_holds_o_l_slot_vectors():
     assert np.array_equal(block_merge(eng, out), reference.sorted_values(v))
     assert eng.cost_snapshot().rotations == (8 * 64 - 2) * 6
     assert peak < 25e6
+
+
+@pytest.mark.parametrize(
+    "max_level,stage",
+    [(8, "chebyshev.compare_kernel"), (14, "matrix.sum_axis"), (24, "chebyshev.indicator_kernel")],
+)
+def test_depth_budget_error_names_the_stage_that_ran_out(max_level, stage):
+    # At degree 1024 the comparison, the rank fold's masks and the placement
+    # indicator each end in the same engine ops; only the call path tells
+    # which stage ran out of levels.
+    v = np.random.default_rng(1).uniform(0, 1, 16)
+    eng = make_engine(256, max_level)
+    with pytest.raises(DepthBudgetError) as err:
+        multi_sort(eng, block_split(eng, v), cfg(kernel=KernelConfig(mode="chebyshev", degree=1024)))
+    assert err.value.site.startswith("sorting.multi_sort/")
+    assert stage in err.value.site
+    assert err.value.site in str(err.value)
 
 
 def test_sort_config_requires_kernel():
