@@ -446,14 +446,16 @@ def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: Kerne
 
     Chebyshev mode evaluates the fitted unit step on (x - y) scaled by the
     declared input range; ties and sub-resolution gaps then land on the
-    smoothed part of the step.
+    smoothed part of the step.  An evaluation is counted once it completes.
     """
-    engine.note_compare_eval()
     if cfg.mode == "ideal":
-        return _ideal_kernel(engine, _three_way, x, y, degree=cfg.degree)
-    lo, hi = cfg.input_range
-    diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo))
-    return ps_eval(engine, diff, _step_poly(cfg.degree))
+        out = _ideal_kernel(engine, _three_way, x, y, degree=cfg.degree)
+    else:
+        lo, hi = cfg.input_range
+        diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo))
+        out = ps_eval(engine, diff, _step_poly(cfg.degree))
+    engine.note_compare_eval()
+    return out
 
 
 def _compare_shifted(engine, x, y, cfg, predicate, margin):
@@ -461,8 +463,9 @@ def _compare_shifted(engine, x, y, cfg, predicate, margin):
     # compares x + margin with y; the declared range is widened by the
     # margin so the shifted difference still maps into the fit interval.
     if cfg.mode == "ideal":
+        out = _ideal_kernel(engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, degree=cfg.degree)
         engine.note_compare_eval()
-        return _ideal_kernel(engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, degree=cfg.degree)
+        return out
     lo, hi = cfg.input_range
     widened = with_input_range(cfg, lo + min(margin, 0.0), hi + max(margin, 0.0))
     return compare_kernel(engine, engine.add_plain(x, margin), y, widened)
@@ -492,11 +495,13 @@ def indicator_kernel(
     """
     if not (a < b):
         raise ValueError(f"indicator interval must satisfy a < b, got [{a}, {b}]")
-    engine.note_indicator_eval()
     if cfg.mode == "ideal":
-        return _ideal_kernel(engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, degree=cfg.ind_degree)
-    lo, hi = cfg.input_range
-    return ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))
+        out = _ideal_kernel(engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, degree=cfg.ind_degree)
+    else:
+        lo, hi = cfg.input_range
+        out = ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))
+    engine.note_indicator_eval()
+    return out
 
 
 def quarter_equality(engine: HESimulator, c: Ciphertext) -> Ciphertext:
@@ -531,6 +536,13 @@ def goldschmidt_inverse(
     value outside [m, M] starts further out, at |e(x)| > e0, and keeps
     e(x)^(2^(iters+1)): on (0.5, 64.5) with 8 steps, x = 0.5 is left at
     2.6e-14 but x = 0.23 at 6.7e-7, and x = 0.1 at 2.2e-3.
+
+    A one-point range (k, k) gives the seed (2k - x)/k^2: the seed 1/k plus
+    one step, with e(x) = (1 - x/k)^2, so the iteration converges for every
+    x in (0, 2k).  At k = 1 it is the Inv iteration of Cheon, Kim, Kim, Lee
+    and Lee (ASIACRYPT 2019).  A value promised near k, such as the norm of a
+    window mask of k ranks, then needs only a few steps: 4 leave
+    (1 - x/k)^64.
     """
     m, mx = value_range
     if not (0 < m <= mx):

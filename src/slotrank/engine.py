@@ -131,7 +131,8 @@ class HEParams:
         arithmetic operation (rotations stay exact); finite, 0 means exact.
         An op owes its noise until its value is read, and a linear op passes
         the noise of an owing operand on: a chain draws it once.
-    seed: seed of the noise generator.
+    seed: seed of the noise generator, an SFC64 bit generator: one seed
+        gives one noise stream.
     """
 
     slot_count: int
@@ -318,7 +319,7 @@ _read_counters = operator.attrgetter(*_COUNTERS)
 
 
 class HESimulator:
-    """Engine owning the parameters, noise generator, and cost counters.
+    """Engine owning the parameters, an SFC64 noise generator, and cost counters.
 
     Not thread-safe: use one engine per thread.  Engines are cheap to build,
     and a single thread keeps noisy runs reproducible for a fixed seed.
@@ -326,7 +327,8 @@ class HESimulator:
 
     def __init__(self, params: HEParams):
         self.params = params
-        self._rng = np.random.default_rng(params.seed)
+        # SFC64 draws the same normal distribution as default_rng's PCG64, faster
+        self._rng = np.random.Generator(np.random.SFC64(params.seed))
         # the noise variance, in units of sigma^2, a charged op owes: none
         # on a noise-free engine
         self._op_noise = 1.0 if params.noise_sigma > 0 else 0.0

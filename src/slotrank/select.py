@@ -12,6 +12,16 @@ all land on rank 1 and rank N, and the division normalises the multi-hot
 mask away.  Across blocks those kernels have no complement
 identity, so the extremes take rank 1 and rank N of the tie-corrected
 fractional ranking.
+
+A tie-corrected window of k target ranks holds k distinct ranks, so its
+mask norm is k, known in the clear: its reciprocal is seeded at 1/k and
+runs only the few steps an inexact chebyshev mask needs (exact in ideal
+mode for k = 1, 2).  A norm in slot 0 outside (0, 2k), where that
+iteration diverges, raises ``ValueError``.  The strict/weak extremes and
+the uncorrected windows select a whole tie group, of a data-dependent
+size, and keep the reciprocal over (0.5, n + 0.5).  A padded block's mask
+is cut to its valid rows first: a padded entry ranks 0, which a chebyshev
+window at k = 1 partly selects.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
-from .engine import Ciphertext, HESimulator
+from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, sum_axis
-from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
+from .ranking import BlockVector, MultiRankPipeline, _prefix_vector, multi_rank_pipeline, one_block
 
 __all__ = [
     "StatisticQuery",
@@ -37,10 +47,17 @@ __all__ = [
 ]
 
 
+# Squaring steps of the reciprocal of a tie-corrected window's mask norm,
+# seeded at 1/k: 4 leave (1 - norm/k)^64, below 1e-16 while the norm is
+# within 55% of k.
+_SEEDED_ITERS = 4
+
+
 def _goldschmidt_iters(n: int) -> int:
-    # Squaring steps of the reciprocal that normalises a selection mask's L1
-    # norm, in (0.5, n + 0.5), away: k steps leave a relative error of about
-    # exp(-2^(k+1) * 4/n), 1e-14 at k = log2(n) + 2.  Never fewer than 8.
+    # Squaring steps of the reciprocal that normalises a mask norm of
+    # data-dependent size (a strict/weak extreme's or an uncorrected window's
+    # tie group), in (0.5, n + 0.5), away: k steps leave a relative error of
+    # about exp(-2^(k+1) * 4/n), 1e-14 at k = log2(n) + 2.  Never fewer than 8.
     return max(8, math.ceil(math.log2(n)) + 2)
 
 
@@ -103,8 +120,9 @@ def _require_selectable(values, first: int, last: int):
             )
 
 
-def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, list[Ciphertext]]:
-    """The ranking of ``bv`` and one window mask per block."""
+def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, list[Ciphertext], int | None]:
+    """The ranking of ``bv``, one window mask per block, and the number of
+    target ranks if tie correction makes it the masks' norm (else None)."""
     n = bv.total_len
     comparison, correct, first, last = _resolve(query, n, len(bv.blocks), tie_correction)
     if comparison == "fractional" and not correct:
@@ -116,16 +134,34 @@ def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, 
     # the rank vector hold zeros and the fitted polynomial reads every slot.
     window_cfg = with_input_range(cfg, -0.5, n + 0.5)
     sels = [indicator_kernel(engine, ranks, first - 0.5, last + 0.5, window_cfg) for ranks in pipe.ranks.blocks]
-    return pipe, sels
+    return pipe, sels, (last - first + 1 if correct else None)
 
 
-def _value_from_masks(engine, sels, pipe: MultiRankPipeline, n) -> Ciphertext:
+def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int | None) -> Ciphertext:
+    """The masked sum of the inputs over the masks' norm, in slot 0; ``width``
+    is the norm the masks promise, or None if it is data-dependent."""
+    ranks = pipe.ranks
+    valid = ranks.valid_in(len(sels) - 1)
+    if valid < ranks.block_size:  # a padded entry ranks 0: keep it out of the norm
+        rows = _prefix_vector(pipe.layout.slot_count, ranks.block_size, valid, 1.0)
+        sels = [*sels[:-1], engine.mul_plain(sels[-1], rows)]
     # each mask and its block's replicated input share column 0; folding the
     # rows of the sums over blocks lands both sums in slot 0
     products = [engine.mul(sel, rep) for sel, rep in zip(sels, pipe.col_replicated)]
     numerator = sum_axis(engine, engine.add(*products), pipe.layout, "row")
     norm = sum_axis(engine, engine.add(*sels), pipe.layout, "row")
-    inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _goldschmidt_iters(n))
+    if width is None:
+        n = ranks.total_len
+        inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _goldschmidt_iters(n))
+    else:
+        # the simulator sees the cleartext; the other slots hold fold garbage
+        got = float(norm.slots[0])
+        if not 0.0 < got < 2 * width:
+            raise ValueError(
+                f"{caller_path()}: mask norm {got:.6g} of a window of {width} target ranks lies outside "
+                f"(0, {2 * width}), where its reciprocal seeded at 1/{width} diverges"
+            )
+        inv = goldschmidt_inverse(engine, norm, (width, width), _SEEDED_ITERS)
     return engine.mul(numerator, inv)
 
 
@@ -145,8 +181,7 @@ def multi_statistic(
     selects both middle ranks with one window, and the normalisation by the
     mask norm, 2, averages them.
     """
-    pipe, sels = _select(engine, bv, query, cfg, tie_correction)
-    return _value_from_masks(engine, sels, pipe, bv.total_len)
+    return _value_from_masks(engine, *_select(engine, bv, query, cfg, tie_correction))
 
 
 def order_statistic_mask(
@@ -165,7 +200,7 @@ def order_statistic_mask(
     target's whole tie group shares its rank and is selected, and an input
     whose tied rank falls outside the target window raises ``ValueError``.
     """
-    pipe, (sel,) = _select(engine, one_block(engine, ct, n), query, cfg, tie_correction)
+    pipe, (sel,), _ = _select(engine, one_block(engine, ct, n), query, cfg, tie_correction)
     return StatisticMask(sel, pipe.layout)
 
 

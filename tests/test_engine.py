@@ -345,7 +345,7 @@ def test_noisy_scalar_product_is_deferred_and_seeded():
     v = np.random.default_rng(5).normal(size=32)
     prod = eng.mul_plain(eng.encrypt(v), SCALE)
     assert prod.pending is not None
-    expected = v * SCALE + np.random.default_rng(seed).normal(0.0, sigma, 32)
+    expected = v * SCALE + np.random.Generator(np.random.SFC64(seed)).normal(0.0, sigma, 32)
     assert np.array_equal(eng.decrypt(prod), expected)
 
 

@@ -1,8 +1,10 @@
 """Property tests of the block pipelines against the plaintext oracles.
 
-Ideal mode, tie correction on: ranks, sorted values and masks are exact, so
-ranks and sorts must equal the oracle bit for bit; a statistic keeps only
-the rounding of the Goldschmidt reciprocal of its mask norm.  Values come
+Ideal mode, tie correction on: ranks, sorted values and masks are exact, and
+the reciprocal of a window's mask norm k is seeded at 1/k, exact for k = 1
+and 2, so ranks, sorts and statistics must equal the oracle bit for bit.
+Without tie correction a statistic keeps the rounding of the reciprocal
+over (0.5, n + 0.5).  Values come
 from a small pool, so most vectors carry ties, within and across blocks,
 and the last block is padded whenever the length is not a multiple of the
 block side.
@@ -82,7 +84,7 @@ def test_tie_corrected_multi_statistic_matches_the_oracle(case, data):
     ):
         eng, bv = split(values, slot_count)
         out = eng.decrypt(multi_statistic(eng, bv, query, IDEAL, tie_correction=True))[0]
-        assert out == pytest.approx(want, rel=1e-13, abs=0), (query, n)
+        assert out == want, (query, n)
 
 
 @PROPERTY

@@ -17,6 +17,7 @@ from slotrank import (
     read_col,
 )
 from slotrank import reference
+from slotrank import select as select_module
 
 IDEAL = KernelConfig(mode="ideal", degree=256)
 
@@ -228,25 +229,27 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=53, ctpt_mults=96, additions=165,
-                       cmp_evals=1, ind_evals=1, levels_consumed=32, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=53, ctpt_mults=96, additions=165,
-                       cmp_evals=1, ind_evals=1, levels_consumed=32, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=53, ctpt_mults=96, additions=165,
-                       cmp_evals=1, ind_evals=1, levels_consumed=32, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
         ),
     ],
     ids=["min", "max", "kth3", "median_even", "percentile75"],
 )
 def test_statistic_circuit_is_pinned(statistic, report):
     # the full cost of each select path at chebyshev degree 64, n=8 in 64
-    # slots; a layout refactor must leave every counter where it is
+    # slots; a layout refactor must leave every counter where it is.  The
+    # tie-corrected windows' reciprocal, seeded at 1/k, takes 4 steps where
+    # min/max take 8: 8 ct-ct, 4 additions and 4 levels fewer
     eng = make_engine(64)
     statistic(eng, eng.encrypt(PINNED_INPUT))
     assert eng.cost_snapshot() == report
@@ -269,8 +272,8 @@ def _oracle(query, v):
     return reference.kth_smallest(v, {"min": 1, "max": v.size}.get(query.kind, query.k))
 
 
-# three 4x4 blocks in 16 slots, the last one padded, with ties inside and
-# across blocks: the input of the pinned tie-corrected multi_rank circuit
+# three full 4x4 blocks in 16 slots, with ties inside and across blocks:
+# the input of the pinned tie-corrected multi_rank circuit
 PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
 
 
@@ -278,27 +281,31 @@ PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6,
 @pytest.mark.parametrize(
     "kernel, report",
     [
-        (IDEAL, CostReport(rotations=36, ctct_mults=28, ctpt_mults=16, additions=71,
-                           cmp_evals=6, ind_evals=3, levels_consumed=35, critical_rotations=10)),
-        (PINNED_CHEB, CostReport(rotations=36, ctct_mults=169, ctpt_mults=382, additions=620,
-                                 cmp_evals=6, ind_evals=3, levels_consumed=32, critical_rotations=10)),
+        (IDEAL, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=67,
+                           cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
+        (PINNED_CHEB, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=616,
+                                 cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
     ],
     ids=["ideal", "chebyshev"],
 )
 def test_multi_block_statistic_circuit_is_pinned(kind, kernel, report):
-    # the masks and the inner products of the blocks are each one add
+    # the masks and the inner products of the blocks are each one add; both
+    # windows are tie-corrected, of norm 1 and 2, so the reciprocal is
+    # seeded and exact in ideal mode
     eng = make_engine(16)
     out = multi_statistic(eng, block_split(eng, PINNED_BLOCKS), StatisticQuery(kind), kernel)
     if kernel.mode == "ideal":
-        assert value_of(eng, out) == pytest.approx(_oracle(StatisticQuery(kind), PINNED_BLOCKS), rel=1e-13)
+        assert value_of(eng, out) == _oracle(StatisticQuery(kind), PINNED_BLOCKS)
     assert eng.cost_snapshot() == report
     assert len(eng.rotation_offsets()) == report.rotations
 
 
 def test_multi_block_statistics_match_the_oracle():
     # one to four blocks of 8, the last one padded or full, odd and even
-    # lengths; ranks and masks are exact in ideal mode, so the only error
-    # left is the rounding of the Goldschmidt reciprocal of the mask norm
+    # lengths; ranks and masks are exact in ideal mode, and the reciprocal
+    # of a tie-corrected window's norm k is seeded at 1/k, exact for k = 1, 2.
+    # Only the one-block strict/weak extremes keep the rounding of the
+    # reciprocal over (0.5, n + 0.5)
     rng = np.random.default_rng(2024)
     b = 8
     checked = 0
@@ -319,14 +326,28 @@ def test_multi_block_statistics_match_the_oracle():
                     bv = block_split(eng, v)
                     assert len(bv.blocks) == blocks
                     out = value_of(eng, multi_statistic(eng, bv, query, IDEAL, tie_correction=tie_correction))
-                    assert out == pytest.approx(_oracle(query, v), rel=1e-13, abs=0), (n, query)
+                    want = _oracle(query, v)
+                    if blocks == 1 and (query.kind in ("min", "max") or query.p in (0.0, 100.0)):
+                        want = pytest.approx(want, rel=1e-13, abs=0)
+                    assert out == want, (n, query)
                     checked += 1
     assert checked == 12 * 9
 
 
-def test_noisy_chebyshev_three_block_statistics():
+def test_noisy_chebyshev_three_block_statistics(monkeypatch):
     # 40 values in 256 slots: three 16x16 blocks, the last one padded.  Shared
     # operands that an op took the owed noise of would raise when read again.
+    # A padded entry ranks 0, which the chebyshev window at k = 1 partly
+    # selects: counted, it took the min's norm to 2.03, where the reciprocal
+    # seeded at 1 diverges; cut to the valid rows it reads 0.85
+    norms = []
+    inverse = select_module.goldschmidt_inverse
+
+    def spy(engine, x, value_range, iters):
+        norms.append(float(x.slots[0]))
+        return inverse(engine, x, value_range, iters)
+
+    monkeypatch.setattr(select_module, "goldschmidt_inverse", spy)
     rng = np.random.default_rng(8)
     v = _tied_values(rng, 40)
     cfg = KernelConfig(mode="chebyshev", degree=256)
@@ -340,6 +361,7 @@ def test_noisy_chebyshev_three_block_statistics():
         assert len(bv.blocks) == 3 and bv.valid_in(2) == 8
         out = value_of(eng, multi_statistic(eng, bv, query, cfg))
         assert abs(out - _oracle(query, v)) < 2e-2, query
+    assert 0.0 < norms[0] < 1.2  # the min
 
 
 def test_even_median_is_one_query_on_one_ranking():
@@ -361,11 +383,26 @@ def test_uncorrected_even_median_of_a_tied_middle_pair():
 
 
 def test_long_vector_statistic_keeps_full_precision():
-    # 300 values in nineteen 16x16 blocks: the mask norm's reciprocal takes
-    # more Goldschmidt steps as n grows (eight steps left 1e-6 here, 2% at n=1000)
+    # 300 values in nineteen 16x16 blocks: a tie-corrected window's mask norm
+    # is its number of target ranks whatever n, so the reciprocal seeded at
+    # 1/k stays exact (one over (0.5, n + 0.5) needs more steps as n grows:
+    # eight left 1e-6 here, 2% at n=1000)
     rng = np.random.default_rng(5)
     v = _tied_values(rng, 300)
     for query in (StatisticQuery("median"), StatisticQuery("kth", k=211)):
         eng = make_engine(256)
         out = value_of(eng, multi_statistic(eng, block_split(eng, v), query, IDEAL))
-        assert out == pytest.approx(_oracle(query, v), rel=1e-13, abs=0), query
+        assert out == _oracle(query, v), query
+
+
+@pytest.mark.parametrize("scale, norm", [(2.5, "5"), (0.0, "0")])
+def test_seeded_reciprocal_refuses_a_norm_it_would_diverge_on(monkeypatch, scale, norm):
+    # an even-length median's window of 2 ranks promises norm 2, and the
+    # reciprocal seeded at 1/2 converges on (0, 4) only; a hand-built mask
+    # of norm 2.5k, or 0, raises instead of returning a wrong value
+    eng = make_engine(16)
+    grid = np.zeros((4, 4))
+    grid[:2, 0] = scale
+    monkeypatch.setattr(select_module, "indicator_kernel", lambda engine, *_: engine.encrypt(grid.ravel()))
+    with pytest.raises(ValueError, match=rf"select\.median/\S*select\.multi_statistic: mask norm {norm} of a window "):
+        median(eng, eng.encrypt([0.20, 0.30, 0.10, 0.40]), 4, IDEAL)

@@ -197,8 +197,8 @@ def test_tie_corrected_rotations_follow_the_closed_forms(blocks):
     assert sorted_.cost_snapshot().rotations == (8 * blocks - 2) * log_b
 
 
-# three 4x4 blocks in 16 slots, the last one padded, with ties inside and
-# across blocks: the input of the pinned tie-corrected multi_rank circuit
+# three full 4x4 blocks in 16 slots, with ties inside and across blocks:
+# the input of the pinned tie-corrected multi_rank circuit
 PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
 
 
@@ -279,7 +279,8 @@ def test_many_block_sort_holds_o_l_slot_vectors():
 def test_depth_budget_error_names_the_stage_that_ran_out(max_level, stage):
     # At degree 1024 the comparison, the rank fold's masks and the placement
     # indicator each end in the same engine ops; only the call path tells
-    # which stage ran out of levels.
+    # which stage ran out of levels.  A kernel evaluation is counted once it
+    # completes, so the one that ran out is not.
     v = np.random.default_rng(1).uniform(0, 1, 16)
     eng = make_engine(256, max_level)
     with pytest.raises(DepthBudgetError) as err:
@@ -287,6 +288,8 @@ def test_depth_budget_error_names_the_stage_that_ran_out(max_level, stage):
     assert err.value.site.startswith("sorting.multi_sort/")
     assert stage in err.value.site
     assert err.value.site in str(err.value)
+    report = eng.cost_snapshot()
+    assert (report.cmp_evals, report.ind_evals) == (int(stage != "chebyshev.compare_kernel"), 0)
 
 
 def test_sort_config_requires_kernel():
