@@ -212,8 +212,9 @@ def _powers(
     from ``interval`` onto [-1, 1], for each i in ``baby`` and ``giants``.
 
     Each baby-step power is written into its row of one array as it is
-    built, so ``HESimulator.realise`` takes one product over them for a batch
-    of leaves; the lower powers built on the way are released unless wanted.
+    built, in the order of ``baby``, so that ``HESimulator.realise``, told
+    those rows, takes one product over them for a batch of leaves; the lower
+    powers built on the way are released unless wanted.
     """
     a, b = interval
     if (a, b) != (-1.0, 1.0):
@@ -307,17 +308,20 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
 
 
 def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
-    """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``;
-    each is handed over, not kept, so none outlives its use.  The baby-step
+    """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``,
+    which is told the baby-step powers as the rows of their array; each leaf
+    is handed over, not kept, so none outlives its use.  The baby-step
     powers leave ``powers`` once the last batch is computed, which frees
     their array for the rest of the walk."""
+    rows = [powers[i] for i in plan.baby]
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
         batch = [
             engine.add(*[engine.mul_plain(powers[i], c) for i, c in terms])
             for terms in plan.leaves[start : start + _LEAF_BATCH]
         ]
-        batch = engine.realise(batch)
+        batch = engine.realise(batch, rows)
         if start + _LEAF_BATCH >= len(plan.leaves):
+            rows.clear()
             for i in plan.baby:
                 del powers[i]
         while batch:
@@ -358,9 +362,9 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     takes its leaves in turn from a stream, which computes ``_LEAF_BATCH`` of
     them when the walk first needs one: a leaf is its charged scalar
     ``mul_plain`` products and one n-ary ``add`` of them.  One
-    ``HESimulator.realise`` computes each batch: one BLAS product over the
-    rows, in column tiles, which reads every power once per batch rather
-    than once per term.  The baby-step rows are released once the last
+    ``HESimulator.realise`` computes each batch, told the rows: one BLAS
+    product over them, which reads every power once per batch rather than
+    once per term.  The baby-step rows are released once the last
     batch is computed, so the rest of the walk holds only the giant powers
     and its partial sums.
     """

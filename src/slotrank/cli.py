@@ -168,14 +168,6 @@ def _obtain_values(args) -> np.ndarray:
     return values
 
 
-def _stat_oracle(query: StatisticQuery, values: np.ndarray) -> float:
-    if query.kind == "median":
-        return reference.median_value(values)
-    if query.kind == "percentile":
-        return reference.percentile_value(values, query.p)  # p=0 and p=100 are min and max
-    return reference.kth_smallest(values, {"min": 1, "max": values.size}.get(query.kind, query.k))
-
-
 @dataclass
 class TaskRun:
     """One task on one input vector: its output, the per-entry error against
@@ -220,7 +212,7 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
         query = StatisticQuery(task, k=getattr(args, "k", None), p=getattr(args, "p", None))
         ct = multi_statistic(engine, block_split(engine, scaled), query, cfg, tie_correction=args.tie_correction)
         output = scale.back(engine.decrypt(ct)[:1])
-        oracle = _stat_oracle(query, values)
+        oracle = reference.statistic_value(values, query.kind, query.k, query.p)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return TaskRun(output, np.abs(output - oracle), engine.cost_snapshot(), wall_ms, scale)
 

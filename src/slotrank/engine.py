@@ -26,9 +26,9 @@ Cost model:
   sum's ``slots`` folds its terms left to right, which gives the same
   doubles as the eager chain of products and additions, signed zeros
   included; ``copy_into`` folds one straight into the row of a 2D array it
-  is told, and ``realise`` computes a batch of pending sums over such rows
-  as one BLAS product, in column tiles, which rounds each slot within a few
-  ulps of sum_i |scale_i * base_i| of the fold;
+  is told, and ``realise``, told the rows of such an array, computes a batch
+  of pending sums over them as one BLAS product, which rounds each slot
+  within a few ulps of sum_i |scale_i * base_i| of the fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot, but on a noisy engine it returns its noise-free value and
   *owes* that noise, as a one-term pending sum, until something reads it.
@@ -63,7 +63,6 @@ import ctypes
 import math
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -262,13 +261,6 @@ def _fold(terms: tuple, out: np.ndarray | None = None) -> np.ndarray:
     return value
 
 
-class _Row(weakref.ref):
-    """A weak reference to row ``index`` of the 2D array ``rows``, with the
-    ``id`` it is known by."""
-
-    __slots__ = ("key", "rows", "index")
-
-
 def _keep_freed_slot_vectors():
     """Pin glibc's malloc so that freed slot vectors stay in the heap.
 
@@ -292,11 +284,6 @@ def _keep_freed_slot_vectors():
 
 
 _keep_freed_slot_vectors()
-
-
-# Columns of one matmul in ``HESimulator.realise``: a tile of the rows it reads
-# stays in cache while the scales of every sum pass over it.
-_COLUMN_TILE = 8192
 
 
 @dataclass(frozen=True)
@@ -332,10 +319,6 @@ class HESimulator:
         # the noise variance, in units of sigma^2, a charged op owes: none
         # on a noise-free engine
         self._op_noise = 1.0 if params.noise_sigma > 0 else 0.0
-        # each row ``copy_into`` has filled, by id; an entry goes when its
-        # row does
-        rows: dict[int, _Row] = {}
-        self._rows, self._forget_row = rows, lambda ref: rows.pop(ref.key, None)
         self.cost_reset()
 
     # ------------------------------------------------------------------
@@ -480,7 +463,7 @@ class HESimulator:
 
         A pending sum that owes no noise is folded straight into the row, to
         the doubles a read gives, and stays pending; anything else is read
-        and copied.  While the row lives, ``realise`` knows it as row ``i``.
+        and copied.
         """
         self._check(ct)
         row = rows[i]
@@ -488,37 +471,42 @@ class HESimulator:
             _fold(ct.pending, out=row)
         else:
             np.copyto(row, ct.slots)
-        memo = self._rows[id(row)] = _Row(row, self._forget_row)
-        memo.key, memo.rows, memo.index = id(row), rows, i
         return Ciphertext(row, ct.level, ct.rot_chain, self.params)
 
-    def realise(self, cts: list[Ciphertext]) -> list[Ciphertext]:
+    def realise(self, cts: list[Ciphertext], rows: list[Ciphertext] | tuple = ()) -> list[Ciphertext]:
         """Compute every pending sum of ``cts`` and return ``cts``; charges nothing.
 
         Each pending sum keeps its computed value at its own level.  One that
         owes no noise then reads as a read-only ciphertext, as a read leaves
         it.  One that owes noise keeps owing it, as the one term of scale 1 of
         a pending sum: the noise is drawn when the value is read, or joins
-        the op that takes it over.  If every base of the sums is a row that
-        ``copy_into`` filled, all of one 2D array, the batch is one product of
-        the matrix of their scales by that array, written into one block
-        ``_COLUMN_TILE`` columns at a time: it reads each base once, copies
-        none, and rounds each slot within a few ulps of
-        sum_i |scale_i * base_i| of the left-to-right fold.  Other sums are
-        folded on their own, as a lone read does.  A spent operand raises
-        ``EngineError``.
+        the op that takes it over.  ``rows`` names the ciphertexts that
+        ``copy_into`` wrote into rows 0, 1, ... of one 2D array, all of them
+        in order, else ``ValueError``.  If every base of the sums is one of
+        them, the batch is one product of the matrix of their scales by that
+        array: it reads each base once, copies none, and rounds each slot
+        within a few ulps of sum_i |scale_i * base_i| of the left-to-right
+        fold.  Otherwise each sum is folded on its own, as a lone read does.
+        A spent operand raises ``EngineError``.
         """
         self._check(*cts)
         pending = [c for c in cts if c.pending is not None]
-        over_rows = self._scales_over_rows(pending)
-        if over_rows is not None:
-            scales, array = over_rows
-            block = np.empty((len(pending), array.shape[1]))
-            for start in range(0, array.shape[1], _COLUMN_TILE):
-                tile = slice(start, start + _COLUMN_TILE)
-                np.matmul(scales, array[:, tile], out=block[:, tile])
-            for ct, value in zip(pending, block):
-                ct._computed(value)
+        if rows:
+            array = rows[0].slots.base
+            if not (
+                array is not None
+                and len(rows) == len(array)
+                and all(r.slots.base is array and np.may_share_memory(r.slots, a) for r, a in zip(rows, array))
+            ):
+                raise ValueError("realise: rows must be every row of one 2D array, in order, as copy_into wrote them")
+            index = {id(r.slots): k for k, r in enumerate(rows)}
+            if pending and all(id(base) in index for ct in pending for base, _ in ct.pending):
+                scales = np.zeros((len(pending), len(rows)))
+                for r, ct in enumerate(pending):
+                    for base, scale in ct.pending:
+                        scales[r, index[id(base)]] += scale
+                for ct, value in zip(pending, scales @ array):
+                    ct._computed(value)
         for ct in cts:
             if ct.pending is not None:
                 ct._computed(_fold(ct.pending))
@@ -579,24 +567,6 @@ class HESimulator:
                 raise IncompatibleParamsError(
                     f"ciphertext parameters {c.params} do not match engine {self.params}"
                 )
-
-    def _scales_over_rows(self, sums: list) -> tuple[np.ndarray, np.ndarray] | None:
-        """The matrix of the pending ``sums``' scales over the rows of the one
-        2D array every base is a ``copy_into`` row of, and that array; None if
-        there is no such array."""
-        scales = array = None
-        for r, ct in enumerate(sums):
-            for base, scale in ct.pending:
-                row = self._rows.get(id(base))
-                if row is None or row() is not base:
-                    return None
-                if array is None:
-                    array = row.rows
-                    scales = np.zeros((len(sums), len(array)))
-                elif row.rows is not array:
-                    return None
-                scales[r, row.index] += scale
-        return None if array is None else (scales, array)
 
     def _plain_operand(self, p) -> float | np.ndarray:
         """A Python or numpy scalar as a float, which broadcasts to the same

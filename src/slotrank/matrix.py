@@ -6,8 +6,8 @@ eight building blocks used by the ranking pipelines: row/column masking,
 row/column summation, row/column replication, and the log-cost vector
 transposes.  All of them need exactly log2(N) rotations (transposes
 ceil(log2 N)), each a rotate-and-add step of one loop.  Masks are cached
-plaintext vectors; ``grid_plain`` lays them out, and every other plaintext
-grid of the pipelines.
+plaintext vectors from ``rect_plain``, a value on a rectangle of cells;
+``grid_plain`` lays out every plaintext grid of the pipelines.
 
 Slots beyond N^2 must be zero on entry; every primitive that rotates data
 across that boundary ends with a mask, so pipelines built from these
@@ -57,10 +57,12 @@ def grid_plain(slot_count: int, grid: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _line_mask(n_dim: int, slot_count: int, axis: str, k: int) -> np.ndarray:
+def rect_plain(slot_count: int, n_dim: int, r0: int, r1: int, c0: int, c1: int, value: float = 1.0) -> np.ndarray:
+    """``value`` on rows [r0, r1) x columns [c0, c1) of the N x N grid, zero
+    elsewhere, laid out by ``grid_plain``; cached."""
     grid = np.zeros((n_dim, n_dim))
-    grid[k] = 1.0
-    return grid_plain(slot_count, grid if axis == "row" else grid.T)
+    grid[r0:r1, c0:c1] = value
+    return grid_plain(slot_count, grid)
 
 
 def _check_axis(axis: str):
@@ -73,8 +75,9 @@ def mask(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str, k:
     _check_axis(axis)
     if not 0 <= k < layout.n_dim:
         raise IndexError(f"{axis} index {k} out of range for side {layout.n_dim}")
-    plain = _line_mask(layout.n_dim, layout.slot_count, axis, k)
-    return engine.mul_plain(x, plain)
+    n = layout.n_dim
+    line = (k, k + 1, 0, n) if axis == "row" else (0, n, k, k + 1)
+    return engine.mul_plain(x, rect_plain(layout.slot_count, n, *line))
 
 
 def _rotate_sum(engine: HESimulator, x: Ciphertext, offsets) -> Ciphertext:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chebyshev import KernelConfig, compare_ge_kernel, compare_gt_kernel, compare_kernel, quarter_equality
 from .engine import CapacityError, Ciphertext, HESimulator, caller_path
-from .matrix import MatrixLayout, grid_plain, replicate, sum_axis, transpose_vector
+from .matrix import MatrixLayout, grid_plain, rect_plain, replicate, sum_axis, transpose_vector
 
 __all__ = [
     "RankResult",
@@ -112,20 +112,6 @@ class MultiRankPipeline:
     ranks: BlockVector
     col_replicated: list[Ciphertext]
     layout: MatrixLayout
-
-
-@lru_cache(maxsize=None)
-def _prefix_vector(slot_count: int, n_dim: int, count: int, value: float) -> np.ndarray:
-    grid = np.zeros((n_dim, n_dim))
-    grid[:count, 0] = value
-    return grid_plain(slot_count, grid)
-
-
-@lru_cache(maxsize=None)
-def _pad_mask(slot_count: int, n_dim: int, rows: int, cols: int) -> np.ndarray:
-    grid = np.zeros((n_dim, n_dim))
-    grid[:rows, :cols] = 1.0
-    return grid_plain(slot_count, grid)
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +198,7 @@ def multi_rank_pipeline(
         c = kernel(engine, col_rep[i], row_rep[j], cfg)
         if bv.valid_in(j) < b:
             # cells against zero padding would count as comparisons
-            c = engine.mul_plain(c, _pad_mask(layout.slot_count, b, bv.valid_in(i), bv.valid_in(j)))
+            c = engine.mul_plain(c, rect_plain(layout.slot_count, b, 0, bv.valid_in(i), 0, bv.valid_in(j)))
         return c
 
     earlier: dict[int, Ciphertext] = {}  # block j's running sum of C_ij over i < j
@@ -238,7 +224,7 @@ def multi_rank_pipeline(
             ranks = engine.sub(ranks, transpose_vector(engine, folded, layout, "row_to_col"))
         shift = bias + i * b - (0.5 if tie_correction else 0.0)
         if shift != 0.0:
-            ranks = engine.add_plain(ranks, _prefix_vector(layout.slot_count, b, bv.valid_in(i), shift))
+            ranks = engine.add_plain(ranks, rect_plain(layout.slot_count, b, 0, bv.valid_in(i), 0, 1, shift))
         rank_blocks.append(ranks)
 
     return MultiRankPipeline(

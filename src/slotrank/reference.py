@@ -20,6 +20,7 @@ __all__ = [
     "median_value",
     "nearest_rank",
     "percentile_value",
+    "statistic_value",
     "rank_displacement",
 ]
 
@@ -79,6 +80,21 @@ def nearest_rank(n: int, p: float) -> int:
 def percentile_value(values, p: float) -> float:
     v = np.asarray(values, dtype=np.float64)
     return kth_smallest(v, nearest_rank(v.size, p))
+
+
+def statistic_value(values, kind: str, k: int | None = None, p: float | None = None) -> float:
+    """The order statistic ``kind`` of ``values``: "min", "max", "median",
+    "kth" (the ``k``-th smallest) or "percentile" (the nearest rank of
+    ``p``; 0 and 100 give the min and the max)."""
+    v = np.asarray(values, dtype=np.float64)
+    if kind == "median":
+        return median_value(v)
+    if kind == "percentile":
+        return percentile_value(v, p)
+    ranks = {"min": 1, "max": v.size, "kth": k}
+    if kind not in ranks:
+        raise ValueError(f"unknown statistic {kind!r}")
+    return kth_smallest(v, ranks[kind])
 
 
 def rank_displacement(estimated_ranks, values) -> np.ndarray:

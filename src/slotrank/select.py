@@ -33,8 +33,8 @@ import numpy as np
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
-from .matrix import MatrixLayout, sum_axis
-from .ranking import BlockVector, MultiRankPipeline, _prefix_vector, multi_rank_pipeline, one_block
+from .matrix import MatrixLayout, rect_plain, sum_axis
+from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
 
 __all__ = [
     "StatisticQuery",
@@ -143,7 +143,7 @@ def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int | None) 
     ranks = pipe.ranks
     valid = ranks.valid_in(len(sels) - 1)
     if valid < ranks.block_size:  # a padded entry ranks 0: keep it out of the norm
-        rows = _prefix_vector(pipe.layout.slot_count, ranks.block_size, valid, 1.0)
+        rows = rect_plain(pipe.layout.slot_count, ranks.block_size, 0, valid, 0, 1)
         sels = [*sels[:-1], engine.mul_plain(sels[-1], rows)]
     # each mask and its block's replicated input share column 0; folding the
     # rows of the sums over blocks lands both sums in slot 0

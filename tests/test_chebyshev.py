@@ -309,6 +309,26 @@ def test_ps_eval_degree_1024_costs_are_pinned(name, slot_count):
     assert np.max(np.abs(eng.decrypt(out) - cheb_eval(poly, xs))) < 1e-12
 
 
+def test_ps_eval_computes_each_leaf_batch_as_one_product():
+    # realise is told the baby-step rows; a batch it folded instead would
+    # leave each leaf an array of its own
+    poly = chebyshev._step_poly(1024)
+    eng = make_engine(slot_count=256)
+    realise, blocks = eng.realise, []
+
+    def spy(cts, rows=()):
+        out = realise(cts, rows)
+        blocks.append({id(c.slots.base) for c in out if c.slots.base is not None})
+        return out
+
+    eng.realise = spy
+    xs = np.random.default_rng(9).uniform(-1.0, 1.0, 256)
+    ps_eval(eng, eng.encrypt(xs), poly)
+    plan = chebyshev._plan(tuple(poly.coeffs), 32)
+    assert len(blocks) == math.ceil(len(plan.leaves) / chebyshev._LEAF_BATCH)
+    assert all(len(b) == 1 for b in blocks)
+
+
 def test_noisy_ps_eval_is_reproducible():
     poly = chebyshev._window_poly(7.5, 8.5, 0.0, 16.0, 256)
     xs = np.random.default_rng(6).uniform(0.0, 16.0, 64)

@@ -440,7 +440,7 @@ def test_realise_matches_fold_within_rounding():
         folds.append(vs[0] * 0.1 + vs[0] * 0.1)
         bounds.append(2 * np.abs(vs[0] * 0.1))
         concrete = eng.encrypt(vs[1])
-        out = eng.realise([sums[0], concrete, *sums[1:]])
+        out = eng.realise([sums[0], concrete, *sums[1:]], shared if as_rows else ())
         assert out[1] is concrete
         results = [out[0], *out[2:]]
         owners = [res.slots.base for res in results]
@@ -477,23 +477,33 @@ def test_copy_into_keeps_the_ciphertext_and_charges_nothing():
     assert rows.flags.writeable  # only the views are read-only
 
 
-def test_realise_finds_rows_of_a_new_array_whose_views_reuse_old_ids():
-    # copy_into records each row's index while the row lives; rows of later
-    # arrays, whose views may take the ids of dead ones, are recorded afresh
-    import gc
+def test_realise_takes_one_product_only_over_the_rows_it_is_told():
+    vs, scales = sum_inputs(terms=4)
+    eng = make_engine(slot_count=64)
+    rows = encrypt_as_rows(eng, vs)
+    outside = eng.encrypt(vs[0])
 
-    eng = make_engine(slot_count=256)
-    rng = np.random.default_rng(34)
-    for _ in range(6):
-        vs = [rng.normal(size=256) for _ in range(5)]
-        rows = encrypt_as_rows(eng, vs)[::-1]  # rows in reverse, so a stale index shows
-        scales = rng.uniform(-2.0, 2.0, 5)
-        (out,) = eng.realise([eng.add(*(eng.mul_plain(ct, c) for ct, c in zip(rows, scales)))])
-        fold = sum((v * c for v, c in zip(vs[::-1][1:], scales[1:])), vs[-1] * scales[0])
-        assert np.allclose(out.slots, fold, rtol=0.0, atol=1e-13)
-        del rows, out
-        gc.collect()
-        assert not eng._rows  # an entry goes with its row
+    def sums(extra=()):
+        terms = [eng.mul_plain(ct, s) for ct, s in zip([*rows, *extra], [*scales, 0.5])]
+        return [eng.add(*terms), eng.add(*terms[::-1])]
+
+    product = eng.realise(sums(), rows)
+    assert product[0].slots.base is not None and product[0].slots.base is product[1].slots.base
+    # not told the rows, or with a base outside them, each sum is folded
+    # as a lone read folds it
+    for got, want in ((eng.realise(sums()), sums()), (eng.realise(sums([outside]), rows), sums([outside]))):
+        for g, w in zip(got, want):
+            assert g.slots.base is None and same_doubles(g.slots, w.slots)
+    other_array = encrypt_as_rows(eng, vs[:2])
+    wrong = {
+        "out of order": rows[::-1],
+        "a row missing": rows[:-1],
+        "rows of two arrays": [*rows[:2], *other_array],
+        "not a row": [outside, *rows[1:]],
+    }
+    for told in wrong.values():
+        with pytest.raises(ValueError, match="every row of one 2D array"):
+            eng.realise(sums(), told)
 
 
 def test_realise_charges_nothing_and_keeps_levels():
@@ -607,9 +617,9 @@ SIGMA = 1e-3
 
 
 def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA, as_rows=False):
-    """A fresh engine with noise ``sigma``, and ``count`` pending sums on it,
-    each of ``terms`` scalar products of the same base ciphertexts, which are
-    the rows of one array if ``as_rows``."""
+    """A fresh engine with noise ``sigma``, ``count`` pending sums on it, each
+    of ``terms`` scalar products of the same base ciphertexts, and those bases
+    if they are the rows of one array (``as_rows``), else ()."""
     eng = make_engine(slot_count=slot_count, sigma=sigma, seed=seed)
     rng = np.random.default_rng(21)
     vs = [rng.normal(size=slot_count) for _ in range(terms)]
@@ -622,7 +632,7 @@ def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA, as_rows=False):
             term = eng.mul_plain(ct, s)
             acc = term if acc is None else eng.add(acc, term)
         sums.append(acc)
-    return eng, sums
+    return eng, sums, bases if as_rows else ()
 
 
 @pytest.mark.parametrize("realise", [False, True], ids=["slots", "realise"])
@@ -632,11 +642,11 @@ def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA, as_rows=False):
 def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count, as_rows):
     # realise takes one product over rows of one array, and folds other bases
     terms = 5
-    eng, noisy = noisy_sums(slot_count, count, terms, as_rows=as_rows)
-    _, exact = noisy_sums(slot_count, count, terms, sigma=0.0, as_rows=as_rows)
+    eng, noisy, rows = noisy_sums(slot_count, count, terms, as_rows=as_rows)
+    _, exact, _ = noisy_sums(slot_count, count, terms, sigma=0.0, as_rows=as_rows)
     assert all(c.owed == 2 * terms - 1 for c in noisy) and all(c.owed == 0 for c in exact)
     if realise:
-        noisy = eng.realise(noisy)
+        noisy = eng.realise(noisy, rows)
     std = np.std(np.concatenate([a.slots - b.slots for a, b in zip(noisy, exact)]))
     assert abs(std / (SIGMA * np.sqrt(2 * terms - 1)) - 1.0) < 0.03
 
@@ -662,7 +672,7 @@ def test_add_to_itself_reads_its_operand_once():
 
 
 def test_spent_operand_raises_on_read_sum_and_realise():
-    eng, (p, q) = noisy_sums(16, 2, 1)
+    eng, (p, q), _ = noisy_sums(16, 2, 1)
     s = eng.add(p, q)
     assert s.owed == 3
     concrete = eng.encrypt(np.ones(16))
@@ -686,7 +696,7 @@ def test_spent_operand_raises_on_read_sum_and_realise():
 
 def test_realise_keeps_the_drawn_noise_and_charges_nothing():
     for slot_count in (64, 1 << 13):
-        eng, sums = noisy_sums(slot_count, 3, 4, seed=5)
+        eng, sums, _ = noisy_sums(slot_count, 3, 4, seed=5)
         concrete = eng.rotate(eng.encrypt(np.arange(4.0)), 1)
         before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
         out = eng.realise([sums[0], concrete, *sums[1:]])
@@ -705,16 +715,17 @@ def test_realise_keeps_the_drawn_noise_and_charges_nothing():
 
 def test_realised_noise_joins_the_op_that_takes_it_over():
     n = 1 << 16
-    eng, (leaf,) = noisy_sums(n, 1, 3, seed=6, as_rows=True)
-    _, (exact,) = noisy_sums(n, 1, 3, sigma=0.0, as_rows=True)
-    eng.realise([leaf])  # one product: its value is a row of the product block
+    eng, (leaf,), rows = noisy_sums(n, 1, 3, seed=6, as_rows=True)
+    _, (exact,), _ = noisy_sums(n, 1, 3, sigma=0.0, as_rows=True)
+    eng.realise([leaf], rows)  # one product: its value is a row of the product block
+    assert leaf.pending[0][0].base is not None
     x = eng.encrypt(np.ones(n))
     # as the giant-step walk adds a constant and a product to a leaf
     out = eng.add(eng.add_plain(leaf, 0.5), eng.mul(x, x))
     assert out.owed == 5 + 1 + 1 + 1
     with pytest.raises(EngineError, match="spent"):
         leaf.slots
-    eng.realise([out])  # a row and a plaintext scalar: folded, not one product
+    eng.realise([out], rows)  # bases outside the rows: folded, not one product
     assert abs(np.std(out.slots - (exact.slots + 1.5)) / (SIGMA * np.sqrt(8.0)) - 1.0) < 0.03
 
 
@@ -807,7 +818,7 @@ def test_share_draws_the_owed_noise_and_charges_nothing():
 
 def test_seeded_noisy_run_repeats_bit_for_bit():
     def run(seed):
-        eng, sums = noisy_sums(1 << 13, 3, 4, seed=seed)
+        eng, sums, _ = noisy_sums(1 << 13, 3, 4, seed=seed)
         a, b, c = eng.realise(sums)
         x = eng.mul(eng.sub(eng.mul_plain(a, 0.5), eng.mul_plain(b, 0.25)), c)
         return eng.decrypt(eng.add(eng.rotate(x, 3), eng.add_plain(x, 1.0)))

@@ -264,38 +264,38 @@ def _tied_values(rng, n):
     return v
 
 
-def _oracle(query, v):
-    if query.kind == "median":
-        return reference.median_value(v)
-    if query.kind == "percentile":
-        return reference.percentile_value(v, query.p)
-    return reference.kth_smallest(v, {"min": 1, "max": v.size}.get(query.kind, query.k))
-
-
 # three full 4x4 blocks in 16 slots, with ties inside and across blocks:
-# the input of the pinned tie-corrected multi_rank circuit
+# the input of the pinned tie-corrected multi_rank circuit; its first 10
+# values are blocks of 4, 4 and 2, the last one padded
 PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
 
 
 @pytest.mark.parametrize("kind", ["median", "min"])
 @pytest.mark.parametrize(
-    "kernel, report",
+    "kernel, n, report",
     [
-        (IDEAL, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=67,
-                           cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        (PINNED_CHEB, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=616,
-                                 cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
+        (IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=67,
+                               cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
+        (PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=616,
+                                     cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
+        (IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=20, additions=67,
+                               cmp_evals=6, ind_evals=3, levels_consumed=33, critical_rotations=10)),
+        (PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=386, additions=616,
+                                     cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
     ],
-    ids=["ideal", "chebyshev"],
+    ids=["ideal", "chebyshev", "ideal-padded", "chebyshev-padded"],
 )
-def test_multi_block_statistic_circuit_is_pinned(kind, kernel, report):
+def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
     # the masks and the inner products of the blocks are each one add; both
     # windows are tie-corrected, of norm 1 and 2, so the reciprocal is
-    # seeded and exact in ideal mode
+    # seeded and exact in ideal mode.  A padded last block costs 4 ct-pt and
+    # 2 levels more: the pad mask on its 3 comparisons, then the cut of its
+    # mask to the valid rows
     eng = make_engine(16)
-    out = multi_statistic(eng, block_split(eng, PINNED_BLOCKS), StatisticQuery(kind), kernel)
+    v = PINNED_BLOCKS[:n]
+    out = multi_statistic(eng, block_split(eng, v), StatisticQuery(kind), kernel)
     if kernel.mode == "ideal":
-        assert value_of(eng, out) == _oracle(StatisticQuery(kind), PINNED_BLOCKS)
+        assert value_of(eng, out) == reference.statistic_value(v, kind)
     assert eng.cost_snapshot() == report
     assert len(eng.rotation_offsets()) == report.rotations
 
@@ -326,7 +326,7 @@ def test_multi_block_statistics_match_the_oracle():
                     bv = block_split(eng, v)
                     assert len(bv.blocks) == blocks
                     out = value_of(eng, multi_statistic(eng, bv, query, IDEAL, tie_correction=tie_correction))
-                    want = _oracle(query, v)
+                    want = reference.statistic_value(v, query.kind, query.k, query.p)
                     if blocks == 1 and (query.kind in ("min", "max") or query.p in (0.0, 100.0)):
                         want = pytest.approx(want, rel=1e-13, abs=0)
                     assert out == want, (n, query)
@@ -360,8 +360,19 @@ def test_noisy_chebyshev_three_block_statistics(monkeypatch):
         bv = block_split(eng, v)
         assert len(bv.blocks) == 3 and bv.valid_in(2) == 8
         out = value_of(eng, multi_statistic(eng, bv, query, cfg))
-        assert abs(out - _oracle(query, v)) < 2e-2, query
+        assert abs(out - reference.statistic_value(v, query.kind, query.k, query.p)) < 2e-2, query
     assert 0.0 < norms[0] < 1.2  # the min
+
+
+def test_statistic_value_is_the_oracle_of_every_kind():
+    v = [0.4, 0.1, 0.9, 0.1, 0.6]
+    want = {("min", None, None): 0.1, ("max", None, None): 0.9, ("median", None, None): 0.4,
+            ("kth", 2, None): 0.1, ("kth", 4, None): 0.6, ("percentile", None, 0.0): 0.1,
+            ("percentile", None, 75.0): 0.6, ("percentile", None, 100.0): 0.9}
+    for (kind, k, p), value in want.items():
+        assert reference.statistic_value(v, kind, k, p) == value, (kind, k, p)
+    with pytest.raises(ValueError, match="unknown statistic"):
+        reference.statistic_value(v, "mode")
 
 
 def test_even_median_is_one_query_on_one_ranking():
@@ -392,7 +403,7 @@ def test_long_vector_statistic_keeps_full_precision():
     for query in (StatisticQuery("median"), StatisticQuery("kth", k=211)):
         eng = make_engine(256)
         out = value_of(eng, multi_statistic(eng, block_split(eng, v), query, IDEAL))
-        assert out == _oracle(query, v), query
+        assert out == reference.statistic_value(v, query.kind, query.k, query.p), query
 
 
 @pytest.mark.parametrize("scale, norm", [(2.5, "5"), (0.0, "0")])

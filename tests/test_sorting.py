@@ -198,27 +198,35 @@ def test_tie_corrected_rotations_follow_the_closed_forms(blocks):
 
 
 # three full 4x4 blocks in 16 slots, with ties inside and across blocks:
-# the input of the pinned tie-corrected multi_rank circuit
+# the input of the pinned tie-corrected multi_rank circuit; its first 10
+# values are blocks of 4, 4 and 2, the last one padded
 PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
+PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
 
 
 @pytest.mark.parametrize(
-    "kernel, report",
+    "kernel, n, report",
     [
-        (IDEAL, CostReport(rotations=44, ctct_mults=15, ctpt_mults=16, additions=79,
-                           cmp_evals=6, ind_evals=9, levels_consumed=24, critical_rotations=12)),
-        (KernelConfig(mode="chebyshev", degree=64),
-         CostReport(rotations=44, ctct_mults=231, ctpt_mults=442, additions=787,
-                    cmp_evals=6, ind_evals=9, levels_consumed=21, critical_rotations=12)),
+        (IDEAL, 12, CostReport(rotations=44, ctct_mults=15, ctpt_mults=16, additions=79,
+                               cmp_evals=6, ind_evals=9, levels_consumed=24, critical_rotations=12)),
+        (PINNED_CHEB, 12, CostReport(rotations=44, ctct_mults=231, ctpt_mults=442, additions=787,
+                                     cmp_evals=6, ind_evals=9, levels_consumed=21, critical_rotations=12)),
+        (IDEAL, 10, CostReport(rotations=44, ctct_mults=15, ctpt_mults=19, additions=79,
+                               cmp_evals=6, ind_evals=9, levels_consumed=25, critical_rotations=12)),
+        (PINNED_CHEB, 10, CostReport(rotations=44, ctct_mults=231, ctpt_mults=445, additions=787,
+                                     cmp_evals=6, ind_evals=9, levels_consumed=22, critical_rotations=12)),
     ],
-    ids=["ideal", "chebyshev"],
+    ids=["ideal", "chebyshev", "ideal-padded", "chebyshev-padded"],
 )
-def test_tie_corrected_multi_sort_circuit_is_pinned(kernel, report):
-    # each output block sums its placements over the rank blocks in one add
+def test_tie_corrected_multi_sort_circuit_is_pinned(kernel, n, report):
+    # each output block sums its placements over the rank blocks in one add.
+    # A padded last block costs 3 ct-pt and 1 level more: the pad mask on
+    # its 3 comparisons
     eng = make_engine(16, max_level=64)
-    out = block_merge(eng, multi_sort(eng, block_split(eng, PINNED_BLOCKS), cfg(kernel=kernel)))
+    v = PINNED_BLOCKS[:n]
+    out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(kernel=kernel)))
     if kernel.mode == "ideal":
-        assert np.array_equal(out, np.sort(PINNED_BLOCKS))
+        assert np.array_equal(out, np.sort(v))
     assert eng.cost_snapshot() == report
     assert len(eng.rotation_offsets()) == report.rotations
 
