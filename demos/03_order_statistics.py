@@ -37,7 +37,8 @@ for k in (1, 4):
     print(f"  rank {k} mask matches the oracle:", np.array_equal(mask, reference.corrected_ranks(v) == k))
 
 print("\nThe value is the inner product with the mask, divided by its norm")
-print("(the division runs as a Goldschmidt reciprocal iteration):")
+print("(the number of target ranks, known in the clear; the division runs as")
+print("a Goldschmidt reciprocal iteration seeded at its inverse):")
 for query, label in [
     (StatisticQuery("min"), "min   "),
     (StatisticQuery("kth", k=2), "2nd   "),
@@ -45,20 +46,20 @@ for query, label in [
 ]:
     val = eng.decrypt(order_statistic_value(eng, eng.encrypt(v), 4, query, cfg))[0]
     k = {"min": 1, "max": 4}.get(query.kind, query.k)
-    print(f"  {label} -> {val:.6f}  matches the oracle:", abs(val - reference.kth_smallest(v, k)) < 1e-6)
+    print(f"  {label} -> {val:.6f}  matches the oracle exactly:", val == reference.kth_smallest(v, k))
 
-print("\nDuplicated extremes are safe: the strict/weak comparisons put every")
-print("minimal element on rank 1 and every maximal one on rank N, and the")
-print("mask norm divides the multiplicity away:")
+print("\nDuplicated extremes: min and max are rank 1 and rank N of the")
+print("tie-corrected ranking, which breaks ties by position, so one copy of a")
+print("tied extreme is selected, the mask norm is 1, and the value is exact:")
 dup = [0.1, 0.1, 0.5, 0.9, 0.9, 0.3]
 lo = eng.decrypt(order_statistic_value(eng, eng.encrypt(dup), 6, StatisticQuery("min"), cfg))[0]
 hi = eng.decrypt(order_statistic_value(eng, eng.encrypt(dup), 6, StatisticQuery("max"), cfg))[0]
 m = order_statistic_mask(eng, eng.encrypt([0.7, 0.7, 0.7]), 3, StatisticQuery("min"), cfg)
-print(f"  min {dup} -> {lo:.6f}  matches the oracle:", abs(lo - min(dup)) < 1e-6)
-print(f"  max {dup} -> {hi:.6f}  matches the oracle:", abs(hi - max(dup)) < 1e-6)
-all_min = read_col(eng, m.mask, m.layout, 3)
-print("  min mask of an all-equal vector ->", all_min)
-print("  every element is minimal:", np.array_equal(all_min, [1, 1, 1]))
+print(f"  min {dup} -> {lo:.6f}  matches the oracle exactly:", lo == min(dup))
+print(f"  max {dup} -> {hi:.6f}  matches the oracle exactly:", hi == max(dup))
+first_min = read_col(eng, m.mask, m.layout, 3)
+print("  min mask of an all-equal vector ->", first_min)
+print("  the first copy alone holds rank 1:", np.array_equal(first_min, [1, 0, 0]))
 
 print("\nMedian and percentiles ride on the same machinery:")
 odd = [0.10, 0.20, 0.30]

@@ -3,8 +3,11 @@
 Provides interpolation at Chebyshev nodes of the first kind, a baby-step /
 giant-step polynomial evaluator that needs only O(sqrt(d)) ciphertext-
 ciphertext multiplications, and the kernels built on top of it: three-way
-comparison, strict/weak comparison, interval indicator, equality derived
-from a comparison matrix, and a Goldschmidt reciprocal.
+comparison, interval indicator and a Goldschmidt reciprocal, which the
+pipelines use, and the strict/weak comparisons (with
+``KernelConfig.tie_margin``) and the equality derived from a comparison
+matrix, which no pipeline reads: they stay only while the benchmark's
+tracer and workloads name them.
 
 Every kernel runs in one of two modes:
 
@@ -80,19 +83,15 @@ class KernelConfig:
     degree: approximation degree of the comparison kernel.
     indicator_degree: degree of the indicator kernel; defaults to ``degree``.
     input_range: interval the caller promises all kernel inputs lie in.
-    tie_margin: shift applied by the strict/weak comparisons in chebyshev
-        mode to push exact ties off the step discontinuity.  Those
-        comparisons widen ``input_range`` by the margin on one side.  The
-        fitted step rises over about (hi - lo) / degree, so a tie reads
-        roughly Phi(-margin * degree / (hi - lo)) off its exact value (0
-        strict, 1 weak; Phi the normal CDF), plus the fit's ripple.  Half
-        the smallest gap is therefore too small a margin unless that gap
-        spans several transition widths: at degree 256 on [0, 1] with
-        margin 1/512, ``gt(0.5, 0.5)`` reads 0.39, and ``max`` of [0.3,
-        0.9, 0.6, 0.1, 0.45, 0.9, 0.15, 0.7] returns 0.848.  A margin of
-        2-4 transition widths brings a tie within about 0.05, but the
-        margin must also stay below the smallest gap between distinct
-        values, or those compare like ties.
+    tie_margin: shift applied by ``compare_gt_kernel`` and
+        ``compare_ge_kernel`` in chebyshev mode to push exact ties off the
+        step discontinuity.  No pipeline reads it or those kernels (every
+        statistic is a window of tie-corrected ranks); they stay only while
+        the benchmark's workloads and tracer name them.  The fitted step
+        rises over about (hi - lo) / degree, so a tie reads roughly
+        Phi(-margin * degree / (hi - lo)) off its exact value (0 strict, 1
+        weak; Phi the normal CDF), plus the fit's ripple: at degree 256 on
+        [0, 1] with margin 1/512, ``gt(0.5, 0.5)`` reads 0.39.
     """
 
     mode: str = "ideal"

@@ -17,8 +17,10 @@ file and a cost-report file and self-checks against the plaintext oracle.
 All four commands run one task at a time through the same block
 pipelines: a vector larger than one matrix (``--slot-count`` below the
 matrix size) is split into blocks, for a statistic as for a ranking or a
-sort, and ``bench`` honours ``--tie-correction`` as ``rank``, ``sort`` and
-``stat`` do.  ``--mode ideal`` needs a noise-free engine: the exact kernels
+sort, and ``bench`` honours ``--tie-correction`` as ``rank`` and ``sort``
+do.  A statistic is always a window of tie-corrected ranks, so
+``--no-tie-correction`` on ``stat`` or ``bench --task min/max`` is a usage
+error.  ``--mode ideal`` needs a noise-free engine: the exact kernels
 refuse ``--noise-sigma`` above 0 (exit 3).
 
 Exit codes: 0 success, 2 usage error, 3 input error or a non-finite
@@ -117,12 +119,7 @@ def generate_values(count: int, seed: int, tie_fraction: float) -> np.ndarray:
 
 
 def _kernel_config(args) -> KernelConfig:
-    return KernelConfig(
-        mode=args.mode,
-        degree=args.cmp_degree,
-        indicator_degree=args.ind_degree,
-        tie_margin=args.tie_margin,
-    )
+    return KernelConfig(mode=args.mode, degree=args.cmp_degree, indicator_degree=args.ind_degree)
 
 
 def _engine_for(args, n: int) -> HESimulator:
@@ -189,9 +186,8 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
     statistic from slot 0.
     Ranks are scored against the fractional or, with tie correction, the
     corrected ranks of the scaled input; values against the input itself.
-    Tied input without tie correction raises ``ValueError`` for a sort, and
-    for a statistic whose tied rank falls outside the window of target ranks,
-    whose output would be wrong.
+    Tied input without tie correction raises ``ValueError`` for a sort, whose
+    output would be wrong; a statistic is always tie-corrected.
     """
     scale = _make_scale(values)
     scaled = scale.forward(values)
@@ -210,7 +206,7 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
     else:
         # the kind decides which of k and p is read; bench has neither flag
         query = StatisticQuery(task, k=getattr(args, "k", None), p=getattr(args, "p", None))
-        ct = multi_statistic(engine, block_split(engine, scaled), query, cfg, tie_correction=args.tie_correction)
+        ct = multi_statistic(engine, block_split(engine, scaled), query, cfg)
         output = scale.back(engine.decrypt(ct)[:1])
         oracle = reference.statistic_value(values, query.kind, query.k, query.p)
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -327,11 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ker.add_argument("--cmp-degree", type=int, default=256)
     ker.add_argument("--ind-degree", type=int, default=None)
-    ker.add_argument("--tie-margin", type=float, default=0.0)
     ker.add_argument(
         "--tie-correction", action=argparse.BooleanOptionalAction, default=None,
         help="redistribute tied ranks into a permutation "
-        "(default: off for rank, on for sort and stat)",
+        "(default: off for rank, on for sort; a statistic is always tie-corrected)",
     )
     eng = common.add_argument_group("simulator")
     eng.add_argument("--slot-count", type=int, default=0, help="0 = smallest power of two that fits")
@@ -348,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     stat.add_argument("--k", type=int, help="rank for --stat kth")
     stat.add_argument("--p", type=float, help="percentile for --stat percentile")
     bench = sub.add_parser("bench", parents=[common], help="approximation-degree sweep")
-    bench.add_argument("--task", choices=["rank", "sort", "min", "max"], default="rank")
+    bench.add_argument(
+        "--task", choices=["rank", "sort", "min", "max"], default="rank",
+        help="min and max are always tie-corrected",
+    )
     bench.add_argument("--degrees", type=_int_list, default=[64, 128, 256, 512])
     bench.add_argument("--ind-degrees", type=_int_list, default=None)
     bench.add_argument("--seeds", type=int, default=10)
@@ -358,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(parser, args):
     if args.mode is None:
         args.mode = "chebyshev" if args.command == "bench" else "ideal"
+    if args.tie_correction is False and (args.command == "stat" or getattr(args, "task", None) in ("min", "max")):
+        parser.error("a statistic is always tie-corrected; --no-tie-correction applies to rank and sort")
     if args.tie_correction is None:
         args.tie_correction = args.command not in ("rank", "bench")
     if args.command == "bench":

@@ -30,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import KernelConfig, compare_ge_kernel, compare_gt_kernel, compare_kernel, quarter_equality
-from .engine import CapacityError, Ciphertext, HESimulator, caller_path
+from .chebyshev import KernelConfig, compare_kernel, quarter_equality
+from .engine import CapacityError, Ciphertext, HESimulator
 from .matrix import MatrixLayout, grid_plain, rect_plain, replicate, sum_axis, transpose_vector
 
 __all__ = [
@@ -50,12 +50,6 @@ __all__ = [
     "read_row",
     "read_col",
 ]
-
-_KERNELS = {
-    "fractional": (compare_kernel, 0.5),
-    "strict": (compare_gt_kernel, 1.0),
-    "weak": (compare_ge_kernel, 0.0),
-}
 
 
 def next_pow2(n: int) -> int:
@@ -136,22 +130,11 @@ def _strict(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     return engine.mul(c, twice_less_one)
 
 
-def _refuse_corrected_strict_or_weak(comparison: str, tie_correction: bool):
-    # The tie offset rests on a tie reading 1/2; a strict or weak comparison
-    # reads 0 or 1 there, so correction would only lower every rank by 1/2.
-    if tie_correction and comparison != "fractional":
-        raise ValueError(
-            f"{caller_path()}: tie correction needs the fractional comparison, whose ties read 1/2; "
-            f"the {comparison} comparison already breaks ties"
-        )
-
-
 def multi_rank_pipeline(
     engine: HESimulator,
     bv: BlockVector,
     cfg: KernelConfig,
     *,
-    comparison: str = "fractional",
     tie_correction: bool = False,
 ) -> MultiRankPipeline:
     """Ranks of every block, in column 0 of each.
@@ -165,9 +148,7 @@ def multi_rank_pipeline(
     strict, adds the ``tie_offset`` cells of each block against itself to
     its own comparisons before their fold, and lowers the shift by 1/2.  Zero
     padding of the last block is masked out of its comparisons, so padded
-    entries rank 0.  The complement identity holds for the fractional
-    kernel only, so the strict and weak kernels take one block and raise
-    ``ValueError`` on more, or with tie correction.
+    entries rank 0.
 
     Block i is done in one pass: its C_ij are computed, folded into its
     ranks, and each cross-block one is added into block j's running sum of
@@ -175,17 +156,10 @@ def multi_rank_pipeline(
     and charges; block j folds that sum and drops it.  Only the replications,
     block i's row of matrices and the L running sums are ever alive.
     """
-    _refuse_corrected_strict_or_weak(comparison, tie_correction)
     b, count = bv.block_size, len(bv.blocks)
     if bv.stride != 1:  # replicate reads row 0 only
         raise ValueError(f"multi_rank_pipeline: blocks must hold their entries in row 0, not every {bv.stride}th slot")
-    if comparison != "fractional" and count > 1:
-        raise ValueError(
-            f"multi_rank_pipeline: the {comparison} comparison has no complement "
-            f"identity across blocks; it ranks one block, not {count}"
-        )
     layout = MatrixLayout(b, engine.params.slot_count)
-    kernel, bias = _KERNELS[comparison]
 
     row_rep = [replicate(engine, blk, layout, "row") for blk in bv.blocks]
     col_rep = [
@@ -195,7 +169,7 @@ def multi_rank_pipeline(
     engine.share(*row_rep, *col_rep)  # each is compared with every block
 
     def compared(i: int, j: int) -> Ciphertext:
-        c = kernel(engine, col_rep[i], row_rep[j], cfg)
+        c = compare_kernel(engine, col_rep[i], row_rep[j], cfg)
         if bv.valid_in(j) < b:
             # cells against zero padding would count as comparisons
             c = engine.mul_plain(c, rect_plain(layout.slot_count, b, 0, bv.valid_in(i), 0, bv.valid_in(j)))
@@ -222,7 +196,7 @@ def multi_rank_pipeline(
         if i > 0:
             folded = sum_axis(engine, earlier.pop(i), layout, "row")
             ranks = engine.sub(ranks, transpose_vector(engine, folded, layout, "row_to_col"))
-        shift = bias + i * b - (0.5 if tie_correction else 0.0)
+        shift = 0.5 + i * b - (0.5 if tie_correction else 0.0)
         if shift != 0.0:
             ranks = engine.add_plain(ranks, rect_plain(layout.slot_count, b, 0, bv.valid_in(i), 0, 1, shift))
         rank_blocks.append(ranks)
@@ -254,20 +228,16 @@ def rank_pipeline(
     n: int,
     cfg: KernelConfig,
     *,
-    comparison: str = "fractional",
     tie_correction: bool = False,
 ) -> MultiRankPipeline:
     """Full ranking pipeline; the first ``n`` slots of ``ct`` hold the vector.
 
-    ``comparison`` picks the kernel: "fractional" gives 0.5-valued ties and
-    fractional ranks, "strict" sends all minimal elements to rank 1, "weak"
-    sends all maximal elements to rank N; tie correction takes the
-    fractional one.  The ranks land in column 0.  This is the one-block case
-    of the block pipeline.
+    Ties compare as 1/2, so tied values share their mean fractional rank;
+    tie correction breaks them by position into a permutation of 1..n.  The
+    ranks land in column 0.  This is the one-block case of the block
+    pipeline.
     """
-    return multi_rank_pipeline(
-        engine, one_block(engine, ct, n), cfg, comparison=comparison, tie_correction=tie_correction
-    )
+    return multi_rank_pipeline(engine, one_block(engine, ct, n), cfg, tie_correction=tie_correction)
 
 
 def rank(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> RankResult:

@@ -1,35 +1,30 @@
 """Order-statistic extraction from the encrypted ranking.
 
+Every query is one window of target ranks, first..last, of the
+tie-corrected fractional ranking: rank 1 for the minimum (argmin), rank n
+for the maximum (argmax), rank k for the k-th statistic and the nearest-rank
+percentile, and the one or two middle ranks for the median.  Tie correction
+breaks ties by position, so the ranks are a permutation of 1..n: the window
+selects exactly one entry per target rank, and a tied extreme is selected
+once, where the uncorrected ranking would give it a shared rank.
+
 A rank-window indicator on each block's column-0 ranks yields a selection
 mask in column 0 (the argmin/argmax answer); the statistic's value is the
 inner product of the masks with the blocks' column-replicated inputs,
-summed over blocks and divided by the masks' L1 norm through a Goldschmidt
-reciprocal.  An even-length median is one window spanning both middle
-ranks, whose mask norm is 2, so the division takes their average.  A
-vector that fits one matrix is the one-block case, where minimum and
-maximum use the strict and weak comparison kernels: duplicated extremes
-all land on rank 1 and rank N, and the division normalises the multi-hot
-mask away.  Across blocks those kernels have no complement
-identity, so the extremes take rank 1 and rank N of the tie-corrected
-fractional ranking.
-
-A tie-corrected window of k target ranks holds k distinct ranks, so its
-mask norm is k, known in the clear: its reciprocal is seeded at 1/k and
-runs only the few steps an inexact chebyshev mask needs (exact in ideal
-mode for k = 1, 2).  A norm in slot 0 outside (0, 2k), where that
-iteration diverges, raises ``ValueError``.  The strict/weak extremes and
-the uncorrected windows select a whole tie group, of a data-dependent
-size, and keep the reciprocal over (0.5, n + 0.5).  A padded block's mask
-is cut to its valid rows first: a padded entry ranks 0, which a chebyshev
-window at k = 1 partly selects.
+summed over blocks and divided by the masks' L1 norm.  That norm is the
+number of target ranks k = last - first + 1, known in the clear, so the
+Goldschmidt reciprocal is seeded at 1/k and runs only the few steps an
+inexact chebyshev mask needs (exact in ideal mode for k = 1, 2); a norm in
+slot 0 outside (0, 2k), where that iteration diverges, raises
+``ValueError``.  An even-length median is one window over both middle
+ranks, of norm 2, so the division takes their average.  A padded block's
+mask is cut to its valid rows first: a padded entry ranks 0, which a
+chebyshev window at k = 1 partly selects.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
@@ -47,18 +42,9 @@ __all__ = [
 ]
 
 
-# Squaring steps of the reciprocal of a tie-corrected window's mask norm,
-# seeded at 1/k: 4 leave (1 - norm/k)^64, below 1e-16 while the norm is
-# within 55% of k.
+# Squaring steps of the reciprocal of a window's mask norm, seeded at 1/k:
+# 4 leave (1 - norm/k)^64, below 1e-16 while the norm is within 55% of k.
 _SEEDED_ITERS = 4
-
-
-def _goldschmidt_iters(n: int) -> int:
-    # Squaring steps of the reciprocal that normalises a mask norm of
-    # data-dependent size (a strict/weak extreme's or an uncorrected window's
-    # tie group), in (0.5, n + 0.5), away: k steps leave a relative error of
-    # about exp(-2^(k+1) * 4/n), 1e-14 at k = log2(n) + 2.  Never fewer than 8.
-    return max(8, math.ceil(math.log2(n)) + 2)
 
 
 @dataclass(frozen=True)
@@ -86,60 +72,36 @@ class StatisticMask:
     layout: MatrixLayout
 
 
-def _resolve(query: StatisticQuery, n: int, blocks: int, tie_correction: bool) -> tuple[str, bool, int, int]:
-    """Map a query to (comparison kernel, tie correction, first and last target rank)."""
-    kind = query.kind
-    if kind == "percentile" and query.p in (0.0, 100.0):
-        kind = "min" if query.p == 0.0 else "max"
-    if kind in ("min", "max"):
-        k = 1 if kind == "min" else n
-        if blocks == 1:
-            return ("strict" if kind == "min" else "weak"), False, k, k
-        return "fractional", True, k, k  # correction makes rank 1 and rank n unique
-    if kind == "median":  # the one middle rank, or the two of an even length
-        return "fractional", tie_correction, (n + 1) // 2, n // 2 + 1
-    k = min(max(int(query.p * n / 100.0 + 0.5), 1), n) if kind == "percentile" else query.k  # nearest rank
+def _target_ranks(query: StatisticQuery, n: int) -> tuple[int, int]:
+    """The first and last target rank of a query on a vector of length ``n``."""
+    if query.kind == "median":  # the one middle rank, or the two of an even length
+        return (n + 1) // 2, n // 2 + 1
+    if query.kind == "percentile":  # nearest rank: p = 0 is rank 1, p = 100 rank n
+        k = min(max(int(query.p * n / 100.0 + 0.5), 1), n)
+    else:
+        k = {"min": 1, "max": n}.get(query.kind, query.k)
     if k > n:
         raise ValueError(f"k={k} out of range for vector length {n}")
-    return "fractional", tie_correction, k, k
+    return k, k
 
 
-def _require_selectable(values, first: int, last: int):
-    """Without tie correction a tie group at sorted positions a..b shares rank
-    (a+b)/2, and the window selects the statistic exactly when every group
-    holding a target position has that rank inside (first-1/2, last+1/2).
-    The simulator sees the cleartext, so it raises ``ValueError`` if not."""
-    ordered = np.sort(values)
-    targets = ordered[first - 1 : last]
-    shared = (np.searchsorted(ordered, targets, "left") + np.searchsorted(ordered, targets, "right") + 1) / 2
-    for p, rank in enumerate(shared, start=first):
-        if not first - 0.5 < rank < last + 0.5:
-            raise ValueError(
-                f"multi_statistic: sorted position {p} shares the tied rank {rank:g}, outside the window of "
-                f"target ranks {first}..{last}, so tie_correction=False would miss its value; enable tie_correction"
-            )
-
-
-def _select(engine, bv, query, cfg, tie_correction) -> tuple[MultiRankPipeline, list[Ciphertext], int | None]:
-    """The ranking of ``bv``, one window mask per block, and the number of
-    target ranks if tie correction makes it the masks' norm (else None)."""
+def _select(engine, bv, query, cfg) -> tuple[MultiRankPipeline, list[Ciphertext], int]:
+    """The tie-corrected ranking of ``bv``, one window mask per block, and
+    the number of target ranks, which is the masks' norm."""
     n = bv.total_len
-    comparison, correct, first, last = _resolve(query, n, len(bv.blocks), tie_correction)
-    if comparison == "fractional" and not correct:
-        _require_selectable(bv.cleartext(), first, last)
-    pipe = multi_rank_pipeline(engine, bv, cfg, comparison=comparison, tie_correction=correct)
-    # open window: a half-integer fractional rank sitting exactly on the
-    # edge (an uncorrected tie) belongs to no target rank.  The fit range
-    # must reach down to 0 because the empty slots and the padded entries of
-    # the rank vector hold zeros and the fitted polynomial reads every slot.
+    first, last = _target_ranks(query, n)
+    pipe = multi_rank_pipeline(engine, bv, cfg, tie_correction=True)
+    # The fit range must reach down to 0 because the empty slots and the
+    # padded entries of the rank vector hold zeros and the fitted polynomial
+    # reads every slot.
     window_cfg = with_input_range(cfg, -0.5, n + 0.5)
     sels = [indicator_kernel(engine, ranks, first - 0.5, last + 0.5, window_cfg) for ranks in pipe.ranks.blocks]
-    return pipe, sels, (last - first + 1 if correct else None)
+    return pipe, sels, last - first + 1
 
 
-def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int | None) -> Ciphertext:
+def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int) -> Ciphertext:
     """The masked sum of the inputs over the masks' norm, in slot 0; ``width``
-    is the norm the masks promise, or None if it is data-dependent."""
+    is the norm the masks promise."""
     ranks = pipe.ranks
     valid = ranks.valid_in(len(sels) - 1)
     if valid < ranks.block_size:  # a padded entry ranks 0: keep it out of the norm
@@ -150,86 +112,51 @@ def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int | None) 
     products = [engine.mul(sel, rep) for sel, rep in zip(sels, pipe.col_replicated)]
     numerator = sum_axis(engine, engine.add(*products), pipe.layout, "row")
     norm = sum_axis(engine, engine.add(*sels), pipe.layout, "row")
-    if width is None:
-        n = ranks.total_len
-        inv = goldschmidt_inverse(engine, norm, (0.5, n + 0.5), _goldschmidt_iters(n))
-    else:
-        # the simulator sees the cleartext; the other slots hold fold garbage
-        got = float(norm.slots[0])
-        if not 0.0 < got < 2 * width:
-            raise ValueError(
-                f"{caller_path()}: mask norm {got:.6g} of a window of {width} target ranks lies outside "
-                f"(0, {2 * width}), where its reciprocal seeded at 1/{width} diverges"
-            )
-        inv = goldschmidt_inverse(engine, norm, (width, width), _SEEDED_ITERS)
-    return engine.mul(numerator, inv)
+    # the simulator sees the cleartext; the other slots hold fold garbage
+    got = float(norm.slots[0])
+    if not 0.0 < got < 2 * width:
+        raise ValueError(
+            f"{caller_path()}: mask norm {got:.6g} of a window of {width} target ranks lies outside "
+            f"(0, {2 * width}), where its reciprocal seeded at 1/{width} diverges"
+        )
+    return engine.mul(numerator, goldschmidt_inverse(engine, norm, (width, width), _SEEDED_ITERS))
 
 
-def multi_statistic(
-    engine: HESimulator,
-    bv: BlockVector,
-    query: StatisticQuery,
-    cfg: KernelConfig,
-    *,
-    tie_correction: bool = True,
-) -> Ciphertext:
+def multi_statistic(engine: HESimulator, bv: BlockVector, query: StatisticQuery, cfg: KernelConfig) -> Ciphertext:
     """Value of the queried statistic of a block vector, in slot 0.
 
-    Without tie correction a tie group shares its mean position as its rank,
-    which can fall outside the window of target ranks; such an input raises
-    ``ValueError`` rather than select a wrong value.  An even-length median
-    selects both middle ranks with one window, and the normalisation by the
-    mask norm, 2, averages them.
+    An even-length median selects both middle ranks with one window, and
+    the normalisation by the mask norm, 2, averages them.
     """
-    return _value_from_masks(engine, *_select(engine, bv, query, cfg, tie_correction))
+    return _value_from_masks(engine, *_select(engine, bv, query, cfg))
 
 
 def order_statistic_mask(
-    engine: HESimulator,
-    ct: Ciphertext,
-    n: int,
-    query: StatisticQuery,
-    cfg: KernelConfig,
-    *,
-    tie_correction: bool = True,
+    engine: HESimulator, ct: Ciphertext, n: int, query: StatisticQuery, cfg: KernelConfig
 ) -> StatisticMask:
-    """Column-0 selection mask: 1 in the positions whose rank is the queried one
-    (both middle ranks, for an even-length median).
+    """Column-0 selection mask: 1 in the positions whose tie-corrected rank is
+    the queried one (both middle ranks, for an even-length median).
 
-    With tie correction the mask has one 1 per target rank; without it, a
-    target's whole tie group shares its rank and is selected, and an input
-    whose tied rank falls outside the target window raises ``ValueError``.
+    The mask has one 1 per target rank; of tied values the first by
+    position takes the lowest rank, so a tied minimum is selected once.
     """
-    pipe, (sel,), _ = _select(engine, one_block(engine, ct, n), query, cfg, tie_correction)
+    pipe, (sel,), _ = _select(engine, one_block(engine, ct, n), query, cfg)
     return StatisticMask(sel, pipe.layout)
 
 
 def order_statistic_value(
-    engine: HESimulator,
-    ct: Ciphertext,
-    n: int,
-    query: StatisticQuery,
-    cfg: KernelConfig,
-    *,
-    tie_correction: bool = True,
+    engine: HESimulator, ct: Ciphertext, n: int, query: StatisticQuery, cfg: KernelConfig
 ) -> Ciphertext:
     """Value of the queried statistic of the first ``n`` slots, in slot 0."""
-    return multi_statistic(engine, one_block(engine, ct, n), query, cfg, tie_correction=tie_correction)
+    return multi_statistic(engine, one_block(engine, ct, n), query, cfg)
 
 
-def median(
-    engine: HESimulator,
-    ct: Ciphertext,
-    n: int,
-    cfg: KernelConfig,
-    *,
-    tie_correction: bool = True,
-) -> Ciphertext:
+def median(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> Ciphertext:
     """Median in slot 0; the even case averages the two middle statistics
     through one window spanning both."""
-    return order_statistic_value(engine, ct, n, StatisticQuery("median"), cfg, tie_correction=tie_correction)
+    return order_statistic_value(engine, ct, n, StatisticQuery("median"), cfg)
 
 
 def percentile(engine: HESimulator, ct: Ciphertext, n: int, p: float, cfg: KernelConfig) -> Ciphertext:
-    """Nearest-rank percentile; p=0 and p=100 take the min/max paths."""
+    """Nearest-rank percentile in slot 0; p=0 and p=100 are the min and max."""
     return order_statistic_value(engine, ct, n, StatisticQuery("percentile", p=float(p)), cfg)

@@ -252,7 +252,7 @@ def test_c6_degree_study():
     start = time.monotonic()
     args = argparse.Namespace(
         task="rank", count=128, seed=0, seeds=10, tie_fraction=0.0,
-        mode="chebyshev", cmp_degree=None, ind_degree=None, tie_margin=0.0,
+        mode="chebyshev", cmp_degree=None, ind_degree=None,
         degrees=[64, 128, 256, 512, 1024], ind_degrees=None,
         slot_count=0, max_level=64, noise_sigma=0.0, tie_correction=False,
     )

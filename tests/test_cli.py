@@ -85,54 +85,24 @@ def test_stat_median_and_kth(tmp_path, tied_vector):
     assert out.read_text().splitlines()[1] == "40"
 
 
-@pytest.mark.parametrize("text", ["50,10,20,30,40,60", "50,10,20,30,40"])
-def test_stat_median_honours_tie_correction(tmp_path, text):
-    path = tmp_path / "distinct.csv"
-    path.write_text(text + "\n")
-    rows = {}
-    for flag in ("--tie-correction", "--no-tie-correction"):
-        code, out, cost = run(tmp_path, "stat", "--stat", "median", "--input", str(path), flag)
-        assert code == EXIT_OK
-        header, row = (line.split(",") for line in cost.read_text().splitlines()[:2])
-        rows[flag] = (out.read_text().splitlines()[1], dict(zip(header, row)))
-    (on_value, on), (off_value, off) = rows["--tie-correction"], rows["--no-tie-correction"]
-    assert on_value == off_value
-    # the tie offset's product, and the 8 ct-ct the reciprocal saves when
-    # seeded at the corrected window's known norm (4 steps instead of 8)
-    assert int(on["ctct_mults"]) - int(off["ctct_mults"]) == 1 - 8
-    assert (on["cmp_evals"], on["ind_evals"]) == (off["cmp_evals"], off["ind_evals"])
-
-
 def test_stat_on_ties_without_correction_fails(tmp_path, capsys):
-    # the tied middle rank 2.5 falls in no open window: uncorrected, the
-    # median would read 20 where the truth is 25
+    # a statistic is always a window of tie-corrected ranks: asking for an
+    # uncorrected one is a usage error, for stat and for bench's min and max
     path = tmp_path / "tied.csv"
     path.write_text("50,10,20,20,40,30\n")
-    for stat in (["median"], ["kth", "--k", "3"], ["percentile", "--p", "50"]):
+    for stat in (["median"], ["kth", "--k", "3"], ["percentile", "--p", "50"], ["min"], ["max"]):
         code, out, cost = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
-        assert code == EXIT_INPUT, stat
-        assert "multi_statistic: sorted position 3 shares the tied rank 2.5" in capsys.readouterr().err
+        assert code == EXIT_USAGE, stat
+        assert "a statistic is always tie-corrected" in capsys.readouterr().err
         assert not out.exists() and not cost.exists()
-    code, out, _ = run(tmp_path, "stat", "--stat", "median", "--input", str(path))
-    assert code == EXIT_OK
-    assert out.read_text().splitlines()[1] == "25"
-    for stat, value in ((["min"], "10"), (["max"], "50"), (["percentile", "--p", "100"], "50")):
-        code, out, _ = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
+    for task in ("min", "max"):
+        code, out, cost = run(tmp_path, "bench", "--task", task, "--count", "4", "--seeds", "1", "--no-tie-correction")
+        assert code == EXIT_USAGE, task
+        assert not out.exists() and not cost.exists()
+    for stat, value in ((["median"], "25"), (["min"], "10"), (["max"], "50"), (["percentile", "--p", "100"], "50")):
+        code, out, _ = run(tmp_path, "stat", "--stat", *stat, "--input", str(path))
         assert code == EXIT_OK, stat
         assert out.read_text().splitlines()[1] == value
-
-
-@pytest.mark.parametrize(
-    "text,stat,value",
-    [("0.1,0.2,0.2,0.4", ["median"], "0.2"), ("0.1,0.5,0.5,0.5,0.9", ["kth", "--k", "3"], "0.5")],
-)
-def test_stat_on_ties_without_correction_runs_when_the_window_holds_them(tmp_path, text, stat, value):
-    # the tied ranks 2.5 and 3 sit inside the windows (1.5, 3.5) and (2.5, 3.5)
-    path = tmp_path / "tied.csv"
-    path.write_text(text + "\n")
-    code, out, _ = run(tmp_path, "stat", "--stat", *stat, "--input", str(path), "--no-tie-correction")
-    assert code == EXIT_OK
-    assert out.read_text().splitlines()[1] == value
 
 
 def test_stat_percentile(tmp_path, tied_vector):
@@ -207,8 +177,7 @@ def test_ideal_mode_refuses_a_noisy_engine(tmp_path, capsys, task):
         "--count", "8", "--seed", "3", "--tie-fraction", "0.25", "--tie-correction",
     )
     assert code == EXIT_INPUT
-    kernel = "chebyshev.compare_gt_kernel" if "min" in task else "chebyshev.compare_kernel"
-    assert kernel in capsys.readouterr().err
+    assert "chebyshev.compare_kernel" in capsys.readouterr().err
     assert not out.exists() and not cost.exists()
 
 

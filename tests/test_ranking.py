@@ -317,43 +317,16 @@ def test_multi_rank_complement_identity():
     assert np.array_equal(block_merge(eng, pipe.ranks), reference.fractional_ranks(v))
 
 
-def test_multi_rank_pipeline_refuses_strict_and_weak_across_blocks():
-    # The tied minimum 0.1 sits in both blocks.  Only the fractional kernel
-    # has the complement identity the cross-block ranks rest on: without
-    # the guard, strict would rank the two copies 1 and 2, and weak would
-    # rank one of them 1 where one block ranks both 2.
+def test_two_blocks_rank_a_tie_across_them_as_one_block_does():
+    # The tied minimum 0.1 sits in both blocks; the complement identity
+    # gives the second block's copy the shared rank 1.5 that one block does.
     v = np.array([0.3, 0.9, 0.1, 0.9, 0.5, 0.1, 0.7, 0.2])
     eng = make_engine(16)  # block side 4, two blocks
-    for comparison in ("strict", "weak"):
-        with pytest.raises(ValueError, match=f"multi_rank_pipeline: the {comparison}"):
-            multi_rank_pipeline(eng, block_split(eng, v), IDEAL, comparison=comparison)
     blocks = multi_rank_pipeline(eng, block_split(eng, v), IDEAL).ranks
     assert len(blocks.blocks) == 2
     one_eng = make_engine(64)
     one_block = rank(one_eng, one_eng.encrypt(v), 8, IDEAL)
     assert np.array_equal(block_merge(eng, blocks), read_col(one_eng, one_block.ranks, one_block.layout, 8))
-
-
-@pytest.mark.parametrize("comparison", ["strict", "weak"])
-def test_tie_correction_refuses_strict_and_weak(comparison):
-    # A strict or weak comparison reads 0 or 1 at a tie, so the tie offset
-    # adds nothing and correction only lowers every rank by 1/2: unchecked,
-    # [10, 20, 20, 40] ranked 0.5, 1.5, 1.5, 3.5 (strict) and 0.5, 2.5, 2.5,
-    # 3.5 (weak).
-    v = np.array([10.0, 20.0, 20.0, 40.0])
-    cfg = KernelConfig(mode="ideal", degree=256, input_range=(0.0, 64.0))
-    eng = make_engine(16)
-    with pytest.raises(
-        ValueError, match=r"^ranking\.rank_pipeline/ranking\.multi_rank_pipeline: tie correction needs the fractional"
-    ):
-        rank_pipeline(eng, eng.encrypt(v), 4, cfg, comparison=comparison, tie_correction=True)
-    with pytest.raises(ValueError, match=r"^ranking\.multi_rank_pipeline: tie correction needs the fractional"):
-        multi_rank_pipeline(eng, block_split(eng, v), cfg, comparison=comparison, tie_correction=True)
-    assert eng.cost_snapshot() == CostReport()  # refused before any op
-    # uncorrected, the kernel still ranks as documented
-    pipe = rank_pipeline(eng, eng.encrypt(v), 4, cfg, comparison=comparison)
-    expected = [1.0, 2.0, 2.0, 4.0] if comparison == "strict" else [1.0, 3.0, 3.0, 4.0]
-    assert np.array_equal(block_merge(eng, pipe.ranks), expected)
 
 
 def test_multi_rank_matches_single_when_both_fit():

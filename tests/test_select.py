@@ -49,10 +49,27 @@ def test_mask_picks_rank_one_and_four():
     assert np.array_equal(read_col(eng, m4.mask, m4.layout, 4), [0, 0, 0, 1])
 
 
-def test_min_mask_on_constant_vector_is_all_ones():
+def test_min_mask_on_constant_vector_selects_the_first():
+    # tie correction ranks the three copies 1, 2, 3 by position
     eng = make_engine(16)
     m = order_statistic_mask(eng, eng.encrypt([0.5] * 3), 3, StatisticQuery("min"), IDEAL)
-    assert np.array_equal(read_col(eng, m.mask, m.layout, 3), [1, 1, 1])
+    assert np.array_equal(read_col(eng, m.mask, m.layout, 3), [1, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "slot_count, blocks", [(64, 1), (16, 2), (4, 4)], ids=["one-block", "two-blocks", "four-blocks"]
+)
+def test_extreme_masks_are_one_hot_at_every_block_count(slot_count, blocks):
+    # tied extremes, within a block and across blocks: the min and max masks
+    # select rank 1 and rank n of the tie-corrected ranking, one entry each,
+    # however many blocks of side 8, 4 or 2 hold the 8 values
+    v = np.array([0.9, 0.1, 0.5, 0.1, 0.9, 0.3, 0.1, 0.9])
+    for kind, rank in (("min", 1), ("max", v.size)):
+        eng = make_engine(slot_count)
+        pipe, sels, width = select_module._select(eng, block_split(eng, v), StatisticQuery(kind), IDEAL)
+        assert len(sels) == blocks and width == 1
+        mask = np.concatenate([read_col(eng, sel, pipe.layout, pipe.layout.n_dim) for sel in sels])
+        assert np.array_equal(mask, reference.corrected_ranks(v) == rank), kind
 
 
 def test_mask_l1_norm_counts_rank_holders():
@@ -86,19 +103,6 @@ def test_min_of_constant_vector_divides_by_multiplicity():
     assert abs(out - 0.7) < 1e-6
 
 
-def test_unoccupied_rank_raises_without_correction():
-    # the tied pair shares rank 2.5, on the edge of the window (1.5, 2.5):
-    # uncorrected, the window would select nothing and read 0.0
-    eng = make_engine(16)
-    v = [0.10, 0.20, 0.20, 0.40]
-    with pytest.raises(ValueError, match="multi_statistic: sorted position 2 shares the tied rank 2.5"):
-        order_statistic_value(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=2), IDEAL, tie_correction=False)
-    with_fix = value_of(
-        eng, order_statistic_value(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=2), IDEAL)
-    )
-    assert abs(with_fix - 0.20) < 1e-6
-
-
 def test_all_k_statistics_match_sorted_values():
     rng = np.random.default_rng(13)
     for n in (4, 8, 16):
@@ -116,12 +120,12 @@ def test_all_k_statistics_match_sorted_values():
 
 
 def test_min_max_with_duplicated_extremes():
+    # a tied extreme is selected once, so the reciprocal of the norm 1 is exact
     eng = make_engine(64)
     v = [0.1, 0.1, 0.5, 0.9, 0.9, 0.3]
     lo = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 6, StatisticQuery("min"), IDEAL))
     hi = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 6, StatisticQuery("max"), IDEAL))
-    assert abs(lo - 0.1) < 1e-6
-    assert abs(hi - 0.9) < 1e-6
+    assert (lo, hi) == (0.1, 0.9)
 
 
 def test_median_odd_and_even():
@@ -153,8 +157,7 @@ def test_percentile_boundaries_delegate_to_min_max():
     v = [0.15, 0.15, 0.60, 0.90]
     lo = value_of(eng, percentile(eng, eng.encrypt(v), 4, 0.0, IDEAL))
     hi = value_of(eng, percentile(eng, eng.encrypt(v), 4, 100.0, IDEAL))
-    assert abs(lo - 0.15) < 1e-6
-    assert abs(hi - 0.90) < 1e-6
+    assert (lo, hi) == (0.15, 0.90)
 
 
 def test_percentile_half_is_median_for_odd_length():
@@ -194,20 +197,27 @@ def test_statistic_level_budget():
 
 def test_chebyshev_mode_min_value():
     eng = make_engine(64, max_level=72)
-    cfg = KernelConfig(mode="chebyshev", degree=512, tie_margin=0.02)
+    cfg = KernelConfig(mode="chebyshev", degree=512)
     v = [0.15, 0.55, 0.35, 0.95, 0.05, 0.75, 0.25, 0.85]
     out = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("min"), cfg))
     assert abs(out - 0.05) < 1e-2
 
 
 def test_chebyshev_mode_extremes_span_the_whole_range():
-    eng = make_engine(64, max_level=72)
+    # the stats_cheb_noisy benchmark's kernel; no pipeline reads its tie_margin
     cfg = KernelConfig(mode="chebyshev", degree=256, tie_margin=1 / 512)
-    v = [0.3, 1.0, 0.6, 0.0, 0.45, 0.8, 0.15, 0.7]
-    lo = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("min"), cfg))
-    hi = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("max"), cfg))
-    assert abs(lo - 0.0) < 1e-2
-    assert abs(hi - 1.0) < 1e-2
+    spread = [0.3, 1.0, 0.6, 0.0, 0.45, 0.8, 0.15, 0.7]
+    cases = [
+        ("min", spread, 0.0),
+        ("max", spread, 1.0),
+        # tied extremes: one copy holds rank 1 (rank n), as for distinct values
+        ("max", [0.3, 0.9, 0.6, 0.1, 0.45, 0.9, 0.15, 0.7], 0.9),
+        ("min", [0.3, 0.9, 0.6, 0.1, 0.45, 0.1, 0.15, 0.7], 0.1),
+    ]
+    for kind, v, want in cases:
+        eng = make_engine(64, max_level=72)
+        out = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery(kind), cfg))
+        assert abs(out - want) < 1e-2, (kind, v, out)
 
 
 PINNED_INPUT = [0.62, 0.13, 0.91, 0.47, 0.05, 0.78, 0.34, 0.56]
@@ -219,13 +229,13 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     [
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=52, ctpt_mults=95, additions=164,
-                       cmp_evals=1, ind_evals=1, levels_consumed=30, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=52, ctpt_mults=95, additions=163,
-                       cmp_evals=1, ind_evals=1, levels_consumed=30, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
@@ -246,10 +256,11 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     ids=["min", "max", "kth3", "median_even", "percentile75"],
 )
 def test_statistic_circuit_is_pinned(statistic, report):
-    # the full cost of each select path at chebyshev degree 64, n=8 in 64
-    # slots; a layout refactor must leave every counter where it is.  The
-    # tie-corrected windows' reciprocal, seeded at 1/k, takes 4 steps where
-    # min/max take 8: 8 ct-ct, 4 additions and 4 levels fewer
+    # the full cost of each statistic at chebyshev degree 64, n=8 in 64
+    # slots; a layout refactor must leave every counter where it is.  Every
+    # query is one tie-corrected rank window, so the extremes cost what the
+    # k-th statistic does: one tie-offset product, then the reciprocal of
+    # the window's norm seeded at 1/k in 4 steps
     eng = make_engine(64)
     statistic(eng, eng.encrypt(PINNED_INPUT))
     assert eng.cost_snapshot() == report
@@ -303,9 +314,7 @@ def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
 def test_multi_block_statistics_match_the_oracle():
     # one to four blocks of 8, the last one padded or full, odd and even
     # lengths; ranks and masks are exact in ideal mode, and the reciprocal
-    # of a tie-corrected window's norm k is seeded at 1/k, exact for k = 1, 2.
-    # Only the one-block strict/weak extremes keep the rounding of the
-    # reciprocal over (0.5, n + 0.5)
+    # of a tie-corrected window's norm k is seeded at 1/k, exact for k = 1, 2
     rng = np.random.default_rng(2024)
     b = 8
     checked = 0
@@ -321,17 +330,13 @@ def test_multi_block_statistics_match_the_oracle():
                 StatisticQuery("percentile", p=float(rng.uniform(0, 100))),
             ]
             for query in queries:
-                for tie_correction in (True, False) if query.kind in ("min", "max") else (True,):
-                    eng = make_engine(b * b)
-                    bv = block_split(eng, v)
-                    assert len(bv.blocks) == blocks
-                    out = value_of(eng, multi_statistic(eng, bv, query, IDEAL, tie_correction=tie_correction))
-                    want = reference.statistic_value(v, query.kind, query.k, query.p)
-                    if blocks == 1 and (query.kind in ("min", "max") or query.p in (0.0, 100.0)):
-                        want = pytest.approx(want, rel=1e-13, abs=0)
-                    assert out == want, (n, query)
-                    checked += 1
-    assert checked == 12 * 9
+                eng = make_engine(b * b)
+                bv = block_split(eng, v)
+                assert len(bv.blocks) == blocks
+                out = value_of(eng, multi_statistic(eng, bv, query, IDEAL))
+                assert out == reference.statistic_value(v, query.kind, query.k, query.p), (n, query)
+                checked += 1
+    assert checked == 12 * 7
 
 
 def test_noisy_chebyshev_three_block_statistics(monkeypatch):
@@ -385,19 +390,10 @@ def test_even_median_is_one_query_on_one_ranking():
     assert np.array_equal(read_col(eng, m.mask, m.layout, 6), [0, 1, 0, 0, 1, 0])  # ranks 3 and 4
 
 
-def test_uncorrected_even_median_of_a_tied_middle_pair():
-    # the tied pair shares rank 2.5, inside the one window (1.5, 3.5)
-    eng = make_engine(16)
-    v = [0.10, 0.20, 0.20, 0.40]
-    out = value_of(eng, median(eng, eng.encrypt(v), 4, IDEAL, tie_correction=False))
-    assert out == pytest.approx(0.20, rel=1e-13)
-
-
 def test_long_vector_statistic_keeps_full_precision():
-    # 300 values in nineteen 16x16 blocks: a tie-corrected window's mask norm
-    # is its number of target ranks whatever n, so the reciprocal seeded at
-    # 1/k stays exact (one over (0.5, n + 0.5) needs more steps as n grows:
-    # eight left 1e-6 here, 2% at n=1000)
+    # 300 values in nineteen 16x16 blocks: a window's mask norm is its
+    # number of target ranks whatever n, so the reciprocal seeded at 1/k
+    # stays exact
     rng = np.random.default_rng(5)
     v = _tied_values(rng, 300)
     for query in (StatisticQuery("median"), StatisticQuery("kth", k=211)):
