@@ -235,8 +235,8 @@ def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tu
     ciphertext-ciphertext multiplication and two additions and has a
     multiplication depth of ceil(log2 i).  The doubling and the subtraction
     are linear ops on a computed product, so T_i stays a pending sum until
-    ``copy_into`` folds it into its row in one pass, or a product reads it;
-    a power with no row is shared, since several ops may read it.
+    ``copy_into`` spends it, folded into its row in one pass, or a product
+    reads it; a power with no row is shared, since several ops may read it.
     """
     if i not in cache:
         g = 1 << ((i - 1).bit_length() - 1)
@@ -308,10 +308,10 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
 
 def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
     """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``,
-    which is told the baby-step powers as the rows of their array; each leaf
-    is handed over, not kept, so none outlives its use.  The baby-step
-    powers leave ``powers`` once the last batch is computed, which frees
-    their array for the rest of the walk."""
+    which is told the baby-step powers as the rows of their array, the base
+    of every term of a leaf; each leaf is handed over, not kept, so none
+    outlives its use.  The baby-step powers leave ``powers`` once the last
+    batch is computed, which frees their array for the rest of the walk."""
     rows = [powers[i] for i in plan.baby]
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
         batch = [
@@ -360,12 +360,12 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     need, which it releases unless read.  The walk of the giant-step tree
     takes its leaves in turn from a stream, which computes ``_LEAF_BATCH`` of
     them when the walk first needs one: a leaf is its charged scalar
-    ``mul_plain`` products and one n-ary ``add`` of them.  One
-    ``HESimulator.realise`` computes each batch, told the rows: one BLAS
+    ``mul_plain`` products of baby-step rows and one n-ary ``add`` of them.
+    One ``HESimulator.realise`` computes each batch, told the rows: one BLAS
     product over them, which reads every power once per batch rather than
-    once per term.  The baby-step rows are released once the last
-    batch is computed, so the rest of the walk holds only the giant powers
-    and its partial sums.
+    once per term.  The baby-step rows are released once the last batch is
+    computed, so the rest of the walk holds only the giant powers and its
+    partial sums.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
@@ -427,7 +427,7 @@ def _window_poly(a: float, b: float, lo: float, hi: float, degree: int) -> Cheby
     return _zero_from(poly, 1) if a + b == lo + hi else poly
 
 
-def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, degree: int) -> Ciphertext:
+def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, levels: int) -> Ciphertext:
     # The exact function is discontinuous, so noise of any size breaks every
     # tie and every value's comparison with itself (the row and column
     # replicas carry independent noise): refuse a noisy engine.
@@ -436,7 +436,7 @@ def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, degree: int) -> Ciph
             f"{caller_path()}: ideal kernel on an engine with noise_sigma={engine.params.noise_sigma:g}: "
             "noise breaks the exact comparison of tied values; use mode='chebyshev'"
         )
-    return engine.ideal_map(f, *cts, levels=math.ceil(math.log2(degree + 1)))
+    return engine.ideal_map(f, *cts, levels=levels)
 
 
 def _three_way(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -452,7 +452,7 @@ def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: Kerne
     smoothed part of the step.  An evaluation is counted once it completes.
     """
     if cfg.mode == "ideal":
-        out = _ideal_kernel(engine, _three_way, x, y, degree=cfg.degree)
+        out = _ideal_kernel(engine, _three_way, x, y, levels=kernel_depth(cfg))
     else:
         lo, hi = cfg.input_range
         diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo))
@@ -466,7 +466,7 @@ def _compare_shifted(engine, x, y, cfg, predicate, margin):
     # compares x + margin with y; the declared range is widened by the
     # margin so the shifted difference still maps into the fit interval.
     if cfg.mode == "ideal":
-        out = _ideal_kernel(engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, degree=cfg.degree)
+        out = _ideal_kernel(engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, levels=kernel_depth(cfg))
         engine.note_compare_eval()
         return out
     lo, hi = cfg.input_range
@@ -499,7 +499,9 @@ def indicator_kernel(
     if not (a < b):
         raise ValueError(f"indicator interval must satisfy a < b, got [{a}, {b}]")
     if cfg.mode == "ideal":
-        out = _ideal_kernel(engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, degree=cfg.ind_degree)
+        out = _ideal_kernel(
+            engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, levels=kernel_depth(cfg, "indicator")
+        )
     else:
         lo, hi = cfg.input_range
         out = ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))

@@ -8,8 +8,10 @@ Subcommands::
     slotrank bench  --task rank --count 128 --degrees 64,128,256,512
 
 Input vectors come from a file (one value per line, or a single
-comma-separated line) or from the built-in uniform generator; ``bench``
-always generates its inputs and takes no ``--input``.  Values are
+comma-separated line) or from the built-in uniform generator, never both;
+``bench`` always generates its inputs and takes no ``--input``.  A flag
+that would be ignored, such as ``--k`` off ``--stat kth``, is a usage
+error.  Values are
 affinely scaled into [0, 1] before comparison; the scale is recorded in
 the results file and undone on value outputs.  Every run writes a results
 file and a cost-report file and self-checks against the plaintext oracle.
@@ -248,11 +250,13 @@ def _run_once(args) -> int:
     return EXIT_OK
 
 
-def bench_sweep(args) -> tuple[list[dict], bool]:
-    """One aggregated record per (cmp_degree, ind_degree); trend flag for rank.
+def bench_sweep(args) -> tuple[list[dict], bool | None]:
+    """One aggregated record per (cmp_degree, ind_degree), and the trend.
 
     Each record averages the oracle error over ``seeds`` generated inputs,
-    each run through ``run_task``.
+    each run through ``run_task``.  The trend says whether avg_err rises by
+    at most 10% from each compare degree to the next; a grid over several
+    indicator degrees has no one order of its rows, so its trend is None.
     """
     ind_degrees = args.ind_degrees or [None]
     records = []
@@ -264,12 +268,10 @@ def bench_sweep(args) -> tuple[list[dict], bool]:
                 for s in range(args.seeds)
             ]
             records.append(_record(dc, di, runs))
-    if len(ind_degrees) == 1:
-        by_degree = [r["avg_err"] for r in records]
-        monotone = all(b <= a * 1.10 for a, b in zip(by_degree, by_degree[1:]))
-    else:
-        monotone = True
-    return records, monotone
+    if len(ind_degrees) > 1:
+        return records, None
+    by_degree = [r["avg_err"] for r in records]
+    return records, all(b <= a * 1.10 for a, b in zip(by_degree, by_degree[1:]))
 
 
 def _run_bench(args) -> int:
@@ -285,7 +287,8 @@ def _run_bench(args) -> int:
                 ]
             )
         )
-    result_lines.append(f"# avg_err_non_increasing={'yes' if monotone else 'no'} tolerance=10%")
+    if monotone is not None:
+        result_lines.append(f"# avg_err_non_increasing={'yes' if monotone else 'no'} tolerance=10%")
     meta = {"task": f"bench:{args.task}", "n": args.count, "mode": args.mode, "seeds": args.seeds}
     _write_results(args.output, meta, result_lines)
     _write_cost(args.cost_output, [_cost_row(args.task, args.count, args.mode, r) for r in records])
@@ -368,13 +371,15 @@ def _validate(parser, args):
         for flag, degrees in (("--degrees", args.degrees), ("--ind-degrees", args.ind_degrees)):
             if degrees is not None and (not degrees or min(degrees) < 1):
                 parser.error(f"{flag} needs at least one degree, each >= 1")
-    if args.command != "bench" and not args.input and not args.gen:
-        parser.error("either --input or --gen is required")
+    if args.command != "bench" and bool(args.input) == bool(args.gen):
+        parser.error("--input and --gen each give the input vector; pass one of them")
     if args.command == "stat":
-        if args.stat == "kth" and args.k is None:
-            parser.error("--stat kth requires --k")
-        if args.stat == "percentile" and args.p is None:
-            parser.error("--stat percentile requires --p")
+        # each flag belongs to one kind: required there, refused elsewhere
+        for flag, value, kind in (("--k", args.k, "kth"), ("--p", args.p, "percentile")):
+            if (value is None) == (args.stat == kind):
+                parser.error(
+                    f"--stat {kind} requires {flag}" if value is None else f"{flag} applies to --stat {kind} only"
+                )
         if args.p is not None and not 0.0 <= args.p <= 100.0:
             parser.error("--p must lie in [0, 100]")
     if not 0.0 <= args.tie_fraction <= 1.0:

@@ -25,25 +25,26 @@ Cost model:
   adds would, so ``add(x)`` is ``x``, uncharged.  A lone read of a pending
   sum's ``slots`` folds its terms left to right, which gives the same
   doubles as the eager chain of products and additions, signed zeros
-  included; ``copy_into`` folds one straight into the row of a 2D array it
-  is told, and ``realise``, told the rows of such an array, computes a batch
-  of pending sums over them as one BLAS product, which rounds each slot
-  within a few ulps of sum_i |scale_i * base_i| of the fold;
+  included;
+* one spending rule, on every engine: the linear ops above, a scalar
+  ``mul_plain`` and ``copy_into`` take a pending operand's terms and leave
+  it spent; reading, summing or realising it then raises ``EngineError``.
+  ``share`` reads its arguments, computing a pending sum once, so that
+  several ops may use a value (``add(x, x)`` and ``sub(x, x)`` need not);
+* ``copy_into`` folds a pending sum straight into the row of a 2D array it
+  is told, and ``realise``, told the rows of such an array, computes pending
+  sums over them as one BLAS product, which rounds each slot within a few
+  ulps of sum_i |scale_i * base_i| of the fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot, but on a noisy engine it returns its noise-free value and
   *owes* that noise, as a one-term pending sum, until something reads it.
   ``owed`` is a variance weight: a read draws N(0, owed * sigma^2) once and
   keeps it, so every later reader sees the same noise.  ``rotate``,
-  ``mul``, a vector ``mul_plain``, ``ideal_map``, ``copy_into``,
-  ``decrypt`` and ``slots`` read.  The linear ops above, ``sub(p, p)``
-  (scale 0) and a scalar ``mul_plain`` (scale s, weight times s^2) instead
-  take over an owing operand's noise: a linear chain draws one Gaussian of
-  the summed variance, the distribution of one draw per op, since no link
-  of the chain is read on its own.  The operand is then spent, and reading,
-  summing or realising it raises ``EngineError``: its noise would have to
-  be correlated with the chain's.  ``share`` reads its arguments, so that
-  several ops may use a value; on a noise-free engine nothing owes and it
-  does nothing;
+  ``mul``, a vector ``mul_plain``, ``ideal_map``, ``decrypt``, ``share``
+  and ``slots`` read.  An op that takes a pending operand takes its owed
+  noise too (times s^2 for a scalar ``mul_plain`` by s), so a linear chain
+  draws one Gaussian of the summed variance, the distribution of one draw
+  per op, since no link of the chain is read on its own;
 * identities are free: ``mul_plain`` by the scalar 1 and ``add_plain`` of
   the scalar +-0 return the operand itself, as ``rotate(x, 0)`` and
   ``add(x)`` do, charging no op, level or noise and spending nothing (a
@@ -183,8 +184,8 @@ class _PendingSum(Ciphertext):
     terms left to right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) +
     ...`` would, adds one draw of sigma * sqrt(owed) * Z and keeps the
     result, so every later reader sees the same noise; it drops ``pending``
-    so the bases are not kept alive.  An op that takes over the owed noise
-    takes the terms too and leaves the sum spent, with no value.
+    so the bases are not kept alive.  An op that takes the terms takes the
+    owed noise too and leaves the sum spent, with no value.
     """
 
     __slots__ = ("pending", "owed", "_value", "_engine")
@@ -204,7 +205,7 @@ class _PendingSum(Ciphertext):
             self._settle(_fold(self.pending))
         elif self._value is None:
             raise EngineError(
-                f"{self!r}: its owed noise moved into another ciphertext, so it has no value; "
+                f"{self!r}: its terms and owed noise moved into another ciphertext, so it has no value; "
                 "HESimulator.share it before its first use to use it twice"
             )
         return self._value
@@ -392,7 +393,7 @@ class HESimulator:
             return x
         self._additions += 1
         if x.pending is not None:
-            terms, owed = self._take(x)
+            terms, owed = x._spend()
             return self._emit(None, x.level, x.rot_chain, terms + ((p, 1.0),), owed + self._op_noise)
         return self._owing(x.slots + p, x.level, x.rot_chain)
 
@@ -461,71 +462,69 @@ class HESimulator:
         """``ct`` written into row ``i`` of the 2D array ``rows``, as a
         read-only ciphertext at its level and rotation chain; charges nothing.
 
-        A pending sum that owes no noise is folded straight into the row, to
-        the doubles a read gives, and stays pending; anything else is read
-        and copied.
+        A pending ``ct`` is spent, as by a linear op: its terms are folded
+        straight into the row and the noise it owes, if any, is drawn once
+        and added there, to the doubles a read gives, from the same stream.
+        A computed ``ct`` is copied.
         """
         self._check(ct)
         row = rows[i]
-        if ct.pending is not None and not ct.owed:
-            _fold(ct.pending, out=row)
+        if ct.pending is None:
+            np.copyto(row, ct.slots)  # a spent operand raises
         else:
-            np.copyto(row, ct.slots)
+            terms, owed = ct._spend()
+            self._noisy(_fold(terms, out=row), owed, out=row)
         return Ciphertext(row, ct.level, ct.rot_chain, self.params)
 
-    def realise(self, cts: list[Ciphertext], rows: list[Ciphertext] | tuple = ()) -> list[Ciphertext]:
-        """Compute every pending sum of ``cts`` and return ``cts``; charges nothing.
+    def realise(self, cts: list[Ciphertext], rows: list[Ciphertext]) -> list[Ciphertext]:
+        """Compute every pending sum of ``cts`` as one product over ``rows``
+        and return ``cts``; charges nothing.
 
-        Each pending sum keeps its computed value at its own level.  One that
-        owes no noise then reads as a read-only ciphertext, as a read leaves
-        it.  One that owes noise keeps owing it, as the one term of scale 1 of
-        a pending sum: the noise is drawn when the value is read, or joins
-        the op that takes it over.  ``rows`` names the ciphertexts that
-        ``copy_into`` wrote into rows 0, 1, ... of one 2D array, all of them
-        in order, else ``ValueError``.  If every base of the sums is one of
-        them, the batch is one product of the matrix of their scales by that
-        array: it reads each base once, copies none, and rounds each slot
-        within a few ulps of sum_i |scale_i * base_i| of the left-to-right
-        fold.  Otherwise each sum is folded on its own, as a lone read does.
-        A spent operand raises ``EngineError``.
+        ``rows`` names the ciphertexts that ``copy_into`` wrote into rows 0,
+        1, ... of one 2D array, all of them in order, and every base of the
+        pending sums must be one of them, else ``ValueError``.  The batch is
+        one product of the matrix of their scales by that array: it reads
+        each base once, copies none, and rounds each slot within a few ulps
+        of sum_i |scale_i * base_i| of the left-to-right fold.  Each pending
+        sum keeps its computed value at its own level.  One that owes no
+        noise then reads as a read-only ciphertext, as a read leaves it.  One
+        that owes noise keeps owing it, as the one term of scale 1 of a
+        pending sum: the noise is drawn when the value is read, or joins the
+        op that takes it.  A spent operand raises ``EngineError``.
         """
         self._check(*cts)
+        array = rows[0].slots.base if rows else None
+        if not (
+            array is not None
+            and len(rows) == len(array)
+            and all(r.slots.base is array and np.may_share_memory(r.slots, a) for r, a in zip(rows, array))
+        ):
+            raise ValueError("realise: rows must be every row of one 2D array, in order, as copy_into wrote them")
+        self.share(*[c for c in cts if c.pending is None])  # a spent operand raises
         pending = [c for c in cts if c.pending is not None]
-        if rows:
-            array = rows[0].slots.base
-            if not (
-                array is not None
-                and len(rows) == len(array)
-                and all(r.slots.base is array and np.may_share_memory(r.slots, a) for r, a in zip(rows, array))
-            ):
-                raise ValueError("realise: rows must be every row of one 2D array, in order, as copy_into wrote them")
-            index = {id(r.slots): k for k, r in enumerate(rows)}
-            if pending and all(id(base) in index for ct in pending for base, _ in ct.pending):
-                scales = np.zeros((len(pending), len(rows)))
-                for r, ct in enumerate(pending):
-                    for base, scale in ct.pending:
-                        scales[r, index[id(base)]] += scale
-                for ct, value in zip(pending, scales @ array):
-                    ct._computed(value)
-        for ct in cts:
-            if ct.pending is not None:
-                ct._computed(_fold(ct.pending))
-            else:
-                ct.slots  # a spent operand raises
+        index = {id(r.slots): k for k, r in enumerate(rows)}
+        scales = np.zeros((len(pending), len(rows)))
+        for r, ct in enumerate(pending):
+            for base, scale in ct.pending:
+                if id(base) not in index:
+                    raise ValueError("realise: every base of a pending sum must be one of the rows it is told")
+                scales[r, index[id(base)]] += scale
+        for ct, value in zip(pending, scales @ array):
+            ct._computed(value)
         return list(cts)
 
     def share(self, *cts: Ciphertext) -> tuple[Ciphertext, ...]:
-        """Draw the noise ``cts`` owe, so that several ops may use each of
-        them, and return ``cts``; charges nothing.
+        """Read ``cts``, so that several ops may use each of them, and return
+        ``cts``; charges nothing.
 
-        An op that takes over an owing operand's noise leaves the operand
-        spent, so a value that two ops use is shared first.  On a noise-free
-        engine nothing owes, and this returns at once.
+        A pending sum is computed once and kept, and the noise it owes, if
+        any, is drawn once: every later reader sees the same value.  An op
+        that takes a pending operand leaves it spent, so a value that two
+        ops use is shared first.
         """
-        if self._op_noise:
-            self._check(*cts)
-            for ct in cts:
-                ct.slots  # a read draws the owed noise; a spent operand raises
+        self._check(*cts)
+        for ct in cts:
+            ct.slots  # a read computes and draws; a spent operand raises
         return cts
 
     # ------------------------------------------------------------------
@@ -581,23 +580,24 @@ class HESimulator:
         binary sums; charged by the caller.
 
         ``x + x``, and an owing ``x - x``, is ``x`` scaled by ``1 + sign``,
-        to the double, so an owed noise counts that many times.  Computed
-        operands are summed at once, as long as every operand so far is
-        computed; from the first pending one on, the result is a pending sum
-        of ``x``'s terms and one term for each later operand.  Its fold is
-        the eager chain's to the double, since ``b * -s`` is ``-(b * s)``
-        exactly.  It owes the noise its operands owe plus that of each
-        addition; an operand whose owed noise it takes over is spent.
+        to the double, so an owed noise counts that many times; a noise-free
+        ``x - x`` reads ``x`` first, so it is +0.0.  Computed operands are
+        summed at once, as long as every operand so far is computed; from the
+        first pending one on, the result is a pending sum of ``x``'s terms
+        and one term for each later operand.  Its fold is the eager chain's
+        to the double, since ``b * -s`` is ``-(b * s)`` exactly.  It owes the
+        noise its operands owe plus that of each addition; a pending operand
+        it takes is spent.
         """
         level, chain = x.level, x.rot_chain
         value = terms = None  # the sum so far: computed, or its terms
         if x is ys[0] and (sign > 0 or x.owed):
             terms, owed = self._scaled(x, 1.0 + sign)
             ys = ys[1:]
-        elif x.pending is None:
+        elif x.pending is None or x is ys[0]:
             value, owed = x.slots, 0.0
         else:
-            terms, owed = self._take(x)
+            terms, owed = x._spend()
         for y in ys:
             if y.level < level:
                 level = y.level
@@ -617,33 +617,27 @@ class HESimulator:
         return self._emit(None, level, chain, ((value, 1.0),), owed) if owed else self._emit(value, level, chain)
 
     @staticmethod
-    def _take(x: _PendingSum) -> tuple[tuple, float]:
-        """The terms of a pending ``x`` and the noise it owes, handed over:
-        an owing ``x`` is spent, one that owes nothing keeps its terms."""
-        return x._spend() if x.owed else (x.pending, 0.0)
-
-    @staticmethod
     def _one_term(x: Ciphertext) -> tuple[tuple, float]:
         """``x`` as one (base, scale) term, and the noise it hands over: its
-        own term if it has one, else its fold with scale 1.  A noise-free
-        sum of several terms keeps that fold as its value."""
-        if x.pending is None or (len(x.pending) > 1 and not x.owed):
+        own term if it has one, else its fold with scale 1.  A pending ``x``
+        is spent."""
+        if x.pending is None:
             return (x.slots, 1.0), 0.0
-        terms, owed = HESimulator._take(x)
+        terms, owed = x._spend()
         return (terms[0] if len(terms) == 1 else (_fold(terms), 1.0)), owed
 
     def _scaled(self, x: Ciphertext, s: float) -> tuple[tuple, float]:
         """The terms and owed noise of ``x * s`` for a scalar ``s``, charged
         by the caller.
 
-        The fold of an owing ``x`` is scaled as one term, so scales are never
-        folded together; its owed noise is scaled too, to ``s^2`` times its
-        weight, and ``x`` is spent.
+        The fold of a pending ``x`` is scaled as one term, so scales are
+        never folded together; its owed noise is scaled too, to ``s^2`` times
+        its weight, and ``x`` is spent.
         """
-        if x.owed:
-            terms, owed = x._spend()
-            return ((_fold(terms), s),), s * s * owed + self._op_noise
-        return ((x.slots, s),), self._op_noise
+        if x.pending is None:
+            return ((x.slots, s),), self._op_noise
+        terms, owed = x._spend()
+        return ((_fold(terms), s),), s * s * owed + self._op_noise
 
     def _owing(self, slots: np.ndarray, level: int, chain: int) -> Ciphertext:
         """The computed ``slots`` of a charged op: owing the op's noise on a
@@ -652,17 +646,16 @@ class HESimulator:
             return self._emit(None, level, chain, ((slots, 1.0),), self._op_noise)
         return self._emit(slots, level, chain)
 
-    def _noisy(self, slots: np.ndarray, owed: float) -> np.ndarray:
-        """``slots`` plus one draw of N(0, owed * sigma^2) noise."""
-        sigma = self.params.noise_sigma
-        if sigma > 0:
-            # for one op, the same doubles as ``slots + rng.normal(0, sigma,
-            # shape)``, from the same stream, without the temporaries
-            noise = self._rng.standard_normal(slots.shape)
-            noise *= sigma * math.sqrt(owed)
-            noise += slots
-            return noise
-        return slots
+    def _noisy(self, slots: np.ndarray, owed: float, out: np.ndarray | None = None) -> np.ndarray:
+        """``slots`` plus one draw of N(0, owed * sigma^2) noise, into ``out``
+        if given, else a fresh array; ``slots`` itself if nothing is owed."""
+        if not owed:
+            return slots
+        # for one op, the same doubles as ``slots + rng.normal(0, sigma,
+        # shape)``, from the same stream, without the temporaries
+        noise = self._rng.standard_normal(slots.shape)
+        noise *= self.params.noise_sigma * math.sqrt(owed)
+        return np.add(noise, slots, out=noise if out is None else out)
 
     def _emit(
         self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None, owed: float = 0.0

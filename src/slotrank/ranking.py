@@ -85,12 +85,6 @@ class BlockVector:
             return self.block_size
         return self.total_len - (len(self.blocks) - 1) * self.block_size
 
-    def cleartext(self) -> np.ndarray:
-        """The entries, read in the clear, as the simulator can."""
-        return np.concatenate(
-            [blk.slots[: self.valid_in(i) * self.stride : self.stride] for i, blk in enumerate(self.blocks)]
-        )
-
 
 @dataclass
 class MultiRankPipeline:
@@ -186,9 +180,9 @@ def multi_rank_pipeline(
         engine.share(*cross)
         own = engine.add(mine, *cross)
         for j, c in enumerate(cross, i + 1):
-            # the left fold of the n-ary add, one addend at a time; realised,
+            # the left fold of the n-ary add, one addend at a time; shared,
             # so a sum holds one slot vector, not one per addend
-            earlier[j] = engine.realise([engine.add(earlier[j], c)])[0] if j in earlier else c
+            earlier[j] = engine.share(engine.add(earlier[j], c))[0] if j in earlier else c
         del cross  # every reader is done: free them before the folds
         if tie_correction:
             own = engine.add(own, tie_offset(engine, mine, layout))

@@ -22,7 +22,7 @@ from functools import lru_cache
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, grid_plain, replicate, sum_axis
-from .ranking import BlockVector, multi_rank_pipeline, rank_pipeline
+from .ranking import BlockVector, block_merge, multi_rank_pipeline, rank_pipeline
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
 
@@ -114,7 +114,7 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
     Without tie_correction, tied input values raise ``ValueError``.
     """
     if not cfg.tie_correction:
-        _require_distinct(bv.cleartext())
+        _require_distinct(block_merge(engine, bv))
     ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction)
     values, _ = _place(engine, ranking.ranks.blocks, ranking.col_replicated, ranking.layout, cfg.kernel)
     return BlockVector(blocks=tuple(values), block_size=bv.block_size, total_len=bv.total_len)

@@ -209,6 +209,15 @@ def test_bench_grid_sweep(tmp_path):
     assert code == EXIT_OK
     rows = [l for l in cost.read_text().splitlines()[1:] if l]
     assert len(rows) == 4  # full cmp x ind grid
+    # the grid's rows are no one sequence of degrees: no trend is claimed
+    assert not any(l.startswith("# avg_err_non_increasing") for l in out.read_text().splitlines())
+    # a sweep of the compare degree alone still reports its trend
+    code, out, _ = run(
+        tmp_path, "bench", "--task", "min", "--count", "8", "--seeds", "1",
+        "--degrees", "64,128", "--ind-degrees", "128", "--max-level", "80",
+    )
+    assert code == EXIT_OK
+    assert any(l.startswith("# avg_err_non_increasing=") for l in out.read_text().splitlines())
 
 
 def test_bench_single_degree_single_row(tmp_path):
@@ -265,6 +274,27 @@ def test_usage_errors(tmp_path, tied_vector):
     assert main(["rank"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["rank", "--gen", "uniform", "--count", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stat", "--stat", "min", "--k", "3"], "--k applies to --stat kth only"),
+        (["stat", "--stat", "median", "--k", "3"], "--k applies to --stat kth only"),
+        (["stat", "--stat", "kth", "--k", "2", "--p", "50"], "--p applies to --stat percentile only"),
+        (["stat", "--stat", "max", "--p", "50"], "--p applies to --stat percentile only"),
+        (["rank", "--gen", "uniform", "--count", "8"], "pass one of them"),
+        (["sort", "--gen", "uniform"], "pass one of them"),
+        (["stat", "--stat", "median", "--gen", "uniform"], "pass one of them"),
+    ],
+    ids=["min --k", "median --k", "kth --p", "max --p", "rank --gen", "sort --gen", "stat --gen"],
+)
+def test_flags_that_would_be_ignored_are_usage_errors(tmp_path, tied_vector, capsys, argv, message):
+    # unchecked, each of these ran the query without the flag and exited 0
+    code, out, cost = run(tmp_path, *argv, "--input", str(tied_vector))
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not cost.exists()
 
 
 def test_bench_rejects_input_file(tmp_path, tied_vector, capsys):

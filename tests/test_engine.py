@@ -300,10 +300,11 @@ def test_deferred_product_consumers_match_eager_numpy():
 
 
 def test_deferred_product_of_two_pending_operands():
+    # each op takes both pending operands, so each case builds its own
     eng, prod, y, pv, w = deferred_setup()
-    other = eng.mul_plain(y, -2.3)
-    assert np.array_equal(eng.decrypt(eng.add(prod, other)), pv + w * -2.3)
-    assert np.array_equal(eng.decrypt(eng.sub(other, prod)), w * -2.3 - pv)
+    assert np.array_equal(eng.decrypt(eng.add(prod, eng.mul_plain(y, -2.3))), pv + w * -2.3)
+    eng, prod, y, pv, w = deferred_setup()
+    assert np.array_equal(eng.decrypt(eng.sub(eng.mul_plain(y, -2.3), prod)), w * -2.3 - pv)
 
 
 def test_chained_scalar_products_are_not_folded():
@@ -400,6 +401,8 @@ def test_pending_sum_consumers_match_eager_fold():
     p, p_fold = pending_sum(eng, vs, scales)
     q, _ = pending_sum(eng, ws, other_scales)
     assert eng.sub(p, q).pending is not None
+    assert spent(p) and spent(q)  # the sub took their terms
+    p, _ = pending_sum(eng, vs, scales)
     assert np.array_equal(eng.decrypt(p), p_fold)
     assert p.pending is None  # a folded sum no longer holds its bases
 
@@ -420,11 +423,11 @@ def encrypt_as_rows(eng, vs):
 
 
 def test_realise_matches_fold_within_rounding():
-    # bases of their own are folded per sum; rows of one array take one product
-    for slot_count, as_rows in ((64, False), (1 << 13, False), (64, True), (1 << 16, True)):
+    # sums over the rows of one array take one product
+    for slot_count in (64, 1 << 13, 1 << 16):
         vs, scales = sum_inputs(slot_count=slot_count, terms=6)
         eng = make_engine(slot_count=slot_count)
-        shared = encrypt_as_rows(eng, vs) if as_rows else [eng.encrypt(v) for v in vs]
+        shared = encrypt_as_rows(eng, vs)
         sums, folds, bounds = [], [], []
         for r in range(3):
             coeffs = np.roll(scales, r)
@@ -440,14 +443,12 @@ def test_realise_matches_fold_within_rounding():
         folds.append(vs[0] * 0.1 + vs[0] * 0.1)
         bounds.append(2 * np.abs(vs[0] * 0.1))
         concrete = eng.encrypt(vs[1])
-        out = eng.realise([sums[0], concrete, *sums[1:]], shared if as_rows else ())
+        out = eng.realise([sums[0], concrete, *sums[1:]], shared)
         assert out[1] is concrete
         results = [out[0], *out[2:]]
         owners = [res.slots.base for res in results]
-        if as_rows:  # one product: the sums are the rows of one fresh block
-            assert owners[0] is not None and all(o is owners[0] for o in owners)
-        else:  # folded: each sum owns its array
-            assert all(o is None for o in owners)
+        # one product: the sums are the rows of one fresh block
+        assert owners[0] is not None and all(o is owners[0] for o in owners)
         for res, fold, bound in zip(results, folds, bounds):
             assert res.pending is None
             assert np.all(np.abs(res.slots - fold) <= 1e-14 * bound)
@@ -462,16 +463,18 @@ def test_copy_into_keeps_the_ciphertext_and_charges_nothing():
     v = np.random.default_rng(3).normal(size=n)
     deep = eng.rotate(eng.mul(eng.encrypt(v), eng.encrypt(v)), 5)
     pending = eng.mul_plain(deep, SCALE)
+    wants = (np.roll(v * v, -5), np.roll(v * v, -5) * SCALE)
     rows = np.empty((2, n))
     before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
     copies = [eng.copy_into(ct, rows, i) for i, ct in enumerate((deep, pending))]
     assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
-    assert pending.pending is not None  # folded straight into its row, so not read
-    for src, copy, row in zip((deep, pending), copies, rows):
-        assert np.array_equal(copy.slots, src.slots)
+    assert spent(pending)  # its terms were folded straight into its row
+    assert same_doubles(deep.slots, wants[0])  # a computed one is copied
+    for src, copy, row, want in zip((deep, pending), copies, rows, wants):
+        assert same_doubles(copy.slots, want)
         assert (copy.level, copy.rot_chain) == (src.level, src.rot_chain)
         assert copy.pending is None and np.shares_memory(copy.slots, row)
-        assert not np.shares_memory(copy.slots, src.slots)
+        assert not np.shares_memory(copy.slots, deep.slots)
         assert not copy.slots.flags.writeable
     assert (copies[1].level, copies[1].rot_chain) == (8, 1)
     assert rows.flags.writeable  # only the views are read-only
@@ -484,37 +487,43 @@ def test_realise_takes_one_product_only_over_the_rows_it_is_told():
     outside = eng.encrypt(vs[0])
 
     def sums(extra=()):
-        terms = [eng.mul_plain(ct, s) for ct, s in zip([*rows, *extra], [*scales, 0.5])]
-        return [eng.add(*terms), eng.add(*terms[::-1])]
+        def terms():
+            return [eng.mul_plain(ct, s) for ct, s in zip([*rows, *extra], [*scales, 0.5])]
+
+        return [eng.add(*terms()), eng.add(*terms()[::-1])]
 
     product = eng.realise(sums(), rows)
     assert product[0].slots.base is not None and product[0].slots.base is product[1].slots.base
-    # not told the rows, or with a base outside them, each sum is folded
-    # as a lone read folds it
-    for got, want in ((eng.realise(sums()), sums()), (eng.realise(sums([outside]), rows), sums([outside]))):
-        for g, w in zip(got, want):
-            assert g.slots.base is None and same_doubles(g.slots, w.slots)
+    # a base outside the rows is refused, a plaintext one included
+    for batch in (sums([outside]), [eng.add_plain(s, 0.5) for s in sums()]):
+        with pytest.raises(ValueError, match="must be one of the rows"):
+            eng.realise(batch, rows)
     other_array = encrypt_as_rows(eng, vs[:2])
     wrong = {
         "out of order": rows[::-1],
         "a row missing": rows[:-1],
         "rows of two arrays": [*rows[:2], *other_array],
         "not a row": [outside, *rows[1:]],
+        "no rows": [],
     }
     for told in wrong.values():
         with pytest.raises(ValueError, match="every row of one 2D array"):
             eng.realise(sums(), told)
+    with pytest.raises(TypeError):
+        eng.realise(sums())  # the rows are not optional: there is no fold-each fallback
 
 
 def test_realise_charges_nothing_and_keeps_levels():
     vs, scales = sum_inputs(terms=3)
     eng = make_engine(slot_count=64)
-    low, _ = pending_sum(eng, vs, scales)
     x = eng.mul(eng.encrypt(vs[0]), eng.encrypt(vs[1]))
     rotated = eng.rotate(eng.encrypt(vs[2]), 3)
-    deep = eng.add(eng.mul_plain(x, 0.5), eng.mul_plain(rotated, -0.25))
+    rows = np.empty((3, 64))
+    rows = [eng.copy_into(ct, rows, i) for i, ct in enumerate((eng.encrypt(vs[0]), x, rotated))]
+    low = eng.add(*[eng.mul_plain(rows[0], s) for s in scales])
+    deep = eng.add(eng.mul_plain(rows[1], 0.5), eng.mul_plain(rows[2], -0.25))
     before = eng.cost_snapshot()
-    out = eng.realise([low, deep])
+    out = eng.realise([low, deep], rows)
     assert eng.cost_snapshot() == before
     assert [c.level for c in out] == [low.level, deep.level] == [9, 8]
     assert [c.rot_chain for c in out] == [0, 1]
@@ -523,7 +532,8 @@ def test_realise_charges_nothing_and_keeps_levels():
 
 # One linear rule on both engines: ``add``, ``sub``, ``add_plain`` and
 # ``negate`` of a pending operand, and ``x + x``, give a pending sum, whose
-# fold is the eager chain's to the double, signed zeros included.
+# fold is the eager chain's to the double, signed zeros included.  The op
+# takes the pending operand's terms and leaves it spent, owed noise or not.
 
 
 def linear_operands(eng, n=64):
@@ -563,15 +573,24 @@ def test_linear_op_of_a_pending_operand_stays_pending(name, kind):
     eng = make_engine(slot_count=64)
     operands = linear_operands(eng)
     (x, a), (y, b) = operands[kind], operands["computed" if kind != "computed" else "product"]
+    pending = [c.pending is not None for c in (x, y)]
     before = eng.cost_snapshot()
     out = op(eng, x, y)
-    # an op on computed operands alone is computed at once, x + x excepted
-    eager_kinds = {"x - x", "negate", "negate of x - x", "add_plain scalar", "add_plain vector"}
-    stays_pending = kind != "computed" or name not in eager_kinds
+    # an op on computed operands alone is computed at once, x + x excepted;
+    # x - x reads x first, so it is computed whatever x is
+    uses_y = name in {"x + y", "y + x", "x - y", "y - x"}
+    reads_x = name in {"x - x", "negate of x - x"}
+    stays_pending = name == "x + x" or (not reads_x and (pending[0] or uses_y))
     assert (out.pending is not None) == stays_pending, (name, kind)
     assert eng.cost_snapshot().additions - before.additions == (0 if name == "negate" else 1)
     assert same_doubles(out.slots, eager(a, b)), (name, kind)
-    assert same_doubles(x.slots, a) and same_doubles(y.slots, b)  # operands keep their values
+    # a pending operand the op took is spent; any other keeps its value
+    for ct, value, taken in ((x, a, pending[0] and not reads_x), (y, b, pending[1] and uses_y)):
+        if taken:
+            with pytest.raises(EngineError, match="share"):
+                ct.slots
+        else:
+            assert same_doubles(ct.slots, value), (name, kind)
 
 
 def test_difference_with_itself_reads_positive_zero():
@@ -581,6 +600,30 @@ def test_difference_with_itself_reads_positive_zero():
         assert np.all(zero == 0.0) and not np.signbit(zero).any(), kind
         # -(a - a) is -0.0 everywhere, as the eager negation gives
         assert np.signbit(eng.negate(eng.sub(x, x)).slots).all(), kind
+
+
+# every op that takes a pending operand's terms, applied to a pending ``p``
+SPENDING_OPS = {
+    "add": lambda e, p: e.add(p, e.encrypt(np.ones(16))),
+    "sub": lambda e, p: e.sub(e.encrypt(np.ones(16)), p),
+    "add_plain": lambda e, p: e.add_plain(p, 0.5),
+    "negate": lambda e, p: e.negate(p),
+    "scalar mul_plain": lambda e, p: e.mul_plain(p, 3.0),
+    "copy_into": lambda e, p: e.copy_into(p, np.empty((1, 16)), 0),
+}
+
+
+@pytest.mark.parametrize("op", SPENDING_OPS)
+def test_noise_free_op_spends_the_pending_operand_it_takes(op):
+    # a pending sum that owes nothing is spent as an owing one is
+    eng = make_engine(slot_count=16)
+    rows = encrypt_as_rows(eng, [np.arange(16.0)])
+    p = eng.add(eng.mul_plain(rows[0], 0.5), eng.mul_plain(rows[0], -0.25))
+    assert p.pending is not None and p.owed == 0
+    SPENDING_OPS[op](eng, p)
+    for use in (lambda: p.slots, lambda: eng.add(p, rows[0]), lambda: eng.realise([p], rows)):
+        with pytest.raises(EngineError, match="HESimulator.share"):
+            use()
 
 
 @pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
@@ -595,7 +638,7 @@ def test_copy_into_folds_a_pending_power_into_its_row(even):
     prod = eng.mul(ta, tb)
     doubled = eng.add(prod, prod)
     power = eng.add_plain(doubled, -1.0) if even else eng.sub(doubled, tc)
-    assert doubled.pending is not None and power.pending is not None
+    assert spent(doubled) and power.pending is not None
     eager = (a * b + a * b) + -1.0 if even else (a * b + a * b) - c
     before = eng.cost_snapshot()
     rows = np.zeros((3, n))
@@ -606,8 +649,7 @@ def test_copy_into_folds_a_pending_power_into_its_row(even):
     assert np.shares_memory(copy.slots, rows[1]) and not rows[0].any() and not rows[2].any()
     for other in (ta, tb, tc, prod):
         assert not np.shares_memory(copy.slots, other.slots)
-    assert power.pending is not None  # folded into the row, not read
-    assert same_doubles(power.slots, eager) and not np.shares_memory(power.slots, rows)
+    assert spent(power)  # folded into the row, as a linear op takes it
 
 
 # A noisy pending sum owes the noise of its charged ops and draws it once,
@@ -616,14 +658,14 @@ def test_copy_into_folds_a_pending_power_into_its_row(even):
 SIGMA = 1e-3
 
 
-def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA, as_rows=False):
+def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA):
     """A fresh engine with noise ``sigma``, ``count`` pending sums on it, each
-    of ``terms`` scalar products of the same base ciphertexts, and those bases
-    if they are the rows of one array (``as_rows``), else ()."""
+    of ``terms`` scalar products of the same base ciphertexts, and those
+    bases, the rows of one array."""
     eng = make_engine(slot_count=slot_count, sigma=sigma, seed=seed)
     rng = np.random.default_rng(21)
     vs = [rng.normal(size=slot_count) for _ in range(terms)]
-    bases = encrypt_as_rows(eng, vs) if as_rows else [eng.encrypt(v) for v in vs]
+    bases = encrypt_as_rows(eng, vs)
     scales = rng.uniform(-2.0, 2.0, (count, terms))
     sums = []
     for row in scales:
@@ -632,18 +674,16 @@ def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA, as_rows=False):
             term = eng.mul_plain(ct, s)
             acc = term if acc is None else eng.add(acc, term)
         sums.append(acc)
-    return eng, sums, bases if as_rows else ()
+    return eng, sums, bases
 
 
 @pytest.mark.parametrize("realise", [False, True], ids=["slots", "realise"])
-@pytest.mark.parametrize(
-    "slot_count,count,as_rows", [(1 << 16, 1, True), (1 << 12, 16, False)], ids=["2^16", "16x2^12"]
-)
-def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count, as_rows):
-    # realise takes one product over rows of one array, and folds other bases
+@pytest.mark.parametrize("slot_count,count", [(1 << 16, 1), (1 << 12, 16)], ids=["2^16", "16x2^12"])
+def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count):
+    # realise takes one product over the rows of one array
     terms = 5
-    eng, noisy, rows = noisy_sums(slot_count, count, terms, as_rows=as_rows)
-    _, exact, _ = noisy_sums(slot_count, count, terms, sigma=0.0, as_rows=as_rows)
+    eng, noisy, rows = noisy_sums(slot_count, count, terms)
+    _, exact, _ = noisy_sums(slot_count, count, terms, sigma=0.0)
     assert all(c.owed == 2 * terms - 1 for c in noisy) and all(c.owed == 0 for c in exact)
     if realise:
         noisy = eng.realise(noisy, rows)
@@ -672,51 +712,57 @@ def test_add_to_itself_reads_its_operand_once():
 
 
 def test_spent_operand_raises_on_read_sum_and_realise():
-    eng, (p, q), _ = noisy_sums(16, 2, 1)
-    s = eng.add(p, q)
-    assert s.owed == 3
-    concrete = eng.encrypt(np.ones(16))
-    uses = {
-        "read": lambda x: x.slots,
-        "decrypt": lambda x: eng.decrypt(x),
-        "sum with a pending sum": lambda x: eng.add(eng.mul_plain(concrete, 2.0), x),
-        "sum with itself": lambda x: eng.sub(x, x),
-        "sum with a ciphertext": lambda x: eng.add(concrete, x),
-        "mul_plain": lambda x: eng.mul_plain(x, 2.0),
-        "rotate": lambda x: eng.rotate(x, 1),
-        "realise": lambda x: eng.realise([s, x]),
-    }
-    for name, use in uses.items():
-        for spent in (p, q):
-            with pytest.raises(EngineError, match="spent") as err:
-                use(spent)
-            assert "noise moved into another ciphertext" in str(err.value), name
-    assert np.isfinite(s.slots).all()
+    # one rule on both engines: the add took p's and q's terms, owed noise or not
+    for sigma in (SIGMA, 0.0):
+        eng, (p, q), rows = noisy_sums(16, 2, 1, sigma=sigma)
+        s = eng.add(p, q)
+        assert s.owed == (3 if sigma else 0)
+        concrete = eng.encrypt(np.ones(16))
+        uses = {
+            "read": lambda x: x.slots,
+            "decrypt": lambda x: eng.decrypt(x),
+            "sum with a pending sum": lambda x: eng.add(eng.mul_plain(concrete, 2.0), x),
+            "sum with itself": lambda x: eng.sub(x, x),
+            "sum with a ciphertext": lambda x: eng.add(concrete, x),
+            "mul_plain": lambda x: eng.mul_plain(x, 2.0),
+            "rotate": lambda x: eng.rotate(x, 1),
+            "realise": lambda x: eng.realise([s, x], rows),
+            "share": lambda x: eng.share(x),
+            "copy_into": lambda x: eng.copy_into(x, np.empty((1, 16)), 0),
+        }
+        for name, use in uses.items():
+            for spent in (p, q):
+                with pytest.raises(EngineError, match="spent") as err:
+                    use(spent)
+                message = str(err.value)
+                assert "moved into another ciphertext" in message and "HESimulator.share" in message, name
+        assert np.isfinite(s.slots).all()
 
 
 def test_realise_keeps_the_drawn_noise_and_charges_nothing():
     for slot_count in (64, 1 << 13):
-        eng, sums, _ = noisy_sums(slot_count, 3, 4, seed=5)
+        eng, sums, rows = noisy_sums(slot_count, 3, 4, seed=5)
         concrete = eng.rotate(eng.encrypt(np.arange(4.0)), 1)
         before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
-        out = eng.realise([sums[0], concrete, *sums[1:]])
+        out = eng.realise([sums[0], concrete, *sums[1:]], rows)
         assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
         assert all(a is b for a, b in zip(out, [sums[0], concrete, *sums[1:]]))
         # computed, as one term each, but the noise of 4 products and 3 sums is still owed
         assert all(len(c.pending) == 1 and c.owed == 7 for c in sums)
-        computed = [c.pending[0][0] for c in sums]
-        assert all(c.pending[0][0] is v for c, v in zip(eng.realise(sums), computed))
+        # a computed value is not one of the rows: a second batch is refused
+        with pytest.raises(ValueError, match="must be one of the rows"):
+            eng.realise(sums, rows)
         values = [c.slots for c in sums]  # the reads draw it
         assert all(c.pending is None and c.owed == 0 for c in sums)
         assert all(not v.flags.writeable for v in values)
         # later reads and later realises see the noise already drawn
-        assert all(a is b.slots for a, b in zip(values, eng.realise(sums)))
+        assert all(a is b.slots for a, b in zip(values, eng.realise(sums, rows)))
 
 
 def test_realised_noise_joins_the_op_that_takes_it_over():
     n = 1 << 16
-    eng, (leaf,), rows = noisy_sums(n, 1, 3, seed=6, as_rows=True)
-    _, (exact,), _ = noisy_sums(n, 1, 3, sigma=0.0, as_rows=True)
+    eng, (leaf,), rows = noisy_sums(n, 1, 3, seed=6)
+    _, (exact,), _ = noisy_sums(n, 1, 3, sigma=0.0)
     eng.realise([leaf], rows)  # one product: its value is a row of the product block
     assert leaf.pending[0][0].base is not None
     x = eng.encrypt(np.ones(n))
@@ -725,8 +771,34 @@ def test_realised_noise_joins_the_op_that_takes_it_over():
     assert out.owed == 5 + 1 + 1 + 1
     with pytest.raises(EngineError, match="spent"):
         leaf.slots
-    eng.realise([out], rows)  # bases outside the rows: folded, not one product
     assert abs(np.std(out.slots - (exact.slots + 1.5)) / (SIGMA * np.sqrt(8.0)) - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+def test_copy_into_spends_a_pending_operand_and_draws_its_noise_in_the_row(sigma):
+    # the row holds the doubles a read gives, noise included, and the noise
+    # stream moves on as a read moves it
+    n = 1 << 12
+    v = np.random.default_rng(34).normal(size=n)
+
+    def pending(eng):
+        prod = eng.mul(eng.encrypt(v), eng.encrypt(v))
+        return eng.sub(eng.add(prod, prod), eng.mul_plain(eng.encrypt(v), SCALE))
+
+    read_eng, copy_eng = make_engine(slot_count=n, sigma=sigma, seed=9), make_engine(slot_count=n, sigma=sigma, seed=9)
+    read = pending(read_eng).slots.copy()
+    p = pending(copy_eng)
+    owed = p.owed
+    assert (owed > 0) == (sigma > 0)
+    rows = np.zeros((2, n))
+    copy = copy_eng.copy_into(p, rows, 1)
+    assert same_doubles(rows[1], read) and same_doubles(copy.slots, read)
+    assert spent(p)
+    for use in (lambda c: c.slots, lambda c: copy_eng.add(c, copy), lambda c: copy_eng.copy_into(c, rows, 0)):
+        with pytest.raises(EngineError, match="share"):
+            use(p)
+    after = [eng.decrypt(eng.add_plain(eng.encrypt(v), 0.5)) for eng in (read_eng, copy_eng)]
+    assert same_doubles(*after)
 
 
 # On a noisy engine every charged op owes its noise until a read; a linear op
@@ -766,8 +838,6 @@ def test_forwarding_op_owes_the_summed_variance(name):
     _, exact, _, _ = forwarded(name, 0.0)
     assert out.owed == owed and exact.owed == 0
     before = eng.cost_snapshot()
-    eng.realise([out])  # computes the terms, a plaintext scalar among them, and keeps the noise owed
-    assert out.owed == owed and len(out.pending) == 1
     noise = out.slots - exact.slots  # the read draws once and charges nothing
     assert eng.cost_snapshot() == before
     assert abs(np.std(noise) / (SIGMA * np.sqrt(owed)) - 1.0) < 0.03
@@ -777,11 +847,12 @@ def test_forwarding_op_owes_the_summed_variance(name):
 def test_forwarding_op_spends_its_owing_operands(name):
     eng, out, spent, _ = forwarded(name, SIGMA, n=16)
     concrete = eng.encrypt(np.ones(16))
+    rows = encrypt_as_rows(eng, [np.ones(16)])
     uses = {
         "read": lambda c: c.slots,
         "sum": lambda c: eng.add(concrete, c),
         "rotate": lambda c: eng.rotate(c, 1),
-        "realise": lambda c: eng.realise([c]),
+        "realise": lambda c: eng.realise([c], rows),
         "share": lambda c: eng.share(c),
     }
     for ct in spent:
@@ -795,31 +866,30 @@ def test_share_draws_the_owed_noise_and_charges_nothing():
     for sigma in (SIGMA, 0.0):
         eng = make_engine(slot_count=64, sigma=sigma, seed=2)
         rng = np.random.default_rng(14)
-        x, y = eng.encrypt(rng.normal(size=64)), eng.encrypt(rng.normal(size=64))
+        u, w = rng.normal(size=64), rng.normal(size=64)
+        x, y = eng.encrypt(u), eng.encrypt(w)
         p, m = eng.mul_plain(x, SCALE), eng.mul(x, y)
         s = eng.add(eng.mul_plain(x, 0.5), eng.mul_plain(y, -0.25))
-        terms = [c.pending for c in (p, m, s)]
         before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
         out = eng.share(p, m, s, x)
         assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
         assert len(out) == 4 and all(a is b for a, b in zip(out, (p, m, s, x)))
-        if sigma:
-            # drawn once: every later use sees the same value
-            assert all(c.pending is None and c.owed == 0 for c in (p, m, s))
-            for c in (p, m, s):
-                value = c.slots
-                eng.add(c, y)
-                assert np.array_equal(eng.rotate(c, 1).slots, np.roll(value, -1))
-                assert c.slots is value
-        else:  # nothing owes, so nothing is read
-            assert [c.pending for c in (p, m, s)] == terms
-            assert m.pending is None and isinstance(m.slots, np.ndarray)
+        # computed and drawn once, on either engine: every later use sees the same value
+        assert all(c.pending is None and c.owed == 0 for c in (p, m, s))
+        for c in (p, m, s):
+            value = c.slots
+            eng.add(c, y)
+            eng.mul_plain(c, 3.0)
+            assert np.array_equal(eng.rotate(c, 1).slots, np.roll(value, -1))
+            assert c.slots is value
+        if not sigma:  # the fold, to the double
+            assert same_doubles(s.slots, u * 0.5 + w * -0.25) and same_doubles(p.slots, u * SCALE)
 
 
 def test_seeded_noisy_run_repeats_bit_for_bit():
     def run(seed):
-        eng, sums, _ = noisy_sums(1 << 13, 3, 4, seed=seed)
-        a, b, c = eng.realise(sums)
+        eng, sums, rows = noisy_sums(1 << 13, 3, 4, seed=seed)
+        a, b, c = eng.realise(sums, rows)
         x = eng.mul(eng.sub(eng.mul_plain(a, 0.5), eng.mul_plain(b, 0.25)), c)
         return eng.decrypt(eng.add(eng.rotate(x, 3), eng.add_plain(x, 1.0)))
 
@@ -865,14 +935,14 @@ def left_fold_or_nary(nary, sigma, kinds, repeat):
 
     eng = make_engine(slot_count=256, sigma=sigma, seed=5)
     ops = nary_operands(eng, kinds, repeat)
-    owing = [ct.owed > 0 for ct in ops]
+    pending = [ct.pending is not None for ct in ops]
     before = eng.cost_snapshot().additions
     try:
         out = eng.add(*ops) if nary else reduce(eng.add, ops)
     except EngineError as err:
-        return eng, ops, owing, err
+        return eng, ops, pending, err
     assert eng.cost_snapshot().additions - before == len(ops) - 1
-    return eng, ops, owing, out
+    return eng, ops, pending, out
 
 
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
@@ -880,13 +950,13 @@ def left_fold_or_nary(nary, sigma, kinds, repeat):
 @pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
 def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
     kinds = [NARY_KINDS[(i + count) % len(NARY_KINDS)] for i in range(count)]
-    eng, ops, owing, out = left_fold_or_nary(True, sigma, kinds, repeat)
+    eng, ops, pending, out = left_fold_or_nary(True, sigma, kinds, repeat)
     ref_eng, ref_ops, _, ref = left_fold_or_nary(False, sigma, kinds, repeat)
     assert eng.cost_snapshot() == ref_eng.cost_snapshot()
     if isinstance(ref, EngineError):
-        # an owing operand used again after an earlier add spent it
+        # a pending operand used again after an earlier add spent it, on either engine
         assert isinstance(out, EngineError) and "spent" in str(out)
-        assert sigma and repeat == -1 and owing[0]
+        assert repeat == -1 and pending[0]
         return
     assert not isinstance(out, EngineError)
     assert (out.level, out.rot_chain, out.owed) == (ref.level, ref.rot_chain, ref.owed)
@@ -894,14 +964,12 @@ def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
     assert [spent(c) for c in ops] == [spent(c) for c in ref_ops]
     assert same_doubles(out.slots, ref.slots)
     assert eng.rotation_offsets() == ref_eng.rotation_offsets()
-    if sigma:
-        # every owing operand handed its noise over and is spent
-        for ct, owes in zip(ops, owing):
-            if owes:
-                with pytest.raises(EngineError, match="spent"):
-                    ct.slots
-    else:
-        for ct, ref_ct in zip(ops, ref_ops):
+    # every pending operand handed its terms over and is spent; a computed one keeps its value
+    for ct, ref_ct, taken in zip(ops, ref_ops, pending):
+        if taken:
+            with pytest.raises(EngineError, match="spent"):
+                ct.slots
+        else:
             assert same_doubles(ct.slots, ref_ct.slots)
 
 
