@@ -269,7 +269,7 @@ class _Plan:
     """The baby-step / giant-step split of one polynomial.
 
     leaves: the nonzero (i, c_i), i >= 1, of each leaf, in the order the
-        walk consumes them;
+        walk consumes them, a coefficient other than 1 first;
     tree: a leaf node is (whether it has a leaf, constant), a split node
         (g, quotient node, remainder node) for q * T_g + r; the quotient's
         top coefficient is c_deg or 2 c_deg, never zero;
@@ -293,7 +293,12 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
         c = _trim(c)
         deg = len(c) - 1
         if deg < bs:
-            terms = tuple((i, float(c[i])) for i in range(1, deg + 1) if c[i] != 0.0)
+            # a product by 1 is its baby-step row itself, and ``add`` sums
+            # computed operands at once, off the rows; led by a pending
+            # product, every base of the leaf's sum is a row, as
+            # ``HESimulator.realise`` needs.  The order changes no double:
+            # realise takes one product over the rows.
+            terms = tuple(sorted(((i, float(c[i])) for i in range(1, deg + 1) if c[i]), key=lambda t: t[1] == 1))
             if terms:
                 leaves.append(terms)
             return (bool(terms), float(c[0]))

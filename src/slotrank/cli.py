@@ -9,12 +9,13 @@ Subcommands::
 
 Input vectors come from a file (one value per line, or a single
 comma-separated line) or from the built-in uniform generator, never both;
-``bench`` always generates its inputs and takes no ``--input``.  A flag
-that would be ignored, such as ``--k`` off ``--stat kth``, is a usage
-error.  Values are
-affinely scaled into [0, 1] before comparison; the scale is recorded in
-the results file and undone on value outputs.  Every run writes a results
-file and a cost-report file and self-checks against the plaintext oracle.
+``bench`` always generates its inputs and takes no ``--input``.  ``--k``
+off ``--stat kth``, ``--p`` off ``--stat percentile`` and ``--gen`` with
+``--input`` are usage errors (``--count`` and ``--tie-fraction`` with
+``--input`` are ignored).  Values are affinely scaled into [0, 1] before
+comparison; the scale is recorded in the results file and undone on value
+outputs.  Every run writes a results file and a cost-report file and
+self-checks against the plaintext oracle.
 
 All four commands run one task at a time through the same block
 pipelines: a vector larger than one matrix (``--slot-count`` below the

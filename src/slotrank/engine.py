@@ -30,7 +30,8 @@ Cost model:
   ``mul_plain`` and ``copy_into`` take a pending operand's terms and leave
   it spent; reading, summing or realising it then raises ``EngineError``.
   ``share`` reads its arguments, computing a pending sum once, so that
-  several ops may use a value (``add(x, x)`` and ``sub(x, x)`` need not);
+  several ops may use a value (``add(x, x)`` need not, and a noise-free
+  ``sub(x, x)`` reads ``x`` for its +0.0 and leaves it readable);
 * ``copy_into`` folds a pending sum straight into the row of a 2D array it
   is told, and ``realise``, told the rows of such an array, computes pending
   sums over them as one BLAS product, which rounds each slot within a few
@@ -482,7 +483,8 @@ class HESimulator:
 
         ``rows`` names the ciphertexts that ``copy_into`` wrote into rows 0,
         1, ... of one 2D array, all of them in order, and every base of the
-        pending sums must be one of them, else ``ValueError``.  The batch is
+        pending sums must be one of them, else ``ValueError``; one computed
+        term of scale 1, as ``realise`` leaves, is left as it is.  The batch is
         one product of the matrix of their scales by that array: it reads
         each base once, copies none, and rounds each slot within a few ulps
         of sum_i |scale_i * base_i| of the left-to-right fold.  Each pending
@@ -501,7 +503,8 @@ class HESimulator:
         ):
             raise ValueError("realise: rows must be every row of one 2D array, in order, as copy_into wrote them")
         self.share(*[c for c in cts if c.pending is None])  # a spent operand raises
-        pending = [c for c in cts if c.pending is not None]
+        # a lone term of scale 1 is a computed value owing its noise: nothing to fold
+        pending = [c for c in cts if c.pending is not None and (len(c.pending) > 1 or c.pending[0][1] != 1.0)]
         index = {id(r.slots): k for k, r in enumerate(rows)}
         scales = np.zeros((len(pending), len(rows)))
         for r, ct in enumerate(pending):
@@ -520,7 +523,7 @@ class HESimulator:
         A pending sum is computed once and kept, and the noise it owes, if
         any, is drawn once: every later reader sees the same value.  An op
         that takes a pending operand leaves it spent, so a value that two
-        ops use is shared first.
+        ops use is shared first; only a noise-free ``sub(x, x)`` reads it.
         """
         self._check(*cts)
         for ct in cts:
@@ -581,10 +584,10 @@ class HESimulator:
 
         ``x + x``, and an owing ``x - x``, is ``x`` scaled by ``1 + sign``,
         to the double, so an owed noise counts that many times; a noise-free
-        ``x - x`` reads ``x`` first, so it is +0.0.  Computed operands are
-        summed at once, as long as every operand so far is computed; from the
-        first pending one on, the result is a pending sum of ``x``'s terms
-        and one term for each later operand.  Its fold is the eager chain's
+        ``x - x`` reads ``x``, to +0.0, leaving it readable.  Computed
+        operands are summed at once while every operand so far is computed;
+        from the first pending one on, the result is a pending sum of ``x``'s
+        terms and one term for each later operand.  Its fold is the eager chain's
         to the double, since ``b * -s`` is ``-(b * s)`` exactly.  It owes the
         noise its operands owe plus that of each addition; a pending operand
         it takes is spent.

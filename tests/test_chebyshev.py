@@ -218,6 +218,21 @@ def test_ps_eval_matches_clenshaw_on_sparse_polynomials():
         assert np.max(np.abs(out - cheb_eval(poly, xs))) < 1e-8, (d, np.flatnonzero(coeffs))
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-12], ids=["noise-free", "noisy"])
+def test_ps_eval_matches_clenshaw_with_unit_leaf_coefficients(sigma):
+    # a product by exactly 1 is its baby-step row itself: leaves led by such
+    # terms, or made only of them, still evaluate
+    rng = np.random.default_rng(23)
+    xs = rng.uniform(-1, 1, 32)
+    fixed = [(0, 1, 1, 0.5, 0, 0, 0, 0, 0.25), (0, 1, 1, 1, 0, 0, 0, 0, 0.25), (0.5, 1, 1, 1, 1, 1, 1, 1, 1)]
+    drawn = [rng.choice([0.0, 1.0, 1.0, -1.0, 0.5], int(d) + 1) for d in rng.integers(1, 130, 40)]
+    for coeffs in [*fixed, *drawn]:
+        poly = ChebyshevPolynomial(interval=(-1.0, 1.0), coeffs=tuple(float(c) for c in coeffs))
+        eng = make_engine(slot_count=32, sigma=sigma)
+        out = eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly))
+        assert np.max(np.abs(out - cheb_eval(poly, xs))) < 1e-6, tuple(coeffs)
+
+
 def test_ps_eval_general_interval():
     rng = np.random.default_rng(3)
     coeffs = rng.uniform(-1, 1, 21)
