@@ -233,10 +233,11 @@ def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tu
     indices have the parity of i, so an odd or even polynomial builds only
     its own parity class and the powers of two.  Each T_i costs one
     ciphertext-ciphertext multiplication and two additions and has a
-    multiplication depth of ceil(log2 i).  The doubling and the subtraction
-    are linear ops on a computed product, so T_i stays a pending sum until
-    ``copy_into`` spends it, folded into its row in one pass, or a product
-    reads it; a power with no row is shared, since several ops may read it.
+    multiplication depth of ceil(log2 i).  The doubled product less
+    T_{2g-i} stays a pending sum, which ``copy_into`` folds into its row in
+    one pass; for i = 2g, less T_0 = 1 is an ``add_plain``, computed at once
+    and then copied.  A power with no row is shared, since several ops may
+    read it.
     """
     if i not in cache:
         g = 1 << ((i - 1).bit_length() - 1)
@@ -269,7 +270,7 @@ class _Plan:
     """The baby-step / giant-step split of one polynomial.
 
     leaves: the nonzero (i, c_i), i >= 1, of each leaf, in the order the
-        walk consumes them, a coefficient other than 1 first;
+        walk consumes them;
     tree: a leaf node is (whether it has a leaf, constant), a split node
         (g, quotient node, remainder node) for q * T_g + r; the quotient's
         top coefficient is c_deg or 2 c_deg, never zero;
@@ -293,12 +294,7 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
         c = _trim(c)
         deg = len(c) - 1
         if deg < bs:
-            # a product by 1 is its baby-step row itself, and ``add`` sums
-            # computed operands at once, off the rows; led by a pending
-            # product, every base of the leaf's sum is a row, as
-            # ``HESimulator.realise`` needs.  The order changes no double:
-            # realise takes one product over the rows.
-            terms = tuple(sorted(((i, float(c[i])) for i in range(1, deg + 1) if c[i]), key=lambda t: t[1] == 1))
+            terms = tuple((i, float(c[i])) for i in range(1, deg + 1) if c[i])
             if terms:
                 leaves.append(terms)
             return (bool(terms), float(c[0]))
@@ -313,10 +309,12 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
 
 def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
     """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``,
-    which is told the baby-step powers as the rows of their array, the base
-    of every term of a leaf; each leaf is handed over, not kept, so none
-    outlives its use.  The baby-step powers leave ``powers`` once the last
-    batch is computed, which frees their array for the rest of the walk."""
+    which is told the baby-step powers as the rows of their array.  A leaf
+    is one ``add`` of ``mul_plain`` products, each pending or, by 1, its row
+    itself, so every base of the sum is a row in any term order.  Each leaf
+    is handed over, not kept, so none outlives its use.  The baby-step
+    powers leave ``powers`` once the last batch is computed, which frees
+    their array for the rest of the walk."""
     rows = [powers[i] for i in plan.baby]
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
         batch = [
@@ -365,12 +363,12 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     need, which it releases unless read.  The walk of the giant-step tree
     takes its leaves in turn from a stream, which computes ``_LEAF_BATCH`` of
     them when the walk first needs one: a leaf is its charged scalar
-    ``mul_plain`` products of baby-step rows and one n-ary ``add`` of them.
-    One ``HESimulator.realise`` computes each batch, told the rows: one BLAS
-    product over them, which reads every power once per batch rather than
-    once per term.  The baby-step rows are released once the last batch is
-    computed, so the rest of the walk holds only the giant powers and its
-    partial sums.
+    ``mul_plain`` products of baby-step rows and one n-ary ``add`` of them,
+    a pending sum of rows.  One ``HESimulator.realise`` computes each batch,
+    told the rows: one BLAS product over them, which reads every power once
+    per batch rather than once per term.  The baby-step rows are released
+    once the last batch is computed, so the rest of the walk holds only the
+    giant powers and its partial sums.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1

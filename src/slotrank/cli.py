@@ -12,10 +12,11 @@ comma-separated line) or from the built-in uniform generator, never both;
 ``bench`` always generates its inputs and takes no ``--input``.  ``--k``
 off ``--stat kth``, ``--p`` off ``--stat percentile`` and ``--gen`` with
 ``--input`` are usage errors (``--count`` and ``--tie-fraction`` with
-``--input`` are ignored).  Values are affinely scaled into [0, 1] before
-comparison; the scale is recorded in the results file and undone on value
-outputs.  Every run writes a results file and a cost-report file and
-self-checks against the plaintext oracle.
+``--input`` are ignored), as are ``--k`` or ``--max-level`` below 1.
+Values are affinely scaled into [0, 1] before comparison; the scale is
+recorded in the results file and undone on value outputs.  Every run
+writes a results file and a cost-report file and self-checks against the
+plaintext oracle.
 
 All four commands run one task at a time through the same block
 pipelines: a vector larger than one matrix (``--slot-count`` below the
@@ -216,13 +217,13 @@ def run_task(task: str, values: np.ndarray, args) -> TaskRun:
     return TaskRun(output, np.abs(output - oracle), engine.cost_snapshot(), wall_ms, scale)
 
 
-def _record(cmp_degree: int, ind_degree: int | None, runs: list[TaskRun]) -> dict:
+def _record(cfg: KernelConfig, runs: list[TaskRun]) -> dict:
     """Oracle error over all runs; the cost counters of the last one (the
     circuit shape does not depend on the input values)."""
     errs = np.concatenate([r.err for r in runs])
     return {
-        "cmp_degree": cmp_degree,
-        "ind_degree": ind_degree or cmp_degree,
+        "cmp_degree": cfg.degree,
+        "ind_degree": cfg.ind_degree,
         "avg_err": float(errs.mean()),
         "max_err": float(errs.max()),
         "report": runs[-1].report,
@@ -245,7 +246,7 @@ def _run_once(args) -> int:
         "scale_lo": _fmt(run.scale.lo), "scale_span": _fmt(run.scale.span),
     }
     _write_results(args.output, meta, [_fmt_row(run.output)])
-    record = _record(args.cmp_degree, args.ind_degree, [run])
+    record = _record(_kernel_config(args), [run])
     _write_cost(args.cost_output, [_cost_row(label, values.size, args.mode, record)])
     print(_fmt_row(run.output))
     return EXIT_OK
@@ -268,7 +269,7 @@ def bench_sweep(args) -> tuple[list[dict], bool | None]:
                 run_task(args.task, generate_values(args.count, args.seed + s, args.tie_fraction), run_args)
                 for s in range(args.seeds)
             ]
-            records.append(_record(dc, di, runs))
+            records.append(_record(_kernel_config(run_args), runs))
     if len(ind_degrees) > 1:
         return records, None
     by_degree = [r["avg_err"] for r in records]
@@ -391,6 +392,9 @@ def _validate(parser, args):
         parser.error("approximation degrees must be >= 1")
     if args.slot_count and (args.slot_count < 2 or args.slot_count & (args.slot_count - 1)):
         parser.error("--slot-count must be a power of two >= 2")
+    for flag, value in (("--k", getattr(args, "k", None)), ("--max-level", args.max_level)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be >= 1")
     if args.output is None:
         args.output = f"{args.command}_results.csv"
     if args.cost_output is None:

@@ -14,38 +14,41 @@ Cost model:
 
 * ciphertext-ciphertext and ciphertext-plaintext multiplications each
   consume one level (the latter models rescaling after a plaintext mask);
-* a product by a scalar plaintext is charged at ``mul_plain`` but computed
-  only when it is read.  Scales are never folded together, so every slot is
-  the same double the eager product gives;
-* one linear rule: ``add``, ``sub``, ``add_plain`` and ``negate`` of such a
-  pending operand, and ``add(x, x)`` (scale 2), return a pending sum, a lazy
-  linear combination of slot vectors, and charge their additions (negation
-  is free); only an op on computed operands computes at once.  ``add``
-  takes n operands and charges n - 1 additions, as the left fold of binary
-  adds would, so ``add(x)`` is ``x``, uncharged.  A lone read of a pending
-  sum's ``slots`` folds its terms left to right, which gives the same
-  doubles as the eager chain of products and additions, signed zeros
-  included;
-* one spending rule, on every engine: the linear ops above, a scalar
-  ``mul_plain`` and ``copy_into`` take a pending operand's terms and leave
-  it spent; reading, summing or realising it then raises ``EngineError``.
-  ``share`` reads its arguments, computing a pending sum once, so that
-  several ops may use a value (``add(x, x)`` need not, and a noise-free
-  ``sub(x, x)`` reads ``x`` for its +0.0 and leaves it readable);
+* a ciphertext is in one of four states: *read*, a value every op may
+  use; *owing*, on a noisy engine only, a computed noise-free value plus
+  the variance weight ``owed`` of the noise its ops owe; *pending*, a lazy
+  linear combination of (base, scale) terms; and *spent*, once an op took
+  its value or terms and its noise;
+* one pending rule: only a scalar ``mul_plain``, ``add(x, x)`` (scale 2)
+  and an ``add`` or ``sub`` that takes a pending operand return a pending
+  sum, charged at the op.  Its terms are the first operand's own, then one
+  per later operand, so a computed operand stays its own term whatever
+  the order.  Every other op computes at once, folding a pending operand
+  first.  Scales are never folded together, and a read of a pending sum's
+  ``slots`` folds its terms left to right, so every slot is the double the
+  eager chain of products and additions gives, signed zeros included.
+  ``add`` takes n operands and charges n - 1 additions, as the left fold
+  of binary adds would, so ``add(x)`` is ``x``, uncharged;
+* one spending rule, on every engine: ``add``, ``sub``, ``add_plain``,
+  ``negate``, a scalar ``mul_plain`` and ``copy_into`` take a pending or
+  owing operand and leave it spent; reading, summing or realising it then
+  raises ``EngineError``.  ``x - x`` is +0.0 and takes ``x`` too.
+  ``share`` reads its arguments, so that several ops may use a value
+  (``add(x, x)`` need not);
 * ``copy_into`` folds a pending sum straight into the row of a 2D array it
   is told, and ``realise``, told the rows of such an array, computes pending
   sums over them as one BLAS product, which rounds each slot within a few
   ulps of sum_i |scale_i * base_i| of the fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
-  per slot, but on a noisy engine it returns its noise-free value and
-  *owes* that noise, as a one-term pending sum, until something reads it.
-  ``owed`` is a variance weight: a read draws N(0, owed * sigma^2) once and
-  keeps it, so every later reader sees the same noise.  ``rotate``,
-  ``mul``, a vector ``mul_plain``, ``ideal_map``, ``decrypt``, ``share``
-  and ``slots`` read.  An op that takes a pending operand takes its owed
-  noise too (times s^2 for a scalar ``mul_plain`` by s), so a linear chain
-  draws one Gaussian of the summed variance, the distribution of one draw
-  per op, since no link of the chain is read on its own;
+  per slot, but on a noisy engine it owes that noise until something reads
+  it.  ``owed`` is a variance weight: a read draws N(0, owed * sigma^2)
+  once and keeps it, so every later reader sees the same noise.
+  ``rotate``, ``mul``, a vector ``mul_plain``, ``ideal_map``, ``decrypt``,
+  ``share`` and ``slots`` read.  A linear op owes its operands' owed
+  weights plus 1 per addition (times s^2 for a scalar ``mul_plain`` by s;
+  negation is free), so a linear chain draws one Gaussian of the summed
+  variance, the distribution of one draw per op, since no link of the
+  chain is read on its own;
 * identities are free: ``mul_plain`` by the scalar 1 and ``add_plain`` of
   the scalar +-0 return the operand itself, as ``rotate(x, 0)`` and
   ``add(x)`` do, charging no op, level or noise and spending nothing (a
@@ -159,8 +162,8 @@ class Ciphertext:
     """
 
     __slots__ = ("slots", "level", "rot_chain", "params")
-    pending = None  # the (base, scale) terms of a _PendingSum
-    owed = 0.0  # the noise variance, in units of sigma^2, a _PendingSum owes
+    pending = None  # the (base, scale) terms of a pending _Deferred
+    owed = 0.0  # the noise variance, in units of sigma^2, a _Deferred owes
 
     def __init__(self, slots: np.ndarray, level: int, rot_chain: int, params: HEParams):
         slots.setflags(write=False)
@@ -174,27 +177,23 @@ class Ciphertext:
         return f"Ciphertext(level={self.level}, slots[:4]={head}, n={self.slots.size})"
 
 
-class _PendingSum(Ciphertext):
-    """A ciphertext worth sum_i ``base_i * scale_i``, plus noise of variance
-    ``owed * sigma^2``, that is not computed yet.
+class _Deferred(Ciphertext):
+    """An owing, pending or spent ciphertext, or one read since.
 
-    ``pending`` holds the (base, scale) terms; a base is a slot vector or, for
-    an ``add_plain``, a plaintext.  A term is a deferred scalar product, a
-    computed operand of a linear op, or, on a noisy engine, the computed value
-    of an op that owes its noise.  ``owed`` is 0 on a noise-free engine.  Reading ``slots`` folds the
-    terms left to right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) +
-    ...`` would, adds one draw of sigma * sqrt(owed) * Z and keeps the
-    result, so every later reader sees the same noise; it drops ``pending``
-    so the bases are not kept alive.  An op that takes the terms takes the
-    owed noise too and leaves the sum spent, with no value.
+    ``_value`` holds an owing one's computed, noise-free value, ``pending`` a
+    pending one's (base, scale) terms and ``owed`` the noise either owes; a
+    spent one has neither.  Reading ``slots`` folds pending terms left to
+    right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) + ...`` would, adds
+    one draw of sigma * sqrt(owed) * Z and keeps the result, so every later
+    reader sees the same noise.
     """
 
     __slots__ = ("pending", "owed", "_value", "_engine")
 
-    def __init__(self, terms: tuple, owed: float, level: int, rot_chain: int, engine: HESimulator):
+    def __init__(self, value, terms: tuple | None, owed: float, level: int, rot_chain: int, engine: HESimulator):
+        self._value = value
         self.pending = terms
         self.owed = owed
-        self._value = None
         self._engine = engine
         self.level = level
         self.rot_chain = rot_chain
@@ -202,53 +201,41 @@ class _PendingSum(Ciphertext):
 
     @property
     def slots(self) -> np.ndarray:
-        if self.pending is not None:
-            self._settle(_fold(self.pending))
+        if self.pending is not None or self.owed:
+            value = self._value if self.pending is None else _fold(self.pending)
+            value = self._engine._noisy(value, self.owed)
+            value.setflags(write=False)
+            self._value, self.pending, self.owed = value, None, 0.0
         elif self._value is None:
             raise EngineError(
-                f"{self!r}: its terms and owed noise moved into another ciphertext, so it has no value; "
+                f"{self!r}: its value and owed noise moved into another ciphertext; "
                 "HESimulator.share it before its first use to use it twice"
             )
         return self._value
 
-    def _settle(self, fold: np.ndarray):
-        """Keep ``fold``, the fold of the terms, plus one draw of the owed noise."""
-        value = self._engine._noisy(fold, self.owed)
-        value.setflags(write=False)
-        self._value, self.pending, self.owed = value, None, 0.0
-
-    def _computed(self, fold: np.ndarray):
-        """Keep ``fold`` as the one term of a sum that still owes noise, or as
-        the value of one that owes none."""
-        if self.owed:
-            self.pending = ((fold, 1.0),)
-        else:
-            self._settle(fold)
-
-    def _spend(self) -> tuple[tuple, float]:
-        """The terms and the owed noise, handed over; leaves the sum spent."""
-        taken = self.pending, self.owed
-        self.pending, self.owed = None, 0.0
+    def _spend(self) -> tuple[np.ndarray | None, tuple | None, float]:
+        """The value or terms and the owed noise, handed over; leaves it spent."""
+        taken = self._value, self.pending, self.owed
+        self._value, self.pending, self.owed = None, None, 0.0
         return taken
 
     def __repr__(self):
-        if self._value is not None:
+        if self.pending is not None:
+            state = f"pending: {len(self.pending)} terms, owed={self.owed:g}"
+        elif self.owed:
+            state = f"owing {self.owed:g}"
+        elif self._value is None:
+            state = "spent"
+        else:
             return super().__repr__()
-        if self.pending is None:
-            return f"Ciphertext(level={self.level}, spent, n={self.params.slot_count})"
-        return (
-            f"Ciphertext(level={self.level}, pending: {len(self.pending)} terms, "
-            f"owed={self.owed:g}, n={self.params.slot_count})"
-        )
+        return f"Ciphertext(level={self.level}, {state}, n={self.params.slot_count})"
 
 
 def _fold(terms: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_i ``base_i * scale_i``, left to right, into ``out`` if given: a lone
-    base of scale 1 as it is, else into a fresh array.  A scale of +-1 adds or
-    subtracts its base, which gives the same doubles as multiplying by it."""
+    """sum_i ``base_i * scale_i``, left to right, into ``out`` if given, else
+    into a fresh array.  A scale of +-1 adds or subtracts its base, which
+    gives the same doubles as multiplying by it."""
     (base, scale), *rest = terms
-    if out is None and not rest and scale == 1.0:
-        return base
     value = base * scale if out is None else np.multiply(base, scale, out=out)
     term = None
     for base, scale in rest:
@@ -377,13 +364,8 @@ class HESimulator:
 
     def negate(self, x: Ciphertext) -> Ciphertext:
         self._check(x)
-        if x.pending is None:
-            return self._emit(-x.slots, x.level, x.rot_chain)
-        # b * -s is -(b * s) to the double, signed zeros included; a sum of
-        # several terms is negated as one, since -(a + b) is -0.0 where
-        # (-a) + (-b) is +0.0
-        (base, scale), owed = self._one_term(x)
-        return self._emit(None, x.level, x.rot_chain, ((base, -scale),), owed)
+        value, owed = self._take(x)
+        return self._emit(-value, x.level, x.rot_chain, owed)
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x + p``, one addition; a scalar ``p`` of exactly +-0 returns
@@ -393,10 +375,13 @@ class HESimulator:
         if isinstance(p, float) and p == 0.0:
             return x
         self._additions += 1
-        if x.pending is not None:
-            terms, owed = x._spend()
-            return self._emit(None, x.level, x.rot_chain, terms + ((p, 1.0),), owed + self._op_noise)
-        return self._owing(x.slots + p, x.level, x.rot_chain)
+        fresh = x.pending is not None  # a fold is a fresh array: add into it
+        value, owed = self._take(x)
+        if fresh:
+            value += p
+        else:
+            value = value + p
+        return self._emit(value, x.level, x.rot_chain, owed + self._op_noise)
 
     def mul(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
@@ -405,7 +390,7 @@ class HESimulator:
             raise DepthBudgetError(level)
         slots = x.slots * y.slots
         self._ctct_mults += 1
-        return self._owing(slots, level - 1, max(x.rot_chain, y.rot_chain))
+        return self._emit(slots, level - 1, max(x.rot_chain, y.rot_chain), self._op_noise)
 
     def mul_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x * p``, one ct-pt product and one level; a scalar ``p`` of
@@ -418,8 +403,9 @@ class HESimulator:
             raise DepthBudgetError(x.level)
         self._ctpt_mults += 1
         if isinstance(p, float):
-            return self._emit(None, x.level - 1, x.rot_chain, *self._scaled(x, p))
-        return self._owing(x.slots * p, x.level - 1, x.rot_chain)
+            terms, owed = self._scaled(x, p)
+            return self._emit(None, x.level - 1, x.rot_chain, owed, terms)
+        return self._emit(x.slots * p, x.level - 1, x.rot_chain, self._op_noise)
 
     def rotate(self, x: Ciphertext, k: int) -> Ciphertext:
         """Cyclic rotation of the full slot vector; k > 0 rotates left.
@@ -463,18 +449,16 @@ class HESimulator:
         """``ct`` written into row ``i`` of the 2D array ``rows``, as a
         read-only ciphertext at its level and rotation chain; charges nothing.
 
-        A pending ``ct`` is spent, as by a linear op: its terms are folded
-        straight into the row and the noise it owes, if any, is drawn once
-        and added there, to the doubles a read gives, from the same stream.
-        A computed ``ct`` is copied.
+        A pending ``ct`` is folded straight into the row and a computed one
+        copied there; then any noise it owes is drawn into the row, to the
+        doubles a read gives.  ``ct`` is taken, as by a linear op.
         """
         self._check(ct)
         row = rows[i]
-        if ct.pending is None:
-            np.copyto(row, ct.slots)  # a spent operand raises
-        else:
-            terms, owed = ct._spend()
-            self._noisy(_fold(terms, out=row), owed, out=row)
+        value, owed = self._take(ct, out=row)
+        if value is not row:
+            np.copyto(row, value)
+        self._noisy(row, owed, out=row)
         return Ciphertext(row, ct.level, ct.rot_chain, self.params)
 
     def realise(self, cts: list[Ciphertext], rows: list[Ciphertext]) -> list[Ciphertext]:
@@ -483,16 +467,12 @@ class HESimulator:
 
         ``rows`` names the ciphertexts that ``copy_into`` wrote into rows 0,
         1, ... of one 2D array, all of them in order, and every base of the
-        pending sums must be one of them, else ``ValueError``; one computed
-        term of scale 1, as ``realise`` leaves, is left as it is.  The batch is
+        pending sums must be one of them, else ``ValueError``.  The batch is
         one product of the matrix of their scales by that array: it reads
         each base once, copies none, and rounds each slot within a few ulps
         of sum_i |scale_i * base_i| of the left-to-right fold.  Each pending
-        sum keeps its computed value at its own level.  One that owes no
-        noise then reads as a read-only ciphertext, as a read leaves it.  One
-        that owes noise keeps owing it, as the one term of scale 1 of a
-        pending sum: the noise is drawn when the value is read, or joins the
-        op that takes it.  A spent operand raises ``EngineError``.
+        sum is then read, or owing if it owes noise.  An owing or read
+        ciphertext is left as it is; a spent one raises ``EngineError``.
         """
         self._check(*cts)
         array = rows[0].slots.base if rows else None
@@ -502,9 +482,8 @@ class HESimulator:
             and all(r.slots.base is array and np.may_share_memory(r.slots, a) for r, a in zip(rows, array))
         ):
             raise ValueError("realise: rows must be every row of one 2D array, in order, as copy_into wrote them")
-        self.share(*[c for c in cts if c.pending is None])  # a spent operand raises
-        # a lone term of scale 1 is a computed value owing its noise: nothing to fold
-        pending = [c for c in cts if c.pending is not None and (len(c.pending) > 1 or c.pending[0][1] != 1.0)]
+        self.share(*[c for c in cts if c.pending is None and not c.owed])  # a spent operand raises
+        pending = [c for c in cts if c.pending is not None]
         index = {id(r.slots): k for k, r in enumerate(rows)}
         scales = np.zeros((len(pending), len(rows)))
         for r, ct in enumerate(pending):
@@ -513,17 +492,17 @@ class HESimulator:
                     raise ValueError("realise: every base of a pending sum must be one of the rows it is told")
                 scales[r, index[id(base)]] += scale
         for ct, value in zip(pending, scales @ array):
-            ct._computed(value)
+            value.setflags(write=False)
+            ct._value, ct.pending = value, None
         return list(cts)
 
     def share(self, *cts: Ciphertext) -> tuple[Ciphertext, ...]:
         """Read ``cts``, so that several ops may use each of them, and return
         ``cts``; charges nothing.
 
-        A pending sum is computed once and kept, and the noise it owes, if
-        any, is drawn once: every later reader sees the same value.  An op
-        that takes a pending operand leaves it spent, so a value that two
-        ops use is shared first; only a noise-free ``sub(x, x)`` reads it.
+        A pending sum is computed once and any owed noise drawn once, so
+        every later reader sees the same value.  An op that takes a pending
+        or owing operand leaves it spent: a value two ops use is shared first.
         """
         self._check(*cts)
         for ct in cts:
@@ -580,54 +559,71 @@ class HESimulator:
 
     def _sum(self, x: Ciphertext, ys: tuple[Ciphertext, ...], sign: float) -> Ciphertext:
         """``x + sign * y`` for each y of ``ys`` in turn, the left fold of
-        binary sums; charged by the caller.
+        binary sums, charged by the caller, under the module's pending rule.
 
-        ``x + x``, and an owing ``x - x``, is ``x`` scaled by ``1 + sign``,
-        to the double, so an owed noise counts that many times; a noise-free
-        ``x - x`` reads ``x``, to +0.0, leaving it readable.  Computed
-        operands are summed at once while every operand so far is computed;
-        from the first pending one on, the result is a pending sum of ``x``'s
-        terms and one term for each later operand.  Its fold is the eager chain's
-        to the double, since ``b * -s`` is ``-(b * s)`` exactly.  It owes the
-        noise its operands owe plus that of each addition; a pending operand
-        it takes is spent.
+        ``x + x`` is ``x`` scaled by 2 and ``x - x`` is +0.0, both taking
+        ``x``.  A later pending operand of several terms is folded into one,
+        as the eager chain would, and ``b * -s`` is ``-(b * s)`` exactly.
         """
         level, chain = x.level, x.rot_chain
-        value = terms = None  # the sum so far: computed, or its terms
-        if x is ys[0] and (sign > 0 or x.owed):
-            terms, owed = self._scaled(x, 1.0 + sign)
-            ys = ys[1:]
-        elif x.pending is None or x is ys[0]:
-            value, owed = x.slots, 0.0
+        if x.pending is None and not x.owed and x is not ys[0]:
+            # the common case, every operand read, summed without building
+            # terms; at any other operand nothing is taken yet, so the loop
+            # below starts over
+            total = x.slots
+            for y in ys:
+                if y.pending is not None or y.owed:
+                    break
+                if y.level < level:
+                    level = y.level
+                if y.rot_chain > chain:
+                    chain = y.rot_chain
+                total = total + y.slots if sign > 0 else total - y.slots
+            else:
+                return self._emit(total, level, chain, len(ys) * self._op_noise)
+            level, chain = x.level, x.rot_chain
+        if x is ys[0]:
+            if sign < 0:  # x - x: +0.0, taking x
+                self._take(x)
+                return self._emit(np.zeros(self.params.slot_count), level, chain, self._op_noise)
+            terms, owed = self._scaled(x, 2.0)
+            ys, total = ys[1:], None
+        elif x.pending is None:
+            total, owed = self._take(x)
+            terms = ((total, 1.0),)
         else:
-            terms, owed = x._spend()
+            _, terms, owed = x._spend()
+            total = None
+        # ``total`` is the eager sum while every operand is computed,
+        # dropped for ``terms`` at the first pending one
         for y in ys:
             if y.level < level:
                 level = y.level
             if y.rot_chain > chain:
                 chain = y.rot_chain
-            if value is not None and y.pending is None:
-                value = value + y.slots if sign > 0 else value - y.slots
-                owed += self._op_noise
-                continue
-            if value is not None:
-                terms, value = ((value, 1.0),), None
-            (base, scale), y_owed = self._one_term(y)
-            terms += ((base, sign * scale),)
+            if y.pending is None:
+                value, y_owed = self._take(y)
+                terms += ((value, sign),)
+                if total is not None:
+                    total = total + value if sign > 0 else total - value
+            else:
+                _, y_terms, y_owed = y._spend()
+                base, scale = y_terms[0] if len(y_terms) == 1 else (_fold(y_terms), 1.0)
+                terms += ((base, sign * scale),)
+                total = None
             owed += y_owed + self._op_noise
-        if value is None:
-            return self._emit(None, level, chain, terms, owed)
-        return self._emit(None, level, chain, ((value, 1.0),), owed) if owed else self._emit(value, level, chain)
+        if total is None:
+            return self._emit(None, level, chain, owed, terms)
+        return self._emit(total, level, chain, owed)
 
     @staticmethod
-    def _one_term(x: Ciphertext) -> tuple[tuple, float]:
-        """``x`` as one (base, scale) term, and the noise it hands over: its
-        own term if it has one, else its fold with scale 1.  A pending ``x``
-        is spent."""
-        if x.pending is None:
-            return (x.slots, 1.0), 0.0
-        terms, owed = x._spend()
-        return (terms[0] if len(terms) == 1 else (_fold(terms), 1.0)), owed
+    def _take(x: Ciphertext, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """``x``'s noise-free value, a pending one folded (into ``out`` if
+        given), and the noise it owes; a pending or owing ``x`` is spent."""
+        if x.pending is None and not x.owed:
+            return x.slots, 0.0  # a spent x raises
+        value, terms, owed = x._spend()
+        return (value if terms is None else _fold(terms, out)), owed
 
     def _scaled(self, x: Ciphertext, s: float) -> tuple[tuple, float]:
         """The terms and owed noise of ``x * s`` for a scalar ``s``, charged
@@ -635,19 +631,10 @@ class HESimulator:
 
         The fold of a pending ``x`` is scaled as one term, so scales are
         never folded together; its owed noise is scaled too, to ``s^2`` times
-        its weight, and ``x`` is spent.
+        its weight, and ``x`` is taken.
         """
-        if x.pending is None:
-            return ((x.slots, s),), self._op_noise
-        terms, owed = x._spend()
-        return ((_fold(terms), s),), s * s * owed + self._op_noise
-
-    def _owing(self, slots: np.ndarray, level: int, chain: int) -> Ciphertext:
-        """The computed ``slots`` of a charged op: owing the op's noise on a
-        noisy engine, as is on a noise-free one."""
-        if self._op_noise:
-            return self._emit(None, level, chain, ((slots, 1.0),), self._op_noise)
-        return self._emit(slots, level, chain)
+        value, owed = self._take(x)
+        return ((value, s),), s * s * owed + self._op_noise
 
     def _noisy(self, slots: np.ndarray, owed: float, out: np.ndarray | None = None) -> np.ndarray:
         """``slots`` plus one draw of N(0, owed * sigma^2) noise, into ``out``
@@ -661,13 +648,14 @@ class HESimulator:
         return np.add(noise, slots, out=noise if out is None else out)
 
     def _emit(
-        self, slots: np.ndarray | None, level: int, rot_chain: int, terms: tuple | None = None, owed: float = 0.0
+        self, slots: np.ndarray | None, level: int, rot_chain: int, owed: float = 0.0, terms: tuple | None = None
     ) -> Ciphertext:
+        """A read ciphertext of ``slots``, owing if ``owed``, or pending."""
         consumed = self.params.max_level - level
         if consumed > self._levels_consumed:
             self._levels_consumed = consumed
-        if terms is not None:
-            return _PendingSum(terms, owed, level, rot_chain, self)
-        # every op passes a float64 array of its own (ideal_map coerces the
-        # function's result), so it is stored as is and made read-only
-        return Ciphertext(slots, level, rot_chain, self.params)
+        if terms is None and not owed:
+            # every op passes a float64 array of its own (ideal_map coerces
+            # the function's result), so it is stored as is and made read-only
+            return Ciphertext(slots, level, rot_chain, self.params)
+        return _Deferred(slots, terms, owed, level, rot_chain, self)

@@ -274,6 +274,11 @@ def test_usage_errors(tmp_path, tied_vector):
     assert main(["rank"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["rank", "--gen", "uniform", "--count", "1"]) == EXIT_USAGE
+    # out-of-range numbers are usage errors, as --count 1 is
+    for k in ("0", "-3"):
+        assert main(["stat", "--stat", "kth", "--k", k, "--gen", "uniform", "--count", "8"]) == EXIT_USAGE
+    for level in ("0", "-1"):
+        assert main(["rank", "--gen", "uniform", "--count", "8", "--max-level", level]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(

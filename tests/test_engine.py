@@ -494,8 +494,8 @@ def test_realise_takes_one_product_only_over_the_rows_it_is_told():
 
     product = eng.realise(sums(), rows)
     assert product[0].slots.base is not None and product[0].slots.base is product[1].slots.base
-    # a base outside the rows is refused, a plaintext one included
-    for batch in (sums([outside]), [eng.add_plain(s, 0.5) for s in sums()]):
+    # a base outside the rows is refused, a computed operand's value included
+    for batch in (sums([outside]), [eng.add(eng.mul_plain(rows[0], 0.5), eng.encrypt(vs[1]))]):
         with pytest.raises(ValueError, match="must be one of the rows"):
             eng.realise(batch, rows)
     other_array = encrypt_as_rows(eng, vs[:2])
@@ -530,10 +530,37 @@ def test_realise_charges_nothing_and_keeps_levels():
     assert eng.rotation_offsets() == [3]
 
 
-# One linear rule on both engines: ``add``, ``sub``, ``add_plain`` and
-# ``negate`` of a pending operand, and ``x + x``, give a pending sum, whose
-# fold is the eager chain's to the double, signed zeros included.  The op
-# takes the pending operand's terms and leaves it spent, owed noise or not.
+@pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noise-free", "noisy"])
+def test_realise_of_a_leaf_does_not_depend_on_its_term_order(sigma):
+    # a product by 1 is the row itself, computed: a leaf led by two such
+    # rows keeps each as its own term, so its every base is a row
+    vs, _ = sum_inputs(terms=3)
+    orders = {
+        "two rows first": lambda e, a, b, c: e.add(a, b, e.mul_plain(c, 0.5)),
+        "product first": lambda e, a, b, c: e.add(e.mul_plain(c, 0.5), a, b),
+        "product between": lambda e, a, b, c: e.add(b, e.mul_plain(c, 0.5), a),
+        "as ps_eval builds it": lambda e, a, b, c: e.add(*[e.mul_plain(r, s) for r, s in ((a, 1), (b, 1.0), (c, 0.5))]),
+    }
+    values = {}
+    for name, leaf_of in orders.items():
+        eng = make_engine(slot_count=64, sigma=sigma, seed=3)
+        rows = encrypt_as_rows(eng, vs)
+        leaf = leaf_of(eng, *rows)
+        assert leaf.pending is not None and leaf.owed == (3 if sigma else 0), name
+        (out,) = eng.realise([leaf], rows)
+        values[name] = out.slots
+        assert eng.cost_snapshot().additions == 2 and eng.cost_snapshot().ctpt_mults == 1, name
+    first = values["two rows first"]
+    assert all(same_doubles(v, first) for v in values.values())
+    eager = vs[0] + vs[1] + vs[2] * 0.5
+    # the noise of 1 product and 2 sums, drawn once: within 6 standard deviations
+    assert np.max(np.abs(first - eager)) < (6 * sigma * np.sqrt(3) if sigma else 1e-14 * np.max(np.abs(eager)))
+
+
+# One pending rule on both engines: ``add`` and ``sub`` with a pending
+# operand, and ``x + x``, give a pending sum, whose fold is the eager chain's
+# to the double, signed zeros included; every other linear op computes at
+# once.  The op takes a pending operand and leaves it spent, owed noise or not.
 
 
 def linear_operands(eng, n=64):
@@ -576,16 +603,15 @@ def test_linear_op_of_a_pending_operand_stays_pending(name, kind):
     pending = [c.pending is not None for c in (x, y)]
     before = eng.cost_snapshot()
     out = op(eng, x, y)
-    # an op on computed operands alone is computed at once, x + x excepted;
-    # x - x reads x first, so it is computed whatever x is
+    # only x + x, and a sum or difference with a pending operand, stays
+    # pending; x - x is +0.0, computed, whatever x is
     uses_y = name in {"x + y", "y + x", "x - y", "y - x"}
-    reads_x = name in {"x - x", "negate of x - x"}
-    stays_pending = name == "x + x" or (not reads_x and (pending[0] or uses_y))
+    stays_pending = name == "x + x" or (uses_y and any(pending))
     assert (out.pending is not None) == stays_pending, (name, kind)
     assert eng.cost_snapshot().additions - before.additions == (0 if name == "negate" else 1)
     assert same_doubles(out.slots, eager(a, b)), (name, kind)
-    # a pending operand the op took is spent; any other keeps its value
-    for ct, value, taken in ((x, a, pending[0] and not reads_x), (y, b, pending[1] and uses_y)):
+    # every op takes x, and a pending operand it took is spent; any other keeps its value
+    for ct, value, taken in ((x, a, pending[0]), (y, b, pending[1] and uses_y)):
         if taken:
             with pytest.raises(EngineError, match="share"):
                 ct.slots
@@ -594,12 +620,48 @@ def test_linear_op_of_a_pending_operand_stays_pending(name, kind):
 
 
 def test_difference_with_itself_reads_positive_zero():
-    eng = make_engine(slot_count=64)
-    for kind, (x, a) in linear_operands(eng).items():
-        zero = eng.sub(x, x).slots
-        assert np.all(zero == 0.0) and not np.signbit(zero).any(), kind
+    # x - x takes x, on every engine, as any linear op does
+    for kind in ("product", "sum", "computed"):
+        eng = make_engine(slot_count=64)
+        x, _ = linear_operands(eng)[kind]
+        zero = eng.sub(x, x)
+        assert zero.pending is None and same_doubles(zero.slots, np.zeros(64)), kind
+        assert spent(x) == (kind != "computed"), kind
         # -(a - a) is -0.0 everywhere, as the eager negation gives
+        x, _ = linear_operands(eng)[kind]
         assert np.signbit(eng.negate(eng.sub(x, x)).slots).all(), kind
+        # on a noisy engine the difference owes one op's noise, whatever x owes
+        noisy = make_engine(slot_count=64, sigma=SIGMA)
+        x, _ = linear_operands(noisy)[kind]
+        x = noisy.add(x, x)
+        assert noisy.sub(x, x).owed == 1 and spent(x), kind
+
+
+# every charged op that computes at once, on two read operands ``x``, ``y``
+COMPUTING_OPS = {
+    "add": lambda e, x, y: e.add(x, y),
+    "sub": lambda e, x, y: e.sub(x, y),
+    "add_plain": lambda e, x, y: e.add_plain(x, 0.5),
+    "mul": lambda e, x, y: e.mul(x, y),
+    "vector mul_plain": lambda e, x, y: e.mul_plain(x, np.arange(16.0)),
+    "negate of a product": lambda e, x, y: e.negate(e.mul(x, y)),
+}
+
+
+@pytest.mark.parametrize("op", COMPUTING_OPS)
+@pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noise-free", "noisy"])
+def test_owed_noise_is_a_weight_on_a_computed_value(op, sigma):
+    # an owing ciphertext holds no pending terms; a noise-free one is read
+    eng = make_engine(slot_count=16, sigma=sigma)
+    x, y = eng.encrypt(np.arange(16.0)), eng.encrypt(np.ones(16))
+    out = COMPUTING_OPS[op](eng, x, y)
+    assert out.pending is None and (out.owed > 0) == (sigma > 0), op
+    if sigma:
+        assert "owing" in repr(out) and not spent(out)
+        before = eng.cost_snapshot()
+        eng.realise([out], encrypt_as_rows(eng, [np.ones(16)]))
+        assert out.owed > 0 and eng.cost_snapshot() == before  # realise leaves it owing
+    assert np.isfinite(out.slots).all() and out.owed == 0
 
 
 # every op that takes a pending operand's terms, applied to a pending ``p``
@@ -638,7 +700,8 @@ def test_copy_into_folds_a_pending_power_into_its_row(even):
     prod = eng.mul(ta, tb)
     doubled = eng.add(prod, prod)
     power = eng.add_plain(doubled, -1.0) if even else eng.sub(doubled, tc)
-    assert spent(doubled) and power.pending is not None
+    # adding a plaintext computes at once; the sub of a computed tc stays pending
+    assert spent(doubled) and (power.pending is None) == even
     eager = (a * b + a * b) + -1.0 if even else (a * b + a * b) - c
     before = eng.cost_snapshot()
     rows = np.zeros((3, n))
@@ -649,7 +712,8 @@ def test_copy_into_folds_a_pending_power_into_its_row(even):
     assert np.shares_memory(copy.slots, rows[1]) and not rows[0].any() and not rows[2].any()
     for other in (ta, tb, tc, prod):
         assert not np.shares_memory(copy.slots, other.slots)
-    assert spent(power)  # folded into the row, as a linear op takes it
+    # folded into the row, as a linear op takes it; a read power is copied
+    assert spent(power) != even
 
 
 # A noisy pending sum owes the noise of its charged ops and draws it once,
@@ -747,12 +811,11 @@ def test_realise_keeps_the_drawn_noise_and_charges_nothing():
         out = eng.realise([sums[0], concrete, *sums[1:]], rows)
         assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
         assert all(a is b for a, b in zip(out, [sums[0], concrete, *sums[1:]]))
-        # computed, as one term each, but the noise of 4 products and 3 sums is still owed
-        assert all(len(c.pending) == 1 and c.owed == 7 for c in sums)
-        # a computed value owing noise has nothing to fold: a second batch
-        # leaves it as it is, though it is not one of the rows
-        computed = [c.pending[0][0] for c in sums]
-        assert all(c.pending[0][0] is v for c, v in zip(eng.realise(sums, rows), computed))
+        # computed, but the noise of 4 products and 3 sums is still owed
+        assert all(c.pending is None and c._value is not None and c.owed == 7 for c in sums)
+        # an owing value has nothing to fold: a second batch leaves it as it is
+        computed = [c._value for c in sums]
+        assert all(c._value is v and c.owed == 7 for c, v in zip(eng.realise(sums, rows), computed))
         values = [c.slots for c in sums]  # the reads draw it
         assert all(c.pending is None and c.owed == 0 for c in sums)
         assert all(not v.flags.writeable for v in values)
@@ -765,7 +828,7 @@ def test_realised_noise_joins_the_op_that_takes_it_over():
     eng, (leaf,), rows = noisy_sums(n, 1, 3, seed=6)
     _, (exact,), _ = noisy_sums(n, 1, 3, sigma=0.0)
     eng.realise([leaf], rows)  # one product: its value is a row of the product block
-    assert leaf.pending[0][0].base is not None
+    assert leaf.pending is None and leaf._value.base is not None and leaf.owed == 5
     x = eng.encrypt(np.ones(n))
     # as the giant-step walk adds a constant and a product to a leaf
     out = eng.add(eng.add_plain(leaf, 0.5), eng.mul(x, x))
@@ -936,14 +999,14 @@ def left_fold_or_nary(nary, sigma, kinds, repeat):
 
     eng = make_engine(slot_count=256, sigma=sigma, seed=5)
     ops = nary_operands(eng, kinds, repeat)
-    pending = [ct.pending is not None for ct in ops]
+    taken = [ct.pending is not None or ct.owed > 0 for ct in ops]  # pending or owing
     before = eng.cost_snapshot().additions
     try:
         out = eng.add(*ops) if nary else reduce(eng.add, ops)
     except EngineError as err:
-        return eng, ops, pending, err
+        return eng, ops, taken, err
     assert eng.cost_snapshot().additions - before == len(ops) - 1
-    return eng, ops, pending, out
+    return eng, ops, taken, out
 
 
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
@@ -951,13 +1014,13 @@ def left_fold_or_nary(nary, sigma, kinds, repeat):
 @pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
 def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
     kinds = [NARY_KINDS[(i + count) % len(NARY_KINDS)] for i in range(count)]
-    eng, ops, pending, out = left_fold_or_nary(True, sigma, kinds, repeat)
+    eng, ops, taken, out = left_fold_or_nary(True, sigma, kinds, repeat)
     ref_eng, ref_ops, _, ref = left_fold_or_nary(False, sigma, kinds, repeat)
     assert eng.cost_snapshot() == ref_eng.cost_snapshot()
     if isinstance(ref, EngineError):
-        # a pending operand used again after an earlier add spent it, on either engine
+        # a pending or owing operand used again after an earlier add spent it
         assert isinstance(out, EngineError) and "spent" in str(out)
-        assert repeat == -1 and pending[0]
+        assert repeat == -1 and taken[0]
         return
     assert not isinstance(out, EngineError)
     assert (out.level, out.rot_chain, out.owed) == (ref.level, ref.rot_chain, ref.owed)
@@ -965,9 +1028,9 @@ def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
     assert [spent(c) for c in ops] == [spent(c) for c in ref_ops]
     assert same_doubles(out.slots, ref.slots)
     assert eng.rotation_offsets() == ref_eng.rotation_offsets()
-    # every pending operand handed its terms over and is spent; a computed one keeps its value
-    for ct, ref_ct, taken in zip(ops, ref_ops, pending):
-        if taken:
+    # every pending or owing operand was handed over and is spent; a read one keeps its value
+    for ct, ref_ct, was_taken in zip(ops, ref_ops, taken):
+        if was_taken:
             with pytest.raises(EngineError, match="spent"):
                 ct.slots
         else:
@@ -1123,3 +1186,25 @@ def test_every_charge_lands_inside_its_op(monkeypatch, run, params):
         assert sum(deltas[(op, counter)] for op in CHARGING_OPS) == getattr(total, counter), counter
     for (op, counter), delta in deltas.items():
         assert counter == CHARGING_OPS[op] or delta == 0, (op, counter)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0, 1, 1, 0.5, 0, 0, 0, 0, 0.25), (0.5, 1, 1, 1, 1, 1, 1, 1, 1), (0, 1, -1, 1, 0, 0, 0, 0, 1, 1, 1)],
+    ids=["unit terms lead a leaf", "all-unit leaves", "unit leaf and unit quotient"],
+)
+def test_noisy_ps_eval_with_unit_leaf_coefficients_matches_clenshaw(coeffs):
+    # a leaf with coefficients of exactly 1 reads its rows themselves; on a
+    # noisy engine it evaluates within a bound that scales with sigma
+    from slotrank import ChebyshevPolynomial, cheb_eval, ps_eval
+
+    xs = np.random.default_rng(24).uniform(-1.0, 1.0, 1 << 12)
+    poly = ChebyshevPolynomial(interval=(-1.0, 1.0), coeffs=tuple(float(c) for c in coeffs))
+    for sigma in (1e-9, 1e-6):
+        eng = make_engine(slot_count=1 << 12, max_level=12, sigma=sigma, seed=8)
+        err = eng.decrypt(ps_eval(eng, eng.encrypt(xs), poly)) - cheb_eval(poly, xs)
+        # |T_i'| <= i^2 on [-1, 1]: each coefficient amplifies the noise of
+        # its power by at most that much, each op adding its own
+        amplification = 1 + sum(abs(c) * i * i for i, c in enumerate(coeffs))
+        assert np.max(np.abs(err)) < 10 * sigma * amplification, sigma
+        assert np.std(err) > 0.1 * sigma  # the noise was drawn
