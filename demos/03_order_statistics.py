@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Extracting order statistics: masks, values, min/max, median, percentiles.
 
-Selection masks land in column 0 of the matrix encoding, as the ranks do;
-a statistic's value lands in slot 0.  A vector longer than one matrix is
+Selection masks land in row 0 of the matrix encoding, as the ranks do (in
+every row when the matrix fills the slots); a statistic's value lands in
+slot 0.  A vector longer than one matrix is
 split into blocks, as for ranking and sorting.
 """
 
@@ -19,7 +20,7 @@ from slotrank import (
     order_statistic_mask,
     order_statistic_value,
     percentile,
-    read_col,
+    read_row,
 )
 from slotrank import reference
 
@@ -32,7 +33,7 @@ print("input:", v)
 print("\nA rank-window indicator turns the ranking into a selection mask:")
 for k in (1, 4):
     m = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=k), cfg)
-    mask = read_col(eng, m.mask, m.layout, 4)  # four values in a 4x4 matrix
+    mask = read_row(eng, m.mask, 4)  # four values in a 4x4 matrix
     print(f"  rank {k} mask ->", mask)
     print(f"  rank {k} mask matches the oracle:", np.array_equal(mask, reference.corrected_ranks(v) == k))
 
@@ -57,7 +58,7 @@ hi = eng.decrypt(order_statistic_value(eng, eng.encrypt(dup), 6, StatisticQuery(
 m = order_statistic_mask(eng, eng.encrypt([0.7, 0.7, 0.7]), 3, StatisticQuery("min"), cfg)
 print(f"  min {dup} -> {lo:.6f}  matches the oracle exactly:", lo == min(dup))
 print(f"  max {dup} -> {hi:.6f}  matches the oracle exactly:", hi == max(dup))
-first_min = read_col(eng, m.mask, m.layout, 3)
+first_min = read_row(eng, m.mask, 3)
 print("  min mask of an all-equal vector ->", first_min)
 print("  the first copy alone holds rank 1:", np.array_equal(first_min, [1, 0, 0]))
 

@@ -10,7 +10,7 @@ grows (and, for a fixed degree, as the data spreads out).
 
 import numpy as np
 
-from slotrank import HEParams, HESimulator, KernelConfig, rank, read_col
+from slotrank import HEParams, HESimulator, KernelConfig, rank, read_row
 from slotrank import reference
 
 N, SEEDS = 128, 5
@@ -25,7 +25,7 @@ for degree in (64, 128, 256, 512, 1024):
         v = np.random.default_rng(seed).uniform(0, 1, N)
         eng = HESimulator(HEParams(slot_count=N * N, max_level=40))
         res = rank(eng, eng.encrypt(v), N, cfg)
-        disp.append(reference.rank_displacement(read_col(eng, res.ranks, res.layout, N), v))
+        disp.append(reference.rank_displacement(read_row(eng, res.ranks, N), v))
         levels = eng.cost_snapshot().levels_consumed
     disp = np.concatenate(disp)
     averages.append(disp.mean())
@@ -39,7 +39,7 @@ for gap in (0.0005, 0.002, 0.0078):
     v = np.random.default_rng(7).permutation(N) * gap
     eng = HESimulator(HEParams(slot_count=N * N, max_level=40))
     res = rank(eng, eng.encrypt(v), N, cfg)
-    ranks = read_col(eng, res.ranks, res.layout, N)
+    ranks = read_row(eng, res.ranks, N)
     d = reference.rank_displacement(ranks, v)
     print(f"  gap = {gap:<7} -> avg {d.mean():.4f}, max {d.max():.4f}")
 print("every rank at gap 0.0078 rounds to the oracle:",

@@ -444,7 +444,10 @@ def _ideal_kernel(engine: HESimulator, f, *cts: Ciphertext, levels: int) -> Ciph
 
 def _three_way(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """1.0 where xs > ys, 0.5 where xs == ys, else 0.0."""
-    return (xs > ys) + 0.5 * (xs == ys)
+    d = (xs > ys).astype(np.float64)
+    d += xs >= ys
+    d *= 0.5
+    return d
 
 
 def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:

@@ -9,9 +9,14 @@ ceil(log2 N)), each a rotate-and-add step of one loop.  Masks are cached
 plaintext vectors from ``rect_plain``, a value on a rectangle of cells;
 ``grid_plain`` lays out every plaintext grid of the pipelines.
 
+When the matrix fills the slot vector (N^2 slots), a rotation by a
+multiple of N is cyclic over the rows, so ``column_sums`` folds the rows
+into every row at once, with no mask.
+
 Slots beyond N^2 must be zero on entry; every primitive that rotates data
 across that boundary ends with a mask, so pipelines built from these
-blocks preserve the invariant.
+blocks preserve the invariant.  ``replicate`` and ``transpose_vector``
+read one row or column and refuse, on a noise-free engine, data outside it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import Ciphertext, HESimulator
+from .engine import Ciphertext, HESimulator, caller_path
 
-__all__ = ["MatrixLayout", "mask", "sum_axis", "replicate", "transpose_vector"]
+__all__ = ["MatrixLayout", "mask", "sum_axis", "column_sums", "replicate", "transpose_vector"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,12 @@ class MatrixLayout:
     @property
     def steps(self) -> int:
         return self.n_dim.bit_length() - 1
+
+    @property
+    def full(self) -> bool:
+        """Whether the matrix fills the slots, so a rotation by a multiple of
+        N is cyclic over its rows."""
+        return self.n_dim * self.n_dim == self.slot_count
 
 
 def grid_plain(slot_count: int, grid: np.ndarray) -> np.ndarray:
@@ -68,6 +79,19 @@ def rect_plain(slot_count: int, n_dim: int, r0: int, r1: int, c0: int, c1: int, 
 def _check_axis(axis: str):
     if axis not in ("row", "col"):
         raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+
+
+def _require_line(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str):
+    """Raise ``ValueError`` if a noise-free ``x`` is non-zero outside row 0
+    (axis="row") or column 0, which replication and transposition would add
+    in silently; -0.0 counts as zero.  A noisy engine's masked slots carry
+    noise, so it is not checked."""
+    if engine.params.noise_sigma > 0:
+        return
+    n, s = layout.n_dim, x.slots
+    grid = s[: n * n].reshape(n, n)
+    if (grid[1:] if axis == "row" else grid[:, 1:]).any() or s[n * n :].any():
+        raise ValueError(f"{caller_path()}: data outside {axis} 0 of the {n}x{n} matrix")
 
 
 def mask(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str, k: int) -> Ciphertext:
@@ -99,13 +123,27 @@ def sum_axis(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str
     return mask(engine, _rotate_sum(engine, x, [step << i for i in range(layout.steps)]), layout, axis, 0)
 
 
+def column_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> Ciphertext:
+    """The column sums of ``x``, in row 0.
+
+    A matrix that fills the slots folds in log2(N) rotate-and-add steps by
+    N 2^k, which are cyclic over its rows: an all-reduce that leaves the
+    sums in every row, with no mask.  Any other matrix folds with
+    ``sum_axis(x, "row")``, which masks the sums to row 0.
+    """
+    if layout.full:
+        return _rotate_sum(engine, x, [layout.n_dim << i for i in range(layout.steps)])
+    return sum_axis(engine, x, layout, "row")
+
+
 def replicate(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str) -> Ciphertext:
     """Copy row 0 to all rows (axis="row") or column 0 to all columns.
 
-    Assumes everything outside that row/column is zero; violations are not
-    detected.
+    On a noise-free engine, data outside that row/column raises
+    ``ValueError``: it would be summed into the copies.
     """
     _check_axis(axis)
+    _require_line(engine, x, layout, axis)
     step = layout.n_dim if axis == "row" else 1
     return _rotate_sum(engine, x, [-(step << i) for i in range(layout.steps)])
 
@@ -115,12 +153,14 @@ def transpose_vector(
 ) -> Ciphertext:
     """Move a vector between row 0 and column 0 of the matrix.
 
-    direction="row_to_col" assumes only row 0 is populated and produces the
-    same values down column 0; "col_to_row" is the inverse.  Uses
-    ceil(log2 N) rotations by N(N-1)/2^i plus one final mask.
+    direction="row_to_col" takes row 0 to the same values down column 0;
+    "col_to_row" is the inverse.  Uses ceil(log2 N) rotations by
+    N(N-1)/2^i plus one final mask.  On a noise-free engine, data outside
+    the source row/column raises ``ValueError``.
     """
     if direction not in ("row_to_col", "col_to_row"):
         raise ValueError(f"unknown transpose direction {direction!r}")
+    _require_line(engine, x, layout, "row" if direction == "row_to_col" else "col")
     n, sign = layout.n_dim, -1 if direction == "row_to_col" else 1
     acc = _rotate_sum(engine, x, [sign * (n * (n - 1) >> i) for i in range(1, layout.steps + 1)])
     return mask(engine, acc, layout, "col" if direction == "row_to_col" else "row", 0)

@@ -2,16 +2,19 @@
 
 The input vector is replicated across matrix rows and, transposed, across
 matrix columns; a single slotwise comparison of the two encodings yields
-the full pairwise comparison matrix, whose row sums (plus one half) are
-the fractional ranks, in column 0.  Tie correction adds offset cells
-derived from the same comparison matrix before that one fold, which
-redistributes tied ranks into a permutation of 1..N.
+the full pairwise comparison matrix D, cell (r, c) comparing entry c with
+entry r.  Its column sums (plus one half) are the fractional ranks, in row
+0.  When the matrix fills the slot vector the fold along the rows is an
+all-reduce: the ranks land in every row with no mask, already spread for
+the sort's placement.  Tie correction adds offset cells derived from the
+same comparison matrix before that one fold, which redistributes tied
+ranks into a permutation of 1..N.
 
 One block-generic pipeline serves every vector length.  A vector longer
 than the matrix capacity is split into L blocks and only the L(L+1)/2
-ordered block pairs are compared; a block's comparisons against earlier
+ordered block pairs are compared; a block's comparisons against later
 blocks come from the complement identity cmp(x, y) = 1 - cmp(y, x), folded
-along the rows and transposed once per block.  A vector that fits
+along the columns and transposed once per block.  A vector that fits
 one matrix is the one-block case of the same pipeline.
 
 Each block is handled in one pass, and each comparison matrix lives only
@@ -31,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import KernelConfig, compare_kernel, quarter_equality
-from .engine import CapacityError, Ciphertext, HESimulator
-from .matrix import MatrixLayout, grid_plain, rect_plain, replicate, sum_axis, transpose_vector
+from .engine import CapacityError, Ciphertext, HESimulator, caller_path
+from .matrix import MatrixLayout, column_sums, grid_plain, rect_plain, replicate, sum_axis, transpose_vector
 
 __all__ = [
     "RankResult",
@@ -48,7 +51,6 @@ __all__ = [
     "multi_rank_pipeline",
     "MultiRankPipeline",
     "read_row",
-    "read_col",
 ]
 
 
@@ -58,7 +60,8 @@ def next_pow2(n: int) -> int:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Ranks in column 0 of the matrix encoding."""
+    """Ranks in row 0 of the matrix encoding, and in every row when the
+    matrix fills the slots."""
 
     ranks: Ciphertext
     layout: MatrixLayout
@@ -71,14 +74,17 @@ class BlockVector:
 
     The last block is zero padded; ``total_len`` records how many entries
     are real.  Entries sit ``stride`` slots apart: 1 for a vector in row 0
-    (inputs, sorted values), the block side for one in column 0 (ranks).
-    Decrypted prefixes concatenate back to the vector.
+    (inputs, ranks), the block side for one in column 0 (sorted values).
+    Decrypted prefixes concatenate back to the vector.  ``computed`` is set
+    by the pipeline that computed the blocks: ranks of a full matrix fill
+    every row, so no computed block vector is ranked again.
     """
 
     blocks: tuple[Ciphertext, ...]
     block_size: int
     total_len: int
     stride: int = 1
+    computed: bool = False
 
     def valid_in(self, i: int) -> int:
         if i < len(self.blocks) - 1:
@@ -90,22 +96,27 @@ class BlockVector:
 class MultiRankPipeline:
     """The ranks of a block vector and what the sort placement reuses.
 
-    ``col_replicated`` holds each block's column replication, which the sort
-    and the statistics multiply by their selection masks.  Nothing else the
-    pipeline built is kept: the row replications go when it returns, and
-    each comparison matrix as soon as the last block that reads it has
-    folded it, so at most O(L) slot vectors live at once.
+    The ranks lie along ``axis``: in row 0 (a sort's ranks fill every row of
+    a matrix that fills the slots), or, for the one-block sort on a matrix
+    that does not, in column 0.  ``replicated`` holds each block's input replicated along the
+    same axis, which the sort and the statistics multiply by their
+    selection masks.  Nothing else the pipeline built is kept: the other
+    replications go when it returns, and each comparison matrix as soon as
+    the last block that reads it has folded it, so at most O(L) slot
+    vectors live at once.
     """
 
     ranks: BlockVector
-    col_replicated: list[Ciphertext]
+    replicated: list[Ciphertext]
     layout: MatrixLayout
+    axis: str = "row"
 
 
 @lru_cache(maxsize=None)
-def _tie_cell_mask(slot_count: int, n_dim: int) -> np.ndarray:
+def _tie_cell_mask(slot_count: int, n_dim: int, axis: str) -> np.ndarray:
+    # +2 where the cell's compared entry comes no later than the ranked one
     rows, cols = np.indices((n_dim, n_dim))
-    return grid_plain(slot_count, np.where(cols <= rows, 2.0, -2.0))
+    return grid_plain(slot_count, np.where(rows <= cols if axis == "row" else cols <= rows, 2.0, -2.0))
 
 
 def read_row(engine: HESimulator, ct: Ciphertext, count: int) -> np.ndarray:
@@ -113,15 +124,10 @@ def read_row(engine: HESimulator, ct: Ciphertext, count: int) -> np.ndarray:
     return engine.decrypt(ct)[:count]
 
 
-def read_col(engine: HESimulator, ct: Ciphertext, layout: MatrixLayout, count: int) -> np.ndarray:
-    """First ``count`` entries of column 0."""
-    return engine.decrypt(ct)[0 : count * layout.n_dim : layout.n_dim]
-
-
-def _strict(engine: HESimulator, c: Ciphertext) -> Ciphertext:
-    # c(2c - 1) maps a fractional comparison {0, 1/2, 1} to the strict {0, 0, 1}
-    twice_less_one = engine.add_plain(engine.add(c, c), -1.0)
-    return engine.mul(c, twice_less_one)
+def _weak(engine: HESimulator, c: Ciphertext) -> Ciphertext:
+    # c(3 - 2c) maps a fractional comparison {0, 1/2, 1} to the weak {0, 1, 1}
+    three_less_twice = engine.add_plain(engine.negate(engine.add(c, c)), 3.0)
+    return engine.mul(c, three_less_twice)
 
 
 def multi_rank_pipeline(
@@ -131,28 +137,40 @@ def multi_rank_pipeline(
     *,
     tie_correction: bool = False,
 ) -> MultiRankPipeline:
-    """Ranks of every block, in column 0 of each.
+    """Ranks of every block, in row 0 of each.
 
     Only the L(L+1)/2 ordered block pairs are compared: block i against
-    blocks j >= i, as C_ij = cmp(column-replicated i, row-replicated j).
-    Its ranks are the column fold (row sums) of C_ii + sum_{j>i} C_ij plus,
-    for the earlier blocks, i*B minus the row fold of sum_{j<i} C_ji,
-    transposed.  Tie correction orders equal values of
-    different blocks by block, which makes every cross-block comparison
-    strict, adds the ``tie_offset`` cells of each block against itself to
-    its own comparisons before their fold, and lowers the shift by 1/2.  Zero
-    padding of the last block is masked out of its comparisons, so padded
-    entries rank 0.
+    blocks j >= i, as D_ij = cmp(row-replicated j, column-replicated i),
+    whose cell (r, c) compares entry c of block j with entry r of block i.
+    Block i's ranks are the column sums of D_ii plus, for the earlier
+    blocks, those of sum_{i'<i} D_i'i; for the later blocks, the number of
+    their entries less the row sums of sum_{j>i} D_ij, transposed to row 0.
+    Tie correction orders equal values of different blocks by block, which
+    makes every cross-block comparison weak (a later block's tied entry
+    counts as the greater), adds the ``tie_offset`` cells of each block
+    against itself to its own comparisons before their fold, and lowers the
+    shift by 1/2.  Zero padding of the last block is masked out of its
+    comparisons, so padded entries rank 0.
 
-    Block i is done in one pass: its C_ij are computed, folded into its
+    Block i is done in one pass: its D_ij are computed, folded into its
     ranks, and each cross-block one is added into block j's running sum of
-    sum_{i<j} C_ij, the left fold of one n-ary ``add`` with the same doubles
+    sum_{i<j} D_ij, the left fold of one n-ary ``add`` with the same doubles
     and charges; block j folds that sum and drops it.  Only the replications,
     block i's row of matrices and the L running sums are ever alive.
     """
+    return _rank_blocks(engine, bv, cfg, tie_correction)
+
+
+def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -> MultiRankPipeline:
+    # every_row: on a matrix that fills the slots, every row holds the ranks,
+    # as the sort's placement reads them.  axis="col"
+    # ranks one block along the columns, into column 0: cell (r, c) of its
+    # comparison matrix compares entry r with entry c, and its row sums are
+    # the ranks
     b, count = bv.block_size, len(bv.blocks)
-    if bv.stride != 1:  # replicate reads row 0 only
-        raise ValueError(f"multi_rank_pipeline: blocks must hold their entries in row 0, not every {bv.stride}th slot")
+    if bv.computed or bv.stride != 1:  # replicate reads row 0 only
+        what = "computed blocks" if bv.computed else f"entries every {bv.stride}th slot"
+        raise ValueError(f"{caller_path()}: blocks must hold input values in row 0, not {what}")
     layout = MatrixLayout(b, engine.params.slot_count)
 
     row_rep = [replicate(engine, blk, layout, "row") for blk in bv.blocks]
@@ -163,42 +181,63 @@ def multi_rank_pipeline(
     engine.share(*row_rep, *col_rep)  # each is compared with every block
 
     def compared(i: int, j: int) -> Ciphertext:
-        c = compare_kernel(engine, col_rep[i], row_rep[j], cfg)
+        pair = (row_rep[j], col_rep[i]) if axis == "row" else (col_rep[i], row_rep[j])
+        c = compare_kernel(engine, *pair, cfg)
         if bv.valid_in(j) < b:
             # cells against zero padding would count as comparisons
             c = engine.mul_plain(c, rect_plain(layout.slot_count, b, 0, bv.valid_in(i), 0, bv.valid_in(j)))
         return c
 
-    earlier: dict[int, Ciphertext] = {}  # block j's running sum of C_ij over i < j
+    earlier: dict[int, Ciphertext] = {}  # block j's running sum of D_ij over i < j
     rank_blocks = []
     for i in range(count):
         # summed into two blocks' ranks, or into one and its tie offset cells
         mine, *cross = engine.share(*[compared(i, j) for j in range(i, count)])
         if tie_correction:
-            cross = [_strict(engine, c) for c in cross]
+            cross = [_weak(engine, c) for c in cross]
         # summed into block i's ranks here and block j's running sum
         engine.share(*cross)
-        own = engine.add(mine, *cross)
+        cross_sum = engine.add(*cross) if cross else None
         for j, c in enumerate(cross, i + 1):
             # the left fold of the n-ary add, one addend at a time; shared,
             # so a sum holds one slot vector, not one per addend
             earlier[j] = engine.share(engine.add(earlier[j], c))[0] if j in earlier else c
         del cross  # every reader is done: free them before the folds
+        own = engine.add(mine, earlier.pop(i)) if i > 0 else mine
         if tie_correction:
-            own = engine.add(own, tie_offset(engine, mine, layout))
-        ranks = sum_axis(engine, own, layout, "col")
-        if i > 0:
-            folded = sum_axis(engine, earlier.pop(i), layout, "row")
-            ranks = engine.sub(ranks, transpose_vector(engine, folded, layout, "row_to_col"))
-        shift = 0.5 + i * b - (0.5 if tie_correction else 0.0)
+            own = engine.add(own, tie_offset(engine, mine, layout, axis))
+        if axis == "col":
+            ranks = sum_axis(engine, own, layout, "col")
+        else:
+            less = None
+            if cross_sum is not None:
+                # the later blocks' entries below entry r are their count, in
+                # the shift, less the row sums of sum_j D_ij, moved to row 0
+                less = transpose_vector(engine, sum_axis(engine, cross_sum, layout, "col"), layout, "col_to_row")
+                if every_row and layout.full:
+                    # subtracted before the all-reduce, it reaches every row,
+                    # at log2 B more rotations on its critical path
+                    own, less = engine.sub(own, less), None
+            ranks = column_sums(engine, own, layout)
+            if less is not None:
+                # after the fold: before a mask it would cost one more level
+                ranks = engine.sub(ranks, less)
+        valid = bv.valid_in(i)
+        shift = 0.5 + (bv.total_len - i * b - valid) - (0.5 if tie_correction else 0.0)
         if shift != 0.0:
-            ranks = engine.add_plain(ranks, rect_plain(layout.slot_count, b, 0, bv.valid_in(i), 0, 1, shift))
+            rows = b if layout.full else 1
+            cells = (0, rows, 0, valid) if axis == "row" else (0, valid, 0, 1)
+            ranks = engine.add_plain(ranks, rect_plain(layout.slot_count, b, *cells, shift))
         rank_blocks.append(ranks)
 
     return MultiRankPipeline(
-        ranks=BlockVector(blocks=tuple(rank_blocks), block_size=b, total_len=bv.total_len, stride=b),
-        col_replicated=col_rep,
+        ranks=BlockVector(
+            blocks=tuple(rank_blocks), block_size=b, total_len=bv.total_len,
+            stride=1 if axis == "row" else b, computed=True,
+        ),
+        replicated=row_rep if axis == "row" else col_rep,
         layout=layout,
+        axis=axis,
     )
 
 
@@ -228,14 +267,14 @@ def rank_pipeline(
 
     Ties compare as 1/2, so tied values share their mean fractional rank;
     tie correction breaks them by position into a permutation of 1..n.  The
-    ranks land in column 0.  This is the one-block case of the block
-    pipeline.
+    ranks land in row 0, and in every row when the matrix fills the slots.
+    This is the one-block case of the block pipeline.
     """
     return multi_rank_pipeline(engine, one_block(engine, ct, n), cfg, tie_correction=tie_correction)
 
 
 def rank(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> RankResult:
-    """Fractional ranks of the first ``n`` slots, in column 0 of the result."""
+    """Fractional ranks of the first ``n`` slots, in row 0 of the result."""
     pipe = rank_pipeline(engine, ct, n, cfg)
     return RankResult(pipe.ranks.blocks[0], pipe.layout, corrected=False)
 
@@ -246,21 +285,23 @@ def rank_corrected(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfi
     return RankResult(pipe.ranks.blocks[0], pipe.layout, corrected=True)
 
 
-def tie_offset(engine: HESimulator, cmp_matrix: Ciphertext, layout: MatrixLayout) -> Ciphertext:
-    """Tie-offset cells of one block against itself.
+def tie_offset(engine: HESimulator, cmp_matrix: Ciphertext, layout: MatrixLayout, axis: str = "row") -> Ciphertext:
+    """Tie-offset cells of one block against itself, for ranks folded into
+    row 0 (``axis="row"``) or column 0.
 
     Derives the quarter equality matrix c*(1-c) (1/4 on tied pairs, 0
-    elsewhere) from the comparison matrix and scales it by 4 on and below
-    the diagonal minus 2 everywhere, so a row of cells sums to the element's
-    position inside its tie group less half the group's size.  Folded along
-    the columns, less one half, the cells are the offset that redistributes
-    tied fractional ranks into a permutation.  The pipeline adds them to the
-    block's comparisons before its one rank fold and the half to its rank
-    shift, so the offset costs no rotation.  The cells cost one ct-ct and
-    one ct-pt product, two levels on top of the comparison matrix.
+    elsewhere) from the comparison matrix and scales it by 4 where the
+    compared entry comes no later than the ranked one, minus 2 everywhere,
+    so a column (row) of cells sums to the element's position inside its tie
+    group less half the group's size.  Folded along the rows (columns), less
+    one half, the cells are the offset that redistributes tied fractional
+    ranks into a permutation.  The pipeline adds them to the block's
+    comparisons before its one rank fold and the half to its rank shift, so
+    the offset costs no rotation.  The cells cost one ct-ct and one ct-pt
+    product, two levels on top of the comparison matrix.
     """
     quarter_eq = quarter_equality(engine, cmp_matrix)
-    return engine.mul_plain(quarter_eq, _tie_cell_mask(layout.slot_count, layout.n_dim))
+    return engine.mul_plain(quarter_eq, _tie_cell_mask(layout.slot_count, layout.n_dim, axis))
 
 
 # ----------------------------------------------------------------------
@@ -297,5 +338,5 @@ def multi_rank(
     *,
     tie_correction: bool = False,
 ) -> BlockVector:
-    """Per-block fractional (or tie-corrected) ranks of a block vector, in column 0."""
+    """Per-block fractional (or tie-corrected) ranks of a block vector, in row 0."""
     return multi_rank_pipeline(engine, bv, cfg, tie_correction=tie_correction).ranks

@@ -8,17 +8,18 @@ breaks ties by position, so the ranks are a permutation of 1..n: the window
 selects exactly one entry per target rank, and a tied extreme is selected
 once, where the uncorrected ranking would give it a shared rank.
 
-A rank-window indicator on each block's column-0 ranks yields a selection
-mask in column 0 (the argmin/argmax answer); the statistic's value is the
-inner product of the masks with the blocks' column-replicated inputs,
-summed over blocks and divided by the masks' L1 norm.  That norm is the
+A rank-window indicator on each block's row-0 ranks yields a selection
+mask in row 0 (the argmin/argmax answer; in every row on a matrix that
+fills the slots); the statistic's value is the inner product of the masks
+with the blocks' row-replicated inputs, summed over blocks and folded into
+column 0, divided by the masks' L1 norm.  That norm is the
 number of target ranks k = last - first + 1, known in the clear, so the
 Goldschmidt reciprocal is seeded at 1/k and runs only the few steps an
 inexact chebyshev mask needs (exact in ideal mode for k = 1, 2); a norm in
 slot 0 outside (0, 2k), where that iteration diverges, raises
 ``ValueError``.  An even-length median is one window over both middle
 ranks, of norm 2, so the division takes their average.  A padded block's
-mask is cut to its valid rows first: a padded entry ranks 0, which a
+mask is cut to its valid columns first: a padded entry ranks 0, which a
 chebyshev window at k = 1 partly selects.
 """
 
@@ -66,7 +67,8 @@ class StatisticQuery:
 
 @dataclass(frozen=True)
 class StatisticMask:
-    """Selection mask in column 0 of the matrix encoding."""
+    """Selection mask in row 0 of the matrix encoding, and in every row when
+    the matrix fills the slots."""
 
     mask: Ciphertext
     layout: MatrixLayout
@@ -105,13 +107,13 @@ def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int) -> Ciph
     ranks = pipe.ranks
     valid = ranks.valid_in(len(sels) - 1)
     if valid < ranks.block_size:  # a padded entry ranks 0: keep it out of the norm
-        rows = rect_plain(pipe.layout.slot_count, ranks.block_size, 0, valid, 0, 1)
-        sels = [*sels[:-1], engine.mul_plain(sels[-1], rows)]
-    # each mask and its block's replicated input share column 0; folding the
-    # rows of the sums over blocks lands both sums in slot 0
-    products = [engine.mul(sel, rep) for sel, rep in zip(sels, pipe.col_replicated)]
-    numerator = sum_axis(engine, engine.add(*products), pipe.layout, "row")
-    norm = sum_axis(engine, engine.add(*sels), pipe.layout, "row")
+        b = ranks.block_size
+        sels = [*sels[:-1], engine.mul_plain(sels[-1], rect_plain(pipe.layout.slot_count, b, 0, b, 0, valid))]
+    # each mask and its block's replicated input share row 0; folding the
+    # columns of the sums over blocks lands both sums in slot 0
+    products = [engine.mul(sel, rep) for sel, rep in zip(sels, pipe.replicated)]
+    numerator = sum_axis(engine, engine.add(*products), pipe.layout, "col")
+    norm = sum_axis(engine, engine.add(*sels), pipe.layout, "col")
     # the simulator sees the cleartext; the other slots hold fold garbage
     got = float(norm.slots[0])
     if not 0.0 < got < 2 * width:
@@ -134,7 +136,7 @@ def multi_statistic(engine: HESimulator, bv: BlockVector, query: StatisticQuery,
 def order_statistic_mask(
     engine: HESimulator, ct: Ciphertext, n: int, query: StatisticQuery, cfg: KernelConfig
 ) -> StatisticMask:
-    """Column-0 selection mask: 1 in the positions whose tie-corrected rank is
+    """Row-0 selection mask: 1 in the positions whose tie-corrected rank is
     the queried one (both middle ranks, for an even-length median).
 
     The mask has one 1 per target rank; of tied values the first by

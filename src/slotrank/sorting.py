@@ -1,11 +1,15 @@
 """Sorting by extracting every order statistic at once.
 
-The ranking is replicated across the matrix, each column is shifted by a
+The ranking is replicated across the matrix, each row is shifted by a
 different target rank, and a single indicator evaluation turns the result
 into a permutation mask; multiplying by the replicated input and summing
-recovers the sorted vector.  The ranks land in column 0, so the sort
-reuses the ranking step's column replications of the input and its values
-land in row 0 with no final transposition.
+recovers the sorted vector.  The ranks land in row 0, so the sort reuses
+the ranking step's row replications of the input and its values land in
+column 0.  On a matrix that fills the slots the ranks already fill every
+row, so the placement spreads nothing; ``sort`` then moves the values to
+row 0 with one transposition, which costs what the spread did.  A one-block
+sort on a matrix that does not fill its slots ranks along the columns
+instead, so its values land in row 0 with no transposition.
 
 One placement step serves every vector length: a block vector of L blocks
 runs it once per (output block, rank block) pair, and a vector that fits
@@ -21,8 +25,8 @@ from functools import lru_cache
 
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
-from .matrix import MatrixLayout, grid_plain, replicate, sum_axis
-from .ranking import BlockVector, block_merge, multi_rank_pipeline, rank_pipeline
+from .matrix import MatrixLayout, grid_plain, replicate, sum_axis, transpose_vector
+from .ranking import BlockVector, MultiRankPipeline, _rank_blocks, block_merge, one_block
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
 
@@ -45,10 +49,12 @@ class SortResult:
 
 
 @lru_cache(maxsize=None)
-def _neg_rank_targets(slot_count: int, n_dim: int, start: int) -> np.ndarray:
-    # column c of the plain matrix holds -(start+c); -0.0 outside the
-    # matrix, as negating the targets gives
-    m = -grid_plain(slot_count, np.tile(np.arange(start, start + n_dim, dtype=np.float64), (n_dim, 1)))
+def _neg_rank_targets(slot_count: int, n_dim: int, start: int, fold: str) -> np.ndarray:
+    # -(start+k) along the line the values land on: row k of the plain
+    # matrix for a fold into column 0, column k for one into row 0; -0.0
+    # outside the matrix, as negating the targets gives
+    targets = np.tile(np.arange(start, start + n_dim, dtype=np.float64), (n_dim, 1))
+    m = -grid_plain(slot_count, targets.T if fold == "col" else targets)
     m.setflags(write=False)
     return m
 
@@ -63,25 +69,31 @@ def _require_distinct(values: np.ndarray):
         )
 
 
-def _place(engine, ranks, replicated, layout, kernel_cfg):
+def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfig):
     # Output block i holds sorted positions i*B+1..(i+1)*B: the ranks of
-    # block j, in column 0, are spread across the columns, column c is
-    # shifted by the target i*B+1+c, and the indicator turns that into a
-    # selection mask; multiplied by the column-replicated input block j and
-    # folded along the rows, it lands the values in row 0.
+    # block j, along the pipeline's axis, are spread across the matrix
+    # (a full matrix ranked along the rows holds them in every row already),
+    # the line k across it is shifted by the target i*B+1+k, and the
+    # indicator turns that into a selection mask; multiplied by input block j
+    # replicated along the same axis and folded across it, it lands the
+    # values in column 0 (ranks in row 0) or row 0 (ranks in column 0).
     # Returns the output blocks and the last selection mask.
+    layout, ranks = pipe.layout, pipe.ranks.blocks
     b, count = layout.n_dim, len(ranks)
+    fold = "col" if pipe.axis == "row" else "row"
     window_cfg = with_input_range(kernel_cfg, -float(b * count), float(b * count))
+    if not (pipe.axis == "row" and layout.full):
+        ranks = [replicate(engine, r, layout, pipe.axis) for r in ranks]
     # each spread ranking is shifted once per output block
-    spread = engine.share(*[replicate(engine, r, layout, "col") for r in ranks])
+    spread = engine.share(*ranks)
     values = []
     for i in range(count):
-        neg_targets = _neg_rank_targets(layout.slot_count, b, start=b * i + 1)
+        neg_targets = _neg_rank_targets(layout.slot_count, b, b * i + 1, fold)
         placed = []
         for j in range(count):
             selection = indicator_kernel(engine, engine.add_plain(spread[j], neg_targets), -0.5, 0.5, window_cfg)
-            placed.append(engine.mul(selection, replicated[j]))
-        values.append(sum_axis(engine, engine.add(*placed), layout, "row"))
+            placed.append(engine.mul(selection, pipe.replicated[j]))
+        values.append(sum_axis(engine, engine.add(*placed), layout, fold))
     return values, selection
 
 
@@ -91,12 +103,18 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     Exactly one comparison and one indicator evaluation regardless of n.
     Duplicate elements require tie_correction; without it they would
     collapse onto the same rank, so a ``ValueError`` is raised instead.
-    This is the one-block case of ``multi_sort``.
+    This is the one-block case of ``multi_sort``, whose values a full matrix
+    transposes to row 0; a matrix that does not fill the slots ranks along
+    the columns, and its ``ranks`` are in column 0.
     """
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n])
-    pipe = rank_pipeline(engine, ct, n, cfg.kernel, tie_correction=cfg.tie_correction)
-    (values,), selection = _place(engine, pipe.ranks.blocks, pipe.col_replicated, pipe.layout, cfg.kernel)
+    bv = one_block(engine, ct, n)
+    axis = "row" if MatrixLayout(bv.block_size, engine.params.slot_count).full else "col"
+    pipe = _rank_blocks(engine, bv, cfg.kernel, cfg.tie_correction, axis, every_row=True)
+    (values,), selection = _place(engine, pipe, cfg.kernel)
+    if axis == "row":
+        values = transpose_vector(engine, values, pipe.layout, "col_to_row")
     return SortResult(values=values, selection=selection, ranks=pipe.ranks.blocks[0], layout=pipe.layout)
 
 
@@ -106,7 +124,8 @@ def sort(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> Cipher
 
 
 def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVector:
-    """Blockwise sorting: output block i holds sorted positions i*B+1..(i+1)*B.
+    """Blockwise sorting: output block i holds sorted positions i*B+1..(i+1)*B,
+    in column 0 (``stride`` B, which ``block_merge`` reads).
 
     Reuses the ranking's replicated input blocks; the indicator runs once
     per (output block, rank block) pair, L^2 evaluations in total, each
@@ -115,6 +134,7 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
     """
     if not cfg.tie_correction:
         _require_distinct(block_merge(engine, bv))
-    ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction)
-    values, _ = _place(engine, ranking.ranks.blocks, ranking.col_replicated, ranking.layout, cfg.kernel)
-    return BlockVector(blocks=tuple(values), block_size=bv.block_size, total_len=bv.total_len)
+    ranking = _rank_blocks(engine, bv, cfg.kernel, cfg.tie_correction, every_row=True)
+    values, _ = _place(engine, ranking, cfg.kernel)
+    b = bv.block_size
+    return BlockVector(blocks=tuple(values), block_size=b, total_len=bv.total_len, stride=b, computed=True)

@@ -56,10 +56,10 @@ def move_vector(m: np.ndarray, direction: str) -> np.ndarray:
 
 
 def comparison_matrix(engine, col_block, row_block, layout, cfg):
-    """The ciphertext whose cell (r, c) is cmp(x_r, y_c), entry r of
-    ``col_block`` against entry c of ``row_block`` (both vectors in row 0),
+    """The ciphertext whose cell (r, c) is cmp(y_c, x_r), entry c of
+    ``row_block`` against entry r of ``col_block`` (both vectors in row 0),
     built from the public calls the rank pipeline makes: row replication,
     transposition, column replication and one ``compare_kernel``."""
     rows = replicate(engine, row_block, layout, "row")
     cols = replicate(engine, transpose_vector(engine, col_block, layout, "row_to_col"), layout, "col")
-    return compare_kernel(engine, cols, rows, cfg)
+    return compare_kernel(engine, rows, cols, cfg)

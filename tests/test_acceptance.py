@@ -29,7 +29,6 @@ from slotrank import (
     ps_eval,
     rank,
     rank_corrected,
-    read_col,
     read_row,
     replicate,
     sort,
@@ -72,7 +71,7 @@ def test_c1_oracle_exactness_ideal_mode():
         for trial in range(500):
             v = generate(rng, n, trial)
             res = rank_corrected(eng, eng.encrypt(v), n, IDEAL)
-            assert np.array_equal(read_col(eng, res.ranks, res.layout, n), reference.corrected_ranks(v))
+            assert np.array_equal(read_row(eng, res.ranks, n), reference.corrected_ranks(v))
             out = read_row(eng, sort(eng, eng.encrypt(v), n, SortConfig(kernel=IDEAL)), n)
             assert np.array_equal(out, reference.sorted_values(v))
             k = int(rng.integers(1, n + 1))
@@ -97,7 +96,7 @@ def test_c2_corrected_ranks_are_permutations():
         cases.append(np.repeat(rng.uniform(0, 1, max(1, n // 4)), 4)[:n])  # long runs
         for v in cases:
             res = rank_corrected(eng, eng.encrypt(v), n, IDEAL)
-            ranks = read_col(eng, res.ranks, res.layout, n)
+            ranks = read_row(eng, res.ranks, n)
             assert np.array_equal(np.sort(ranks), np.arange(1.0, n + 1.0))
     report("criterion 2: tie-corrected ranks are a permutation of 1..N, all-equal included")
 
@@ -126,7 +125,7 @@ def test_c3_cost_budgets():
                 assert rep.rotations <= 4 * log_n
                 assert rep.levels_consumed <= d_c + 4
                 if cfg.mode == "ideal" and res.corrected:
-                    assert np.array_equal(read_col(eng, res.ranks, res.layout, n), reference.corrected_ranks(x))
+                    assert np.array_equal(read_row(eng, res.ranks, n), reference.corrected_ranks(x))
 
             eng = engine_for(n)
             eng.cost_reset()
@@ -134,7 +133,7 @@ def test_c3_cost_budgets():
             rep = eng.cost_snapshot()
             assert rep.levels_consumed <= d_c + d_i + 4
             if cfg.mode == "ideal":
-                mask = read_col(eng, sel.mask, sel.layout, n)
+                mask = read_row(eng, sel.mask, n)
                 assert np.array_equal(mask, reference.corrected_ranks(v) == 1 + n // 2)
 
             for correct, x in ((False, v), (True, tied)):
@@ -293,26 +292,26 @@ def test_c8_paper_fixtures_bit_exact():
     eng = HESimulator(HEParams(slot_count=16, max_level=64))
 
     res = rank(eng, eng.encrypt([20, 30, 10, 40]), 4, IDEAL)
-    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [2, 3, 1, 4])
+    assert np.array_equal(read_row(eng, res.ranks, 4), [2, 3, 1, 4])
 
     res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, SortConfig(kernel=IDEAL, tie_correction=False))
     assert np.array_equal(read_row(eng, res.values, 4), [10, 20, 30, 40])
-    # row k of the paper's permutation matrix picks the element of rank k+1;
-    # the column-form selection holds it transposed
+    # row k of the paper's permutation matrix picks the element of rank k+1,
+    # as row k of the selection does
     expected_mask = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
-    assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4).T, expected_mask)
+    assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4), expected_mask)
 
     layout = MatrixLayout(n_dim=4, slot_count=16)
     tied = eng.encrypt([10, 20, 20, 40])
     cells = tie_offset(eng, plain.comparison_matrix(eng, tied, tied, layout, IDEAL), layout)
-    offset = read_col(eng, sum_axis(eng, cells, layout, "col"), layout, 4) - 0.5
+    offset = read_row(eng, sum_axis(eng, cells, layout, "row"), 4) - 0.5
     assert np.array_equal(offset, [0, -0.5, 0.5, 0])
     corrected = rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
-    assert np.array_equal(read_col(eng, corrected.ranks, corrected.layout, 4), [1, 2, 3, 4])
+    assert np.array_equal(read_row(eng, corrected.ranks, 4), [1, 2, 3, 4])
 
     eng5 = HESimulator(HEParams(slot_count=64, max_level=64))
     res = rank(eng5, eng5.encrypt([50, 10, 20, 20, 40]), 5, IDEAL)
-    assert np.array_equal(read_col(eng5, res.ranks, res.layout, 5), [5, 1, 2.5, 2.5, 4])
+    assert np.array_equal(read_row(eng5, res.ranks, 5), [5, 1, 2.5, 2.5, 4])
 
     report(
         "criterion 8: fixtures reproduced bit-exactly - rank (20,30,10,40)->(2,3,1,4); "

@@ -512,6 +512,17 @@ def test_three_way_gives_the_doubles_of_two_wheres():
     assert np.count_nonzero(xs == ys) > 10  # ties and signed zeros were exercised
 
 
+def test_three_way_is_bitwise_the_sum_of_two_masks():
+    # the in-place passes (x > y) + (x >= y), halved, give the doubles of the
+    # two-mask sum they replace, signed zeros included, on tied inputs
+    rng = np.random.default_rng(27)
+    xs = np.concatenate([rng.integers(-3, 4, 4096) / 2.0, [0.0, -0.0, -0.0, 1.0]])
+    ys = np.concatenate([rng.integers(-3, 4, 4096) / 2.0, [-0.0, 0.0, -0.0, 1.0]])
+    for a, b in ((xs, ys), (ys, xs), (xs, xs)):
+        assert chebyshev._three_way(a, b).tobytes() == ((a > b) + 0.5 * (a == b)).tobytes()
+    assert np.count_nonzero(xs == ys) > 500
+
+
 def test_compare_chebyshev_close_to_ideal_for_separated_inputs():
     rng = np.random.default_rng(9)
     cfg = cheb_cfg(degree=256)

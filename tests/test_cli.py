@@ -126,7 +126,10 @@ def test_multi_ciphertext_rank_via_slot_count(tmp_path):
 
 def test_one_matrix_input_costs_as_the_single_vector_pipeline(tmp_path):
     # rank, sort and stat always run block_split -> multi_* ; an input that
-    # fits one matrix is one block and costs exactly the single-vector circuit
+    # fits one matrix is one block and costs exactly the single-vector
+    # circuit.  Its 8x8 matrix does not fill the 256 slots: on one that did,
+    # the one-block multi_sort would skip the transposition of sort's values
+    # to row 0
     v = generate_values(5, 3, 0.0)
     kernel = KernelConfig(mode="ideal", degree=256)
     single = {

@@ -192,3 +192,41 @@ def test_sum_after_replicate_scales_by_side():
     spread_ct = replicate(eng, eng.encrypt(vec), layout, "row")
     out = eng.decrypt(sum_axis(eng, spread_ct, layout, "row"))
     assert np.array_equal(out[:4], 4 * vec)
+
+
+def test_replicate_and_transpose_refuse_data_outside_their_line():
+    # a stray 9 in slot 4, row 1 of a 4x4 matrix in 16 slots: replicating
+    # row 0 used to add it in, and every row read 10 in column 0
+    eng, layout = setup(4)
+    stray = np.zeros(16)
+    stray[[0, 4]] = [1.0, 9.0]
+    with pytest.raises(ValueError, match=r"matrix\.replicate: data outside row 0 of the 4x4 matrix"):
+        replicate(eng, eng.encrypt(stray), layout, "row")
+    with pytest.raises(ValueError, match=r"matrix\.transpose_vector: data outside row 0"):
+        transpose_vector(eng, eng.encrypt(stray), layout, "row_to_col")
+    # slot 4 is in column 0, slot 1 is not
+    stray[1] = 5.0
+    with pytest.raises(ValueError, match=r"matrix\.replicate: data outside col 0"):
+        replicate(eng, eng.encrypt(stray), layout, "col")
+    with pytest.raises(ValueError, match=r"matrix\.transpose_vector: data outside col 0"):
+        transpose_vector(eng, eng.encrypt(stray), layout, "col_to_row")
+    # past the matrix, in a ciphertext it does not fill
+    eng, layout = setup(4, slot_count=32)
+    beyond = np.zeros(32)
+    beyond[[0, 20]] = [1.0, 2.0]
+    for axis in ("row", "col"):
+        with pytest.raises(ValueError, match="data outside"):
+            replicate(eng, eng.encrypt(beyond), layout, axis)
+
+
+def test_negative_zero_and_noise_outside_the_line_are_let_through():
+    # -0.0 is zero; a noisy engine's masked slots carry noise, so it is not checked
+    eng, layout = setup(4)
+    row = np.full(16, -0.0)
+    row[:4] = [1.0, 2.0, 3.0, 4.0]
+    spread = eng.decrypt(replicate(eng, eng.encrypt(row), layout, "row"))
+    assert np.array_equal(spread, np.tile([1.0, 2.0, 3.0, 4.0], 4))
+    noisy = HESimulator(HEParams(slot_count=16, max_level=16, noise_sigma=1e-9, seed=1))
+    row[5] = 1e-9
+    replicate(noisy, noisy.encrypt(row), layout, "row")
+    transpose_vector(noisy, noisy.encrypt(row), layout, "row_to_col")

@@ -5,7 +5,8 @@ the reciprocal of a window's mask norm k is seeded at 1/k, exact for k = 1
 and 2, so ranks, sorts and statistics must equal the oracle bit for bit.
 Values come from a small pool, so most vectors carry ties, within and across blocks,
 and the last block is padded whenever the length is not a multiple of the
-block side.
+block side.  The blocks fill their slots, whose rank folds are cyclic, or
+half of them, whose folds are masked.
 """
 
 import numpy as np
@@ -23,6 +24,8 @@ from slotrank import (
     multi_rank,
     multi_sort,
     multi_statistic,
+    read_row,
+    sort,
 )
 from slotrank import reference
 
@@ -32,13 +35,15 @@ PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=N
 
 @st.composite
 def block_vectors(draw):
-    """(values, slot count): 1-5 blocks of side 4 or 8, values from a pool of 2-6."""
+    """(values, slot count): 1-5 blocks of side 4 or 8 in side**2 or
+    2 side**2 slots, values from a pool of 2-6."""
     side = draw(st.sampled_from((4, 8)))
+    fill = draw(st.sampled_from((1, 2)))
     blocks = draw(st.integers(1, 5))
     n = draw(st.integers((blocks - 1) * side + 1, blocks * side))
     pool = draw(st.integers(2, 6))
     values = draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))
-    return np.array(values, dtype=np.float64) / pool, side * side
+    return np.array(values, dtype=np.float64) / pool, fill * side * side
 
 
 def split(values, slot_count):
@@ -62,6 +67,9 @@ def test_tie_corrected_multi_sort_is_the_oracle_sort(case):
     eng, bv = split(values, slot_count)
     out = block_merge(eng, multi_sort(eng, bv, SortConfig(kernel=IDEAL)))
     assert np.array_equal(out, reference.sorted_values(values))
+    if len(bv.blocks) == 1:  # sort's values land in row 0, whichever axis it ranks along
+        out = read_row(eng, sort(eng, eng.encrypt(values), values.size, SortConfig(kernel=IDEAL)), values.size)
+        assert np.array_equal(out, reference.sorted_values(values))
 
 
 @PROPERTY

@@ -8,13 +8,15 @@ from slotrank import (
     HEParams,
     HESimulator,
     KernelConfig,
+    SortConfig,
     block_merge,
     block_size_for,
     block_split,
     multi_rank,
+    multi_sort,
     rank,
     rank_corrected,
-    read_col,
+    read_row,
     sum_axis,
     tie_offset,
 )
@@ -44,24 +46,24 @@ def tie_heavy_vector(rng, n):
 def test_rank_known_vector():
     eng = make_engine(16)
     res = rank(eng, eng.encrypt([20, 30, 10, 40]), 4, IDEAL)
-    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [2, 3, 1, 4])
+    assert np.array_equal(read_row(eng, res.ranks, 4), [2, 3, 1, 4])
     assert not res.corrected
 
 
 def test_rank_with_padding_fractional_ties():
     eng = make_engine(64)
     res = rank(eng, eng.encrypt([50, 10, 20, 20, 40]), 5, IDEAL)
-    assert np.array_equal(read_col(eng, res.ranks, res.layout, 5), [5, 1, 2.5, 2.5, 4])
-    rest = eng.decrypt(res.ranks)
-    rest[0 : 5 * res.layout.n_dim : res.layout.n_dim] = 0.0
-    assert np.all(rest == 0)  # nothing outside the valid column-0 prefix
+    assert np.array_equal(read_row(eng, res.ranks, 5), [5, 1, 2.5, 2.5, 4])
+    # the 8x8 matrix fills the slots: its rank fold leaves the ranks in every
+    # row, and nothing in the padded columns
+    assert np.array_equal(eng.decrypt(res.ranks).reshape(8, 8), np.tile([5, 1, 2.5, 2.5, 4, 0, 0, 0], (8, 1)))
 
 
 def test_rank_constant_vector():
     for n in (4, 8):
         eng = make_engine(64)
         res = rank(eng, eng.encrypt([3.3] * n), n, IDEAL)
-        assert np.array_equal(read_col(eng, res.ranks, res.layout, n), [(n + 1) / 2] * n)
+        assert np.array_equal(read_row(eng, res.ranks, n), [(n + 1) / 2] * n)
 
 
 def test_rank_budget_counters():
@@ -91,7 +93,7 @@ def test_rank_matches_oracle_randomised():
         for trial in range(30):
             v = tie_heavy_vector(rng, n) if trial % 5 == 0 else rng.uniform(0, 1, n)
             res = rank(eng, eng.encrypt(v), n, IDEAL)
-            assert np.array_equal(read_col(eng, res.ranks, res.layout, n), reference.fractional_ranks(v))
+            assert np.array_equal(read_row(eng, res.ranks, n), reference.fractional_ranks(v))
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +104,7 @@ def test_rank_matches_oracle_randomised():
 def offset_of(eng, cells, layout, n):
     # the pipeline folds the cells with the block's comparisons; the -1/2
     # rides in its rank shift
-    return read_col(eng, sum_axis(eng, cells, layout, "col"), layout, n) - 0.5
+    return read_row(eng, sum_axis(eng, cells, layout, "row"), n) - 0.5
 
 
 LAYOUT_4 = MatrixLayout(4, 16)
@@ -150,9 +152,9 @@ def test_rank_corrected_known_vectors():
     eng = make_engine(16)
     res = rank_corrected(eng, eng.encrypt([10, 20, 20, 40]), 4, IDEAL)
     assert res.corrected
-    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [1, 2, 3, 4])
+    assert np.array_equal(read_row(eng, res.ranks, 4), [1, 2, 3, 4])
     res = rank_corrected(eng, eng.encrypt([5, 5, 5, 5]), 4, IDEAL)
-    assert np.array_equal(read_col(eng, res.ranks, res.layout, 4), [1, 2, 3, 4])
+    assert np.array_equal(read_row(eng, res.ranks, 4), [1, 2, 3, 4])
 
 
 def test_rank_corrected_equals_rank_on_distinct_input():
@@ -162,8 +164,8 @@ def test_rank_corrected_equals_rank_on_distinct_input():
     plain = rank(eng, eng.encrypt(v), 8, IDEAL)
     corrected = rank_corrected(eng, eng.encrypt(v), 8, IDEAL)
     assert np.array_equal(
-        read_col(eng, plain.ranks, plain.layout, 8),
-        read_col(eng, corrected.ranks, corrected.layout, 8),
+        read_row(eng, plain.ranks, 8),
+        read_row(eng, corrected.ranks, 8),
     )
 
 
@@ -174,7 +176,7 @@ def test_rank_corrected_is_permutation_and_respects_position_order():
         for trial in range(25):
             v = tie_heavy_vector(rng, n)
             res = rank_corrected(eng, eng.encrypt(v), n, IDEAL)
-            got = read_col(eng, res.ranks, res.layout, n)
+            got = read_row(eng, res.ranks, n)
             assert np.array_equal(np.sort(got), np.arange(1, n + 1))
             assert np.array_equal(got, reference.corrected_ranks(v))
             # ranks inside a tie group increase with the position index
@@ -234,7 +236,7 @@ def test_multi_rank_single_block_degenerates_to_rank():
             bv = block_split(multi_eng, v)
             multi = block_merge(multi_eng, multi_rank(multi_eng, bv, IDEAL, tie_correction=tie_correction))
             pipe = rank_pipeline(single_eng, single_eng.encrypt(v), n, IDEAL, tie_correction=tie_correction)
-            assert np.array_equal(multi, read_col(single_eng, pipe.ranks.blocks[0], pipe.layout, n))
+            assert np.array_equal(multi, read_row(single_eng, pipe.ranks.blocks[0], n))
             assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
             assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
 
@@ -255,25 +257,41 @@ def test_multi_rank_with_padding():
 
 
 def test_multi_rank_leaves_padding_slots_zero():
-    # padded entries rank 0 and nothing lands outside the valid column-0 prefix
-    eng = make_engine(16)  # block side 4
+    # padded entries rank 0 in every row.  A matrix that does not fill its
+    # slots (32) masks its rank fold to row 0, so nothing lands outside the
+    # valid row-0 prefix; a full one (16) folds every row, and its rows below
+    # row 0 are not part of the result
     v = np.array([0.5, 0.1, 0.9, 0.5, 0.7, 0.1])
-    for tie_correction in (False, True):
+    for slot_count, tie_correction in ((16, False), (16, True), (32, False), (32, True)):
+        eng = make_engine(slot_count)  # block side 4
         ranks = multi_rank(eng, block_split(eng, v), IDEAL, tie_correction=tie_correction)
-        assert ranks.stride == ranks.block_size
+        assert ranks.stride == 1
         for i, blk in enumerate(ranks.blocks):
             rest = eng.decrypt(blk)
-            rest[0 : ranks.valid_in(i) * ranks.stride : ranks.stride] = 0.0
-            assert np.all(rest == 0)
+            assert not rest[16:].any()
+            grid = rest[:16].reshape(4, 4)
+            assert not grid[:, ranks.valid_in(i) :].any()
+            if slot_count > 16:
+                assert not grid[1:].any()
 
 
 def test_ranking_a_column_0_block_vector_is_refused():
-    # ranks sit in column 0, but the ranking replicates row 0; unchecked,
-    # re-ranking ranks 3, 5, 1, 6, 4, 2 gives 4.5, 4.5, 4.5, 5, 5, 1.5
-    eng = make_engine(16)
-    ranks = multi_rank(eng, block_split(eng, np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2])), IDEAL)
-    with pytest.raises(ValueError, match="row 0"):
-        multi_rank(eng, ranks, IDEAL)
+    # ranks sit in row 0, but on a full matrix the rows below hold their
+    # fold's partial sums, which the ranking's row replication would add in;
+    # sorted values sit in column 0.  Both are refused on every engine,
+    # before the replication's own check, which a noisy engine skips
+    v = np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2])
+    cfg = KernelConfig(mode="chebyshev", degree=64)
+    for noise_sigma in (0.0, 1e-9):
+        eng = HESimulator(HEParams(slot_count=16, max_level=40, noise_sigma=noise_sigma, seed=1))
+        ranks = multi_rank(eng, block_split(eng, v), cfg)
+        assert ranks.computed and ranks.stride == 1
+        with pytest.raises(ValueError, match="row 0"):
+            multi_rank(eng, ranks, cfg)
+        values = multi_sort(eng, block_split(eng, v), SortConfig(kernel=cfg))
+        assert values.computed and values.stride == 4
+        with pytest.raises(ValueError, match="row 0"):
+            multi_rank(eng, values, cfg)
 
 
 def test_multi_rank_tie_correction_matches_oracle():
@@ -326,14 +344,14 @@ def test_two_blocks_rank_a_tie_across_them_as_one_block_does():
     assert len(blocks.blocks) == 2
     one_eng = make_engine(64)
     one_block = rank(one_eng, one_eng.encrypt(v), 8, IDEAL)
-    assert np.array_equal(block_merge(eng, blocks), read_col(one_eng, one_block.ranks, one_block.layout, 8))
+    assert np.array_equal(block_merge(eng, blocks), read_row(one_eng, one_block.ranks, 8))
 
 
 def test_multi_rank_matches_single_when_both_fit():
     eng = make_engine(256)  # block side 16, and 16 values fit a single 16x16 matrix
     v = np.random.default_rng(12).uniform(size=16)
     res = rank(eng, eng.encrypt(v), 16, IDEAL)
-    single = read_col(eng, res.ranks, res.layout, 16)
+    single = read_row(eng, res.ranks, 16)
     multi = block_merge(eng, multi_rank(eng, block_split(eng, v), IDEAL))
     assert np.array_equal(single, multi)
 
@@ -345,7 +363,7 @@ def test_polynomial_rank_tolerates_simulated_scheme_noise():
     cfg = KernelConfig(mode="chebyshev", degree=256)
     v = np.array([0.9, 0.1, 0.35, 0.55, 0.7])
     res = rank(eng, eng.encrypt(v), 5, cfg)
-    got = read_col(eng, res.ranks, res.layout, 5)
+    got = read_row(eng, res.ranks, 5)
     assert np.max(np.abs(got - reference.fractional_ranks(v))) < 1e-2
 
 
@@ -357,8 +375,10 @@ def test_tie_corrected_multi_rank_circuit_is_pinned():
     assert len(bv.blocks) == 3
     ranks = multi_rank(eng, bv, IDEAL, tie_correction=True)
     assert np.array_equal(block_merge(eng, ranks), reference.corrected_ranks(v))
+    # each block's rank fold is an all-reduce with no mask: 3 ct-pt fewer
+    # than the masked fold into column 0 took
     assert eng.cost_snapshot() == CostReport(
-        rotations=32, ctct_mults=6, ctpt_mults=13, additions=52,
+        rotations=32, ctct_mults=6, ctpt_mults=10, additions=52,
         cmp_evals=6, ind_evals=0, levels_consumed=13, critical_rotations=8,
     )
     assert len(eng.rotation_offsets()) == 32

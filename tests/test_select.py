@@ -14,7 +14,7 @@ from slotrank import (
     order_statistic_mask,
     order_statistic_value,
     percentile,
-    read_col,
+    read_row,
 )
 from slotrank import reference
 from slotrank import select as select_module
@@ -43,17 +43,17 @@ def test_mask_picks_rank_one_and_four():
     eng = make_engine(16)
     v = [0.20, 0.30, 0.10, 0.40]
     m1 = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=1), IDEAL)
-    assert m1.layout == MatrixLayout(4, 16)  # masks land in column 0
-    assert np.array_equal(read_col(eng, m1.mask, m1.layout, 4), [0, 0, 1, 0])
+    assert m1.layout == MatrixLayout(4, 16)  # masks land in row 0
+    assert np.array_equal(read_row(eng, m1.mask, 4), [0, 0, 1, 0])
     m4 = order_statistic_mask(eng, eng.encrypt(v), 4, StatisticQuery("kth", k=4), IDEAL)
-    assert np.array_equal(read_col(eng, m4.mask, m4.layout, 4), [0, 0, 0, 1])
+    assert np.array_equal(read_row(eng, m4.mask, 4), [0, 0, 0, 1])
 
 
 def test_min_mask_on_constant_vector_selects_the_first():
     # tie correction ranks the three copies 1, 2, 3 by position
     eng = make_engine(16)
     m = order_statistic_mask(eng, eng.encrypt([0.5] * 3), 3, StatisticQuery("min"), IDEAL)
-    assert np.array_equal(read_col(eng, m.mask, m.layout, 3), [1, 0, 0])
+    assert np.array_equal(read_row(eng, m.mask, 3), [1, 0, 0])
 
 
 @pytest.mark.parametrize(
@@ -68,7 +68,7 @@ def test_extreme_masks_are_one_hot_at_every_block_count(slot_count, blocks):
         eng = make_engine(slot_count)
         pipe, sels, width = select_module._select(eng, block_split(eng, v), StatisticQuery(kind), IDEAL)
         assert len(sels) == blocks and width == 1
-        mask = np.concatenate([read_col(eng, sel, pipe.layout, pipe.layout.n_dim) for sel in sels])
+        mask = np.concatenate([read_row(eng, sel, pipe.layout.n_dim) for sel in sels])
         assert np.array_equal(mask, reference.corrected_ranks(v) == rank), kind
 
 
@@ -80,8 +80,10 @@ def test_mask_l1_norm_counts_rank_holders():
         k = int(rng.integers(1, 9))
         m = eng.decrypt(
             order_statistic_mask(eng, eng.encrypt(v), 8, StatisticQuery("kth", k=k), IDEAL).mask
-        )
-        assert m.sum() == 1.0
+        ).reshape(8, 8)
+        # the 8x8 matrix fills the slots, so every row holds the row-0 mask
+        assert m[0].sum() == 1.0
+        assert np.array_equal(m, np.tile(m[0], (8, 1)))
 
 
 def test_k_out_of_range():
@@ -229,35 +231,36 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     [
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=96, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=28, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
         ),
     ],
     ids=["min", "max", "kth3", "median_even", "percentile75"],
 )
 def test_statistic_circuit_is_pinned(statistic, report):
     # the full cost of each statistic at chebyshev degree 64, n=8 in 64
-    # slots; a layout refactor must leave every counter where it is.  Every
+    # slots; a layout refactor must leave every counter where it is.  The
+    # 8x8 matrix fills the slots, so the rank fold needs no mask.  Every
     # query is one tie-corrected rank window, so the extremes cost what the
     # k-th statistic does: one tie-offset product, then the reciprocal of
     # the window's norm seeded at 1/k in 4 steps
@@ -285,23 +288,24 @@ PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6,
 @pytest.mark.parametrize(
     "kernel, n, report",
     [
-        (IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=67,
+        (IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=67,
                                cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        (PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=616,
+        (PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=379, additions=616,
                                      cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
-        (IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=20, additions=67,
-                               cmp_evals=6, ind_evals=3, levels_consumed=33, critical_rotations=10)),
-        (PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=386, additions=616,
-                                     cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
+        (IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=67,
+                               cmp_evals=6, ind_evals=3, levels_consumed=32, critical_rotations=10)),
+        (PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=383, additions=616,
+                                     cmp_evals=6, ind_evals=3, levels_consumed=29, critical_rotations=10)),
     ],
     ids=["ideal", "chebyshev", "ideal-padded", "chebyshev-padded"],
 )
 def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
     # the masks and the inner products of the blocks are each one add; both
     # windows are tie-corrected, of norm 1 and 2, so the reciprocal is
-    # seeded and exact in ideal mode.  A padded last block costs 4 ct-pt and
-    # 2 levels more: the pad mask on its 3 comparisons, then the cut of its
-    # mask to the valid rows
+    # seeded and exact in ideal mode.  The 4x4 blocks fill the slots, so no
+    # rank fold is masked.  A padded last block costs 4 ct-pt and 1 level
+    # more: the pad mask on its 3 comparisons, then the cut of its mask to
+    # the valid columns
     eng = make_engine(16)
     v = PINNED_BLOCKS[:n]
     out = multi_statistic(eng, block_split(eng, v), StatisticQuery(kind), kernel)
@@ -387,7 +391,7 @@ def test_even_median_is_one_query_on_one_ranking():
     assert via_query == pytest.approx(reference.median_value(v), rel=1e-13)
     assert eng.cost_snapshot().cmp_evals == 1 and eng.cost_snapshot().ind_evals == 1
     m = order_statistic_mask(eng, eng.encrypt(v), 6, StatisticQuery("median"), IDEAL)
-    assert np.array_equal(read_col(eng, m.mask, m.layout, 6), [0, 1, 0, 0, 1, 0])  # ranks 3 and 4
+    assert np.array_equal(read_row(eng, m.mask, 6), [0, 1, 0, 0, 1, 0])  # ranks 3 and 4
 
 
 def test_long_vector_statistic_keeps_full_precision():
@@ -409,7 +413,7 @@ def test_seeded_reciprocal_refuses_a_norm_it_would_diverge_on(monkeypatch, scale
     # of norm 2.5k, or 0, raises instead of returning a wrong value
     eng = make_engine(16)
     grid = np.zeros((4, 4))
-    grid[:2, 0] = scale
+    grid[0, :2] = scale
     monkeypatch.setattr(select_module, "indicator_kernel", lambda engine, *_: engine.encrypt(grid.ravel()))
     with pytest.raises(ValueError, match=rf"select\.median/\S*select\.multi_statistic: mask norm {norm} of a window "):
         median(eng, eng.encrypt([0.20, 0.30, 0.10, 0.40]), 4, IDEAL)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,14 +39,16 @@ def test_sort_known_vector():
 
 
 def test_sort_mask_matrix_matches_rank_placement():
-    # column k of the selection picks the element of rank k+1
-    eng = make_engine(16)
-    res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, cfg(tie_correction=False))
-    expected_mask = np.array(
-        [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=float
-    )
-    assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4), expected_mask)
-    assert np.array_equal(read_row(eng, res.values, 4), [10, 20, 30, 40])
+    # row k of the selection picks the element of rank k+1 on a full matrix,
+    # column k on one that does not fill its slots
+    for slot_count, turn in ((16, np.transpose), (32, np.asarray)):
+        eng = make_engine(slot_count)
+        res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, cfg(tie_correction=False))
+        expected_mask = np.array(
+            [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=float
+        )
+        assert np.array_equal(eng.decrypt(res.selection)[:16].reshape(4, 4), turn(expected_mask))
+        assert np.array_equal(read_row(eng, res.values, 4), [10, 20, 30, 40])
 
 
 def test_sort_already_sorted_is_unchanged():
@@ -157,17 +160,28 @@ def test_multi_sort_reverse_input():
 
 
 def test_multi_sort_single_block_equals_sort():
-    # same circuit: equal values, equal counters, same rotations in the same order
-    for v in ([0.4, 0.1, 0.9, 0.6], [0.4, 0.1, 0.4]):  # the second is padded and tied
+    # On a full matrix (16 slots) the sort is multi_sort's circuit, whose
+    # values land in column 0, then one col_to_row transposition, by
+    # N(N-1)/2 and N(N-1)/4 at N = 4, with its mask.  Otherwise (32 slots)
+    # the sort ranks along the columns: the same counters, its rotations
+    # along the other axis.
+    cases = [([0.4, 0.1, 0.9, 0.6], 16), ([0.4, 0.1, 0.4], 16), ([0.4, 0.1, 0.9, 0.6], 32), ([0.4, 0.1, 0.4], 32)]
+    for v, slot_count in cases:  # the second of each pair is padded and tied
         v = np.array(v)
         n = v.size
-        multi_eng, single_eng = make_engine(16), make_engine(16)
+        multi_eng, single_eng = make_engine(slot_count), make_engine(slot_count)
         multi = block_merge(multi_eng, multi_sort(multi_eng, block_split(multi_eng, v), cfg()))
         single = sort(single_eng, single_eng.encrypt(v), n, cfg())
         assert np.array_equal(multi, read_row(single_eng, single, n))
         assert np.array_equal(multi, np.sort(v))
-        assert multi_eng.cost_snapshot() == single_eng.cost_snapshot()
-        assert multi_eng.rotation_offsets() == single_eng.rotation_offsets()
+        m = multi_eng.cost_snapshot()
+        if slot_count == 16:
+            m = replace(
+                m, rotations=m.rotations + 2, critical_rotations=m.critical_rotations + 2,
+                ctpt_mults=m.ctpt_mults + 1, additions=m.additions + 2, levels_consumed=m.levels_consumed + 1,
+            )
+            assert single_eng.rotation_offsets() == multi_eng.rotation_offsets() + [6, 3]
+        assert single_eng.cost_snapshot() == m
 
 
 def test_multi_sort_indicator_count_is_block_count_squared():
@@ -184,17 +198,20 @@ def test_multi_sort_indicator_count_is_block_count_squared():
 def test_tie_corrected_rotations_follow_the_closed_forms(blocks):
     # L blocks of side B = 8, the last one padded.  Per block: 3 log B to
     # replicate and transpose, log B for the one rank fold (the tie offset
-    # rides in it), 2 log B per later block for the earlier blocks' row fold
-    # and its transpose; the sort adds a spread and a fold per block.
+    # rides in it), 2 log B per block but the last for the later blocks'
+    # column fold and its transpose; the sort adds a fold per block, and a spread
+    # per block unless the 8x8 matrix fills the slots, where the rank fold
+    # is an all-reduce that leaves the ranks in every row (64 slots).
     side, log_b = 8, 3
     v = np.random.default_rng(blocks).integers(0, 6, size=blocks * side - 3) / 6.0
-    ranked, sorted_ = make_engine(side * side), make_engine(side * side)
-    ranks = multi_rank(ranked, block_split(ranked, v), IDEAL, tie_correction=True)
-    out = multi_sort(sorted_, block_split(sorted_, v), cfg())
-    assert np.array_equal(block_merge(ranked, ranks), reference.corrected_ranks(v))
-    assert np.array_equal(block_merge(sorted_, out), reference.sorted_values(v))
-    assert ranked.cost_snapshot().rotations == (6 * blocks - 2) * log_b
-    assert sorted_.cost_snapshot().rotations == (8 * blocks - 2) * log_b
+    for slot_count, per_block in ((64, 7), (128, 8)):
+        ranked, sorted_ = make_engine(slot_count), make_engine(slot_count)
+        ranks = multi_rank(ranked, block_split(ranked, v), IDEAL, tie_correction=True)
+        out = multi_sort(sorted_, block_split(sorted_, v), cfg())
+        assert np.array_equal(block_merge(ranked, ranks), reference.corrected_ranks(v))
+        assert np.array_equal(block_merge(sorted_, out), reference.sorted_values(v))
+        assert ranked.cost_snapshot().rotations == (6 * blocks - 2) * log_b
+        assert sorted_.cost_snapshot().rotations == (per_block * blocks - 2) * log_b
 
 
 # three full 4x4 blocks in 16 slots, with ties inside and across blocks:
@@ -207,21 +224,23 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
 @pytest.mark.parametrize(
     "kernel, n, report",
     [
-        (IDEAL, 12, CostReport(rotations=44, ctct_mults=15, ctpt_mults=16, additions=79,
+        (IDEAL, 12, CostReport(rotations=38, ctct_mults=15, ctpt_mults=13, additions=73,
                                cmp_evals=6, ind_evals=9, levels_consumed=24, critical_rotations=12)),
-        (PINNED_CHEB, 12, CostReport(rotations=44, ctct_mults=231, ctpt_mults=442, additions=787,
+        (PINNED_CHEB, 12, CostReport(rotations=38, ctct_mults=231, ctpt_mults=439, additions=781,
                                      cmp_evals=6, ind_evals=9, levels_consumed=21, critical_rotations=12)),
-        (IDEAL, 10, CostReport(rotations=44, ctct_mults=15, ctpt_mults=19, additions=79,
+        (IDEAL, 10, CostReport(rotations=38, ctct_mults=15, ctpt_mults=16, additions=73,
                                cmp_evals=6, ind_evals=9, levels_consumed=25, critical_rotations=12)),
-        (PINNED_CHEB, 10, CostReport(rotations=44, ctct_mults=231, ctpt_mults=445, additions=787,
+        (PINNED_CHEB, 10, CostReport(rotations=38, ctct_mults=231, ctpt_mults=442, additions=781,
                                      cmp_evals=6, ind_evals=9, levels_consumed=22, critical_rotations=12)),
     ],
     ids=["ideal", "chebyshev", "ideal-padded", "chebyshev-padded"],
 )
 def test_tie_corrected_multi_sort_circuit_is_pinned(kernel, n, report):
     # each output block sums its placements over the rank blocks in one add.
-    # A padded last block costs 3 ct-pt and 1 level more: the pad mask on
-    # its 3 comparisons
+    # The 4x4 blocks fill the slots, so each block's rank fold is an
+    # all-reduce with no mask and the placement spreads nothing.  A padded
+    # last block costs 3 ct-pt and 1 level more: the pad mask on its 3
+    # comparisons
     eng = make_engine(16, max_level=64)
     v = PINNED_BLOCKS[:n]
     out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(kernel=kernel)))
@@ -260,7 +279,7 @@ def test_multi_sort_large_vector():
 
 
 def test_many_block_sort_holds_o_l_slot_vectors():
-    # 64 blocks of 64: the 2080 block comparisons, 2016 strict copies and 64
+    # 64 blocks of 64: the 2080 block comparisons, 2016 weak copies and 64
     # row replications took 110 MB when all were kept until the ranks were
     # done; each is released after its last reader, which leaves about 14 MB
     rng = np.random.default_rng(3)
@@ -276,7 +295,7 @@ def test_many_block_sort_holds_o_l_slot_vectors():
     finally:
         tracemalloc.stop()
     assert np.array_equal(block_merge(eng, out), reference.sorted_values(v))
-    assert eng.cost_snapshot().rotations == (8 * 64 - 2) * 6
+    assert eng.cost_snapshot().rotations == (7 * 64 - 2) * 6
     assert peak < 25e6
 
 
@@ -285,12 +304,14 @@ def test_many_block_sort_holds_o_l_slot_vectors():
     [(8, "chebyshev.compare_kernel"), (14, "matrix.sum_axis"), (24, "chebyshev.indicator_kernel")],
 )
 def test_depth_budget_error_names_the_stage_that_ran_out(max_level, stage):
-    # At degree 1024 the comparison, the rank fold's masks and the placement
+    # At degree 1024 the comparison, the rank fold's mask and the placement
     # indicator each end in the same engine ops; only the call path tells
     # which stage ran out of levels.  A kernel evaluation is counted once it
-    # completes, so the one that ran out is not.
+    # completes, so the one that ran out is not.  The 16x16 matrix does not
+    # fill the 512 slots, so its rank fold, ``matrix.column_sums``, ends in
+    # the mask of a ``sum_axis``.
     v = np.random.default_rng(1).uniform(0, 1, 16)
-    eng = make_engine(256, max_level)
+    eng = make_engine(512, max_level)
     with pytest.raises(DepthBudgetError) as err:
         multi_sort(eng, block_split(eng, v), cfg(kernel=KernelConfig(mode="chebyshev", degree=1024)))
     assert err.value.site.startswith("sorting.multi_sort/")
