@@ -205,23 +205,45 @@ def _split_by_cheb_power(coeffs: np.ndarray, g: int) -> tuple[np.ndarray, np.nda
 
 
 def _powers(
-    engine: HESimulator, x: Ciphertext, interval: tuple[float, float], baby: tuple[int, ...], giants: tuple[int, ...]
+    engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial, baby: tuple[int, ...], giants: tuple[int, ...]
 ) -> dict[int, Ciphertext]:
     """The Chebyshev basis polynomials T_i(t), t the affine map of ``x``
-    from ``interval`` onto [-1, 1], for each i in ``baby`` and ``giants``.
+    from ``poly``'s interval onto [-1, 1], for each i in ``baby`` and
+    ``giants``.
 
     Each baby-step power is written into its row of one array as it is
     built, in the order of ``baby``, so that ``HESimulator.realise``, told
     those rows, takes one product over them for a batch of leaves; the lower
-    powers built on the way are released unless wanted.
+    powers built on the way are released unless wanted.  On a noise-free
+    engine, t is checked first by ``_require_inside``.
     """
-    a, b = interval
+    a, b = poly.interval
     if (a, b) != (-1.0, 1.0):
         x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a)), -(a + b) / (b - a))
     array = np.empty((len(baby), engine.params.slot_count))
     rows = {i: (array, r) for r, i in enumerate(baby)}
     cache = {1: engine.copy_into(x, *rows[1]) if 1 in rows else x}
+    _require_inside(engine, cache[1], poly)
     return {i: _power(engine, cache, rows, i) for i in baby + giants}
+
+
+def _require_inside(engine: HESimulator, t: Ciphertext, poly: ChebyshevPolynomial):
+    """Raise ``ValueError`` if a noise-free ``t``, an input mapped onto
+    [-1, 1], lies outside it by more than 1/(2d^2), (b - a)/(4d^2) before
+    the map.  Up to that slack every T_k, k <= d, stays within cosh(1) in
+    absolute value; further out T_d grows as (|t| + sqrt(t^2 - 1))^d and the
+    evaluation returns garbage of any size.  A noisy engine's inputs carry
+    noise, so they are not checked."""
+    if engine.params.noise_sigma > 0:
+        return
+    d, ts = poly.degree, t.slots
+    if not max(ts.max(), -ts.min()) <= 1.0 + 0.5 / (d * d):  # NaN fails too
+        i = int(np.argmax(np.abs(np.nan_to_num(ts, nan=np.inf))))
+        a, b = poly.interval
+        raise ValueError(
+            f"{caller_path()}: slot {i} holds {0.5 * (a + b) + 0.5 * (b - a) * ts[i]:.6g}, outside the interval "
+            f"[{a:g}, {b:g}] of a degree-{d} polynomial by more than (b - a)/(4 d^2), where its evaluation is unbounded"
+        )
 
 
 def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tuple], i: int) -> Ciphertext:
@@ -352,6 +374,10 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
 def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ciphertext:
     """Evaluate ``poly`` slotwise on ``x`` (values promised inside the interval).
 
+    On a noise-free engine, a slot outside the interval by more than
+    (b - a)/(4 d^2) raises ``ValueError`` naming the call path: there the
+    basis polynomials grow without bound and the value is garbage.
+
     Ciphertext-ciphertext multiplications stay below
     2*ceil(sqrt(d+1)) + ceil(log2(d+1)) + 4 and the consumed depth below
     ceil(log2(d+1)) + 2; a degree-0 polynomial costs nothing.
@@ -377,7 +403,7 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
         return engine.ideal_map(lambda s: np.full_like(s, c0), x)
     m = max(1, math.ceil(math.log2(deg + 1)))
     plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
-    powers = _powers(engine, x, poly.interval, plan.baby, plan.giants)
+    powers = _powers(engine, x, poly, plan.baby, plan.giants)
     ct, const = _walk(engine, plan.tree, powers, _leaves(engine, plan, powers))
     return engine.add_plain(ct, const)
 

@@ -10,9 +10,9 @@ Subcommands::
 Input vectors come from a file (one value per line, or a single
 comma-separated line) or from the built-in uniform generator, never both;
 ``bench`` always generates its inputs and takes no ``--input``.  ``--k``
-off ``--stat kth``, ``--p`` off ``--stat percentile`` and ``--gen`` with
-``--input`` are usage errors (``--count`` and ``--tie-fraction`` with
-``--input`` are ignored), as are ``--k`` or ``--max-level`` below 1.
+off ``--stat kth``, ``--p`` off ``--stat percentile``, and ``--gen``,
+``--count`` or ``--tie-fraction`` with ``--input`` would be ignored, so
+they are usage errors, as are ``--k`` or ``--max-level`` below 1.
 Values are affinely scaled into [0, 1] before comparison; the scale is
 recorded in the results file and undone on value outputs.  Every run
 writes a results file and a cost-report file and self-checks against the
@@ -318,9 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     src = common.add_argument_group("input")
     src.add_argument("--input", help="input vector file (one value per line or comma-separated)")
     src.add_argument("--gen", choices=["uniform"], help="generate the input instead of reading it")
-    src.add_argument("--count", type=int, default=16, help="generated vector length")
+    src.add_argument("--count", type=int, default=None, help="generated vector length (default 16)")
     src.add_argument("--seed", type=int, default=0, help="generator / noise seed")
-    src.add_argument("--tie-fraction", type=float, default=0.0, help="fraction of generated entries duplicated")
+    src.add_argument(
+        "--tie-fraction", type=float, default=None, help="fraction of generated entries duplicated (default 0)"
+    )
     ker = common.add_argument_group("kernels")
     ker.add_argument(
         "--mode", choices=["ideal", "chebyshev"], default=None,
@@ -375,6 +377,11 @@ def _validate(parser, args):
                 parser.error(f"{flag} needs at least one degree, each >= 1")
     if args.command != "bench" and bool(args.input) == bool(args.gen):
         parser.error("--input and --gen each give the input vector; pass one of them")
+    for flag, value in (("--count", args.count), ("--tie-fraction", args.tie_fraction)):
+        if args.input and value is not None:
+            parser.error(f"{flag} shapes the generated vector; with --input it would be ignored")
+    args.count = 16 if args.count is None else args.count
+    args.tie_fraction = 0.0 if args.tie_fraction is None else args.tie_fraction
     if args.command == "stat":
         # each flag belongs to one kind: required there, refused elsewhere
         for flag, value, kind in (("--k", args.k, "kth"), ("--p", args.p, "percentile")):

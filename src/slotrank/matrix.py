@@ -11,7 +11,9 @@ plaintext vectors from ``rect_plain``, a value on a rectangle of cells;
 
 When the matrix fills the slot vector (N^2 slots), a rotation by a
 multiple of N is cyclic over the rows, so ``column_sums`` folds the rows
-into every row at once, with no mask.
+into every row at once, with no mask; and when all rows are alike, a
+rotation by less than N is cyclic within each row, so ``alike_row_sums``
+leaves the row sum in every slot, with no mask.
 
 Slots beyond N^2 must be zero on entry; every primitive that rotates data
 across that boundary ends with a mask, so pipelines built from these
@@ -28,7 +30,7 @@ import numpy as np
 
 from .engine import Ciphertext, HESimulator, caller_path
 
-__all__ = ["MatrixLayout", "mask", "sum_axis", "column_sums", "replicate", "transpose_vector"]
+__all__ = ["MatrixLayout", "mask", "sum_axis", "column_sums", "alike_row_sums", "replicate", "transpose_vector"]
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,22 @@ def column_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> Cip
     if layout.full:
         return _rotate_sum(engine, x, [layout.n_dim << i for i in range(layout.steps)])
     return sum_axis(engine, x, layout, "row")
+
+
+def alike_row_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> Ciphertext:
+    """The row sums of ``x``, whose rows all hold the same values: in every
+    slot of a matrix that fills the slots, else in column 0.
+
+    On a matrix that fills the slots, a rotation by 2^k < N that reads past
+    the end of a row reads the next row, which holds the same cells, so
+    log2(N) rotate-and-add steps by 2^k are cyclic within each row: the fold
+    needs no mask.  Slot 0 holds row 0's sum, the doubles ``sum_axis(x,
+    "col")`` gives, whatever the other rows hold.  Any other matrix folds
+    with ``sum_axis(x, "col")``.
+    """
+    if layout.full:
+        return _rotate_sum(engine, x, [1 << i for i in range(layout.steps)])
+    return sum_axis(engine, x, layout, "col")
 
 
 def replicate(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str) -> Ciphertext:

@@ -17,12 +17,17 @@ blocks come from the complement identity cmp(x, y) = 1 - cmp(y, x), folded
 along the columns and transposed once per block.  A vector that fits
 one matrix is the one-block case of the same pipeline.
 
-Each block is handled in one pass, and each comparison matrix lives only
-until its last reader: block i compares itself with blocks j >= i, folds
-those matrices into its own ranks, and adds each cross-block one into a
-running sum for block j.  The pipeline so holds O(L) slot vectors at a
-time, not O(L^2): an ideal tie-corrected sort of 64 blocks of 64 peaks
-at 14 MB (``tracemalloc``) where keeping every matrix took 110 MB.
+Each block is handled in one pass, and each slot vector lives only while
+something still reads it: block i builds its column replication, compares
+it with blocks j >= i one at a time, adds each cross-block matrix into its
+own sum and into a running sum for block j as it is made, and drops the
+replication before its folds.  The pipeline so holds the inputs, their
+row replications, the L running sums and the ranks, O(L) slot vectors and
+not O(L^2); the sort's placement then holds the inputs, the replications,
+the ranks and the output blocks, and one product at a time: 4L + O(1) slot
+vectors in all.  An ideal tie-corrected sort of 64 blocks of 64 peaks at
+8.7 MB (``tracemalloc``, caches warm), where keeping every matrix took
+110 MB and keeping a block's row of them 12.7 MB.
 """
 
 from __future__ import annotations
@@ -100,10 +105,10 @@ class MultiRankPipeline:
     a matrix that fills the slots), or, for the one-block sort on a matrix
     that does not, in column 0.  ``replicated`` holds each block's input replicated along the
     same axis, which the sort and the statistics multiply by their
-    selection masks.  Nothing else the pipeline built is kept: the other
-    replications go when it returns, and each comparison matrix as soon as
-    the last block that reads it has folded it, so at most O(L) slot
-    vectors live at once.
+    selection masks.  Nothing else the pipeline built is kept: a block's
+    replication along the other axis goes after its comparisons, and each
+    comparison matrix as soon as both sums that read it have taken it, so
+    at most O(L) slot vectors live at once.
     """
 
     ranks: BlockVector
@@ -152,13 +157,20 @@ def multi_rank_pipeline(
     shift by 1/2.  Zero padding of the last block is masked out of its
     comparisons, so padded entries rank 0.
 
-    Block i is done in one pass: its D_ij are computed, folded into its
-    ranks, and each cross-block one is added into block j's running sum of
-    sum_{i<j} D_ij, the left fold of one n-ary ``add`` with the same doubles
-    and charges; block j folds that sum and drops it.  Only the replications,
-    block i's row of matrices and the L running sums are ever alive.
+    Block i is done in one pass: its column replication is built, and each
+    D_ij, j > i, is computed in turn and added into block i's sum_{j>i} D_ij
+    and block j's running sum of sum_{i<j} D_ij.  Both are left folds of
+    binary ``add``s, with the doubles and charges of one n-ary ``add``;
+    block j folds its sum and drops it.  Only the row replications, block
+    i's column replication, D_ii, one D_ij and the L running sums are ever
+    alive.
     """
     return _rank_blocks(engine, bv, cfg, tie_correction)
+
+
+def _col_rep(engine: HESimulator, blk: Ciphertext, layout: MatrixLayout) -> Ciphertext:
+    """A row-0 block transposed to column 0 and copied to every column."""
+    return replicate(engine, transpose_vector(engine, blk, layout, "row_to_col"), layout, "col")
 
 
 def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -> MultiRankPipeline:
@@ -173,15 +185,17 @@ def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -
         raise ValueError(f"{caller_path()}: blocks must hold input values in row 0, not {what}")
     layout = MatrixLayout(b, engine.params.slot_count)
 
+    # each row replication is compared with every block; block i's column
+    # replication is built when block i is ranked and dropped after its
+    # comparisons, but block 0's is read here, so a one-block run keeps the
+    # order of its ops and noise draws
     row_rep = [replicate(engine, blk, layout, "row") for blk in bv.blocks]
-    col_rep = [
-        replicate(engine, transpose_vector(engine, blk, layout, "row_to_col"), layout, "col")
-        for blk in bv.blocks
-    ]
-    engine.share(*row_rep, *col_rep)  # each is compared with every block
+    col = _col_rep(engine, bv.blocks[0], layout)
+    engine.share(*row_rep, col)
+    replicated = row_rep if axis == "row" else [col]
 
-    def compared(i: int, j: int) -> Ciphertext:
-        pair = (row_rep[j], col_rep[i]) if axis == "row" else (col_rep[i], row_rep[j])
+    def compared(col: Ciphertext, i: int, j: int) -> Ciphertext:
+        pair = (row_rep[j], col) if axis == "row" else (col, row_rep[j])
         c = compare_kernel(engine, *pair, cfg)
         if bv.valid_in(j) < b:
             # cells against zero padding would count as comparisons
@@ -191,18 +205,20 @@ def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -
     earlier: dict[int, Ciphertext] = {}  # block j's running sum of D_ij over i < j
     rank_blocks = []
     for i in range(count):
-        # summed into two blocks' ranks, or into one and its tie offset cells
-        mine, *cross = engine.share(*[compared(i, j) for j in range(i, count)])
-        if tie_correction:
-            cross = [_weak(engine, c) for c in cross]
-        # summed into block i's ranks here and block j's running sum
-        engine.share(*cross)
-        cross_sum = engine.add(*cross) if cross else None
-        for j, c in enumerate(cross, i + 1):
-            # the left fold of the n-ary add, one addend at a time; shared,
-            # so a sum holds one slot vector, not one per addend
+        if i > 0:
+            col = engine.share(_col_rep(engine, bv.blocks[i], layout))[0]  # compared with blocks i..L-1
+        mine = engine.share(compared(col, i, i))[0]  # read by the tie offset too
+        cross_sum = None
+        for j in range(i + 1, count):
+            # each D_ij is added into sum_{j>i} D_ij and block j's running
+            # sum as it is made: both are left folds of binary adds, so one
+            # D_ij is alive at a time, and the raw one only until it is mapped
+            c = engine.share(compared(col, i, j))[0]  # the weak map reads it twice
+            if tie_correction:
+                c = engine.share(_weak(engine, c))[0]  # read by both sums
+            cross_sum = c if cross_sum is None else engine.add(cross_sum, c)
             earlier[j] = engine.share(engine.add(earlier[j], c))[0] if j in earlier else c
-        del cross  # every reader is done: free them before the folds
+        c = col = None  # every reader is done: free them before the folds
         own = engine.add(mine, earlier.pop(i)) if i > 0 else mine
         if tie_correction:
             own = engine.add(own, tie_offset(engine, mine, layout, axis))
@@ -235,7 +251,7 @@ def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -
             blocks=tuple(rank_blocks), block_size=b, total_len=bv.total_len,
             stride=1 if axis == "row" else b, computed=True,
         ),
-        replicated=row_rep if axis == "row" else col_rep,
+        replicated=replicated,
         layout=layout,
         axis=axis,
     )

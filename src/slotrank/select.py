@@ -12,7 +12,9 @@ A rank-window indicator on each block's row-0 ranks yields a selection
 mask in row 0 (the argmin/argmax answer; in every row on a matrix that
 fills the slots); the statistic's value is the inner product of the masks
 with the blocks' row-replicated inputs, summed over blocks and folded into
-column 0, divided by the masks' L1 norm.  That norm is the
+column 0 (into every slot, with no mask, for one block on a matrix that
+fills the slots, whose mask fills every row), divided by the masks' L1
+norm.  That norm is the
 number of target ranks k = last - first + 1, known in the clear, so the
 Goldschmidt reciprocal is seeded at 1/k and runs only the few steps an
 inexact chebyshev mask needs (exact in ideal mode for k = 1, 2); a norm in
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
-from .matrix import MatrixLayout, rect_plain, sum_axis
+from .matrix import MatrixLayout, alike_row_sums, rect_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
 
 __all__ = [
@@ -110,10 +112,23 @@ def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int) -> Ciph
         b = ranks.block_size
         sels = [*sels[:-1], engine.mul_plain(sels[-1], rect_plain(pipe.layout.slot_count, b, 0, b, 0, valid))]
     # each mask and its block's replicated input share row 0; folding the
-    # columns of the sums over blocks lands both sums in slot 0
-    products = [engine.mul(sel, rep) for sel, rep in zip(sels, pipe.replicated)]
-    numerator = sum_axis(engine, engine.add(*products), pipe.layout, "col")
-    norm = sum_axis(engine, engine.add(*sels), pipe.layout, "col")
+    # columns of the sums over blocks lands both sums in slot 0.  Both sums
+    # are running left folds: one product is alive at a time, and each sum
+    # has the doubles and charges of one n-ary add
+    numerator = norm = None
+    for sel, rep in zip(sels, pipe.replicated):
+        product = engine.mul(sel, rep)
+        numerator = product if numerator is None else engine.add(numerator, product)
+        norm = sel if norm is None else engine.add(norm, sel)
+
+    def fold(x: Ciphertext) -> Ciphertext:
+        if len(sels) == 1:
+            # on a matrix that fills the slots, one block's mask fills every
+            # row, as its ranks do, so the rows of both sums are alike
+            return alike_row_sums(engine, x, pipe.layout)
+        return sum_axis(engine, x, pipe.layout, "col")
+
+    numerator, norm = fold(numerator), fold(norm)
     # the simulator sees the cleartext; the other slots hold fold garbage
     got = float(norm.slots[0])
     if not 0.0 < got < 2 * width:

@@ -89,11 +89,14 @@ def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfi
     values = []
     for i in range(count):
         neg_targets = _neg_rank_targets(layout.slot_count, b, b * i + 1, fold)
-        placed = []
+        total = None
         for j in range(count):
             selection = indicator_kernel(engine, engine.add_plain(spread[j], neg_targets), -0.5, 0.5, window_cfg)
-            placed.append(engine.mul(selection, pipe.replicated[j]))
-        values.append(sum_axis(engine, engine.add(*placed), layout, fold))
+            # a running left fold: one product is alive at a time, and the
+            # sum has the doubles and charges of one n-ary add
+            placed = engine.mul(selection, pipe.replicated[j])
+            total = placed if total is None else engine.add(total, placed)
+        values.append(sum_axis(engine, total, layout, fold))
     return values, selection
 
 

@@ -282,7 +282,8 @@ def test_powers_build_one_parity_and_the_powers_of_two(kind, d):
         # as the kernel fits; both parities below the baby step would take 28
         assert len(built) == {"odd": 24, "even": 21}[kind]
     eng = make_engine(slot_count=16, max_level=20)
-    powers = chebyshev._powers(eng, eng.encrypt(np.linspace(-1, 1, 16)), (-1.0, 1.0), plan.baby, plan.giants)
+    poly = chebyshev.ChebyshevPolynomial((-1.0, 1.0), tuple(coeffs))
+    powers = chebyshev._powers(eng, eng.encrypt(np.linspace(-1, 1, 16)), poly, plan.baby, plan.giants)
     assert eng.cost_snapshot() == CostReport(
         ctct_mults=len(built), additions=2 * len(built), levels_consumed=math.ceil(math.log2(max(wanted)))
     )
@@ -454,6 +455,37 @@ def test_ps_eval_depth_budget_error_names_site():
     with pytest.raises(DepthBudgetError) as err:
         ps_eval(eng, eng.encrypt(np.zeros(8)), poly)
     assert err.value.site.startswith("chebyshev.ps_eval/")
+
+
+@pytest.mark.parametrize("diff", [1.5, 3.0, -2.0])
+def test_noise_free_compare_refuses_a_difference_outside_its_range(diff):
+    # the range [0, 1] bounds differences to [-1, 1]; unchecked, the degree-256
+    # step returned -6.9e101, -3.7e190 and 1.4e141 for these, silently
+    eng = make_engine(slot_count=16)
+    with pytest.raises(ValueError, match=r"chebyshev\.compare_kernel/chebyshev\.ps_eval/.*slot 1 holds"):
+        compare_kernel(eng, eng.encrypt([0.25, 0.25 + diff]), eng.encrypt([0.25, 0.0]), cheb_cfg(256))
+
+
+@pytest.mark.parametrize("x, inside", [(4.06, True), (-0.06, True), (4.07, False), (-0.07, False), (np.nan, False)])
+def test_noise_free_ps_eval_allows_a_slack_of_a_quarter_grid_step(x, inside):
+    # on [0, 4] at degree 4 the slack is (b - a)/(4 d^2) = 1/16: within it
+    # every T_k stays below cosh(1), so the value is bounded
+    coeffs = (0.5, -1.0, 0.25, 2.0, -0.75)
+    poly = ChebyshevPolynomial(interval=(0.0, 4.0), coeffs=coeffs)
+    eng = make_engine(slot_count=8)
+    ct = eng.encrypt([1.0, x])
+    if inside:
+        assert abs(eng.decrypt(ps_eval(eng, ct, poly))[1]) <= math.cosh(1.0) * np.abs(coeffs).sum()
+    else:
+        with pytest.raises(ValueError, match=r"chebyshev\.ps_eval/.*slot 1 .*interval \[0, 4\]"):
+            ps_eval(eng, ct, poly)
+
+
+def test_noisy_ps_eval_does_not_check_its_interval():
+    # noise moves every slot, so a noisy engine's inputs are not checked
+    eng = make_engine(slot_count=16, sigma=1e-6)
+    out = eng.decrypt(compare_kernel(eng, eng.encrypt([1.5]), eng.encrypt([0.0]), cheb_cfg(256)))
+    assert abs(out[0]) > 1e6
 
 
 # ----------------------------------------------------------------------

@@ -294,8 +294,14 @@ def test_usage_errors(tmp_path, tied_vector):
         (["rank", "--gen", "uniform", "--count", "8"], "pass one of them"),
         (["sort", "--gen", "uniform"], "pass one of them"),
         (["stat", "--stat", "median", "--gen", "uniform"], "pass one of them"),
+        (["rank", "--count", "8"], "--count shapes the generated vector"),
+        (["sort", "--tie-fraction", "0.25"], "--tie-fraction shapes the generated vector"),
+        (["stat", "--stat", "median", "--count", "16", "--tie-fraction", "0"], "--count shapes the generated vector"),
     ],
-    ids=["min --k", "median --k", "kth --p", "max --p", "rank --gen", "sort --gen", "stat --gen"],
+    ids=[
+        "min --k", "median --k", "kth --p", "max --p", "rank --gen", "sort --gen", "stat --gen",
+        "rank --count", "sort --tie-fraction", "stat --count --tie-fraction",
+    ],
 )
 def test_flags_that_would_be_ignored_are_usage_errors(tmp_path, tied_vector, capsys, argv, message):
     # unchecked, each of these ran the query without the flag and exited 0

@@ -180,7 +180,9 @@ def saved(kind, geometry, blocks, padded):
     additions per block; ``sort`` pays them back to transpose its values
     to row 0.  One block also sheds the fold's level, and with the spread
     its rotations from the critical path; a padded multi-block statistic
-    sheds the level the mask put under the cut of its last mask.
+    sheds the level the mask put under the cut of its last mask.  A
+    one-block statistic's mask then fills every row too, so the folds of
+    its value and norm need no mask either: two ct-pt and one more level.
     """
     none = CostReport()
     if geometry != "full" or kind == "sort":
@@ -193,7 +195,7 @@ def saved(kind, geometry, blocks, padded):
             rotations=blocks * LOG_B, critical_rotations=LOG_B if one else 0, ctpt_mults=blocks,
             additions=blocks * LOG_B, levels_consumed=int(one),
         )
-    return CostReport(ctpt_mults=blocks, levels_consumed=int(one or padded))
+    return CostReport(ctpt_mults=blocks + 2 * one, levels_consumed=int(one or padded) + int(one))
 
 
 def run(kind, geometry, blocks, padded, mode, tie):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,28 +233,28 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     [
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=95, additions=161,
-                       cmp_evals=1, ind_evals=1, levels_consumed=27, critical_rotations=12),
+            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
     ],
     ids=["min", "max", "kth3", "median_even", "percentile75"],
@@ -260,7 +262,8 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
 def test_statistic_circuit_is_pinned(statistic, report):
     # the full cost of each statistic at chebyshev degree 64, n=8 in 64
     # slots; a layout refactor must leave every counter where it is.  The
-    # 8x8 matrix fills the slots, so the rank fold needs no mask.  Every
+    # 8x8 matrix fills the slots, so the rank fold needs no mask, and the
+    # mask fills every row, so neither do the value's two folds.  Every
     # query is one tie-corrected rank window, so the extremes cost what the
     # k-th statistic does: one tie-offset product, then the reciprocal of
     # the window's norm seeded at 1/k in 4 steps
@@ -341,6 +344,29 @@ def test_multi_block_statistics_match_the_oracle():
                 assert out == reference.statistic_value(v, query.kind, query.k, query.p), (n, query)
                 checked += 1
     assert checked == 12 * 7
+
+
+def test_multi_block_median_holds_4l_slot_vectors():
+    # 1024 tied values in 16 blocks of 64 that fill 4096 slots, as the
+    # multisort_ideal benchmark sorts them: the row replications, ranks and
+    # masks are 1.5 MB, and the masked products are summed as they are made.
+    # The circuit that held every column replication, a block's row of
+    # comparisons and every product at once peaked at 2.68 MB
+    rng = np.random.default_rng(5)
+    v = rng.uniform(0, 1, 1024)
+    v[rng.integers(0, 1024, size=100)] = v[rng.integers(0, 1024, size=100)]
+    eng = make_engine(4096)
+    bv = block_split(eng, v)
+    assert len(bv.blocks) == 16
+    multi_statistic(eng, bv, StatisticQuery("median"), IDEAL)  # warms the cached masks
+    tracemalloc.start()
+    try:
+        out = multi_statistic(eng, bv, StatisticQuery("median"), IDEAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value_of(eng, out) == reference.median_value(v)
+    assert peak < 2.0e6
 
 
 def test_noisy_chebyshev_three_block_statistics(monkeypatch):

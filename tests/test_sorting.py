@@ -278,25 +278,59 @@ def test_multi_sort_large_vector():
     assert np.array_equal(out, np.sort(v))
 
 
-def test_many_block_sort_holds_o_l_slot_vectors():
-    # 64 blocks of 64: the 2080 block comparisons, 2016 weak copies and 64
-    # row replications took 110 MB when all were kept until the ranks were
-    # done; each is released after its last reader, which leaves about 14 MB
-    rng = np.random.default_rng(3)
-    v = rng.uniform(0, 1, 4096)
-    v[rng.integers(0, 4096, size=400)] = v[rng.integers(0, 4096, size=400)]
-    eng = make_engine(4096)
-    bv = block_split(eng, v)
-    assert len(bv.blocks) == 64
+def _traced_peak(eng, run):
+    """``run()`` and the ``tracemalloc`` peak of a second call, once the
+    cached plaintext masks and targets the first call made are warm; the
+    engine counts the second call only."""
+    run()
+    eng.cost_reset()
     tracemalloc.start()
     try:
-        out = multi_sort(eng, bv, cfg())
+        out = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def _tied_values(count, ties, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0, 1, count)
+    v[rng.integers(0, count, size=ties)] = v[rng.integers(0, count, size=ties)]
+    return v
+
+
+def test_many_block_sort_holds_o_l_slot_vectors():
+    # 64 blocks of 64: the 2080 block comparisons, 2016 weak copies and 64
+    # row replications took 110 MB when all were kept until the ranks were
+    # done.  Releasing each comparison after its last reader left 10.6 MB,
+    # with every column replication built up front, a block's row of
+    # comparisons and weak copies held at once, and each output block's
+    # products kept in a list; holding each slot vector only while it is
+    # read leaves 6.6 MB: the row replications, ranks and outputs, 3L of
+    # the 4L + O(1) slot vectors, as the inputs are made before the trace
+    v = _tied_values(4096, 400, 3)
+    eng = make_engine(4096)
+    bv = block_split(eng, v)
+    assert len(bv.blocks) == 64
+    out, peak = _traced_peak(eng, lambda: multi_sort(eng, bv, cfg()))
     assert np.array_equal(block_merge(eng, out), reference.sorted_values(v))
     assert eng.cost_snapshot().rotations == (7 * 64 - 2) * 6
-    assert peak < 25e6
+    assert peak < 7.2e6
+
+
+def test_sixteen_block_sort_holds_4l_slot_vectors():
+    # the multisort_ideal benchmark shape: 1024 tied values in 16 blocks of
+    # 64 that fill 4096 slots.  The row replications, ranks and outputs are
+    # 1.5 MB; the circuit that held every column replication, a block's row
+    # of comparisons and an output block's products at once peaked at 2.65 MB
+    v = _tied_values(1024, 100, 5)
+    eng = make_engine(4096)
+    bv = block_split(eng, v)
+    assert len(bv.blocks) == 16
+    out, peak = _traced_peak(eng, lambda: multi_sort(eng, bv, cfg()))
+    assert np.array_equal(block_merge(eng, out), reference.sorted_values(v))
+    assert peak < 2.0e6
 
 
 @pytest.mark.parametrize(
