@@ -577,9 +577,10 @@ def goldschmidt_inverse(
     A one-point range (k, k) gives the seed (2k - x)/k^2: the seed 1/k plus
     one step, with e(x) = (1 - x/k)^2, so the iteration converges for every
     x in (0, 2k).  At k = 1 it is the Inv iteration of Cheon, Kim, Kim, Lee
-    and Lee (ASIACRYPT 2019).  A value promised near k, such as the norm of a
-    window mask of k ranks, then needs only a few steps: 4 leave
-    (1 - x/k)^64.
+    and Lee (ASIACRYPT 2019), whose seed 2 - x takes a negation, free in
+    CKKS, in place of a ct-pt product and its level.  A value promised near
+    k, such as the norm of a window mask of k ranks, then needs only a few
+    steps: 4 leave (1 - x/k)^64.
     """
     m, mx = value_range
     if not (0 < m <= mx):
@@ -590,7 +591,7 @@ def goldschmidt_inverse(
     a = -8.0 / denom
     b = 8.0 * (m + mx) / denom
     engine.share(x)  # read by the seed and by the first error
-    y = engine.add_plain(engine.mul_plain(x, a), b)
+    y = engine.add_plain(engine.negate(x) if a == -1.0 else engine.mul_plain(x, a), b)
     err = engine.add_plain(engine.negate(engine.mul(x, y)), 1.0)
     for _ in range(iters):
         engine.share(err)  # read by the correction and by the next square

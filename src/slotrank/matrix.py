@@ -11,9 +11,8 @@ plaintext vectors from ``rect_plain``, a value on a rectangle of cells;
 
 When the matrix fills the slot vector (N^2 slots), a rotation by a
 multiple of N is cyclic over the rows, so ``column_sums`` folds the rows
-into every row at once, with no mask; and when all rows are alike, a
-rotation by less than N is cyclic within each row, so ``alike_row_sums``
-leaves the row sum in every slot, with no mask.
+into every row at once, with no mask; and ``head_row_sums`` sums rows 0
+and 1 into slot 0 with one shared fold, log2(N) + 2 rotations and no mask.
 
 Slots beyond N^2 must be zero on entry; every primitive that rotates data
 across that boundary ends with a mask, so pipelines built from these
@@ -30,7 +29,7 @@ import numpy as np
 
 from .engine import Ciphertext, HESimulator, caller_path
 
-__all__ = ["MatrixLayout", "mask", "sum_axis", "column_sums", "alike_row_sums", "replicate", "transpose_vector"]
+__all__ = ["MatrixLayout", "mask", "sum_axis", "column_sums", "head_row_sums", "replicate", "transpose_vector"]
 
 
 @dataclass(frozen=True)
@@ -138,20 +137,22 @@ def column_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> Cip
     return sum_axis(engine, x, layout, "row")
 
 
-def alike_row_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> Ciphertext:
-    """The row sums of ``x``, whose rows all hold the same values: in every
-    slot of a matrix that fills the slots, else in column 0.
+def head_row_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> tuple[Ciphertext, Ciphertext]:
+    """The sums of rows 0 and 1 of ``x``, each in slot 0, on a matrix that
+    fills the slots; the other slots hold partial sums.
 
-    On a matrix that fills the slots, a rotation by 2^k < N that reads past
-    the end of a row reads the next row, which holds the same cells, so
-    log2(N) rotate-and-add steps by 2^k are cyclic within each row: the fold
-    needs no mask.  Slot 0 holds row 0's sum, the doubles ``sum_axis(x,
-    "col")`` gives, whatever the other rows hold.  Any other matrix folds
-    with ``sum_axis(x, "col")``.
+    log2(N) - 1 shared rotate-and-add steps by 1..N/4 leave in each slot the
+    sum of the N/2 slots from it.  Row 0's sum is then slot 0 plus slot N/2,
+    and row 1's slot N plus slot 3N/2: four rotations more, log2(N) + 2 in
+    all, where two row folds take 2 log2(N), and each sum sits log2(N)
+    rotations after ``x``, as after one row fold.
     """
-    if layout.full:
-        return _rotate_sum(engine, x, [1 << i for i in range(layout.steps)])
-    return sum_axis(engine, x, layout, "col")
+    if not layout.full:
+        raise ValueError(f"{caller_path()}: rows 0 and 1 fold with no mask only on a matrix that fills the slots")
+    n = layout.n_dim
+    halves = engine.share(_rotate_sum(engine, x, [1 << i for i in range(layout.steps - 1)]))[0]
+    first = engine.add(halves, engine.rotate(halves, n // 2))
+    return first, engine.add(engine.rotate(halves, n), engine.rotate(halves, 3 * n // 2))
 
 
 def replicate(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str) -> Ciphertext:

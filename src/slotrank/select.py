@@ -10,28 +10,36 @@ once, where the uncorrected ranking would give it a shared rank.
 
 A rank-window indicator on each block's row-0 ranks yields a selection
 mask in row 0 (the argmin/argmax answer; in every row on a matrix that
-fills the slots); the statistic's value is the inner product of the masks
-with the blocks' row-replicated inputs, summed over blocks and folded into
-column 0 (into every slot, with no mask, for one block on a matrix that
-fills the slots, whose mask fills every row), divided by the masks' L1
-norm.  That norm is the
-number of target ranks k = last - first + 1, known in the clear, so the
-Goldschmidt reciprocal is seeded at 1/k and runs only the few steps an
-inexact chebyshev mask needs (exact in ideal mode for k = 1, 2); a norm in
-slot 0 outside (0, 2k), where that iteration diverges, raises
+fills the slots), built just before its product is made.  The statistic's
+value is the inner product of the masks with the blocks' row-replicated
+inputs, summed over blocks and folded into column 0, divided by the masks'
+L1 norm.  That norm is the number of target ranks k = last - first + 1,
+known in the clear, so the Goldschmidt reciprocal is seeded at 1/k and
+runs only the few steps an inexact chebyshev mask needs (exact in ideal
+mode for k = 1, 2); at k = 1 its seed 2 - x takes a free negation.  A
+norm in slot 0 outside (0, 2k), where that iteration diverges, raises
 ``ValueError``.  An even-length median is one window over both middle
 ranks, of norm 2, so the division takes their average.  A padded block's
 mask is cut to its valid columns first: a padded entry ranks 0, which a
 chebyshev window at k = 1 partly selects.
+
+One block on a matrix of side B >= 4 that fills the slots, the paper's
+setting, has its mask in every row, so one product with weights of v/k in
+row 0 and 1/k in row 1, on the valid columns only, puts the value's terms
+in row 0 and the norm's in row 1, and ``matrix.head_row_sums`` folds both
+into slot 0 in log2 B + 2 rotations with no mask, where two row folds take
+2 log2 B.  The weights carry the cut, and the norm promises 1, whose
+reciprocal is the unit seed's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
-from .matrix import MatrixLayout, alike_row_sums, rect_plain, sum_axis
+from .matrix import MatrixLayout, head_row_sums, rect_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
 
 __all__ = [
@@ -89,9 +97,10 @@ def _target_ranks(query: StatisticQuery, n: int) -> tuple[int, int]:
     return k, k
 
 
-def _select(engine, bv, query, cfg) -> tuple[MultiRankPipeline, list[Ciphertext], int]:
-    """The tie-corrected ranking of ``bv``, one window mask per block, and
-    the number of target ranks, which is the masks' norm."""
+def _select(engine, bv, query, cfg) -> tuple[MultiRankPipeline, Iterator[Ciphertext], int]:
+    """The tie-corrected ranking of ``bv``, the blocks' window masks, each
+    built when it is read, and the number of target ranks, which is the
+    masks' norm."""
     n = bv.total_len
     first, last = _target_ranks(query, n)
     pipe = multi_rank_pipeline(engine, bv, cfg, tie_correction=True)
@@ -99,44 +108,60 @@ def _select(engine, bv, query, cfg) -> tuple[MultiRankPipeline, list[Ciphertext]
     # padded entries of the rank vector hold zeros and the fitted polynomial
     # reads every slot.
     window_cfg = with_input_range(cfg, -0.5, n + 0.5)
-    sels = [indicator_kernel(engine, ranks, first - 0.5, last + 0.5, window_cfg) for ranks in pipe.ranks.blocks]
+    sels = (indicator_kernel(engine, ranks, first - 0.5, last + 0.5, window_cfg) for ranks in pipe.ranks.blocks)
     return pipe, sels, last - first + 1
 
 
-def _value_from_masks(engine, pipe: MultiRankPipeline, sels, width: int) -> Ciphertext:
+def _value_from_masks(engine, pipe: MultiRankPipeline, sels: Iterator[Ciphertext], width: int) -> Ciphertext:
     """The masked sum of the inputs over the masks' norm, in slot 0; ``width``
     is the norm the masks promise."""
-    ranks = pipe.ranks
-    valid = ranks.valid_in(len(sels) - 1)
-    if valid < ranks.block_size:  # a padded entry ranks 0: keep it out of the norm
-        b = ranks.block_size
-        sels = [*sels[:-1], engine.mul_plain(sels[-1], rect_plain(pipe.layout.slot_count, b, 0, b, 0, valid))]
-    # each mask and its block's replicated input share row 0; folding the
-    # columns of the sums over blocks lands both sums in slot 0.  Both sums
-    # are running left folds: one product is alive at a time, and each sum
-    # has the doubles and charges of one n-ary add
-    numerator = norm = None
-    for sel, rep in zip(sels, pipe.replicated):
-        product = engine.mul(sel, rep)
-        numerator = product if numerator is None else engine.add(numerator, product)
-        norm = sel if norm is None else engine.add(norm, sel)
+    ranks, layout = pipe.ranks, pipe.layout
+    b, count = ranks.block_size, len(ranks.blocks)
+    valid = ranks.valid_in(count - 1)
+    if count == 1 and layout.full and b >= 4:
+        # one block's mask fills every row, so one product with weights of
+        # v/k in row 0 and 1/k in row 1, on the valid columns only, holds
+        # the value's terms in row 0 and the norm's in row 1, of norm 1; the
+        # weights sit many levels above the mask and cost it none
+        (sel,), (rep,) = sels, pipe.replicated
+        weights = engine.add_plain(
+            engine.mul_plain(rep, rect_plain(layout.slot_count, b, 0, 1, 0, valid, 1.0 / width)),
+            rect_plain(layout.slot_count, b, 1, 2, 0, valid, 1.0 / width),
+        )
+        numerator, norm = head_row_sums(engine, engine.mul(sel, weights), layout)
+        promise = 1
+    else:
+        # each mask and its block's replicated input share row 0; folding
+        # the columns of the sums over blocks lands both sums in slot 0.
+        # Each mask is built as its product is made, and both sums are
+        # running left folds, so no list of masks or products is held; each
+        # sum has the doubles and charges of one n-ary add
+        numerator = norm = None
+        for i, (sel, rep) in enumerate(zip(sels, pipe.replicated)):
+            if i == count - 1 and valid < b:  # a padded entry ranks 0: keep it out of the norm
+                sel = engine.mul_plain(sel, rect_plain(layout.slot_count, b, 0, b, 0, valid))
+            product = engine.mul(sel, rep)
+            numerator = product if numerator is None else engine.add(numerator, product)
+            norm = sel if norm is None else engine.add(norm, sel)
 
-    def fold(x: Ciphertext) -> Ciphertext:
-        if len(sels) == 1:
-            # on a matrix that fills the slots, one block's mask fills every
-            # row, as its ranks do, so the rows of both sums are alike
-            return alike_row_sums(engine, x, pipe.layout)
-        return sum_axis(engine, x, pipe.layout, "col")
+        def fold(x: Ciphertext) -> Ciphertext:
+            if layout.full and count == 1:
+                # a 2x2 matrix, where one fold of both rows would take 3
+                # rotations and the weights an addition: one block's rows
+                # are alike, so one step sums row 0 into slot 0, no mask
+                return engine.add(x, engine.rotate(x, 1))
+            return sum_axis(engine, x, layout, "col")
 
-    numerator, norm = fold(numerator), fold(norm)
+        numerator, norm = fold(numerator), fold(norm)
+        promise = width
     # the simulator sees the cleartext; the other slots hold fold garbage
     got = float(norm.slots[0])
-    if not 0.0 < got < 2 * width:
+    if not 0.0 < got < 2 * promise:
         raise ValueError(
-            f"{caller_path()}: mask norm {got:.6g} of a window of {width} target ranks lies outside "
-            f"(0, {2 * width}), where its reciprocal seeded at 1/{width} diverges"
+            f"{caller_path()}: mask norm {got * width / promise:.6g} of a window of {width} target ranks lies "
+            f"outside (0, {2 * width}), where its reciprocal seeded at 1/{width} diverges"
         )
-    return engine.mul(numerator, goldschmidt_inverse(engine, norm, (width, width), _SEEDED_ITERS))
+    return engine.mul(numerator, goldschmidt_inverse(engine, norm, (promise, promise), _SEEDED_ITERS))
 
 
 def multi_statistic(engine: HESimulator, bv: BlockVector, query: StatisticQuery, cfg: KernelConfig) -> Ciphertext:

@@ -746,6 +746,21 @@ def test_goldschmidt_across_wide_range():
     assert np.max(np.abs(out * xs - 1.0)) < 1e-6
 
 
+def test_unit_range_reciprocal_seeds_2_minus_x_with_a_free_negation():
+    # on (1, 1) the seed's slope is -1: a negation, free in CKKS, where any
+    # other one-point range (k, k) multiplies by -1/k^2 at one ct-pt and level
+    xs = np.array([0.6, 1.0, 1.3])
+    costs = {}
+    for k in (1.0, 2.0):
+        eng = make_engine(slot_count=4, max_level=40)
+        out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(k * xs), (k, k), 4))[:3]
+        np.testing.assert_allclose(out, [scalar_goldschmidt(k * x, k, k, 4) for x in xs], rtol=1e-14)
+        costs[k] = eng.cost_snapshot()
+    assert (costs[1.0].ctpt_mults, costs[2.0].ctpt_mults) == (0, 1)
+    assert costs[1.0].levels_consumed == costs[2.0].levels_consumed - 1
+    assert costs[1.0].additions == costs[2.0].additions
+
+
 def test_goldschmidt_rejects_bad_range():
     eng = make_engine()
     with pytest.raises(ValueError):

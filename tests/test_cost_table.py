@@ -7,7 +7,7 @@ padded or not, in ideal and chebyshev mode, through ``rank`` (or
 
 ``BEFORE`` holds the counters of the circuit that folded the ranks into
 column 0; ``saved`` writes out, case by case, what ranking along the rows
-takes off them.  No counter of any shape may rise.
+and the one-fold statistic take off them.  No counter of any shape may rise.
 """
 
 from dataclasses import astuple, fields
@@ -172,21 +172,28 @@ BEFORE = {
 
 
 def saved(kind, geometry, blocks, padded):
-    """What ranking along the rows takes off the parent circuit's counters.
+    """What ranking along the rows and the one-fold statistic take off the
+    parent circuit's counters.
 
-    Only a matrix that fills the slots gains: its rank fold is a cyclic
-    all-reduce with no mask, one ct-pt per block.  The sort's ranks then
-    fill every row, so ``multi_sort`` spreads nothing, log2 B rotations and
-    additions per block; ``sort`` pays them back to transpose its values
-    to row 0.  One block also sheds the fold's level, and with the spread
-    its rotations from the critical path; a padded multi-block statistic
-    sheds the level the mask put under the cut of its last mask.  A
-    one-block statistic's mask then fills every row too, so the folds of
-    its value and norm need no mask either: two ct-pt and one more level.
+    Only a matrix that fills the slots gains from the rows: its rank fold
+    is a cyclic all-reduce with no mask, one ct-pt per block.  The sort's
+    ranks then fill every row, so ``multi_sort`` spreads nothing, log2 B
+    rotations and additions per block; ``sort`` pays them back to transpose
+    its values to row 0.  One block also sheds the fold's level, and with
+    the spread its rotations from the critical path; a padded multi-block
+    statistic sheds the level the mask put under the cut of its last mask.
+    A one-block statistic's mask then fills every row too, so its value and
+    norm need no fold mask: two ct-pt and one more level.  They then share
+    one fold, log2 B + 2 rotate-and-add steps where two folds took 2 log2 B,
+    and the ct-pt of their weights, with its level on the norm, stands in
+    for the cut of a padded mask, or else for the reciprocal seed's product.
+    A padded statistic, on either geometry, has an odd length, so its median
+    is a window of one rank, whose reciprocal seeds 2 - x with a free
+    negation: one ct-pt and one level.
     """
-    none = CostReport()
+    seed = CostReport(ctpt_mults=1, levels_consumed=1) if kind == "multi_statistic" and padded else CostReport()
     if geometry != "full" or kind == "sort":
-        return none
+        return seed
     if kind == "rank":
         return CostReport(ctpt_mults=1, levels_consumed=1)
     one = blocks == 1
@@ -195,7 +202,11 @@ def saved(kind, geometry, blocks, padded):
             rotations=blocks * LOG_B, critical_rotations=LOG_B if one else 0, ctpt_mults=blocks,
             additions=blocks * LOG_B, levels_consumed=int(one),
         )
-    return CostReport(ctpt_mults=blocks + 2 * one, levels_consumed=int(one or padded) + int(one))
+    folds = (LOG_B - 2) * one
+    return CostReport(
+        rotations=folds, ctpt_mults=blocks + 2 * one + seed.ctpt_mults, additions=folds,
+        levels_consumed=int(one or padded) + int(one) + seed.levels_consumed,
+    )
 
 
 def run(kind, geometry, blocks, padded, mode, tie):

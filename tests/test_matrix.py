@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import plain_matrix as oracle
-from slotrank import HEParams, HESimulator, MatrixLayout, mask, replicate, sum_axis, transpose_vector
+from slotrank import HEParams, HESimulator, MatrixLayout, head_row_sums, mask, replicate, sum_axis, transpose_vector
 
 SIDES = [2, 4, 8, 16, 32, 64]
 
@@ -71,6 +71,29 @@ def test_sum_uses_exactly_log_n_rotations():
         eng.cost_reset()
         sum_axis(eng, eng.encrypt(np.ones(n * n)), layout, "row")
         assert eng.cost_snapshot().rotations == layout.steps
+
+
+def test_head_row_sums_fold_rows_0_and_1_into_slot_0():
+    # log2 N - 1 shared steps by 1..N/4, then N/2 for row 0 and N, 3N/2
+    # for row 1: log2 N + 2 rotations, each sum log2 N after its input
+    rng = np.random.default_rng(4)
+    for n in SIDES:
+        eng, layout = setup(n)
+        m = random_int_matrix(rng, n)
+        x = eng.encrypt(m.ravel())
+        eng.cost_reset()
+        first, second = head_row_sums(eng, x, layout)
+        assert (eng.decrypt(first)[0], eng.decrypt(second)[0]) == (m[0].sum(), m[1].sum())
+        assert eng.rotation_offsets() == [1 << i for i in range(layout.steps - 1)] + [n // 2, n, 3 * n // 2]
+        report = eng.cost_snapshot()
+        assert (report.critical_rotations, report.ctpt_mults) == (layout.steps, 0)
+        assert (first.rot_chain, second.rot_chain) == (layout.steps, layout.steps)
+
+
+def test_head_row_sums_refuse_a_matrix_that_does_not_fill_the_slots():
+    eng, layout = setup(4, slot_count=32)
+    with pytest.raises(ValueError, match="fills the slots"):
+        head_row_sums(eng, eng.encrypt(np.ones(16)), layout)
 
 
 def test_replicate_row_and_col():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from slotrank import (
     HESimulator,
     KernelConfig,
     MatrixLayout,
+    SortConfig,
     StatisticQuery,
     block_split,
     median,
+    multi_sort,
     multi_statistic,
     order_statistic_mask,
     order_statistic_value,
@@ -69,6 +72,7 @@ def test_extreme_masks_are_one_hot_at_every_block_count(slot_count, blocks):
     for kind, rank in (("min", 1), ("max", v.size)):
         eng = make_engine(slot_count)
         pipe, sels, width = select_module._select(eng, block_split(eng, v), StatisticQuery(kind), IDEAL)
+        sels = list(sels)  # each mask is built when it is read
         assert len(sels) == blocks and width == 1
         mask = np.concatenate([read_row(eng, sel, pipe.layout.n_dim) for sel in sels])
         assert np.array_equal(mask, reference.corrected_ranks(v) == rank), kind
@@ -233,27 +237,27 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     [
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
                        cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
                        cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
                        cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
                        cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=18, ctct_mults=45, ctpt_mults=93, additions=161,
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
                        cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
         ),
     ],
@@ -263,10 +267,12 @@ def test_statistic_circuit_is_pinned(statistic, report):
     # the full cost of each statistic at chebyshev degree 64, n=8 in 64
     # slots; a layout refactor must leave every counter where it is.  The
     # 8x8 matrix fills the slots, so the rank fold needs no mask, and the
-    # mask fills every row, so neither do the value's two folds.  Every
-    # query is one tie-corrected rank window, so the extremes cost what the
-    # k-th statistic does: one tie-offset product, then the reciprocal of
-    # the window's norm seeded at 1/k in 4 steps
+    # mask fills every row, so one product puts the value's terms in row 0
+    # and the norm's in row 1, weighted by 1/k, and one fold with no mask,
+    # 3 + 2 rotations, sums both.  Every query is one tie-corrected rank
+    # window, so the extremes cost what the k-th statistic does: one
+    # tie-offset product, then the reciprocal of the norm 1, seeded at 2 - x
+    # with a free negation, in 4 steps
     eng = make_engine(64)
     statistic(eng, eng.encrypt(PINNED_INPUT))
     assert eng.cost_snapshot() == report
@@ -287,28 +293,37 @@ def _tied_values(rng, n):
 PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
 
 
-@pytest.mark.parametrize("kind", ["median", "min"])
 @pytest.mark.parametrize(
-    "kernel, n, report",
+    "kind, kernel, n, report",
     [
-        (IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=67,
-                               cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        (PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=379, additions=616,
-                                     cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
-        (IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=67,
-                               cmp_evals=6, ind_evals=3, levels_consumed=32, critical_rotations=10)),
-        (PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=383, additions=616,
-                                     cmp_evals=6, ind_evals=3, levels_consumed=29, critical_rotations=10)),
+        ("median", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=67,
+                                         cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
+        ("median", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=379, additions=616,
+                                               cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
+        ("median", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=67,
+                                         cmp_evals=6, ind_evals=3, levels_consumed=32, critical_rotations=10)),
+        ("median", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=383, additions=616,
+                                               cmp_evals=6, ind_evals=3, levels_consumed=29, critical_rotations=10)),
+        ("min", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=12, additions=67,
+                                      cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
+        ("min", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=378, additions=616,
+                                            cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
+        ("min", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=67,
+                                      cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
+        ("min", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=616,
+                                            cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
     ],
-    ids=["ideal", "chebyshev", "ideal-padded", "chebyshev-padded"],
+    ids=["ideal-median", "chebyshev-median", "ideal-padded-median", "chebyshev-padded-median",
+         "ideal-min", "chebyshev-min", "ideal-padded-min", "chebyshev-padded-min"],
 )
 def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
     # the masks and the inner products of the blocks are each one add; both
     # windows are tie-corrected, of norm 1 and 2, so the reciprocal is
-    # seeded and exact in ideal mode.  The 4x4 blocks fill the slots, so no
-    # rank fold is masked.  A padded last block costs 4 ct-pt and 1 level
-    # more: the pad mask on its 3 comparisons, then the cut of its mask to
-    # the valid columns
+    # seeded and exact in ideal mode.  The min's seed 2 - x is a free
+    # negation, where the median's (4 - x)/4 takes a ct-pt and a level.  The
+    # 4x4 blocks fill the slots, so no rank fold is masked.  A padded last
+    # block costs 4 ct-pt and 1 level more: the pad mask on its 3
+    # comparisons, then the cut of its mask to the valid columns
     eng = make_engine(16)
     v = PINNED_BLOCKS[:n]
     out = multi_statistic(eng, block_split(eng, v), StatisticQuery(kind), kernel)
@@ -346,27 +361,52 @@ def test_multi_block_statistics_match_the_oracle():
     assert checked == 12 * 7
 
 
-def test_multi_block_median_holds_4l_slot_vectors():
+def _sixteen_tied_blocks():
     # 1024 tied values in 16 blocks of 64 that fill 4096 slots, as the
-    # multisort_ideal benchmark sorts them: the row replications, ranks and
-    # masks are 1.5 MB, and the masked products are summed as they are made.
-    # The circuit that held every column replication, a block's row of
-    # comparisons and every product at once peaked at 2.68 MB
+    # multisort_ideal benchmark sorts them
     rng = np.random.default_rng(5)
     v = rng.uniform(0, 1, 1024)
     v[rng.integers(0, 1024, size=100)] = v[rng.integers(0, 1024, size=100)]
     eng = make_engine(4096)
     bv = block_split(eng, v)
     assert len(bv.blocks) == 16
-    multi_statistic(eng, bv, StatisticQuery("median"), IDEAL)  # warms the cached masks
+    return v, eng, bv
+
+
+def _traced_peak(run):
+    """``run()`` and the ``tracemalloc`` peak of a second call, once the
+    cached plaintext masks the first call made are warm."""
+    run()
     tracemalloc.start()
     try:
-        out = multi_statistic(eng, bv, StatisticQuery("median"), IDEAL)
+        out = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_multi_block_median_holds_4l_slot_vectors():
+    # the row replications and ranks are 1 MB; each block's mask is built
+    # just before its product, and the masked products are summed as they
+    # are made.  The circuit that held every column replication, a block's
+    # row of comparisons and every product at once peaked at 2.68 MB, and
+    # the one that built every mask before the first product at 1.83 MB
+    v, eng, bv = _sixteen_tied_blocks()
+    out, peak = _traced_peak(lambda: multi_statistic(eng, bv, StatisticQuery("median"), IDEAL))
     assert value_of(eng, out) == reference.median_value(v)
     assert peak < 2.0e6
+
+
+def test_multi_block_median_peaks_no_higher_than_the_same_shape_sort():
+    # the statistic holds the sort's row replications and ranks and one mask
+    # at a time, where the sort holds its outputs: 1.34 MB against 1.77 MB.
+    # Built all before the first product, the masks took it to 1.83 MB
+    v, eng, bv = _sixteen_tied_blocks()
+    _, sort_peak = _traced_peak(lambda: multi_sort(eng, bv, SortConfig(kernel=IDEAL, tie_correction=True)))
+    out, peak = _traced_peak(lambda: multi_statistic(eng, bv, StatisticQuery("median"), IDEAL))
+    assert value_of(eng, out) == reference.median_value(v)
+    assert peak <= sort_peak
 
 
 def test_noisy_chebyshev_three_block_statistics(monkeypatch):
@@ -436,10 +476,88 @@ def test_long_vector_statistic_keeps_full_precision():
 def test_seeded_reciprocal_refuses_a_norm_it_would_diverge_on(monkeypatch, scale, norm):
     # an even-length median's window of 2 ranks promises norm 2, and the
     # reciprocal seeded at 1/2 converges on (0, 4) only; a hand-built mask
-    # of norm 2.5k, or 0, raises instead of returning a wrong value
+    # of norm 2.5k, or 0, raises instead of returning a wrong value.  One
+    # block's mask fills every row of a matrix that fills the slots, and
+    # the norm is read from row 1
     eng = make_engine(16)
     grid = np.zeros((4, 4))
-    grid[0, :2] = scale
+    grid[:, :2] = scale
     monkeypatch.setattr(select_module, "indicator_kernel", lambda engine, *_: engine.encrypt(grid.ravel()))
     with pytest.raises(ValueError, match=rf"select\.median/\S*select\.multi_statistic: mask norm {norm} of a window "):
         median(eng, eng.encrypt([0.20, 0.30, 0.10, 0.40]), 4, IDEAL)
+
+
+def test_one_block_statistic_folds_its_value_and_norm_together():
+    # one block on a matrix of side B that fills the slots: one fold of
+    # log2 B - 1 shared steps by 1..B/4, then B/2 for the value and B, 3B/2
+    # for the norm, log2 B + 2 rotations where two folds took 2 log2 B
+    rng = np.random.default_rng(12)
+    for side in (4, 8, 64):
+        v = rng.uniform(0, 1, side)
+        eng = make_engine(side * side)
+        out = order_statistic_value(eng, eng.encrypt(v), side, StatisticQuery("min"), IDEAL)
+        assert value_of(eng, out) == v.min()
+        tail = [1 << i for i in range(side.bit_length() - 2)] + [side // 2, side, 3 * side // 2]
+        assert eng.rotation_offsets()[-len(tail):] == tail, side
+
+
+def test_noisy_one_block_statistic_is_reproducible():
+    # 8 values in 64 slots: the weights, the one product and the shared
+    # fold read each shared value once, or a value an op took would raise
+    # EngineError when read again; one seed gives one answer and one cost
+    v = np.array(PINNED_INPUT)
+    cfg = KernelConfig(mode="chebyshev", degree=256)
+    queries = [
+        StatisticQuery("min"), StatisticQuery("max"), StatisticQuery("median"),
+        StatisticQuery("kth", k=3), StatisticQuery("percentile", p=75.0),
+    ]
+    for query in queries:
+        runs = []
+        for _ in range(2):
+            eng = HESimulator(HEParams(slot_count=64, max_level=64, noise_sigma=1e-6, seed=11))
+            out = eng.decrypt(order_statistic_value(eng, eng.encrypt(v), 8, query, cfg))
+            runs.append((out, eng.cost_snapshot()))
+        (out, report), (again, report_again) = runs
+        assert np.array_equal(out, again) and report == report_again, query
+        assert abs(out[0] - reference.statistic_value(v, query.kind, query.k, query.p)) < 2e-2, query
+
+
+def test_padded_one_block_min_leaves_the_padding_out_without_a_cut():
+    # 60 values in one 64x64 block that fills 4096 slots: the 4 padded
+    # entries hold 0 and rank 0, which the chebyshev window at k = 1 partly
+    # selects.  The weights hold 1/k on the valid columns only, so the min
+    # costs what the unpadded one does plus the pad mask on its comparisons,
+    # one ct-pt and one level, and the padding's zeros do not pull it down
+    cfg = KernelConfig(mode="chebyshev", degree=256, tie_margin=1 / 512)
+    reports = {}
+    for n in (60, 64):
+        v = np.random.default_rng(3).uniform(0.5, 1.0, n)
+        eng = make_engine(4096)
+        out = value_of(eng, order_statistic_value(eng, eng.encrypt(v), n, StatisticQuery("min"), cfg))
+        assert abs(out - v.min()) < 2e-2, n
+        reports[n] = eng.cost_snapshot()
+    assert reports[60] == replace(
+        reports[64], ctpt_mults=reports[64].ctpt_mults + 1, levels_consumed=reports[64].levels_consumed + 1
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, report",
+    [
+        # k = 1: the reciprocal's seed 2 - x is a free negation
+        ("min", CostReport(rotations=6, critical_rotations=4, ctct_mults=42, ctpt_mults=60, additions=111,
+                           cmp_evals=1, ind_evals=1, levels_consumed=25)),
+        ("median", CostReport(rotations=6, critical_rotations=4, ctct_mults=45, ctpt_mults=93, additions=149,
+                              cmp_evals=1, ind_evals=1, levels_consumed=26)),
+    ],
+)
+def test_two_by_two_statistic_keeps_its_two_folds(kind, report):
+    # 2 values in 4 slots: a 2x2 matrix, where one fold of both sums would
+    # take 3 rotations and the weights an addition; its rows are alike, so
+    # the value and the norm each fold in one step with no mask, as before.
+    # The median's cost is the parent circuit's; the min sheds the ct-pt
+    # and the level of its reciprocal's seed
+    eng = make_engine(4)
+    out = order_statistic_value(eng, eng.encrypt([0.7, 0.2]), 2, StatisticQuery(kind), PINNED_CHEB)
+    assert abs(value_of(eng, out) - {"min": 0.2, "median": 0.45}[kind]) < 1e-3
+    assert eng.cost_snapshot() == report
