@@ -14,16 +14,14 @@ res = sort_full(
     eng, eng.encrypt([20.0, 30.0, 10.0, 40.0]), 4, SortConfig(kernel=cfg_plain, tie_correction=False)
 )
 print("  input   [20, 30, 10, 40]")
-print("  the shifted rank matrix becomes a permutation mask; row k picks")
+print("  the shifted rank matrix becomes a permutation mask; column k picks")
 print("  the element of rank k+1:")
 print(eng.decrypt(res.selection).reshape(4, 4))
 print("  sorted ->", read_row(eng, res.values, 4))
 rep = eng.cost_snapshot()
 print(f"  cost: {rep.cmp_evals} comparison, {rep.ind_evals} indicator, {rep.rotations} rotations")
 
-print("\nThe ranks fill every row of a matrix that fills the slots, so the sort")
-print("reuses the ranking's row replications, spreads nothing, and moves the")
-print("values from column 0 to row 0 with one transposition:")
+print("\nA sort of 16 values stays in the rotation budget:")
 n = 16
 eng = HESimulator(HEParams(slot_count=n * n, max_level=48))
 v = np.random.default_rng(1).permutation(n) / n

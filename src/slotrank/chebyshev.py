@@ -556,44 +556,29 @@ def equality_from_compare(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     return engine.mul_plain(quarter_equality(engine, c), 4.0)
 
 
-def goldschmidt_inverse(
-    engine: HESimulator,
-    x: Ciphertext,
-    value_range: tuple[float, float],
-    iters: int,
-) -> Ciphertext:
-    """Slotwise reciprocal of values promised inside ``value_range``.
+# Squaring steps of the reciprocal after its seed: 4 leave (1 - x/k)^64,
+# below 1e-16 while x is within 55% of k.
+_RECIPROCAL_STEPS = 4
 
-    Starts from the equioscillating linear seed y0 = a*x + b on [m, M] and
-    applies ``iters`` squaring steps, leaving a relative error of
-    e0^(2^(iters+1)) with e0 = (M-m)^2 / (m^2 + 6mM + M^2).
 
-    The error of x itself is e(x) = 1 - x*y0(x), which is e0 at m and M, and
-    the iteration converges for every x in (0, m+M), where |e(x)| < 1.  A
-    value outside [m, M] starts further out, at |e(x)| > e0, and keeps
-    e(x)^(2^(iters+1)): on (0.5, 64.5) with 8 steps, x = 0.5 is left at
-    2.6e-14 but x = 0.23 at 6.7e-7, and x = 0.1 at 2.2e-3.
+def goldschmidt_inverse(engine: HESimulator, x: Ciphertext, k: float) -> Ciphertext:
+    """Slotwise reciprocal of values promised near ``k`` > 0.
 
-    A one-point range (k, k) gives the seed (2k - x)/k^2: the seed 1/k plus
-    one step, with e(x) = (1 - x/k)^2, so the iteration converges for every
-    x in (0, 2k).  At k = 1 it is the Inv iteration of Cheon, Kim, Kim, Lee
-    and Lee (ASIACRYPT 2019), whose seed 2 - x takes a negation, free in
-    CKKS, in place of a ct-pt product and its level.  A value promised near
-    k, such as the norm of a window mask of k ranks, then needs only a few
-    steps: 4 leave (1 - x/k)^64.
+    Starts from the seed (2k - x)/k^2, which is the seed 1/k plus one step,
+    with error e(x) = 1 - x*y0(x) = (1 - x/k)^2, so the iteration converges
+    for every x in (0, 2k).  At k = 1 it is the Inv iteration of Cheon, Kim,
+    Kim, Lee and Lee (ASIACRYPT 2019), whose seed 2 - x takes a negation,
+    free in CKKS, in place of a ct-pt product and its level.  A value
+    promised near k, such as the norm of a window mask of k ranks, then
+    needs only a few squaring steps: 4 leave (1 - x/k)^64.
     """
-    m, mx = value_range
-    if not (0 < m <= mx):
-        raise ValueError(f"reciprocal range must satisfy 0 < m <= M, got [{m}, {mx}]")
-    if iters < 1:
-        raise ValueError("iteration count must be >= 1")
-    denom = m * m + 6.0 * m * mx + mx * mx
-    a = -8.0 / denom
-    b = 8.0 * (m + mx) / denom
+    if not k > 0:
+        raise ValueError(f"reciprocal seed point must be > 0, got {k}")
+    slope = -1.0 / (k * k)
     engine.share(x)  # read by the seed and by the first error
-    y = engine.add_plain(engine.negate(x) if a == -1.0 else engine.mul_plain(x, a), b)
+    y = engine.add_plain(engine.negate(x) if slope == -1.0 else engine.mul_plain(x, slope), 2.0 / k)
     err = engine.add_plain(engine.negate(engine.mul(x, y)), 1.0)
-    for _ in range(iters):
+    for _ in range(_RECIPROCAL_STEPS):
         engine.share(err)  # read by the correction and by the next square
         y = engine.mul(y, engine.add_plain(err, 1.0))
         err = engine.mul(err, err)

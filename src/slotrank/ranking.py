@@ -5,10 +5,13 @@ matrix columns; a single slotwise comparison of the two encodings yields
 the full pairwise comparison matrix D, cell (r, c) comparing entry c with
 entry r.  Its column sums (plus one half) are the fractional ranks, in row
 0.  When the matrix fills the slot vector the fold along the rows is an
-all-reduce: the ranks land in every row with no mask, already spread for
-the sort's placement.  Tie correction adds offset cells derived from the
-same comparison matrix before that one fold, which redistributes tied
-ranks into a permutation of 1..N.
+all-reduce: the ranks land in every row with no mask.  The sort asks for
+its ranks spread across the matrix along their axis; the all-reduce gives
+that for free, and anywhere else, as for the one-block sort, which ranks
+along the columns into column 0, each block's ranks are replicated as its
+shift is added.  Tie correction adds offset cells derived from the same
+comparison matrix before that one fold, which redistributes tied ranks
+into a permutation of 1..N.
 
 One block-generic pipeline serves every vector length.  A vector longer
 than the matrix capacity is split into L blocks and only the L(L+1)/2
@@ -101,14 +104,14 @@ class BlockVector:
 class MultiRankPipeline:
     """The ranks of a block vector and what the sort placement reuses.
 
-    The ranks lie along ``axis``: in row 0 (a sort's ranks fill every row of
-    a matrix that fills the slots), or, for the one-block sort on a matrix
-    that does not, in column 0.  ``replicated`` holds each block's input replicated along the
-    same axis, which the sort and the statistics multiply by their
-    selection masks.  Nothing else the pipeline built is kept: a block's
-    replication along the other axis goes after its comparisons, and each
-    comparison matrix as soon as both sums that read it have taken it, so
-    at most O(L) slot vectors live at once.
+    The ranks lie along ``axis``: in row 0, or, for the one-block sort, in
+    column 0; a sort's ranks are spread to every row or every column.
+    ``replicated`` holds each block's input replicated along the same axis,
+    which the sort and the statistics multiply by their selection masks.
+    Nothing else the pipeline built is kept: a block's replication along
+    the other axis goes after its comparisons, and each comparison matrix
+    as soon as both sums that read it have taken it, so at most O(L) slot
+    vectors live at once.
     """
 
     ranks: BlockVector
@@ -173,10 +176,10 @@ def _col_rep(engine: HESimulator, blk: Ciphertext, layout: MatrixLayout) -> Ciph
     return replicate(engine, transpose_vector(engine, blk, layout, "row_to_col"), layout, "col")
 
 
-def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -> MultiRankPipeline:
-    # every_row: on a matrix that fills the slots, every row holds the ranks,
-    # as the sort's placement reads them.  axis="col"
-    # ranks one block along the columns, into column 0: cell (r, c) of its
+def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", spread=False) -> MultiRankPipeline:
+    # spread: the ranks cover the whole matrix along ``axis``, every row or
+    # every column, as the sort's placement reads them.  axis="col" ranks
+    # one block along the columns, into column 0: cell (r, c) of its
     # comparison matrix compares entry r with entry c, and its row sums are
     # the ranks
     b, count = bv.block_size, len(bv.blocks)
@@ -219,6 +222,8 @@ def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -
             cross_sum = c if cross_sum is None else engine.add(cross_sum, c)
             earlier[j] = engine.share(engine.add(earlier[j], c))[0] if j in earlier else c
         c = col = None  # every reader is done: free them before the folds
+        if axis == "col":
+            row_rep = None  # only the comparison reads them; the placement multiplies col
         own = engine.add(mine, earlier.pop(i)) if i > 0 else mine
         if tie_correction:
             own = engine.add(own, tie_offset(engine, mine, layout, axis))
@@ -230,7 +235,7 @@ def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -
                 # the later blocks' entries below entry r are their count, in
                 # the shift, less the row sums of sum_j D_ij, moved to row 0
                 less = transpose_vector(engine, sum_axis(engine, cross_sum, layout, "col"), layout, "col_to_row")
-                if every_row and layout.full:
+                if spread and layout.full:
                     # subtracted before the all-reduce, it reaches every row,
                     # at log2 B more rotations on its critical path
                     own, less = engine.sub(own, less), None
@@ -244,6 +249,10 @@ def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", every_row=False) -
             rows = b if layout.full else 1
             cells = (0, rows, 0, valid) if axis == "row" else (0, valid, 0, 1)
             ranks = engine.add_plain(ranks, rect_plain(layout.slot_count, b, *cells, shift))
+        if spread and not (axis == "row" and layout.full):
+            # only a full matrix's row fold is an all-reduce: spread the
+            # rest here, so that no unspread copy outlives its block
+            ranks = replicate(engine, ranks, layout, axis)
         rank_blocks.append(ranks)
 
     return MultiRankPipeline(

@@ -53,11 +53,6 @@ __all__ = [
 ]
 
 
-# Squaring steps of the reciprocal of a window's mask norm, seeded at 1/k:
-# 4 leave (1 - norm/k)^64, below 1e-16 while the norm is within 55% of k.
-_SEEDED_ITERS = 4
-
-
 @dataclass(frozen=True)
 class StatisticQuery:
     """What to extract: kind in {"kth", "min", "max", "median", "percentile"}."""
@@ -161,7 +156,7 @@ def _value_from_masks(engine, pipe: MultiRankPipeline, sels: Iterator[Ciphertext
             f"{caller_path()}: mask norm {got * width / promise:.6g} of a window of {width} target ranks lies "
             f"outside (0, {2 * width}), where its reciprocal seeded at 1/{width} diverges"
         )
-    return engine.mul(numerator, goldschmidt_inverse(engine, norm, (promise, promise), _SEEDED_ITERS))
+    return engine.mul(numerator, goldschmidt_inverse(engine, norm, promise))
 
 
 def multi_statistic(engine: HESimulator, bv: BlockVector, query: StatisticQuery, cfg: KernelConfig) -> Ciphertext:

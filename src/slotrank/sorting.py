@@ -1,19 +1,19 @@
 """Sorting by extracting every order statistic at once.
 
-The ranking is replicated across the matrix, each row is shifted by a
-different target rank, and a single indicator evaluation turns the result
-into a permutation mask; multiplying by the replicated input and summing
-recovers the sorted vector.  The ranks land in row 0, so the sort reuses
-the ranking step's row replications of the input and its values land in
-column 0.  On a matrix that fills the slots the ranks already fill every
-row, so the placement spreads nothing; ``sort`` then moves the values to
-row 0 with one transposition, which costs what the spread did.  A one-block
-sort on a matrix that does not fill its slots ranks along the columns
-instead, so its values land in row 0 with no transposition.
+The ranking is spread across the matrix, each line across it is shifted by
+a different target rank, and a single indicator evaluation turns the
+result into a permutation mask; multiplying by the replicated input and
+summing recovers the sorted vector.  The sort reuses the ranking step's
+replications of the input along the ranks' axis.  A block vector ranks
+along the rows, and its values land in column 0; on a matrix that fills
+the slots the rank fold is an all-reduce that leaves the ranks in every
+row, so spreading them costs nothing.  ``sort`` ranks one block along the
+columns on every geometry, so its values land in row 0 with no
+transposition.
 
 One placement step serves every vector length: a block vector of L blocks
-runs it once per (output block, rank block) pair, and a vector that fits
-one matrix is the one-block case.
+runs it once per (output block, rank block) pair, and ``sort`` is the
+one-block case along the other axis.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
-from .matrix import MatrixLayout, grid_plain, replicate, sum_axis, transpose_vector
+from .matrix import grid_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, _rank_blocks, block_merge, one_block
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
@@ -44,8 +44,6 @@ class SortConfig:
 class SortResult:
     values: Ciphertext
     selection: Ciphertext
-    ranks: Ciphertext
-    layout: MatrixLayout
 
 
 @lru_cache(maxsize=None)
@@ -71,27 +69,23 @@ def _require_distinct(values: np.ndarray):
 
 def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfig):
     # Output block i holds sorted positions i*B+1..(i+1)*B: the ranks of
-    # block j, along the pipeline's axis, are spread across the matrix
-    # (a full matrix ranked along the rows holds them in every row already),
-    # the line k across it is shifted by the target i*B+1+k, and the
-    # indicator turns that into a selection mask; multiplied by input block j
-    # replicated along the same axis and folded across it, it lands the
-    # values in column 0 (ranks in row 0) or row 0 (ranks in column 0).
-    # Returns the output blocks and the last selection mask.
-    layout, ranks = pipe.layout, pipe.ranks.blocks
+    # block j cover the matrix along the pipeline's axis, the line k across
+    # it is shifted by the target i*B+1+k, and the indicator turns that into
+    # a selection mask; multiplied by input block j replicated along the same
+    # axis and folded across it, it lands the values in column 0 (ranks in
+    # every row) or row 0 (ranks in every column).  Returns the output
+    # blocks and the last selection mask.
+    layout = pipe.layout
+    ranks = engine.share(*pipe.ranks.blocks)  # each is shifted once per output block
     b, count = layout.n_dim, len(ranks)
     fold = "col" if pipe.axis == "row" else "row"
     window_cfg = with_input_range(kernel_cfg, -float(b * count), float(b * count))
-    if not (pipe.axis == "row" and layout.full):
-        ranks = [replicate(engine, r, layout, pipe.axis) for r in ranks]
-    # each spread ranking is shifted once per output block
-    spread = engine.share(*ranks)
     values = []
     for i in range(count):
         neg_targets = _neg_rank_targets(layout.slot_count, b, b * i + 1, fold)
         total = None
         for j in range(count):
-            selection = indicator_kernel(engine, engine.add_plain(spread[j], neg_targets), -0.5, 0.5, window_cfg)
+            selection = indicator_kernel(engine, engine.add_plain(ranks[j], neg_targets), -0.5, 0.5, window_cfg)
             # a running left fold: one product is alive at a time, and the
             # sum has the doubles and charges of one n-ary add
             placed = engine.mul(selection, pipe.replicated[j])
@@ -106,19 +100,14 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     Exactly one comparison and one indicator evaluation regardless of n.
     Duplicate elements require tie_correction; without it they would
     collapse onto the same rank, so a ``ValueError`` is raised instead.
-    This is the one-block case of ``multi_sort``, whose values a full matrix
-    transposes to row 0; a matrix that does not fill the slots ranks along
-    the columns, and its ``ranks`` are in column 0.
+    The one block is ranked along the columns and its ranks spread to every
+    column, so column k of the selection picks the element of rank k+1.
     """
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n])
-    bv = one_block(engine, ct, n)
-    axis = "row" if MatrixLayout(bv.block_size, engine.params.slot_count).full else "col"
-    pipe = _rank_blocks(engine, bv, cfg.kernel, cfg.tie_correction, axis, every_row=True)
+    pipe = _rank_blocks(engine, one_block(engine, ct, n), cfg.kernel, cfg.tie_correction, "col", spread=True)
     (values,), selection = _place(engine, pipe, cfg.kernel)
-    if axis == "row":
-        values = transpose_vector(engine, values, pipe.layout, "col_to_row")
-    return SortResult(values=values, selection=selection, ranks=pipe.ranks.blocks[0], layout=pipe.layout)
+    return SortResult(values=values, selection=selection)
 
 
 def sort(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> Ciphertext:
@@ -137,7 +126,7 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
     """
     if not cfg.tie_correction:
         _require_distinct(block_merge(engine, bv))
-    ranking = _rank_blocks(engine, bv, cfg.kernel, cfg.tie_correction, every_row=True)
+    ranking = _rank_blocks(engine, bv, cfg.kernel, cfg.tie_correction, spread=True)
     values, _ = _place(engine, ranking, cfg.kernel)
     b = bv.block_size
     return BlockVector(blocks=tuple(values), block_size=b, total_len=bv.total_len, stride=b, computed=True)

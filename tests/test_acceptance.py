@@ -297,9 +297,9 @@ def test_c8_paper_fixtures_bit_exact():
     res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, SortConfig(kernel=IDEAL, tie_correction=False))
     assert np.array_equal(read_row(eng, res.values, 4), [10, 20, 30, 40])
     # row k of the paper's permutation matrix picks the element of rank k+1,
-    # as row k of the selection does
-    expected_mask = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
-    assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4), expected_mask)
+    # as column k of the selection does
+    paper_mask = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
+    assert np.array_equal(eng.decrypt(res.selection).reshape(4, 4), paper_mask.T)
 
     layout = MatrixLayout(n_dim=4, slot_count=16)
     tied = eng.encrypt([10, 20, 20, 40])

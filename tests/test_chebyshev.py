@@ -715,58 +715,37 @@ def test_noisy_equality_reads_an_owing_comparison_twice():
 # ----------------------------------------------------------------------
 
 
-def scalar_goldschmidt(x, lo, hi, iters):
-    denom = lo * lo + 6.0 * lo * hi + hi * hi
-    a, b = -8.0 / denom, 8.0 * (lo + hi) / denom
-    y = a * x + b
+def scalar_goldschmidt(x, k):
+    y = -x / (k * k) + 2.0 / k
     e = 1.0 - x * y
     y = y * (1.0 + e)
-    for _ in range(iters):
+    for _ in range(4):
         e = e * e
         y = y * (1.0 + e)
     return y
 
 
-@pytest.mark.parametrize(
-    "x,iters,tol",
-    [(1.0, 6, 1e-3), (2.0, 8, 1e-3), (0.5, 8, 4e-3)],
-)
-def test_goldschmidt_matches_scalar_oracle_and_truth(x, iters, tol):
-    eng = make_engine(slot_count=4, max_level=40)
-    out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt([x]), (0.5, 8.5), iters))[0]
-    oracle = scalar_goldschmidt(x, 0.5, 8.5, iters)
-    assert abs(out - oracle) < 1e-12
-    assert abs(out - 1.0 / x) < tol
-
-
-def test_goldschmidt_across_wide_range():
-    eng = make_engine(slot_count=64, max_level=64)
-    xs = np.linspace(1.0, 128.0, 64)
-    out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(xs), (0.5, 128.5), 8))
-    assert np.max(np.abs(out * xs - 1.0)) < 1e-6
-
-
 def test_unit_range_reciprocal_seeds_2_minus_x_with_a_free_negation():
-    # on (1, 1) the seed's slope is -1: a negation, free in CKKS, where any
-    # other one-point range (k, k) multiplies by -1/k^2 at one ct-pt and level
+    # at k = 1 the seed's slope is -1: a negation, free in CKKS, where any
+    # other k multiplies by -1/k^2 at one ct-pt and level
     xs = np.array([0.6, 1.0, 1.3])
     costs = {}
-    for k in (1.0, 2.0):
+    for k in (1, 2):
         eng = make_engine(slot_count=4, max_level=40)
-        out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(k * xs), (k, k), 4))[:3]
-        np.testing.assert_allclose(out, [scalar_goldschmidt(k * x, k, k, 4) for x in xs], rtol=1e-14)
+        out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(k * xs), k))[:3]
+        np.testing.assert_allclose(out, [scalar_goldschmidt(k * x, k) for x in xs], rtol=1e-14)
+        np.testing.assert_allclose(out * k * xs, 1.0, atol=1e-6)
         costs[k] = eng.cost_snapshot()
-    assert (costs[1.0].ctpt_mults, costs[2.0].ctpt_mults) == (0, 1)
-    assert costs[1.0].levels_consumed == costs[2.0].levels_consumed - 1
-    assert costs[1.0].additions == costs[2.0].additions
+    assert (costs[1].ctpt_mults, costs[2].ctpt_mults) == (0, 1)
+    assert costs[1].levels_consumed == costs[2].levels_consumed - 1
+    assert costs[1].additions == costs[2].additions
 
 
 def test_goldschmidt_rejects_bad_range():
     eng = make_engine()
-    with pytest.raises(ValueError):
-        goldschmidt_inverse(eng, eng.encrypt([1.0]), (0.0, 4.0), 8)
-    with pytest.raises(ValueError):
-        goldschmidt_inverse(eng, eng.encrypt([1.0]), (-1.0, 4.0), 8)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="must be > 0"):
+            goldschmidt_inverse(eng, eng.encrypt([1.0]), k)
 
 
 def test_kernel_depth_by_mode():

@@ -178,8 +178,9 @@ def saved(kind, geometry, blocks, padded):
     Only a matrix that fills the slots gains from the rows: its rank fold
     is a cyclic all-reduce with no mask, one ct-pt per block.  The sort's
     ranks then fill every row, so ``multi_sort`` spreads nothing, log2 B
-    rotations and additions per block; ``sort`` pays them back to transpose
-    its values to row 0.  One block also sheds the fold's level, and with
+    rotations and additions per block; ``sort`` ranks along the columns on
+    every geometry and spreads its ranks, so it gains nothing.  One
+    ``multi_sort`` block also sheds the fold's level, and with
     the spread its rotations from the critical path; a padded multi-block
     statistic sheds the level the mask put under the cut of its last mask.
     A one-block statistic's mask then fills every row too, so its value and

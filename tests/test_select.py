@@ -418,9 +418,9 @@ def test_noisy_chebyshev_three_block_statistics(monkeypatch):
     norms = []
     inverse = select_module.goldschmidt_inverse
 
-    def spy(engine, x, value_range, iters):
+    def spy(engine, x, k):
         norms.append(float(x.slots[0]))
-        return inverse(engine, x, value_range, iters)
+        return inverse(engine, x, k)
 
     monkeypatch.setattr(select_module, "goldschmidt_inverse", spy)
     rng = np.random.default_rng(8)

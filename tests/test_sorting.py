@@ -39,15 +39,13 @@ def test_sort_known_vector():
 
 
 def test_sort_mask_matrix_matches_rank_placement():
-    # row k of the selection picks the element of rank k+1 on a full matrix,
-    # column k on one that does not fill its slots
-    for slot_count, turn in ((16, np.transpose), (32, np.asarray)):
+    # column k of the selection picks the element of rank k+1, whether or
+    # not the matrix fills its slots
+    expected_mask = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=float)
+    for slot_count in (16, 32):
         eng = make_engine(slot_count)
         res = sort_full(eng, eng.encrypt([20, 30, 10, 40]), 4, cfg(tie_correction=False))
-        expected_mask = np.array(
-            [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=float
-        )
-        assert np.array_equal(eng.decrypt(res.selection)[:16].reshape(4, 4), turn(expected_mask))
+        assert np.array_equal(eng.decrypt(res.selection)[:16].reshape(4, 4), expected_mask)
         assert np.array_equal(read_row(eng, res.values, 4), [10, 20, 30, 40])
 
 
@@ -160,11 +158,14 @@ def test_multi_sort_reverse_input():
 
 
 def test_multi_sort_single_block_equals_sort():
-    # On a full matrix (16 slots) the sort is multi_sort's circuit, whose
-    # values land in column 0, then one col_to_row transposition, by
-    # N(N-1)/2 and N(N-1)/4 at N = 4, with its mask.  Otherwise (32 slots)
-    # the sort ranks along the columns: the same counters, its rotations
-    # along the other axis.
+    # The sort ranks along the columns and spreads its ranks to every
+    # column, and its values land in row 0 by the row fold, B 2^k.  On a
+    # full matrix (16 slots) multi_sort's rank fold is an all-reduce over
+    # the rows, which spreads for free, where the sort's rank fold masks
+    # its sums to column 0, one ct-pt and one level, and its spread takes
+    # log2 B more rotations and additions, on the critical path.  Otherwise
+    # (32 slots) both spread: the same counters, the sort's rotations along
+    # the other axis.
     cases = [([0.4, 0.1, 0.9, 0.6], 16), ([0.4, 0.1, 0.4], 16), ([0.4, 0.1, 0.9, 0.6], 32), ([0.4, 0.1, 0.4], 32)]
     for v, slot_count in cases:  # the second of each pair is padded and tied
         v = np.array(v)
@@ -180,8 +181,8 @@ def test_multi_sort_single_block_equals_sort():
                 m, rotations=m.rotations + 2, critical_rotations=m.critical_rotations + 2,
                 ctpt_mults=m.ctpt_mults + 1, additions=m.additions + 2, levels_consumed=m.levels_consumed + 1,
             )
-            assert single_eng.rotation_offsets() == multi_eng.rotation_offsets() + [6, 3]
         assert single_eng.cost_snapshot() == m
+        assert single_eng.rotation_offsets()[-2:] == [4, 8]
 
 
 def test_multi_sort_indicator_count_is_block_count_squared():
@@ -331,6 +332,32 @@ def test_sixteen_block_sort_holds_4l_slot_vectors():
     out, peak = _traced_peak(eng, lambda: multi_sort(eng, bv, cfg()))
     assert np.array_equal(block_merge(eng, out), reference.sorted_values(v))
     assert peak < 2.0e6
+
+
+def test_blocks_that_do_not_fill_the_slots_hold_only_their_spread_ranks():
+    # 300 tied values in 8192 slots: five 64x64 blocks in half the slots, so
+    # each block's ranks are spread to every row.  Each is spread as its
+    # shift is added, and the placement reads only the spread copies: 1.32
+    # MB, where holding the ranks beside them took 1.65 MB
+    v = _tied_values(300, 30, 4)
+    eng = make_engine(8192)
+    bv = block_split(eng, v)
+    assert len(bv.blocks) == 5
+    out, peak = _traced_peak(eng, lambda: multi_sort(eng, bv, cfg()))
+    assert np.array_equal(block_merge(eng, out), reference.sorted_values(v))
+    assert peak < 1.5e6
+
+
+def test_one_block_sort_drops_its_row_replications_before_the_folds():
+    # 256 values in 2^16 slots, the sort_cheb shape: the column-axis sort
+    # compares the row replication once and places with the column one, so
+    # the row replication goes before the folds; kept, it took 4.2 MB
+    v = np.random.default_rng(6).uniform(0, 1, 256)
+    eng = make_engine(1 << 16)
+    ct = eng.encrypt(v)
+    out, peak = _traced_peak(eng, lambda: sort(eng, ct, 256, cfg()))
+    assert np.array_equal(read_row(eng, out, 256), np.sort(v))
+    assert peak < 3.9e6
 
 
 @pytest.mark.parametrize(
