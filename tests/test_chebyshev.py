@@ -725,6 +725,27 @@ def scalar_goldschmidt(x, k):
     return y
 
 
+@pytest.mark.parametrize(
+    "x,k,tol",
+    [(1.0, 1, 1e-15), (5.0, 8, 1e-12), (0.3, 1, 1e-9)],
+)
+def test_goldschmidt_matches_scalar_oracle_and_truth(x, k, tol):
+    # the error after the 4 steps is (1 - x/k)^64: 0.7^64 / 0.3 < 1e-9 at the last case
+    eng = make_engine(slot_count=4, max_level=40)
+    out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt([x]), k))[0]
+    assert abs(out - scalar_goldschmidt(x, k)) < 1e-12
+    assert abs(out - 1.0 / x) < tol
+
+
+def test_goldschmidt_across_wide_range():
+    # window widths k from one rank up to 128, each over norms in (k/2, 3k/2)
+    for k in (1, 3, 64, 128):
+        eng = make_engine(slot_count=64, max_level=40)
+        xs = k * np.linspace(0.5, 1.5, 64)
+        out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(xs), k))
+        assert np.max(np.abs(out * xs - 1.0)) < 1e-12
+
+
 def test_unit_range_reciprocal_seeds_2_minus_x_with_a_free_negation():
     # at k = 1 the seed's slope is -1: a negation, free in CKKS, where any
     # other k multiplies by -1/k^2 at one ct-pt and level
