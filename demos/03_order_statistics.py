@@ -39,7 +39,7 @@ for k in (1, 4):
 
 print("\nThe value is the inner product with the mask, divided by its norm")
 print("(the number of target ranks, known in the clear; the division runs as")
-print("a Goldschmidt reciprocal iteration seeded at its inverse):")
+print("Goldschmidt's iteration seeded at its inverse):")
 for query, label in [
     (StatisticQuery("min"), "min   "),
     (StatisticQuery("kth", k=2), "2nd   "),

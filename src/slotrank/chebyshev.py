@@ -3,7 +3,7 @@
 Provides interpolation at Chebyshev nodes of the first kind, a baby-step /
 giant-step polynomial evaluator that needs only O(sqrt(d)) ciphertext-
 ciphertext multiplications, and the kernels built on top of it: three-way
-comparison, interval indicator and a Goldschmidt reciprocal, which the
+comparison, interval indicator and Goldschmidt's division, which the
 pipelines use, and the strict/weak comparisons (with
 ``KernelConfig.tie_margin``) and the equality derived from a comparison
 matrix, which no pipeline reads: they stay only while the benchmark's
@@ -48,6 +48,7 @@ __all__ = [
     "compare_ge_kernel",
     "indicator_kernel",
     "equality_from_compare",
+    "goldschmidt_divide",
     "goldschmidt_inverse",
 ]
 
@@ -356,7 +357,9 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
     """Evaluate the giant-step tree below ``node``.
 
     Returns (ciphertext part or None, constant part); a node with a leaf
-    takes the next one from ``leaves``.
+    takes the next one from ``leaves``.  The quotient's part is dropped once
+    its product is made, so no level of the walk holds it through the
+    remainder's walk.
     """
     if len(node) == 2:
         has_leaf, const = node
@@ -367,6 +370,7 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
         prod = engine.mul_plain(powers[g], q_const)
     else:
         prod = engine.mul(engine.add_plain(q_ct, q_const), powers[g])
+    del q_ct
     r_ct, r_const = _walk(engine, r_node, powers, leaves)
     return (prod if r_ct is None else engine.add(prod, r_ct)), r_const
 
@@ -394,7 +398,7 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     told the rows: one BLAS product over them, which reads every power once
     per batch rather than once per term.  The baby-step rows are released
     once the last batch is computed, so the rest of the walk holds only the
-    giant powers and its partial sums.
+    giant powers and its partial sums: one product per level of the tree.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
@@ -556,34 +560,49 @@ def equality_from_compare(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     return engine.mul_plain(quarter_equality(engine, c), 4.0)
 
 
-# Squaring steps of the reciprocal after its seed: 4 leave (1 - x/k)^64,
-# below 1e-16 while x is within 55% of k.
+# Squaring steps of the divisor's error after the seed's step: 4 leave
+# (1 - b/k)^64, below 1e-16 while b is within 55% of k.  The quotient takes
+# one correction more than the divisor, after its last square.
 _RECIPROCAL_STEPS = 4
 
 
-def goldschmidt_inverse(engine: HESimulator, x: Ciphertext, k: float) -> Ciphertext:
-    """Slotwise reciprocal of values promised near ``k`` > 0.
+def goldschmidt_divide(engine: HESimulator, a: Ciphertext | None, b: Ciphertext, k: float) -> Ciphertext:
+    """Slotwise quotient a / b of divisors promised near ``k`` > 0, or the
+    reciprocal 1 / b when ``a`` is None.
 
-    Starts from the seed (2k - x)/k^2, which is the seed 1/k plus one step,
-    with error e(x) = 1 - x*y0(x) = (1 - x/k)^2, so the iteration converges
-    for every x in (0, 2k).  At k = 1 it is the Inv iteration of Cheon, Kim,
-    Kim, Lee and Lee (ASIACRYPT 2019), whose seed 2 - x takes a negation,
-    free in CKKS, in place of a ct-pt product and its level.  A value
-    promised near k, such as the norm of a window mask of k ranks, then
-    needs only a few squaring steps: 4 leave (1 - x/k)^64.
+    Goldschmidt's division multiplies the numerator and the divisor by the
+    same factors until the divisor reaches 1.  The first is the seed
+    F0 = (2k - b)/k^2, which leaves the divisor 1 - e with e = (1 - b/k)^2,
+    so the iteration converges for every b in (0, 2k); each later factor
+    2 - D squares the divisor's error.  After ``_RECIPROCAL_STEPS`` squares
+    a last factor corrects the numerator alone: the quotient is
+    (a/b)(1 - (1 - b/k)^64), 6 levels below the later of a and F0, where a
+    reciprocal and a product by it took 7.  At k = 1 this is the Inv
+    iteration of Cheon, Kim, Kim, Lee and Lee (ASIACRYPT 2019), whose seed
+    2 - b takes a negation, free in CKKS, in place of a ct-pt product and
+    its level.
     """
     if not k > 0:
-        raise ValueError(f"reciprocal seed point must be > 0, got {k}")
+        raise ValueError(f"division seed point must be > 0, got {k}")
     slope = -1.0 / (k * k)
-    engine.share(x)  # read by the seed and by the first error
-    y = engine.add_plain(engine.negate(x) if slope == -1.0 else engine.mul_plain(x, slope), 2.0 / k)
-    err = engine.add_plain(engine.negate(engine.mul(x, y)), 1.0)
-    for _ in range(_RECIPROCAL_STEPS):
-        engine.share(err)  # read by the correction and by the next square
-        y = engine.mul(y, engine.add_plain(err, 1.0))
-        err = engine.mul(err, err)
-    y = engine.mul(y, engine.add_plain(err, 1.0))
-    return y
+    engine.share(b)  # read by the seed and by the first divisor
+    f = engine.add_plain(engine.negate(b) if slope == -1.0 else engine.mul_plain(b, slope), 2.0 / k)
+    n = f if a is None else engine.mul(f, a)
+    d = engine.mul(f, b)
+    for step in range(_RECIPROCAL_STEPS + 1):
+        engine.share(d)  # read by the factor and by the next divisor
+        f = engine.add_plain(engine.negate(d), 2.0)
+        n = engine.mul(f, n)
+        if step < _RECIPROCAL_STEPS:  # the last factor corrects the quotient alone
+            d = engine.mul(f, d)
+    return n
+
+
+def goldschmidt_inverse(engine: HESimulator, x: Ciphertext, k: float) -> Ciphertext:
+    """Slotwise reciprocal of values promised near ``k`` > 0: the division
+    of 1 by ``x``, with no numerator to carry, in 10 ct-ct products and 6
+    levels below its seed."""
+    return goldschmidt_divide(engine, None, x, k)
 
 
 def with_input_range(cfg: KernelConfig, lo: float, hi: float) -> KernelConfig:

@@ -14,22 +14,26 @@ fills the slots), built just before its product is made.  The statistic's
 value is the inner product of the masks with the blocks' row-replicated
 inputs, summed over blocks and folded into column 0, divided by the masks'
 L1 norm.  That norm is the number of target ranks k = last - first + 1,
-known in the clear, so the Goldschmidt reciprocal is seeded at 1/k and
-runs only the few steps an inexact chebyshev mask needs (exact in ideal
-mode for k = 1, 2); at k = 1 its seed 2 - x takes a free negation.  A
-norm in slot 0 outside (0, 2k), where that iteration diverges, raises
-``ValueError``.  An even-length median is one window over both middle
-ranks, of norm 2, so the division takes their average.  A padded block's
-mask is cut to its valid columns first: a padded entry ranks 0, which a
-chebyshev window at k = 1 partly selects.
+known in the clear, so Goldschmidt's division is seeded at 1/k and runs
+only the few steps an inexact chebyshev mask needs (exact in ideal mode
+for k = 1, 2); at k = 1 its seed 2 - x takes a free negation.  It
+multiplies the masked sum by every factor it multiplies the norm by, so
+the value arrives 6 levels below the later of the sum and the seed, where
+a reciprocal of the norm and a product by it took 7.  A norm in slot 0
+outside (0, 2k), where that iteration diverges, raises ``ValueError``.
+An even-length median is one window over both middle ranks, of norm 2, so
+the division takes their average.  A padded block's mask is cut to its
+valid columns first: a padded entry ranks 0, which a chebyshev window at
+k = 1 partly selects.
 
 One block on a matrix of side B >= 4 that fills the slots, the paper's
 setting, has its mask in every row, so one product with weights of v/k in
 row 0 and 1/k in row 1, on the valid columns only, puts the value's terms
 in row 0 and the norm's in row 1, and ``matrix.head_row_sums`` folds both
 into slot 0 in log2 B + 2 rotations with no mask, where two row folds take
-2 log2 B.  The weights carry the cut, and the norm promises 1, whose
-reciprocal is the unit seed's.
+2 log2 B.  The weights carry the cut, and the norm promises 1, which the
+division seeds with the free 2 - x; the sum and the norm leave the fold
+at one level, so the value arrives 6 levels below it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
+from .chebyshev import KernelConfig, goldschmidt_divide, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, head_row_sums, rect_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
@@ -154,9 +158,9 @@ def _value_from_masks(engine, pipe: MultiRankPipeline, sels: Iterator[Ciphertext
     if not 0.0 < got < 2 * promise:
         raise ValueError(
             f"{caller_path()}: mask norm {got * width / promise:.6g} of a window of {width} target ranks lies "
-            f"outside (0, {2 * width}), where its reciprocal seeded at 1/{width} diverges"
+            f"outside (0, {2 * width}), where its division seeded at 1/{width} diverges"
         )
-    return engine.mul(numerator, goldschmidt_inverse(engine, norm, promise))
+    return goldschmidt_divide(engine, numerator, norm, promise)
 
 
 def multi_statistic(engine: HESimulator, bv: BlockVector, query: StatisticQuery, cfg: KernelConfig) -> Ciphertext:

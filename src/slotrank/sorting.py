@@ -9,7 +9,9 @@ along the rows, and its values land in column 0; on a matrix that fills
 the slots the rank fold is an all-reduce that leaves the ranks in every
 row, so spreading them costs nothing.  ``sort`` ranks one block along the
 columns on every geometry, so its values land in row 0 with no
-transposition.
+transposition; they are folded there by ``matrix.column_sums``, which on a
+matrix that fills the slots is an all-reduce with no mask, so they then
+fill every row.
 
 One placement step serves every vector length: a block vector of L blocks
 runs it once per (output block, rank block) pair, and ``sort`` is the
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
-from .matrix import grid_plain, sum_axis
+from .matrix import column_sums, grid_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, _rank_blocks, block_merge, one_block
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
@@ -73,8 +75,8 @@ def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfi
     # it is shifted by the target i*B+1+k, and the indicator turns that into
     # a selection mask; multiplied by input block j replicated along the same
     # axis and folded across it, it lands the values in column 0 (ranks in
-    # every row) or row 0 (ranks in every column).  Returns the output
-    # blocks and the last selection mask.
+    # every row) or row 0 (ranks in every column), in every row when that
+    # fold is cyclic.  Returns the output blocks and the last selection mask.
     layout = pipe.layout
     ranks = engine.share(*pipe.ranks.blocks)  # each is shifted once per output block
     b, count = layout.n_dim, len(ranks)
@@ -90,18 +92,23 @@ def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfi
             # sum has the doubles and charges of one n-ary add
             placed = engine.mul(selection, pipe.replicated[j])
             total = placed if total is None else engine.add(total, placed)
-        values.append(sum_axis(engine, total, layout, fold))
+        values.append(column_sums(engine, total, layout) if fold == "row" else sum_axis(engine, total, layout, fold))
     return values, selection
 
 
 def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> SortResult:
-    """Sort the first ``n`` slots ascending; result in row 0.
+    """Sort the first ``n`` slots ascending; result in row 0, and in every
+    row when the matrix fills the slots.
 
     Exactly one comparison and one indicator evaluation regardless of n.
     Duplicate elements require tie_correction; without it they would
     collapse onto the same rank, so a ``ValueError`` is raised instead.
     The one block is ranked along the columns and its ranks spread to every
     column, so column k of the selection picks the element of rank k+1.
+    The placed values are folded over the rows by ``column_sums``: on a
+    matrix that fills the slots its rotations are cyclic, and with no mask,
+    one ct-pt product and one level fewer, the sorted values fill every
+    row; otherwise the mask keeps them in row 0 and zeroes the other slots.
     """
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n])
@@ -111,7 +118,8 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
 
 
 def sort(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> Ciphertext:
-    """Sorted vector in the first ``n`` slots of row 0."""
+    """Sorted vector in the first ``n`` slots of row 0; on a matrix that
+    fills the slots, in every row (see ``sort_full``)."""
     return sort_full(engine, ct, n, cfg).values
 
 

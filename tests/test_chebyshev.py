@@ -20,6 +20,7 @@ from slotrank import (
     compare_gt_kernel,
     compare_kernel,
     equality_from_compare,
+    goldschmidt_divide,
     goldschmidt_inverse,
     indicator_kernel,
     kernel_depth,
@@ -715,14 +716,18 @@ def test_noisy_equality_reads_an_owing_comparison_twice():
 # ----------------------------------------------------------------------
 
 
-def scalar_goldschmidt(x, k):
-    y = -x / (k * k) + 2.0 / k
-    e = 1.0 - x * y
-    y = y * (1.0 + e)
-    for _ in range(4):
-        e = e * e
-        y = y * (1.0 + e)
-    return y
+def scalar_goldschmidt(b, k, a=None):
+    # Goldschmidt's division a / b seeded at 1/k, op for op as the circuit
+    # runs it: the reciprocal of b when a is None
+    f = b * (-1.0 / (k * k)) + 2.0 / k
+    n = f if a is None else f * a
+    d = f * b
+    for step in range(5):
+        f = -d + 2.0
+        n = f * n
+        if step < 4:
+            d = f * d
+    return n
 
 
 @pytest.mark.parametrize(
@@ -730,11 +735,75 @@ def scalar_goldschmidt(x, k):
     [(1.0, 1, 1e-15), (5.0, 8, 1e-12), (0.3, 1, 1e-9)],
 )
 def test_goldschmidt_matches_scalar_oracle_and_truth(x, k, tol):
-    # the error after the 4 steps is (1 - x/k)^64: 0.7^64 / 0.3 < 1e-9 at the last case
+    # the error after the 4 squares is (1 - x/k)^64: 0.7^64 / 0.3 < 1e-9 at the last case
     eng = make_engine(slot_count=4, max_level=40)
     out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt([x]), k))[0]
-    assert abs(out - scalar_goldschmidt(x, k)) < 1e-12
+    assert out == scalar_goldschmidt(x, k)
     assert abs(out - 1.0 / x) < tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_goldschmidt_division_matches_scalar_oracle_op_for_op(k):
+    rng = np.random.default_rng(k)
+    a, b = rng.uniform(-3, 3, 16), k * rng.uniform(0.5, 1.5, 16)
+    eng = make_engine(slot_count=16)
+    out = eng.decrypt(goldschmidt_divide(eng, eng.encrypt(a), eng.encrypt(b), k))
+    assert np.array_equal(out, scalar_goldschmidt(b, k, a))
+    np.testing.assert_allclose(out, a / b, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_goldschmidt_division_is_exact_at_its_seed_point(k):
+    # a divisor of exactly k, as a noise-free window mask of k ranks has:
+    # the seed is 1/k, a power of two here, and every later factor exactly 1
+    a = np.array([0.0, -0.0, 0.3, -7.25, 1e-300, 123456.789, 2.0 / 3.0, -1.0])
+    eng = make_engine(slot_count=8)
+    out = eng.decrypt(goldschmidt_divide(eng, eng.encrypt(a), eng.encrypt(np.full(8, float(k))), k))
+    assert np.array_equal(out, a / k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_goldschmidt_division_error_is_the_64th_power_of_the_seed_error(k):
+    # the quotient is (a/b)(1 - (1 - b/k)^64): below rounding within 55% of
+    # k, where 0.55^64 < 3e-17, and that exact loss further out
+    a = np.linspace(-2.0, 3.0, 64)
+    a[a == 0.0] = 1.0
+    for lo, hi in ((0.45, 1.55), (0.05, 0.4), (1.6, 1.95)):
+        b = k * np.linspace(lo, hi, 64)
+        eng = make_engine(slot_count=64)
+        out = eng.decrypt(goldschmidt_divide(eng, eng.encrypt(a), eng.encrypt(b), k))
+        loss = (1.0 - b / k) ** 64
+        np.testing.assert_allclose(1.0 - out * b / a, loss, rtol=1e-9, atol=1e-15)
+
+
+def test_goldschmidt_division_carries_the_numerator_in_the_divisor_chain():
+    # 11 ct-ct products and 6 levels below the later of the numerator and
+    # the seed, with 6 additions; a reciprocal and a product by it took 11
+    # ct-ct, 7 additions and 7 levels.  The reciprocal alone is the division
+    # with no numerator: one product fewer, the same 6 levels.  At k != 1
+    # the seed's ct-pt puts it a level below its divisor
+    costs = {}
+    for k in (1, 2):
+        eng = make_engine(slot_count=4)
+        goldschmidt_divide(eng, eng.encrypt([0.5] * 4), eng.encrypt([k * 0.9] * 4), k)
+        costs["divide", k] = eng.cost_snapshot()
+        eng = make_engine(slot_count=4)
+        goldschmidt_inverse(eng, eng.encrypt([k * 0.9] * 4), k)
+        costs["inverse", k] = eng.cost_snapshot()
+    assert costs["divide", 1] == CostReport(ctct_mults=11, additions=6, levels_consumed=6)
+    assert costs["divide", 2] == CostReport(ctct_mults=11, ctpt_mults=1, additions=6, levels_consumed=7)
+    assert costs["inverse", 1] == CostReport(ctct_mults=10, additions=6, levels_consumed=6)
+    assert costs["inverse", 2] == CostReport(ctct_mults=10, ctpt_mults=1, additions=6, levels_consumed=7)
+
+
+def test_goldschmidt_division_runs_on_a_noisy_engine():
+    # the divisor and each later one are read by two ops, so they are shared
+    # first: an owing operand spent by its first reader would raise at the next
+    eng = make_engine(slot_count=4, sigma=1e-9)
+    a, b = eng.mul_plain(eng.encrypt([1.0, 2.0, 3.0, 4.0]), 0.5), eng.mul_plain(eng.encrypt([2.0] * 4), 0.5)
+    assert a.owed and b.owed
+    out = eng.decrypt(goldschmidt_divide(eng, a, b, 1))
+    np.testing.assert_allclose(out, [0.5, 1.0, 1.5, 2.0], atol=1e-7)
 
 
 def test_goldschmidt_across_wide_range():
@@ -767,6 +836,8 @@ def test_goldschmidt_rejects_bad_range():
     for k in (0, -1):
         with pytest.raises(ValueError, match="must be > 0"):
             goldschmidt_inverse(eng, eng.encrypt([1.0]), k)
+        with pytest.raises(ValueError, match="must be > 0"):
+            goldschmidt_divide(eng, eng.encrypt([1.0]), eng.encrypt([1.0]), k)
 
 
 def test_kernel_depth_by_mode():

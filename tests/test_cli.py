@@ -152,8 +152,8 @@ def test_one_matrix_input_costs_as_the_single_vector_pipeline(tmp_path):
         rep = eng.cost_snapshot()
         for column in (f.name for f in fields(CostReport)):
             assert int(record[column]) == getattr(rep, column), (task, column)
-        # a statistic is divided by its mask's norm through the Goldschmidt
-        # reciprocal, which is exact to the last bits only
+        # a statistic is divided by its mask's norm through Goldschmidt's
+        # division, which is exact to the last bits only
         assert float(record["max_err"]) <= (0.0 if task in ("rank", "sort") else 1e-15), task
 
 

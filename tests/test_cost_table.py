@@ -6,8 +6,9 @@ padded or not, in ideal and chebyshev mode, through ``rank`` (or
 ``rank_corrected``), ``sort``, ``multi_sort`` and ``multi_statistic``.
 
 ``BEFORE`` holds the counters of the circuit that folded the ranks into
-column 0; ``saved`` writes out, case by case, what ranking along the rows
-and the one-fold statistic take off them.  No counter of any shape may rise.
+column 0; ``saved`` writes out, case by case, what ranking along the rows,
+the one-fold statistic, Goldschmidt's division and the sort's unmasked
+fold take off them.  No counter of any shape may rise.
 """
 
 from dataclasses import astuple, fields
@@ -172,41 +173,47 @@ BEFORE = {
 
 
 def saved(kind, geometry, blocks, padded):
-    """What ranking along the rows and the one-fold statistic take off the
-    parent circuit's counters.
+    """What ranking along the rows, the one-fold statistic, Goldschmidt's
+    division and the sort's unmasked fold take off the parent circuit's
+    counters.
 
     Only a matrix that fills the slots gains from the rows: its rank fold
     is a cyclic all-reduce with no mask, one ct-pt per block.  The sort's
     ranks then fill every row, so ``multi_sort`` spreads nothing, log2 B
     rotations and additions per block; ``sort`` ranks along the columns on
-    every geometry and spreads its ranks, so it gains nothing.  One
-    ``multi_sort`` block also sheds the fold's level, and with
-    the spread its rotations from the critical path; a padded multi-block
-    statistic sheds the level the mask put under the cut of its last mask.
+    every geometry and spreads its ranks, and its placement's fold over the
+    rows, cyclic there too, drops its mask: one ct-pt and one level.  One
+    ``multi_sort`` block also sheds the fold's level, and with the spread
+    its rotations from the critical path; a padded multi-block statistic
+    sheds the level the mask put under the cut of its last mask.
     A one-block statistic's mask then fills every row too, so its value and
     norm need no fold mask: two ct-pt and one more level.  They then share
     one fold, log2 B + 2 rotate-and-add steps where two folds took 2 log2 B,
     and the ct-pt of their weights, with its level on the norm, stands in
-    for the cut of a padded mask, or else for the reciprocal seed's product.
+    for the cut of a padded mask, or else for the division seed's product.
     A padded statistic, on either geometry, has an odd length, so its median
-    is a window of one rank, whose reciprocal seeds 2 - x with a free
-    negation: one ct-pt and one level.
+    is a window of one rank, whose division seeds 2 - x with a free
+    negation: one ct-pt and one level.  The division carries the value in
+    the norm's chain, with one addition fewer than a reciprocal and a
+    product by it, and one level fewer wherever the value sits no deeper
+    than the seed: every window of two ranks, whose seed takes a ct-pt,
+    and every one-block statistic on a matrix that fills the slots, whose
+    value and norm leave one fold together.
     """
-    seed = CostReport(ctpt_mults=1, levels_consumed=1) if kind == "multi_statistic" and padded else CostReport()
-    if geometry != "full" or kind == "sort":
-        return seed
-    if kind == "rank":
-        return CostReport(ctpt_mults=1, levels_consumed=1)
-    one = blocks == 1
+    full, one = geometry == "full", blocks == 1
+    if kind in ("rank", "sort"):
+        return CostReport(ctpt_mults=int(full), levels_consumed=int(full))
     if kind == "multi_sort":
+        if not full:
+            return CostReport()
         return CostReport(
             rotations=blocks * LOG_B, critical_rotations=LOG_B if one else 0, ctpt_mults=blocks,
             additions=blocks * LOG_B, levels_consumed=int(one),
         )
-    folds = (LOG_B - 2) * one
+    folds = (LOG_B - 2) * one * full
     return CostReport(
-        rotations=folds, ctpt_mults=blocks + 2 * one + seed.ctpt_mults, additions=folds,
-        levels_consumed=int(one or padded) + int(one) + seed.levels_consumed,
+        rotations=folds, ctpt_mults=int(padded) + full * (blocks + 2 * one), additions=folds + 1,
+        levels_consumed=int(padded) + full * (int(one or padded) + int(one)) + int(not padded or (full and one)),
     )
 
 

@@ -1,7 +1,7 @@
 """Property tests of the block pipelines against the plaintext oracles.
 
 Ideal mode, tie correction on: ranks, sorted values and masks are exact, and
-the reciprocal of a window's mask norm k is seeded at 1/k, exact for k = 1
+the division by a window's mask norm k is seeded at 1/k, exact for k = 1
 and 2, so ranks, sorts and statistics must equal the oracle bit for bit.
 Values come from a small pool, so most vectors carry ties, within and across blocks,
 and the last block is padded whenever the length is not a multiple of the

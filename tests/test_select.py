@@ -128,7 +128,7 @@ def test_all_k_statistics_match_sorted_values():
 
 
 def test_min_max_with_duplicated_extremes():
-    # a tied extreme is selected once, so the reciprocal of the norm 1 is exact
+    # a tied extreme is selected once, so the division by the norm 1 is exact
     eng = make_engine(64)
     v = [0.1, 0.1, 0.5, 0.9, 0.9, 0.3]
     lo = value_of(eng, order_statistic_value(eng, eng.encrypt(v), 6, StatisticQuery("min"), IDEAL))
@@ -237,28 +237,28 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     [
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
-                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
+                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
-                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
+                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
-                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
+                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
-                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
+                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=160,
-                       cmp_evals=1, ind_evals=1, levels_consumed=26, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
+                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
         ),
     ],
     ids=["min", "max", "kth3", "median_even", "percentile75"],
@@ -271,8 +271,9 @@ def test_statistic_circuit_is_pinned(statistic, report):
     # and the norm's in row 1, weighted by 1/k, and one fold with no mask,
     # 3 + 2 rotations, sums both.  Every query is one tie-corrected rank
     # window, so the extremes cost what the k-th statistic does: one
-    # tie-offset product, then the reciprocal of the norm 1, seeded at 2 - x
-    # with a free negation, in 4 steps
+    # tie-offset product, then Goldschmidt's division by the norm 1, seeded
+    # at 2 - x with a free negation, whose chain carries the value: 6 levels
+    # below the product
     eng = make_engine(64)
     statistic(eng, eng.encrypt(PINNED_INPUT))
     assert eng.cost_snapshot() == report
@@ -296,21 +297,21 @@ PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6,
 @pytest.mark.parametrize(
     "kind, kernel, n, report",
     [
-        ("median", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=67,
+        ("median", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=66,
+                                         cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
+        ("median", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=379, additions=615,
+                                               cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
+        ("median", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=66,
                                          cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        ("median", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=379, additions=616,
+        ("median", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=383, additions=615,
                                                cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
-        ("median", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=67,
-                                         cmp_evals=6, ind_evals=3, levels_consumed=32, critical_rotations=10)),
-        ("median", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=383, additions=616,
-                                               cmp_evals=6, ind_evals=3, levels_consumed=29, critical_rotations=10)),
-        ("min", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=12, additions=67,
+        ("min", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=12, additions=66,
                                       cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
-        ("min", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=378, additions=616,
+        ("min", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=378, additions=615,
                                             cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
-        ("min", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=67,
+        ("min", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=66,
                                       cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        ("min", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=616,
+        ("min", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=615,
                                             cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
     ],
     ids=["ideal-median", "chebyshev-median", "ideal-padded-median", "chebyshev-padded-median",
@@ -318,9 +319,11 @@ PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6,
 )
 def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
     # the masks and the inner products of the blocks are each one add; both
-    # windows are tie-corrected, of norm 1 and 2, so the reciprocal is
-    # seeded and exact in ideal mode.  The min's seed 2 - x is a free
-    # negation, where the median's (4 - x)/4 takes a ct-pt and a level.  The
+    # windows are tie-corrected, of norm 1 and 2, so the division is seeded
+    # and exact in ideal mode.  The min's seed 2 - x is a free negation,
+    # where the median's (4 - x)/4 takes a ct-pt and a level; the division
+    # carries the value, which sits a level below the norm as that seed
+    # does, so the seed's level costs nothing and both end at one depth.  The
     # 4x4 blocks fill the slots, so no rank fold is masked.  A padded last
     # block costs 4 ct-pt and 1 level more: the pad mask on its 3
     # comparisons, then the cut of its mask to the valid columns
@@ -335,8 +338,8 @@ def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
 
 def test_multi_block_statistics_match_the_oracle():
     # one to four blocks of 8, the last one padded or full, odd and even
-    # lengths; ranks and masks are exact in ideal mode, and the reciprocal
-    # of a tie-corrected window's norm k is seeded at 1/k, exact for k = 1, 2
+    # lengths; ranks and masks are exact in ideal mode, and the division by
+    # a tie-corrected window's norm k is seeded at 1/k, exact for k = 1, 2
     rng = np.random.default_rng(2024)
     b = 8
     checked = 0
@@ -413,16 +416,16 @@ def test_noisy_chebyshev_three_block_statistics(monkeypatch):
     # 40 values in 256 slots: three 16x16 blocks, the last one padded.  Shared
     # operands that an op took the owed noise of would raise when read again.
     # A padded entry ranks 0, which the chebyshev window at k = 1 partly
-    # selects: counted, it took the min's norm to 2.03, where the reciprocal
+    # selects: counted, it took the min's norm to 2.03, where the division
     # seeded at 1 diverges; cut to the valid rows it reads 0.85
     norms = []
-    inverse = select_module.goldschmidt_inverse
+    divide = select_module.goldschmidt_divide
 
-    def spy(engine, x, k):
-        norms.append(float(x.slots[0]))
-        return inverse(engine, x, k)
+    def spy(engine, a, b, k):
+        norms.append(float(b.slots[0]))
+        return divide(engine, a, b, k)
 
-    monkeypatch.setattr(select_module, "goldschmidt_inverse", spy)
+    monkeypatch.setattr(select_module, "goldschmidt_divide", spy)
     rng = np.random.default_rng(8)
     v = _tied_values(rng, 40)
     cfg = KernelConfig(mode="chebyshev", degree=256)
@@ -462,7 +465,7 @@ def test_even_median_is_one_query_on_one_ranking():
 
 def test_long_vector_statistic_keeps_full_precision():
     # 300 values in nineteen 16x16 blocks: a window's mask norm is its
-    # number of target ranks whatever n, so the reciprocal seeded at 1/k
+    # number of target ranks whatever n, so the division seeded at 1/k
     # stays exact
     rng = np.random.default_rng(5)
     v = _tied_values(rng, 300)
@@ -475,7 +478,7 @@ def test_long_vector_statistic_keeps_full_precision():
 @pytest.mark.parametrize("scale, norm", [(2.5, "5"), (0.0, "0")])
 def test_seeded_reciprocal_refuses_a_norm_it_would_diverge_on(monkeypatch, scale, norm):
     # an even-length median's window of 2 ranks promises norm 2, and the
-    # reciprocal seeded at 1/2 converges on (0, 4) only; a hand-built mask
+    # division seeded at 1/2 converges on (0, 4) only; a hand-built mask
     # of norm 2.5k, or 0, raises instead of returning a wrong value.  One
     # block's mask fills every row of a matrix that fills the slots, and
     # the norm is read from row 1
@@ -544,19 +547,20 @@ def test_padded_one_block_min_leaves_the_padding_out_without_a_cut():
 @pytest.mark.parametrize(
     "kind, report",
     [
-        # k = 1: the reciprocal's seed 2 - x is a free negation
-        ("min", CostReport(rotations=6, critical_rotations=4, ctct_mults=42, ctpt_mults=60, additions=111,
+        # k = 1: the division's seed 2 - x is a free negation
+        ("min", CostReport(rotations=6, critical_rotations=4, ctct_mults=42, ctpt_mults=60, additions=110,
                            cmp_evals=1, ind_evals=1, levels_consumed=25)),
-        ("median", CostReport(rotations=6, critical_rotations=4, ctct_mults=45, ctpt_mults=93, additions=149,
-                              cmp_evals=1, ind_evals=1, levels_consumed=26)),
+        ("median", CostReport(rotations=6, critical_rotations=4, ctct_mults=45, ctpt_mults=93, additions=148,
+                              cmp_evals=1, ind_evals=1, levels_consumed=25)),
     ],
 )
 def test_two_by_two_statistic_keeps_its_two_folds(kind, report):
     # 2 values in 4 slots: a 2x2 matrix, where one fold of both sums would
     # take 3 rotations and the weights an addition; its rows are alike, so
     # the value and the norm each fold in one step with no mask, as before.
-    # The median's cost is the parent circuit's; the min sheds the ct-pt
-    # and the level of its reciprocal's seed
+    # Both divide with the value in the norm's chain; the median's seed
+    # (4 - x)/4 takes a ct-pt and a level, as the value's product does, so
+    # both end at 25 levels
     eng = make_engine(4)
     out = order_statistic_value(eng, eng.encrypt([0.7, 0.2]), 2, StatisticQuery(kind), PINNED_CHEB)
     assert abs(value_of(eng, out) - {"min": 0.2, "median": 0.45}[kind]) < 1e-3

@@ -135,13 +135,15 @@ def test_chebyshev_sort_well_separated():
 
 
 def test_chebyshev_sort_circuit_is_pinned():
-    # the step and the centred placement window skip their zero-parity terms
+    # the step and the centred placement window skip their zero-parity terms;
+    # the 16x16 matrix fills the slots, so the placement's fold over the rows
+    # is cyclic and needs no mask
     eng = make_engine(256, max_level=40)
     v = np.random.default_rng(3).uniform(0, 1, 16)
     sort(eng, eng.encrypt(v), 16, cfg(kernel=KernelConfig(mode="chebyshev", degree=64)))
     assert eng.cost_snapshot() == CostReport(
-        rotations=24, ctct_mults=31, ctpt_mults=62, additions=122,
-        cmp_evals=1, ind_evals=1, levels_consumed=21, critical_rotations=20,
+        rotations=24, ctct_mults=31, ctpt_mults=61, additions=122,
+        cmp_evals=1, ind_evals=1, levels_consumed=20, critical_rotations=20,
     )
 
 
@@ -163,9 +165,11 @@ def test_multi_sort_single_block_equals_sort():
     # full matrix (16 slots) multi_sort's rank fold is an all-reduce over
     # the rows, which spreads for free, where the sort's rank fold masks
     # its sums to column 0, one ct-pt and one level, and its spread takes
-    # log2 B more rotations and additions, on the critical path.  Otherwise
-    # (32 slots) both spread: the same counters, the sort's rotations along
-    # the other axis.
+    # log2 B more rotations and additions, on the critical path; but the
+    # sort's value fold over the rows is an all-reduce too, which drops the
+    # mask multi_sort's column fold keeps, so the two differ only by the
+    # spread.  Otherwise (32 slots) both spread and mask: the same counters,
+    # the sort's rotations along the other axis.
     cases = [([0.4, 0.1, 0.9, 0.6], 16), ([0.4, 0.1, 0.4], 16), ([0.4, 0.1, 0.9, 0.6], 32), ([0.4, 0.1, 0.4], 32)]
     for v, slot_count in cases:  # the second of each pair is padded and tied
         v = np.array(v)
@@ -178,8 +182,7 @@ def test_multi_sort_single_block_equals_sort():
         m = multi_eng.cost_snapshot()
         if slot_count == 16:
             m = replace(
-                m, rotations=m.rotations + 2, critical_rotations=m.critical_rotations + 2,
-                ctpt_mults=m.ctpt_mults + 1, additions=m.additions + 2, levels_consumed=m.levels_consumed + 1,
+                m, rotations=m.rotations + 2, critical_rotations=m.critical_rotations + 2, additions=m.additions + 2
             )
         assert single_eng.cost_snapshot() == m
         assert single_eng.rotation_offsets()[-2:] == [4, 8]
@@ -358,6 +361,44 @@ def test_one_block_sort_drops_its_row_replications_before_the_folds():
     out, peak = _traced_peak(eng, lambda: sort(eng, ct, 256, cfg()))
     assert np.array_equal(read_row(eng, out, 256), np.sort(v))
     assert peak < 3.9e6
+
+
+def test_chebyshev_sort_holds_one_product_per_level_of_the_giant_step_walk():
+    # the sort_cheb benchmark shape: 256 values in 2^16 slots at degree 1024.
+    # The peak falls in the comparison's walk, beside its 16 baby-step rows
+    # and 5 giant powers; holding each level's quotient part through the
+    # remainder's walk as well took 18.9 MB, where 17.3 MB is left
+    v = np.random.default_rng(0).uniform(0, 1, 256)
+    eng = make_engine(1 << 16, max_level=64)
+    ct = eng.encrypt(v)
+    kernel = KernelConfig(mode="chebyshev", degree=1024)
+    out, peak = _traced_peak(eng, lambda: sort(eng, ct, 256, cfg(kernel=kernel)))
+    assert np.max(np.abs(read_row(eng, out, 256) - np.sort(v))) < 1.0
+    assert peak < 18.1e6
+
+
+def test_sort_fills_every_row_only_on_a_matrix_that_fills_the_slots():
+    # 40 tied values in a 64x64 matrix: in 4096 slots the placement's fold
+    # over the rows, rotations by 64 2^k, is cyclic, so it needs no mask and
+    # every row holds the sorted values; in 8192 slots it is not, so its
+    # mask keeps them in row 0, at one ct-pt and one level, and every other
+    # slot is zero
+    v = _tied_values(40, 4, 9)
+    reports, offsets = {}, {}
+    for slots in (4096, 8192):
+        eng = make_engine(slots)
+        out = sort(eng, eng.encrypt(v), 40, cfg())
+        grid = eng.decrypt(out)[:4096].reshape(64, 64)
+        assert np.array_equal(grid[0, :40], np.sort(v))
+        if slots == 4096:
+            assert all(np.array_equal(row, grid[0]) for row in grid)
+        else:
+            assert not grid[1:].any() and not eng.decrypt(out)[4096:].any()
+        reports[slots], offsets[slots] = eng.cost_snapshot(), eng.rotation_offsets()[-6:]
+    assert reports[8192] == replace(
+        reports[4096], ctpt_mults=reports[4096].ctpt_mults + 1, levels_consumed=reports[4096].levels_consumed + 1
+    )
+    assert offsets[4096] == offsets[8192] == [64 << k for k in range(6)]
 
 
 @pytest.mark.parametrize(
