@@ -3,11 +3,11 @@
 Provides interpolation at Chebyshev nodes of the first kind, a baby-step /
 giant-step polynomial evaluator that needs only O(sqrt(d)) ciphertext-
 ciphertext multiplications, and the kernels built on top of it: three-way
-comparison, interval indicator and Goldschmidt's division, which the
-pipelines use, and the strict/weak comparisons (with
-``KernelConfig.tie_margin``) and the equality derived from a comparison
-matrix, which no pipeline reads: they stay only while the benchmark's
-tracer and workloads name them.
+comparison, interval indicator and Goldschmidt's division (a quotient or
+a reciprocal), which the pipelines use, and the strict/weak comparisons
+(with ``KernelConfig.tie_margin``) and the equality derived from a
+comparison matrix, which no pipeline reads: they stay only while the
+benchmark's tracer and workloads name them.
 
 Every kernel runs in one of two modes:
 
@@ -48,7 +48,6 @@ __all__ = [
     "compare_ge_kernel",
     "indicator_kernel",
     "equality_from_compare",
-    "goldschmidt_divide",
     "goldschmidt_inverse",
 ]
 
@@ -561,34 +560,37 @@ def equality_from_compare(engine: HESimulator, c: Ciphertext) -> Ciphertext:
 
 
 # Squaring steps of the divisor's error after the seed's step: 4 leave
-# (1 - b/k)^64, below 1e-16 while b is within 55% of k.  The quotient takes
+# (1 - x/k)^64, below 1e-16 while x is within 55% of k.  The quotient takes
 # one correction more than the divisor, after its last square.
 _RECIPROCAL_STEPS = 4
 
 
-def goldschmidt_divide(engine: HESimulator, a: Ciphertext | None, b: Ciphertext, k: float) -> Ciphertext:
-    """Slotwise quotient a / b of divisors promised near ``k`` > 0, or the
-    reciprocal 1 / b when ``a`` is None.
+def goldschmidt_inverse(
+    engine: HESimulator, x: Ciphertext, k: float, numerator: Ciphertext | None = None
+) -> Ciphertext:
+    """Slotwise quotient numerator / x of divisors promised near ``k`` > 0,
+    or the reciprocal 1 / x when no numerator is given.
 
     Goldschmidt's division multiplies the numerator and the divisor by the
     same factors until the divisor reaches 1.  The first is the seed
-    F0 = (2k - b)/k^2, which leaves the divisor 1 - e with e = (1 - b/k)^2,
-    so the iteration converges for every b in (0, 2k); each later factor
+    F0 = (2k - x)/k^2, which leaves the divisor 1 - e with e = (1 - x/k)^2,
+    so the iteration converges for every x in (0, 2k); each later factor
     2 - D squares the divisor's error.  After ``_RECIPROCAL_STEPS`` squares
     a last factor corrects the numerator alone: the quotient is
-    (a/b)(1 - (1 - b/k)^64), 6 levels below the later of a and F0, where a
-    reciprocal and a product by it took 7.  At k = 1 this is the Inv
+    (a/x)(1 - (1 - x/k)^64), 6 levels below the later of the numerator a
+    and F0, where a reciprocal and a product by it took 7; the reciprocal
+    takes 10 ct-ct products, the quotient 11.  At k = 1 this is the Inv
     iteration of Cheon, Kim, Kim, Lee and Lee (ASIACRYPT 2019), whose seed
-    2 - b takes a negation, free in CKKS, in place of a ct-pt product and
+    2 - x takes a negation, free in CKKS, in place of a ct-pt product and
     its level.
     """
     if not k > 0:
         raise ValueError(f"division seed point must be > 0, got {k}")
     slope = -1.0 / (k * k)
-    engine.share(b)  # read by the seed and by the first divisor
-    f = engine.add_plain(engine.negate(b) if slope == -1.0 else engine.mul_plain(b, slope), 2.0 / k)
-    n = f if a is None else engine.mul(f, a)
-    d = engine.mul(f, b)
+    engine.share(x)  # read by the seed and by the first divisor
+    f = engine.add_plain(engine.negate(x) if slope == -1.0 else engine.mul_plain(x, slope), 2.0 / k)
+    n = f if numerator is None else engine.mul(f, numerator)
+    d = engine.mul(f, x)
     for step in range(_RECIPROCAL_STEPS + 1):
         engine.share(d)  # read by the factor and by the next divisor
         f = engine.add_plain(engine.negate(d), 2.0)
@@ -596,13 +598,6 @@ def goldschmidt_divide(engine: HESimulator, a: Ciphertext | None, b: Ciphertext,
         if step < _RECIPROCAL_STEPS:  # the last factor corrects the quotient alone
             d = engine.mul(f, d)
     return n
-
-
-def goldschmidt_inverse(engine: HESimulator, x: Ciphertext, k: float) -> Ciphertext:
-    """Slotwise reciprocal of values promised near ``k`` > 0: the division
-    of 1 by ``x``, with no numerator to carry, in 10 ct-ct products and 6
-    levels below its seed."""
-    return goldschmidt_divide(engine, None, x, k)
 
 
 def with_input_range(cfg: KernelConfig, lo: float, hi: float) -> KernelConfig:

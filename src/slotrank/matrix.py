@@ -10,9 +10,9 @@ plaintext vectors from ``rect_plain``, a value on a rectangle of cells;
 ``grid_plain`` lays out every plaintext grid of the pipelines.
 
 When the matrix fills the slot vector (N^2 slots), a rotation by a
-multiple of N is cyclic over the rows, so ``column_sums`` folds the rows
-into every row at once, with no mask; and ``head_row_sums`` sums rows 0
-and 1 into slot 0 with one shared fold, log2(N) + 2 rotations and no mask.
+multiple of N is cyclic over the rows, so ``sum_axis(x, "row")`` folds the
+rows into every row at once, with no mask; and ``head_row_sums`` sums rows
+0 and 1 into slot 0 with one shared fold, log2(N) + 2 rotations and no mask.
 
 Slots beyond N^2 must be zero on entry; every primitive that rotates data
 across that boundary ends with a mask, so pipelines built from these
@@ -29,7 +29,7 @@ import numpy as np
 
 from .engine import Ciphertext, HESimulator, caller_path
 
-__all__ = ["MatrixLayout", "mask", "sum_axis", "column_sums", "head_row_sums", "replicate", "transpose_vector"]
+__all__ = ["MatrixLayout", "mask", "sum_axis", "head_row_sums", "replicate", "transpose_vector"]
 
 
 @dataclass(frozen=True)
@@ -116,25 +116,15 @@ def _rotate_sum(engine: HESimulator, x: Ciphertext, offsets) -> Ciphertext:
 def sum_axis(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str) -> Ciphertext:
     """Fold the matrix along ``axis``.
 
-    axis="row": add all rows together, result in row 0 (column sums).
+    axis="row": add all rows together, result in row 0 (column sums).  On a
+    matrix that fills the slots the rotations by N 2^k are cyclic over its
+    rows: an all-reduce that leaves the sums in every row, with no mask.
     axis="col": add all columns together, result in column 0 (row sums).
     """
     _check_axis(axis)
     step = layout.n_dim if axis == "row" else 1
-    return mask(engine, _rotate_sum(engine, x, [step << i for i in range(layout.steps)]), layout, axis, 0)
-
-
-def column_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> Ciphertext:
-    """The column sums of ``x``, in row 0.
-
-    A matrix that fills the slots folds in log2(N) rotate-and-add steps by
-    N 2^k, which are cyclic over its rows: an all-reduce that leaves the
-    sums in every row, with no mask.  Any other matrix folds with
-    ``sum_axis(x, "row")``, which masks the sums to row 0.
-    """
-    if layout.full:
-        return _rotate_sum(engine, x, [layout.n_dim << i for i in range(layout.steps)])
-    return sum_axis(engine, x, layout, "row")
+    folded = _rotate_sum(engine, x, [step << i for i in range(layout.steps)])
+    return folded if axis == "row" and layout.full else mask(engine, folded, layout, axis, 0)
 
 
 def head_row_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> tuple[Ciphertext, Ciphertext]:

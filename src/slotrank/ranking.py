@@ -5,13 +5,13 @@ matrix columns; a single slotwise comparison of the two encodings yields
 the full pairwise comparison matrix D, cell (r, c) comparing entry c with
 entry r.  Its column sums (plus one half) are the fractional ranks, in row
 0.  When the matrix fills the slot vector the fold along the rows is an
-all-reduce: the ranks land in every row with no mask.  The sort asks for
-its ranks spread across the matrix along their axis; the all-reduce gives
-that for free, and anywhere else, as for the one-block sort, which ranks
-along the columns into column 0, each block's ranks are replicated as its
-shift is added.  Tie correction adds offset cells derived from the same
-comparison matrix before that one fold, which redistributes tied ranks
-into a permutation of 1..N.
+all-reduce: the ranks land in every row with no mask.  The sort asks
+``multi_rank_pipeline`` for ranks spread across the matrix along their
+axis; the all-reduce gives that for free, and anywhere else, as for the
+one-block sort, which ranks along the columns into column 0, each block's
+ranks are replicated as its shift is added.  Tie correction adds offset
+cells derived from the same comparison matrix before that one fold, which
+redistributes tied ranks into a permutation of 1..N.
 
 One block-generic pipeline serves every vector length.  A vector longer
 than the matrix capacity is split into L blocks and only the L(L+1)/2
@@ -43,7 +43,7 @@ import numpy as np
 
 from .chebyshev import KernelConfig, compare_kernel, quarter_equality
 from .engine import CapacityError, Ciphertext, HESimulator, caller_path
-from .matrix import MatrixLayout, column_sums, grid_plain, rect_plain, replicate, sum_axis, transpose_vector
+from .matrix import MatrixLayout, _check_axis, grid_plain, rect_plain, replicate, sum_axis, transpose_vector
 
 __all__ = [
     "RankResult",
@@ -138,14 +138,31 @@ def _weak(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     return engine.mul(c, three_less_twice)
 
 
+def _col_rep(engine: HESimulator, blk: Ciphertext, layout: MatrixLayout) -> Ciphertext:
+    """A row-0 block transposed to column 0 and copied to every column."""
+    return replicate(engine, transpose_vector(engine, blk, layout, "row_to_col"), layout, "col")
+
+
+def _require_input_blocks(bv: BlockVector, axis: str):
+    """Raise ``ValueError`` for blocks the pipeline cannot rank along ``axis``."""
+    _check_axis(axis)
+    if bv.computed or bv.stride != 1:  # replicate reads row 0 only
+        what = "computed blocks" if bv.computed else f"entries every {bv.stride}th slot"
+        raise ValueError(f"{caller_path()}: blocks must hold input values in row 0, not {what}")
+    if axis == "col" and len(bv.blocks) > 1:  # that branch reads no cross-block sums
+        raise ValueError(f"{caller_path()}: only one block ranks along the columns, not {len(bv.blocks)}")
+
+
 def multi_rank_pipeline(
     engine: HESimulator,
     bv: BlockVector,
     cfg: KernelConfig,
     *,
     tie_correction: bool = False,
+    axis: str = "row",
+    spread: bool = False,
 ) -> MultiRankPipeline:
-    """Ranks of every block, in row 0 of each.
+    """Ranks of every block, in row 0 of each (column 0 along the columns).
 
     Only the L(L+1)/2 ordered block pairs are compared: block i against
     blocks j >= i, as D_ij = cmp(row-replicated j, column-replicated i),
@@ -160,32 +177,16 @@ def multi_rank_pipeline(
     shift by 1/2.  Zero padding of the last block is masked out of its
     comparisons, so padded entries rank 0.
 
-    Block i is done in one pass: its column replication is built, and each
-    D_ij, j > i, is computed in turn and added into block i's sum_{j>i} D_ij
-    and block j's running sum of sum_{i<j} D_ij.  Both are left folds of
-    binary ``add``s, with the doubles and charges of one n-ary ``add``;
-    block j folds its sum and drops it.  Only the row replications, block
-    i's column replication, D_ii, one D_ij and the L running sums are ever
-    alive.
+    Block i is done in one pass (see the module notes): each D_ij, j > i,
+    is added into block i's sum_{j>i} D_ij and block j's running sum as it
+    is made, both left folds with the charges of one n-ary ``add``.
+
+    ``spread`` covers the matrix with the ranks along ``axis``, as the sort's
+    placement reads them.  ``axis="col"`` ranks one block, and refuses more,
+    into column 0: the row sums of D_00 with cell (r, c) comparing r with c.
     """
-    return _rank_blocks(engine, bv, cfg, tie_correction)
-
-
-def _col_rep(engine: HESimulator, blk: Ciphertext, layout: MatrixLayout) -> Ciphertext:
-    """A row-0 block transposed to column 0 and copied to every column."""
-    return replicate(engine, transpose_vector(engine, blk, layout, "row_to_col"), layout, "col")
-
-
-def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", spread=False) -> MultiRankPipeline:
-    # spread: the ranks cover the whole matrix along ``axis``, every row or
-    # every column, as the sort's placement reads them.  axis="col" ranks
-    # one block along the columns, into column 0: cell (r, c) of its
-    # comparison matrix compares entry r with entry c, and its row sums are
-    # the ranks
+    _require_input_blocks(bv, axis)
     b, count = bv.block_size, len(bv.blocks)
-    if bv.computed or bv.stride != 1:  # replicate reads row 0 only
-        what = "computed blocks" if bv.computed else f"entries every {bv.stride}th slot"
-        raise ValueError(f"{caller_path()}: blocks must hold input values in row 0, not {what}")
     layout = MatrixLayout(b, engine.params.slot_count)
 
     # each row replication is compared with every block; block i's column
@@ -239,7 +240,7 @@ def _rank_blocks(engine, bv, cfg, tie_correction, axis="row", spread=False) -> M
                     # subtracted before the all-reduce, it reaches every row,
                     # at log2 B more rotations on its critical path
                     own, less = engine.sub(own, less), None
-            ranks = column_sums(engine, own, layout)
+            ranks = sum_axis(engine, own, layout, "row")
             if less is not None:
                 # after the fold: before a mask it would cost one more level
                 ranks = engine.sub(ranks, less)

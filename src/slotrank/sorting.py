@@ -9,9 +9,9 @@ along the rows, and its values land in column 0; on a matrix that fills
 the slots the rank fold is an all-reduce that leaves the ranks in every
 row, so spreading them costs nothing.  ``sort`` ranks one block along the
 columns on every geometry, so its values land in row 0 with no
-transposition; they are folded there by ``matrix.column_sums``, which on a
-matrix that fills the slots is an all-reduce with no mask, so they then
-fill every row.
+transposition; they are folded there by ``matrix.sum_axis(x, "row")``,
+which on a matrix that fills the slots is an all-reduce with no mask, so
+they then fill every row.
 
 One placement step serves every vector length: a block vector of L blocks
 runs it once per (output block, rank block) pair, and ``sort`` is the
@@ -27,8 +27,8 @@ from functools import lru_cache
 
 from .chebyshev import KernelConfig, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
-from .matrix import column_sums, grid_plain, sum_axis
-from .ranking import BlockVector, MultiRankPipeline, _rank_blocks, block_merge, one_block
+from .matrix import grid_plain, sum_axis
+from .ranking import BlockVector, MultiRankPipeline, block_merge, multi_rank_pipeline, one_block
 
 __all__ = ["SortConfig", "SortResult", "sort", "sort_full", "multi_sort"]
 
@@ -92,7 +92,7 @@ def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfi
             # sum has the doubles and charges of one n-ary add
             placed = engine.mul(selection, pipe.replicated[j])
             total = placed if total is None else engine.add(total, placed)
-        values.append(column_sums(engine, total, layout) if fold == "row" else sum_axis(engine, total, layout, fold))
+        values.append(sum_axis(engine, total, layout, fold))
     return values, selection
 
 
@@ -105,14 +105,15 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     collapse onto the same rank, so a ``ValueError`` is raised instead.
     The one block is ranked along the columns and its ranks spread to every
     column, so column k of the selection picks the element of rank k+1.
-    The placed values are folded over the rows by ``column_sums``: on a
+    The placed values are folded over the rows by ``sum_axis``: on a
     matrix that fills the slots its rotations are cyclic, and with no mask,
     one ct-pt product and one level fewer, the sorted values fill every
     row; otherwise the mask keeps them in row 0 and zeroes the other slots.
     """
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n])
-    pipe = _rank_blocks(engine, one_block(engine, ct, n), cfg.kernel, cfg.tie_correction, "col", spread=True)
+    bv = one_block(engine, ct, n)
+    pipe = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction, axis="col", spread=True)
     (values,), selection = _place(engine, pipe, cfg.kernel)
     return SortResult(values=values, selection=selection)
 
@@ -134,7 +135,7 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
     """
     if not cfg.tie_correction:
         _require_distinct(block_merge(engine, bv))
-    ranking = _rank_blocks(engine, bv, cfg.kernel, cfg.tie_correction, spread=True)
+    ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction, spread=True)
     values, _ = _place(engine, ranking, cfg.kernel)
     b = bv.block_size
     return BlockVector(blocks=tuple(values), block_size=b, total_len=bv.total_len, stride=b, computed=True)

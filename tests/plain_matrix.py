@@ -30,10 +30,12 @@ def mask_line(m: np.ndarray, axis: str, k: int) -> np.ndarray:
     return out
 
 
-def fold(m: np.ndarray, axis: str) -> np.ndarray:
+def fold(m: np.ndarray, axis: str, full: bool = False) -> np.ndarray:
+    """Column sums in row 0 (axis="row"), and in every row when the matrix
+    fills the slots (``full``), or row sums in column 0."""
     out = np.zeros_like(m)
     if axis == "row":
-        out[0, :] = m.sum(axis=0)
+        out[slice(None) if full else 0, :] = m.sum(axis=0)
     else:
         out[:, 0] = m.sum(axis=1)
     return out

@@ -215,7 +215,7 @@ def test_c5_matrix_primitives_against_brute_force():
             for axis in ("row", "col"):
                 eng.cost_reset()
                 got = eng.decrypt(sum_axis(eng, ct, layout, axis))
-                assert np.array_equal(plain.from_slots(got, n), plain.fold(m, axis))
+                assert np.array_equal(plain.from_slots(got, n), plain.fold(m, axis, layout.full))
                 assert eng.cost_snapshot().rotations == log_n
 
             eng.cost_reset()

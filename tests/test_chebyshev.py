@@ -20,7 +20,6 @@ from slotrank import (
     compare_gt_kernel,
     compare_kernel,
     equality_from_compare,
-    goldschmidt_divide,
     goldschmidt_inverse,
     indicator_kernel,
     kernel_depth,
@@ -747,7 +746,7 @@ def test_goldschmidt_division_matches_scalar_oracle_op_for_op(k):
     rng = np.random.default_rng(k)
     a, b = rng.uniform(-3, 3, 16), k * rng.uniform(0.5, 1.5, 16)
     eng = make_engine(slot_count=16)
-    out = eng.decrypt(goldschmidt_divide(eng, eng.encrypt(a), eng.encrypt(b), k))
+    out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(b), k, eng.encrypt(a)))
     assert np.array_equal(out, scalar_goldschmidt(b, k, a))
     np.testing.assert_allclose(out, a / b, rtol=1e-15, atol=1e-15)
 
@@ -758,7 +757,7 @@ def test_goldschmidt_division_is_exact_at_its_seed_point(k):
     # the seed is 1/k, a power of two here, and every later factor exactly 1
     a = np.array([0.0, -0.0, 0.3, -7.25, 1e-300, 123456.789, 2.0 / 3.0, -1.0])
     eng = make_engine(slot_count=8)
-    out = eng.decrypt(goldschmidt_divide(eng, eng.encrypt(a), eng.encrypt(np.full(8, float(k))), k))
+    out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(np.full(8, float(k))), k, eng.encrypt(a)))
     assert np.array_equal(out, a / k)
 
 
@@ -771,7 +770,7 @@ def test_goldschmidt_division_error_is_the_64th_power_of_the_seed_error(k):
     for lo, hi in ((0.45, 1.55), (0.05, 0.4), (1.6, 1.95)):
         b = k * np.linspace(lo, hi, 64)
         eng = make_engine(slot_count=64)
-        out = eng.decrypt(goldschmidt_divide(eng, eng.encrypt(a), eng.encrypt(b), k))
+        out = eng.decrypt(goldschmidt_inverse(eng, eng.encrypt(b), k, eng.encrypt(a)))
         loss = (1.0 - b / k) ** 64
         np.testing.assert_allclose(1.0 - out * b / a, loss, rtol=1e-9, atol=1e-15)
 
@@ -785,7 +784,7 @@ def test_goldschmidt_division_carries_the_numerator_in_the_divisor_chain():
     costs = {}
     for k in (1, 2):
         eng = make_engine(slot_count=4)
-        goldschmidt_divide(eng, eng.encrypt([0.5] * 4), eng.encrypt([k * 0.9] * 4), k)
+        goldschmidt_inverse(eng, eng.encrypt([k * 0.9] * 4), k, eng.encrypt([0.5] * 4))
         costs["divide", k] = eng.cost_snapshot()
         eng = make_engine(slot_count=4)
         goldschmidt_inverse(eng, eng.encrypt([k * 0.9] * 4), k)
@@ -802,7 +801,7 @@ def test_goldschmidt_division_runs_on_a_noisy_engine():
     eng = make_engine(slot_count=4, sigma=1e-9)
     a, b = eng.mul_plain(eng.encrypt([1.0, 2.0, 3.0, 4.0]), 0.5), eng.mul_plain(eng.encrypt([2.0] * 4), 0.5)
     assert a.owed and b.owed
-    out = eng.decrypt(goldschmidt_divide(eng, a, b, 1))
+    out = eng.decrypt(goldschmidt_inverse(eng, b, 1, a))
     np.testing.assert_allclose(out, [0.5, 1.0, 1.5, 2.0], atol=1e-7)
 
 
@@ -837,7 +836,7 @@ def test_goldschmidt_rejects_bad_range():
         with pytest.raises(ValueError, match="must be > 0"):
             goldschmidt_inverse(eng, eng.encrypt([1.0]), k)
         with pytest.raises(ValueError, match="must be > 0"):
-            goldschmidt_divide(eng, eng.encrypt([1.0]), eng.encrypt([1.0]), k)
+            goldschmidt_inverse(eng, eng.encrypt([1.0]), k, eng.encrypt([1.0]))
 
 
 def test_kernel_depth_by_mode():

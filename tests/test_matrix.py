@@ -53,10 +53,29 @@ def test_sum_rows_known_comparison_matrix():
     m = np.array(
         [[0.5, 1, 0, 1], [0, 0.5, 0, 1], [1, 1, 0.5, 1], [0, 0, 0, 0.5]]
     )
-    eng, layout = setup(4)
-    out = eng.decrypt(sum_axis(eng, eng.encrypt(m.ravel()), layout, "row"))
-    assert np.array_equal(out[:4], [1.5, 2.5, 0.5, 3.5])
-    assert np.all(out[4:] == 0)
+    # a matrix that fills the slots folds into every row; one in more slots
+    # into row 0, zero elsewhere
+    for slots, rows in ((16, 4), (32, 1)):
+        eng, layout = setup(4, slot_count=slots)
+        out = eng.decrypt(sum_axis(eng, eng.encrypt(m.ravel()), layout, "row"))
+        assert np.array_equal(out[: 4 * rows], np.tile([1.5, 2.5, 0.5, 3.5], rows))
+        assert np.all(out[4 * rows :] == 0)
+
+
+def test_row_fold_is_an_all_reduce_only_on_a_matrix_that_fills_the_slots():
+    # 4x4 in 16 slots: rotations by 4 and 8 are cyclic over the rows, so the
+    # sums reach every row and no mask is needed; in 32 slots they are not,
+    # and the mask keeps row 0 and zeroes the rest
+    m = np.arange(16, dtype=np.float64).reshape(4, 4)
+    sums = m.sum(axis=0)
+    for slots, want in ((16, np.tile(sums, 4)), (32, np.concatenate([sums, np.zeros(28)]))):
+        eng, layout = setup(4, slot_count=slots)
+        x = eng.encrypt(m.ravel())
+        eng.cost_reset()
+        out = eng.decrypt(sum_axis(eng, x, layout, "row"))
+        assert np.array_equal(out, want)
+        assert eng.rotation_offsets() == [4, 8]
+        assert eng.cost_snapshot().ctpt_mults == (0 if layout.full else 1)
 
 
 def test_sum_cols_of_identity():
@@ -164,7 +183,7 @@ def test_all_primitives_match_plaintext_oracle():
             cases = [
                 (mask(eng, ct, layout, "row", k), oracle.mask_line(m, "row", k)),
                 (mask(eng, ct, layout, "col", k), oracle.mask_line(m, "col", k)),
-                (sum_axis(eng, ct, layout, "row"), oracle.fold(m, "row")),
+                (sum_axis(eng, ct, layout, "row"), oracle.fold(m, "row", layout.full)),
                 (sum_axis(eng, ct, layout, "col"), oracle.fold(m, "col")),
             ]
             row_only = np.zeros_like(m)

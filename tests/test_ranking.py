@@ -294,6 +294,26 @@ def test_ranking_a_column_0_block_vector_is_refused():
             multi_rank(eng, values, cfg)
 
 
+def test_ranking_several_blocks_along_the_columns_is_refused():
+    # only the one-block sort ranks along the columns: that branch keeps no
+    # row replication past block 0 and reads no cross-block sums, so two
+    # blocks died mid-pipeline on a None.  They are refused before any op
+    v = np.array([0.3, 0.7, 0.1, 0.9, 0.5, 0.2])
+    eng = make_engine(16)
+    bv = block_split(eng, v)
+    assert len(bv.blocks) == 2
+    eng.cost_reset()
+    with pytest.raises(ValueError, match=r"^ranking\.multi_rank_pipeline: only one block ranks along the columns, not 2"):
+        multi_rank_pipeline(eng, bv, IDEAL, axis="col")
+    with pytest.raises(ValueError, match="axis must be 'row' or 'col'"):
+        multi_rank_pipeline(eng, bv, IDEAL, axis="diag")
+    assert eng.cost_snapshot() == CostReport()
+    # one block ranks along the columns into column 0
+    pipe = multi_rank_pipeline(eng, block_split(eng, v[:4]), IDEAL, axis="col")
+    assert pipe.ranks.stride == 4
+    assert np.array_equal(block_merge(eng, pipe.ranks), reference.fractional_ranks(v[:4]))
+
+
 def test_multi_rank_tie_correction_matches_oracle():
     rng = np.random.default_rng(15)
     eng = make_engine(16)

@@ -419,13 +419,13 @@ def test_noisy_chebyshev_three_block_statistics(monkeypatch):
     # selects: counted, it took the min's norm to 2.03, where the division
     # seeded at 1 diverges; cut to the valid rows it reads 0.85
     norms = []
-    divide = select_module.goldschmidt_divide
+    divide = select_module.goldschmidt_inverse
 
-    def spy(engine, a, b, k):
-        norms.append(float(b.slots[0]))
-        return divide(engine, a, b, k)
+    def spy(engine, x, k, numerator):
+        norms.append(float(x.slots[0]))
+        return divide(engine, x, k, numerator)
 
-    monkeypatch.setattr(select_module, "goldschmidt_divide", spy)
+    monkeypatch.setattr(select_module, "goldschmidt_inverse", spy)
     rng = np.random.default_rng(8)
     v = _tied_values(rng, 40)
     cfg = KernelConfig(mode="chebyshev", degree=256)

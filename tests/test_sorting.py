@@ -410,8 +410,8 @@ def test_depth_budget_error_names_the_stage_that_ran_out(max_level, stage):
     # indicator each end in the same engine ops; only the call path tells
     # which stage ran out of levels.  A kernel evaluation is counted once it
     # completes, so the one that ran out is not.  The 16x16 matrix does not
-    # fill the 512 slots, so its rank fold, ``matrix.column_sums``, ends in
-    # the mask of a ``sum_axis``.
+    # fill the 512 slots, so its rank fold, ``matrix.sum_axis`` along the
+    # rows, ends in a mask.
     v = np.random.default_rng(1).uniform(0, 1, 16)
     eng = make_engine(512, max_level)
     with pytest.raises(DepthBudgetError) as err:
