@@ -43,6 +43,8 @@ __all__ = [
     "cheb_eval",
     "ps_eval",
     "kernel_depth",
+    "FitMap",
+    "fit_map",
     "compare_kernel",
     "compare_gt_kernel",
     "compare_ge_kernel",
@@ -123,11 +125,54 @@ def kernel_depth(cfg: KernelConfig, kind: str = "compare") -> int:
 
     Ideal mode charges ceil(log2(d+1)); chebyshev mode adds two levels, for
     the leaves' scalar products and for the scaling of the input onto the
-    fit interval, which a compare on a unit-length range does not pay.
+    fit interval, which a compare on a unit-length range does not pay, nor
+    a window whose input arrives mapped onto [-1, 1] (see ``fit_map``).
     """
     d = cfg.degree if kind == "compare" else cfg.ind_degree
     base = math.ceil(math.log2(d + 1))
     return base if cfg.mode == "ideal" else base + 2
+
+
+@dataclass(frozen=True, slots=True)
+class FitMap:
+    """The affine map x -> scale * x + offset, offset the map of 0, of a
+    window's fit interval [lo, hi] onto ``input_range``, the interval its
+    kernel is fitted on.
+
+    With ``unit`` set that is [-1, 1], on which ``ps_eval`` builds the
+    powers with no map of its own: a caller that builds the window's input
+    already mapped, with the scale carried by plaintexts it multiplies or
+    adds anyway, saves the map's ct-pt product and its level.  Unset, the
+    map is the identity.
+    """
+
+    lo: float
+    hi: float
+    unit: bool
+
+    @property
+    def scale(self) -> float:
+        return 2.0 / (self.hi - self.lo) if self.unit else 1.0
+
+    @property
+    def input_range(self) -> tuple[float, float]:
+        return (-1.0, 1.0) if self.unit else (self.lo, self.hi)
+
+    def __call__(self, x: float) -> float:
+        # a window centred in [lo, hi] maps exactly centred in [-1, 1], so
+        # its odd coefficients stay exactly zero; its offset, the map of 0,
+        # is +0.0 on an interval centred on 0
+        return (2.0 * x - self.lo - self.hi) / (self.hi - self.lo) if self.unit else float(x)
+
+
+@lru_cache(maxsize=None)
+def fit_map(cfg: KernelConfig, lo: float, hi: float) -> FitMap:
+    """The map of a window fitted on [lo, hi] under ``cfg``: onto [-1, 1] in
+    chebyshev mode; the identity in ideal mode, whose kernels charge no
+    input map.  Cached, so that a warm pipeline allocates no map."""
+    if not lo < hi:
+        raise ValueError(f"fit interval must satisfy lo < hi, got [{lo}, {hi}]")
+    return FitMap(float(lo), float(hi), cfg.mode == "chebyshev")
 
 
 # ----------------------------------------------------------------------

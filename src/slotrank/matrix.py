@@ -95,14 +95,17 @@ def _require_line(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis
         raise ValueError(f"{caller_path()}: data outside {axis} 0 of the {n}x{n} matrix")
 
 
-def mask(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str, k: int) -> Ciphertext:
-    """Keep row/column ``k`` and zero every other cell (one plaintext mult)."""
+def mask(
+    engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str, k: int, value: float = 1.0
+) -> Ciphertext:
+    """Keep row/column ``k``, times ``value``, and zero every other cell
+    (one plaintext mult)."""
     _check_axis(axis)
     if not 0 <= k < layout.n_dim:
         raise IndexError(f"{axis} index {k} out of range for side {layout.n_dim}")
     n = layout.n_dim
     line = (k, k + 1, 0, n) if axis == "row" else (0, n, k, k + 1)
-    return engine.mul_plain(x, rect_plain(layout.slot_count, n, *line))
+    return engine.mul_plain(x, rect_plain(layout.slot_count, n, *line, value))
 
 
 def _rotate_sum(engine: HESimulator, x: Ciphertext, offsets) -> Ciphertext:
@@ -113,18 +116,28 @@ def _rotate_sum(engine: HESimulator, x: Ciphertext, offsets) -> Ciphertext:
     return x
 
 
-def sum_axis(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str) -> Ciphertext:
+def _refuse(why: str):
+    """Raise ``ValueError`` with the call path down to the primitive that calls this."""
+    raise ValueError(f"{caller_path()}: {why}")
+
+
+def sum_axis(engine: HESimulator, x: Ciphertext, layout: MatrixLayout, axis: str, scale: float = 1.0) -> Ciphertext:
     """Fold the matrix along ``axis``.
 
     axis="row": add all rows together, result in row 0 (column sums).  On a
     matrix that fills the slots the rotations by N 2^k are cyclic over its
     rows: an all-reduce that leaves the sums in every row, with no mask.
     axis="col": add all columns together, result in column 0 (row sums).
+    The fold's mask takes the value ``scale``, so the sums come scaled at no
+    cost; the fold with no mask refuses a scale other than 1.
     """
     _check_axis(axis)
+    unmasked = axis == "row" and layout.full
+    if unmasked and scale != 1.0:
+        _refuse("the row fold of a matrix that fills the slots has no mask to scale")
     step = layout.n_dim if axis == "row" else 1
     folded = _rotate_sum(engine, x, [step << i for i in range(layout.steps)])
-    return folded if axis == "row" and layout.full else mask(engine, folded, layout, axis, 0)
+    return folded if unmasked else mask(engine, folded, layout, axis, 0, scale)
 
 
 def head_row_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> tuple[Ciphertext, Ciphertext]:
@@ -138,7 +151,7 @@ def head_row_sums(engine: HESimulator, x: Ciphertext, layout: MatrixLayout) -> t
     rotations after ``x``, as after one row fold.
     """
     if not layout.full:
-        raise ValueError(f"{caller_path()}: rows 0 and 1 fold with no mask only on a matrix that fills the slots")
+        _refuse("rows 0 and 1 fold with no mask only on a matrix that fills the slots")
     n = layout.n_dim
     halves = engine.share(_rotate_sum(engine, x, [1 << i for i in range(layout.steps - 1)]))[0]
     first = engine.add(halves, engine.rotate(halves, n // 2))

@@ -13,6 +13,17 @@ ranks are replicated as its shift is added.  Tie correction adds offset
 cells derived from the same comparison matrix before that one fold, which
 redistributes tied ranks into a permutation of 1..N.
 
+A consumer that evaluates a window on the ranks passes the window's fit
+interval as a ``chebyshev.FitMap``, and gets the ranks already mapped onto
+[-1, 1] in chebyshev mode, so the window pays no input map: no ct-pt
+product and no level.  The scale s rides in products and plaintexts the
+pipeline makes anyway: a block's tie-corrected cells against itself are
+c(s(1 + M) - (sM)c), M the tie-cell grid, one addition fewer than adding
+the offset cells; the cross sums' fold carries s in its mask; the shift
+is a plaintext mapped in the clear, with the map's offset.  Only each
+later block's sum over earlier blocks, off the critical path, and an
+uncorrected block's comparisons take a ct-pt for it.
+
 One block-generic pipeline serves every vector length.  A vector longer
 than the matrix capacity is split into L blocks and only the L(L+1)/2
 ordered block pairs are compared; a block's comparisons against later
@@ -41,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import KernelConfig, compare_kernel, quarter_equality
+from .chebyshev import FitMap, KernelConfig, compare_kernel, quarter_equality
 from .engine import CapacityError, Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, _check_axis, grid_plain, rect_plain, replicate, sum_axis, transpose_vector
 
@@ -118,13 +129,37 @@ class MultiRankPipeline:
     replicated: list[Ciphertext]
     layout: MatrixLayout
     axis: str = "row"
+    fit: FitMap | None = None
+
+
+def _tie_cells(n_dim: int, axis: str) -> np.ndarray:
+    # +2 where the cell's compared entry comes no later than the ranked one
+    rows, cols = np.indices((n_dim, n_dim))
+    return np.where(rows <= cols if axis == "row" else cols <= rows, 2.0, -2.0)
 
 
 @lru_cache(maxsize=None)
 def _tie_cell_mask(slot_count: int, n_dim: int, axis: str) -> np.ndarray:
-    # +2 where the cell's compared entry comes no later than the ranked one
-    rows, cols = np.indices((n_dim, n_dim))
-    return grid_plain(slot_count, np.where(rows <= cols if axis == "row" else cols <= rows, 2.0, -2.0))
+    return grid_plain(slot_count, _tie_cells(n_dim, axis))
+
+
+@lru_cache(maxsize=None)
+def _own_cell_plains(slot_count: int, n_dim: int, axis: str, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    # s(1 + M) and -sM, M the tie-cell grid
+    m = _tie_cells(n_dim, axis)
+    return grid_plain(slot_count, scale * (1.0 + m)), grid_plain(slot_count, -scale * m)
+
+
+@lru_cache(maxsize=None)
+def _shift_plain(slot_count: int, n_dim: int, cells: tuple, value: float, offset: float) -> np.ndarray | None:
+    # ``value`` on rows [r0, r1) x columns [c0, c1) of the grid, ``offset``
+    # on every other slot; None if that is zero everywhere
+    m = np.full(slot_count, offset)
+    m[: n_dim * n_dim].reshape(n_dim, n_dim)[cells[0] : cells[1], cells[2] : cells[3]] = value
+    if not m.any():
+        return None
+    m.setflags(write=False)
+    return m
 
 
 def read_row(engine: HESimulator, ct: Ciphertext, count: int) -> np.ndarray:
@@ -136,6 +171,16 @@ def _weak(engine: HESimulator, c: Ciphertext) -> Ciphertext:
     # c(3 - 2c) maps a fractional comparison {0, 1/2, 1} to the weak {0, 1, 1}
     three_less_twice = engine.add_plain(engine.negate(engine.add(c, c)), 3.0)
     return engine.mul(c, three_less_twice)
+
+
+def _own_cells(engine: HESimulator, c: Ciphertext, layout: MatrixLayout, axis: str, scale: float) -> Ciphertext:
+    """A block's tie-corrected cells against itself, times ``scale``:
+    s(c + M c(1 - c)) = c (s(1 + M) - (sM) c), M the +-2 tie-cell grid of
+    ``tie_offset``; one ct-ct and one ct-pt product, two levels below ``c``
+    and one addition fewer than adding the offset cells to ``c``."""
+    plus, minus = _own_cell_plains(layout.slot_count, layout.n_dim, axis, scale)
+    engine.share(c)  # read by both factors
+    return engine.mul(c, engine.add_plain(engine.mul_plain(c, minus), plus))
 
 
 def _col_rep(engine: HESimulator, blk: Ciphertext, layout: MatrixLayout) -> Ciphertext:
@@ -153,6 +198,14 @@ def _require_input_blocks(bv: BlockVector, axis: str):
         raise ValueError(f"{caller_path()}: only one block ranks along the columns, not {len(bv.blocks)}")
 
 
+def _require_centred(fit: FitMap | None):
+    """Raise ``ValueError`` for a map with an offset: spreading the ranks
+    would sum the offset of every line."""
+    if fit is not None and fit(0.0) != 0.0:
+        interval = f"[{fit.lo:g}, {fit.hi:g}]"
+        raise ValueError(f"{caller_path()}: spread ranks need a fit interval centred on 0, not {interval}")
+
+
 def multi_rank_pipeline(
     engine: HESimulator,
     bv: BlockVector,
@@ -161,6 +214,7 @@ def multi_rank_pipeline(
     tie_correction: bool = False,
     axis: str = "row",
     spread: bool = False,
+    fit: FitMap | None = None,
 ) -> MultiRankPipeline:
     """Ranks of every block, in row 0 of each (column 0 along the columns).
 
@@ -173,9 +227,9 @@ def multi_rank_pipeline(
     Tie correction orders equal values of different blocks by block, which
     makes every cross-block comparison weak (a later block's tied entry
     counts as the greater), adds the ``tie_offset`` cells of each block
-    against itself to its own comparisons before their fold, and lowers the
-    shift by 1/2.  Zero padding of the last block is masked out of its
-    comparisons, so padded entries rank 0.
+    against itself to its own comparisons before their fold, as one product
+    of both, and lowers the shift by 1/2.  Zero padding of the last block
+    is masked out of its comparisons, so padded entries rank 0.
 
     Block i is done in one pass (see the module notes): each D_ij, j > i,
     is added into block i's sum_{j>i} D_ij and block j's running sum as it
@@ -184,8 +238,17 @@ def multi_rank_pipeline(
     ``spread`` covers the matrix with the ranks along ``axis``, as the sort's
     placement reads them.  ``axis="col"`` ranks one block, and refuses more,
     into column 0: the row sums of D_00 with cell (r, c) comparing r with c.
+
+    ``fit``, the map of the window the consumer evaluates on the ranks,
+    returns each rank r as its map fit(r) = fit.scale * r + fit(0), and
+    every slot off the ranks, padded entries too, as fit(0), the map of
+    rank 0 (see the module notes); spread ranks need fit(0) = 0.  Without
+    it the ranks are true ranks.
     """
     _require_input_blocks(bv, axis)
+    if spread:
+        _require_centred(fit)
+    scale, mapped = (fit.scale, fit) if fit is not None else (1.0, float)
     b, count = bv.block_size, len(bv.blocks)
     layout = MatrixLayout(b, engine.params.slot_count)
 
@@ -211,7 +274,7 @@ def multi_rank_pipeline(
     for i in range(count):
         if i > 0:
             col = engine.share(_col_rep(engine, bv.blocks[i], layout))[0]  # compared with blocks i..L-1
-        mine = engine.share(compared(col, i, i))[0]  # read by the tie offset too
+        mine = engine.share(compared(col, i, i))[0]  # the tie cells read it twice
         cross_sum = None
         for j in range(i + 1, count):
             # each D_ij is added into sum_{j>i} D_ij and block j's running
@@ -225,17 +288,21 @@ def multi_rank_pipeline(
         c = col = None  # every reader is done: free them before the folds
         if axis == "col":
             row_rep = None  # only the comparison reads them; the placement multiplies col
-        own = engine.add(mine, earlier.pop(i)) if i > 0 else mine
         if tie_correction:
-            own = engine.add(own, tie_offset(engine, mine, layout, axis))
+            own = _own_cells(engine, mine, layout, axis, scale)
+            if i > 0:  # off the critical path: the weak map put it a level below D
+                own = engine.add(own, engine.mul_plain(earlier.pop(i), scale))
+        else:
+            own = engine.mul_plain(engine.add(mine, earlier.pop(i)) if i > 0 else mine, scale)
         if axis == "col":
             ranks = sum_axis(engine, own, layout, "col")
         else:
             less = None
             if cross_sum is not None:
                 # the later blocks' entries below entry r are their count, in
-                # the shift, less the row sums of sum_j D_ij, moved to row 0
-                less = transpose_vector(engine, sum_axis(engine, cross_sum, layout, "col"), layout, "col_to_row")
+                # the shift, less the row sums of sum_j D_ij, moved to row 0;
+                # the fold's mask scales them
+                less = transpose_vector(engine, sum_axis(engine, cross_sum, layout, "col", scale), layout, "col_to_row")
                 if spread and layout.full:
                     # subtracted before the all-reduce, it reaches every row,
                     # at log2 B more rotations on its critical path
@@ -245,11 +312,14 @@ def multi_rank_pipeline(
                 # after the fold: before a mask it would cost one more level
                 ranks = engine.sub(ranks, less)
         valid = bv.valid_in(i)
-        shift = 0.5 + (bv.total_len - i * b - valid) - (0.5 if tie_correction else 0.0)
-        if shift != 0.0:
-            rows = b if layout.full else 1
-            cells = (0, rows, 0, valid) if axis == "row" else (0, valid, 0, 1)
-            ranks = engine.add_plain(ranks, rect_plain(layout.slot_count, b, *cells, shift))
+        rows = b if layout.full else 1
+        cells = (0, rows, 0, valid) if axis == "row" else (0, valid, 0, 1)
+        # the mapped shift carries the map's offset, and every other slot,
+        # padded entries too, reads the map of rank 0
+        shift = mapped(0.5 + (bv.total_len - i * b - valid) - (0.5 if tie_correction else 0.0))
+        plain = _shift_plain(layout.slot_count, b, cells, shift, mapped(0.0))
+        if plain is not None:
+            ranks = engine.add_plain(ranks, plain)
         if spread and not (axis == "row" and layout.full):
             # only a full matrix's row fold is an all-reduce: spread the
             # rest here, so that no unspread copy outlives its block
@@ -264,6 +334,7 @@ def multi_rank_pipeline(
         replicated=replicated,
         layout=layout,
         axis=axis,
+        fit=fit,
     )
 
 
@@ -321,10 +392,13 @@ def tie_offset(engine: HESimulator, cmp_matrix: Ciphertext, layout: MatrixLayout
     so a column (row) of cells sums to the element's position inside its tie
     group less half the group's size.  Folded along the rows (columns), less
     one half, the cells are the offset that redistributes tied fractional
-    ranks into a permutation.  The pipeline adds them to the block's
-    comparisons before its one rank fold and the half to its rank shift, so
-    the offset costs no rotation.  The cells cost one ct-ct and one ct-pt
+    ranks into a permutation.  The cells cost one ct-ct and one ct-pt
     product, two levels on top of the comparison matrix.
+
+    No pipeline calls this: ``multi_rank_pipeline`` builds the comparisons
+    plus these cells as one product, c(s(1 + M) - (sM)c), with the same
+    products and levels, one addition fewer, and the scale of its fit map.
+    It stays while the benchmark's tracer names it.
     """
     quarter_eq = quarter_equality(engine, cmp_matrix)
     return engine.mul_plain(quarter_eq, _tie_cell_mask(layout.slot_count, layout.n_dim, axis))

@@ -10,10 +10,12 @@ once, where the uncorrected ranking would give it a shared rank.
 
 A rank-window indicator on each block's row-0 ranks yields a selection
 mask in row 0 (the argmin/argmax answer; in every row on a matrix that
-fills the slots), built just before its product is made.  The statistic's
-value is the inner product of the masks with the blocks' row-replicated
-inputs, summed over blocks and folded into column 0, divided by the masks'
-L1 norm.  That norm is the number of target ranks k = last - first + 1,
+fills the slots), built just before its product is made.  The ranking
+builds the ranks already mapped onto the window's fit interval, with the
+window's edges mapped in the clear, so the window maps nothing: no ct-pt
+product and no level.  The statistic's value is the inner product of the
+masks with the blocks' row-replicated inputs, summed over blocks and
+folded into column 0, divided by the masks' L1 norm.  That norm is the number of target ranks k = last - first + 1,
 known in the clear, so ``goldschmidt_inverse`` of the norm, with the
 masked sum as numerator, is seeded at 1/k and runs only the few steps an
 inexact chebyshev mask needs (exact in ideal mode for k = 1, 2); at k = 1
@@ -41,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chebyshev import KernelConfig, goldschmidt_inverse, indicator_kernel, with_input_range
+from .chebyshev import KernelConfig, fit_map, goldschmidt_inverse, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, head_row_sums, rect_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
@@ -102,12 +104,14 @@ def _select(engine, bv, query, cfg) -> tuple[MultiRankPipeline, Iterator[Ciphert
     masks' norm."""
     n = bv.total_len
     first, last = _target_ranks(query, n)
-    pipe = multi_rank_pipeline(engine, bv, cfg, tie_correction=True)
-    # The fit range must reach down to 0 because the empty slots and the
-    # padded entries of the rank vector hold zeros and the fitted polynomial
-    # reads every slot.
-    window_cfg = with_input_range(cfg, -0.5, n + 0.5)
-    sels = (indicator_kernel(engine, ranks, first - 0.5, last + 0.5, window_cfg) for ranks in pipe.ranks.blocks)
+    # The fit range must reach down to 0 because the padded entries, and
+    # every slot off the ranks, read rank 0 and the fitted polynomial reads
+    # every slot.
+    fit = fit_map(cfg, -0.5, n + 0.5)
+    pipe = multi_rank_pipeline(engine, bv, cfg, tie_correction=True, fit=fit)
+    window_cfg = with_input_range(cfg, *fit.input_range)
+    edges = fit(first - 0.5), fit(last + 0.5)
+    sels = (indicator_kernel(engine, ranks, *edges, window_cfg) for ranks in pipe.ranks.blocks)
     return pipe, sels, last - first + 1
 
 

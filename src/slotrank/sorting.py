@@ -15,7 +15,10 @@ they then fill every row.
 
 One placement step serves every vector length: a block vector of L blocks
 runs it once per (output block, rank block) pair, and ``sort`` is the
-one-block case along the other axis.
+one-block case along the other axis.  The ranking builds the ranks already
+mapped onto the placement window's fit interval, [-BL, BL] for L blocks of
+side B, and the targets are mapped in the clear, so none of the L^2
+windows maps its input: no ct-pt product and no level each.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chebyshev import KernelConfig, indicator_kernel, with_input_range
+from .chebyshev import FitMap, KernelConfig, fit_map, indicator_kernel, with_input_range
 from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import grid_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, block_merge, multi_rank_pipeline, one_block
@@ -49,14 +52,20 @@ class SortResult:
 
 
 @lru_cache(maxsize=None)
-def _neg_rank_targets(slot_count: int, n_dim: int, start: int, fold: str) -> np.ndarray:
-    # -(start+k) along the line the values land on: row k of the plain
+def _neg_rank_targets(slot_count: int, n_dim: int, start: int, fold: str, scale: float) -> np.ndarray:
+    # -s(start+k) along the line the values land on: row k of the plain
     # matrix for a fold into column 0, column k for one into row 0; -0.0
     # outside the matrix, as negating the targets gives
-    targets = np.tile(np.arange(start, start + n_dim, dtype=np.float64), (n_dim, 1))
+    targets = scale * np.tile(np.arange(start, start + n_dim, dtype=np.float64), (n_dim, 1))
     m = -grid_plain(slot_count, targets.T if fold == "col" else targets)
     m.setflags(write=False)
     return m
+
+
+def _placement_fit(cfg: KernelConfig, bv: BlockVector) -> FitMap:
+    # a rank less a target lies within the number of slots the blocks hold
+    span = float(bv.block_size * len(bv.blocks))
+    return fit_map(cfg, -span, span)
 
 
 def _require_distinct(values: np.ndarray):
@@ -77,17 +86,17 @@ def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfi
     # axis and folded across it, it lands the values in column 0 (ranks in
     # every row) or row 0 (ranks in every column), in every row when that
     # fold is cyclic.  Returns the output blocks and the last selection mask.
-    layout = pipe.layout
+    layout, fit = pipe.layout, pipe.fit
     ranks = engine.share(*pipe.ranks.blocks)  # each is shifted once per output block
     b, count = layout.n_dim, len(ranks)
     fold = "col" if pipe.axis == "row" else "row"
-    window_cfg = with_input_range(kernel_cfg, -float(b * count), float(b * count))
+    window_cfg, edges = with_input_range(kernel_cfg, *fit.input_range), (fit(-0.5), fit(0.5))
     values = []
     for i in range(count):
-        neg_targets = _neg_rank_targets(layout.slot_count, b, b * i + 1, fold)
+        neg_targets = _neg_rank_targets(layout.slot_count, b, b * i + 1, fold, fit.scale)
         total = None
         for j in range(count):
-            selection = indicator_kernel(engine, engine.add_plain(ranks[j], neg_targets), -0.5, 0.5, window_cfg)
+            selection = indicator_kernel(engine, engine.add_plain(ranks[j], neg_targets), *edges, window_cfg)
             # a running left fold: one product is alive at a time, and the
             # sum has the doubles and charges of one n-ary add
             placed = engine.mul(selection, pipe.replicated[j])
@@ -113,7 +122,10 @@ def sort_full(engine: HESimulator, ct: Ciphertext, n: int, cfg: SortConfig) -> S
     if not cfg.tie_correction:
         _require_distinct(ct.slots[:n])
     bv = one_block(engine, ct, n)
-    pipe = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction, axis="col", spread=True)
+    pipe = multi_rank_pipeline(
+        engine, bv, cfg.kernel, tie_correction=cfg.tie_correction, axis="col", spread=True,
+        fit=_placement_fit(cfg.kernel, bv),
+    )
     (values,), selection = _place(engine, pipe, cfg.kernel)
     return SortResult(values=values, selection=selection)
 
@@ -135,7 +147,9 @@ def multi_sort(engine: HESimulator, bv: BlockVector, cfg: SortConfig) -> BlockVe
     """
     if not cfg.tie_correction:
         _require_distinct(block_merge(engine, bv))
-    ranking = multi_rank_pipeline(engine, bv, cfg.kernel, tie_correction=cfg.tie_correction, spread=True)
+    ranking = multi_rank_pipeline(
+        engine, bv, cfg.kernel, tie_correction=cfg.tie_correction, spread=True, fit=_placement_fit(cfg.kernel, bv)
+    )
     values, _ = _place(engine, ranking, cfg.kernel)
     b = bv.block_size
     return BlockVector(blocks=tuple(values), block_size=b, total_len=bv.total_len, stride=b, computed=True)

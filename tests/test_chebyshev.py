@@ -846,6 +846,40 @@ def test_kernel_depth_by_mode():
     assert kernel_depth(cfg, "indicator") == 10
 
 
+def test_fit_map_is_the_identity_in_ideal_mode_and_onto_the_unit_interval_in_chebyshev_mode():
+    ideal = chebyshev.fit_map(ideal_cfg(), -0.5, 8.5)
+    assert (ideal.scale, ideal.input_range, ideal(0.0), ideal(3.5)) == (1.0, (-0.5, 8.5), 0.0, 3.5)
+    unit = chebyshev.fit_map(cheb_cfg(), -0.5, 8.5)
+    assert unit.input_range == (-1.0, 1.0)
+    assert (unit(-0.5), unit(8.5)) == (-1.0, 1.0)
+    assert unit.scale * 3.5 + unit(0.0) == pytest.approx(unit(3.5), abs=1e-15)
+    # a window centred in the fit interval stays exactly centred, so its
+    # odd coefficients stay zero; a fit interval centred on 0 maps 0 to +0.0
+    assert unit(3.5) == -unit(4.5)
+    assert math.copysign(1.0, chebyshev.fit_map(cheb_cfg(), -16, 16)(0.0)) == 1.0
+    with pytest.raises(ValueError, match="lo < hi"):
+        chebyshev.fit_map(cheb_cfg(), 1.0, 1.0)
+
+
+def test_window_on_a_mapped_input_costs_no_map():
+    # the window fitted on [-1, 1] reads its input as it comes: no ct-pt
+    # product and one level fewer than the same window on [-0.5, 8.5]
+    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 8.0])
+    fit = chebyshev.fit_map(cheb_cfg(degree=64), -0.5, 8.5)
+    unit = chebyshev.with_input_range(cheb_cfg(degree=64), *fit.input_range)
+    outs, reports = [], []
+    for values, cfg, edges in (
+        (x, cheb_cfg(degree=64, input_range=(-0.5, 8.5)), (1.5, 3.5)),
+        (fit.scale * x + fit(0.0), unit, (fit(1.5), fit(3.5))),
+    ):
+        eng = make_engine(64)
+        outs.append(eng.decrypt(indicator_kernel(eng, eng.encrypt(values), *edges, cfg))[:6])
+        reports.append(eng.cost_snapshot())
+    np.testing.assert_allclose(outs[1], outs[0], atol=1e-9)
+    raw, mapped = reports
+    assert (mapped.ctpt_mults, mapped.levels_consumed) == (raw.ctpt_mults - 1, raw.levels_consumed - 1)
+
+
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(mode="magic")

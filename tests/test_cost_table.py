@@ -7,10 +7,12 @@ padded or not, in ideal and chebyshev mode, through ``rank`` (or
 
 ``BEFORE`` holds the counters of the circuit that folded the ranks into
 column 0; ``saved`` writes out, case by case, what ranking along the rows,
-the one-fold statistic, Goldschmidt's division and the sort's unmasked
-fold take off them.  No counter of any shape may rise.
+the one-fold statistic, Goldschmidt's division, the sort's unmasked fold
+and the ranks built already mapped onto the window's fit interval
+(``mapped_ranks``) take off them.  No counter of any shape may rise.
 """
 
+import hashlib
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -172,10 +174,41 @@ BEFORE = {
 }
 
 
-def saved(kind, geometry, blocks, padded):
+def mapped_ranks(kind, geometry, blocks, padded, mode, tie):
+    """What building the ranks already mapped onto the window's fit interval
+    takes off.
+
+    Each block's tie-corrected cells against itself, c(s(1 + M) - (sM)c),
+    take one addition fewer than adding the tie offset to c; that is all
+    ideal mode, whose map is the identity, and the true ranks of ``rank``
+    save.  In chebyshev mode every window loses its input map, one ct-pt
+    and one level: L^2 of them in an L-block sort, whose map has no offset.
+    The scale rides in the tie cells, the cross sums' fold mask and the
+    plaintext shift, but each later block's sum over earlier blocks takes a
+    ct-pt, as do each uncorrected block's comparisons.  That product takes
+    back the level the map saved, unless the sums over later blocks, two
+    masks below the comparisons, set the ranks' level.
+    The statistic's L windows also lose the map's offset, L additions, but
+    its last block, whose shift was 0, now adds the offset; a block whose
+    shift maps to the centre of the fit interval, 0, on a matrix that fills
+    the slots, adds nothing.
+    """
+    cells = blocks * int(tie)
+    if mode == "ideal" or kind == "rank":
+        return CostReport(additions=cells)
+    if kind == "multi_statistic":
+        centre = blocks % 2 == 0 and not padded and geometry == "full"
+        return CostReport(ctpt_mults=1, additions=cells + blocks - 1 + int(centre), levels_consumed=1)
+    scalings = blocks - 1 if tie else blocks
+    return CostReport(
+        ctpt_mults=blocks * blocks - scalings, additions=cells, levels_consumed=int(tie or blocks > 1)
+    )
+
+
+def saved(kind, geometry, blocks, padded, mode, tie):
     """What ranking along the rows, the one-fold statistic, Goldschmidt's
-    division and the sort's unmasked fold take off the parent circuit's
-    counters.
+    division, the sort's unmasked fold and ``mapped_ranks`` take off the
+    parent circuit's counters.
 
     Only a matrix that fills the slots gains from the rows: its rank fold
     is a cyclic all-reduce with no mask, one ct-pt per block.  The sort's
@@ -202,22 +235,25 @@ def saved(kind, geometry, blocks, padded):
     """
     full, one = geometry == "full", blocks == 1
     if kind in ("rank", "sort"):
-        return CostReport(ctpt_mults=int(full), levels_consumed=int(full))
-    if kind == "multi_sort":
-        if not full:
-            return CostReport()
-        return CostReport(
+        rows = CostReport(ctpt_mults=int(full), levels_consumed=int(full))
+    elif kind == "multi_sort":
+        rows = CostReport(
             rotations=blocks * LOG_B, critical_rotations=LOG_B if one else 0, ctpt_mults=blocks,
             additions=blocks * LOG_B, levels_consumed=int(one),
+        ) if full else CostReport()
+    else:
+        folds = (LOG_B - 2) * one * full
+        rows = CostReport(
+            rotations=folds, ctpt_mults=int(padded) + full * (blocks + 2 * one), additions=folds + 1,
+            levels_consumed=int(padded) + full * (int(one or padded) + int(one)) + int(not padded or (full and one)),
         )
-    folds = (LOG_B - 2) * one * full
-    return CostReport(
-        rotations=folds, ctpt_mults=int(padded) + full * (blocks + 2 * one), additions=folds + 1,
-        levels_consumed=int(padded) + full * (int(one or padded) + int(one)) + int(not padded or (full and one)),
-    )
+    mapped = mapped_ranks(kind, geometry, blocks, padded, mode, tie)
+    return CostReport(*(a + b for a, b in zip(astuple(rows), astuple(mapped))))
 
 
 def run(kind, geometry, blocks, padded, mode, tie):
+    """The engine, the output's values and the reference's, and every slot
+    of the output ciphertexts."""
     n = SIDE * blocks - (3 if padded else 0)
     v = (np.random.default_rng(n).permutation(n) + 1.0) / (n + 1)
     if tie:
@@ -225,27 +261,69 @@ def run(kind, geometry, blocks, padded, mode, tie):
     eng = HESimulator(HEParams(slot_count=SLOTS[geometry], max_level=64))
     cfg = KERNELS[mode]
     if kind == "rank":
-        res = (rank_corrected if tie else rank)(eng, eng.encrypt(v), n, cfg)
-        got, want = read_row(eng, res.ranks, n), (reference.corrected_ranks if tie else reference.fractional_ranks)(v)
+        outs = [(rank_corrected if tie else rank)(eng, eng.encrypt(v), n, cfg).ranks]
+        got, want = read_row(eng, outs[0], n), (reference.corrected_ranks if tie else reference.fractional_ranks)(v)
     elif kind == "sort":
-        got = read_row(eng, sort(eng, eng.encrypt(v), n, SortConfig(kernel=cfg, tie_correction=tie)), n)
-        want = reference.sorted_values(v)
+        outs = [sort(eng, eng.encrypt(v), n, SortConfig(kernel=cfg, tie_correction=tie))]
+        got, want = read_row(eng, outs[0], n), reference.sorted_values(v)
     elif kind == "multi_sort":
-        got = block_merge(eng, multi_sort(eng, block_split(eng, v), SortConfig(kernel=cfg, tie_correction=tie)))
-        want = reference.sorted_values(v)
+        bv = multi_sort(eng, block_split(eng, v), SortConfig(kernel=cfg, tie_correction=tie))
+        outs, got, want = bv.blocks, block_merge(eng, bv), reference.sorted_values(v)
     else:
-        got = eng.decrypt(multi_statistic(eng, block_split(eng, v), StatisticQuery("median"), cfg))[:1]
-        want = [reference.median_value(v)]
-    return eng.cost_snapshot(), got, want
+        outs = [multi_statistic(eng, block_split(eng, v), StatisticQuery("median"), cfg)]
+        got, want = eng.decrypt(outs[0])[:1], [reference.median_value(v)]
+    return eng, got, want, np.concatenate([eng.decrypt(c) for c in outs])
 
 
 @pytest.mark.parametrize("case", list(BEFORE), ids=["-".join(map(str, c)) for c in BEFORE])
 def test_shape_costs_the_parent_circuit_less_what_row_ranking_saves(case):
     kind, geometry, blocks, padded, mode, tie = case
-    report, got, want = run(*case)
+    eng, got, want, _ = run(*case)
+    report = eng.cost_snapshot()
     before = CostReport(*BEFORE[case])
-    less = saved(kind, geometry, blocks, padded)
+    less = saved(*case)
     assert report == CostReport(*(a - b for a, b in zip(astuple(before), astuple(less))))
     assert all(getattr(report, f.name) <= getattr(before, f.name) for f in fields(CostReport))
     if mode == "ideal":
         assert np.array_equal(got, want)
+
+
+def digest(eng, slots):
+    """The output slots and the rotation offsets, as one sha256 prefix."""
+    offsets = np.asarray(eng.rotation_offsets(), dtype=np.int64)
+    return hashlib.sha256(slots.tobytes() + offsets.tobytes()).hexdigest()[:16]
+
+
+# Ideal tie-corrected shapes, one block for rank and sort and three for the
+# block pipelines: the additions of the circuit that added the tie offset to
+# each block's comparisons, before the ranks were built mapped, and the
+# ``digest`` of its outputs and rotation offsets.  Each block's tie cells
+# are the one addition the mapped ranks save in ideal mode, whose map is the
+# identity; nothing else may move.
+UNMAPPED_IDEAL = {
+    ("rank", "full", 1, False): (14, "94652ca9f058b110"),
+    ("rank", "full", 1, True): (14, "46368ed552fe9c5b"),
+    ("rank", "not-full", 1, False): (14, "46838bd365d883fa"),
+    ("rank", "not-full", 1, True): (14, "88b7fe3a59d2034a"),
+    ("sort", "full", 1, False): (21, "6e17350344e9e24a"),
+    ("sort", "full", 1, True): (21, "9599b5f84444a312"),
+    ("sort", "not-full", 1, False): (21, "cf0e4610a68b1cb7"),
+    ("sort", "not-full", 1, True): (21, "3e5445a7778a0404"),
+    ("multi_sort", "full", 3, False): (92, "892d227a3e422a7d"),
+    ("multi_sort", "full", 3, True): (92, "be580334320a6a74"),
+    ("multi_sort", "not-full", 3, False): (101, "3603c16311195a5b"),
+    ("multi_sort", "not-full", 3, True): (101, "0f6b886a9abf4845"),
+    ("multi_statistic", "full", 3, False): (84, "83680fcd0d97aaf7"),
+    ("multi_statistic", "full", 3, True): (84, "4737630befc9d4f3"),
+    ("multi_statistic", "not-full", 3, False): (84, "2f5cd1b63afaf890"),
+    ("multi_statistic", "not-full", 3, True): (84, "56d9a1fed159e41d"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNMAPPED_IDEAL), ids=["-".join(map(str, c)) for c in UNMAPPED_IDEAL])
+def test_ideal_tie_corrected_shape_is_the_unmapped_circuit_less_one_addition_per_block(case):
+    kind, geometry, blocks, padded = case
+    eng, _, _, slots = run(kind, geometry, blocks, padded, "ideal", True)
+    additions, want = UNMAPPED_IDEAL[case]
+    assert digest(eng, slots) == want
+    assert eng.cost_snapshot().additions == additions - blocks

@@ -62,6 +62,24 @@ def test_sum_rows_known_comparison_matrix():
         assert np.all(out[4 * rows :] == 0)
 
 
+def test_fold_mask_carries_a_scale():
+    # the scale rides in the fold's mask: no product more; the row fold of a
+    # matrix that fills the slots has no mask, and refuses a scale
+    m = np.arange(16, dtype=np.float64).reshape(4, 4)
+    for slots, axis in ((16, "col"), (32, "col"), (32, "row")):
+        eng, layout = setup(4, slot_count=slots)
+        x = eng.encrypt(m.ravel())
+        plain = eng.decrypt(sum_axis(eng, x, layout, axis))
+        eng.cost_reset()
+        out = eng.decrypt(sum_axis(eng, x, layout, axis, 0.25))
+        assert np.array_equal(out, plain * 0.25)
+        assert eng.cost_snapshot().ctpt_mults == 1
+    eng, layout = setup(4, slot_count=16)
+    with pytest.raises(ValueError, match=r"^matrix\.sum_axis: .*no mask to scale"):
+        sum_axis(eng, eng.encrypt(m.ravel()), layout, "row", 0.25)
+    assert np.array_equal(eng.decrypt(mask(eng, eng.encrypt(m.ravel()), layout, "row", 1, 2.0))[4:8], 2 * m[1])
+
+
 def test_row_fold_is_an_all_reduce_only_on_a_matrix_that_fills_the_slots():
     # 4x4 in 16 slots: rotations by 4 and 8 are cyclic over the rows, so the
     # sums reach every row and no mask is needed; in 32 slots they are not,
@@ -111,7 +129,7 @@ def test_head_row_sums_fold_rows_0_and_1_into_slot_0():
 
 def test_head_row_sums_refuse_a_matrix_that_does_not_fill_the_slots():
     eng, layout = setup(4, slot_count=32)
-    with pytest.raises(ValueError, match="fills the slots"):
+    with pytest.raises(ValueError, match=r"^matrix\.head_row_sums: .*fills the slots"):
         head_row_sums(eng, eng.encrypt(np.ones(16)), layout)
 
 

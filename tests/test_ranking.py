@@ -20,7 +20,7 @@ from slotrank import (
     sum_axis,
     tie_offset,
 )
-from slotrank import reference
+from slotrank import chebyshev, reference
 from slotrank.matrix import MatrixLayout
 from slotrank.ranking import multi_rank_pipeline, rank_pipeline
 
@@ -396,9 +396,46 @@ def test_tie_corrected_multi_rank_circuit_is_pinned():
     ranks = multi_rank(eng, bv, IDEAL, tie_correction=True)
     assert np.array_equal(block_merge(eng, ranks), reference.corrected_ranks(v))
     # each block's rank fold is an all-reduce with no mask: 3 ct-pt fewer
-    # than the masked fold into column 0 took
+    # than the masked fold into column 0 took; each block's tie cells take
+    # one addition fewer than adding the tie offset to its comparisons
     assert eng.cost_snapshot() == CostReport(
-        rotations=32, ctct_mults=6, ctpt_mults=10, additions=52,
+        rotations=32, ctct_mults=6, ctpt_mults=10, additions=49,
         cmp_evals=6, ind_evals=0, levels_consumed=13, critical_rotations=8,
     )
     assert len(eng.rotation_offsets()) == 32
+
+
+@pytest.mark.parametrize("slots", [16, 32])
+def test_ranks_arrive_mapped_onto_the_fit_interval(slots):
+    # two blocks of 4, the last one padded, on a matrix that fills the
+    # slots and one that does not: each rank r reads s r + o, and every
+    # other slot, padded entries too, reads o, the map of rank 0, at the
+    # counters of the true ranks but for the later block's scaled sum
+    v = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7])
+    cfg = KernelConfig(mode="chebyshev", degree=64)
+    fit = chebyshev.fit_map(cfg, -0.5, 7.5)
+    reports, blocks = [], []
+    for f in (None, fit):
+        eng = make_engine(slots, max_level=64)
+        pipe = multi_rank_pipeline(eng, block_split(eng, v), cfg, tie_correction=True, fit=f)
+        blocks.append([eng.decrypt(b) for b in pipe.ranks.blocks])
+        reports.append(eng.cost_snapshot())
+    rows = 4 if slots == 16 else 1
+    for i, (true, mapped) in enumerate(zip(*blocks)):
+        on = np.zeros(slots, dtype=bool)
+        on[: 4 * rows].reshape(rows, 4)[:, : 4 if i == 0 else 3] = True
+        np.testing.assert_allclose(mapped[on], fit.scale * true[on] + fit(0.0), atol=1e-12)
+        assert np.all(mapped[~on] == fit(0.0))
+    true, mapped = reports
+    assert mapped.ctpt_mults == true.ctpt_mults + 1
+    assert (mapped.rotations, mapped.ctct_mults, mapped.levels_consumed) == (
+        true.rotations, true.ctct_mults, true.levels_consumed
+    )
+
+
+def test_spread_ranks_refuse_a_fit_interval_off_centre():
+    eng = make_engine(16)
+    cfg = KernelConfig(mode="chebyshev", degree=64)
+    fit = chebyshev.fit_map(cfg, -0.5, 2.5)
+    with pytest.raises(ValueError, match=r"^ranking\.multi_rank_pipeline: spread ranks need a fit interval centred on 0"):
+        multi_rank_pipeline(eng, block_split(eng, [0.3, 0.7]), cfg, spread=True, fit=fit)

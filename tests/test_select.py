@@ -237,28 +237,28 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
     [
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
-                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
+                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
-                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
+                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
         ),
         (
             lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
-                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
+                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
         ),
         (
             lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
-                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
+                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
         ),
         (
             lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=93, additions=159,
-                       cmp_evals=1, ind_evals=1, levels_consumed=25, critical_rotations=12),
+            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
+                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
         ),
     ],
     ids=["min", "max", "kth3", "median_even", "percentile75"],
@@ -273,7 +273,10 @@ def test_statistic_circuit_is_pinned(statistic, report):
     # window, so the extremes cost what the k-th statistic does: one
     # tie-offset product, then Goldschmidt's division by the norm 1, seeded
     # at 2 - x with a free negation, whose chain carries the value: 6 levels
-    # below the product
+    # below the product.  The ranks arrive mapped onto the window's fit
+    # interval, so the window pays no input map: one ct-pt, one addition and
+    # one level fewer, and the tie cells one addition fewer, but the ranks'
+    # map offset takes one
     eng = make_engine(64)
     statistic(eng, eng.encrypt(PINNED_INPUT))
     assert eng.cost_snapshot() == report
@@ -297,22 +300,22 @@ PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6,
 @pytest.mark.parametrize(
     "kind, kernel, n, report",
     [
-        ("median", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=66,
+        ("median", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=63,
                                          cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
-        ("median", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=379, additions=615,
-                                               cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
-        ("median", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=66,
+        ("median", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=378, additions=610,
+                                               cmp_evals=6, ind_evals=3, levels_consumed=26, critical_rotations=10)),
+        ("median", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=63,
                                          cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        ("median", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=383, additions=615,
-                                               cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
-        ("min", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=12, additions=66,
+        ("median", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=610,
+                                               cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
+        ("min", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=12, additions=63,
                                       cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
-        ("min", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=378, additions=615,
-                                            cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
-        ("min", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=66,
+        ("min", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=377, additions=610,
+                                            cmp_evals=6, ind_evals=3, levels_consumed=26, critical_rotations=10)),
+        ("min", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=63,
                                       cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        ("min", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=615,
-                                            cmp_evals=6, ind_evals=3, levels_consumed=28, critical_rotations=10)),
+        ("min", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=381, additions=610,
+                                            cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
     ],
     ids=["ideal-median", "chebyshev-median", "ideal-padded-median", "chebyshev-padded-median",
          "ideal-min", "chebyshev-min", "ideal-padded-min", "chebyshev-padded-min"],
@@ -326,7 +329,10 @@ def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
     # does, so the seed's level costs nothing and both end at one depth.  The
     # 4x4 blocks fill the slots, so no rank fold is masked.  A padded last
     # block costs 4 ct-pt and 1 level more: the pad mask on its 3
-    # comparisons, then the cut of its mask to the valid columns
+    # comparisons, then the cut of its mask to the valid columns.  The ranks
+    # arrive mapped onto the window's fit interval: the 3 windows' input
+    # maps are gone, the 2 later blocks' sums over earlier blocks take the
+    # scale, and each block's tie cells take one addition fewer
     eng = make_engine(16)
     v = PINNED_BLOCKS[:n]
     out = multi_statistic(eng, block_split(eng, v), StatisticQuery(kind), kernel)
@@ -548,10 +554,10 @@ def test_padded_one_block_min_leaves_the_padding_out_without_a_cut():
     "kind, report",
     [
         # k = 1: the division's seed 2 - x is a free negation
-        ("min", CostReport(rotations=6, critical_rotations=4, ctct_mults=42, ctpt_mults=60, additions=110,
-                           cmp_evals=1, ind_evals=1, levels_consumed=25)),
-        ("median", CostReport(rotations=6, critical_rotations=4, ctct_mults=45, ctpt_mults=93, additions=148,
-                              cmp_evals=1, ind_evals=1, levels_consumed=25)),
+        ("min", CostReport(rotations=6, critical_rotations=4, ctct_mults=42, ctpt_mults=59, additions=109,
+                           cmp_evals=1, ind_evals=1, levels_consumed=24)),
+        ("median", CostReport(rotations=6, critical_rotations=4, ctct_mults=45, ctpt_mults=92, additions=147,
+                              cmp_evals=1, ind_evals=1, levels_consumed=24)),
     ],
 )
 def test_two_by_two_statistic_keeps_its_two_folds(kind, report):
@@ -560,7 +566,7 @@ def test_two_by_two_statistic_keeps_its_two_folds(kind, report):
     # the value and the norm each fold in one step with no mask, as before.
     # Both divide with the value in the norm's chain; the median's seed
     # (4 - x)/4 takes a ct-pt and a level, as the value's product does, so
-    # both end at 25 levels
+    # both end at 24 levels
     eng = make_engine(4)
     out = order_statistic_value(eng, eng.encrypt([0.7, 0.2]), 2, StatisticQuery(kind), PINNED_CHEB)
     assert abs(value_of(eng, out) - {"min": 0.2, "median": 0.45}[kind]) < 1e-3

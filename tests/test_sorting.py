@@ -18,7 +18,7 @@ from slotrank import (
     read_row,
     sort,
 )
-from slotrank import reference
+from slotrank import StatisticQuery, chebyshev, order_statistic_value, ranking, reference, select, sorting
 from slotrank.sorting import sort_full
 
 IDEAL = KernelConfig(mode="ideal", degree=256)
@@ -137,14 +137,51 @@ def test_chebyshev_sort_well_separated():
 def test_chebyshev_sort_circuit_is_pinned():
     # the step and the centred placement window skip their zero-parity terms;
     # the 16x16 matrix fills the slots, so the placement's fold over the rows
-    # is cyclic and needs no mask
+    # is cyclic and needs no mask.  The ranks arrive mapped onto the window's
+    # fit interval, the scale carried by the tie cells, so the window pays no
+    # input map
     eng = make_engine(256, max_level=40)
     v = np.random.default_rng(3).uniform(0, 1, 16)
     sort(eng, eng.encrypt(v), 16, cfg(kernel=KernelConfig(mode="chebyshev", degree=64)))
     assert eng.cost_snapshot() == CostReport(
-        rotations=24, ctct_mults=31, ctpt_mults=61, additions=122,
-        cmp_evals=1, ind_evals=1, levels_consumed=20, critical_rotations=20,
+        rotations=24, ctct_mults=31, ctpt_mults=60, additions=121,
+        cmp_evals=1, ind_evals=1, levels_consumed=19, critical_rotations=20,
     )
+
+
+@pytest.mark.parametrize("task", ["sort", "min"])
+def test_chebyshev_window_reads_the_ranks_with_no_input_map(monkeypatch, task):
+    # the ranks arrive mapped onto the window's fit interval, so the window's
+    # powers start from its input at the ranks' level, on [-1, 1], and no
+    # ct-pt product maps it there
+    seen = {"powers": []}
+
+    def pipeline(*args, **kwargs):
+        pipe = ranking.multi_rank_pipeline(*args, **kwargs)
+        seen["ranks"] = pipe.ranks.blocks[0].level
+        return pipe
+
+    def powers(engine, x, poly, baby, giants):
+        before = engine.cost_snapshot().ctpt_mults
+        out = real_powers(engine, x, poly, baby, giants)
+        seen["powers"].append((x.level, poly.interval, engine.cost_snapshot().ctpt_mults - before))
+        return out
+
+    real_powers = chebyshev._powers
+    monkeypatch.setattr(sorting, "multi_rank_pipeline", pipeline)
+    monkeypatch.setattr(select, "multi_rank_pipeline", pipeline)
+    monkeypatch.setattr(chebyshev, "_powers", powers)
+    eng = make_engine(64, max_level=64)
+    v = np.random.default_rng(5).integers(0, 16, 8) / 16.0
+    kernel = KernelConfig(mode="chebyshev", degree=64)
+    if task == "sort":
+        got = read_row(eng, sort(eng, eng.encrypt(v), 8, cfg(kernel=kernel)), 8)
+        assert np.max(np.abs(got - np.sort(v))) < 0.3
+    else:
+        got = eng.decrypt(order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("min"), kernel))[0]
+        assert abs(got - v.min()) < 0.05
+    compare, window = seen["powers"]
+    assert window == (seen["ranks"], (-1.0, 1.0), 0)
 
 
 # ----------------------------------------------------------------------
@@ -228,14 +265,14 @@ PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
 @pytest.mark.parametrize(
     "kernel, n, report",
     [
-        (IDEAL, 12, CostReport(rotations=38, ctct_mults=15, ctpt_mults=13, additions=73,
+        (IDEAL, 12, CostReport(rotations=38, ctct_mults=15, ctpt_mults=13, additions=70,
                                cmp_evals=6, ind_evals=9, levels_consumed=24, critical_rotations=12)),
-        (PINNED_CHEB, 12, CostReport(rotations=38, ctct_mults=231, ctpt_mults=439, additions=781,
-                                     cmp_evals=6, ind_evals=9, levels_consumed=21, critical_rotations=12)),
-        (IDEAL, 10, CostReport(rotations=38, ctct_mults=15, ctpt_mults=16, additions=73,
+        (PINNED_CHEB, 12, CostReport(rotations=38, ctct_mults=231, ctpt_mults=432, additions=778,
+                                     cmp_evals=6, ind_evals=9, levels_consumed=20, critical_rotations=12)),
+        (IDEAL, 10, CostReport(rotations=38, ctct_mults=15, ctpt_mults=16, additions=70,
                                cmp_evals=6, ind_evals=9, levels_consumed=25, critical_rotations=12)),
-        (PINNED_CHEB, 10, CostReport(rotations=38, ctct_mults=231, ctpt_mults=442, additions=781,
-                                     cmp_evals=6, ind_evals=9, levels_consumed=22, critical_rotations=12)),
+        (PINNED_CHEB, 10, CostReport(rotations=38, ctct_mults=231, ctpt_mults=435, additions=778,
+                                     cmp_evals=6, ind_evals=9, levels_consumed=21, critical_rotations=12)),
     ],
     ids=["ideal", "chebyshev", "ideal-padded", "chebyshev-padded"],
 )
@@ -244,7 +281,10 @@ def test_tie_corrected_multi_sort_circuit_is_pinned(kernel, n, report):
     # The 4x4 blocks fill the slots, so each block's rank fold is an
     # all-reduce with no mask and the placement spreads nothing.  A padded
     # last block costs 3 ct-pt and 1 level more: the pad mask on its 3
-    # comparisons
+    # comparisons.  The ranks arrive mapped onto the placement window's fit
+    # interval: its 9 input maps are gone, the 2 later blocks' sums over
+    # earlier blocks take the scale, and each block's tie cells take one
+    # addition fewer
     eng = make_engine(16, max_level=64)
     v = PINNED_BLOCKS[:n]
     out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(kernel=kernel)))
