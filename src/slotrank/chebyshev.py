@@ -19,6 +19,10 @@ Every kernel runs in one of two modes:
 * ``chebyshev`` -- a cached Chebyshev interpolant of the target function
                    is evaluated on the ciphertext.
 
+Chebyshev kernels are fitted on [-1, 1] and map no input: the compare
+reads x - y of values promised in [0, 1], a window ranks that its pipeline
+built already mapped there (``fit_map``).
+
 The fitted targets keep their exact parity: the comparison step is odd
 about 1/2, and an indicator window centred in its fit interval (every
 sort placement window) is even.  Their other-parity coefficients are
@@ -82,24 +86,23 @@ class KernelConfig:
     """How the non-polynomial kernels are realised.
 
     mode: "ideal" or "chebyshev".
-    degree: approximation degree of the comparison kernel.
+    degree: approximation degree of the comparison kernel, whose inputs are
+        promised in [0, 1]; a window's are mapped onto [-1, 1] (``fit_map``).
     indicator_degree: degree of the indicator kernel; defaults to ``degree``.
-    input_range: interval the caller promises all kernel inputs lie in.
     tie_margin: shift applied by ``compare_gt_kernel`` and
         ``compare_ge_kernel`` in chebyshev mode to push exact ties off the
         step discontinuity.  No pipeline reads it or those kernels (every
         statistic is a window of tie-corrected ranks); they stay only while
         the benchmark's workloads and tracer name them.  The fitted step
-        rises over about (hi - lo) / degree, so a tie reads roughly
-        Phi(-margin * degree / (hi - lo)) off its exact value (0 strict, 1
-        weak; Phi the normal CDF), plus the fit's ripple: at degree 256 on
-        [0, 1] with margin 1/512, ``gt(0.5, 0.5)`` reads 0.39.
+        rises over about 1 / degree, so a tie reads roughly
+        Phi(-margin * degree) off its exact value (0 strict, 1 weak; Phi
+        the normal CDF), plus the fit's ripple: at degree 256 with margin
+        1/512, ``gt(0.5, 0.5)`` reads 0.39.
     """
 
     mode: str = "ideal"
     degree: int = 256
     indicator_degree: int | None = None
-    input_range: tuple[float, float] = (0.0, 1.0)
     tie_margin: float = 0.0
 
     def __post_init__(self):
@@ -109,9 +112,6 @@ class KernelConfig:
             raise ValueError("degree must be >= 1")
         if self.indicator_degree is not None and self.indicator_degree < 1:
             raise ValueError("indicator_degree must be >= 1")
-        lo, hi = self.input_range
-        if not (lo < hi):
-            raise ValueError(f"input_range must satisfy lo < hi, got [{lo}, {hi}]")
         if self.tie_margin < 0:
             raise ValueError("tie_margin must be non-negative")
 
@@ -123,27 +123,26 @@ class KernelConfig:
 def kernel_depth(cfg: KernelConfig, kind: str = "compare") -> int:
     """Worst-case levels one kernel evaluation consumes under ``cfg``.
 
-    Ideal mode charges ceil(log2(d+1)); chebyshev mode adds two levels, for
-    the leaves' scalar products and for the scaling of the input onto the
-    fit interval, which a compare on a unit-length range does not pay, nor
-    a window whose input arrives mapped onto [-1, 1] (see ``fit_map``).
+    Ideal mode charges ceil(log2(d+1)).  Chebyshev mode evaluates on its
+    input as it comes, on [-1, 1]: ceil(log2(d+1)) levels, and one more at
+    degrees where a leaf's scalar products lie on the deepest path (15, 31,
+    61 to 63, 125 to 127, 255, 511, 1023 among d <= 1024).
     """
     d = cfg.degree if kind == "compare" else cfg.ind_degree
     base = math.ceil(math.log2(d + 1))
-    return base if cfg.mode == "ideal" else base + 2
+    return base if cfg.mode == "ideal" else base + 1
 
 
 @dataclass(frozen=True, slots=True)
 class FitMap:
     """The affine map x -> scale * x + offset, offset the map of 0, of a
-    window's fit interval [lo, hi] onto ``input_range``, the interval its
-    kernel is fitted on.
+    window's interval [lo, hi] onto the one its kernel is fitted on.
 
-    With ``unit`` set that is [-1, 1], on which ``ps_eval`` builds the
-    powers with no map of its own: a caller that builds the window's input
-    already mapped, with the scale carried by plaintexts it multiplies or
-    adds anyway, saves the map's ct-pt product and its level.  Unset, the
-    map is the identity.
+    With ``unit`` set that is [-1, 1], where ``ps_eval`` builds the powers
+    with no map of its own: the caller builds the window's input already
+    mapped, with the scale carried by plaintexts it multiplies or adds
+    anyway, and maps the edges in the clear.  Unset, the map is the
+    identity: ideal kernels are exact on any input.
     """
 
     lo: float
@@ -154,10 +153,6 @@ class FitMap:
     def scale(self) -> float:
         return 2.0 / (self.hi - self.lo) if self.unit else 1.0
 
-    @property
-    def input_range(self) -> tuple[float, float]:
-        return (-1.0, 1.0) if self.unit else (self.lo, self.hi)
-
     def __call__(self, x: float) -> float:
         # a window centred in [lo, hi] maps exactly centred in [-1, 1], so
         # its odd coefficients stay exactly zero; its offset, the map of 0,
@@ -167,9 +162,9 @@ class FitMap:
 
 @lru_cache(maxsize=None)
 def fit_map(cfg: KernelConfig, lo: float, hi: float) -> FitMap:
-    """The map of a window fitted on [lo, hi] under ``cfg``: onto [-1, 1] in
-    chebyshev mode; the identity in ideal mode, whose kernels charge no
-    input map.  Cached, so that a warm pipeline allocates no map."""
+    """The map of a window over [lo, hi] under ``cfg``: onto [-1, 1] in
+    chebyshev mode, where every window is fitted; the identity in ideal
+    mode.  Cached, so that a warm pipeline allocates no map."""
     if not lo < hi:
         raise ValueError(f"fit interval must satisfy lo < hi, got [{lo}, {hi}]")
     return FitMap(float(lo), float(hi), cfg.mode == "chebyshev")
@@ -527,31 +522,29 @@ def _three_way(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def compare_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
     """Slotwise three-way comparison: 1 where x > y, 0.5 at ties, 0 where x < y.
 
-    Chebyshev mode evaluates the fitted unit step on (x - y) scaled by the
-    declared input range; ties and sub-resolution gaps then land on the
-    smoothed part of the step.  An evaluation is counted once it completes.
+    Chebyshev mode evaluates the step fitted on [-1, 1] on x - y, values
+    promised in [0, 1]; ties and sub-resolution gaps land on the smoothed
+    part of the step.  An evaluation is counted once it completes.
     """
     if cfg.mode == "ideal":
         out = _ideal_kernel(engine, _three_way, x, y, levels=kernel_depth(cfg))
     else:
-        lo, hi = cfg.input_range
-        diff = engine.mul_plain(engine.sub(x, y), 1.0 / (hi - lo))
-        out = ps_eval(engine, diff, _step_poly(cfg.degree))
+        out = ps_eval(engine, engine.sub(x, y), _step_poly(cfg.degree))
     engine.note_compare_eval()
     return out
 
 
 def _compare_shifted(engine, x, y, cfg, predicate, margin):
     # Strict (margin < 0) or weak (margin > 0) comparison.  Chebyshev mode
-    # compares x + margin with y; the declared range is widened by the
-    # margin so the shifted difference still maps into the fit interval.
+    # compares x + margin with y, the difference scaled by 1/(1 + |margin|)
+    # so that it stays in the step's fit interval [-1, 1].
     if cfg.mode == "ideal":
         out = _ideal_kernel(engine, lambda xs, ys: predicate(xs, ys).astype(np.float64), x, y, levels=kernel_depth(cfg))
-        engine.note_compare_eval()
-        return out
-    lo, hi = cfg.input_range
-    widened = with_input_range(cfg, lo + min(margin, 0.0), hi + max(margin, 0.0))
-    return compare_kernel(engine, engine.add_plain(x, margin), y, widened)
+    else:
+        diff = engine.sub(engine.add_plain(x, margin), y)
+        out = ps_eval(engine, engine.mul_plain(diff, 1.0 / (1.0 + abs(margin))), _step_poly(cfg.degree))
+    engine.note_compare_eval()
+    return out
 
 
 def compare_gt_kernel(engine: HESimulator, x: Ciphertext, y: Ciphertext, cfg: KernelConfig) -> Ciphertext:
@@ -575,6 +568,7 @@ def indicator_kernel(
 
     The endpoints read 0 in ideal mode, so that half-integer fractional
     ranks sitting exactly on a rank window's edge are not picked up.
+    Chebyshev mode fits it on [-1, 1]: map x, a and b there (``fit_map``).
     """
     if not (a < b):
         raise ValueError(f"indicator interval must satisfy a < b, got [{a}, {b}]")
@@ -583,8 +577,7 @@ def indicator_kernel(
             engine, lambda s: ((s > a) & (s < b)).astype(np.float64), x, levels=kernel_depth(cfg, "indicator")
         )
     else:
-        lo, hi = cfg.input_range
-        out = ps_eval(engine, x, _window_poly(float(a), float(b), float(lo), float(hi), cfg.ind_degree))
+        out = ps_eval(engine, x, _window_poly(float(a), float(b), -1.0, 1.0, cfg.ind_degree))
     engine.note_indicator_eval()
     return out
 
@@ -643,8 +636,3 @@ def goldschmidt_inverse(
         if step < _RECIPROCAL_STEPS:  # the last factor corrects the quotient alone
             d = engine.mul(f, d)
     return n
-
-
-def with_input_range(cfg: KernelConfig, lo: float, hi: float) -> KernelConfig:
-    """Copy of ``cfg`` whose kernels operate on [lo, hi]."""
-    return replace(cfg, input_range=(float(lo), float(hi)))

@@ -19,10 +19,11 @@ interval as a ``chebyshev.FitMap``, and gets the ranks already mapped onto
 product and no level.  The scale s rides in products and plaintexts the
 pipeline makes anyway: a block's tie-corrected cells against itself are
 c(s(1 + M) - (sM)c), M the tie-cell grid, one addition fewer than adding
-the offset cells; the cross sums' fold carries s in its mask; the shift
-is a plaintext mapped in the clear, with the map's offset.  Only each
-later block's sum over earlier blocks, off the critical path, and an
-uncorrected block's comparisons take a ct-pt for it.
+the offset cells; a fold with a mask carries s in it; the shift is a
+plaintext mapped in the clear, with the map's offset.  Only each later
+block's sum over earlier blocks, off the critical path, and an
+uncorrected block's comparisons before an unmasked all-reduce take a
+ct-pt for it.
 
 One block-generic pipeline serves every vector length.  A vector longer
 than the matrix capacity is split into L blocks and only the L(L+1)/2
@@ -288,14 +289,17 @@ def multi_rank_pipeline(
         c = col = None  # every reader is done: free them before the folds
         if axis == "col":
             row_rep = None  # only the comparison reads them; the placement multiplies col
+        # the scale rides in the tie cells, or else in the rank fold's mask
+        # if it has one: only the unmasked all-reduce needs a ct-pt for it
+        fold_scale = scale if not tie_correction and (axis == "col" or not layout.full) else 1.0
         if tie_correction:
             own = _own_cells(engine, mine, layout, axis, scale)
             if i > 0:  # off the critical path: the weak map put it a level below D
                 own = engine.add(own, engine.mul_plain(earlier.pop(i), scale))
-        else:
-            own = engine.mul_plain(engine.add(mine, earlier.pop(i)) if i > 0 else mine, scale)
+        else:  # a product by the 1.0 left over is free
+            own = engine.mul_plain(engine.add(mine, earlier.pop(i)) if i > 0 else mine, scale / fold_scale)
         if axis == "col":
-            ranks = sum_axis(engine, own, layout, "col")
+            ranks = sum_axis(engine, own, layout, "col", fold_scale)
         else:
             less = None
             if cross_sum is not None:
@@ -307,7 +311,7 @@ def multi_rank_pipeline(
                     # subtracted before the all-reduce, it reaches every row,
                     # at log2 B more rotations on its critical path
                     own, less = engine.sub(own, less), None
-            ranks = sum_axis(engine, own, layout, "row")
+            ranks = sum_axis(engine, own, layout, "row", fold_scale)
             if less is not None:
                 # after the fold: before a mask it would cost one more level
                 ranks = engine.sub(ranks, less)

@@ -15,11 +15,12 @@ builds the ranks already mapped onto the window's fit interval, with the
 window's edges mapped in the clear, so the window maps nothing: no ct-pt
 product and no level.  The statistic's value is the inner product of the
 masks with the blocks' row-replicated inputs, summed over blocks and
-folded into column 0, divided by the masks' L1 norm.  That norm is the number of target ranks k = last - first + 1,
-known in the clear, so ``goldschmidt_inverse`` of the norm, with the
-masked sum as numerator, is seeded at 1/k and runs only the few steps an
-inexact chebyshev mask needs (exact in ideal mode for k = 1, 2); at k = 1
-its seed 2 - x takes a free negation.  It multiplies the masked sum by
+folded into column 0, divided by the masks' L1 norm.  That norm is the
+number of target ranks k = last - first + 1, known in the clear, so
+``goldschmidt_inverse`` of the norm, with the masked sum as numerator, is
+seeded at 1/k and runs only the few steps an inexact chebyshev mask
+needs (exact in ideal mode for k = 1, 2); at k = 1 its seed 2 - x takes a
+free negation.  It multiplies the masked sum by
 every factor it multiplies the norm by, so the value arrives 6 levels
 below the later of the sum and the seed, where a reciprocal of the norm
 and a product by it took 7.  A norm in slot 0 outside (0, 2k), where that
@@ -43,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chebyshev import KernelConfig, fit_map, goldschmidt_inverse, indicator_kernel, with_input_range
+from .chebyshev import KernelConfig, fit_map, goldschmidt_inverse, indicator_kernel
 from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import MatrixLayout, head_row_sums, rect_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
@@ -109,9 +110,8 @@ def _select(engine, bv, query, cfg) -> tuple[MultiRankPipeline, Iterator[Ciphert
     # every slot.
     fit = fit_map(cfg, -0.5, n + 0.5)
     pipe = multi_rank_pipeline(engine, bv, cfg, tie_correction=True, fit=fit)
-    window_cfg = with_input_range(cfg, *fit.input_range)
     edges = fit(first - 0.5), fit(last + 0.5)
-    sels = (indicator_kernel(engine, ranks, *edges, window_cfg) for ranks in pipe.ranks.blocks)
+    sels = (indicator_kernel(engine, ranks, *edges, cfg) for ranks in pipe.ranks.blocks)
     return pipe, sels, last - first + 1
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chebyshev import FitMap, KernelConfig, fit_map, indicator_kernel, with_input_range
+from .chebyshev import FitMap, KernelConfig, fit_map, indicator_kernel
 from .engine import Ciphertext, HESimulator, caller_path
 from .matrix import grid_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, block_merge, multi_rank_pipeline, one_block
@@ -90,13 +90,13 @@ def _place(engine: HESimulator, pipe: MultiRankPipeline, kernel_cfg: KernelConfi
     ranks = engine.share(*pipe.ranks.blocks)  # each is shifted once per output block
     b, count = layout.n_dim, len(ranks)
     fold = "col" if pipe.axis == "row" else "row"
-    window_cfg, edges = with_input_range(kernel_cfg, *fit.input_range), (fit(-0.5), fit(0.5))
+    edges = fit(-0.5), fit(0.5)
     values = []
     for i in range(count):
         neg_targets = _neg_rank_targets(layout.slot_count, b, b * i + 1, fold, fit.scale)
         total = None
         for j in range(count):
-            selection = indicator_kernel(engine, engine.add_plain(ranks[j], neg_targets), *edges, window_cfg)
+            selection = indicator_kernel(engine, engine.add_plain(ranks[j], neg_targets), *edges, kernel_cfg)
             # a running left fold: one product is alive at a time, and the
             # sum has the doubles and charges of one n-ary add
             placed = engine.mul(selection, pipe.replicated[j])

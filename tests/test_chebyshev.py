@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -643,19 +644,26 @@ def test_strict_weak_chebyshev_margin_at_range_ends(margin):
 # ----------------------------------------------------------------------
 
 
+def mapped(fit, xs):
+    """``xs`` under the window's map, as a pipeline builds its input."""
+    return np.array([fit(x) for x in xs])
+
+
 def test_indicator_ideal_open_interval():
     eng = make_engine()
-    cfg = ideal_cfg(input_range=(0.0, 2.0))
-    x = eng.encrypt([1.0, 2.0, 0.5])
-    out = eng.decrypt(indicator_kernel(eng, x, 0.5, 1.5, cfg))
+    cfg = ideal_cfg()
+    fit = chebyshev.fit_map(cfg, 0.0, 2.0)  # the identity in ideal mode
+    x = eng.encrypt(mapped(fit, [1.0, 2.0, 0.5]))
+    out = eng.decrypt(indicator_kernel(eng, x, fit(0.5), fit(1.5), cfg))
     assert np.array_equal(out[:3], [1, 0, 0])  # the endpoint 0.5 lies outside
 
 
 def test_indicator_covering_whole_range():
     eng = make_engine()
-    cfg = ideal_cfg(input_range=(0.0, 1.0))
-    x = eng.encrypt(np.linspace(0, 1, 64))
-    out = eng.decrypt(indicator_kernel(eng, x, -0.5, 1.5, cfg))
+    cfg = ideal_cfg()
+    fit = chebyshev.fit_map(cfg, 0.0, 1.0)
+    x = eng.encrypt(mapped(fit, np.linspace(0, 1, 64)))
+    out = eng.decrypt(indicator_kernel(eng, x, fit(-0.5), fit(1.5), cfg))
     assert np.all(out == 1.0)
 
 
@@ -668,10 +676,11 @@ def test_indicator_rejects_empty_interval():
 def test_indicator_chebyshev_on_integer_ranks():
     n = 8
     eng = make_engine(slot_count=8, max_level=40)
-    cfg = cheb_cfg(degree=256, input_range=(0.5, n + 0.5))
+    cfg = cheb_cfg(degree=256)
+    fit = chebyshev.fit_map(cfg, 0.5, n + 0.5)
     ranks = np.arange(1.0, n + 1.0)
     for k in (1, 4, 8):
-        out = eng.decrypt(indicator_kernel(eng, eng.encrypt(ranks), k - 0.5, k + 0.5, cfg))
+        out = eng.decrypt(indicator_kernel(eng, eng.encrypt(mapped(fit, ranks)), fit(k - 0.5), fit(k + 0.5), cfg))
         ideal = (ranks == k).astype(float)
         assert np.max(np.abs(out - ideal)) < 0.1
 
@@ -841,16 +850,34 @@ def test_goldschmidt_rejects_bad_range():
 
 def test_kernel_depth_by_mode():
     assert kernel_depth(ideal_cfg(degree=256)) == 9
-    assert kernel_depth(cheb_cfg(degree=256)) == 11
+    assert kernel_depth(cheb_cfg(degree=256)) == 10
     cfg = KernelConfig(mode="ideal", degree=256, indicator_degree=512)
     assert kernel_depth(cfg, "indicator") == 10
 
 
+def test_chebyshev_kernels_stay_within_kernel_depth_at_every_degree():
+    # the compare and the windows, centred and off-centre in [-1, 1], read
+    # their inputs as they come; at most one level above ideal mode's depth
+    # and exactly kernel_depth at d = 1023, where a leaf's scalar products
+    # lie on the deepest path
+    x = np.linspace(0.0, 1.0, 8)
+    for d in [*range(1, 140), 255, 256, 511, 512, 1023, 1024]:
+        cfg = cheb_cfg(degree=d)
+        runs = [lambda eng: compare_kernel(eng, eng.encrypt(x), eng.encrypt(x[::-1]), cfg)]
+        runs += [
+            lambda eng, a=a, b=b: indicator_kernel(eng, eng.encrypt(2.0 * x - 1.0), a, b, cfg)
+            for a, b in ((-0.5, 0.5), (-0.3, 0.6))
+        ]
+        for run in runs:
+            eng = make_engine(slot_count=8, max_level=64)
+            levels = 64 - run(eng).level
+            assert levels <= kernel_depth(cfg) and (d != 1023 or levels == kernel_depth(cfg)), (d, levels)
+
+
 def test_fit_map_is_the_identity_in_ideal_mode_and_onto_the_unit_interval_in_chebyshev_mode():
     ideal = chebyshev.fit_map(ideal_cfg(), -0.5, 8.5)
-    assert (ideal.scale, ideal.input_range, ideal(0.0), ideal(3.5)) == (1.0, (-0.5, 8.5), 0.0, 3.5)
+    assert (ideal.scale, ideal(-0.5), ideal(0.0), ideal(3.5)) == (1.0, -0.5, 0.0, 3.5)
     unit = chebyshev.fit_map(cheb_cfg(), -0.5, 8.5)
-    assert unit.input_range == (-1.0, 1.0)
     assert (unit(-0.5), unit(8.5)) == (-1.0, 1.0)
     assert unit.scale * 3.5 + unit(0.0) == pytest.approx(unit(3.5), abs=1e-15)
     # a window centred in the fit interval stays exactly centred, so its
@@ -863,21 +890,22 @@ def test_fit_map_is_the_identity_in_ideal_mode_and_onto_the_unit_interval_in_che
 
 def test_window_on_a_mapped_input_costs_no_map():
     # the window fitted on [-1, 1] reads its input as it comes: no ct-pt
-    # product and one level fewer than the same window on [-0.5, 8.5]
+    # product and one level fewer than the same window fitted on [-0.5, 8.5],
+    # whose powers map their input onto [-1, 1] first
     x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 8.0])
-    fit = chebyshev.fit_map(cheb_cfg(degree=64), -0.5, 8.5)
-    unit = chebyshev.with_input_range(cheb_cfg(degree=64), *fit.input_range)
+    cfg = cheb_cfg(degree=64)
+    fit = chebyshev.fit_map(cfg, -0.5, 8.5)
     outs, reports = [], []
-    for values, cfg, edges in (
-        (x, cheb_cfg(degree=64, input_range=(-0.5, 8.5)), (1.5, 3.5)),
-        (fit.scale * x + fit(0.0), unit, (fit(1.5), fit(3.5))),
+    for run in (
+        lambda eng: ps_eval(eng, eng.encrypt(x), chebyshev._window_poly(1.5, 3.5, -0.5, 8.5, 64)),
+        lambda eng: indicator_kernel(eng, eng.encrypt(mapped(fit, x)), fit(1.5), fit(3.5), cfg),
     ):
         eng = make_engine(64)
-        outs.append(eng.decrypt(indicator_kernel(eng, eng.encrypt(values), *edges, cfg))[:6])
+        outs.append(eng.decrypt(run(eng))[:6])
         reports.append(eng.cost_snapshot())
     np.testing.assert_allclose(outs[1], outs[0], atol=1e-9)
-    raw, mapped = reports
-    assert (mapped.ctpt_mults, mapped.levels_consumed) == (raw.ctpt_mults - 1, raw.levels_consumed - 1)
+    raw, unit = reports
+    assert (unit.ctpt_mults, unit.levels_consumed) == (raw.ctpt_mults - 1, raw.levels_consumed - 1)
 
 
 def test_kernel_config_validation():
@@ -886,6 +914,8 @@ def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(degree=0)
     with pytest.raises(ValueError):
-        KernelConfig(input_range=(1.0, 0.0))
+        KernelConfig(indicator_degree=0)
     with pytest.raises(ValueError):
         KernelConfig(tie_margin=-1.0)
+    # the kernels' domain is fixed, [-1, 1], so no field declares one
+    assert [f.name for f in dataclasses.fields(KernelConfig)] == ["mode", "degree", "indicator_degree", "tie_margin"]

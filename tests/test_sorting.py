@@ -153,7 +153,8 @@ def test_chebyshev_sort_circuit_is_pinned():
 def test_chebyshev_window_reads_the_ranks_with_no_input_map(monkeypatch, task):
     # the ranks arrive mapped onto the window's fit interval, so the window's
     # powers start from its input at the ranks' level, on [-1, 1], and no
-    # ct-pt product maps it there
+    # ct-pt product maps it there; the compare's powers start from the
+    # difference of its operands as it comes, values in [0, 1], likewise
     seen = {"powers": []}
 
     def pipeline(*args, **kwargs):
@@ -161,15 +162,20 @@ def test_chebyshev_window_reads_the_ranks_with_no_input_map(monkeypatch, task):
         seen["ranks"] = pipe.ranks.blocks[0].level
         return pipe
 
+    def compare(engine, x, y, kernel_cfg):
+        seen["operands"] = min(x.level, y.level)
+        return real_compare(engine, x, y, kernel_cfg)
+
     def powers(engine, x, poly, baby, giants):
-        before = engine.cost_snapshot().ctpt_mults
+        before, level, reach = engine.cost_snapshot().ctpt_mults, x.level, float(np.abs(x.slots).max())
         out = real_powers(engine, x, poly, baby, giants)
-        seen["powers"].append((x.level, poly.interval, engine.cost_snapshot().ctpt_mults - before))
+        seen["powers"].append((level, poly.interval, engine.cost_snapshot().ctpt_mults - before, reach))
         return out
 
-    real_powers = chebyshev._powers
+    real_powers, real_compare = chebyshev._powers, ranking.compare_kernel
     monkeypatch.setattr(sorting, "multi_rank_pipeline", pipeline)
     monkeypatch.setattr(select, "multi_rank_pipeline", pipeline)
+    monkeypatch.setattr(ranking, "compare_kernel", compare)
     monkeypatch.setattr(chebyshev, "_powers", powers)
     eng = make_engine(64, max_level=64)
     v = np.random.default_rng(5).integers(0, 16, 8) / 16.0
@@ -180,8 +186,9 @@ def test_chebyshev_window_reads_the_ranks_with_no_input_map(monkeypatch, task):
     else:
         got = eng.decrypt(order_statistic_value(eng, eng.encrypt(v), 8, StatisticQuery("min"), kernel))[0]
         assert abs(got - v.min()) < 0.05
-    compare, window = seen["powers"]
-    assert window == (seen["ranks"], (-1.0, 1.0), 0)
+    (*compare_in, compare_reach), (*window_in, window_reach) = seen["powers"]
+    assert compare_in == [seen["operands"], (-1.0, 1.0), 0] and compare_reach < 1.0
+    assert window_in == [seen["ranks"], (-1.0, 1.0), 0] and window_reach <= 1.0
 
 
 # ----------------------------------------------------------------------
