@@ -120,13 +120,15 @@ class KernelConfig:
         return self.degree if self.indicator_degree is None else self.indicator_degree
 
 
+@lru_cache(maxsize=None)
 def kernel_depth(cfg: KernelConfig, kind: str = "compare") -> int:
     """Worst-case levels one kernel evaluation consumes under ``cfg``.
 
     Ideal mode charges ceil(log2(d+1)).  Chebyshev mode evaluates on its
     input as it comes, on [-1, 1]: ceil(log2(d+1)) levels, and one more at
     degrees where a leaf's scalar products lie on the deepest path (15, 31,
-    61 to 63, 125 to 127, 255, 511, 1023 among d <= 1024).
+    61 to 63, 125 to 127, 255, 511, 1023 among d <= 1024).  Cached, so an
+    ideal kernel computes no logarithm.
     """
     d = cfg.degree if kind == "compare" else cfg.ind_degree
     base = math.ceil(math.log2(d + 1))
@@ -253,7 +255,7 @@ def _powers(
 
     Each baby-step power is written into its row of one array as it is
     built, in the order of ``baby``, so that ``HESimulator.realise``, told
-    those rows, takes one product over them for a batch of leaves; the lower
+    those rows, takes one pass over them for a batch of leaves; the lower
     powers built on the way are released unless wanted.  On a noise-free
     engine, t is checked first by ``_require_inside``.
     """
@@ -321,9 +323,14 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 
 
 # Leaves computed by one ``HESimulator.realise`` at a time: each batch is one
-# BLAS product over the array of baby-step powers, which reads every power
-# once, and only this many leaves are alive.  A batch of 8 raised sort_cheb's
-# peak memory by 9%.
+# pass of tiled BLAS products over the array of baby-step powers, which reads
+# every power once, and writes each leaf into an array of its own, in which
+# the walk then runs.  Only this many leaves are alive, one slot vector each,
+# and each leaf more per batch raises the peak by one.  Peaks of one query
+# (tracemalloc), at 4 / 5 / 6: sort_cheb 17.07 / 18.18 / 17.72 MB against
+# 17.85 MB before the walk ran in place (blocks of 4), stats_cheb_noisy
+# 0.970 / 1.000 / 1.034 MB against 1.002 MB: its noisy walk draws each
+# leaf's noise through one more slot vector while the batch is alive.
 _LEAF_BATCH = 4
 
 
@@ -373,10 +380,10 @@ def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
     """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``,
     which is told the baby-step powers as the rows of their array.  A leaf
     is one ``add`` of ``mul_plain`` products, each pending or, by 1, its row
-    itself, so every base of the sum is a row in any term order.  Each leaf
-    is handed over, not kept, so none outlives its use.  The baby-step
-    powers leave ``powers`` once the last batch is computed, which frees
-    their array for the rest of the walk."""
+    itself, so every base of the sum is a row in any term order; realised,
+    it is private.  Each leaf is handed over, not kept, so none outlives its
+    use.  The baby-step powers leave ``powers`` once the last batch is
+    computed, which frees their array for the rest of the walk."""
     rows = [powers[i] for i in plan.baby]
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
         batch = [
@@ -398,7 +405,8 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
     Returns (ciphertext part or None, constant part); a node with a leaf
     takes the next one from ``leaves``.  The quotient's part is dropped once
     its product is made, so no level of the walk holds it through the
-    remainder's walk.
+    remainder's walk.  A private leaf takes its node's constant, product and
+    sum in its own array, so a node allocates no slot vector.
     """
     if len(node) == 2:
         has_leaf, const = node
@@ -434,10 +442,12 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     them when the walk first needs one: a leaf is its charged scalar
     ``mul_plain`` products of baby-step rows and one n-ary ``add`` of them,
     a pending sum of rows.  One ``HESimulator.realise`` computes each batch,
-    told the rows: one BLAS product over them, which reads every power once
-    per batch rather than once per term.  The baby-step rows are released
+    told the rows: tiled BLAS products over them, which read every power
+    once per batch rather than once per term, each leaf into an array of its
+    own.  The walk runs in those arrays.  The baby-step rows are released
     once the last batch is computed, so the rest of the walk holds only the
     giant powers and its partial sums: one product per level of the tree.
+    The result is shared before it is returned, read-only.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
@@ -448,7 +458,7 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
     powers = _powers(engine, x, poly, plan.baby, plan.giants)
     ct, const = _walk(engine, plan.tree, powers, _leaves(engine, plan, powers))
-    return engine.add_plain(ct, const)
+    return engine.share(engine.add_plain(ct, const))[0]
 
 
 # ----------------------------------------------------------------------

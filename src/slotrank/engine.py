@@ -14,11 +14,13 @@ Cost model:
 
 * ciphertext-ciphertext and ciphertext-plaintext multiplications each
   consume one level (the latter models rescaling after a plaintext mask);
-* a ciphertext is in one of four states: *read*, a value every op may
+* a ciphertext is in one of five states: *read*, a value every op may
   use; *owing*, on a noisy engine only, a computed noise-free value plus
   the variance weight ``owed`` of the noise its ops owe; *pending*, a lazy
-  linear combination of (base, scale) terms; and *spent*, once an op took
-  its value or terms and its noise;
+  linear combination of (base, scale) terms; *private*, a computed value,
+  owing or not, in a writeable array that nothing else holds (``realise``
+  returns its sums so); and *spent*, once an op took its value or terms
+  and its noise;
 * one pending rule: only a scalar ``mul_plain``, ``add(x, x)`` (scale 2)
   and an ``add`` or ``sub`` that takes a pending operand return a pending
   sum, charged at the op.  Its terms are the first operand's own, then one
@@ -35,10 +37,16 @@ Cost model:
   raises ``EngineError``.  ``x - x`` is +0.0 and takes ``x`` too.
   ``share`` reads its arguments, so that several ops may use a value
   (``add(x, x)`` need not);
+* one private rule: ``add``, ``sub``, ``add_plain`` and ``mul`` take a
+  private first operand, write their result into its array, to the doubles
+  and noise draws they would give anyway, and return it private; the
+  operand is spent.  Any read makes a private value read, read-only:
+  ``share``, ``rotate``, ``decrypt``, ``slots`` or its use as a later
+  operand;
 * ``copy_into`` folds a pending sum straight into the row of a 2D array it
   is told, and ``realise``, told the rows of such an array, computes pending
-  sums over them as one BLAS product, which rounds each slot within a few
-  ulps of sum_i |scale_i * base_i| of the fold;
+  sums over them in one pass of tiled BLAS products, which rounds each slot
+  within a few ulps of sum_i |scale_i * base_i| of the fold;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot, but on a noisy engine it owes that noise until something reads
   it.  ``owed`` is a variance weight: a read draws N(0, owed * sigma^2)
@@ -164,6 +172,7 @@ class Ciphertext:
     __slots__ = ("slots", "level", "rot_chain", "params")
     pending = None  # the (base, scale) terms of a pending _Deferred
     owed = 0.0  # the noise variance, in units of sigma^2, a _Deferred owes
+    private = False  # whether a _Deferred's array is its own, writeable
 
     def __init__(self, slots: np.ndarray, level: int, rot_chain: int, params: HEParams):
         slots.setflags(write=False)
@@ -178,22 +187,27 @@ class Ciphertext:
 
 
 class _Deferred(Ciphertext):
-    """An owing, pending or spent ciphertext, or one read since.
+    """An owing, pending, private or spent ciphertext, or one read since.
 
     ``_value`` holds an owing one's computed, noise-free value, ``pending`` a
     pending one's (base, scale) terms and ``owed`` the noise either owes; a
-    spent one has neither.  Reading ``slots`` folds pending terms left to
+    spent one has neither.  A private one's ``_value`` is a writeable array
+    that nothing else holds.  Reading ``slots`` folds pending terms left to
     right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) + ...`` would, adds
-    one draw of sigma * sqrt(owed) * Z and keeps the result, so every later
-    reader sees the same noise.
+    one draw of sigma * sqrt(owed) * Z (into a private array itself) and
+    keeps the result, read-only, so every later reader sees the same noise.
     """
 
-    __slots__ = ("pending", "owed", "_value", "_engine")
+    __slots__ = ("pending", "owed", "private", "_value", "_engine")
 
-    def __init__(self, value, terms: tuple | None, owed: float, level: int, rot_chain: int, engine: HESimulator):
+    def __init__(
+        self, value, terms: tuple | None, owed: float, level: int, rot_chain: int, engine: HESimulator,
+        private: bool = False,
+    ):
         self._value = value
         self.pending = terms
         self.owed = owed
+        self.private = private
         self._engine = engine
         self.level = level
         self.rot_chain = rot_chain
@@ -203,29 +217,44 @@ class _Deferred(Ciphertext):
     def slots(self) -> np.ndarray:
         if self.pending is not None or self.owed:
             value = self._value if self.pending is None else _fold(self.pending)
-            value = self._engine._noisy(value, self.owed)
+            value = self._engine._noisy(value, self.owed, out=value if self.private else None)
             value.setflags(write=False)
-            self._value, self.pending, self.owed = value, None, 0.0
+            self._value, self.pending, self.owed, self.private = value, None, 0.0, False
         elif self._value is None:
             raise EngineError(
                 f"{self!r}: its value and owed noise moved into another ciphertext; "
                 "HESimulator.share it before its first use to use it twice"
             )
+        elif self.private:
+            self._value.setflags(write=False)
+            self.private = False
         return self._value
 
     def _spend(self) -> tuple[np.ndarray | None, tuple | None, float]:
-        """The value or terms and the owed noise, handed over; leaves it spent."""
+        """The value or terms and the owed noise, handed over, a private
+        value read-only; leaves it spent."""
         taken = self._value, self.pending, self.owed
-        self._value, self.pending, self.owed = None, None, 0.0
+        if self.private:
+            self._value.setflags(write=False)
+        self._value, self.pending, self.owed, self.private = None, None, 0.0, False
+        return taken
+
+    def _own(self) -> tuple[np.ndarray, float]:
+        """A private one's writeable array and owed noise, handed over to
+        the op that writes its result there; leaves it spent."""
+        taken = self._value, self.owed
+        self._value, self.owed, self.private = None, 0.0, False
         return taken
 
     def __repr__(self):
         if self.pending is not None:
             state = f"pending: {len(self.pending)} terms, owed={self.owed:g}"
-        elif self.owed:
-            state = f"owing {self.owed:g}"
         elif self._value is None:
             state = "spent"
+        elif self.private:
+            state = f"private, owing {self.owed:g}" if self.owed else "private"
+        elif self.owed:
+            state = f"owing {self.owed:g}"
         else:
             return super().__repr__()
         return f"Ciphertext(level={self.level}, {state}, n={self.params.slot_count})"
@@ -233,21 +262,28 @@ class _Deferred(Ciphertext):
 
 def _fold(terms: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """sum_i ``base_i * scale_i``, left to right, into ``out`` if given, else
-    into a fresh array.  A scale of +-1 adds or subtracts its base, which
-    gives the same doubles as multiplying by it."""
+    into a fresh array."""
     (base, scale), *rest = terms
     value = base * scale if out is None else np.multiply(base, scale, out=out)
     term = None
     for base, scale in rest:
-        if scale == 1.0:
-            value += base
-        elif scale == -1.0:
-            value -= base
-        else:
-            if term is None:
-                term = np.empty_like(value)
-            value += np.multiply(base, scale, out=term)
+        term = _accumulate(value, base, scale, term)
     return value
+
+
+def _accumulate(value: np.ndarray, base: np.ndarray, scale: float, term: np.ndarray | None) -> np.ndarray | None:
+    """``value += base * scale`` in place, the product written into ``term``,
+    made if ``None``; returns ``term``.  A scale of +-1 adds or subtracts its
+    base, which gives the same doubles as multiplying by it."""
+    if scale == 1.0:
+        value += base
+    elif scale == -1.0:
+        value -= base
+    else:
+        if term is None:
+            term = np.empty_like(value)
+        value += np.multiply(base, scale, out=term)
+    return term
 
 
 def _keep_freed_slot_vectors():
@@ -289,6 +325,12 @@ class CostReport:
     ind_evals: int = 0
     levels_consumed: int = 0
 
+
+# Columns of the baby-step array that one BLAS product of ``realise`` reads
+# at most; fewer where the scratch tile, that many columns of each sum, would
+# exceed one slot vector.  At 2^16 slots a batch of 4 sums takes a 256 KB
+# tile, where one product of the whole batch would take a 2 MB block.
+_REALISE_TILE = 8192
 
 _COUNTERS = tuple(f"_{f.name}" for f in fields(CostReport))
 _read_counters = operator.attrgetter(*_COUNTERS)
@@ -369,12 +411,16 @@ class HESimulator:
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x + p``, one addition; a scalar ``p`` of exactly +-0 returns
-        ``x`` itself, uncharged."""
+        ``x`` itself, uncharged.  A private ``x`` takes the sum in its array."""
         self._check(x)
         p = self._plain_operand(p)
         if isinstance(p, float) and p == 0.0:
             return x
         self._additions += 1
+        if x.private:
+            value, owed = x._own()
+            value += p
+            return self._emit(value, x.level, x.rot_chain, owed + self._op_noise, private=True)
         fresh = x.pending is not None  # a fold is a fresh array: add into it
         value, owed = self._take(x)
         if fresh:
@@ -384,13 +430,23 @@ class HESimulator:
         return self._emit(value, x.level, x.rot_chain, owed + self._op_noise)
 
     def mul(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
+        """``x * y``, one ct-ct product and one level.  A private ``x`` other
+        than ``y`` draws the noise it owes into its array, as a read would,
+        and takes the product there."""
         self._check(x, y)
         level = min(x.level, y.level)
         if level < 1:
             raise DepthBudgetError(level)
+        chain = max(x.rot_chain, y.rot_chain)
+        if x.private and x is not y:
+            value, owed = x._own()
+            self._noisy(value, owed, out=value)
+            np.multiply(value, y.slots, out=value)
+            self._ctct_mults += 1
+            return self._emit(value, level - 1, chain, self._op_noise, private=True)
         slots = x.slots * y.slots
         self._ctct_mults += 1
-        return self._emit(slots, level - 1, max(x.rot_chain, y.rot_chain), self._op_noise)
+        return self._emit(slots, level - 1, chain, self._op_noise)
 
     def mul_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x * p``, one ct-pt product and one level; a scalar ``p`` of
@@ -437,13 +493,21 @@ class HESimulator:
         stay meaningful in both modes.  No noise is injected.
         """
         self._check(*cts)
-        level = min(c.level for c in cts) - levels
-        if level < 0:
-            raise DepthBudgetError(min(c.level for c in cts), levels)
-        slots = np.asarray(fn(*[c.slots for c in cts]), dtype=np.float64)
+        if len(cts) == 1:  # the common case, without the generators
+            (x,) = cts
+            if x.level < levels:
+                raise DepthBudgetError(x.level, levels)
+            slots, level, chain = fn(x.slots), x.level - levels, x.rot_chain
+        else:
+            level = min(c.level for c in cts) - levels
+            if level < 0:
+                raise DepthBudgetError(min(c.level for c in cts), levels)
+            slots, chain = fn(*[c.slots for c in cts]), max(c.rot_chain for c in cts)
+        if type(slots) is not np.ndarray or slots.dtype != np.float64:
+            slots = np.asarray(slots, dtype=np.float64)
         if slots.shape != (self.params.slot_count,):
             raise ValueError("ideal_map function must preserve the slot shape")
-        return self._emit(slots, level, max(c.rot_chain for c in cts))
+        return self._emit(slots, level, chain)
 
     def copy_into(self, ct: Ciphertext, rows: np.ndarray, i: int) -> Ciphertext:
         """``ct`` written into row ``i`` of the 2D array ``rows``, as a
@@ -462,16 +526,19 @@ class HESimulator:
         return Ciphertext(row, ct.level, ct.rot_chain, self.params)
 
     def realise(self, cts: list[Ciphertext], rows: list[Ciphertext]) -> list[Ciphertext]:
-        """Compute every pending sum of ``cts`` as one product over ``rows``
-        and return ``cts``; charges nothing.
+        """Compute every pending sum of ``cts`` from ``rows`` into an array of
+        its own, return ``cts`` and leave each such sum private; charges
+        nothing.
 
         ``rows`` names the ciphertexts that ``copy_into`` wrote into rows 0,
         1, ... of one 2D array, all of them in order, and every base of the
         pending sums must be one of them, else ``ValueError``.  The batch is
-        one product of the matrix of their scales by that array: it reads
-        each base once, copies none, and rounds each slot within a few ulps
-        of sum_i |scale_i * base_i| of the left-to-right fold.  Each pending
-        sum is then read, or owing if it owes noise.  An owing or read
+        the product of the matrix of their scales by that array, one BLAS
+        product per column tile into a scratch buffer no larger than one
+        slot vector, each tile then copied out to its sums.  It reads each
+        base once, and rounds each slot within a few ulps of
+        sum_i |scale_i * base_i| of the left-to-right fold.  Each pending
+        sum is then private, owing if it owes noise.  An owing or read
         ciphertext is left as it is; a spent one raises ``EngineError``.
         """
         self._check(*cts)
@@ -484,16 +551,28 @@ class HESimulator:
             raise ValueError("realise: rows must be every row of one 2D array, in order, as copy_into wrote them")
         self.share(*[c for c in cts if c.pending is None and not c.owed])  # a spent operand raises
         pending = [c for c in cts if c.pending is not None]
+        if not pending:
+            return list(cts)
         index = {id(r.slots): k for k, r in enumerate(rows)}
-        scales = np.zeros((len(pending), len(rows)))
-        for r, ct in enumerate(pending):
+        weights = [[0.0] * len(rows) for _ in pending]
+        for row, ct in zip(weights, pending):
             for base, scale in ct.pending:
-                if id(base) not in index:
+                k = index.get(id(base))
+                if k is None:
                     raise ValueError("realise: every base of a pending sum must be one of the rows it is told")
-                scales[r, index[id(base)]] += scale
-        for ct, value in zip(pending, scales @ array):
-            value.setflags(write=False)
-            ct._value, ct.pending = value, None
+                row[k] += scale
+        scales = np.array(weights)
+        n = self.params.slot_count
+        # a power of two, so the tiles cover the slots exactly
+        width = max(1, min(_REALISE_TILE, n >> (len(pending) - 1).bit_length()))
+        tile = np.empty((len(pending), width))
+        values = [np.empty(n) for _ in pending]
+        for lo in range(0, n, width):
+            np.matmul(scales, array[:, lo : lo + width], out=tile)
+            for value, row in zip(values, tile):
+                value[lo : lo + width] = row
+        for ct, value in zip(pending, values):
+            ct._value, ct.pending, ct.private = value, None, True
         return list(cts)
 
     def share(self, *cts: Ciphertext) -> tuple[Ciphertext, ...]:
@@ -551,11 +630,16 @@ class HESimulator:
 
     def _plain_operand(self, p) -> float | np.ndarray:
         """A Python or numpy scalar as a float, which broadcasts to the same
-        doubles as its slot vector; anything else through ``plain``.
+        doubles as its slot vector; a float64 array of the slot shape as it
+        is, as ``plain`` would return it; anything else through ``plain``.
 
         Cheaper than ``np.isscalar``, which ``plain`` calls anyway.
         """
-        return float(p) if isinstance(p, (float, int, np.generic)) else self.plain(p)
+        if isinstance(p, (float, int, np.generic)):
+            return float(p)
+        if type(p) is np.ndarray and p.dtype == np.float64 and p.shape == (self.params.slot_count,):
+            return p
+        return self.plain(p)
 
     def _sum(self, x: Ciphertext, ys: tuple[Ciphertext, ...], sign: float) -> Ciphertext:
         """``x + sign * y`` for each y of ``ys`` in turn, the left fold of
@@ -564,7 +648,10 @@ class HESimulator:
         ``x + x`` is ``x`` scaled by 2 and ``x - x`` is +0.0, both taking
         ``x``.  A later pending operand of several terms is folded into one,
         as the eager chain would, and ``b * -s`` is ``-(b * s)`` exactly.
+        A private ``x`` that is none of ``ys`` takes the sum in its array.
         """
+        if x.private and all(y is not x for y in ys):
+            return self._sum_into(x, ys, sign)
         level, chain = x.level, x.rot_chain
         if x.pending is None and not x.owed and x is not ys[0]:
             # the common case, every operand read, summed without building
@@ -616,6 +703,29 @@ class HESimulator:
             return self._emit(None, level, chain, owed, terms)
         return self._emit(total, level, chain, owed)
 
+    def _sum_into(self, x: _Deferred, ys: tuple[Ciphertext, ...], sign: float) -> Ciphertext:
+        """``_sum`` of a private ``x``, each term added into its array in the
+        order, and to the doubles, of the fold of the pending sum ``_sum``
+        would build; returned private.  ``x`` is taken, and each of ``ys``
+        as ``_sum`` takes it."""
+        value, owed = x._own()
+        level, chain, term = x.level, x.rot_chain, None
+        for y in ys:
+            if y.level < level:
+                level = y.level
+            if y.rot_chain > chain:
+                chain = y.rot_chain
+            if y.pending is None:
+                base, y_owed = self._take(y)
+                scale = sign
+            else:
+                _, y_terms, y_owed = y._spend()
+                base, scale = y_terms[0] if len(y_terms) == 1 else (_fold(y_terms), 1.0)
+                scale *= sign
+            term = _accumulate(value, base, scale, term)
+            owed += y_owed + self._op_noise
+        return self._emit(value, level, chain, owed, private=True)
+
     @staticmethod
     def _take(x: Ciphertext, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
         """``x``'s noise-free value, a pending one folded (into ``out`` if
@@ -648,14 +758,21 @@ class HESimulator:
         return np.add(noise, slots, out=noise if out is None else out)
 
     def _emit(
-        self, slots: np.ndarray | None, level: int, rot_chain: int, owed: float = 0.0, terms: tuple | None = None
+        self,
+        slots: np.ndarray | None,
+        level: int,
+        rot_chain: int,
+        owed: float = 0.0,
+        terms: tuple | None = None,
+        private: bool = False,
     ) -> Ciphertext:
-        """A read ciphertext of ``slots``, owing if ``owed``, or pending."""
+        """A read ciphertext of ``slots``, owing if ``owed``, or pending, or
+        private: ``slots`` its own array, left writeable."""
         consumed = self.params.max_level - level
         if consumed > self._levels_consumed:
             self._levels_consumed = consumed
-        if terms is None and not owed:
+        if terms is None and not owed and not private:
             # every op passes a float64 array of its own (ideal_map coerces
             # the function's result), so it is stored as is and made read-only
             return Ciphertext(slots, level, rot_chain, self.params)
-        return _Deferred(slots, terms, owed, level, rot_chain, self)
+        return _Deferred(slots, terms, owed, level, rot_chain, self, private)

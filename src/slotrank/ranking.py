@@ -289,13 +289,16 @@ def multi_rank_pipeline(
         c = col = None  # every reader is done: free them before the folds
         if axis == "col":
             row_rep = None  # only the comparison reads them; the placement multiplies col
-        # the scale rides in the tie cells, or else in the rank fold's mask
-        # if it has one: only the unmasked all-reduce needs a ct-pt for it
-        fold_scale = scale if not tie_correction and (axis == "col" or not layout.full) else 1.0
-        if tie_correction:
-            own = _own_cells(engine, mine, layout, axis, scale)
+        # the scale rides in the rank fold's mask if it has one, or else in
+        # the tie cells: only an uncorrected block's unmasked all-reduce
+        # needs a ct-pt for it.  The one block ranked along the columns
+        # keeps a tie-corrected scale in its cells, which cost no ct-pt
+        masked = (axis == "row" and not layout.full) or (axis == "col" and not tie_correction)
+        fold_scale = scale if masked else 1.0
+        if tie_correction:  # a product by the 1.0 left over is free
+            own = _own_cells(engine, mine, layout, axis, scale / fold_scale)
             if i > 0:  # off the critical path: the weak map put it a level below D
-                own = engine.add(own, engine.mul_plain(earlier.pop(i), scale))
+                own = engine.add(own, engine.mul_plain(earlier.pop(i), scale / fold_scale))
         else:  # a product by the 1.0 left over is free
             own = engine.mul_plain(engine.add(mine, earlier.pop(i)) if i > 0 else mine, scale / fold_scale)
         if axis == "col":

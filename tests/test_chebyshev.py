@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -327,23 +328,82 @@ def test_ps_eval_degree_1024_costs_are_pinned(name, slot_count):
 
 
 def test_ps_eval_computes_each_leaf_batch_as_one_product():
-    # realise is told the baby-step rows; a batch it folded instead would
-    # leave each leaf an array of its own
+    # realise is told the baby-step rows and computes a batch of leaves in
+    # one pass over them, each leaf into an array of its own, which the walk
+    # then writes its nodes into
     poly = chebyshev._step_poly(1024)
     eng = make_engine(slot_count=256)
-    realise, blocks = eng.realise, []
+    realise, batches = eng.realise, []
 
     def spy(cts, rows=()):
         out = realise(cts, rows)
-        blocks.append({id(c.slots.base) for c in out if c.slots.base is not None})
+        batches.append([(c.private, c._value.base is None, id(c._value)) for c in out])
         return out
 
     eng.realise = spy
     xs = np.random.default_rng(9).uniform(-1.0, 1.0, 256)
     ps_eval(eng, eng.encrypt(xs), poly)
     plan = chebyshev._plan(tuple(poly.coeffs), 32)
-    assert len(blocks) == math.ceil(len(plan.leaves) / chebyshev._LEAF_BATCH)
-    assert all(len(b) == 1 for b in blocks)
+    assert len(batches) == math.ceil(len(plan.leaves) / chebyshev._LEAF_BATCH)
+    assert [len(b) for b in batches[:-1]] == [chebyshev._LEAF_BATCH] * (len(batches) - 1)
+    for batch in batches:
+        assert all(private and owner for private, owner, _ in batch)
+        assert len({array for _, _, array in batch}) == len(batch)
+
+
+# The giant-step walk runs in its leaves' own arrays, so it must write no
+# array it reads.  Each digest is the sha256 prefix of the output doubles,
+# which the walk that allocated a fresh array at every node gave too.
+IN_PLACE_POLYS = {
+    "odd step": lambda d: chebyshev._step_poly(d),
+    "centred window": lambda d: chebyshev._window_poly(-0.25, 0.25, -1.0, 1.0, d),
+    "off-centre window": lambda d: chebyshev._window_poly(0.1, 0.6, -1.0, 1.0, d),
+}
+PINNED_IN_PLACE = {
+    ("odd step", 15, 0.0): "aa553ee702cc2689",
+    ("odd step", 15, 1e-9): "538d1d74d7e1fb72",
+    ("odd step", 256, 0.0): "3cc345dcba54c504",
+    ("odd step", 256, 1e-9): "6f53e75602ab9564",
+    ("odd step", 1024, 0.0): "1e87c3c416088226",
+    ("odd step", 1024, 1e-9): "b2bf3b60f8e10a3b",
+    ("centred window", 15, 0.0): "36f455fcb30b5b24",
+    ("centred window", 15, 1e-9): "0660c360d7c589c5",
+    ("centred window", 256, 0.0): "db0ff4b64a1c4b07",
+    ("centred window", 256, 1e-9): "24db020157728670",
+    ("centred window", 1024, 0.0): "034d94476e6c3b02",
+    ("centred window", 1024, 1e-9): "2d0732b86ec16169",
+    ("off-centre window", 15, 0.0): "a1ae11ed3bd7168d",
+    ("off-centre window", 15, 1e-9): "3ec56e8ec11875b9",
+    ("off-centre window", 256, 0.0): "fd5d8ef5d72a71b5",
+    ("off-centre window", 256, 1e-9): "4fe5c12734a39c6d",
+    ("off-centre window", 1024, 0.0): "a5f6a54d328fd052",
+    ("off-centre window", 1024, 1e-9): "54abf2d2a0660228",
+}
+
+
+@pytest.mark.parametrize(
+    "name,degree,sigma", list(PINNED_IN_PLACE), ids=[f"{n}-{d}-{'noisy' if s else 'exact'}" for n, d, s in PINNED_IN_PLACE]
+)
+def test_in_place_walk_writes_only_its_own_arrays(name, degree, sigma):
+    eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
+    x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
+    seen = [(x, x.slots.tobytes())]  # and every power ps_eval shares or writes into a row
+    share, copy_into = eng.share, eng.copy_into
+
+    def shared(*cts):
+        seen.extend((c, c.slots.tobytes()) for c in share(*cts))
+        return cts
+
+    def copied(ct, rows, i):
+        out = copy_into(ct, rows, i)
+        seen.append((out, out.slots.tobytes()))
+        return out
+
+    eng.share, eng.copy_into = shared, copied
+    out = ps_eval(eng, x, IN_PLACE_POLYS[name](degree))
+    assert len(seen) > 3 and all(c.slots.tobytes() == b for c, b in seen)
+    assert not out.private and not out.slots.flags.writeable
+    assert hashlib.sha256(out.slots.tobytes()).hexdigest()[:16] == PINNED_IN_PLACE[(name, degree, sigma)]
 
 
 def test_noisy_ps_eval_is_reproducible():

@@ -188,10 +188,12 @@ def mapped_ranks(kind, geometry, blocks, padded, mode, tie):
     ct-pt, as do each uncorrected block's comparisons before a rank fold
     with no mask.  That product takes back the level the map saved, unless
     the sums over later blocks, two masks below the comparisons, set the
-    ranks' level.  Where the rank fold has a mask, along the columns of
-    ``sort`` or on a matrix that does not fill the slots, the uncorrected
-    scale rides in it (``fold_mask``): one ct-pt per block, and the level
-    of a one-block sort.
+    ranks' level.  Where the rank fold has a mask (``fold_mask``), the scale
+    rides in it: on a matrix that does not fill the slots, the row fold's
+    mask carries it for every block, so no block's comparisons or sum over
+    earlier blocks takes a ct-pt for it, the statistic's blocks too; along
+    the columns of ``sort`` it carries the uncorrected scale, one ct-pt and
+    the level of a one-block sort.
     The statistic's L windows also lose the map's offset, L additions, but
     its last block, whose shift was 0, now adds the offset; a block whose
     shift maps to the centre of the fit interval, 0, on a matrix that fills
@@ -202,9 +204,10 @@ def mapped_ranks(kind, geometry, blocks, padded, mode, tie):
         return CostReport(additions=cells)
     if kind == "multi_statistic":
         centre = blocks % 2 == 0 and not padded and geometry == "full"
-        return CostReport(ctpt_mults=1, additions=cells + blocks - 1 + int(centre), levels_consumed=1)
-    fold_mask = not tie and (kind == "sort" or geometry == "not-full")
-    scalings = blocks - 1 if tie else 0 if fold_mask else blocks
+        earlier = (blocks - 1) * (geometry == "not-full")
+        return CostReport(ctpt_mults=1 + earlier, additions=cells + blocks - 1 + int(centre), levels_consumed=1)
+    fold_mask = geometry == "not-full" or (kind == "sort" and not tie)
+    scalings = 0 if fold_mask else blocks - 1 if tie else blocks
     return CostReport(
         ctpt_mults=blocks * blocks - scalings, additions=cells, levels_consumed=int(tie or blocks > 1 or fold_mask)
     )

@@ -423,7 +423,7 @@ def encrypt_as_rows(eng, vs):
 
 
 def test_realise_matches_fold_within_rounding():
-    # sums over the rows of one array take one product
+    # sums over the rows of one array take one pass of tiled products
     for slot_count in (64, 1 << 13, 1 << 16):
         vs, scales = sum_inputs(slot_count=slot_count, terms=6)
         eng = make_engine(slot_count=slot_count)
@@ -446,9 +446,8 @@ def test_realise_matches_fold_within_rounding():
         out = eng.realise([sums[0], concrete, *sums[1:]], shared)
         assert out[1] is concrete
         results = [out[0], *out[2:]]
-        owners = [res.slots.base for res in results]
-        # one product: the sums are the rows of one fresh block
-        assert owners[0] is not None and all(o is owners[0] for o in owners)
+        # each sum owns an array of its own, private until it is read
+        assert all(res.private and res._value.base is None for res in results)
         for res, fold, bound in zip(results, folds, bounds):
             assert res.pending is None
             assert np.all(np.abs(res.slots - fold) <= 1e-14 * bound)
@@ -493,7 +492,8 @@ def test_realise_takes_one_product_only_over_the_rows_it_is_told():
         return [eng.add(*terms()), eng.add(*terms()[::-1])]
 
     product = eng.realise(sums(), rows)
-    assert product[0].slots.base is not None and product[0].slots.base is product[1].slots.base
+    assert all(c.private and c._value.base is None for c in product)
+    assert not np.shares_memory(product[0]._value, product[1]._value)
     # a base outside the rows is refused, a computed operand's value included
     for batch in (sums([outside]), [eng.add(eng.mul_plain(rows[0], 0.5), eng.encrypt(vs[1]))]):
         with pytest.raises(ValueError, match="must be one of the rows"):
@@ -827,15 +827,105 @@ def test_realised_noise_joins_the_op_that_takes_it_over():
     n = 1 << 16
     eng, (leaf,), rows = noisy_sums(n, 1, 3, seed=6)
     _, (exact,), _ = noisy_sums(n, 1, 3, sigma=0.0)
-    eng.realise([leaf], rows)  # one product: its value is a row of the product block
-    assert leaf.pending is None and leaf._value.base is not None and leaf.owed == 5
+    eng.realise([leaf], rows)  # into an array of its own, still owing
+    assert leaf.pending is None and leaf.private and leaf._value.base is None and leaf.owed == 5
+    array = leaf._value
     x = eng.encrypt(np.ones(n))
-    # as the giant-step walk adds a constant and a product to a leaf
+    # as the giant-step walk adds a constant and a product to a leaf, in its array
     out = eng.add(eng.add_plain(leaf, 0.5), eng.mul(x, x))
-    assert out.owed == 5 + 1 + 1 + 1
+    assert out.owed == 5 + 1 + 1 + 1 and out.private and out._value is array
     with pytest.raises(EngineError, match="spent"):
         leaf.slots
     assert abs(np.std(out.slots - (exact.slots + 1.5)) / (SIGMA * np.sqrt(8.0)) - 1.0) < 0.03
+
+
+# A realised sum is private: its array is its own, and ``add``, ``sub``,
+# ``add_plain`` and ``mul`` with it as first operand write their result
+# there, with the doubles and noise draws of the same op on a read copy.
+
+PRIVATE_OPS = {
+    "add": lambda e, p, y: e.add(p, y, y),
+    "sub": lambda e, p, y: e.sub(p, y),
+    "add_plain": lambda e, p, y: e.add_plain(p, 0.5),
+    "mul": lambda e, p, y: e.mul(p, y),
+    "add of a pending sum": lambda e, p, y: e.add(p, e.mul_plain(y, 0.3)),
+}
+
+
+def private_leaf(sigma, seed=15, n=1 << 12):
+    """An engine, a private leaf it realised from two rows, and a read ``y``."""
+    eng = make_engine(slot_count=n, sigma=sigma, seed=seed)
+    rng = np.random.default_rng(16)
+    rows = encrypt_as_rows(eng, [rng.normal(size=n) for _ in range(2)])
+    (leaf,) = eng.realise([eng.add(eng.mul_plain(rows[0], 0.7), eng.mul_plain(rows[1], -1.3))], rows)
+    y = eng.share(eng.rotate(eng.encrypt(rng.normal(size=n)), 1))[0]
+    return eng, leaf, y
+
+
+def read_copy(leaf):
+    """``leaf`` made a read-only copy of its value, as it was before ciphertexts
+    could be private; its owed noise stays owed."""
+    leaf._value = leaf._value.copy()
+    leaf._value.setflags(write=False)
+    leaf.private = False
+    return leaf
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("op", PRIVATE_OPS)
+def test_op_on_a_private_operand_runs_in_its_array(op, sigma):
+    eng, leaf, y = private_leaf(sigma)
+    array, owed = leaf._value, leaf.owed
+    assert array.flags.writeable and (owed > 0) == (sigma > 0) and "private" in repr(leaf)
+    out = PRIVATE_OPS[op](eng, leaf, y)
+    assert out.private and out._value is array and spent(leaf)
+    copy_eng, copy, copy_y = private_leaf(sigma)
+    want = PRIVATE_OPS[op](copy_eng, read_copy(copy), copy_y)
+    assert not want.private and out.owed == want.owed and out.level == want.level
+    assert eng.cost_snapshot() == copy_eng.cost_snapshot()
+    # the same doubles, and the same draws from the same stream
+    assert same_doubles(out.slots, want.slots) and not out.private and not array.flags.writeable
+    after = [e.decrypt(e.add_plain(e.mul(e.encrypt(np.ones(1 << 12)), y), 1.0)) for e in (eng, copy_eng)]
+    assert same_doubles(*after)
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("op", PRIVATE_OPS)
+def test_private_operand_an_op_took_raises_when_used_again(op, sigma):
+    eng, leaf, y = private_leaf(sigma)
+    PRIVATE_OPS[op](eng, leaf, y)
+    uses = {
+        "read": lambda: leaf.slots,
+        "add": lambda: eng.add(leaf, y),
+        "later operand": lambda: eng.add(y, leaf),
+        "add_plain": lambda: eng.add_plain(leaf, 1.0),
+        "mul": lambda: eng.mul(leaf, y),
+        "share": lambda: eng.share(leaf),
+        "rotate": lambda: eng.rotate(leaf, 1),
+    }
+    for name, use in uses.items():
+        with pytest.raises(EngineError, match="HESimulator.share"):
+            use()
+
+
+READS = {
+    "share": lambda e, p, y: e.share(p),
+    "rotate": lambda e, p, y: e.rotate(p, 1),
+    "decrypt": lambda e, p, y: e.decrypt(p),
+    "later operand of add": lambda e, p, y: e.add(y, p),
+    "later operand of mul": lambda e, p, y: e.mul(y, p),
+    "mul_plain": lambda e, p, y: e.mul_plain(p, np.full(1 << 12, 0.5)),
+}
+
+
+@pytest.mark.parametrize("read", READS)
+def test_read_makes_a_private_value_read_only(read):
+    eng, leaf, y = private_leaf(0.0)
+    value = leaf._value.copy()
+    READS[read](eng, leaf, y)
+    assert not leaf.private and not leaf.slots.flags.writeable and same_doubles(leaf.slots, value)
+    out = eng.add_plain(leaf, 0.5)  # a read value is left as it is
+    assert not out.private and same_doubles(leaf.slots, value) and same_doubles(out.slots, value + 0.5)
 
 
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])

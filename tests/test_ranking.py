@@ -410,7 +410,9 @@ def test_ranks_arrive_mapped_onto_the_fit_interval(slots):
     # two blocks of 4, the last one padded, on a matrix that fills the
     # slots and one that does not: each rank r reads s r + o, and every
     # other slot, padded entries too, reads o, the map of rank 0, at the
-    # counters of the true ranks but for the later block's scaled sum
+    # counters of the true ranks but for the later block's scaled sum, which
+    # the row fold's mask scales for free where the matrix does not fill the
+    # slots
     v = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7])
     cfg = KernelConfig(mode="chebyshev", degree=64)
     fit = chebyshev.fit_map(cfg, -0.5, 7.5)
@@ -427,7 +429,7 @@ def test_ranks_arrive_mapped_onto_the_fit_interval(slots):
         np.testing.assert_allclose(mapped[on], fit.scale * true[on] + fit(0.0), atol=1e-12)
         assert np.all(mapped[~on] == fit(0.0))
     true, mapped = reports
-    assert mapped.ctpt_mults == true.ctpt_mults + 1
+    assert mapped.ctpt_mults == true.ctpt_mults + (slots == 16)
     assert (mapped.rotations, mapped.ctct_mults, mapped.levels_consumed) == (
         true.rotations, true.ctct_mults, true.levels_consumed
     )
