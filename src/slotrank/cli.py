@@ -12,7 +12,8 @@ comma-separated line) or from the built-in uniform generator, never both;
 ``bench`` always generates its inputs and takes no ``--input``.  ``--k``
 off ``--stat kth``, ``--p`` off ``--stat percentile``, and ``--gen``,
 ``--count`` or ``--tie-fraction`` with ``--input`` would be ignored, so
-they are usage errors, as are ``--k`` or ``--max-level`` below 1.
+they are usage errors, as are ``--k`` or ``--max-level`` below 1 and
+``--seed`` below 0.
 Values are affinely scaled into [0, 1] before comparison; the scale is
 recorded in the results file and undone on value outputs.  Every run
 writes a results file and a cost-report file and self-checks against the
@@ -402,6 +403,8 @@ def _validate(parser, args):
     for flag, value in (("--k", getattr(args, "k", None)), ("--max-level", args.max_level)):
         if value is not None and value < 1:
             parser.error(f"{flag} must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.output is None:
         args.output = f"{args.command}_results.csv"
     if args.cost_output is None:

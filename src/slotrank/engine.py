@@ -143,8 +143,8 @@ class HEParams:
         arithmetic operation (rotations stay exact); finite, 0 means exact.
         An op owes its noise until its value is read, and a linear op passes
         the noise of an owing operand on: a chain draws it once.
-    seed: seed of the noise generator, an SFC64 bit generator: one seed
-        gives one noise stream.
+    seed: seed of the noise generator, an SFC64 bit generator, a
+        non-negative integer: one seed gives one noise stream.
     """
 
     slot_count: int
@@ -159,6 +159,8 @@ class HEParams:
             raise ValueError(f"max_level must be >= 1, got {self.max_level}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 class Ciphertext:

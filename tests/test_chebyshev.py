@@ -294,39 +294,6 @@ def test_powers_build_one_parity_and_the_powers_of_two(kind, d):
         assert np.allclose(eng.decrypt(ct), np.cos(i * np.arccos(np.linspace(-1, 1, 16))), atol=1e-9), i
 
 
-# The exact counters of ps_eval on the two degree-1024 kernel fits.  How the
-# leaves are computed may change host time and rounding, never these.
-PINNED_PS_EVAL = {
-    "step": (
-        lambda: chebyshev._step_poly(1024),
-        CostReport(ctct_mults=55, ctpt_mults=512, additions=560, levels_consumed=11),
-    ),
-    "centred window": (
-        lambda: chebyshev._window_poly(31.5, 32.5, 0.0, 64.0, 1024),
-        CostReport(ctct_mults=52, ctpt_mults=482, additions=555, levels_consumed=12),
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "name,slot_count",
-    [
-        pytest.param(name, n, id=name if n == 256 else f"{name}-2^16")
-        for n in (256, 1 << 16)  # 2^16: the shape sort_cheb runs
-        for name in PINNED_PS_EVAL
-    ],
-)
-def test_ps_eval_degree_1024_costs_are_pinned(name, slot_count):
-    make_poly, cost = PINNED_PS_EVAL[name]
-    poly = make_poly()
-    xs = np.random.default_rng(5).uniform(*poly.interval, slot_count)
-    eng = make_engine(slot_count=slot_count)
-    out = ps_eval(eng, eng.encrypt(xs), poly)
-    assert eng.cost_snapshot() == cost
-    assert out.level == eng.params.max_level - cost.levels_consumed
-    assert np.max(np.abs(eng.decrypt(out) - cheb_eval(poly, xs))) < 1e-12
-
-
 def test_ps_eval_computes_each_leaf_batch_as_one_product():
     # realise is told the baby-step rows and computes a batch of leaves in
     # one pass over them, each leaf into an array of its own, which the walk

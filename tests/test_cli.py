@@ -282,6 +282,7 @@ def test_usage_errors(tmp_path, tied_vector):
         assert main(["stat", "--stat", "kth", "--k", k, "--gen", "uniform", "--count", "8"]) == EXIT_USAGE
     for level in ("0", "-1"):
         assert main(["rank", "--gen", "uniform", "--count", "8", "--max-level", level]) == EXIT_USAGE
+    assert main(["rank", "--gen", "uniform", "--count", "4", "--seed", "-1"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(

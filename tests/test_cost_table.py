@@ -1,44 +1,24 @@
-"""The cost of every pipeline shape, pinned to the parent circuit's counters.
+"""Every pinned circuit, checked against its row of ``tests/circuits.json``.
 
-Blocks of side 8 sit in 64 slots, a matrix that fills them, and in 128
-slots, one that does not.  Each case runs one to four blocks, the last one
-padded or not, in ideal and chebyshev mode, through ``rank`` (or
-``rank_corrected``), ``sort``, ``multi_sort`` and ``multi_statistic``.
+``tests/circuits.py`` lists the shapes and rebuilds the table; each row holds
+a shape's exact ``CostReport``, the digest of its rotation offsets and, in
+ideal mode, of its output slots.  A change to a circuit regenerates the
+table, and the table's diff is the change's cost.
 
 ``BEFORE`` holds the counters of the circuit that folded the ranks into
-column 0; ``saved`` writes out, case by case, what ranking along the rows,
-the one-fold statistic, Goldschmidt's division, the sort's unmasked fold
-and the ranks built already mapped onto the window's fit interval
-(``mapped_ranks``) take off them.  No counter of any shape may rise.
+column 0, on blocks of side 8 in 64 slots (a matrix that fills them) and in
+128 (one that does not): one to four blocks, the last one padded or not, in
+ideal and chebyshev mode, through ``rank`` (or ``rank_corrected``),
+``sort``, ``multi_sort`` and ``multi_statistic``.  No counter of those
+shapes may rise above it.
 """
 
-import hashlib
-from dataclasses import astuple, fields
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
-from slotrank import (
-    CostReport,
-    HEParams,
-    HESimulator,
-    KernelConfig,
-    SortConfig,
-    StatisticQuery,
-    block_merge,
-    block_split,
-    multi_sort,
-    multi_statistic,
-    rank,
-    rank_corrected,
-    read_row,
-    reference,
-    sort,
-)
-
-SLOTS = {"full": 64, "not-full": 128}
-SIDE, LOG_B = 8, 3
-KERNELS = {"ideal": KernelConfig(mode="ideal", degree=256), "chebyshev": KernelConfig(mode="chebyshev", degree=64)}
+from circuits import SHAPES, Shape, grid, load, main, measure, stale
+from slotrank import CostReport
 
 # (kind, geometry, blocks, padded, mode, tie correction): rotations,
 # critical rotations, ct-ct, ct-pt, additions, comparisons, indicators, levels
@@ -174,164 +154,44 @@ BEFORE = {
 }
 
 
-def mapped_ranks(kind, geometry, blocks, padded, mode, tie):
-    """What building the ranks already mapped onto the window's fit interval
-    takes off.
-
-    Each block's tie-corrected cells against itself, c(s(1 + M) - (sM)c),
-    take one addition fewer than adding the tie offset to c; that is all
-    ideal mode, whose map is the identity, and the true ranks of ``rank``
-    save.  In chebyshev mode every window loses its input map, one ct-pt
-    and one level: L^2 of them in an L-block sort, whose map has no offset.
-    The scale rides in the tie cells, the cross sums' fold mask and the
-    plaintext shift, but each later block's sum over earlier blocks takes a
-    ct-pt, as do each uncorrected block's comparisons before a rank fold
-    with no mask.  That product takes back the level the map saved, unless
-    the sums over later blocks, two masks below the comparisons, set the
-    ranks' level.  Where the rank fold has a mask (``fold_mask``), the scale
-    rides in it: on a matrix that does not fill the slots, the row fold's
-    mask carries it for every block, so no block's comparisons or sum over
-    earlier blocks takes a ct-pt for it, the statistic's blocks too; along
-    the columns of ``sort`` it carries the uncorrected scale, one ct-pt and
-    the level of a one-block sort.
-    The statistic's L windows also lose the map's offset, L additions, but
-    its last block, whose shift was 0, now adds the offset; a block whose
-    shift maps to the centre of the fit interval, 0, on a matrix that fills
-    the slots, adds nothing.
-    """
-    cells = blocks * int(tie)
-    if mode == "ideal" or kind == "rank":
-        return CostReport(additions=cells)
-    if kind == "multi_statistic":
-        centre = blocks % 2 == 0 and not padded and geometry == "full"
-        earlier = (blocks - 1) * (geometry == "not-full")
-        return CostReport(ctpt_mults=1 + earlier, additions=cells + blocks - 1 + int(centre), levels_consumed=1)
-    fold_mask = geometry == "not-full" or (kind == "sort" and not tie)
-    scalings = 0 if fold_mask else blocks - 1 if tie else blocks
-    return CostReport(
-        ctpt_mults=blocks * blocks - scalings, additions=cells, levels_consumed=int(tie or blocks > 1 or fold_mask)
-    )
+BEFORE_BY_ID = {grid(*case).id: CostReport(*counts) for case, counts in BEFORE.items()}
+TABLE = load()
+COUNTERS = [f.name for f in fields(CostReport)]
 
 
-def saved(kind, geometry, blocks, padded, mode, tie):
-    """What ranking along the rows, the one-fold statistic, Goldschmidt's
-    division, the sort's unmasked fold and ``mapped_ranks`` take off the
-    parent circuit's counters.
-
-    Only a matrix that fills the slots gains from the rows: its rank fold
-    is a cyclic all-reduce with no mask, one ct-pt per block.  The sort's
-    ranks then fill every row, so ``multi_sort`` spreads nothing, log2 B
-    rotations and additions per block; ``sort`` ranks along the columns on
-    every geometry and spreads its ranks, and its placement's fold over the
-    rows, cyclic there too, drops its mask: one ct-pt and one level.  One
-    ``multi_sort`` block also sheds the fold's level, and with the spread
-    its rotations from the critical path; a padded multi-block statistic
-    sheds the level the mask put under the cut of its last mask.
-    A one-block statistic's mask then fills every row too, so its value and
-    norm need no fold mask: two ct-pt and one more level.  They then share
-    one fold, log2 B + 2 rotate-and-add steps where two folds took 2 log2 B,
-    and the ct-pt of their weights, with its level on the norm, stands in
-    for the cut of a padded mask, or else for the division seed's product.
-    A padded statistic, on either geometry, has an odd length, so its median
-    is a window of one rank, whose division seeds 2 - x with a free
-    negation: one ct-pt and one level.  The division carries the value in
-    the norm's chain, with one addition fewer than a reciprocal and a
-    product by it, and one level fewer wherever the value sits no deeper
-    than the seed: every window of two ranks, whose seed takes a ct-pt,
-    and every one-block statistic on a matrix that fills the slots, whose
-    value and norm leave one fold together.
-    """
-    full, one = geometry == "full", blocks == 1
-    if kind in ("rank", "sort"):
-        rows = CostReport(ctpt_mults=int(full), levels_consumed=int(full))
-    elif kind == "multi_sort":
-        rows = CostReport(
-            rotations=blocks * LOG_B, critical_rotations=LOG_B if one else 0, ctpt_mults=blocks,
-            additions=blocks * LOG_B, levels_consumed=int(one),
-        ) if full else CostReport()
-    else:
-        folds = (LOG_B - 2) * one * full
-        rows = CostReport(
-            rotations=folds, ctpt_mults=int(padded) + full * (blocks + 2 * one), additions=folds + 1,
-            levels_consumed=int(padded) + full * (int(one or padded) + int(one)) + int(not padded or (full and one)),
-        )
-    mapped = mapped_ranks(kind, geometry, blocks, padded, mode, tie)
-    return CostReport(*(a + b for a, b in zip(astuple(rows), astuple(mapped))))
+@pytest.mark.parametrize("shape", SHAPES, ids=[s.id for s in SHAPES])
+def test_shape_runs_the_circuit_of_its_row(shape):
+    m = measure(shape)
+    assert m.row == TABLE[shape.id]
+    assert len(m.offsets) == m.row["rotations"]
+    if m.level is not None:  # the output sits at the circuit's depth
+        assert m.level == shape.max_level - m.row["levels_consumed"]
+    if shape.mode == "ideal":
+        assert m.err == 0
+    elif shape.bound is not None:
+        assert m.err < shape.bound
+    if shape.id in BEFORE_BY_ID:
+        assert all(m.row[c] <= getattr(BEFORE_BY_ID[shape.id], c) for c in COUNTERS)
 
 
-def run(kind, geometry, blocks, padded, mode, tie):
-    """The engine, the output's values and the reference's, and every slot
-    of the output ciphertexts."""
-    n = SIDE * blocks - (3 if padded else 0)
-    v = (np.random.default_rng(n).permutation(n) + 1.0) / (n + 1)
-    if tie:
-        v[-1] = v[0]
-    eng = HESimulator(HEParams(slot_count=SLOTS[geometry], max_level=64))
-    cfg = KERNELS[mode]
-    if kind == "rank":
-        outs = [(rank_corrected if tie else rank)(eng, eng.encrypt(v), n, cfg).ranks]
-        got, want = read_row(eng, outs[0], n), (reference.corrected_ranks if tie else reference.fractional_ranks)(v)
-    elif kind == "sort":
-        outs = [sort(eng, eng.encrypt(v), n, SortConfig(kernel=cfg, tie_correction=tie))]
-        got, want = read_row(eng, outs[0], n), reference.sorted_values(v)
-    elif kind == "multi_sort":
-        bv = multi_sort(eng, block_split(eng, v), SortConfig(kernel=cfg, tie_correction=tie))
-        outs, got, want = bv.blocks, block_merge(eng, bv), reference.sorted_values(v)
-    else:
-        outs = [multi_statistic(eng, block_split(eng, v), StatisticQuery("median"), cfg)]
-        got, want = eng.decrypt(outs[0])[:1], [reference.median_value(v)]
-    return eng, got, want, np.concatenate([eng.decrypt(c) for c in outs])
+def test_table_is_not_stale():
+    assert main(["--check"]) == 0
+    assert set(BEFORE_BY_ID) <= set(TABLE)
+    rows = list(TABLE.values())
+    doctored = {r["id"]: r for r in rows[1:]} | {"orphan": {}}
+    doctored[rows[1]["id"]] = {**rows[1], "rotations": rows[1]["rotations"] + 1}
+    assert stale(doctored, rows) == [f"changed: {rows[1]['id']}", f"missing: {rows[0]['id']}", "orphan: orphan"]
 
 
-@pytest.mark.parametrize("case", list(BEFORE), ids=["-".join(map(str, c)) for c in BEFORE])
-def test_shape_costs_the_parent_circuit_less_what_row_ranking_saves(case):
-    kind, geometry, blocks, padded, mode, tie = case
-    eng, got, want, _ = run(*case)
-    report = eng.cost_snapshot()
-    before = CostReport(*BEFORE[case])
-    less = saved(*case)
-    assert report == CostReport(*(a - b for a, b in zip(astuple(before), astuple(less))))
-    assert all(getattr(report, f.name) <= getattr(before, f.name) for f in fields(CostReport))
-    if mode == "ideal":
-        assert np.array_equal(got, want)
-
-
-def digest(eng, slots):
-    """The output slots and the rotation offsets, as one sha256 prefix."""
-    offsets = np.asarray(eng.rotation_offsets(), dtype=np.int64)
-    return hashlib.sha256(slots.tobytes() + offsets.tobytes()).hexdigest()[:16]
-
-
-# Ideal tie-corrected shapes, one block for rank and sort and three for the
-# block pipelines: the additions of the circuit that added the tie offset to
-# each block's comparisons, before the ranks were built mapped, and the
-# ``digest`` of its outputs and rotation offsets.  Each block's tie cells
-# are the one addition the mapped ranks save in ideal mode, whose map is the
-# identity; nothing else may move.
-UNMAPPED_IDEAL = {
-    ("rank", "full", 1, False): (14, "94652ca9f058b110"),
-    ("rank", "full", 1, True): (14, "46368ed552fe9c5b"),
-    ("rank", "not-full", 1, False): (14, "46838bd365d883fa"),
-    ("rank", "not-full", 1, True): (14, "88b7fe3a59d2034a"),
-    ("sort", "full", 1, False): (21, "6e17350344e9e24a"),
-    ("sort", "full", 1, True): (21, "9599b5f84444a312"),
-    ("sort", "not-full", 1, False): (21, "cf0e4610a68b1cb7"),
-    ("sort", "not-full", 1, True): (21, "3e5445a7778a0404"),
-    ("multi_sort", "full", 3, False): (92, "892d227a3e422a7d"),
-    ("multi_sort", "full", 3, True): (92, "be580334320a6a74"),
-    ("multi_sort", "not-full", 3, False): (101, "3603c16311195a5b"),
-    ("multi_sort", "not-full", 3, True): (101, "0f6b886a9abf4845"),
-    ("multi_statistic", "full", 3, False): (84, "83680fcd0d97aaf7"),
-    ("multi_statistic", "full", 3, True): (84, "4737630befc9d4f3"),
-    ("multi_statistic", "not-full", 3, False): (84, "2f5cd1b63afaf890"),
-    ("multi_statistic", "not-full", 3, True): (84, "56d9a1fed159e41d"),
-}
-
-
-@pytest.mark.parametrize("case", list(UNMAPPED_IDEAL), ids=["-".join(map(str, c)) for c in UNMAPPED_IDEAL])
-def test_ideal_tie_corrected_shape_is_the_unmapped_circuit_less_one_addition_per_block(case):
-    kind, geometry, blocks, padded = case
-    eng, _, _, slots = run(kind, geometry, blocks, padded, "ideal", True)
-    additions, want = UNMAPPED_IDEAL[case]
-    assert digest(eng, slots) == want
-    assert eng.cost_snapshot().additions == additions - blocks
+def test_one_block_sort_costs_one_ct_pt_and_one_level_less_on_a_full_matrix():
+    # 64 tied values in a 64x64 matrix that fills 4096 slots and in one that
+    # fills half of 8192: sort() ranks along the columns and spreads its
+    # ranks on both, and both end in the row fold, rotations by 64 2^k, that
+    # lands the values in row 0.  On the full matrix that fold is cyclic and
+    # needs no mask
+    full, half = (measure(Shape("sort", slots, 64, "sixteenths", seed=7)) for slots in (4096, 8192))
+    extra = {c: half.row[c] - full.row[c] for c in COUNTERS}
+    assert extra == {c: int(c in ("ctpt_mults", "levels_consumed")) for c in COUNTERS}
+    for m in (full, half):
+        assert m.err == 0
+        assert m.offsets[-6:] == tuple(64 << k for k in range(6))

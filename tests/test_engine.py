@@ -34,6 +34,12 @@ def test_params_reject_non_finite_noise_sigma(sigma):
         HEParams(slot_count=8, max_level=4, noise_sigma=sigma)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_params_reject_a_negative_or_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        HEParams(slot_count=8, max_level=4, seed=seed)
+
+
 def test_encrypt_pads_with_zeros():
     eng = make_engine()
     ct = eng.encrypt([1, 2, 3])

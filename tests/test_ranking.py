@@ -387,24 +387,6 @@ def test_polynomial_rank_tolerates_simulated_scheme_noise():
     assert np.max(np.abs(got - reference.fractional_ranks(v))) < 1e-2
 
 
-def test_tie_corrected_multi_rank_circuit_is_pinned():
-    # three blocks of side 4 with ties inside and across blocks, ideal mode
-    eng = make_engine(16, max_level=64)
-    v = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
-    bv = block_split(eng, v)
-    assert len(bv.blocks) == 3
-    ranks = multi_rank(eng, bv, IDEAL, tie_correction=True)
-    assert np.array_equal(block_merge(eng, ranks), reference.corrected_ranks(v))
-    # each block's rank fold is an all-reduce with no mask: 3 ct-pt fewer
-    # than the masked fold into column 0 took; each block's tie cells take
-    # one addition fewer than adding the tie offset to its comparisons
-    assert eng.cost_snapshot() == CostReport(
-        rotations=32, ctct_mults=6, ctpt_mults=10, additions=49,
-        cmp_evals=6, ind_evals=0, levels_consumed=13, critical_rotations=8,
-    )
-    assert len(eng.rotation_offsets()) == 32
-
-
 @pytest.mark.parametrize("slots", [16, 32])
 def test_ranks_arrive_mapped_onto_the_fit_interval(slots):
     # two blocks of 4, the last one padded, on a matrix that fills the

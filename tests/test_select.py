@@ -232,114 +232,12 @@ PINNED_INPUT = [0.62, 0.13, 0.91, 0.47, 0.05, 0.78, 0.34, 0.56]
 PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
 
 
-@pytest.mark.parametrize(
-    "statistic, report",
-    [
-        (
-            lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("min"), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
-                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
-        ),
-        (
-            lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("max"), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
-                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
-        ),
-        (
-            lambda e, c: order_statistic_value(e, c, 8, StatisticQuery("kth", k=3), PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
-                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
-        ),
-        (
-            lambda e, c: median(e, c, 8, PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
-                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
-        ),
-        (
-            lambda e, c: percentile(e, c, 8, 75.0, PINNED_CHEB),
-            CostReport(rotations=17, ctct_mults=45, ctpt_mults=92, additions=158,
-                       cmp_evals=1, ind_evals=1, levels_consumed=24, critical_rotations=12),
-        ),
-    ],
-    ids=["min", "max", "kth3", "median_even", "percentile75"],
-)
-def test_statistic_circuit_is_pinned(statistic, report):
-    # the full cost of each statistic at chebyshev degree 64, n=8 in 64
-    # slots; a layout refactor must leave every counter where it is.  The
-    # 8x8 matrix fills the slots, so the rank fold needs no mask, and the
-    # mask fills every row, so one product puts the value's terms in row 0
-    # and the norm's in row 1, weighted by 1/k, and one fold with no mask,
-    # 3 + 2 rotations, sums both.  Every query is one tie-corrected rank
-    # window, so the extremes cost what the k-th statistic does: one
-    # tie-offset product, then Goldschmidt's division by the norm 1, seeded
-    # at 2 - x with a free negation, whose chain carries the value: 6 levels
-    # below the product.  The ranks arrive mapped onto the window's fit
-    # interval, so the window pays no input map: one ct-pt, one addition and
-    # one level fewer, and the tie cells one addition fewer, but the ranks'
-    # map offset takes one
-    eng = make_engine(64)
-    statistic(eng, eng.encrypt(PINNED_INPUT))
-    assert eng.cost_snapshot() == report
-    assert len(eng.rotation_offsets()) == report.rotations
-
-
 def _tied_values(rng, n):
     # uniform values of which 10-30% repeat another entry
     v = rng.uniform(0, 1, n)
     count = max(1, round(rng.uniform(0.1, 0.3) * n))
     v[rng.choice(n, size=count, replace=False)] = v[rng.choice(n, size=count)]
     return v
-
-
-# three full 4x4 blocks in 16 slots, with ties inside and across blocks:
-# the input of the pinned tie-corrected multi_rank circuit; its first 10
-# values are blocks of 4, 4 and 2, the last one padded
-PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
-
-
-@pytest.mark.parametrize(
-    "kind, kernel, n, report",
-    [
-        ("median", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=13, additions=63,
-                                         cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
-        ("median", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=378, additions=610,
-                                               cmp_evals=6, ind_evals=3, levels_consumed=26, critical_rotations=10)),
-        ("median", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=17, additions=63,
-                                         cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        ("median", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=382, additions=610,
-                                               cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
-        ("min", IDEAL, 12, CostReport(rotations=36, ctct_mults=20, ctpt_mults=12, additions=63,
-                                      cmp_evals=6, ind_evals=3, levels_consumed=30, critical_rotations=10)),
-        ("min", PINNED_CHEB, 12, CostReport(rotations=36, ctct_mults=161, ctpt_mults=377, additions=610,
-                                            cmp_evals=6, ind_evals=3, levels_consumed=26, critical_rotations=10)),
-        ("min", IDEAL, 10, CostReport(rotations=36, ctct_mults=20, ctpt_mults=16, additions=63,
-                                      cmp_evals=6, ind_evals=3, levels_consumed=31, critical_rotations=10)),
-        ("min", PINNED_CHEB, 10, CostReport(rotations=36, ctct_mults=161, ctpt_mults=381, additions=610,
-                                            cmp_evals=6, ind_evals=3, levels_consumed=27, critical_rotations=10)),
-    ],
-    ids=["ideal-median", "chebyshev-median", "ideal-padded-median", "chebyshev-padded-median",
-         "ideal-min", "chebyshev-min", "ideal-padded-min", "chebyshev-padded-min"],
-)
-def test_multi_block_statistic_circuit_is_pinned(kind, kernel, n, report):
-    # the masks and the inner products of the blocks are each one add; both
-    # windows are tie-corrected, of norm 1 and 2, so the division is seeded
-    # and exact in ideal mode.  The min's seed 2 - x is a free negation,
-    # where the median's (4 - x)/4 takes a ct-pt and a level; the division
-    # carries the value, which sits a level below the norm as that seed
-    # does, so the seed's level costs nothing and both end at one depth.  The
-    # 4x4 blocks fill the slots, so no rank fold is masked.  A padded last
-    # block costs 4 ct-pt and 1 level more: the pad mask on its 3
-    # comparisons, then the cut of its mask to the valid columns.  The ranks
-    # arrive mapped onto the window's fit interval: the 3 windows' input
-    # maps are gone, the 2 later blocks' sums over earlier blocks take the
-    # scale, and each block's tie cells take one addition fewer
-    eng = make_engine(16)
-    v = PINNED_BLOCKS[:n]
-    out = multi_statistic(eng, block_split(eng, v), StatisticQuery(kind), kernel)
-    if kernel.mode == "ideal":
-        assert value_of(eng, out) == reference.statistic_value(v, kind)
-    assert eng.cost_snapshot() == report
-    assert len(eng.rotation_offsets()) == report.rotations
 
 
 def test_multi_block_statistics_match_the_oracle():

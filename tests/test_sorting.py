@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from slotrank import (
-    CostReport,
     DepthBudgetError,
     HEParams,
     HESimulator,
@@ -134,21 +133,6 @@ def test_chebyshev_sort_well_separated():
         assert np.max(np.abs(out - np.sort(v))) < 1e-6
 
 
-def test_chebyshev_sort_circuit_is_pinned():
-    # the step and the centred placement window skip their zero-parity terms;
-    # the 16x16 matrix fills the slots, so the placement's fold over the rows
-    # is cyclic and needs no mask.  The ranks arrive mapped onto the window's
-    # fit interval, the scale carried by the tie cells, so the window pays no
-    # input map
-    eng = make_engine(256, max_level=40)
-    v = np.random.default_rng(3).uniform(0, 1, 16)
-    sort(eng, eng.encrypt(v), 16, cfg(kernel=KernelConfig(mode="chebyshev", degree=64)))
-    assert eng.cost_snapshot() == CostReport(
-        rotations=24, ctct_mults=31, ctpt_mults=60, additions=121,
-        cmp_evals=1, ind_evals=1, levels_consumed=19, critical_rotations=20,
-    )
-
-
 @pytest.mark.parametrize("task", ["sort", "min"])
 def test_chebyshev_window_reads_the_ranks_with_no_input_map(monkeypatch, task):
     # the ranks arrive mapped onto the window's fit interval, so the window's
@@ -260,45 +244,6 @@ def test_tie_corrected_rotations_follow_the_closed_forms(blocks):
         assert np.array_equal(block_merge(sorted_, out), reference.sorted_values(v))
         assert ranked.cost_snapshot().rotations == (6 * blocks - 2) * log_b
         assert sorted_.cost_snapshot().rotations == (per_block * blocks - 2) * log_b
-
-
-# three full 4x4 blocks in 16 slots, with ties inside and across blocks:
-# the input of the pinned tie-corrected multi_rank circuit; its first 10
-# values are blocks of 4, 4 and 2, the last one padded
-PINNED_BLOCKS = np.array([0.3, 0.7, 0.3, 0.1, 0.9, 0.5, 0.7, 0.2, 0.3, 0.8, 0.6, 0.4])
-PINNED_CHEB = KernelConfig(mode="chebyshev", degree=64)
-
-
-@pytest.mark.parametrize(
-    "kernel, n, report",
-    [
-        (IDEAL, 12, CostReport(rotations=38, ctct_mults=15, ctpt_mults=13, additions=70,
-                               cmp_evals=6, ind_evals=9, levels_consumed=24, critical_rotations=12)),
-        (PINNED_CHEB, 12, CostReport(rotations=38, ctct_mults=231, ctpt_mults=432, additions=778,
-                                     cmp_evals=6, ind_evals=9, levels_consumed=20, critical_rotations=12)),
-        (IDEAL, 10, CostReport(rotations=38, ctct_mults=15, ctpt_mults=16, additions=70,
-                               cmp_evals=6, ind_evals=9, levels_consumed=25, critical_rotations=12)),
-        (PINNED_CHEB, 10, CostReport(rotations=38, ctct_mults=231, ctpt_mults=435, additions=778,
-                                     cmp_evals=6, ind_evals=9, levels_consumed=21, critical_rotations=12)),
-    ],
-    ids=["ideal", "chebyshev", "ideal-padded", "chebyshev-padded"],
-)
-def test_tie_corrected_multi_sort_circuit_is_pinned(kernel, n, report):
-    # each output block sums its placements over the rank blocks in one add.
-    # The 4x4 blocks fill the slots, so each block's rank fold is an
-    # all-reduce with no mask and the placement spreads nothing.  A padded
-    # last block costs 3 ct-pt and 1 level more: the pad mask on its 3
-    # comparisons.  The ranks arrive mapped onto the placement window's fit
-    # interval: its 9 input maps are gone, the 2 later blocks' sums over
-    # earlier blocks take the scale, and each block's tie cells take one
-    # addition fewer
-    eng = make_engine(16, max_level=64)
-    v = PINNED_BLOCKS[:n]
-    out = block_merge(eng, multi_sort(eng, block_split(eng, v), cfg(kernel=kernel)))
-    if kernel.mode == "ideal":
-        assert np.array_equal(out, np.sort(v))
-    assert eng.cost_snapshot() == report
-    assert len(eng.rotation_offsets()) == report.rotations
 
 
 def test_multi_sort_with_ties_and_padding():
