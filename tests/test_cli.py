@@ -282,7 +282,12 @@ def test_usage_errors(tmp_path, tied_vector):
         assert main(["stat", "--stat", "kth", "--k", k, "--gen", "uniform", "--count", "8"]) == EXIT_USAGE
     for level in ("0", "-1"):
         assert main(["rank", "--gen", "uniform", "--count", "8", "--max-level", level]) == EXIT_USAGE
+
+
+def test_negative_seed_is_a_usage_error_that_names_the_flag(capsys):
+    # a usage error (exit 2), not the engine's unnamed input error (exit 3)
     assert main(["rank", "--gen", "uniform", "--count", "4", "--seed", "-1"]) == EXIT_USAGE
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

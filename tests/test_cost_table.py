@@ -177,6 +177,9 @@ def test_shape_runs_the_circuit_of_its_row(shape):
 def test_table_is_not_stale():
     assert main(["--check"]) == 0
     assert set(BEFORE_BY_ID) <= set(TABLE)
+
+
+def test_stale_names_a_changed_a_missing_and_an_orphan_row():
     rows = list(TABLE.values())
     doctored = {r["id"]: r for r in rows[1:]} | {"orphan": {}}
     doctored[rows[1]["id"]] = {**rows[1], "rotations": rows[1]["rotations"] + 1}
