@@ -255,8 +255,8 @@ def _powers(
 
     Each baby-step power is written into its row of one array as it is
     built, in the order of ``baby``, so that ``HESimulator.realise``, told
-    those rows, takes one pass over them for a batch of leaves; the lower
-    powers built on the way are released unless wanted.  On a noise-free
+    those rows, records the leaves as products over them; the lower powers
+    built on the way are released unless wanted.  On a noise-free
     engine, t is checked first by ``_require_inside``.
     """
     a, b = poly.interval
@@ -322,16 +322,16 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: nz[-1] + 1]
 
 
-# Leaves computed by one ``HESimulator.realise`` at a time: each batch is one
-# pass of tiled BLAS products over the array of baby-step powers, which reads
-# every power once, and writes each leaf into an array of its own, in which
-# the walk then runs.  Only this many leaves are alive, one slot vector each,
-# and each leaf more per batch raises the peak by one.  Peaks of one query
-# (tracemalloc), at 4 / 5 / 6: sort_cheb 17.07 / 18.18 / 17.72 MB against
-# 17.85 MB before the walk ran in place (blocks of 4), stats_cheb_noisy
-# 0.970 / 1.000 / 1.034 MB against 1.002 MB: its noisy walk draws each
-# leaf's noise through one more slot vector while the batch is alive.
-_LEAF_BATCH = 4
+# Leaves ``HESimulator.realise`` records as one batch.  A noise-free walk's
+# read computes every batch at once, one BLAS product per tile, so there the
+# size changes no work.  On a noisy engine the walk's first ``mul`` of a
+# leaf computes that leaf's batch alone, each leaf of it into an array of
+# its own, so each leaf more per batch holds one slot vector more.  Peaks of
+# one stats_cheb_noisy query (tracemalloc) at 2 / 4 / 8 / 32: 0.939 / 0.971
+# / 1.071 / 1.304 MB, against 0.971 MB when ``realise`` computed batches of
+# 4; its calls took the same time as then at 2 and 2% longer at 4 (the
+# two versions alternated in one process).
+_LEAF_BATCH = 2
 
 
 @dataclass(frozen=True)
@@ -377,26 +377,18 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
 
 
 def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
-    """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` per ``realise``,
-    which is told the baby-step powers as the rows of their array.  A leaf
-    is one ``add`` of ``mul_plain`` products, each pending or, by 1, its row
-    itself, so every base of the sum is a row in any term order; realised,
-    it is private.  Each leaf is handed over, not kept, so none outlives its
-    use.  The baby-step powers leave ``powers`` once the last batch is
-    computed, which frees their array for the rest of the walk."""
+    """The leaves of ``plan`` in walk order, each one ``add`` of ``mul_plain``
+    products, each pending or, by 1, its row itself, so every base of the
+    sum is a baby-step row in any term order.  ``realise``, told those rows,
+    records them ``_LEAF_BATCH`` at a time, when the walk first needs one,
+    as private programs that the walk extends."""
     rows = [powers[i] for i in plan.baby]
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
         batch = [
             engine.add(*[engine.mul_plain(powers[i], c) for i, c in terms])
             for terms in plan.leaves[start : start + _LEAF_BATCH]
         ]
-        batch = engine.realise(batch, rows)
-        if start + _LEAF_BATCH >= len(plan.leaves):
-            rows.clear()
-            for i in plan.baby:
-                del powers[i]
-        while batch:
-            yield batch.pop(0)
+        yield from engine.realise(batch, rows)
 
 
 def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leaves) -> tuple:
@@ -406,7 +398,8 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
     takes the next one from ``leaves``.  The quotient's part is dropped once
     its product is made, so no level of the walk holds it through the
     remainder's walk.  A private leaf takes its node's constant, product and
-    sum in its own array, so a node allocates no slot vector.
+    sum as steps of its program, and a private remainder nests in it, so
+    the walk of private leaves computes nothing.
     """
     if len(node) == 2:
         has_leaf, const = node
@@ -437,17 +430,20 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     and giant-step products is cached per (coefficients, baby step).  Each
     call builds the powers first: the baby-step powers the leaves read, as
     rows of one array, then the giant powers and whatever lower powers those
-    need, which it releases unless read.  The walk of the giant-step tree
-    takes its leaves in turn from a stream, which computes ``_LEAF_BATCH`` of
-    them when the walk first needs one: a leaf is its charged scalar
+    need, which it releases unless read.  Each leaf is its charged scalar
     ``mul_plain`` products of baby-step rows and one n-ary ``add`` of them,
-    a pending sum of rows.  One ``HESimulator.realise`` computes each batch,
-    told the rows: tiled BLAS products over them, which read every power
-    once per batch rather than once per term, each leaf into an array of its
-    own.  The walk runs in those arrays.  The baby-step rows are released
-    once the last batch is computed, so the rest of the walk holds only the
-    giant powers and its partial sums: one product per level of the tree.
-    The result is shared before it is returned, read-only.
+    a pending sum of rows, which ``HESimulator.realise`` records as a
+    private program.  The walk of the giant-step tree takes the leaves in
+    turn and charges its ops as it issues them, but computes nothing: each
+    op appends itself to a leaf's program, which grows into the program of
+    the whole tree.  The read of the result, shared before it is returned,
+    computes it in column tiles: each batch's BLAS product over the tile of
+    the baby-step rows, then the walk on the tile, so the rows are read
+    once, not once per batch.  A quotient that is a constant, as at the top
+    of an even window of degree 2^k, makes its product a pending sum, and
+    the sum with the remainder computes the remainder's program first.  On a
+    noisy engine each walk ``mul`` computes its operand's program when it
+    draws the noise that owes, as a read would.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1

@@ -17,9 +17,9 @@ Cost model:
 * a ciphertext is in one of five states: *read*, a value every op may
   use; *owing*, on a noisy engine only, a computed noise-free value plus
   the variance weight ``owed`` of the noise its ops owe; *pending*, a lazy
-  linear combination of (base, scale) terms; *private*, a computed value,
-  owing or not, in a writeable array that nothing else holds (``realise``
-  returns its sums so); and *spent*, once an op took its value or terms
+  linear combination of (base, scale) terms; *private*, owing or not, a
+  program not yet computed that nothing else holds (``realise`` returns
+  its sums so); and *spent*, once an op took its value, terms or program
   and its noise;
 * one pending rule: only a scalar ``mul_plain``, ``add(x, x)`` (scale 2)
   and an ``add`` or ``sub`` that takes a pending operand return a pending
@@ -37,16 +37,25 @@ Cost model:
   raises ``EngineError``.  ``x - x`` is +0.0 and takes ``x`` too.
   ``share`` reads its arguments, so that several ops may use a value
   (``add(x, x)`` need not);
-* one private rule: ``add``, ``sub``, ``add_plain`` and ``mul`` take a
-  private first operand, write their result into its array, to the doubles
-  and noise draws they would give anyway, and return it private; the
-  operand is spent.  Any read makes a private value read, read-only:
-  ``share``, ``rotate``, ``decrypt``, ``slots`` or its use as a later
-  operand;
+* one private rule: ``realise`` records each pending sum it is told as a
+  program, its row of scales over the rows of one 2D array, and computes
+  nothing.  ``add``, ``sub``, a scalar ``add_plain`` and ``mul`` with a
+  private first operand append themselves to its program as steps,
+  charged at issue, and return it private; the operand is spent, and a
+  private later operand of ``add`` or ``sub`` is nested inside, spent
+  too, so a program is a tree.  A program is computed at its first read
+  (``share``, ``rotate``, ``decrypt``, ``slots``, or its use by any other
+  op) or at a noise draw into it (``mul`` of an owing one): into one
+  array, in column tiles of ``_TILE``, each tile its batches' BLAS
+  products over the rows, then every step in issue order, to the doubles
+  the ops would have given at issue.  A batch of which it reads only some
+  members is computed whole first, each member into an array of its own.
+  Once computed, a program runs each later step at once in its array,
+  unless the step's operand is a program not yet computed.  The products
+  round each slot within a few ulps of sum_i |scale_i * base_i| of the
+  fold of the pending sum;
 * ``copy_into`` folds a pending sum straight into the row of a 2D array it
-  is told, and ``realise``, told the rows of such an array, computes pending
-  sums over them in one pass of tiled BLAS products, which rounds each slot
-  within a few ulps of sum_i |scale_i * base_i| of the fold;
+  is told, the rows ``realise`` is then told;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot, but on a noisy engine it owes that noise until something reads
   it.  ``owed`` is a variance weight: a read draws N(0, owed * sigma^2)
@@ -76,6 +85,7 @@ import ctypes
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -137,8 +147,9 @@ def _is_pow2(n: int) -> bool:
 class HEParams:
     """Simulator parameters.
 
-    slot_count: number of SIMD lanes, a power of two >= 2.
-    max_level:  multiplicative depth budget of a fresh ciphertext.
+    slot_count: number of SIMD lanes, an integer power of two >= 2.
+    max_level:  multiplicative depth budget of a fresh ciphertext, an
+        integer >= 1.
     noise_sigma: std-dev of the additive per-slot Gaussian noise of every
         arithmetic operation (rotations stay exact); finite, 0 means exact.
         An op owes its noise until its value is read, and a linear op passes
@@ -153,6 +164,10 @@ class HEParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("slot_count", "max_level"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not _is_pow2(self.slot_count) or self.slot_count < 2:
             raise ValueError(f"slot_count must be a power of two >= 2, got {self.slot_count}")
         if self.max_level < 1:
@@ -174,7 +189,7 @@ class Ciphertext:
     __slots__ = ("slots", "level", "rot_chain", "params")
     pending = None  # the (base, scale) terms of a pending _Deferred
     owed = 0.0  # the noise variance, in units of sigma^2, a _Deferred owes
-    private = False  # whether a _Deferred's array is its own, writeable
+    private = None  # the _Program of a private _Deferred
 
     def __init__(self, slots: np.ndarray, level: int, rot_chain: int, params: HEParams):
         slots.setflags(write=False)
@@ -192,24 +207,24 @@ class _Deferred(Ciphertext):
     """An owing, pending, private or spent ciphertext, or one read since.
 
     ``_value`` holds an owing one's computed, noise-free value, ``pending`` a
-    pending one's (base, scale) terms and ``owed`` the noise either owes; a
-    spent one has neither.  A private one's ``_value`` is a writeable array
-    that nothing else holds.  Reading ``slots`` folds pending terms left to
-    right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) + ...`` would, adds
-    one draw of sigma * sqrt(owed) * Z (into a private array itself) and
-    keeps the result, read-only, so every later reader sees the same noise.
+    pending one's (base, scale) terms, ``private`` a private one's program and
+    ``owed`` the noise any of them owes; a spent one has none of them.
+    Reading ``slots`` folds pending terms left to right, as the eager chain
+    ``((b0*s0 + b1*s1) + b2*s2) + ...`` would, or computes the program, adds
+    one draw of sigma * sqrt(owed) * Z and keeps the result, read-only, so
+    every later reader sees the same noise.
     """
 
     __slots__ = ("pending", "owed", "private", "_value", "_engine")
 
     def __init__(
         self, value, terms: tuple | None, owed: float, level: int, rot_chain: int, engine: HESimulator,
-        private: bool = False,
+        program: _Program | None = None,
     ):
         self._value = value
         self.pending = terms
         self.owed = owed
-        self.private = private
+        self.private = program
         self._engine = engine
         self.level = level
         self.rot_chain = rot_chain
@@ -217,49 +232,194 @@ class _Deferred(Ciphertext):
 
     @property
     def slots(self) -> np.ndarray:
-        if self.pending is not None or self.owed:
+        if self.private is not None:
+            value = self.private.compute(self.params.slot_count)
+            value = self._engine._noisy(value, self.owed, out=value)
+        elif self.pending is not None or self.owed:
             value = self._value if self.pending is None else _fold(self.pending)
-            value = self._engine._noisy(value, self.owed, out=value if self.private else None)
-            value.setflags(write=False)
-            self._value, self.pending, self.owed, self.private = value, None, 0.0, False
+            value = self._engine._noisy(value, self.owed)
         elif self._value is None:
             raise EngineError(
                 f"{self!r}: its value and owed noise moved into another ciphertext; "
                 "HESimulator.share it before its first use to use it twice"
             )
-        elif self.private:
-            self._value.setflags(write=False)
-            self.private = False
-        return self._value
+        else:
+            return self._value
+        value.setflags(write=False)
+        self._value, self.pending, self.owed, self.private = value, None, 0.0, None
+        return value
 
     def _spend(self) -> tuple[np.ndarray | None, tuple | None, float]:
-        """The value or terms and the owed noise, handed over, a private
-        value read-only; leaves it spent."""
-        taken = self._value, self.pending, self.owed
-        if self.private:
-            self._value.setflags(write=False)
-        self._value, self.pending, self.owed, self.private = None, None, 0.0, False
+        """The value, a private one's computed, or terms and the owed noise,
+        handed over read-only; leaves it spent."""
+        value = self._value if self.private is None else self.private.compute(self.params.slot_count)
+        taken = value, self.pending, self.owed
+        if value is not None:
+            value.setflags(write=False)
+        self._value, self.pending, self.owed, self.private = None, None, 0.0, None
         return taken
 
-    def _own(self) -> tuple[np.ndarray, float]:
-        """A private one's writeable array and owed noise, handed over to
-        the op that writes its result there; leaves it spent."""
-        taken = self._value, self.owed
-        self._value, self.owed, self.private = None, 0.0, False
+    def _own(self) -> tuple[_Program, float]:
+        """A private one's program and owed noise, handed over to the op that
+        extends it; leaves it spent."""
+        taken = self.private, self.owed
+        self.owed, self.private = 0.0, None
         return taken
 
     def __repr__(self):
         if self.pending is not None:
             state = f"pending: {len(self.pending)} terms, owed={self.owed:g}"
+        elif self.private is not None:
+            state = f"private, owing {self.owed:g}" if self.owed else "private"
         elif self._value is None:
             state = "spent"
-        elif self.private:
-            state = f"private, owing {self.owed:g}" if self.owed else "private"
         elif self.owed:
             state = f"owing {self.owed:g}"
         else:
             return super().__repr__()
         return f"Ciphertext(level={self.level}, {state}, n={self.params.slot_count})"
+
+
+# Columns of a program's tile: the product of its batches over that many
+# columns of their rows, then every step of the program, on buffers that
+# stay in cache.  A degree-1024 ``ps_eval`` at 2^16 slots reads its 16
+# baby-step rows once, in 16 tiles of 512 KB, where each batch of 4 leaves
+# read all 8 MB; 4096 columns computed its programs in 5.7 ms per
+# polynomial, against 5.9 at 8192 and 6.2 at 2048 or 16384.
+_TILE = 4096
+
+
+class _Batch:
+    """The pending sums one ``realise`` recorded: their ``scales`` over the
+    rows of ``array``, one row of scales per member ``_Program``, which it
+    refers to weakly, so that no cycle keeps the rows alive."""
+
+    __slots__ = ("scales", "array", "members")
+
+    def __init__(self, scales: np.ndarray, array: np.ndarray):
+        self.scales = scales
+        self.array = array
+        self.members: list[weakref.ref] = []
+
+    def program(self, row: int) -> _Program:
+        """The program of the member whose scales are row ``row``."""
+        program = _Program(batch=self, row=row)
+        self.members.append(weakref.ref(program))
+        return program
+
+    def compute(self, n: int):
+        """Each live member's row of the product into an array of its own,
+        through a scratch tile no larger than one slot vector."""
+        members = [ref() for ref in self.members]
+        for member in members:
+            if member is not None:
+                member.value = np.empty(n)
+        # a power of two, so the tiles cover the slots exactly
+        width = max(1, min(_TILE, n >> (len(self.scales) - 1).bit_length()))
+        tile = np.empty((len(self.scales), width))
+        for lo in range(0, n, width):
+            np.matmul(self.scales, self.array[:, lo : lo + width], out=tile)
+            for member, row in zip(members, tile):
+                if member is not None:
+                    member.value[lo : lo + width] = row
+        for member in members:
+            if member is not None:
+                member.batch = None
+
+
+class _Program:
+    """A private value: its source, then ``steps`` in issue order.
+
+    The source is ``value``, an array of its own, or, while ``batch`` is
+    set, row ``row`` of that batch's product.  A step is (``"add_plain"``,
+    scalar, None), (``"mul"``, array, None) or (``"add"``, operand, scale),
+    which adds ``operand * scale`` as ``_accumulate`` does, its operand an
+    array or a nested program, computed first.
+    """
+
+    __slots__ = ("value", "batch", "row", "steps", "__weakref__")
+
+    def __init__(self, value: np.ndarray | None = None, batch: _Batch | None = None, row: int = 0):
+        self.value = value
+        self.batch = batch
+        self.row = row
+        self.steps: list[tuple] = []
+
+    def extend(self, op: str, operand, scale: float | None = None):
+        """Append the step (``op``, ``operand``, ``scale``).  A computed
+        program runs it at once in its own array, unless its operand is a
+        program not yet computed, as after a noisy ``mul`` computed it."""
+        self.steps.append((op, operand, scale))
+        if self.batch is None and len(self.steps) == 1:
+            if type(operand) is not _Program or (operand.batch is None and not operand.steps):
+                self._tile(slice(None), {})
+                self.steps = []
+
+    def compute(self, n: int) -> np.ndarray:
+        """The value, noise-free, in an array of its own, which the program
+        keeps as its source, with no steps left.
+
+        A batch of which the tree reads only some members, as a noisy
+        walk's first ``mul`` of a leaf does, is computed first, each live
+        member's row into an array of its own, so that no batch is computed
+        twice; the steps then run in place, one pass each.  The batches of
+        which the tree reads every live member, as a noise-free walk's read
+        does, stack their scales into one BLAS product per tile of
+        ``_TILE`` columns over the rows they share, and each tile runs the
+        whole tree in place: a leaf's steps in its product row, a computed
+        source's in its array.
+        """
+        if self.batch is None and not self.steps:
+            return self.value
+        leaves, stack = {}, [self]
+        while stack:
+            program = stack.pop()
+            if program.batch is not None:
+                leaves[program] = None
+            stack.extend(operand for _, operand, _ in program.steps if type(operand) is _Program)
+        for batch in dict.fromkeys(program.batch for program in leaves):
+            members = (ref() for ref in batch.members)
+            if any(member is not None and member not in leaves for member in members):
+                batch.compute(n)
+        groups: dict[int, tuple[np.ndarray, dict[_Batch, None]]] = {}
+        for program in leaves:
+            if program.batch is not None:
+                groups.setdefault(id(program.batch.array), (program.batch.array, {}))[1][program.batch] = None
+        if not groups:
+            self._tile(slice(None), {})
+            self.steps = []
+            return self.value
+        out = np.empty(n) if self.batch is not None else self.value
+        width = min(_TILE, n)
+        stacked, products = [], {}
+        for array, group in groups.values():
+            scales = np.concatenate([batch.scales for batch in group])
+            product = np.empty((len(scales), width))
+            stacked.append((scales, array, product))
+            for batch in group:
+                products[batch], product = product[: len(batch.scales)], product[len(batch.scales) :]
+        for lo in range(0, n, width):
+            cols = slice(lo, lo + width)
+            for scales, array, product in stacked:
+                np.matmul(scales, array[:, cols], out=product)
+            tile = self._tile(cols, products)
+            if self.batch is not None:
+                out[cols] = tile
+        self.value, self.batch, self.steps = out, None, []
+        return out
+
+    def _tile(self, cols: slice, products: dict) -> np.ndarray:
+        """The value over the columns ``cols``, computed in its source's tile."""
+        value = self.value[cols] if self.batch is None else products[self.batch][self.row]
+        for op, operand, scale in self.steps:
+            if op == "add_plain":
+                value += operand
+            elif op == "mul":
+                np.multiply(value, operand[cols], out=value)
+            else:
+                base = operand._tile(cols, products) if type(operand) is _Program else operand[cols]
+                _accumulate(value, base, scale, None)
+        return value
 
 
 def _fold(terms: tuple, out: np.ndarray | None = None) -> np.ndarray:
@@ -327,12 +487,6 @@ class CostReport:
     ind_evals: int = 0
     levels_consumed: int = 0
 
-
-# Columns of the baby-step array that one BLAS product of ``realise`` reads
-# at most; fewer where the scratch tile, that many columns of each sum, would
-# exceed one slot vector.  At 2^16 slots a batch of 4 sums takes a 256 KB
-# tile, where one product of the whole batch would take a 2 MB block.
-_REALISE_TILE = 8192
 
 _COUNTERS = tuple(f"_{f.name}" for f in fields(CostReport))
 _read_counters = operator.attrgetter(*_COUNTERS)
@@ -413,16 +567,17 @@ class HESimulator:
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x + p``, one addition; a scalar ``p`` of exactly +-0 returns
-        ``x`` itself, uncharged.  A private ``x`` takes the sum in its array."""
+        ``x`` itself, uncharged.  A private ``x`` and a scalar ``p`` append
+        the sum to its program."""
         self._check(x)
         p = self._plain_operand(p)
         if isinstance(p, float) and p == 0.0:
             return x
         self._additions += 1
-        if x.private:
-            value, owed = x._own()
-            value += p
-            return self._emit(value, x.level, x.rot_chain, owed + self._op_noise, private=True)
+        if x.private is not None and isinstance(p, float):
+            program, owed = x._own()
+            program.extend("add_plain", p)
+            return self._emit(None, x.level, x.rot_chain, owed + self._op_noise, program=program)
         fresh = x.pending is not None  # a fold is a fresh array: add into it
         value, owed = self._take(x)
         if fresh:
@@ -433,19 +588,21 @@ class HESimulator:
 
     def mul(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         """``x * y``, one ct-ct product and one level.  A private ``x`` other
-        than ``y`` draws the noise it owes into its array, as a read would,
-        and takes the product there."""
+        than ``y`` appends the product to its program; one that owes noise
+        is computed first and the noise drawn into it, as a read would."""
         self._check(x, y)
         level = min(x.level, y.level)
         if level < 1:
             raise DepthBudgetError(level)
         chain = max(x.rot_chain, y.rot_chain)
-        if x.private and x is not y:
-            value, owed = x._own()
-            self._noisy(value, owed, out=value)
-            np.multiply(value, y.slots, out=value)
+        if x.private is not None and x is not y:
+            program, owed = x._own()
+            if owed:
+                value = program.compute(self.params.slot_count)
+                self._noisy(value, owed, out=value)
+            program.extend("mul", y.slots)
             self._ctct_mults += 1
-            return self._emit(value, level - 1, chain, self._op_noise, private=True)
+            return self._emit(None, level - 1, chain, self._op_noise, program=program)
         slots = x.slots * y.slots
         self._ctct_mults += 1
         return self._emit(slots, level - 1, chain, self._op_noise)
@@ -528,20 +685,20 @@ class HESimulator:
         return Ciphertext(row, ct.level, ct.rot_chain, self.params)
 
     def realise(self, cts: list[Ciphertext], rows: list[Ciphertext]) -> list[Ciphertext]:
-        """Compute every pending sum of ``cts`` from ``rows`` into an array of
-        its own, return ``cts`` and leave each such sum private; charges
-        nothing.
+        """Record every pending sum of ``cts`` as a private program over
+        ``rows`` and return ``cts``; charges and computes nothing.
 
         ``rows`` names the ciphertexts that ``copy_into`` wrote into rows 0,
         1, ... of one 2D array, all of them in order, and every base of the
-        pending sums must be one of them, else ``ValueError``.  The batch is
-        the product of the matrix of their scales by that array, one BLAS
-        product per column tile into a scratch buffer no larger than one
-        slot vector, each tile then copied out to its sums.  It reads each
-        base once, and rounds each slot within a few ulps of
-        sum_i |scale_i * base_i| of the left-to-right fold.  Each pending
-        sum is then private, owing if it owes noise.  An owing or read
-        ciphertext is left as it is; a spent one raises ``EngineError``.
+        pending sums must be one of them, else ``ValueError``.  The sums
+        form one batch: the product of the matrix of their scales by that
+        array, which the first program to read any of them computes in one
+        pass over column tiles, reading each base once per tile.  It rounds
+        each slot within a few ulps of sum_i |scale_i * base_i| of the
+        left-to-right fold.  Each pending sum is then private, owing if it
+        owes noise.  An owing, private or read ciphertext is left as it is;
+        a spent one raises ``EngineError``.  The rows are read when a program
+        is computed, so their array must not be written again before then.
         """
         self._check(*cts)
         array = rows[0].slots.base if rows else None
@@ -551,7 +708,8 @@ class HESimulator:
             and all(r.slots.base is array and np.may_share_memory(r.slots, a) for r, a in zip(rows, array))
         ):
             raise ValueError("realise: rows must be every row of one 2D array, in order, as copy_into wrote them")
-        self.share(*[c for c in cts if c.pending is None and not c.owed])  # a spent operand raises
+        # a spent operand raises
+        self.share(*[c for c in cts if c.pending is None and c.private is None and not c.owed])
         pending = [c for c in cts if c.pending is not None]
         if not pending:
             return list(cts)
@@ -563,18 +721,9 @@ class HESimulator:
                 if k is None:
                     raise ValueError("realise: every base of a pending sum must be one of the rows it is told")
                 row[k] += scale
-        scales = np.array(weights)
-        n = self.params.slot_count
-        # a power of two, so the tiles cover the slots exactly
-        width = max(1, min(_REALISE_TILE, n >> (len(pending) - 1).bit_length()))
-        tile = np.empty((len(pending), width))
-        values = [np.empty(n) for _ in pending]
-        for lo in range(0, n, width):
-            np.matmul(scales, array[:, lo : lo + width], out=tile)
-            for value, row in zip(values, tile):
-                value[lo : lo + width] = row
-        for ct, value in zip(pending, values):
-            ct._value, ct.pending, ct.private = value, None, True
+        batch = _Batch(np.array(weights), array)
+        for k, ct in enumerate(pending):
+            ct.pending, ct.private = None, batch.program(k)
         return list(cts)
 
     def share(self, *cts: Ciphertext) -> tuple[Ciphertext, ...]:
@@ -650,9 +799,9 @@ class HESimulator:
         ``x + x`` is ``x`` scaled by 2 and ``x - x`` is +0.0, both taking
         ``x``.  A later pending operand of several terms is folded into one,
         as the eager chain would, and ``b * -s`` is ``-(b * s)`` exactly.
-        A private ``x`` that is none of ``ys`` takes the sum in its array.
+        A private ``x`` that is none of ``ys`` appends the sum to its program.
         """
-        if x.private and all(y is not x for y in ys):
+        if x.private is not None and all(y is not x for y in ys):
             return self._sum_into(x, ys, sign)
         level, chain = x.level, x.rot_chain
         if x.pending is None and not x.owed and x is not ys[0]:
@@ -706,27 +855,31 @@ class HESimulator:
         return self._emit(total, level, chain, owed)
 
     def _sum_into(self, x: _Deferred, ys: tuple[Ciphertext, ...], sign: float) -> Ciphertext:
-        """``_sum`` of a private ``x``, each term added into its array in the
-        order, and to the doubles, of the fold of the pending sum ``_sum``
-        would build; returned private.  ``x`` is taken, and each of ``ys``
-        as ``_sum`` takes it."""
-        value, owed = x._own()
-        level, chain, term = x.level, x.rot_chain, None
+        """``_sum`` of a private ``x``: each term appended to its program, in
+        the order, and to the doubles, of the fold of the pending sum
+        ``_sum`` would build; returned private.  ``x`` is taken, a private
+        one of ``ys`` nested in the program and spent, and each other one
+        taken as ``_sum`` takes it."""
+        program, owed = x._own()
+        level, chain = x.level, x.rot_chain
         for y in ys:
             if y.level < level:
                 level = y.level
             if y.rot_chain > chain:
                 chain = y.rot_chain
-            if y.pending is None:
-                base, y_owed = self._take(y)
+            if y.private is not None:
+                operand, y_owed = y._own()
+                scale = sign
+            elif y.pending is None:
+                operand, y_owed = self._take(y)
                 scale = sign
             else:
                 _, y_terms, y_owed = y._spend()
-                base, scale = y_terms[0] if len(y_terms) == 1 else (_fold(y_terms), 1.0)
+                operand, scale = y_terms[0] if len(y_terms) == 1 else (_fold(y_terms), 1.0)
                 scale *= sign
-            term = _accumulate(value, base, scale, term)
+            program.extend("add", operand, scale)
             owed += y_owed + self._op_noise
-        return self._emit(value, level, chain, owed, private=True)
+        return self._emit(None, level, chain, owed, program=program)
 
     @staticmethod
     def _take(x: Ciphertext, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -766,15 +919,15 @@ class HESimulator:
         rot_chain: int,
         owed: float = 0.0,
         terms: tuple | None = None,
-        private: bool = False,
+        program: _Program | None = None,
     ) -> Ciphertext:
         """A read ciphertext of ``slots``, owing if ``owed``, or pending, or
-        private: ``slots`` its own array, left writeable."""
+        private: ``program`` its value."""
         consumed = self.params.max_level - level
         if consumed > self._levels_consumed:
             self._levels_consumed = consumed
-        if terms is None and not owed and not private:
+        if terms is None and not owed and program is None:
             # every op passes a float64 array of its own (ideal_map coerces
             # the function's result), so it is stored as is and made read-only
             return Ciphertext(slots, level, rot_chain, self.params)
-        return _Deferred(slots, terms, owed, level, rot_chain, self, private)
+        return _Deferred(slots, terms, owed, level, rot_chain, self, program)

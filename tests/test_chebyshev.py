@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from slotrank import (
     rank_corrected,
     sort,
 )
-from slotrank import chebyshev
+from slotrank import chebyshev, engine
 
 
 def make_engine(slot_count=64, max_level=40, sigma=0.0):
@@ -294,33 +295,50 @@ def test_powers_build_one_parity_and_the_powers_of_two(kind, d):
         assert np.allclose(eng.decrypt(ct), np.cos(i * np.arccos(np.linspace(-1, 1, 16))), atol=1e-9), i
 
 
-def test_ps_eval_computes_each_leaf_batch_as_one_product():
-    # realise is told the baby-step rows and computes a batch of leaves in
-    # one pass over them, each leaf into an array of its own, which the walk
-    # then writes its nodes into
+def test_ps_eval_computes_its_walk_once_at_the_share_of_its_result(monkeypatch):
+    # realise records each batch of leaves as private programs over the
+    # baby-step rows, charging and computing nothing; the walk's ops append
+    # themselves to those programs, and only the share of the result, read
+    # before ps_eval returns it, computes the tree, once
     poly = chebyshev._step_poly(1024)
     eng = make_engine(slot_count=256)
-    realise, batches = eng.realise, []
+    realise, share, batches, computes, sharing = eng.realise, eng.share, [], [], []
 
-    def spy(cts, rows=()):
+    def recorded(cts, rows):
+        before = eng.cost_snapshot()
         out = realise(cts, rows)
-        batches.append([(c.private, c._value.base is None, id(c._value)) for c in out])
+        assert eng.cost_snapshot() == before
+        batches.append([(c.private.value, c.private.steps[:]) for c in out])
         return out
 
-    eng.realise = spy
+    def shared(*cts):
+        sharing.append(True)
+        try:
+            return share(*cts)
+        finally:
+            sharing.pop()
+
+    compute = engine._Program.compute
+
+    def counted(program, n):
+        computes.append(bool(sharing))
+        return compute(program, n)
+
+    eng.realise, eng.share = recorded, shared
+    monkeypatch.setattr(engine._Program, "compute", counted)
     xs = np.random.default_rng(9).uniform(-1.0, 1.0, 256)
-    ps_eval(eng, eng.encrypt(xs), poly)
+    out = ps_eval(eng, eng.encrypt(xs), poly)
     plan = chebyshev._plan(tuple(poly.coeffs), 32)
-    assert len(batches) == math.ceil(len(plan.leaves) / chebyshev._LEAF_BATCH)
-    assert [len(b) for b in batches[:-1]] == [chebyshev._LEAF_BATCH] * (len(batches) - 1)
-    for batch in batches:
-        assert all(private and owner for private, owner, _ in batch)
-        assert len({array for _, _, array in batch}) == len(batch)
+    assert [len(b) for b in batches] == [chebyshev._LEAF_BATCH] * (len(plan.leaves) // chebyshev._LEAF_BATCH)
+    assert all(value is None and steps == [] for batch in batches for value, steps in batch)
+    assert computes == [True]
+    assert np.max(np.abs(out.slots - cheb_eval(poly, xs))) < 1e-9
 
 
-# The giant-step walk runs in its leaves' own arrays, so it must write no
-# array it reads.  Each digest is the sha256 prefix of the output doubles,
-# which the walk that allocated a fresh array at every node gave too.
+# The giant-step walk runs in place, in its leaves' product tiles or in
+# arrays of their own, so it must write no array it reads.  Each digest is
+# the sha256 prefix of the output doubles, which the walk that allocated a
+# fresh array at every node gave too.
 IN_PLACE_POLYS = {
     "odd step": lambda d: chebyshev._step_poly(d),
     "centred window": lambda d: chebyshev._window_poly(-0.25, 0.25, -1.0, 1.0, d),
@@ -369,8 +387,42 @@ def test_in_place_walk_writes_only_its_own_arrays(name, degree, sigma):
     eng.share, eng.copy_into = shared, copied
     out = ps_eval(eng, x, IN_PLACE_POLYS[name](degree))
     assert len(seen) > 3 and all(c.slots.tobytes() == b for c, b in seen)
-    assert not out.private and not out.slots.flags.writeable
+    assert out.private is None and not out.slots.flags.writeable
     assert hashlib.sha256(out.slots.tobytes()).hexdigest()[:16] == PINNED_IN_PLACE[(name, degree, sigma)]
+
+
+@pytest.mark.parametrize(
+    "name,degree,sigma", list(PINNED_IN_PLACE), ids=[f"{n}-{d}-{'noisy' if s else 'exact'}" for n, d, s in PINNED_IN_PLACE]
+)
+def test_walk_in_narrow_tiles_gives_the_pinned_doubles(monkeypatch, name, degree, sigma):
+    # a program's tile width changes how often each BLAS product and step
+    # runs, never a double: 8 tiles of 32 columns at 256 slots give the
+    # digests of one whole-width tile, noisy ones included
+    monkeypatch.setattr(engine, "_TILE", 32)
+    eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
+    x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
+    out = ps_eval(eng, x, IN_PLACE_POLYS[name](degree))
+    assert hashlib.sha256(out.slots.tobytes()).hexdigest()[:16] == PINNED_IN_PLACE[(name, degree, sigma)]
+
+
+def test_ps_eval_peak_at_the_benchmark_shape():
+    # the degree-1024 step at 2^16 slots, noise-free, once its fit and plan
+    # are cached: 13.65 MB measured (tracemalloc), against 14.96 MB when each
+    # batch of four leaves was computed into arrays of their own and the walk
+    # ran in them; the baby-step rows and the giant powers now set the peak
+    poly = chebyshev._step_poly(1024)
+    eng = make_engine(slot_count=1 << 16, max_level=40)
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, 1 << 16)
+    ps_eval(eng, eng.encrypt(xs), poly)
+    x = eng.encrypt(xs)
+    tracemalloc.start()
+    try:
+        out = ps_eval(eng, x, poly)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(out.slots - cheb_eval(poly, xs))) < 1e-9
+    assert peak <= 1.02 * 13_650_016
 
 
 def test_noisy_ps_eval_is_reproducible():

@@ -40,6 +40,25 @@ def test_params_reject_a_negative_or_non_integer_seed(seed):
         HEParams(slot_count=8, max_level=4, seed=seed)
 
 
+def test_params_reject_a_fractional_max_level():
+    # a fresh ciphertext would sit at level 2.5, and one product later at 1.5
+    with pytest.raises(ValueError, match="max_level must be an integer, got 2.5"):
+        HEParams(slot_count=8, max_level=2.5)
+
+
+def test_params_reject_a_bool_max_level():
+    # True compares as 1, so it would pass as a budget of one level
+    with pytest.raises(ValueError, match="max_level must be an integer, got True"):
+        HEParams(slot_count=8, max_level=True)
+
+
+def test_params_reject_a_float_slot_count():
+    # 8.0 is a power of two by value, but the bit test raised an unnamed TypeError
+    with pytest.raises(ValueError, match="slot_count must be an integer, got 8.0"):
+        HEParams(slot_count=8.0, max_level=4)
+    assert HEParams(slot_count=np.int64(8), max_level=np.int64(4)).max_level == 4  # numpy integers pass
+
+
 def test_encrypt_pads_with_zeros():
     eng = make_engine()
     ct = eng.encrypt([1, 2, 3])
@@ -452,8 +471,8 @@ def test_realise_matches_fold_within_rounding():
         out = eng.realise([sums[0], concrete, *sums[1:]], shared)
         assert out[1] is concrete
         results = [out[0], *out[2:]]
-        # each sum owns an array of its own, private until it is read
-        assert all(res.private and res._value.base is None for res in results)
+        # each sum is a private program, computed only when it is read
+        assert all(res.private is not None and res._value is None for res in results)
         for res, fold, bound in zip(results, folds, bounds):
             assert res.pending is None
             assert np.all(np.abs(res.slots - fold) <= 1e-14 * bound)
@@ -498,8 +517,10 @@ def test_realise_takes_one_product_only_over_the_rows_it_is_told():
         return [eng.add(*terms()), eng.add(*terms()[::-1])]
 
     product = eng.realise(sums(), rows)
-    assert all(c.private and c._value.base is None for c in product)
-    assert not np.shares_memory(product[0]._value, product[1]._value)
+    assert all(c.private is not None and c._value is None for c in product)
+    # the first read computes the batch, the other sum's row into an array of its own
+    assert not np.shares_memory(product[0].slots, product[1].slots)
+    assert all(c.slots.base is None and not np.shares_memory(c.slots, rows[0].slots.base) for c in product)
     # a base outside the rows is refused, a computed operand's value included
     for batch in (sums([outside]), [eng.add(eng.mul_plain(rows[0], 0.5), eng.encrypt(vs[1]))]):
         with pytest.raises(ValueError, match="must be one of the rows"):
@@ -817,11 +838,12 @@ def test_realise_keeps_the_drawn_noise_and_charges_nothing():
         out = eng.realise([sums[0], concrete, *sums[1:]], rows)
         assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
         assert all(a is b for a, b in zip(out, [sums[0], concrete, *sums[1:]]))
-        # computed, but the noise of 4 products and 3 sums is still owed
-        assert all(c.pending is None and c._value is not None and c.owed == 7 for c in sums)
-        # an owing value has nothing to fold: a second batch leaves it as it is
-        computed = [c._value for c in sums]
-        assert all(c._value is v and c.owed == 7 for c, v in zip(eng.realise(sums, rows), computed))
+        # recorded, not computed, and the noise of 4 products and 3 sums is still owed
+        assert all(c.pending is None and c.private is not None and c._value is None and c.owed == 7 for c in sums)
+        # a private value has nothing to fold: a second batch leaves it as it is
+        programs = [c.private for c in sums]
+        assert all(c.private is p and c.owed == 7 for c, p in zip(eng.realise(sums, rows), programs))
+        assert eng.cost_snapshot() == before
         values = [c.slots for c in sums]  # the reads draw it
         assert all(c.pending is None and c.owed == 0 for c in sums)
         assert all(not v.flags.writeable for v in values)
@@ -833,21 +855,25 @@ def test_realised_noise_joins_the_op_that_takes_it_over():
     n = 1 << 16
     eng, (leaf,), rows = noisy_sums(n, 1, 3, seed=6)
     _, (exact,), _ = noisy_sums(n, 1, 3, sigma=0.0)
-    eng.realise([leaf], rows)  # into an array of its own, still owing
-    assert leaf.pending is None and leaf.private and leaf._value.base is None and leaf.owed == 5
-    array = leaf._value
+    eng.realise([leaf], rows)  # a program of its own, still owing
+    assert leaf.pending is None and leaf.private is not None and leaf.owed == 5
+    program = leaf.private
     x = eng.encrypt(np.ones(n))
-    # as the giant-step walk adds a constant and a product to a leaf, in its array
+    # as the giant-step walk adds a constant and a product to a leaf: two
+    # steps of its program, which the read computes into its own array
     out = eng.add(eng.add_plain(leaf, 0.5), eng.mul(x, x))
-    assert out.owed == 5 + 1 + 1 + 1 and out.private and out._value is array
+    assert out.owed == 5 + 1 + 1 + 1 and out.private is program and len(program.steps) == 2
+    assert program.value is None  # nothing is computed before the read
     with pytest.raises(EngineError, match="spent"):
         leaf.slots
     assert abs(np.std(out.slots - (exact.slots + 1.5)) / (SIGMA * np.sqrt(8.0)) - 1.0) < 0.03
+    assert out.slots is program.value  # computed once, into the program's own array
 
 
-# A realised sum is private: its array is its own, and ``add``, ``sub``,
-# ``add_plain`` and ``mul`` with it as first operand write their result
-# there, with the doubles and noise draws of the same op on a read copy.
+# A realised sum is private: a program nothing else holds, and ``add``,
+# ``sub``, a scalar ``add_plain`` and ``mul`` with it as first operand append
+# themselves to it, computed at the read into one array of its own, with the
+# doubles and noise draws of the same ops on a computed copy.
 
 PRIVATE_OPS = {
     "add": lambda e, p, y: e.add(p, y, y),
@@ -869,28 +895,34 @@ def private_leaf(sigma, seed=15, n=1 << 12):
 
 
 def read_copy(leaf):
-    """``leaf`` made a read-only copy of its value, as it was before ciphertexts
-    could be private; its owed noise stays owed."""
-    leaf._value = leaf._value.copy()
+    """``leaf`` computed into a read-only array, as it would be if ciphertexts
+    could not be private; its owed noise stays owed."""
+    leaf._value = leaf.private.compute(leaf.params.slot_count).copy()
     leaf._value.setflags(write=False)
-    leaf.private = False
+    leaf.private = None
     return leaf
 
 
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
 @pytest.mark.parametrize("op", PRIVATE_OPS)
 def test_op_on_a_private_operand_runs_in_its_array(op, sigma):
+    # the op appends itself to the leaf's program, which the read computes
+    # into an array of its own; a noisy mul computes it first, to draw the
+    # noise it owes, and then multiplies in that array at once
     eng, leaf, y = private_leaf(sigma)
-    array, owed = leaf._value, leaf.owed
-    assert array.flags.writeable and (owed > 0) == (sigma > 0) and "private" in repr(leaf)
+    program, owed = leaf.private, leaf.owed
+    assert program.value is None and (owed > 0) == (sigma > 0) and "private" in repr(leaf)
     out = PRIVATE_OPS[op](eng, leaf, y)
-    assert out.private and out._value is array and spent(leaf)
+    assert out.private is program and spent(leaf)
+    assert (program.value is not None) == (not program.steps) == (op == "mul" and sigma > 0)
     copy_eng, copy, copy_y = private_leaf(sigma)
     want = PRIVATE_OPS[op](copy_eng, read_copy(copy), copy_y)
-    assert not want.private and out.owed == want.owed and out.level == want.level
+    assert want.private is None and out.owed == want.owed and out.level == want.level
     assert eng.cost_snapshot() == copy_eng.cost_snapshot()
     # the same doubles, and the same draws from the same stream
-    assert same_doubles(out.slots, want.slots) and not out.private and not array.flags.writeable
+    value = out.slots
+    assert same_doubles(value, want.slots) and out.private is None and not value.flags.writeable
+    assert value is program.value and not program.steps
     after = [e.decrypt(e.add_plain(e.mul(e.encrypt(np.ones(1 << 12)), y), 1.0)) for e in (eng, copy_eng)]
     assert same_doubles(*after)
 
@@ -927,11 +959,48 @@ READS = {
 @pytest.mark.parametrize("read", READS)
 def test_read_makes_a_private_value_read_only(read):
     eng, leaf, y = private_leaf(0.0)
-    value = leaf._value.copy()
+    value = read_copy(private_leaf(0.0)[1]).slots
     READS[read](eng, leaf, y)
-    assert not leaf.private and not leaf.slots.flags.writeable and same_doubles(leaf.slots, value)
+    assert leaf.private is None and not leaf.slots.flags.writeable and same_doubles(leaf.slots, value)
     out = eng.add_plain(leaf, 0.5)  # a read value is left as it is
-    assert not out.private and same_doubles(leaf.slots, value) and same_doubles(out.slots, value + 0.5)
+    assert out.private is None and same_doubles(leaf.slots, value) and same_doubles(out.slots, value + 0.5)
+
+
+def private_pair(sigma, n=1 << 12):
+    """An engine and two private sums it realised as one batch from three rows."""
+    eng = make_engine(slot_count=n, sigma=sigma, seed=19)
+    rng = np.random.default_rng(20)
+    rows = encrypt_as_rows(eng, [rng.normal(size=n) for _ in range(3)])
+    sums = [eng.add(*[eng.mul_plain(r, s) for r, s in zip(rows, scales)]) for scales in ((0.7, -1.3, 0.2), (0.4, 0.9, -2.1))]
+    return (eng, *eng.realise(sums, rows))
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+def test_private_later_operand_nests_in_the_first_operands_program(sigma):
+    # the program is a tree: b is spent into a's, and the read computes the
+    # batch once, to the doubles and draws of the same op on computed copies
+    eng, a, b = private_pair(sigma)
+    program, nested, owed = a.private, b.private, a.owed + b.owed
+    out = eng.sub(a, b)
+    assert out.private is program and program.steps == [("add", nested, -1.0)]
+    assert spent(a) and spent(b) and out.owed == owed + (1 if sigma else 0)
+    copy_eng, copy_a, copy_b = private_pair(sigma)
+    want = copy_eng.sub(read_copy(copy_a), read_copy(copy_b))
+    assert same_doubles(out.slots, want.slots) and eng.cost_snapshot() == copy_eng.cost_snapshot()
+    with pytest.raises(EngineError, match="HESimulator.share"):
+        eng.add(eng.encrypt(np.ones(1 << 12)), b)
+
+
+def test_reading_one_member_computes_its_batch_once():
+    # the product takes every member's row: the other one keeps its row in
+    # an array of its own, and the rows of the batch are no longer read
+    eng, a, b = private_pair(0.0)
+    batch = a.private.batch
+    value = a.slots
+    assert b.private.batch is None and b.private.value is not None and not np.shares_memory(value, b.private.value)
+    copy_eng, copy_a, copy_b = private_pair(0.0)
+    assert same_doubles(value, read_copy(copy_a).slots) and same_doubles(b.slots, read_copy(copy_b).slots)
+    assert batch.members[1]() is None  # b's program went with its read
 
 
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
@@ -1087,7 +1156,7 @@ def nary_operands(eng, kinds, repeat):
 
 
 def spent(ct):
-    return ct.pending is None and getattr(ct, "_value", 0) is None
+    return ct.pending is None and ct.private is None and getattr(ct, "_value", 0) is None
 
 
 def left_fold_or_nary(nary, sigma, kinds, repeat):
