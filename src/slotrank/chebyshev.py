@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import Ciphertext, HESimulator, caller_path
+from .engine import Ciphertext, HESimulator, caller_path, require_integer
 
 __all__ = [
     "ChebyshevPolynomial",
@@ -86,9 +86,11 @@ class KernelConfig:
     """How the non-polynomial kernels are realised.
 
     mode: "ideal" or "chebyshev".
-    degree: approximation degree of the comparison kernel, whose inputs are
-        promised in [0, 1]; a window's are mapped onto [-1, 1] (``fit_map``).
-    indicator_degree: degree of the indicator kernel; defaults to ``degree``.
+    degree: approximation degree of the comparison kernel, an integer >= 1,
+        whose inputs are promised in [0, 1]; a window's are mapped onto
+        [-1, 1] (``fit_map``).
+    indicator_degree: degree of the indicator kernel, an integer >= 1;
+        defaults to ``degree``.
     tie_margin: shift applied by ``compare_gt_kernel`` and
         ``compare_ge_kernel`` in chebyshev mode to push exact ties off the
         step discontinuity.  No pipeline reads it or those kernels (every
@@ -108,6 +110,9 @@ class KernelConfig:
     def __post_init__(self):
         if self.mode not in ("ideal", "chebyshev"):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
+        require_integer("degree", self.degree)
+        if self.indicator_degree is not None:
+            require_integer("indicator_degree", self.indicator_degree)
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.indicator_degree is not None and self.indicator_degree < 1:
@@ -253,17 +258,21 @@ def _powers(
     from ``poly``'s interval onto [-1, 1], for each i in ``baby`` and
     ``giants``.
 
-    Each baby-step power is written into its row of one array as it is
-    built, in the order of ``baby``, so that ``HESimulator.realise``, told
-    those rows, records the leaves as products over them; the lower powers
-    built on the way are released unless wanted.  On a noise-free
-    engine, t is checked first by ``_require_inside``.
+    Each baby-step power is written into its row of ``HESimulator.rows``
+    as it is built, in the order of ``baby``, so that
+    ``HESimulator.realise``, told those rows, records the leaves as
+    products over them; the lower powers built on the way are released
+    unless wanted.  On a noisy engine the rows are one array, each power
+    computed into its row at its noise draw.  On a noise-free one no array
+    holds them and each power stays a program, which the tile pass of the
+    walk's result computes a tile at a time; t is checked first by
+    ``_require_inside``, which reads the input, not a copy.
     """
     a, b = poly.interval
     if (a, b) != (-1.0, 1.0):
         x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a)), -(a + b) / (b - a))
-    array = np.empty((len(baby), engine.params.slot_count))
-    rows = {i: (array, r) for r, i in enumerate(baby)}
+    table = engine.rows(len(baby))
+    rows = {i: (table, r) for r, i in enumerate(baby)}
     cache = {1: engine.copy_into(x, *rows[1]) if 1 in rows else x}
     _require_inside(engine, cache[1], poly)
     return {i: _power(engine, cache, rows, i) for i in baby + giants}
@@ -297,11 +306,14 @@ def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tu
     indices have the parity of i, so an odd or even polynomial builds only
     its own parity class and the powers of two.  Each T_i costs one
     ciphertext-ciphertext multiplication and two additions and has a
-    multiplication depth of ceil(log2 i).  The doubled product less
-    T_{2g-i} stays a pending sum, which ``copy_into`` folds into its row in
-    one pass; for i = 2g, less T_0 = 1 is an ``add_plain``, computed at once
-    and then copied.  A power with no row is shared, since several ops may
-    read it.
+    multiplication depth of ceil(log2 i).  On a noisy engine the doubled
+    product less T_{2g-i} stays a pending sum, which ``copy_into`` folds
+    into its row in one pass; for i = 2g, less T_0 = 1 is an ``add_plain``,
+    computed at once and then copied.  On a noise-free one the product of
+    a tiled power is a private power, and the doubling, the difference and
+    ``copy_into`` extend it as steps, computing nothing.  A power with no
+    row is shared, since several ops may read it: on a noise-free engine
+    that leaves it a program too.
     """
     if i not in cache:
         g = 1 << ((i - 1).bit_length() - 1)
@@ -428,21 +440,26 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
 
     The split of the polynomial into leaves of degree below the baby step
     and giant-step products is cached per (coefficients, baby step).  Each
-    call builds the powers first: the baby-step powers the leaves read, as
-    rows of one array, then the giant powers and whatever lower powers those
-    need, which it releases unless read.  Each leaf is its charged scalar
-    ``mul_plain`` products of baby-step rows and one n-ary ``add`` of them,
-    a pending sum of rows, which ``HESimulator.realise`` records as a
-    private program.  The walk of the giant-step tree takes the leaves in
-    turn and charges its ops as it issues them, but computes nothing: each
-    op appends itself to a leaf's program, which grows into the program of
-    the whole tree.  The read of the result, shared before it is returned,
-    computes it in column tiles: each batch's BLAS product over the tile of
-    the baby-step rows, then the walk on the tile, so the rows are read
-    once, not once per batch.  A quotient that is a constant, as at the top
-    of an even window of degree 2^k, makes its product a pending sum, and
-    the sum with the remainder computes the remainder's program first.  On a
-    noisy engine each walk ``mul`` computes its operand's program when it
+    call issues the powers first: the baby-step powers the leaves read, as
+    rows of ``HESimulator.rows``, then the giant powers and whatever lower
+    powers those need, which it releases unless read.  Each leaf is its
+    charged scalar ``mul_plain`` products of baby-step rows and one n-ary
+    ``add`` of them, a pending sum of rows, which ``HESimulator.realise``
+    records as a private program.  The walk of the giant-step tree takes
+    the leaves in turn and charges its ops as it issues them, but computes
+    nothing: each op appends itself to a leaf's program, which grows into
+    the program of the whole tree.  A quotient that is a constant, as at
+    the top of an even window of degree 2^k, makes its product a pending
+    term, which the sum with the remainder appends to the remainder's
+    program.  The read of the result, shared before it is returned,
+    computes it in column tiles.  On a noise-free engine each tile first
+    computes every power into a scratch, then each batch's BLAS product
+    over the scratch's baby-step rows, then the walk, its giant products
+    reading the scratch.  No power but the lowest is ever a full slot
+    vector: T_1 is the input itself, and only an even polynomial, whose
+    rows start at T_2, builds T_2 from the input at full width.  On a noisy
+    engine each power is computed at its noise draw, into its row of one
+    array, and each walk ``mul`` computes its operand's program when it
     draws the noise that owes, as a read would.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))

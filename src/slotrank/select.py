@@ -45,7 +45,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .chebyshev import KernelConfig, fit_map, goldschmidt_inverse, indicator_kernel
-from .engine import Ciphertext, HESimulator, caller_path
+from .engine import Ciphertext, HESimulator, caller_path, require_integer
 from .matrix import MatrixLayout, head_row_sums, rect_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
 
@@ -62,7 +62,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StatisticQuery:
-    """What to extract: kind in {"kth", "min", "max", "median", "percentile"}."""
+    """What to extract: kind in {"kth", "min", "max", "median", "percentile"};
+    ``k``, an integer >= 1, for "kth" and ``p`` in [0, 100] for "percentile"."""
 
     kind: str
     k: int | None = None
@@ -71,6 +72,8 @@ class StatisticQuery:
     def __post_init__(self):
         if self.kind not in ("kth", "min", "max", "median", "percentile"):
             raise ValueError(f"unknown statistic kind {self.kind!r}")
+        if self.kind == "kth" and self.k is not None:
+            require_integer("k", self.k)
         if self.kind == "kth" and (self.k is None or self.k < 1):
             raise ValueError("kind='kth' needs k >= 1")
         if self.kind == "percentile" and (self.p is None or not 0.0 <= self.p <= 100.0):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -405,14 +406,12 @@ def test_walk_in_narrow_tiles_gives_the_pinned_doubles(monkeypatch, name, degree
     assert hashlib.sha256(out.slots.tobytes()).hexdigest()[:16] == PINNED_IN_PLACE[(name, degree, sigma)]
 
 
-def test_ps_eval_peak_at_the_benchmark_shape():
-    # the degree-1024 step at 2^16 slots, noise-free, once its fit and plan
-    # are cached: 13.65 MB measured (tracemalloc), against 14.96 MB when each
-    # batch of four leaves was computed into arrays of their own and the walk
-    # ran in them; the baby-step rows and the giant powers now set the peak
-    poly = chebyshev._step_poly(1024)
-    eng = make_engine(slot_count=1 << 16, max_level=40)
-    xs = np.random.default_rng(0).uniform(-1.0, 1.0, 1 << 16)
+def warm_ps_eval_peak(slot_count, poly):
+    """The output and tracemalloc peak of ``ps_eval`` of ``poly`` on
+    ``slot_count`` uniform inputs in [-1, 1], noise-free, once its fit and
+    plan are cached."""
+    eng = make_engine(slot_count=slot_count, max_level=40)
+    xs = np.random.default_rng(0).uniform(-1.0, 1.0, slot_count)
     ps_eval(eng, eng.encrypt(xs), poly)
     x = eng.encrypt(xs)
     tracemalloc.start()
@@ -422,7 +421,72 @@ def test_ps_eval_peak_at_the_benchmark_shape():
     finally:
         tracemalloc.stop()
     assert np.max(np.abs(out.slots - cheb_eval(poly, xs))) < 1e-9
-    assert peak <= 1.02 * 13_650_016
+    return out, peak
+
+
+def test_ps_eval_peak_at_the_benchmark_shape():
+    # the degree-1024 step at 2^16 slots: 2,442,200 bytes measured, the output
+    # and a scratch of 4096 columns for 25 powers and 32 leaves; 13,650,016
+    # when the 16 baby-step rows and 5 giant powers were built at full width
+    _, peak = warm_ps_eval_peak(1 << 16, chebyshev._step_poly(1024))
+    assert peak <= 1.02 * 2_442_200
+
+
+def test_ps_eval_peak_does_not_grow_with_the_slot_count():
+    # the scratch holds a tile of each power and leaf, not a row: at 2^18
+    # slots 1.91 slot vectors measured, where full-width powers held 26.0
+    slot_count = 1 << 18
+    _, peak = warm_ps_eval_peak(slot_count, chebyshev._step_poly(1024))
+    assert peak <= 4 * 8 * slot_count
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9], ids=["exact", "noisy"])
+@pytest.mark.parametrize("name", ["odd step", "centred window"])
+def test_ps_eval_computes_no_power_at_full_width(monkeypatch, name, sigma):
+    # noise-free, every power copy_into and share return stays a program:
+    # the tile pass of the result computes it, never a read of its own; only
+    # the lowest is an array, the input itself (odd) or T_2 (even, built
+    # from the input before any row exists).  Noisy, each is read at its draw.
+    eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
+    x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
+    powers, copy_into, share = [], eng.copy_into, eng.share
+
+    def copied(ct, rows, i):
+        powers.append(copy_into(ct, rows, i))
+        return powers[-1]
+
+    def shared(*cts):
+        powers.extend(c for c in cts if c.level < x.level)
+        return share(*cts)
+
+    eng.copy_into, eng.share = copied, shared
+    ps_eval(eng, x, IN_PLACE_POLYS[name](1024))
+    powers.pop()  # the result, shared before it is returned
+    assert len(powers) >= 20
+    if sigma:
+        assert all(p.tiled is None for p in powers)
+        return
+    assert all(p.tiled is not None for p in powers)
+    computed = [p.tiled for p in powers if p.tiled.factors is None]
+    assert len(computed) == 1 and computed[0].value is not None
+    assert np.shares_memory(computed[0].value, x.slots) == (name == "odd step")
+
+
+def test_ps_eval_leaves_nothing_for_the_garbage_collector():
+    # the rows, powers and programs form no cycle: they go as ps_eval returns
+    poly = chebyshev._window_poly(-0.25, 0.25, -1.0, 1.0, 256)
+    eng = make_engine(slot_count=1 << 12, max_level=40)
+    x = eng.encrypt(np.random.default_rng(1).uniform(-1.0, 1.0, 1 << 12))
+    ps_eval(eng, x, poly)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        out = ps_eval(eng, x, poly)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current < 1.5 * out.slots.nbytes  # the output and small objects: no slot vector more
 
 
 def test_noisy_ps_eval_is_reproducible():
@@ -985,6 +1049,21 @@ def test_window_on_a_mapped_input_costs_no_map():
     np.testing.assert_allclose(outs[1], outs[0], atol=1e-9)
     raw, unit = reports
     assert (unit.ctpt_mults, unit.levels_consumed) == (raw.ctpt_mults - 1, raw.levels_consumed - 1)
+
+
+def test_kernel_config_rejects_a_non_integer_degree():
+    # 2.5 raised a TypeError deep inside cheb_fit, and True fitted degree 1
+    for degree in (2.5, True):
+        with pytest.raises(ValueError, match=f"degree must be an integer, got {degree!r}"):
+            KernelConfig(mode="chebyshev", degree=degree)
+    assert KernelConfig(mode="chebyshev", degree=np.int64(64)).degree == 64  # numpy integers pass
+
+
+def test_kernel_config_rejects_a_non_integer_indicator_degree():
+    for degree in (3.5, True):
+        with pytest.raises(ValueError, match=f"indicator_degree must be an integer, got {degree!r}"):
+            KernelConfig(mode="chebyshev", degree=64, indicator_degree=degree)
+    assert KernelConfig(mode="chebyshev", degree=64, indicator_degree=np.int32(32)).ind_degree == 32
 
 
 def test_kernel_config_validation():

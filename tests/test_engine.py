@@ -5,6 +5,7 @@ import pytest
 
 from slotrank import (
     CapacityError,
+    CostReport,
     DepthBudgetError,
     EngineError,
     HEParams,
@@ -50,6 +51,23 @@ def test_params_reject_a_bool_max_level():
     # True compares as 1, so it would pass as a budget of one level
     with pytest.raises(ValueError, match="max_level must be an integer, got True"):
         HEParams(slot_count=8, max_level=True)
+
+
+def test_params_reject_a_bool_seed():
+    # True is an integer to isinstance, and seeded the stream of seed 1
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got True"):
+        HEParams(slot_count=8, max_level=4, seed=True)
+    assert HEParams(slot_count=8, max_level=4, seed=np.uint32(3)).seed == 3  # numpy integers pass
+
+
+def test_params_reject_a_bool_noise_sigma():
+    # True is finite and non-negative, so it passed as a noise level of 1
+    with pytest.raises(ValueError, match="noise_sigma must be a real number, got True"):
+        HEParams(slot_count=8, max_level=4, noise_sigma=True)
+    with pytest.raises(ValueError, match="noise_sigma must be a real number, got '0'"):
+        HEParams(slot_count=8, max_level=4, noise_sigma="0")
+    assert HEParams(slot_count=8, max_level=4, noise_sigma=np.float32(0.5)).noise_sigma == 0.5
+    assert HEParams(slot_count=8, max_level=4, noise_sigma=0).noise_sigma == 0
 
 
 def test_params_reject_a_float_slot_count():
@@ -1003,6 +1021,159 @@ def test_reading_one_member_computes_its_batch_once():
     assert batch.members[1]() is None  # b's program went with its read
 
 
+# On a noise-free engine ``rows`` holds no array: ``copy_into`` makes each
+# row a tiled program, a ``mul`` with a tiled operand a private power, which
+# ``add(p, p)``, ``sub`` and ``add_plain`` extend, and ``share`` leaves it
+# tiled.  A tile pass computes the powers it reads into a scratch; any other
+# read computes a power at full width, to the doubles of the eager ops.
+
+
+def test_rows_hold_an_array_only_on_a_noisy_engine():
+    rows = make_engine(slot_count=64, sigma=SIGMA).rows(3)
+    assert type(rows) is np.ndarray and rows.shape == (3, 64)
+    rows = make_engine(slot_count=64).rows(3)
+    assert not isinstance(rows, np.ndarray) and len(rows) == 3
+
+
+def power_inputs(n=1 << 12):
+    rng = np.random.default_rng(35)
+    return [rng.uniform(-1.0, 1.0, n) for _ in range(3)]
+
+
+@pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
+def test_power_built_on_tiled_rows_stays_a_program_until_read(even):
+    # T_i = 2 T_a T_b - T_c as the baby steps build it, on rows no array holds
+    a, b, c = power_inputs()
+    eng = make_engine(slot_count=a.size)
+    rows = eng.rows(3)
+    x = eng.encrypt(a)
+    ta = eng.copy_into(x, rows, 0)
+    tc = eng.copy_into(eng.mul_plain(eng.encrypt(c), 1.0), rows, 2)
+    assert ta.tiled is not None and np.shares_memory(ta.slots, x.slots)  # a read value is its own row
+    prod = eng.mul(ta, eng.encrypt(b))
+    assert prod.private is not None and prod.private.factors is not None and prod.private.value is None
+    doubled = eng.add(prod, prod)
+    power = eng.add_plain(doubled, -1.0) if even else eng.sub(doubled, tc)
+    program = power.private
+    assert spent(prod) and spent(doubled) and program is not None and program.value is None
+    before = eng.cost_snapshot()
+    copy = eng.copy_into(power, rows, 1)
+    assert eng.cost_snapshot() == before == CostReport(ctct_mults=1, additions=2, levels_consumed=1)
+    assert spent(power) and copy.tiled is program and program.value is None and "tiled" in repr(copy)
+    assert (copy.level, copy.rot_chain) == (9, 0)
+    eager = (a * b + a * b) + -1.0 if even else (a * b + a * b) - c
+    value = copy.slots  # computed once, at full width, and kept
+    assert same_doubles(value, eager) and not value.flags.writeable
+    assert copy.slots is value and copy.tiled is program and program.factors is None
+    # a tiled row is read, not taken: every op may use it again
+    assert same_doubles(eng.add(copy, copy).slots, eager + eager)
+    assert same_doubles(eng.decrypt(copy), eager)
+
+
+def test_share_leaves_a_private_power_tiled():
+    a, b, _ = power_inputs()
+    eng = make_engine(slot_count=a.size)
+    row = eng.copy_into(eng.encrypt(a), eng.rows(1), 0)
+    square = eng.mul(row, row)
+    assert eng.share(square) == (square,) and square.tiled is not None and square.private is None
+    assert square.tiled.value is None and eng.share(square) == (square,)  # still not computed
+    fourth = eng.mul(square, square)
+    assert same_doubles(fourth.slots, (a * a) * (a * a))
+    assert square.tiled.value is None  # the read of fourth computed square in its scratch only
+    assert same_doubles(square.slots, a * a)
+    # a noisy engine gives an array: every value is read at its draw, as before
+    noisy = make_engine(slot_count=a.size, sigma=SIGMA)
+    row = noisy.copy_into(noisy.encrypt(a), noisy.rows(1), 0)
+    assert row.tiled is None and noisy.mul(row, row).private is None
+
+
+def test_realise_over_tiled_rows_gives_the_doubles_of_array_rows():
+    vs, scales = sum_inputs(slot_count=1 << 13, terms=4)
+    sums = {}
+    for kind in ("array", "tiled"):
+        eng = make_engine(slot_count=1 << 13)
+        rows = np.empty((4, 1 << 13)) if kind == "array" else eng.rows(4)
+        told = [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate(vs)]
+        batch = [eng.add(*[eng.mul_plain(r, s) for r, s in zip(told, np.roll(scales, k))]) for k in range(3)]
+        before = eng.cost_snapshot()
+        out = eng.realise(batch, told)
+        assert eng.cost_snapshot() == before and all(c.private is not None for c in out)
+        sums[kind] = [c.slots for c in out]
+        if kind == "tiled":
+            other = [eng.copy_into(eng.encrypt(v), eng.rows(2), i) for i, v in enumerate(vs[:2])]
+            wrong = {
+                "out of order": told[::-1],
+                "a row missing": told[:-1],
+                "rows of two tables": [*told[:2], *other],
+                "a shared power": [eng.share(eng.mul(told[0], told[1]))[0], *told[1:]],
+            }
+            for name, rows_told in wrong.items():
+                with pytest.raises(ValueError, match="every row of one 2D array"):
+                    eng.realise([eng.mul_plain(told[0], 0.5)], rows_told)
+    assert all(same_doubles(a, b) for a, b in zip(sums["array"], sums["tiled"]))
+
+
+def test_reading_one_member_over_tiled_rows_computes_its_batch_once():
+    # as over an array: the other member's row goes into an array of its own
+    vs, _ = sum_inputs(slot_count=1 << 12, terms=3)
+    values = {}
+    for kind in ("array", "tiled"):
+        eng = make_engine(slot_count=1 << 12)
+        rows = np.empty((3, 1 << 12)) if kind == "array" else eng.rows(3)
+        told = [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate(vs)]
+        scales = ((0.7, -1.3, 0.2), (0.4, 0.9, -2.1))
+        a, b = eng.realise([eng.add(*[eng.mul_plain(r, s) for r, s in zip(told, row)]) for row in scales], told)
+        first = a.slots
+        assert b.private.batch is None and b.private.value is not None
+        assert not np.shares_memory(first, b.private.value)
+        values[kind] = (first, b.slots)
+    assert all(same_doubles(x, y) for x, y in zip(values["array"], values["tiled"]))
+
+
+def test_walk_reads_a_tiled_power_in_its_tile_pass():
+    # the giant-step product of a private leaf by a power is a step of the
+    # leaf's program; the read computes the power in its scratch, never
+    # at full width
+    a, b, _ = power_inputs()
+    eng = make_engine(slot_count=a.size)
+    rows = eng.rows(2)
+    told = [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate((a, b))]
+    (leaf,) = eng.realise([eng.add(eng.mul_plain(told[0], 0.7), eng.mul_plain(told[1], -1.3))], told)
+    giant = eng.share(eng.mul(told[1], told[1]))[0]
+    out = eng.mul(eng.add_plain(leaf, 0.25), giant)
+    assert out.private is not None and out.private.steps[-1] == ("mul", giant.tiled, None)
+    want = ((a * 0.7 + b * -1.3) + 0.25) * (b * b)
+    assert np.all(np.abs(out.slots - want) <= 1e-15 * (np.abs(a) + np.abs(b) + 1.0))
+    assert giant.tiled.value is None and giant.tiled.factors is not None
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+def test_add_to_itself_doubles_a_private_program(sigma):
+    eng, leaf, y = private_leaf(sigma)
+    program, owed = leaf.private, leaf.owed
+    out = eng.add(leaf, leaf)
+    assert out.private is program and program.steps == [("mul", 2.0, None)] and spent(leaf)
+    copy_eng, copy, _ = private_leaf(sigma)
+    want = copy_eng.add(read_copy(copy), copy)
+    assert out.owed == want.owed == 4 * owed + (1 if sigma else 0)
+    assert same_doubles(out.slots, want.slots) and eng.cost_snapshot() == copy_eng.cost_snapshot()
+
+
+def test_pending_term_plus_a_private_value_is_a_step_of_its_program():
+    # b * s + p == p + b * s to the double, so the term joins p's program
+    eng, leaf, y = private_leaf(0.0)
+    program = leaf.private
+    out = eng.add(eng.mul_plain(y, 0.3), leaf)
+    assert out.private is program and program.steps == [("add", y.slots, 0.3)] and spent(leaf)
+    copy_eng, copy, copy_y = private_leaf(0.0)
+    want = copy_eng.add(copy_eng.mul_plain(copy_y, 0.3), read_copy(copy))
+    assert want.pending is not None  # a read operand keeps the pending sum
+    assert same_doubles(out.slots, want.slots) and eng.cost_snapshot() == copy_eng.cost_snapshot()
+    # an owing one keeps the pending sum, and its draws, as before
+    eng, leaf, y = private_leaf(SIGMA)
+    assert eng.add(eng.mul_plain(y, 0.3), leaf).pending is not None
+
+
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
 def test_copy_into_spends_a_pending_operand_and_draws_its_noise_in_the_row(sigma):
     # the row holds the doubles a read gives, noise included, and the noise
@@ -1156,7 +1327,7 @@ def nary_operands(eng, kinds, repeat):
 
 
 def spent(ct):
-    return ct.pending is None and ct.private is None and getattr(ct, "_value", 0) is None
+    return ct.pending is None and ct.private is None and ct.tiled is None and getattr(ct, "_value", 0) is None
 
 
 def left_fold_or_nary(nary, sigma, kinds, repeat):

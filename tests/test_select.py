@@ -35,6 +35,14 @@ def value_of(engine, ct):
     return float(engine.decrypt(ct)[0])
 
 
+def test_query_rejects_a_non_integer_k():
+    # 2.5 failed later, in the mask-norm check, and True was taken as k = 1
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            StatisticQuery("kth", k=k)
+    assert StatisticQuery("kth", k=np.int64(2)).k == 2  # numpy integers pass
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         StatisticQuery("smallest")
