@@ -71,10 +71,14 @@ class ChebyshevPolynomial:
 
     def __post_init__(self):
         a, b = self.interval
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval must have finite ends, got [{a}, {b}]")
         if not (a < b):
             raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
         if len(self.coeffs) == 0:
             raise ValueError("coefficient list must not be empty")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"coeffs must be finite, got {next(c for c in self.coeffs if not math.isfinite(c))}")
 
     @property
     def degree(self) -> int:
@@ -193,6 +197,7 @@ def cheb_fit(f, interval: tuple[float, float], degree: int) -> ChebyshevPolynomi
     a, b = interval
     if not (a < b):
         raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    require_integer("degree", degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n = degree + 1
@@ -251,31 +256,14 @@ def _split_by_cheb_power(coeffs: np.ndarray, g: int) -> tuple[np.ndarray, np.nda
     return q, work[:g]
 
 
-def _powers(
-    engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial, baby: tuple[int, ...], giants: tuple[int, ...]
-) -> dict[int, Ciphertext]:
-    """The Chebyshev basis polynomials T_i(t), t the affine map of ``x``
-    from ``poly``'s interval onto [-1, 1], for each i in ``baby`` and
-    ``giants``.
-
-    Each baby-step power is written into its row of ``HESimulator.rows``
-    as it is built, in the order of ``baby``, so that
-    ``HESimulator.realise``, told those rows, records the leaves as
-    products over them; the lower powers built on the way are released
-    unless wanted.  On a noisy engine the rows are one array, each power
-    computed into its row at its noise draw.  On a noise-free one no array
-    holds them and each power stays a program, which the tile pass of the
-    walk's result computes a tile at a time; t is checked first by
-    ``_require_inside``, which reads the input, not a copy.
-    """
+def _mapped(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ciphertext:
+    """t, the affine map of ``x`` from ``poly``'s interval onto [-1, 1]
+    (``x`` itself on [-1, 1]), checked by ``_require_inside``."""
     a, b = poly.interval
     if (a, b) != (-1.0, 1.0):
         x = engine.add_plain(engine.mul_plain(x, 2.0 / (b - a)), -(a + b) / (b - a))
-    table = engine.rows(len(baby))
-    rows = {i: (table, r) for r, i in enumerate(baby)}
-    cache = {1: engine.copy_into(x, *rows[1]) if 1 in rows else x}
-    _require_inside(engine, cache[1], poly)
-    return {i: _power(engine, cache, rows, i) for i in baby + giants}
+    _require_inside(engine, x, poly)
+    return x
 
 
 def _require_inside(engine: HESimulator, t: Ciphertext, poly: ChebyshevPolynomial):
@@ -297,34 +285,55 @@ def _require_inside(engine: HESimulator, t: Ciphertext, poly: ChebyshevPolynomia
         )
 
 
-def _power(engine: HESimulator, cache: dict[int, Ciphertext], rows: dict[int, tuple], i: int) -> Ciphertext:
-    """T_i from ``cache``, built there first if missing, into its row if
-    ``rows`` gives it one, as (array, index).
+def _powers(
+    engine: HESimulator, t: Ciphertext, baby: tuple[int, ...], giants: tuple[int, ...]
+) -> tuple[dict[int, Ciphertext], np.ndarray]:
+    """The Chebyshev basis polynomials T_i(t) of an input ``t`` on [-1, 1],
+    for each i in ``baby`` and ``giants``, and the rows that hold the baby
+    ones: one array, row r holding T_{baby[r]}.
+
+    Each power is read once it is built, its noise drawn, and a baby-step
+    one copied into its row, which its ciphertext then is; the lower powers
+    built on the way are released unless wanted.  On a zero-width probe of
+    ``t`` this charges the powers and builds nothing.
+    """
+    engine.share(t)  # T_1, which every power is built on
+    rows = np.empty((len(baby), t.slots.size))
+    slot = dict(zip(baby, rows))
+    cache = {1: _kept(t, slot.get(1))}
+    return {i: _power(engine, cache, slot, i) for i in baby + giants}, rows
+
+
+def _power(engine: HESimulator, cache: dict[int, Ciphertext], slot: dict[int, np.ndarray], i: int) -> Ciphertext:
+    """T_i from ``cache``, built there first if missing, and kept in its row
+    if ``slot`` gives it one.
 
     Each T_i is anchored at g, the largest power of two below i:
     T_i = 2 T_g T_{i-g} - T_{2g-i}, with T_0 = 1 when i = 2g.  Both lower
     indices have the parity of i, so an odd or even polynomial builds only
     its own parity class and the powers of two.  Each T_i costs one
     ciphertext-ciphertext multiplication and two additions and has a
-    multiplication depth of ceil(log2 i).  On a noisy engine the doubled
-    product less T_{2g-i} stays a pending sum, which ``copy_into`` folds
-    into its row in one pass; for i = 2g, less T_0 = 1 is an ``add_plain``,
-    computed at once and then copied.  On a noise-free one the product of
-    a tiled power is a private power, and the doubling, the difference and
-    ``copy_into`` extend it as steps, computing nothing.  A power with no
-    row is shared, since several ops may read it: on a noise-free engine
-    that leaves it a program too.
+    multiplication depth of ceil(log2 i).  ``_tile_pass`` runs the same
+    recurrence on the doubles.
     """
     if i not in cache:
         g = 1 << ((i - 1).bit_length() - 1)
-        prod = engine.mul(_power(engine, cache, rows, g), _power(engine, cache, rows, i - g))
+        prod = engine.mul(_power(engine, cache, slot, g), _power(engine, cache, slot, i - g))
         doubled = engine.add(prod, prod)
         if i == 2 * g:
             ct = engine.add_plain(doubled, -1.0)
         else:
-            ct = engine.sub(doubled, _power(engine, cache, rows, 2 * g - i))
-        cache[i] = engine.copy_into(ct, *rows[i]) if i in rows else engine.share(ct)[0]
+            ct = engine.sub(doubled, _power(engine, cache, slot, 2 * g - i))
+        cache[i] = _kept(engine.share(ct)[0], slot.get(i))
     return cache[i]
+
+
+def _kept(ct: Ciphertext, row: np.ndarray | None) -> Ciphertext:
+    """``ct``, read, or copied into ``row`` and made a ciphertext of it."""
+    if row is None:
+        return ct
+    np.copyto(row, ct.slots)
+    return Ciphertext(row, ct.level, ct.rot_chain, ct.params)
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -334,16 +343,25 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: nz[-1] + 1]
 
 
-# Leaves ``HESimulator.realise`` records as one batch.  A noise-free walk's
-# read computes every batch at once, one BLAS product per tile, so there the
-# size changes no work.  On a noisy engine the walk's first ``mul`` of a
-# leaf computes that leaf's batch alone, each leaf of it into an array of
-# its own, so each leaf more per batch holds one slot vector more.  Peaks of
-# one stats_cheb_noisy query (tracemalloc) at 2 / 4 / 8 / 32: 0.939 / 0.971
-# / 1.071 / 1.304 MB, against 0.971 MB when ``realise`` computed batches of
-# 4; its calls took the same time as then at 2 and 2% longer at 4 (the
-# two versions alternated in one process).
+# Leaves a noisy engine takes from one BLAS product over the baby-step
+# rows, each leaf a row of it that the walk writes into; the product lives
+# until the walk is done with all of them.  The size fixes the noisy
+# doubles: a product of one row runs BLAS's matrix-vector kernel, which
+# rounds otherwise than the matrix-matrix one, whose rows give the same
+# doubles for any count of two or more, the tile pass's product of every
+# leaf included.  Each leaf more per batch holds one slot vector more
+# through the walk: a stats_cheb_noisy query peaks at 1.002 MB.
 _LEAF_BATCH = 2
+
+# Columns of one tile of the noise-free pass: every power, the leaves' BLAS
+# product over that many columns of the baby-step rows, then the walk, on
+# buffers that stay in cache.  A degree-1024 step at 2^16 slots, one BLAS
+# thread, in 16 tiles of 4096 columns: 10.8-11.2 ms, with a scratch of
+# 1.9 MB for its 25 powers and 32 leaves; 8192 columns took 10.5-11.2 ms
+# with twice the scratch, 2048 took 12.5-13.2 and 1024 took 19.7-21.2,
+# each tile's walk paying numpy's call overhead once more.  The same
+# circuit issued op by op on full slot vectors took 29.4 ms.
+_TILE = 4096
 
 
 @dataclass(frozen=True)
@@ -356,13 +374,18 @@ class _Plan:
         (g, quotient node, remainder node) for q * T_g + r; the quotient's
         top coefficient is c_deg or 2 c_deg, never zero;
     baby: the baby-step powers i the leaves read, in ascending order;
-    giants: the giant powers g, in ascending order.
+    giants: the giant powers g, in ascending order;
+    built: every power i >= 2 that ``_power`` builds for them, ascending;
+    scales: the leaves' coefficients over the baby-step powers, one row per
+        leaf, read-only.
     """
 
     leaves: tuple[tuple[tuple[int, float], ...], ...]
     tree: tuple
     baby: tuple[int, ...]
     giants: tuple[int, ...]
+    built: tuple[int, ...]
+    scales: np.ndarray
 
 
 # Bounded, unlike the kernel fits: ps_eval takes any caller's polynomial.
@@ -370,6 +393,7 @@ class _Plan:
 def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
     leaves: list[tuple[tuple[int, float], ...]] = []
     giants: set[int] = set()
+    built: set[int] = set()
 
     def split(c: np.ndarray) -> tuple:
         c = _trim(c)
@@ -384,23 +408,39 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
         q, r = _split_by_cheb_power(c, g)
         return (g, split(q), split(r))
 
+    def build(i: int):  # as _power does
+        if i > 1 and i not in built:
+            g = 1 << ((i - 1).bit_length() - 1)
+            for j in (g, i - g, 2 * g - i):
+                build(j)
+            built.add(i)
+
     tree = split(np.asarray(coeffs, dtype=np.float64))
-    return _Plan(tuple(leaves), tree, tuple(sorted({i for t in leaves for i, _ in t})), tuple(sorted(giants)))
+    baby = tuple(sorted({i for t in leaves for i, _ in t}))
+    for i in (*baby, *giants):
+        build(i)
+    scales = np.zeros((len(leaves), len(baby)))
+    for row, terms in zip(scales, leaves):
+        for i, c in terms:
+            row[baby.index(i)] = c
+    scales.setflags(write=False)
+    return _Plan(tuple(leaves), tree, baby, tuple(sorted(giants)), tuple(sorted(built)), scales)
 
 
-def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext]):
-    """The leaves of ``plan`` in walk order, each one ``add`` of ``mul_plain``
-    products, each pending or, by 1, its row itself, so every base of the
-    sum is a baby-step row in any term order.  ``realise``, told those rows,
-    records them ``_LEAF_BATCH`` at a time, when the walk first needs one,
-    as private programs that the walk extends."""
-    rows = [powers[i] for i in plan.baby]
+def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext], rows: np.ndarray):
+    """The leaves of ``plan`` in walk order, ``_LEAF_BATCH`` at a time.
+
+    Each leaf is charged as its scalar ``mul_plain`` products and one n-ary
+    ``add`` on zero-width probes of its baby-step powers; its value is its
+    row of the batch's one BLAS product over ``rows``, which ``adopt``
+    gives the probe's level, rotation chain and owed noise."""
+    probes = {i: Ciphertext(np.empty(0), powers[i].level, powers[i].rot_chain, engine.params) for i in plan.baby}
     for start in range(0, len(plan.leaves), _LEAF_BATCH):
-        batch = [
-            engine.add(*[engine.mul_plain(powers[i], c) for i, c in terms])
+        charged = [
+            engine.add(*[engine.mul_plain(probes[i], c) for i, c in terms])
             for terms in plan.leaves[start : start + _LEAF_BATCH]
         ]
-        yield from engine.realise(batch, rows)
+        yield from map(engine.adopt, plan.scales[start : start + len(charged)] @ rows, charged)
 
 
 def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leaves) -> tuple:
@@ -409,9 +449,7 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
     Returns (ciphertext part or None, constant part); a node with a leaf
     takes the next one from ``leaves``.  The quotient's part is dropped once
     its product is made, so no level of the walk holds it through the
-    remainder's walk.  A private leaf takes its node's constant, product and
-    sum as steps of its program, and a private remainder nests in it, so
-    the walk of private leaves computes nothing.
+    remainder's walk.  ``_tile_walk`` runs the same walk on the doubles.
     """
     if len(node) == 2:
         has_leaf, const = node
@@ -427,6 +465,75 @@ def _walk(engine: HESimulator, node: tuple, powers: dict[int, Ciphertext], leave
     return (prod if r_ct is None else engine.add(prod, r_ct)), r_const
 
 
+def _circuit(engine: HESimulator, t: Ciphertext, plan: _Plan) -> Ciphertext:
+    """``plan``'s circuit on ``t``, op by op: the powers, then the walk of
+    the giant-step tree over the leaves, then its constant."""
+    powers, rows = _powers(engine, t, plan.baby, plan.giants)
+    ct, const = _walk(engine, plan.tree, powers, _leaves(engine, plan, powers, rows))
+    return engine.add_plain(ct, const)
+
+
+def _tile_pass(t: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The noise-free value of ``_circuit`` on ``t``, to the double, in
+    column tiles of ``_TILE``.
+
+    Each tile builds every power with ``_power``'s recurrence into one
+    scratch, the baby-step powers first, in order, takes one BLAS product of
+    every leaf's scales over them, and runs ``_tile_walk`` in place in the
+    product's rows.  No power but T_1, the input itself, is a full slot
+    vector.
+    """
+    n = t.size
+    width = min(_TILE, n)
+    order = plan.baby + tuple(i for i in plan.built if i not in plan.baby)
+    scratch = np.empty((len(order), width))
+    product = np.empty((len(plan.leaves), width))
+    out = np.empty(n)
+    for lo in range(0, n, width):
+        cols = slice(lo, lo + width)
+        power = dict(zip(order, scratch))
+        if 1 in power:
+            np.copyto(power[1], t[cols])
+        else:
+            power[1] = t[cols]
+        for i in plan.built:
+            g = 1 << ((i - 1).bit_length() - 1)
+            row = np.multiply(power[g], power[i - g], out=power[i])
+            row += row
+            if i == 2 * g:
+                row += -1.0
+            else:
+                row -= power[2 * g - i]
+        np.matmul(plan.scales, scratch[: len(plan.baby)], out=product)
+        value, const = _tile_walk(plan.tree, power, iter(product))
+        if const:
+            np.add(value, const, out=out[cols])
+        else:
+            np.copyto(out[cols], value)
+    return out
+
+
+def _tile_walk(node: tuple, power: dict[int, np.ndarray], leaves) -> tuple:
+    """``_walk`` on one tile's doubles: a leaf is the next row of
+    ``leaves``, written in place, and a power the tile's row of it.  An
+    identity op of ``_walk`` (a constant of +-0) is skipped here too."""
+    if len(node) == 2:
+        has_leaf, const = node
+        return (next(leaves) if has_leaf else None), const
+    g, q_node, r_node = node
+    q, q_const = _tile_walk(q_node, power, leaves)
+    if q is None:
+        prod = power[g] * q_const
+    else:
+        if q_const:
+            q += q_const
+        prod = np.multiply(q, power[g], out=q)
+    r, r_const = _tile_walk(r_node, power, leaves)
+    if r is not None:
+        prod += r
+    return prod, r_const
+
+
 def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ciphertext:
     """Evaluate ``poly`` slotwise on ``x`` (values promised inside the interval).
 
@@ -439,28 +546,18 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     ceil(log2(d+1)) + 2; a degree-0 polynomial costs nothing.
 
     The split of the polynomial into leaves of degree below the baby step
-    and giant-step products is cached per (coefficients, baby step).  Each
-    call issues the powers first: the baby-step powers the leaves read, as
-    rows of ``HESimulator.rows``, then the giant powers and whatever lower
-    powers those need, which it releases unless read.  Each leaf is its
-    charged scalar ``mul_plain`` products of baby-step rows and one n-ary
-    ``add`` of them, a pending sum of rows, which ``HESimulator.realise``
-    records as a private program.  The walk of the giant-step tree takes
-    the leaves in turn and charges its ops as it issues them, but computes
-    nothing: each op appends itself to a leaf's program, which grows into
-    the program of the whole tree.  A quotient that is a constant, as at
-    the top of an even window of degree 2^k, makes its product a pending
-    term, which the sum with the remainder appends to the remainder's
-    program.  The read of the result, shared before it is returned,
-    computes it in column tiles.  On a noise-free engine each tile first
-    computes every power into a scratch, then each batch's BLAS product
-    over the scratch's baby-step rows, then the walk, its giant products
-    reading the scratch.  No power but the lowest is ever a full slot
-    vector: T_1 is the input itself, and only an even polynomial, whose
-    rows start at T_2, builds T_2 from the input at full width.  On a noisy
-    engine each power is computed at its noise draw, into its row of one
-    array, and each walk ``mul`` computes its operand's program when it
-    draws the noise that owes, as a read would.
+    and giant-step products is cached per (coefficients, baby step).  The
+    circuit (``_circuit``) issues the powers first, the baby-step ones kept
+    as the rows of one array, then walks the giant-step tree, taking each
+    leaf in turn: its charged scalar ``mul_plain`` products and one n-ary
+    ``add`` on zero-width probes of its rows, its value one row of a BLAS
+    product over the rows.  A noisy engine runs that circuit on ``x``, so
+    every noise draw falls where its op's value is read.  A noise-free
+    engine runs it once on a zero-width probe of ``x``, which charges every
+    op and raises ``DepthBudgetError`` where the full-width circuit would,
+    and computes the value in one pass over column tiles
+    (``_tile_pass``), to the doubles of the full-width circuit: no power
+    but the input is ever a full slot vector.  The result is read-only.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1
@@ -469,9 +566,11 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
         return engine.ideal_map(lambda s: np.full_like(s, c0), x)
     m = max(1, math.ceil(math.log2(deg + 1)))
     plan = _plan(tuple(coeffs.tolist()), 1 << max(1, m // 2))
-    powers = _powers(engine, x, poly, plan.baby, plan.giants)
-    ct, const = _walk(engine, plan.tree, powers, _leaves(engine, plan, powers))
-    return engine.share(engine.add_plain(ct, const))[0]
+    t = _mapped(engine, x, poly)
+    if engine.params.noise_sigma > 0:
+        return engine.share(_circuit(engine, t, plan))[0]
+    charged = _circuit(engine, Ciphertext(np.empty(0), t.level, t.rot_chain, engine.params), plan)
+    return engine.share(engine.adopt(_tile_pass(t.slots, plan), charged))[0]
 
 
 # ----------------------------------------------------------------------

@@ -14,64 +14,29 @@ Cost model:
 
 * ciphertext-ciphertext and ciphertext-plaintext multiplications each
   consume one level (the latter models rescaling after a plaintext mask);
-* a ciphertext is in one of six states: *read*, a value every op may
-  use; *owing*, on a noisy engine only, a computed noise-free value plus
-  the variance weight ``owed`` of the noise its ops owe; *pending*, a lazy
-  linear combination of (base, scale) terms; *private*, owing or not, a
-  program not yet computed that nothing else holds (``realise`` returns
-  its sums so, and a ``mul`` with a tiled operand its power); *tiled*, on
-  a noise-free engine only, a power or row that several ops may read,
-  computed wherever a program reads it; and *spent*, once an op took its
-  value, terms or program and its noise;
-* one pending rule: only a scalar ``mul_plain``, ``add(x, x)`` (scale 2)
-  and an ``add`` or ``sub`` that takes a pending or tiled operand return
-  a pending sum, charged at the op.  Its terms are the first operand's
-  own, then one per later operand, so a computed operand stays its own
-  term whatever the order; a tiled one's term is its program.  Every
-  other op computes at once, folding a pending operand first.  Scales are
-  never folded together, and a read of a pending sum's ``slots`` folds
-  its terms left to right, so every slot is the double the eager chain of
-  products and additions gives, signed zeros included.  ``add`` takes n
-  operands and charges n - 1 additions, as the left fold of binary adds
-  would, so ``add(x)`` is ``x``, uncharged;
+* every op computes at once, to the doubles of the same numpy expression,
+  signed zeros included.  A ciphertext is in one of three states: *read*,
+  a value every op may use; *unshared*, a computed value that nothing else
+  holds plus the variance weight ``owed`` of the noise its ops still owe
+  (0 on a noise-free engine); and *spent*, once an op took it.  A scalar
+  ``mul_plain``, ``add(x, x)`` and an ``add`` or ``sub`` that takes an
+  unshared operand return an unshared value; on a noisy engine so does
+  every op that owes noise.  ``add`` takes n operands and charges n - 1
+  additions, as the left fold of binary adds would, so ``add(x)`` is
+  ``x``, uncharged;
 * one spending rule, on every engine: ``add``, ``sub``, ``add_plain``,
-  ``negate``, a scalar ``mul_plain`` and ``copy_into`` take a pending or
-  owing operand and leave it spent; reading, summing or realising it then
-  raises ``EngineError``.  ``x - x`` is +0.0 and takes ``x`` too.
-  ``share`` reads its arguments, so that several ops may use a value
+  ``negate``, a scalar ``mul_plain`` and ``adopt`` take an unshared operand,
+  may write the result into its array, and leave it spent; reading or
+  using it then raises ``EngineError``.  ``x - x`` is +0.0 and takes ``x``
+  too.  ``share`` reads its arguments, so that several ops may use a value
   (``add(x, x)`` need not);
-* one private rule: ``realise`` records each pending sum it is told as a
-  program, its row of scales over the rows it is told, and computes
-  nothing.  ``add`` (``x + x`` a doubling), ``sub``, a scalar
-  ``add_plain`` and ``mul`` with a private first operand append
-  themselves to its program as steps, charged at issue, and return it
-  private; the operand is spent, and a private later operand of ``add``
-  or ``sub`` is nested inside, spent too, so a program is a tree; so is
-  the private ``y`` of ``x + y`` with ``x`` a one-term pending sum, both
-  owing nothing, since ``y + x`` gives the same doubles.  On a noise-free
-  engine a ``mul`` with a tiled operand returns a private *power*, its
-  factors the tiled programs and the other operand's value; ``share`` or
-  ``copy_into`` into ``rows`` leaves a power that owes nothing tiled,
-  uncomputed, and a tiled operand of any op is read, never taken.  A
-  program is computed at its first read (``share`` of one that is no
-  power, ``rotate``, ``decrypt``, ``slots``, or its use by any other op)
-  or at a noise draw into it (``mul`` of an owing one): in column tiles
-  of ``_TILE``, each tile first every power the tree reads and every row
-  its batches read, into one scratch, then its batches' BLAS products
-  over the rows, then every step in issue order, to the doubles the ops
-  would have given at issue.  A batch of which it reads only some members
-  is computed whole first, each member into an array of its own.  Once
-  computed, a program runs each later step at once in its array, unless
-  the step's operand is a program not yet computed.  The products round
-  each slot within a few ulps of sum_i |scale_i * base_i| of the fold of
-  the pending sum;
-* ``copy_into`` folds a pending sum straight into the row of a 2D array it
-  is told, the rows ``realise`` is then told.  ``rows(count)`` gives a
-  noisy engine such an array, and a noise-free one rows that no array
-  holds: ``copy_into`` makes each a tiled program, a power as it is, any
-  other value read (a pending sum folded), so the powers a Chebyshev
-  evaluation builds on its rows are computed a tile at a time, never at
-  full width, unless something else reads them;
+* ``adopt(value, ct)`` gives an array the caller computed the level,
+  rotation chain and owed noise of ``ct``, the ciphertext whose ops
+  charged it, and charges nothing.  So a caller may charge a circuit on a
+  zero-width probe, ``Ciphertext(np.empty(0), level, rot_chain, params)``,
+  whose every op charges, sets levels and rotation chains and raises
+  ``DepthBudgetError`` as on a full slot vector, and compute its value in
+  one numpy pass of its own;
 * noise: every charged arithmetic op adds independent N(0, sigma^2) noise
   per slot, but on a noisy engine it owes that noise until something reads
   it.  ``owed`` is a variance weight: a read draws N(0, owed * sigma^2)
@@ -101,7 +66,6 @@ import ctypes
 import math
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -203,6 +167,8 @@ class HEParams:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
+
+
 class Ciphertext:
     """Slot vector plus remaining-level counter.  Treat as immutable.
 
@@ -212,10 +178,8 @@ class Ciphertext:
     """
 
     __slots__ = ("slots", "level", "rot_chain", "params")
-    pending = None  # the (base, scale) terms of a pending _Deferred
-    owed = 0.0  # the noise variance, in units of sigma^2, a _Deferred owes
-    private = None  # the _Program of a private _Deferred
-    tiled = None  # the _Program of a tiled _Deferred
+    unshared = False  # whether the next linear op takes the value, as of an _Unshared one
+    owed = 0.0  # the noise variance, in units of sigma^2, an unshared one owes
 
     def __init__(self, slots: np.ndarray, level: int, rot_chain: int, params: HEParams):
         slots.setflags(write=False)
@@ -229,30 +193,22 @@ class Ciphertext:
         return f"Ciphertext(level={self.level}, slots[:4]={head}, n={self.slots.size})"
 
 
-class _Deferred(Ciphertext):
-    """An owing, pending, private, tiled or spent ciphertext, or one read since.
+class _Unshared(Ciphertext):
+    """An unshared or spent ciphertext, or one read since.
 
-    ``_value`` holds an owing one's computed, noise-free value, ``pending`` a
-    pending one's (base, scale) terms, ``private`` a private one's program,
-    ``tiled`` a tiled one's and ``owed`` the noise any of them owes; a spent
-    one has none of them.  Reading ``slots`` folds pending terms left to
-    right, as the eager chain ``((b0*s0 + b1*s1) + b2*s2) + ...`` would, or
-    computes the program, adds one draw of sigma * sqrt(owed) * Z and keeps
-    the result, read-only, so every later reader sees the same noise.  A
-    tiled one stays tiled: its program keeps the value it computed.
+    While ``unshared``, ``_value`` holds its computed, noise-free value, an
+    array nothing else holds, and ``owed`` the noise it owes; a spent one
+    holds neither.  Reading ``slots`` draws sigma * sqrt(owed) * Z into the
+    value once and keeps it, read-only, so every later reader sees the same
+    noise.
     """
 
-    __slots__ = ("pending", "owed", "private", "tiled", "_value", "_engine")
+    __slots__ = ("unshared", "owed", "_value", "_engine")
 
-    def __init__(
-        self, value, terms: tuple | None, owed: float, level: int, rot_chain: int, engine: HESimulator,
-        program: _Program | None = None,
-    ):
+    def __init__(self, value: np.ndarray, owed: float, level: int, rot_chain: int, engine: HESimulator):
         self._value = value
-        self.pending = terms
+        self.unshared = True
         self.owed = owed
-        self.private = program
-        self.tiled = None
         self._engine = engine
         self.level = level
         self.rot_chain = rot_chain
@@ -260,343 +216,27 @@ class _Deferred(Ciphertext):
 
     @property
     def slots(self) -> np.ndarray:
-        if self.tiled is not None:
-            return self.tiled.read(self.params.slot_count)
-        if self.private is not None:
-            value = self.private.compute(self.params.slot_count)
-            value = self._engine._noisy(value, self.owed, out=value)
-        elif self.pending is not None or self.owed:
-            value = self._value if self.pending is None else _fold(self.pending, self.params.slot_count)
-            value = self._engine._noisy(value, self.owed)
-        elif self._value is None:
+        value = self._value
+        if self.unshared:
+            if self.owed:
+                self._engine._draw(value, self.owed)
+            value.setflags(write=False)
+            self.unshared, self.owed = False, 0.0
+        elif value is None:
             raise EngineError(
                 f"{self!r}: its value and owed noise moved into another ciphertext; "
                 "HESimulator.share it before its first use to use it twice"
             )
-        else:
-            return self._value
-        value.setflags(write=False)
-        self._value, self.pending, self.owed, self.private = value, None, 0.0, None
         return value
 
-    def _spend(self) -> tuple[np.ndarray | None, tuple | None, float]:
-        """The value, a private one's computed, or terms and the owed noise,
-        handed over read-only; leaves it spent."""
-        value = self._value if self.private is None else self.private.compute(self.params.slot_count)
-        taken = value, self.pending, self.owed
-        if value is not None:
-            value.setflags(write=False)
-        self._value, self.pending, self.owed, self.private = None, None, 0.0, None
-        return taken
-
-    def _own(self) -> tuple[_Program, float]:
-        """A private one's program and owed noise, handed over to the op that
-        extends it; leaves it spent."""
-        taken = self.private, self.owed
-        self.owed, self.private = 0.0, None
-        return taken
-
     def __repr__(self):
-        if self.pending is not None:
-            state = f"pending: {len(self.pending)} terms, owed={self.owed:g}"
-        elif self.private is not None:
-            state = f"private, owing {self.owed:g}" if self.owed else "private"
-        elif self.tiled is not None:
-            state = "tiled"
+        if self.unshared:
+            state = f"unshared, owing {self.owed:g}" if self.owed else "unshared"
         elif self._value is None:
             state = "spent"
-        elif self.owed:
-            state = f"owing {self.owed:g}"
         else:
             return super().__repr__()
         return f"Ciphertext(level={self.level}, {state}, n={self.params.slot_count})"
-
-
-class _Row(_Deferred):
-    """A tiled row of ``table``, the ``_Rows`` of a noise-free engine that
-    ``copy_into`` wrote it into, which it keeps alive as a row view keeps
-    its array."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: _Rows, level: int, rot_chain: int, engine: HESimulator, program: _Program):
-        super().__init__(None, None, 0.0, level, rot_chain, engine)
-        self.tiled, self.table = program, table
-
-
-# Columns of a program's tile: every power it reads, the product of its
-# batches over that many columns of their rows, then every step of the
-# program, on buffers that stay in cache.  A noise-free degree-1024
-# ``ps_eval`` at 2^16 slots, one BLAS thread, in 16 tiles of 4096 columns:
-# 9.3 ms per step or centred window, with a scratch of 1.9 MB for its 25
-# powers and 32 leaves; 8192 columns took 8.4-9.2 ms with twice the scratch,
-# 2048 took 10.8-11.3 and 1024 took 14.8-15.2, each tile's steps paying
-# numpy's call overhead once more.
-_TILE = 4096
-
-
-class _Rows:
-    """The rows ``HESimulator.rows`` gives a noise-free engine: no array, only
-    the program ``copy_into`` wrote into each row, which a tile pass computes
-    into a scratch row next to the powers it reads."""
-
-    __slots__ = ("programs",)
-
-    def __init__(self, count: int):
-        self.programs: list[_Program | None] = [None] * count
-
-    def __len__(self) -> int:
-        return len(self.programs)
-
-
-class _Batch:
-    """The pending sums one ``realise`` recorded: their ``scales`` over the
-    rows of ``array``, a 2D array or a ``_Rows``, one row of scales per
-    member ``_Program``, which it refers to weakly, so that no cycle keeps
-    the rows alive."""
-
-    __slots__ = ("scales", "array", "members")
-
-    def __init__(self, scales: np.ndarray, array: np.ndarray | _Rows):
-        self.scales = scales
-        self.array = array
-        self.members: list[weakref.ref] = []
-
-    def program(self, row: int) -> _Program:
-        """The program of the member whose scales are row ``row``."""
-        program = _Program(batch=self, row=row)
-        self.members.append(weakref.ref(program))
-        return program
-
-    def compute(self, n: int):
-        """Each live member's row of the product into an array of its own:
-        over a 2D array through a scratch tile no larger than one slot
-        vector, over a ``_Rows`` in one tile pass."""
-        members = [ref() for ref in self.members]
-        if type(self.array) is _Rows:
-            rows = {member: _Program(batch=self, row=k) for k, member in enumerate(members) if member is not None}
-            _compute(list(rows.values()), n, split=False)
-            for member, row in rows.items():
-                member.value = row.value
-        else:
-            for member in members:
-                if member is not None:
-                    member.value = np.empty(n)
-            # a power of two, so the tiles cover the slots exactly
-            width = max(1, min(_TILE, n >> (len(self.scales) - 1).bit_length()))
-            tile = np.empty((len(self.scales), width))
-            for lo in range(0, n, width):
-                np.matmul(self.scales, self.array[:, lo : lo + width], out=tile)
-                for member, row in zip(members, tile):
-                    if member is not None:
-                        member.value[lo : lo + width] = row
-        for member in members:
-            if member is not None:
-                member.batch = None
-
-
-class _Program:
-    """A value not yet computed: its source, then ``steps`` in issue order.
-
-    The source is ``value``, an array of its own; or, while ``batch`` is
-    set, row ``row`` of that batch's product; or, while ``factors`` is set,
-    the product of its two factors, each an array or a program.  A program
-    with factors is a *power*: it reads no batch, so a tile pass computes it
-    into a scratch row before the batches' products, once however many
-    programs read it.  A step is (``"add_plain"``, scalar, None),
-    (``"mul"``, factor, None), its factor a scalar, an array or a program,
-    or (``"add"``, operand, scale), which adds ``operand * scale`` as
-    ``_accumulate`` does, its operand an array or a program.
-    """
-
-    __slots__ = ("value", "batch", "row", "factors", "steps", "__weakref__")
-
-    def __init__(
-        self, value: np.ndarray | None = None, batch: _Batch | None = None, row: int = 0, factors: tuple | None = None
-    ):
-        self.value = value
-        self.batch = batch
-        self.row = row
-        self.factors = factors
-        self.steps: list[tuple] = []
-
-    def extend(self, op: str, operand, scale: float | None = None):
-        """Append the step (``op``, ``operand``, ``scale``).  A computed
-        program runs it at once in its own array, unless its operand is a
-        program not yet computed, as after a noisy ``mul`` computed it."""
-        self.steps.append((op, operand, scale))
-        if self.batch is None and self.factors is None and len(self.steps) == 1:
-            if type(operand) is not _Program or not (operand.batch or operand.factors or operand.steps):
-                self._tile(slice(None), {})
-                self.steps = []
-
-    def compute(self, n: int) -> np.ndarray:
-        """The value, noise-free, in an array of its own, which the program
-        keeps as its source, with no steps left (``_compute``)."""
-        if self.batch is not None or self.factors is not None or self.steps:
-            _compute([self], n)
-        return self.value
-
-    def read(self, n: int) -> np.ndarray:
-        """The value of a tiled program, a power or a copied row, computed
-        if it is not, read-only."""
-        value = self.value if self.factors is None else self.compute(n)
-        value.setflags(write=False)
-        return value
-
-    def _tile(self, cols: slice, tiles: dict, value: np.ndarray | None = None) -> np.ndarray:
-        """The value over the columns ``cols``: the steps run in place on
-        ``value`` if given, else on its source's tile, each operand as
-        ``_operand`` gives it."""
-        if value is None:
-            value = self.value[cols] if self.batch is None else tiles[self.batch][self.row]
-        for op, operand, scale in self.steps:
-            if op == "add_plain":
-                value += operand
-                continue
-            if type(operand) is np.ndarray:
-                operand = operand[cols]
-            elif type(operand) is _Program:
-                operand = tiles[operand] if operand in tiles else operand._tile(cols, tiles)
-            if op == "mul":
-                np.multiply(value, operand, out=value)
-            else:
-                _accumulate(value, operand, scale, None)
-        return value
-
-    def _power_tile(self, cols: slice, tiles: dict):
-        """A power, or a copied row, over the columns ``cols``, into its scratch row."""
-        row = tiles[self]
-        if self.factors is None:
-            np.copyto(row, self.value[cols])
-        else:
-            a, b = self.factors
-            np.multiply(_operand(a, cols, tiles), _operand(b, cols, tiles), out=row)
-        self._tile(cols, tiles, row)
-
-
-def _operand(operand, cols: slice, tiles: dict) -> np.ndarray:
-    """A factor or a step's array or program operand over the columns
-    ``cols``: an array's tile, a power's scratch row or a program's tile."""
-    if type(operand) is np.ndarray:
-        return operand[cols]
-    return tiles[operand] if operand in tiles else operand._tile(cols, tiles)
-
-
-def _powers_of(program: _Program, placed: dict) -> list[_Program]:
-    """The powers and rows of ``placed`` that ``program`` reads directly."""
-    operands = (*(program.factors or ()), *(operand for _, operand, _ in program.steps))
-    return [p for p in operands if type(p) is _Program and (p.factors is not None or p in placed)]
-
-
-def _compute(targets: list[_Program], n: int, split: bool = True):
-    """Compute each program of ``targets``, a tree, into an array of its own,
-    or in place into its own computed value, to the doubles its ops would
-    have given at issue.
-
-    With ``split``, a batch of which the trees read only some members, as a
-    noisy walk's first ``mul`` of a leaf does, is computed first, each live
-    member's row into an array of its own, so that no batch is computed
-    twice; with no batch and no power left to read, the steps then run in
-    place, one pass each.  Otherwise the pass runs in column tiles of
-    ``_TILE``.  Each tile first computes every power the trees read, and
-    every row of each ``_Rows`` their batches read, with what those read in
-    turn, into rows of one scratch array, in dependency order.  Then the
-    batches that read the same rows stack their scales into one BLAS
-    product over that tile of the rows, a 2D array's or the scratch's, and
-    the trees run in place: a leaf's steps in its product row, a computed
-    source's in its array, reading powers from the scratch.
-    """
-    leaves, powers, stack = {}, {}, list(targets)
-    while stack:
-        program = stack.pop()
-        if program.factors is not None:
-            powers[program] = None
-            continue
-        if program.batch is not None:
-            leaves[program] = None
-        stack.extend(operand for _, operand, _ in program.steps if type(operand) is _Program)
-    if split:
-        for batch in dict.fromkeys(program.batch for program in leaves):
-            members = (ref() for ref in batch.members)
-            if any(member is not None and member not in leaves for member in members):
-                batch.compute(n)
-    groups: dict[int, tuple[np.ndarray | _Rows, dict[_Batch, None]]] = {}
-    for program in leaves:
-        if program.batch is not None:
-            groups.setdefault(id(program.batch.array), (program.batch.array, {}))[1][program.batch] = None
-    if not groups and not powers:
-        for target in targets:
-            target._tile(slice(None), {})
-            target.steps = []
-        return
-    # scratch rows: each _Rows's rows in order, then the other powers
-    placed = {p: None for array, _ in groups.values() if type(array) is _Rows for p in array.programs}
-    order: dict[_Program, None] = {}
-    for root in [*placed, *powers]:
-        path = [root]
-        while path:
-            wanted = [p for p in _powers_of(path[-1], placed) if p not in order]
-            if wanted:
-                path.extend(wanted)
-            else:
-                order[path.pop()] = None
-    width = min(_TILE, n)
-    position = {p: k for k, p in enumerate({**placed, **order})}
-    scratch = np.empty((len(position), width))
-    tiles: dict = {p: scratch[k] for p, k in position.items()}
-    stacked = []
-    for array, group in groups.values():
-        scales = np.concatenate([batch.scales for batch in group])
-        product = np.empty((len(scales), width))
-        if type(array) is _Rows:
-            first = position[array.programs[0]]
-            stacked.append((scales, scratch[first : first + len(array)], False, product))
-        else:
-            stacked.append((scales, array, True, product))
-        for batch in group:
-            tiles[batch], product = product[: len(batch.scales)], product[len(batch.scales) :]
-    outs = [np.empty(n) if target.batch is not None or target.factors is not None else target.value for target in targets]
-    for lo in range(0, n, width):
-        cols = slice(lo, lo + width)
-        for power in order:
-            power._power_tile(cols, tiles)
-        for scales, rows, sliced, product in stacked:
-            np.matmul(scales, rows[:, cols] if sliced else rows, out=product)
-        for target, out in zip(targets, outs):
-            tile = tiles[target] if target.factors is not None else target._tile(cols, tiles)
-            if out is not target.value:
-                out[cols] = tile
-    for target, out in zip(targets, outs):
-        target.value, target.batch, target.factors, target.steps = out, None, None, []
-
-
-def _fold(terms: tuple, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_i ``base_i * scale_i``, left to right, into ``out`` if given, else
-    into a fresh array; a base that is a tiled program is read first."""
-    (base, scale), *rest = terms
-    if type(base) is _Program:
-        base = base.read(n)
-    value = base * scale if out is None else np.multiply(base, scale, out=out)
-    term = None
-    for base, scale in rest:
-        term = _accumulate(value, base if type(base) is not _Program else base.read(n), scale, term)
-    return value
-
-
-def _accumulate(value: np.ndarray, base: np.ndarray, scale: float, term: np.ndarray | None) -> np.ndarray | None:
-    """``value += base * scale`` in place, the product written into ``term``,
-    made if ``None``; returns ``term``.  A scale of +-1 adds or subtracts its
-    base, which gives the same doubles as multiplying by it."""
-    if scale == 1.0:
-        value += base
-    elif scale == -1.0:
-        value -= base
-    else:
-        if term is None:
-            term = np.empty_like(value)
-        value += np.multiply(base, scale, out=term)
-    return term
 
 
 def _keep_freed_slot_vectors():
@@ -604,7 +244,7 @@ def _keep_freed_slot_vectors():
 
     At 2^16 slots a slot vector is 512 KB, and a degree-1024 ``ps_eval`` on
     a noisy engine holds its baby-step powers in one 8 MB array (a
-    noise-free one, a scratch of about 1.9 MB).  glibc's default policy
+    noise-free one, a tile scratch of about 1.9 MB).  glibc's default policy
     returns the free top of the heap to the system once it exceeds twice the
     largest mmapped block freed so far; when no block larger than a slot
     vector was ever mmapped, every call re-faults about 12 MB of fresh pages:
@@ -705,70 +345,43 @@ class HESimulator:
         if not more:
             return x
         self._additions += len(more)
-        return self._sum(x, more, 1.0)
+        return self._sum(x, more, np.add)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         self._check(x, y)
         self._additions += 1
-        return self._sum(x, (y,), -1.0)
+        return self._sum(x, (y,), np.subtract)
 
     def negate(self, x: Ciphertext) -> Ciphertext:
         self._check(x)
-        value, owed = self._take(x)
-        return self._emit(-value, x.level, x.rot_chain, owed)
+        value, owed, own = self._take(x)
+        return self._emit(np.negative(value, out=value if own else None), x.level, x.rot_chain, owed)
 
     def add_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x + p``, one addition; a scalar ``p`` of exactly +-0 returns
-        ``x`` itself, uncharged.  A private ``x`` and a scalar ``p`` append
-        the sum to its program."""
+        ``x`` itself, uncharged."""
         self._check(x)
         p = self._plain_operand(p)
         if isinstance(p, float) and p == 0.0:
             return x
         self._additions += 1
-        if x.private is not None and isinstance(p, float):
-            program, owed = x._own()
-            program.extend("add_plain", p)
-            return self._emit(None, x.level, x.rot_chain, owed + self._op_noise, program=program)
-        fresh = x.pending is not None  # a fold is a fresh array: add into it
-        value, owed = self._take(x)
-        if fresh:
-            value += p
-        else:
-            value = value + p
-        return self._emit(value, x.level, x.rot_chain, owed + self._op_noise)
+        value, owed, own = self._take(x)
+        return self._emit(np.add(value, p, out=value if own else None), x.level, x.rot_chain, owed + self._op_noise)
 
     def mul(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        """``x * y``, one ct-ct product and one level.  A private ``x`` other
-        than ``y`` appends the product to its program; one that owes noise
-        is computed first and the noise drawn into it, as a read would.
-        Otherwise a tiled operand makes the product a private power, whose
-        factors are each tiled operand's program and each other one's value.
-        """
+        """``x * y``, one ct-ct product and one level; reads both."""
         self._check(x, y)
         level = min(x.level, y.level)
         if level < 1:
             raise DepthBudgetError(level)
-        chain = max(x.rot_chain, y.rot_chain)
-        if x.private is not None and x is not y:
-            program, owed = x._own()
-            if owed:
-                value = program.compute(self.params.slot_count)
-                self._noisy(value, owed, out=value)
-            program.extend("mul", y.slots if y.tiled is None else y.tiled)
-            self._ctct_mults += 1
-            return self._emit(None, level - 1, chain, self._op_noise, program=program)
-        if x.tiled is not None or y.tiled is not None:
-            program = _Program(factors=tuple(c.slots if c.tiled is None else c.tiled for c in (x, y)))
-            self._ctct_mults += 1
-            return self._emit(None, level - 1, chain, self._op_noise, program=program)
         slots = x.slots * y.slots
         self._ctct_mults += 1
-        return self._emit(slots, level - 1, chain, self._op_noise)
+        return self._emit(slots, level - 1, max(x.rot_chain, y.rot_chain), self._op_noise)
 
     def mul_plain(self, x: Ciphertext, p) -> Ciphertext:
         """``x * p``, one ct-pt product and one level; a scalar ``p`` of
-        exactly 1 returns ``x`` itself, uncharged, at any level."""
+        exactly 1 returns ``x`` itself, uncharged, at any level.  A scalar
+        ``p`` takes ``x`` and owes ``p^2`` times its noise; a vector reads it."""
         self._check(x)
         p = self._plain_operand(p)
         if isinstance(p, float) and p == 1.0:
@@ -776,10 +389,12 @@ class HESimulator:
         if x.level < 1:
             raise DepthBudgetError(x.level)
         self._ctpt_mults += 1
-        if isinstance(p, float):
-            terms, owed = self._scaled(x, p)
-            return self._emit(None, x.level - 1, x.rot_chain, owed, terms)
-        return self._emit(x.slots * p, x.level - 1, x.rot_chain, self._op_noise)
+        if not isinstance(p, float):
+            return self._emit(x.slots * p, x.level - 1, x.rot_chain, self._op_noise)
+        value, owed, own = self._take(x)
+        # an x that owes nothing owes nothing scaled: p * p * 0.0 is NaN for an infinite p
+        owed = p * p * owed + self._op_noise if owed else self._op_noise
+        return self._emit(np.multiply(value, p, out=value if own else None), x.level - 1, x.rot_chain, owed, True)
 
     def rotate(self, x: Ciphertext, k: int) -> Ciphertext:
         """Cyclic rotation of the full slot vector; k > 0 rotates left.
@@ -827,110 +442,26 @@ class HESimulator:
             raise ValueError("ideal_map function must preserve the slot shape")
         return self._emit(slots, level, chain)
 
-    def rows(self, count: int) -> np.ndarray | _Rows:
-        """``count`` rows for ``copy_into`` to write and ``realise`` to be
-        told: on a noisy engine a ``(count, slot_count)`` array; on a
-        noise-free one, rows that no array holds (``copy_into``)."""
-        if self._op_noise:
-            return np.empty((count, self.params.slot_count))
-        return _Rows(count)
-
-    def copy_into(self, ct: Ciphertext, rows: np.ndarray | _Rows, i: int) -> Ciphertext:
-        """``ct`` written into row ``i`` of ``rows``, at its level and
-        rotation chain; charges nothing.  ``ct`` is taken, as by a linear op.
-
-        Into a 2D array: a pending ``ct`` is folded straight into the row and
-        a computed one copied there; then any noise it owes is drawn into
-        the row, to the doubles a read gives; returns a read-only ciphertext
-        of the row.  Into the ``rows`` of a noise-free engine: a private
-        power that owes nothing is the row as it is, and anything else is
-        read first (a pending sum folded); returns the row tiled.
-        """
+    def adopt(self, value: np.ndarray, ct: Ciphertext) -> Ciphertext:
+        """``value``, a float64 array that nothing else holds, as an unshared
+        ciphertext at the level, rotation chain and owed noise of ``ct``, the
+        ciphertext whose ops charged it; charges nothing.  ``ct`` is taken,
+        as by a linear op, so that its noise is owed once."""
         self._check(ct)
-        if type(rows) is _Rows:
-            if ct.private is not None and ct.private.factors is not None and not ct.owed:
-                program, _ = ct._own()
-            else:
-                value, owed = self._take(ct)
-                value = self._noisy(value, owed)
-                value.setflags(write=False)
-                program = _Program(value=value)
-            rows.programs[i] = program
-            return _Row(rows, ct.level, ct.rot_chain, self, program)
-        row = rows[i]
-        value, owed = self._take(ct, out=row)
-        if value is not row:
-            np.copyto(row, value)
-        self._noisy(row, owed, out=row)
-        return Ciphertext(row, ct.level, ct.rot_chain, self.params)
-
-    def realise(self, cts: list[Ciphertext], rows: list[Ciphertext]) -> list[Ciphertext]:
-        """Record every pending sum of ``cts`` as a private program over
-        ``rows`` and return ``cts``; charges and computes nothing.
-
-        ``rows`` names the ciphertexts that ``copy_into`` wrote into rows 0,
-        1, ... of one 2D array or of one ``HESimulator.rows`` of a noise-free
-        engine, all of them in order, and every base of the pending sums
-        must be one of them, else ``ValueError``.  The sums form one batch:
-        the product of the matrix of their scales by those rows, which the
-        first program to read any of them computes in one pass over column
-        tiles, reading each base once per tile.  It rounds each slot within
-        a few ulps of sum_i |scale_i * base_i| of the left-to-right fold.
-        Each pending sum is then private, owing if it owes noise.  An owing,
-        private, tiled or read ciphertext is left as it is; a spent one
-        raises ``EngineError``.  The rows are read when a program is
-        computed, so an array of them must not be written again before then.
-        """
-        self._check(*cts)
-        table = rows[0].table if rows and type(rows[0]) is _Row else None
-        if table is not None:
-            array, told = table, len(rows) == len(table) and all(r.tiled is p for r, p in zip(rows, table.programs))
-        else:
-            array = rows[0].slots.base if rows else None
-            told = (
-                array is not None
-                and len(rows) == len(array)
-                and all(r.slots.base is array and np.may_share_memory(r.slots, a) for r, a in zip(rows, array))
-            )
-        if not told:
-            raise ValueError(
-                "realise: rows must be every row of one 2D array, or of one HESimulator.rows, in order, "
-                "as copy_into wrote them"
-            )
-        # a spent operand raises
-        self.share(*[c for c in cts if c.pending is None and c.private is None and not c.owed])
-        pending = [c for c in cts if c.pending is not None]
-        if not pending:
-            return list(cts)
-        index = {id(r.slots if table is None else r.tiled): k for k, r in enumerate(rows)}
-        weights = [[0.0] * len(rows) for _ in pending]
-        for row, ct in zip(weights, pending):
-            for base, scale in ct.pending:
-                k = index.get(id(base))
-                if k is None:
-                    raise ValueError("realise: every base of a pending sum must be one of the rows it is told")
-                row[k] += scale
-        batch = _Batch(np.array(weights), array)
-        for k, ct in enumerate(pending):
-            ct.pending, ct.private = None, batch.program(k)
-        return list(cts)
+        _, owed, _ = self._take(ct)
+        return _Unshared(value, owed, ct.level, ct.rot_chain, self)
 
     def share(self, *cts: Ciphertext) -> tuple[Ciphertext, ...]:
         """Read ``cts``, so that several ops may use each of them, and return
         ``cts``; charges nothing.
 
-        A pending sum is computed once and any owed noise drawn once, so
-        every later reader sees the same value.  An op that takes a pending
-        or owing operand leaves it spent: a value two ops use is shared first.
-        A private power that owes nothing is left uncomputed, tiled, and a
-        tiled value as it is: ops read those without taking them.
+        Any owed noise is drawn once, so every later reader sees the same
+        value.  An op that takes an unshared operand leaves it spent: a value
+        two ops use is shared first.
         """
         self._check(*cts)
         for ct in cts:
-            if ct.private is not None and ct.private.factors is not None and not ct.owed:
-                ct.tiled, ct.private = ct.private, None
-            elif ct.tiled is None:
-                ct.slots  # a read computes and draws; a spent operand raises
+            ct.slots  # a read draws; a spent operand raises
         return cts
 
     # ------------------------------------------------------------------
@@ -986,166 +517,59 @@ class HESimulator:
             return p
         return self.plain(p)
 
-    def _sum(self, x: Ciphertext, ys: tuple[Ciphertext, ...], sign: float) -> Ciphertext:
-        """``x + sign * y`` for each y of ``ys`` in turn, the left fold of
-        binary sums, charged by the caller, under the module's pending rule.
+    def _sum(self, x: Ciphertext, ys: tuple[Ciphertext, ...], op) -> Ciphertext:
+        """``op(x, y)`` for each y of ``ys`` in turn, ``op`` ``np.add`` or
+        ``np.subtract``: the left fold of binary sums, charged by the caller,
+        each written into an array the sum owns once it owns one.
 
-        ``x + x`` is ``x`` scaled by 2 and ``x - x`` is +0.0, both taking
-        ``x``.  A later pending operand of several terms is folded into one,
-        as the eager chain would, and ``b * -s`` is ``-(b * s)`` exactly.
-        A private ``x`` that no later operand repeats appends the sum to its
-        program, ``x + x`` as its doubling; so does a private ``y`` in
-        ``x + y`` of a one-term pending ``x``, both owing nothing, as
-        ``y + x``, which gives the same doubles.  A tiled operand is a term
-        of its own, its program.
+        ``x + x`` is ``x`` doubled, owing 4 times its noise, and ``x - x`` is
+        +0.0, owing none of it, both taking ``x``.  The result is unshared
+        if it took an unshared operand, is ``x + x``, or owes noise.
         """
-        if x.private is not None and not (x is ys[0] and sign < 0) and all(y is not x for y in ys[1:]):
-            return self._sum_into(x, ys, sign)
         level, chain = x.level, x.rot_chain
-        if x.pending is None and not x.owed and x.tiled is None and x is not ys[0]:
-            # the common case, every operand read, summed without building
-            # terms; at any other operand nothing is taken yet, so the loop
-            # below starts over
-            total = x.slots
-            for y in ys:
-                if y.pending is not None or y.owed or y.tiled is not None:
-                    break
-                if y.level < level:
-                    level = y.level
-                if y.rot_chain > chain:
-                    chain = y.rot_chain
-                total = total + y.slots if sign > 0 else total - y.slots
-            else:
-                return self._emit(total, level, chain, len(ys) * self._op_noise)
-            level, chain = x.level, x.rot_chain
-        elif x.pending is not None and ys[0].private is not None and len(ys) == 1 and sign > 0:
-            if len(x.pending) == 1 and not x.owed and not ys[0].owed:
-                return self._sum_into(ys[0], (x,), sign)
+        total, owed, own = self._take(x)
+        unshared = own
         if x is ys[0]:
-            if sign < 0:  # x - x: +0.0, taking x
-                self._take(x)
-                return self._emit(np.zeros(self.params.slot_count), level, chain, self._op_noise)
-            terms, owed = self._scaled(x, 2.0)
-            ys, total = ys[1:], None
-        elif x.tiled is not None:
-            terms, owed, total = ((x.tiled, 1.0),), 0.0, None
-        elif x.pending is None:
-            total, owed = self._take(x)
-            terms = ((total, 1.0),)
-        else:
-            _, terms, owed = x._spend()
-            total = None
-        # ``total`` is the eager sum while every operand is computed,
-        # dropped for ``terms`` at the first pending one
+            if op is np.subtract:
+                total, owed, unshared = np.zeros_like(total), 0.0, False
+            else:
+                total, owed, unshared = np.add(total, total, out=total if own else None), 4.0 * owed, True
+            own, owed, ys = True, owed + self._op_noise, ys[1:]
         for y in ys:
             if y.level < level:
                 level = y.level
             if y.rot_chain > chain:
                 chain = y.rot_chain
-            if y.tiled is not None:
-                terms += ((y.tiled, sign),)
-                y_owed, total = 0.0, None
-            elif y.pending is None:
-                value, y_owed = self._take(y)
-                terms += ((value, sign),)
-                if total is not None:
-                    total = total + value if sign > 0 else total - value
-            else:
-                _, y_terms, y_owed = y._spend()
-                base, scale = y_terms[0] if len(y_terms) == 1 else (_fold(y_terms, self.params.slot_count), 1.0)
-                terms += ((base, sign * scale),)
-                total = None
+            value, y_owed, y_own = self._take(y)
+            total = op(total, value, out=total if own else value if y_own else None)
+            own, unshared = True, unshared or y_own
             owed += y_owed + self._op_noise
-        if total is None:
-            return self._emit(None, level, chain, owed, terms)
-        return self._emit(total, level, chain, owed)
-
-    def _sum_into(self, x: _Deferred, ys: tuple[Ciphertext, ...], sign: float) -> Ciphertext:
-        """``_sum`` of a private ``x``: each term appended to its program, in
-        the order, and to the doubles, of the fold of the pending sum
-        ``_sum`` would build; returned private.  ``x`` is taken, a private
-        one of ``ys`` nested in the program and spent, a tiled one read where
-        the program is computed, and each other one taken as ``_sum`` takes
-        it.  A power nests only powers: any other private operand is
-        computed first, so that a tile pass computes every power before
-        every batch."""
-        program, owed = x._own()
-        level, chain = x.level, x.rot_chain
-        for y in ys:
-            if y is x:  # x + x
-                program.extend("mul", 2.0)
-                owed = 4.0 * owed + self._op_noise
-                continue
-            if y.level < level:
-                level = y.level
-            if y.rot_chain > chain:
-                chain = y.rot_chain
-            if y.tiled is not None:
-                operand, y_owed, scale = y.tiled, 0.0, sign
-            elif y.private is not None and (program.factors is None or y.private.factors is not None):
-                operand, y_owed = y._own()
-                scale = sign
-            elif y.pending is None:
-                operand, y_owed = self._take(y)
-                scale = sign
-            else:
-                _, y_terms, y_owed = y._spend()
-                operand, scale = y_terms[0] if len(y_terms) == 1 else (_fold(y_terms, self.params.slot_count), 1.0)
-                scale *= sign
-            program.extend("add", operand, scale)
-            owed += y_owed + self._op_noise
-        return self._emit(None, level, chain, owed, program=program)
+        return self._emit(total, level, chain, owed, unshared)
 
     @staticmethod
-    def _take(x: Ciphertext, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        """``x``'s noise-free value, a pending one folded (into ``out`` if
-        given), and the noise it owes; a pending or owing ``x`` is spent."""
-        if x.pending is None and not x.owed:
-            return x.slots, 0.0  # a spent x raises
-        value, terms, owed = x._spend()
-        return (value if terms is None else _fold(terms, x.params.slot_count, out)), owed
+    def _take(x: Ciphertext) -> tuple[np.ndarray, float, bool]:
+        """``x``'s noise-free value, the noise it owes, and whether the
+        caller now owns the array: an unshared ``x`` is spent."""
+        if not x.unshared:
+            return x.slots, 0.0, False  # a spent x raises
+        taken = x._value, x.owed, True
+        x._value, x.owed, x.unshared = None, 0.0, False
+        return taken
 
-    def _scaled(self, x: Ciphertext, s: float) -> tuple[tuple, float]:
-        """The terms and owed noise of ``x * s`` for a scalar ``s``, charged
-        by the caller.
-
-        The fold of a pending ``x`` is scaled as one term, so scales are
-        never folded together; its owed noise is scaled too, to ``s^2`` times
-        its weight, and ``x`` is taken; a tiled ``x`` is its program, read
-        where the sum is folded or computed.
-        """
-        if x.pending is None and not x.owed:  # nothing to take
-            return ((x.slots if x.tiled is None else x.tiled, s),), s * s * 0.0 + self._op_noise
-        value, owed = self._take(x)
-        return ((value, s),), s * s * owed + self._op_noise
-
-    def _noisy(self, slots: np.ndarray, owed: float, out: np.ndarray | None = None) -> np.ndarray:
-        """``slots`` plus one draw of N(0, owed * sigma^2) noise, into ``out``
-        if given, else a fresh array; ``slots`` itself if nothing is owed."""
-        if not owed:
-            return slots
-        # for one op, the same doubles as ``slots + rng.normal(0, sigma,
+    def _draw(self, value: np.ndarray, owed: float):
+        """Add one draw of N(0, owed * sigma^2) noise to ``value`` in place."""
+        # for one op, the same doubles as ``value + rng.normal(0, sigma,
         # shape)``, from the same stream, without the temporaries
-        noise = self._rng.standard_normal(slots.shape)
+        noise = self._rng.standard_normal(value.shape)
         noise *= self.params.noise_sigma * math.sqrt(owed)
-        return np.add(noise, slots, out=noise if out is None else out)
+        np.add(noise, value, out=value)
 
-    def _emit(
-        self,
-        slots: np.ndarray | None,
-        level: int,
-        rot_chain: int,
-        owed: float = 0.0,
-        terms: tuple | None = None,
-        program: _Program | None = None,
-    ) -> Ciphertext:
-        """A read ciphertext of ``slots``, owing if ``owed``, or pending, or
-        private: ``program`` its value."""
+    def _emit(self, slots: np.ndarray, level: int, rot_chain: int, owed: float = 0.0, unshared: bool = False):
+        """A read ciphertext of ``slots``, a float64 array of its own, or an
+        unshared one if ``unshared`` or ``owed``."""
         consumed = self.params.max_level - level
         if consumed > self._levels_consumed:
             self._levels_consumed = consumed
-        if terms is None and not owed and program is None:
-            # every op passes a float64 array of its own (ideal_map coerces
-            # the function's result), so it is stored as is and made read-only
-            return Ciphertext(slots, level, rot_chain, self.params)
-        return _Deferred(slots, terms, owed, level, rot_chain, self, program)
+        if owed or unshared:
+            return _Unshared(slots, owed, level, rot_chain, self)
+        return Ciphertext(slots, level, rot_chain, self.params)

@@ -3,9 +3,9 @@ generator of the table that records them, ``tests/circuits.json``.
 
 Each row of the table holds a shape's ``CostReport``, a sha256 prefix of its
 ``rotation_offsets()`` and, on an ideal shape, a sha256 prefix of its output
-slots.  Chebyshev and noisy outputs pass through the BLAS products of the
-leaves ``realise`` records, which round within a few ulps of the fold, so
-those rows carry no output digest; where a bound on their error against the
+slots.  Chebyshev and noisy outputs pass through the BLAS products of
+``ps_eval``'s leaves, which round within a few ulps of the fold, so those
+rows carry no output digest; where a bound on their error against the
 oracle is declared, they carry it as ``max_err``.
 ``tests/test_cost_table.py`` runs every shape and checks it against its row,
 so a change to a circuit regenerates the table and its diff is the change's

@@ -37,7 +37,7 @@ from slotrank import (
     rank_corrected,
     sort,
 )
-from slotrank import chebyshev, engine
+from slotrank import chebyshev
 
 
 def make_engine(slot_count=64, max_level=40, sigma=0.0):
@@ -117,6 +117,28 @@ def test_fit_rejects_non_finite_targets():
         cheb_fit(lambda t: np.full_like(t, np.inf), (-1.0, 1.0), 4)
     with pytest.raises(ValueError):
         cheb_fit(lambda t: t, (1.0, 1.0), 4)
+
+
+@pytest.mark.parametrize("degree", [2.5, True])
+def test_fit_rejects_a_non_integer_degree(degree):
+    # 2.5 failed in numpy's slicing with an unnamed TypeError, and True fitted degree 1
+    with pytest.raises(ValueError, match=f"degree must be an integer, got {degree!r}"):
+        cheb_fit(np.sin, (0.0, 1.0), degree)
+    assert cheb_fit(np.sin, (0.0, 1.0), np.int64(3)).degree == 3  # numpy integers pass
+
+
+def test_polynomial_rejects_a_non_finite_coefficient():
+    # ps_eval of (0.1, nan, 0.3) returned NaN in every slot, with no error
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            ChebyshevPolynomial(interval=(-1.0, 1.0), coeffs=(0.1, bad, 0.3))
+
+
+def test_polynomial_rejects_a_non_finite_interval_end():
+    # (0, inf) passed a < b and mapped every input to 0 or NaN
+    for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="interval must have finite ends"):
+            ChebyshevPolynomial(interval=interval, coeffs=(0.1, 0.2))
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +309,9 @@ def test_powers_build_one_parity_and_the_powers_of_two(kind, d):
         assert len(built) == {"odd": 24, "even": 21}[kind]
     eng = make_engine(slot_count=16, max_level=20)
     poly = chebyshev.ChebyshevPolynomial((-1.0, 1.0), tuple(coeffs))
-    powers = chebyshev._powers(eng, eng.encrypt(np.linspace(-1, 1, 16)), poly, plan.baby, plan.giants)
+    assert set(plan.built) == built
+    powers, rows = chebyshev._powers(eng, eng.encrypt(np.linspace(-1, 1, 16)), plan.baby, plan.giants)
+    assert all(np.shares_memory(powers[i].slots, row) for i, row in zip(plan.baby, rows))
     assert eng.cost_snapshot() == CostReport(
         ctct_mults=len(built), additions=2 * len(built), levels_consumed=math.ceil(math.log2(max(wanted)))
     )
@@ -297,42 +321,22 @@ def test_powers_build_one_parity_and_the_powers_of_two(kind, d):
 
 
 def test_ps_eval_computes_its_walk_once_at_the_share_of_its_result(monkeypatch):
-    # realise records each batch of leaves as private programs over the
-    # baby-step rows, charging and computing nothing; the walk's ops append
-    # themselves to those programs, and only the share of the result, read
-    # before ps_eval returns it, computes the tree, once
+    # noise-free, the probe's circuit charges every op first; then one tile
+    # pass computes the value, which adopt gives the probe's result and the
+    # share of the result reads before ps_eval returns it
     poly = chebyshev._step_poly(1024)
     eng = make_engine(slot_count=256)
-    realise, share, batches, computes, sharing = eng.realise, eng.share, [], [], []
+    tile_pass, passes = chebyshev._tile_pass, []
 
-    def recorded(cts, rows):
-        before = eng.cost_snapshot()
-        out = realise(cts, rows)
-        assert eng.cost_snapshot() == before
-        batches.append([(c.private.value, c.private.steps[:]) for c in out])
-        return out
+    def counted(t, plan):
+        passes.append(eng.cost_snapshot())
+        return tile_pass(t, plan)
 
-    def shared(*cts):
-        sharing.append(True)
-        try:
-            return share(*cts)
-        finally:
-            sharing.pop()
-
-    compute = engine._Program.compute
-
-    def counted(program, n):
-        computes.append(bool(sharing))
-        return compute(program, n)
-
-    eng.realise, eng.share = recorded, shared
-    monkeypatch.setattr(engine._Program, "compute", counted)
+    monkeypatch.setattr(chebyshev, "_tile_pass", counted)
     xs = np.random.default_rng(9).uniform(-1.0, 1.0, 256)
     out = ps_eval(eng, eng.encrypt(xs), poly)
-    plan = chebyshev._plan(tuple(poly.coeffs), 32)
-    assert [len(b) for b in batches] == [chebyshev._LEAF_BATCH] * (len(plan.leaves) // chebyshev._LEAF_BATCH)
-    assert all(value is None and steps == [] for batch in batches for value, steps in batch)
-    assert computes == [True]
+    assert passes == [eng.cost_snapshot()] and passes[0].ctpt_mults > 0
+    assert not out.unshared and not out.slots.flags.writeable
     assert np.max(np.abs(out.slots - cheb_eval(poly, xs))) < 1e-9
 
 
@@ -373,22 +377,17 @@ PINNED_IN_PLACE = {
 def test_in_place_walk_writes_only_its_own_arrays(name, degree, sigma):
     eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
     x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
-    seen = [(x, x.slots.tobytes())]  # and every power ps_eval shares or writes into a row
-    share, copy_into = eng.share, eng.copy_into
+    seen = [(x, x.slots.tobytes())]  # and every power ps_eval shares, a noisy engine's at full width
+    share = eng.share
 
     def shared(*cts):
         seen.extend((c, c.slots.tobytes()) for c in share(*cts))
         return cts
 
-    def copied(ct, rows, i):
-        out = copy_into(ct, rows, i)
-        seen.append((out, out.slots.tobytes()))
-        return out
-
-    eng.share, eng.copy_into = shared, copied
+    eng.share = shared
     out = ps_eval(eng, x, IN_PLACE_POLYS[name](degree))
     assert len(seen) > 3 and all(c.slots.tobytes() == b for c, b in seen)
-    assert out.private is None and not out.slots.flags.writeable
+    assert not out.slots.flags.writeable
     assert hashlib.sha256(out.slots.tobytes()).hexdigest()[:16] == PINNED_IN_PLACE[(name, degree, sigma)]
 
 
@@ -396,10 +395,10 @@ def test_in_place_walk_writes_only_its_own_arrays(name, degree, sigma):
     "name,degree,sigma", list(PINNED_IN_PLACE), ids=[f"{n}-{d}-{'noisy' if s else 'exact'}" for n, d, s in PINNED_IN_PLACE]
 )
 def test_walk_in_narrow_tiles_gives_the_pinned_doubles(monkeypatch, name, degree, sigma):
-    # a program's tile width changes how often each BLAS product and step
-    # runs, never a double: 8 tiles of 32 columns at 256 slots give the
-    # digests of one whole-width tile, noisy ones included
-    monkeypatch.setattr(engine, "_TILE", 32)
+    # the noise-free pass's tile width changes how often each BLAS product
+    # and step runs, never a double: 8 tiles of 32 columns at 256 slots give
+    # the digests of one whole-width tile; a noisy engine runs no tile pass
+    monkeypatch.setattr(chebyshev, "_TILE", 32)
     eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
     x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
     out = ps_eval(eng, x, IN_PLACE_POLYS[name](degree))
@@ -425,11 +424,15 @@ def warm_ps_eval_peak(slot_count, poly):
 
 
 def test_ps_eval_peak_at_the_benchmark_shape():
-    # the degree-1024 step at 2^16 slots: 2,442,200 bytes measured, the output
-    # and a scratch of 4096 columns for 25 powers and 32 leaves; 13,650,016
-    # when the 16 baby-step rows and 5 giant powers were built at full width
-    _, peak = warm_ps_eval_peak(1 << 16, chebyshev._step_poly(1024))
-    assert peak <= 1.02 * 2_442_200
+    # degree 1024 at 2^16 slots: the output and a scratch of 4096 columns for
+    # every power and leaf, the step's 25 and 32.  2,413,561 bytes measured
+    # for the step and 2,344,113 for the centred window, which read
+    # 2,865,568 while it built T_2 from the input at full width; 13,650,016
+    # for the step when its 16 baby-step rows and 5 giant powers were built
+    # at full width
+    for name in ("odd step", "centred window"):
+        _, peak = warm_ps_eval_peak(1 << 16, IN_PLACE_POLYS[name](1024))
+        assert peak <= 1.02 * 2_442_200, name
 
 
 def test_ps_eval_peak_does_not_grow_with_the_slot_count():
@@ -442,38 +445,47 @@ def test_ps_eval_peak_does_not_grow_with_the_slot_count():
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-9], ids=["exact", "noisy"])
 @pytest.mark.parametrize("name", ["odd step", "centred window"])
-def test_ps_eval_computes_no_power_at_full_width(monkeypatch, name, sigma):
-    # noise-free, every power copy_into and share return stays a program:
-    # the tile pass of the result computes it, never a read of its own; only
-    # the lowest is an array, the input itself (odd) or T_2 (even, built
-    # from the input before any row exists).  Noisy, each is read at its draw.
+def test_ps_eval_computes_no_power_at_full_width(name, sigma):
+    # noise-free, every power is built on a zero-width probe and the tile
+    # pass computes its value a tile at a time, T_2 of the even window too;
+    # noisy, each is a full slot vector, read at its draw
     eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
     x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
-    powers, copy_into, share = [], eng.copy_into, eng.share
-
-    def copied(ct, rows, i):
-        powers.append(copy_into(ct, rows, i))
-        return powers[-1]
+    widths, share = [], eng.share
 
     def shared(*cts):
-        powers.extend(c for c in cts if c.level < x.level)
-        return share(*cts)
+        widths.extend(c.slots.size for c in share(*cts) if c.level < x.level)
+        return cts
 
-    eng.copy_into, eng.share = copied, shared
-    ps_eval(eng, x, IN_PLACE_POLYS[name](1024))
-    powers.pop()  # the result, shared before it is returned
-    assert len(powers) >= 20
-    if sigma:
-        assert all(p.tiled is None for p in powers)
-        return
-    assert all(p.tiled is not None for p in powers)
-    computed = [p.tiled for p in powers if p.tiled.factors is None]
-    assert len(computed) == 1 and computed[0].value is not None
-    assert np.shares_memory(computed[0].value, x.slots) == (name == "odd step")
+    eng.share = shared
+    out = ps_eval(eng, x, IN_PLACE_POLYS[name](1024))
+    assert widths.pop() == out.slots.size == 256  # the result, shared before it is returned
+    assert len(widths) >= 20 and set(widths) == {256 if sigma else 0}
+
+
+@pytest.mark.parametrize("degree", [15, 256, 1024])
+@pytest.mark.parametrize("name", IN_PLACE_POLYS)
+def test_tile_pass_gives_the_doubles_and_costs_of_the_circuit_op_by_op(name, degree):
+    # noise-free, ps_eval charges its circuit on a zero-width probe and takes
+    # its value from the tile pass: the same doubles as the circuit issued
+    # op by op on full-width ciphertexts, the noisy engine's code, and the
+    # same costs as that circuit, which are the probe's
+    poly = IN_PLACE_POLYS[name](degree)
+    coeffs = chebyshev._trim(np.array(poly.coeffs))
+    plan = chebyshev._plan(tuple(coeffs.tolist()), 1 << max(1, math.ceil(math.log2(len(coeffs))) // 2))
+    xs = np.random.default_rng(17).uniform(-1.0, 1.0, 1 << 12)
+    outs, costs = [], []
+    for run in (lambda e, x: ps_eval(e, x, poly), lambda e, x: chebyshev._circuit(e, x, plan)):
+        eng = HESimulator(HEParams(slot_count=1 << 12, max_level=40))
+        out = run(eng, eng.encrypt(xs))
+        outs.append(out.slots)
+        costs.append((eng.cost_snapshot(), out.level, out.rot_chain))
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert costs[0] == costs[1]
 
 
 def test_ps_eval_leaves_nothing_for_the_garbage_collector():
-    # the rows, powers and programs form no cycle: they go as ps_eval returns
+    # the rows, powers and probes form no cycle: they go as ps_eval returns
     poly = chebyshev._window_poly(-0.25, 0.25, -1.0, 1.0, 256)
     eng = make_engine(slot_count=1 << 12, max_level=40)
     x = eng.encrypt(np.random.default_rng(1).uniform(-1.0, 1.0, 1 << 12))

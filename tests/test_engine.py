@@ -5,7 +5,7 @@ import pytest
 
 from slotrank import (
     CapacityError,
-    CostReport,
+    Ciphertext,
     DepthBudgetError,
     EngineError,
     HEParams,
@@ -304,10 +304,11 @@ def test_ideal_map_burns_levels():
         eng.ideal_map(lambda s: s, out, levels=2)
 
 
-# A product by a scalar plaintext is computed when the op that consumes it
-# reads it; each consumer must give the same doubles as eager numpy.
+# A product by a scalar plaintext is an unshared value, which the next
+# linear op takes; each consumer must give the same doubles as eager numpy.
 
 SCALE = 0.1  # inexact in binary, so any change in rounding shows
+SIGMA = 1e-3
 
 
 def deferred_setup(slot_count=64):
@@ -316,7 +317,7 @@ def deferred_setup(slot_count=64):
     v, w = rng.normal(size=slot_count), rng.normal(size=slot_count)
     x, y = eng.encrypt(v), eng.encrypt(w)
     prod = eng.mul_plain(x, SCALE)
-    assert prod.pending is not None
+    assert prod.unshared
     return eng, prod, y, v * SCALE, w
 
 
@@ -339,11 +340,11 @@ def test_deferred_product_consumers_match_eager_numpy():
         assert np.array_equal(eng.decrypt(op(eng, prod, y)), eager(pv, w)), name
     eng, prod, _, pv, _ = deferred_setup()
     assert np.array_equal(eng.decrypt(prod), pv)
-    assert prod.pending is None  # a computed product no longer holds its base
+    assert not prod.unshared and not prod.slots.flags.writeable  # read, shared from now on
 
 
 def test_deferred_product_of_two_pending_operands():
-    # each op takes both pending operands, so each case builds its own
+    # each op takes both unshared operands, so each case builds its own
     eng, prod, y, pv, w = deferred_setup()
     assert np.array_equal(eng.decrypt(eng.add(prod, eng.mul_plain(y, -2.3))), pv + w * -2.3)
     eng, prod, y, pv, w = deferred_setup()
@@ -379,8 +380,22 @@ def test_numpy_and_int_scalars_are_deferred():
     x = eng.encrypt(v)
     for c in (np.float32(0.1), np.float64(0.1), np.int64(3), 2):
         prod = eng.mul_plain(x, c)
-        assert prod.pending is not None
+        assert prod.unshared
         assert np.array_equal(eng.decrypt(prod), v * np.full(16, float(c)))
+
+
+@pytest.mark.parametrize("s", [np.inf, -np.inf])
+def test_product_by_an_infinite_scalar_is_the_numpy_product(s):
+    # +-inf where the slot is non-zero and NaN only where it is zero, as
+    # numpy gives; the weight of the noise the product owes was once
+    # s * s * 0.0, NaN, so the read drew NaN into every slot
+    eng = make_engine(slot_count=8)
+    x = eng.encrypt([1.5, -2.0, 0.0, -0.0, 3.0])
+    with np.errstate(invalid="ignore"):
+        want = x.slots * s
+        out = eng.mul_plain(x, s)
+        assert out.owed == 0
+        assert eng.decrypt(out).tobytes() == want.tobytes()
 
 
 def test_noisy_scalar_product_is_deferred_and_seeded():
@@ -388,7 +403,7 @@ def test_noisy_scalar_product_is_deferred_and_seeded():
     eng = make_engine(slot_count=32, sigma=sigma, seed=seed)
     v = np.random.default_rng(5).normal(size=32)
     prod = eng.mul_plain(eng.encrypt(v), SCALE)
-    assert prod.pending is not None
+    assert prod.unshared and prod.owed == 1
     expected = v * SCALE + np.random.Generator(np.random.SFC64(seed)).normal(0.0, sigma, 32)
     assert np.array_equal(eng.decrypt(prod), expected)
 
@@ -402,8 +417,8 @@ def test_scalar_add_plain_matches_vector_plaintext():
     assert eng.plain(0.3).shape == (16,)
 
 
-# ``add`` and ``sub`` of two pending operands give a pending sum; a lone read
-# folds its terms left to right, as the eager chain of products and sums.
+# ``add`` and ``sub`` that take an unshared operand give an unshared sum,
+# the eager chain of products and sums to the double.
 
 
 def pending_sum(eng, vs, scales):
@@ -438,16 +453,16 @@ def test_pending_sum_consumers_match_eager_fold():
         eng = make_engine(slot_count=64)
         p, p_fold = pending_sum(eng, vs, scales)
         q, q_fold = pending_sum(eng, ws, other_scales)
-        assert len(p.pending) == len(vs), name
+        assert p.unshared and q.unshared, name
         assert np.array_equal(eng.decrypt(op(eng, p, q, eng.encrypt(w))), eager(p_fold, q_fold)), name
     eng = make_engine(slot_count=64)
     p, p_fold = pending_sum(eng, vs, scales)
     q, _ = pending_sum(eng, ws, other_scales)
-    assert eng.sub(p, q).pending is not None
-    assert spent(p) and spent(q)  # the sub took their terms
+    assert eng.sub(p, q).unshared
+    assert spent(p) and spent(q)  # the sub took their values
     p, _ = pending_sum(eng, vs, scales)
     assert np.array_equal(eng.decrypt(p), p_fold)
-    assert p.pending is None  # a folded sum no longer holds its bases
+    assert not p.unshared  # a read sum is shared
 
 
 def test_pending_sum_is_charged_at_each_add():
@@ -459,103 +474,58 @@ def test_pending_sum_is_charged_at_each_add():
     assert p.level == eng.params.max_level - 1
 
 
-def encrypt_as_rows(eng, vs):
-    """``vs`` encrypted as the rows of one 2D array, as ``copy_into`` fills them."""
-    rows = np.empty((len(vs), eng.params.slot_count))
-    return [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate(vs)]
+def probe_of(ct):
+    """A zero-width probe of ``ct``: its level and rotation chain, no slots."""
+    return Ciphertext(np.empty(0), ct.level, ct.rot_chain, ct.params)
+
+
+@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
+def test_adopt_gives_an_array_the_level_chain_and_noise_its_probe_charged(sigma):
+    # a linear sum charged on zero-width probes of its operands charges what
+    # the same ops on the operands do; adopt gives the value computed apart
+    # the probe's level, rotation chain and owed noise, and charges nothing
+    eng = make_engine(slot_count=64, sigma=sigma, seed=3)
+    ref = make_engine(slot_count=64, sigma=sigma, seed=3)
+    rng = np.random.default_rng(36)
+    v, w = rng.normal(size=64), rng.normal(size=64)
+    deep = [e.share(e.rotate(e.mul(e.encrypt(v), e.encrypt(w)), 3))[0] for e in (eng, ref)]
+
+    def linear(e, x):
+        return e.add(e.mul_plain(x, 0.5), e.mul_plain(x, -0.25), x)
+
+    charged = linear(eng, probe_of(deep[0]))
+    want = linear(ref, deep[1])
+    assert eng.cost_snapshot() == ref.cost_snapshot() and eng.rotation_offsets() == ref.rotation_offsets()
+    before = eng.cost_snapshot()
+    value = deep[0].slots * 0.5 + deep[0].slots * -0.25 + deep[0].slots
+    out = eng.adopt(value.copy(), charged)
+    assert eng.cost_snapshot() == before
+    assert (out.level, out.rot_chain, out.owed) == (want.level, want.rot_chain, want.owed) == (8, 1, 4 if sigma else 0)
+    assert out.unshared and spent(charged)
+    # the same doubles and the same draw from the same stream
+    assert same_doubles(out.slots, want.slots) and not out.slots.flags.writeable
+    with pytest.raises(EngineError, match="HESimulator.share"):
+        eng.adopt(value.copy(), charged)
 
 
 def test_realise_matches_fold_within_rounding():
-    # sums over the rows of one array take one pass of tiled products
+    # sums over the rows take one BLAS product, which rounds within a few
+    # ulps of sum_i |scale_i * base_i| of the left-to-right fold
     for slot_count in (64, 1 << 13, 1 << 16):
         vs, scales = sum_inputs(slot_count=slot_count, terms=6)
         eng = make_engine(slot_count=slot_count)
-        shared = encrypt_as_rows(eng, vs)
-        sums, folds, bounds = [], [], []
-        for r in range(3):
-            coeffs = np.roll(scales, r)
-            acc = None
-            for ct, s in zip(shared, coeffs):
-                term = eng.mul_plain(ct, s)
-                acc = term if acc is None else eng.add(acc, term)
-            sums.append(acc)
-            folds.append(sum((v * s for v, s in zip(vs[1:], coeffs[1:])), vs[0] * coeffs[0]))
-            bounds.append(sum(np.abs(v * s) for v, s in zip(vs, coeffs)))
-        doubled = eng.add(eng.mul_plain(shared[0], 0.1), eng.mul_plain(shared[0], 0.1))
-        sums.append(doubled)
-        folds.append(vs[0] * 0.1 + vs[0] * 0.1)
-        bounds.append(2 * np.abs(vs[0] * 0.1))
-        concrete = eng.encrypt(vs[1])
-        out = eng.realise([sums[0], concrete, *sums[1:]], shared)
-        assert out[1] is concrete
-        results = [out[0], *out[2:]]
-        # each sum is a private program, computed only when it is read
-        assert all(res.private is not None and res._value is None for res in results)
+        rows = [eng.encrypt(v) for v in vs]
+        weights = [np.roll(scales, r) for r in range(3)] + [np.array([0.2, 0, 0, 0, 0, 0])]
+        folds = [sum((v * s for v, s in zip(vs[1:], w[1:])), vs[0] * w[0]) for w in weights[:3]]
+        folds.append(vs[0] * 0.1 + vs[0] * 0.1)  # the doubled product, one weight of 0.2
+        bounds = [sum(np.abs(v * s) for v, s in zip(vs, w)) for w in weights]
+        results = realise(eng, weights, rows)
+        assert all(res.unshared for res in results)
         for res, fold, bound in zip(results, folds, bounds):
-            assert res.pending is None
             assert np.all(np.abs(res.slots - fold) <= 1e-14 * bound)
             assert not res.slots.flags.writeable
-            for other in [*results, *shared]:
+            for other in [*results, *rows]:
                 assert other is res or not np.shares_memory(res.slots, other.slots)
-
-
-def test_copy_into_keeps_the_ciphertext_and_charges_nothing():
-    n = 64
-    eng = make_engine(slot_count=n)
-    v = np.random.default_rng(3).normal(size=n)
-    deep = eng.rotate(eng.mul(eng.encrypt(v), eng.encrypt(v)), 5)
-    pending = eng.mul_plain(deep, SCALE)
-    wants = (np.roll(v * v, -5), np.roll(v * v, -5) * SCALE)
-    rows = np.empty((2, n))
-    before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
-    copies = [eng.copy_into(ct, rows, i) for i, ct in enumerate((deep, pending))]
-    assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
-    assert spent(pending)  # its terms were folded straight into its row
-    assert same_doubles(deep.slots, wants[0])  # a computed one is copied
-    for src, copy, row, want in zip((deep, pending), copies, rows, wants):
-        assert same_doubles(copy.slots, want)
-        assert (copy.level, copy.rot_chain) == (src.level, src.rot_chain)
-        assert copy.pending is None and np.shares_memory(copy.slots, row)
-        assert not np.shares_memory(copy.slots, deep.slots)
-        assert not copy.slots.flags.writeable
-    assert (copies[1].level, copies[1].rot_chain) == (8, 1)
-    assert rows.flags.writeable  # only the views are read-only
-
-
-def test_realise_takes_one_product_only_over_the_rows_it_is_told():
-    vs, scales = sum_inputs(terms=4)
-    eng = make_engine(slot_count=64)
-    rows = encrypt_as_rows(eng, vs)
-    outside = eng.encrypt(vs[0])
-
-    def sums(extra=()):
-        def terms():
-            return [eng.mul_plain(ct, s) for ct, s in zip([*rows, *extra], [*scales, 0.5])]
-
-        return [eng.add(*terms()), eng.add(*terms()[::-1])]
-
-    product = eng.realise(sums(), rows)
-    assert all(c.private is not None and c._value is None for c in product)
-    # the first read computes the batch, the other sum's row into an array of its own
-    assert not np.shares_memory(product[0].slots, product[1].slots)
-    assert all(c.slots.base is None and not np.shares_memory(c.slots, rows[0].slots.base) for c in product)
-    # a base outside the rows is refused, a computed operand's value included
-    for batch in (sums([outside]), [eng.add(eng.mul_plain(rows[0], 0.5), eng.encrypt(vs[1]))]):
-        with pytest.raises(ValueError, match="must be one of the rows"):
-            eng.realise(batch, rows)
-    other_array = encrypt_as_rows(eng, vs[:2])
-    wrong = {
-        "out of order": rows[::-1],
-        "a row missing": rows[:-1],
-        "rows of two arrays": [*rows[:2], *other_array],
-        "not a row": [outside, *rows[1:]],
-        "no rows": [],
-    }
-    for told in wrong.values():
-        with pytest.raises(ValueError, match="every row of one 2D array"):
-            eng.realise(sums(), told)
-    with pytest.raises(TypeError):
-        eng.realise(sums())  # the rows are not optional: there is no fold-each fallback
 
 
 def test_realise_charges_nothing_and_keeps_levels():
@@ -563,12 +533,11 @@ def test_realise_charges_nothing_and_keeps_levels():
     eng = make_engine(slot_count=64)
     x = eng.mul(eng.encrypt(vs[0]), eng.encrypt(vs[1]))
     rotated = eng.rotate(eng.encrypt(vs[2]), 3)
-    rows = np.empty((3, 64))
-    rows = [eng.copy_into(ct, rows, i) for i, ct in enumerate((eng.encrypt(vs[0]), x, rotated))]
-    low = eng.add(*[eng.mul_plain(rows[0], s) for s in scales])
-    deep = eng.add(eng.mul_plain(rows[1], 0.5), eng.mul_plain(rows[2], -0.25))
+    rows = [eng.encrypt(vs[0]), x, rotated]
+    low = eng.add(*[eng.mul_plain(probe_of(rows[0]), s) for s in scales])
+    deep = eng.add(eng.mul_plain(probe_of(rows[1]), 0.5), eng.mul_plain(probe_of(rows[2]), -0.25))
     before = eng.cost_snapshot()
-    out = eng.realise([low, deep], rows)
+    out = [eng.adopt(np.zeros(64), c) for c in (low, deep)]
     assert eng.cost_snapshot() == before
     assert [c.level for c in out] == [low.level, deep.level] == [9, 8]
     assert [c.rot_chain for c in out] == [0, 1]
@@ -577,8 +546,9 @@ def test_realise_charges_nothing_and_keeps_levels():
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noise-free", "noisy"])
 def test_realise_of_a_leaf_does_not_depend_on_its_term_order(sigma):
-    # a product by 1 is the row itself, computed: a leaf led by two such
-    # rows keeps each as its own term, so its every base is a row
+    # a product by 1 is the row itself: a leaf led by two such rows charges
+    # and owes what any order of its terms does, and its value is its row of
+    # the product whatever the order
     vs, _ = sum_inputs(terms=3)
     orders = {
         "two rows first": lambda e, a, b, c: e.add(a, b, e.mul_plain(c, 0.5)),
@@ -589,10 +559,10 @@ def test_realise_of_a_leaf_does_not_depend_on_its_term_order(sigma):
     values = {}
     for name, leaf_of in orders.items():
         eng = make_engine(slot_count=64, sigma=sigma, seed=3)
-        rows = encrypt_as_rows(eng, vs)
-        leaf = leaf_of(eng, *rows)
-        assert leaf.pending is not None and leaf.owed == (3 if sigma else 0), name
-        (out,) = eng.realise([leaf], rows)
+        rows = [eng.encrypt(v) for v in vs]
+        leaf = leaf_of(eng, *[probe_of(r) for r in rows])
+        assert leaf.unshared and leaf.owed == (3 if sigma else 0), name
+        out = eng.adopt(np.array([1.0, 1.0, 0.5]) @ np.array(vs), leaf)
         values[name] = out.slots
         assert eng.cost_snapshot().additions == 2 and eng.cost_snapshot().ctpt_mults == 1, name
     first = values["two rows first"]
@@ -602,15 +572,76 @@ def test_realise_of_a_leaf_does_not_depend_on_its_term_order(sigma):
     assert np.max(np.abs(first - eager)) < (6 * sigma * np.sqrt(3) if sigma else 1e-14 * np.max(np.abs(eager)))
 
 
-# One pending rule on both engines: ``add`` and ``sub`` with a pending
-# operand, and ``x + x``, give a pending sum, whose fold is the eager chain's
-# to the double, signed zeros included; every other linear op computes at
-# once.  The op takes a pending operand and leaves it spent, owed noise or not.
+def test_realise_over_tiled_rows_gives_the_doubles_of_array_rows():
+    # the product over a tile of the rows, copied into a scratch as the
+    # noise-free tile pass copies its powers, gives the doubles of the same
+    # columns of the product over the whole rows, as a noisy engine takes it
+    vs, scales = sum_inputs(slot_count=1 << 13, terms=4)
+    rows = np.array(vs)
+    weights = np.array([np.roll(scales, k) for k in range(3)])
+    whole = weights @ rows
+    for width in (32, 1000, 4096):
+        for lo in range(0, 1 << 13, width):
+            tile = np.empty((4, min(width, (1 << 13) - lo)))
+            np.copyto(tile, rows[:, lo : lo + width])
+            assert (weights @ tile).tobytes() == whole[:, lo : lo + width].copy().tobytes()
+
+
+def test_realise_keeps_the_drawn_noise_and_charges_nothing():
+    for slot_count in (64, 1 << 13):
+        eng, sums, _ = noisy_sums(slot_count, 3, 4, seed=5, realised=True)
+        ref, _, _ = noisy_sums(slot_count, 3, 4, seed=5)
+        assert eng.cost_snapshot() == ref.cost_snapshot()  # the probes charged what the sums on the bases did
+        # realised, not read: the noise of 4 products and 3 sums is still owed
+        assert all(c.unshared and c.owed == 7 for c in sums)
+        before = eng.cost_snapshot()
+        values = [c.slots for c in sums]  # the reads draw it and charge nothing
+        assert eng.cost_snapshot() == before
+        assert all(not c.unshared and c.owed == 0 for c in sums)
+        assert all(not v.flags.writeable for v in values)
+        # later reads see the noise already drawn
+        assert all(a is b.slots for a, b in zip(values, eng.share(*sums)))
+
+
+def test_rows_hold_an_array_only_on_a_noisy_engine(monkeypatch):
+    # a noisy ps_eval runs its circuit on full-width ciphertexts, its baby-step
+    # powers copied into the rows of one array; a noise-free one charges it on
+    # zero-width probes, whose rows hold no slot
+    from slotrank import chebyshev, ps_eval
+
+    shapes, powers = [], chebyshev._powers
+
+    def recorded(*args):
+        out = powers(*args)
+        shapes.append(out[1].shape)
+        return out
+
+    monkeypatch.setattr(chebyshev, "_powers", recorded)
+    for sigma in (SIGMA, 0.0):
+        eng = make_engine(slot_count=64, max_level=20, sigma=sigma)
+        ps_eval(eng, eng.encrypt(np.linspace(-1.0, 1.0, 64)), chebyshev._step_poly(64))
+    assert shapes == [(4, 64), (4, 0)]
+
+
+def test_probe_raises_depth_budget_error_where_the_full_width_op_does():
+    eng = make_engine(slot_count=16, max_level=2)
+    for x in (eng.encrypt(np.arange(16.0)), probe_of(eng.encrypt(np.arange(16.0)))):
+        low = eng.mul(eng.mul(x, x), x)
+        with pytest.raises(DepthBudgetError) as err:
+            eng.mul_plain(low, 0.5)
+        assert err.value.site.endswith("engine.mul_plain") and low.slots.size in (0, 16)
+
+
+# One rule on both engines: ``add`` and ``sub`` that take an unshared
+# operand, ``x + x`` and a scalar ``mul_plain`` give an unshared value, the
+# eager numpy expression to the double, signed zeros included; every other
+# linear op gives a read one, unless it owes noise.  The op takes an
+# unshared operand and leaves it spent, owed noise or not.
 
 
 def linear_operands(eng, n=64):
-    """A computed ciphertext, a pending scalar product and a pending sum of
-    two, with their eager values; half of every vector is negative."""
+    """A computed ciphertext, an unshared scalar product and an unshared sum
+    of two, with their eager values; half of every vector is negative."""
     rng = np.random.default_rng(31)
     u, v, w = (rng.normal(size=n) for _ in range(3))
     computed = eng.encrypt(u)
@@ -645,18 +676,18 @@ def test_linear_op_of_a_pending_operand_stays_pending(name, kind):
     eng = make_engine(slot_count=64)
     operands = linear_operands(eng)
     (x, a), (y, b) = operands[kind], operands["computed" if kind != "computed" else "product"]
-    pending = [c.pending is not None for c in (x, y)]
+    unshared = [c.unshared for c in (x, y)]
     before = eng.cost_snapshot()
     out = op(eng, x, y)
-    # only x + x, and a sum or difference with a pending operand, stays
-    # pending; x - x is +0.0, computed, whatever x is
+    # only x + x, and a sum or difference with an unshared operand, stays
+    # unshared; x - x is +0.0, read, whatever x is
     uses_y = name in {"x + y", "y + x", "x - y", "y - x"}
-    stays_pending = name == "x + x" or (uses_y and any(pending))
-    assert (out.pending is not None) == stays_pending, (name, kind)
+    stays_unshared = name == "x + x" or (uses_y and any(unshared))
+    assert out.unshared == stays_unshared, (name, kind)
     assert eng.cost_snapshot().additions - before.additions == (0 if name == "negate" else 1)
     assert same_doubles(out.slots, eager(a, b)), (name, kind)
-    # every op takes x, and a pending operand it took is spent; any other keeps its value
-    for ct, value, taken in ((x, a, pending[0]), (y, b, pending[1] and uses_y)):
+    # every op takes x, and an unshared operand it took is spent; any other keeps its value
+    for ct, value, taken in ((x, a, unshared[0]), (y, b, unshared[1] and uses_y)):
         if taken:
             with pytest.raises(EngineError, match="share"):
                 ct.slots
@@ -670,7 +701,7 @@ def test_difference_with_itself_reads_positive_zero():
         eng = make_engine(slot_count=64)
         x, _ = linear_operands(eng)[kind]
         zero = eng.sub(x, x)
-        assert zero.pending is None and same_doubles(zero.slots, np.zeros(64)), kind
+        assert not zero.unshared and same_doubles(zero.slots, np.zeros(64)), kind
         assert spent(x) == (kind != "computed"), kind
         # -(a - a) is -0.0 everywhere, as the eager negation gives
         x, _ = linear_operands(eng)[kind]
@@ -696,86 +727,64 @@ COMPUTING_OPS = {
 @pytest.mark.parametrize("op", COMPUTING_OPS)
 @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noise-free", "noisy"])
 def test_owed_noise_is_a_weight_on_a_computed_value(op, sigma):
-    # an owing ciphertext holds no pending terms; a noise-free one is read
+    # an owing ciphertext is unshared; a noise-free one is read
     eng = make_engine(slot_count=16, sigma=sigma)
     x, y = eng.encrypt(np.arange(16.0)), eng.encrypt(np.ones(16))
     out = COMPUTING_OPS[op](eng, x, y)
-    assert out.pending is None and (out.owed > 0) == (sigma > 0), op
+    assert out.unshared == (out.owed > 0) == (sigma > 0), op
     if sigma:
         assert "owing" in repr(out) and not spent(out)
-        before = eng.cost_snapshot()
-        eng.realise([out], encrypt_as_rows(eng, [np.ones(16)]))
-        assert out.owed > 0 and eng.cost_snapshot() == before  # realise leaves it owing
     assert np.isfinite(out.slots).all() and out.owed == 0
 
 
-# every op that takes a pending operand's terms, applied to a pending ``p``
+# every op that takes an unshared operand, applied to an unshared ``p``
 SPENDING_OPS = {
     "add": lambda e, p: e.add(p, e.encrypt(np.ones(16))),
     "sub": lambda e, p: e.sub(e.encrypt(np.ones(16)), p),
     "add_plain": lambda e, p: e.add_plain(p, 0.5),
     "negate": lambda e, p: e.negate(p),
     "scalar mul_plain": lambda e, p: e.mul_plain(p, 3.0),
-    "copy_into": lambda e, p: e.copy_into(p, np.empty((1, 16)), 0),
+    "adopt": lambda e, p: e.adopt(np.zeros(16), p),
 }
 
 
 @pytest.mark.parametrize("op", SPENDING_OPS)
 def test_noise_free_op_spends_the_pending_operand_it_takes(op):
-    # a pending sum that owes nothing is spent as an owing one is
+    # an unshared sum that owes nothing is spent as an owing one is
     eng = make_engine(slot_count=16)
-    rows = encrypt_as_rows(eng, [np.arange(16.0)])
-    p = eng.add(eng.mul_plain(rows[0], 0.5), eng.mul_plain(rows[0], -0.25))
-    assert p.pending is not None and p.owed == 0
+    row = eng.encrypt(np.arange(16.0))
+    p = eng.add(eng.mul_plain(row, 0.5), eng.mul_plain(row, -0.25))
+    assert p.unshared and p.owed == 0
     SPENDING_OPS[op](eng, p)
-    for use in (lambda: p.slots, lambda: eng.add(p, rows[0]), lambda: eng.realise([p], rows)):
+    for use in (lambda: p.slots, lambda: eng.add(p, row), lambda: eng.share(p), lambda: eng.adopt(np.zeros(16), p)):
         with pytest.raises(EngineError, match="HESimulator.share"):
             use()
 
 
-@pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
-def test_copy_into_folds_a_pending_power_into_its_row(even):
-    # T_i = 2 T_a T_b - T_c as the baby steps build it: mul, add(p, p), then
-    # sub (odd i) or add_plain (even i), written once into its row
-    n = 1 << 12
-    eng = make_engine(slot_count=n)
-    rng = np.random.default_rng(32)
-    a, b, c = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
-    ta, tb, tc = (eng.encrypt(v) for v in (a, b, c))
-    prod = eng.mul(ta, tb)
-    doubled = eng.add(prod, prod)
-    power = eng.add_plain(doubled, -1.0) if even else eng.sub(doubled, tc)
-    # adding a plaintext computes at once; the sub of a computed tc stays pending
-    assert spent(doubled) and (power.pending is None) == even
-    eager = (a * b + a * b) + -1.0 if even else (a * b + a * b) - c
-    before = eng.cost_snapshot()
-    rows = np.zeros((3, n))
-    copy = eng.copy_into(power, rows, 1)
-    assert eng.cost_snapshot() == before
-    assert same_doubles(copy.slots, eager) and same_doubles(rows[1], eager)
-    assert (copy.level, copy.rot_chain) == (power.level, power.rot_chain)
-    assert np.shares_memory(copy.slots, rows[1]) and not rows[0].any() and not rows[2].any()
-    for other in (ta, tb, tc, prod):
-        assert not np.shares_memory(copy.slots, other.slots)
-    # folded into the row, as a linear op takes it; a read power is copied
-    assert spent(power) != even
+# A noisy sum owes the noise of its charged ops and draws it once, as one
+# draw of the summed variance, when it is read.
 
 
-# A noisy pending sum owes the noise of its charged ops and draws it once,
-# as one draw of the summed variance, when it is read or realised.
+def realise(eng, scales, rows):
+    """The sums of ``rows`` by each row of ``scales`` as ``ps_eval`` realises
+    its leaves: each charged on zero-width probes of the rows, its value its
+    row of one BLAS product over them, adopted."""
+    probes = [probe_of(r) for r in rows]
+    charged = [eng.add(*[eng.mul_plain(p, s) for p, s in zip(probes, row)]) for row in scales]
+    return list(map(eng.adopt, np.asarray(scales) @ np.array([r.slots for r in rows]), charged))
 
-SIGMA = 1e-3
 
-
-def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA):
-    """A fresh engine with noise ``sigma``, ``count`` pending sums on it, each
-    of ``terms`` scalar products of the same base ciphertexts, and those
-    bases, the rows of one array."""
+def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA, realised=False):
+    """A fresh engine with noise ``sigma``, ``count`` unshared sums on it,
+    each of ``terms`` scalar products of the same base ciphertexts, and
+    those bases; ``realised`` as ``realise`` gives them."""
     eng = make_engine(slot_count=slot_count, sigma=sigma, seed=seed)
     rng = np.random.default_rng(21)
     vs = [rng.normal(size=slot_count) for _ in range(terms)]
-    bases = encrypt_as_rows(eng, vs)
+    bases = [eng.encrypt(v) for v in vs]
     scales = rng.uniform(-2.0, 2.0, (count, terms))
+    if realised:
+        return eng, realise(eng, scales, bases), bases
     sums = []
     for row in scales:
         acc = None
@@ -786,28 +795,26 @@ def noisy_sums(slot_count, count, terms, seed=0, sigma=SIGMA):
     return eng, sums, bases
 
 
-@pytest.mark.parametrize("realise", [False, True], ids=["slots", "realise"])
+@pytest.mark.parametrize("realised", [False, True], ids=["slots", "realise"])
 @pytest.mark.parametrize("slot_count,count", [(1 << 16, 1), (1 << 12, 16)], ids=["2^16", "16x2^12"])
-def test_pending_sum_draws_the_summed_noise_once(realise, slot_count, count):
-    # realise takes one product over the rows of one array
+def test_pending_sum_draws_the_summed_noise_once(realised, slot_count, count):
+    # a realised sum owes the noise its probes charged, drawn at its read
     terms = 5
-    eng, noisy, rows = noisy_sums(slot_count, count, terms)
-    _, exact, _ = noisy_sums(slot_count, count, terms, sigma=0.0)
+    _, noisy, _ = noisy_sums(slot_count, count, terms, realised=realised)
+    _, exact, _ = noisy_sums(slot_count, count, terms, sigma=0.0, realised=realised)
     assert all(c.owed == 2 * terms - 1 for c in noisy) and all(c.owed == 0 for c in exact)
-    if realise:
-        noisy = eng.realise(noisy, rows)
     std = np.std(np.concatenate([a.slots - b.slots for a, b in zip(noisy, exact)]))
     assert abs(std / (SIGMA * np.sqrt(2 * terms - 1)) - 1.0) < 0.03
 
 
 def test_add_to_itself_reads_its_operand_once():
-    # add(p, p) is p scaled by 2: its noise 2 e_p + e is one draw of weight 4 + 1
+    # add(p, p) is p doubled: its noise 2 e_p + e is one draw of weight 4 + 1
     n = 1 << 16
     eng = make_engine(slot_count=n, sigma=SIGMA, seed=4)
     v = np.random.default_rng(8).normal(size=n)
     p = eng.mul_plain(eng.encrypt(v), SCALE)
     doubled = eng.add(p, p)
-    assert doubled.owed == 5 and doubled.pending is not None
+    assert doubled.owed == 5 and doubled.unshared
     with pytest.raises(EngineError, match="spent"):
         p.slots
     assert abs(np.std(doubled.slots - 2 * (v * SCALE)) / (SIGMA * np.sqrt(5.0)) - 1.0) < 0.03
@@ -821,7 +828,7 @@ def test_add_to_itself_reads_its_operand_once():
 
 
 def test_spent_operand_raises_on_read_sum_and_realise():
-    # one rule on both engines: the add took p's and q's terms, owed noise or not
+    # one rule on both engines: the add took p's and q's values, owed noise or not
     for sigma in (SIGMA, 0.0):
         eng, (p, q), rows = noisy_sums(16, 2, 1, sigma=sigma)
         s = eng.add(p, q)
@@ -830,14 +837,14 @@ def test_spent_operand_raises_on_read_sum_and_realise():
         uses = {
             "read": lambda x: x.slots,
             "decrypt": lambda x: eng.decrypt(x),
-            "sum with a pending sum": lambda x: eng.add(eng.mul_plain(concrete, 2.0), x),
+            "sum with an unshared sum": lambda x: eng.add(eng.mul_plain(concrete, 2.0), x),
             "sum with itself": lambda x: eng.sub(x, x),
             "sum with a ciphertext": lambda x: eng.add(concrete, x),
             "mul_plain": lambda x: eng.mul_plain(x, 2.0),
+            "mul": lambda x: eng.mul(concrete, x),
             "rotate": lambda x: eng.rotate(x, 1),
-            "realise": lambda x: eng.realise([s, x], rows),
+            "adopt": lambda x: eng.adopt(np.ones(16), x),
             "share": lambda x: eng.share(x),
-            "copy_into": lambda x: eng.copy_into(x, np.empty((1, 16)), 0),
         }
         for name, use in uses.items():
             for spent in (p, q):
@@ -848,50 +855,34 @@ def test_spent_operand_raises_on_read_sum_and_realise():
         assert np.isfinite(s.slots).all()
 
 
-def test_realise_keeps_the_drawn_noise_and_charges_nothing():
-    for slot_count in (64, 1 << 13):
-        eng, sums, rows = noisy_sums(slot_count, 3, 4, seed=5)
-        concrete = eng.rotate(eng.encrypt(np.arange(4.0)), 1)
-        before, offsets = eng.cost_snapshot(), eng.rotation_offsets()
-        out = eng.realise([sums[0], concrete, *sums[1:]], rows)
-        assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
-        assert all(a is b for a, b in zip(out, [sums[0], concrete, *sums[1:]]))
-        # recorded, not computed, and the noise of 4 products and 3 sums is still owed
-        assert all(c.pending is None and c.private is not None and c._value is None and c.owed == 7 for c in sums)
-        # a private value has nothing to fold: a second batch leaves it as it is
-        programs = [c.private for c in sums]
-        assert all(c.private is p and c.owed == 7 for c, p in zip(eng.realise(sums, rows), programs))
-        assert eng.cost_snapshot() == before
-        values = [c.slots for c in sums]  # the reads draw it
-        assert all(c.pending is None and c.owed == 0 for c in sums)
-        assert all(not v.flags.writeable for v in values)
-        # later reads and later realises see the noise already drawn
-        assert all(a is b.slots for a, b in zip(values, eng.realise(sums, rows)))
-
-
 def test_realised_noise_joins_the_op_that_takes_it_over():
+    # a leaf as ps_eval realises it: charged on probes of its rows, its value
+    # adopted, owing the noise of 3 products and 2 sums
     n = 1 << 16
-    eng, (leaf,), rows = noisy_sums(n, 1, 3, seed=6)
-    _, (exact,), _ = noisy_sums(n, 1, 3, sigma=0.0)
-    eng.realise([leaf], rows)  # a program of its own, still owing
-    assert leaf.pending is None and leaf.private is not None and leaf.owed == 5
-    program = leaf.private
+    eng = make_engine(slot_count=n, sigma=SIGMA, seed=6)
+    rng = np.random.default_rng(37)
+    rows = [eng.encrypt(rng.normal(size=n)) for _ in range(3)]
+    scales = rng.uniform(-2.0, 2.0, 3)
+    charged = eng.add(*[eng.mul_plain(probe_of(r), s) for r, s in zip(rows, scales)])
+    value = scales @ np.array([r.slots for r in rows])
+    exact = value.copy()
+    leaf = eng.adopt(value, charged)
+    assert leaf.unshared and leaf.owed == 5
     x = eng.encrypt(np.ones(n))
-    # as the giant-step walk adds a constant and a product to a leaf: two
-    # steps of its program, which the read computes into its own array
+    # as the giant-step walk adds a constant and a product to a leaf: both
+    # run in its array, and the read draws the noise of all of them once
     out = eng.add(eng.add_plain(leaf, 0.5), eng.mul(x, x))
-    assert out.owed == 5 + 1 + 1 + 1 and out.private is program and len(program.steps) == 2
-    assert program.value is None  # nothing is computed before the read
+    assert out.owed == 5 + 1 + 1 + 1 and out.unshared
     with pytest.raises(EngineError, match="spent"):
         leaf.slots
-    assert abs(np.std(out.slots - (exact.slots + 1.5)) / (SIGMA * np.sqrt(8.0)) - 1.0) < 0.03
-    assert out.slots is program.value  # computed once, into the program's own array
+    assert abs(np.std(out.slots - (exact + 1.5)) / (SIGMA * np.sqrt(8.0)) - 1.0) < 0.03
+    assert np.shares_memory(out.slots, value)  # computed in the leaf's own array
 
 
-# A realised sum is private: a program nothing else holds, and ``add``,
-# ``sub``, a scalar ``add_plain`` and ``mul`` with it as first operand append
-# themselves to it, computed at the read into one array of its own, with the
-# doubles and noise draws of the same ops on a computed copy.
+# A leaf that ``adopt`` gives a value is private, an unshared array nothing
+# else holds: ``add``, ``sub`` and ``add_plain`` with it as first operand
+# write into that array and take it; ``mul`` reads it.  Each gives the
+# doubles, costs and noise draws of the same leaf issued on its rows.
 
 PRIVATE_OPS = {
     "add": lambda e, p, y: e.add(p, y, y),
@@ -902,45 +893,51 @@ PRIVATE_OPS = {
 }
 
 
-def private_leaf(sigma, seed=15, n=1 << 12):
-    """An engine, a private leaf it realised from two rows, and a read ``y``."""
+def leaves_of(sigma, scales, seed=15, n=1 << 12, full_width=False):
+    """An engine, the sums of its rows by each row of ``scales``, and a read
+    ``y``: each sum charged on zero-width probes of the rows and adopted,
+    or, with ``full_width``, issued on the rows themselves."""
     eng = make_engine(slot_count=n, sigma=sigma, seed=seed)
     rng = np.random.default_rng(16)
-    rows = encrypt_as_rows(eng, [rng.normal(size=n) for _ in range(2)])
-    (leaf,) = eng.realise([eng.add(eng.mul_plain(rows[0], 0.7), eng.mul_plain(rows[1], -1.3))], rows)
+    rows = [eng.encrypt(rng.normal(size=n)) for _ in range(len(scales[0]))]
+    operands = rows if full_width else [probe_of(r) for r in rows]
+    leaves = []
+    for row in scales:
+        leaf = eng.add(*[eng.mul_plain(c, s) for c, s in zip(operands, row)])
+        if not full_width:
+            value = rows[0].slots * row[0]
+            for r, s in zip(rows[1:], row[1:]):
+                value += r.slots * s
+            leaf = eng.adopt(value, leaf)
+        leaves.append(leaf)
     y = eng.share(eng.rotate(eng.encrypt(rng.normal(size=n)), 1))[0]
+    return eng, leaves, y
+
+
+def private_leaf(sigma, full_width=False):
+    """An engine, the private leaf 0.7 r_0 - 1.3 r_1 of two rows, and a read ``y``."""
+    eng, (leaf,), y = leaves_of(sigma, [(0.7, -1.3)], full_width=full_width)
     return eng, leaf, y
-
-
-def read_copy(leaf):
-    """``leaf`` computed into a read-only array, as it would be if ciphertexts
-    could not be private; its owed noise stays owed."""
-    leaf._value = leaf.private.compute(leaf.params.slot_count).copy()
-    leaf._value.setflags(write=False)
-    leaf.private = None
-    return leaf
 
 
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
 @pytest.mark.parametrize("op", PRIVATE_OPS)
 def test_op_on_a_private_operand_runs_in_its_array(op, sigma):
-    # the op appends itself to the leaf's program, which the read computes
-    # into an array of its own; a noisy mul computes it first, to draw the
-    # noise it owes, and then multiplies in that array at once
+    # a linear op writes into the leaf's array and takes it; a noisy mul
+    # draws the noise it owes into that array, reading it
     eng, leaf, y = private_leaf(sigma)
-    program, owed = leaf.private, leaf.owed
-    assert program.value is None and (owed > 0) == (sigma > 0) and "private" in repr(leaf)
+    value, owed = leaf._value, leaf.owed
+    assert leaf.unshared and (owed > 0) == (sigma > 0) and "unshared" in repr(leaf)
     out = PRIVATE_OPS[op](eng, leaf, y)
-    assert out.private is program and spent(leaf)
-    assert (program.value is not None) == (not program.steps) == (op == "mul" and sigma > 0)
-    copy_eng, copy, copy_y = private_leaf(sigma)
-    want = PRIVATE_OPS[op](copy_eng, read_copy(copy), copy_y)
-    assert want.private is None and out.owed == want.owed and out.level == want.level
+    assert spent(leaf) != (op == "mul")
+    copy_eng, copy, copy_y = private_leaf(sigma, full_width=True)
+    want = PRIVATE_OPS[op](copy_eng, copy, copy_y)
+    assert (out.owed, out.level, out.unshared) == (want.owed, want.level, want.unshared)
     assert eng.cost_snapshot() == copy_eng.cost_snapshot()
     # the same doubles, and the same draws from the same stream
-    value = out.slots
-    assert same_doubles(value, want.slots) and out.private is None and not value.flags.writeable
-    assert value is program.value and not program.steps
+    result = out.slots
+    assert same_doubles(result, want.slots) and not result.flags.writeable
+    assert np.shares_memory(result, value) == (op != "mul")
     after = [e.decrypt(e.add_plain(e.mul(e.encrypt(np.ones(1 << 12)), y), 1.0)) for e in (eng, copy_eng)]
     assert same_doubles(*after)
 
@@ -960,6 +957,9 @@ def test_private_operand_an_op_took_raises_when_used_again(op, sigma):
         "rotate": lambda: eng.rotate(leaf, 1),
     }
     for name, use in uses.items():
+        if op == "mul":  # mul reads its operands, so every op may use the leaf again
+            use()
+            continue
         with pytest.raises(EngineError, match="HESimulator.share"):
             use()
 
@@ -968,8 +968,8 @@ READS = {
     "share": lambda e, p, y: e.share(p),
     "rotate": lambda e, p, y: e.rotate(p, 1),
     "decrypt": lambda e, p, y: e.decrypt(p),
-    "later operand of add": lambda e, p, y: e.add(y, p),
     "later operand of mul": lambda e, p, y: e.mul(y, p),
+    "ideal_map": lambda e, p, y: e.ideal_map(np.negative, p),
     "mul_plain": lambda e, p, y: e.mul_plain(p, np.full(1 << 12, 0.5)),
 }
 
@@ -977,228 +977,40 @@ READS = {
 @pytest.mark.parametrize("read", READS)
 def test_read_makes_a_private_value_read_only(read):
     eng, leaf, y = private_leaf(0.0)
-    value = read_copy(private_leaf(0.0)[1]).slots
+    value = private_leaf(0.0, full_width=True)[1].slots
     READS[read](eng, leaf, y)
-    assert leaf.private is None and not leaf.slots.flags.writeable and same_doubles(leaf.slots, value)
+    assert not leaf.unshared and not leaf.slots.flags.writeable and same_doubles(leaf.slots, value)
     out = eng.add_plain(leaf, 0.5)  # a read value is left as it is
-    assert out.private is None and same_doubles(leaf.slots, value) and same_doubles(out.slots, value + 0.5)
-
-
-def private_pair(sigma, n=1 << 12):
-    """An engine and two private sums it realised as one batch from three rows."""
-    eng = make_engine(slot_count=n, sigma=sigma, seed=19)
-    rng = np.random.default_rng(20)
-    rows = encrypt_as_rows(eng, [rng.normal(size=n) for _ in range(3)])
-    sums = [eng.add(*[eng.mul_plain(r, s) for r, s in zip(rows, scales)]) for scales in ((0.7, -1.3, 0.2), (0.4, 0.9, -2.1))]
-    return (eng, *eng.realise(sums, rows))
+    assert not out.unshared and same_doubles(leaf.slots, value) and same_doubles(out.slots, value + 0.5)
 
 
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
 def test_private_later_operand_nests_in_the_first_operands_program(sigma):
-    # the program is a tree: b is spent into a's, and the read computes the
-    # batch once, to the doubles and draws of the same op on computed copies
-    eng, a, b = private_pair(sigma)
-    program, nested, owed = a.private, b.private, a.owed + b.owed
+    # a - b of two private leaves runs in a's array and takes both, to the
+    # doubles and draws of the same op on the leaves issued on their rows
+    scales = [(0.7, -1.3, 0.2), (0.4, 0.9, -2.1)]
+    eng, (a, b), _ = leaves_of(sigma, scales, seed=19)
+    value, owed = a._value, a.owed + b.owed
     out = eng.sub(a, b)
-    assert out.private is program and program.steps == [("add", nested, -1.0)]
-    assert spent(a) and spent(b) and out.owed == owed + (1 if sigma else 0)
-    copy_eng, copy_a, copy_b = private_pair(sigma)
-    want = copy_eng.sub(read_copy(copy_a), read_copy(copy_b))
+    assert out.unshared and out._value is value and out.owed == owed + (1 if sigma else 0)
+    assert spent(a) and spent(b)
+    copy_eng, (copy_a, copy_b), _ = leaves_of(sigma, scales, seed=19, full_width=True)
+    want = copy_eng.sub(copy_a, copy_b)
     assert same_doubles(out.slots, want.slots) and eng.cost_snapshot() == copy_eng.cost_snapshot()
     with pytest.raises(EngineError, match="HESimulator.share"):
         eng.add(eng.encrypt(np.ones(1 << 12)), b)
 
 
-def test_reading_one_member_computes_its_batch_once():
-    # the product takes every member's row: the other one keeps its row in
-    # an array of its own, and the rows of the batch are no longer read
-    eng, a, b = private_pair(0.0)
-    batch = a.private.batch
-    value = a.slots
-    assert b.private.batch is None and b.private.value is not None and not np.shares_memory(value, b.private.value)
-    copy_eng, copy_a, copy_b = private_pair(0.0)
-    assert same_doubles(value, read_copy(copy_a).slots) and same_doubles(b.slots, read_copy(copy_b).slots)
-    assert batch.members[1]() is None  # b's program went with its read
-
-
-# On a noise-free engine ``rows`` holds no array: ``copy_into`` makes each
-# row a tiled program, a ``mul`` with a tiled operand a private power, which
-# ``add(p, p)``, ``sub`` and ``add_plain`` extend, and ``share`` leaves it
-# tiled.  A tile pass computes the powers it reads into a scratch; any other
-# read computes a power at full width, to the doubles of the eager ops.
-
-
-def test_rows_hold_an_array_only_on_a_noisy_engine():
-    rows = make_engine(slot_count=64, sigma=SIGMA).rows(3)
-    assert type(rows) is np.ndarray and rows.shape == (3, 64)
-    rows = make_engine(slot_count=64).rows(3)
-    assert not isinstance(rows, np.ndarray) and len(rows) == 3
-
-
-def power_inputs(n=1 << 12):
-    rng = np.random.default_rng(35)
-    return [rng.uniform(-1.0, 1.0, n) for _ in range(3)]
-
-
-@pytest.mark.parametrize("even", [False, True], ids=["odd", "even"])
-def test_power_built_on_tiled_rows_stays_a_program_until_read(even):
-    # T_i = 2 T_a T_b - T_c as the baby steps build it, on rows no array holds
-    a, b, c = power_inputs()
-    eng = make_engine(slot_count=a.size)
-    rows = eng.rows(3)
-    x = eng.encrypt(a)
-    ta = eng.copy_into(x, rows, 0)
-    tc = eng.copy_into(eng.mul_plain(eng.encrypt(c), 1.0), rows, 2)
-    assert ta.tiled is not None and np.shares_memory(ta.slots, x.slots)  # a read value is its own row
-    prod = eng.mul(ta, eng.encrypt(b))
-    assert prod.private is not None and prod.private.factors is not None and prod.private.value is None
-    doubled = eng.add(prod, prod)
-    power = eng.add_plain(doubled, -1.0) if even else eng.sub(doubled, tc)
-    program = power.private
-    assert spent(prod) and spent(doubled) and program is not None and program.value is None
-    before = eng.cost_snapshot()
-    copy = eng.copy_into(power, rows, 1)
-    assert eng.cost_snapshot() == before == CostReport(ctct_mults=1, additions=2, levels_consumed=1)
-    assert spent(power) and copy.tiled is program and program.value is None and "tiled" in repr(copy)
-    assert (copy.level, copy.rot_chain) == (9, 0)
-    eager = (a * b + a * b) + -1.0 if even else (a * b + a * b) - c
-    value = copy.slots  # computed once, at full width, and kept
-    assert same_doubles(value, eager) and not value.flags.writeable
-    assert copy.slots is value and copy.tiled is program and program.factors is None
-    # a tiled row is read, not taken: every op may use it again
-    assert same_doubles(eng.add(copy, copy).slots, eager + eager)
-    assert same_doubles(eng.decrypt(copy), eager)
-
-
-def test_share_leaves_a_private_power_tiled():
-    a, b, _ = power_inputs()
-    eng = make_engine(slot_count=a.size)
-    row = eng.copy_into(eng.encrypt(a), eng.rows(1), 0)
-    square = eng.mul(row, row)
-    assert eng.share(square) == (square,) and square.tiled is not None and square.private is None
-    assert square.tiled.value is None and eng.share(square) == (square,)  # still not computed
-    fourth = eng.mul(square, square)
-    assert same_doubles(fourth.slots, (a * a) * (a * a))
-    assert square.tiled.value is None  # the read of fourth computed square in its scratch only
-    assert same_doubles(square.slots, a * a)
-    # a noisy engine gives an array: every value is read at its draw, as before
-    noisy = make_engine(slot_count=a.size, sigma=SIGMA)
-    row = noisy.copy_into(noisy.encrypt(a), noisy.rows(1), 0)
-    assert row.tiled is None and noisy.mul(row, row).private is None
-
-
-def test_realise_over_tiled_rows_gives_the_doubles_of_array_rows():
-    vs, scales = sum_inputs(slot_count=1 << 13, terms=4)
-    sums = {}
-    for kind in ("array", "tiled"):
-        eng = make_engine(slot_count=1 << 13)
-        rows = np.empty((4, 1 << 13)) if kind == "array" else eng.rows(4)
-        told = [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate(vs)]
-        batch = [eng.add(*[eng.mul_plain(r, s) for r, s in zip(told, np.roll(scales, k))]) for k in range(3)]
-        before = eng.cost_snapshot()
-        out = eng.realise(batch, told)
-        assert eng.cost_snapshot() == before and all(c.private is not None for c in out)
-        sums[kind] = [c.slots for c in out]
-        if kind == "tiled":
-            other = [eng.copy_into(eng.encrypt(v), eng.rows(2), i) for i, v in enumerate(vs[:2])]
-            wrong = {
-                "out of order": told[::-1],
-                "a row missing": told[:-1],
-                "rows of two tables": [*told[:2], *other],
-                "a shared power": [eng.share(eng.mul(told[0], told[1]))[0], *told[1:]],
-            }
-            for name, rows_told in wrong.items():
-                with pytest.raises(ValueError, match="every row of one 2D array"):
-                    eng.realise([eng.mul_plain(told[0], 0.5)], rows_told)
-    assert all(same_doubles(a, b) for a, b in zip(sums["array"], sums["tiled"]))
-
-
-def test_reading_one_member_over_tiled_rows_computes_its_batch_once():
-    # as over an array: the other member's row goes into an array of its own
-    vs, _ = sum_inputs(slot_count=1 << 12, terms=3)
-    values = {}
-    for kind in ("array", "tiled"):
-        eng = make_engine(slot_count=1 << 12)
-        rows = np.empty((3, 1 << 12)) if kind == "array" else eng.rows(3)
-        told = [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate(vs)]
-        scales = ((0.7, -1.3, 0.2), (0.4, 0.9, -2.1))
-        a, b = eng.realise([eng.add(*[eng.mul_plain(r, s) for r, s in zip(told, row)]) for row in scales], told)
-        first = a.slots
-        assert b.private.batch is None and b.private.value is not None
-        assert not np.shares_memory(first, b.private.value)
-        values[kind] = (first, b.slots)
-    assert all(same_doubles(x, y) for x, y in zip(values["array"], values["tiled"]))
-
-
-def test_walk_reads_a_tiled_power_in_its_tile_pass():
-    # the giant-step product of a private leaf by a power is a step of the
-    # leaf's program; the read computes the power in its scratch, never
-    # at full width
-    a, b, _ = power_inputs()
-    eng = make_engine(slot_count=a.size)
-    rows = eng.rows(2)
-    told = [eng.copy_into(eng.encrypt(v), rows, i) for i, v in enumerate((a, b))]
-    (leaf,) = eng.realise([eng.add(eng.mul_plain(told[0], 0.7), eng.mul_plain(told[1], -1.3))], told)
-    giant = eng.share(eng.mul(told[1], told[1]))[0]
-    out = eng.mul(eng.add_plain(leaf, 0.25), giant)
-    assert out.private is not None and out.private.steps[-1] == ("mul", giant.tiled, None)
-    want = ((a * 0.7 + b * -1.3) + 0.25) * (b * b)
-    assert np.all(np.abs(out.slots - want) <= 1e-15 * (np.abs(a) + np.abs(b) + 1.0))
-    assert giant.tiled.value is None and giant.tiled.factors is not None
-
-
 @pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
 def test_add_to_itself_doubles_a_private_program(sigma):
     eng, leaf, y = private_leaf(sigma)
-    program, owed = leaf.private, leaf.owed
+    value, owed = leaf._value, leaf.owed
     out = eng.add(leaf, leaf)
-    assert out.private is program and program.steps == [("mul", 2.0, None)] and spent(leaf)
-    copy_eng, copy, _ = private_leaf(sigma)
-    want = copy_eng.add(read_copy(copy), copy)
+    assert out._value is value and spent(leaf)
+    copy_eng, copy, _ = private_leaf(sigma, full_width=True)
+    want = copy_eng.add(copy, copy)
     assert out.owed == want.owed == 4 * owed + (1 if sigma else 0)
     assert same_doubles(out.slots, want.slots) and eng.cost_snapshot() == copy_eng.cost_snapshot()
-
-
-def test_pending_term_plus_a_private_value_is_a_step_of_its_program():
-    # b * s + p == p + b * s to the double, so the term joins p's program
-    eng, leaf, y = private_leaf(0.0)
-    program = leaf.private
-    out = eng.add(eng.mul_plain(y, 0.3), leaf)
-    assert out.private is program and program.steps == [("add", y.slots, 0.3)] and spent(leaf)
-    copy_eng, copy, copy_y = private_leaf(0.0)
-    want = copy_eng.add(copy_eng.mul_plain(copy_y, 0.3), read_copy(copy))
-    assert want.pending is not None  # a read operand keeps the pending sum
-    assert same_doubles(out.slots, want.slots) and eng.cost_snapshot() == copy_eng.cost_snapshot()
-    # an owing one keeps the pending sum, and its draws, as before
-    eng, leaf, y = private_leaf(SIGMA)
-    assert eng.add(eng.mul_plain(y, 0.3), leaf).pending is not None
-
-
-@pytest.mark.parametrize("sigma", [0.0, SIGMA], ids=["noise-free", "noisy"])
-def test_copy_into_spends_a_pending_operand_and_draws_its_noise_in_the_row(sigma):
-    # the row holds the doubles a read gives, noise included, and the noise
-    # stream moves on as a read moves it
-    n = 1 << 12
-    v = np.random.default_rng(34).normal(size=n)
-
-    def pending(eng):
-        prod = eng.mul(eng.encrypt(v), eng.encrypt(v))
-        return eng.sub(eng.add(prod, prod), eng.mul_plain(eng.encrypt(v), SCALE))
-
-    read_eng, copy_eng = make_engine(slot_count=n, sigma=sigma, seed=9), make_engine(slot_count=n, sigma=sigma, seed=9)
-    read = pending(read_eng).slots.copy()
-    p = pending(copy_eng)
-    owed = p.owed
-    assert (owed > 0) == (sigma > 0)
-    rows = np.zeros((2, n))
-    copy = copy_eng.copy_into(p, rows, 1)
-    assert same_doubles(rows[1], read) and same_doubles(copy.slots, read)
-    assert spent(p)
-    for use in (lambda c: c.slots, lambda c: copy_eng.add(c, copy), lambda c: copy_eng.copy_into(c, rows, 0)):
-        with pytest.raises(EngineError, match="share"):
-            use(p)
-    after = [eng.decrypt(eng.add_plain(eng.encrypt(v), 0.5)) for eng in (read_eng, copy_eng)]
-    assert same_doubles(*after)
 
 
 # On a noisy engine every charged op owes its noise until a read; a linear op
@@ -1247,12 +1059,11 @@ def test_forwarding_op_owes_the_summed_variance(name):
 def test_forwarding_op_spends_its_owing_operands(name):
     eng, out, spent, _ = forwarded(name, SIGMA, n=16)
     concrete = eng.encrypt(np.ones(16))
-    rows = encrypt_as_rows(eng, [np.ones(16)])
     uses = {
         "read": lambda c: c.slots,
         "sum": lambda c: eng.add(concrete, c),
         "rotate": lambda c: eng.rotate(c, 1),
-        "realise": lambda c: eng.realise([c], rows),
+        "adopt": lambda c: eng.adopt(np.ones(16), c),
         "share": lambda c: eng.share(c),
     }
     for ct in spent:
@@ -1275,7 +1086,7 @@ def test_share_draws_the_owed_noise_and_charges_nothing():
         assert eng.cost_snapshot() == before and eng.rotation_offsets() == offsets
         assert len(out) == 4 and all(a is b for a, b in zip(out, (p, m, s, x)))
         # computed and drawn once, on either engine: every later use sees the same value
-        assert all(c.pending is None and c.owed == 0 for c in (p, m, s))
+        assert all(not c.unshared and c.owed == 0 for c in (p, m, s))
         for c in (p, m, s):
             value = c.slots
             eng.add(c, y)
@@ -1288,8 +1099,7 @@ def test_share_draws_the_owed_noise_and_charges_nothing():
 
 def test_seeded_noisy_run_repeats_bit_for_bit():
     def run(seed):
-        eng, sums, rows = noisy_sums(1 << 13, 3, 4, seed=seed)
-        a, b, c = eng.realise(sums, rows)
+        eng, (a, b, c), _ = noisy_sums(1 << 13, 3, 4, seed=seed)
         x = eng.mul(eng.sub(eng.mul_plain(a, 0.5), eng.mul_plain(b, 0.25)), c)
         return eng.decrypt(eng.add(eng.rotate(x, 3), eng.add_plain(x, 1.0)))
 
@@ -1327,7 +1137,7 @@ def nary_operands(eng, kinds, repeat):
 
 
 def spent(ct):
-    return ct.pending is None and ct.private is None and ct.tiled is None and getattr(ct, "_value", 0) is None
+    return not ct.unshared and getattr(ct, "_value", 0) is None
 
 
 def left_fold_or_nary(nary, sigma, kinds, repeat):
@@ -1335,7 +1145,7 @@ def left_fold_or_nary(nary, sigma, kinds, repeat):
 
     eng = make_engine(slot_count=256, sigma=sigma, seed=5)
     ops = nary_operands(eng, kinds, repeat)
-    taken = [ct.pending is not None or ct.owed > 0 for ct in ops]  # pending or owing
+    taken = [ct.unshared for ct in ops]
     before = eng.cost_snapshot().additions
     try:
         out = eng.add(*ops) if nary else reduce(eng.add, ops)
@@ -1354,7 +1164,7 @@ def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
     ref_eng, ref_ops, _, ref = left_fold_or_nary(False, sigma, kinds, repeat)
     assert eng.cost_snapshot() == ref_eng.cost_snapshot()
     if isinstance(ref, EngineError):
-        # a pending or owing operand used again after an earlier add spent it
+        # an unshared operand used again after an earlier add spent it
         assert isinstance(out, EngineError) and "spent" in str(out)
         assert repeat == -1 and taken[0]
         return
@@ -1364,7 +1174,7 @@ def test_nary_add_is_the_left_fold_of_binary_adds(count, repeat, sigma):
     assert [spent(c) for c in ops] == [spent(c) for c in ref_ops]
     assert same_doubles(out.slots, ref.slots)
     assert eng.rotation_offsets() == ref_eng.rotation_offsets()
-    # every pending or owing operand was handed over and is spent; a read one keeps its value
+    # every unshared operand was handed over and is spent; a read one keeps its value
     for ct, ref_ct, was_taken in zip(ops, ref_ops, taken):
         if was_taken:
             with pytest.raises(EngineError, match="spent"):

@@ -150,17 +150,17 @@ def test_chebyshev_window_reads_the_ranks_with_no_input_map(monkeypatch, task):
         seen["operands"] = min(x.level, y.level)
         return real_compare(engine, x, y, kernel_cfg)
 
-    def powers(engine, x, poly, baby, giants):
+    def mapped(engine, x, poly):
         before, level, reach = engine.cost_snapshot().ctpt_mults, x.level, float(np.abs(x.slots).max())
-        out = real_powers(engine, x, poly, baby, giants)
+        out = real_mapped(engine, x, poly)
         seen["powers"].append((level, poly.interval, engine.cost_snapshot().ctpt_mults - before, reach))
         return out
 
-    real_powers, real_compare = chebyshev._powers, ranking.compare_kernel
+    real_mapped, real_compare = chebyshev._mapped, ranking.compare_kernel
     monkeypatch.setattr(sorting, "multi_rank_pipeline", pipeline)
     monkeypatch.setattr(select, "multi_rank_pipeline", pipeline)
     monkeypatch.setattr(ranking, "compare_kernel", compare)
-    monkeypatch.setattr(chebyshev, "_powers", powers)
+    monkeypatch.setattr(chebyshev, "_mapped", mapped)
     eng = make_engine(64, max_level=64)
     v = np.random.default_rng(5).integers(0, 16, 8) / 16.0
     kernel = KernelConfig(mode="chebyshev", degree=64)
