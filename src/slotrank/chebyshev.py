@@ -353,7 +353,7 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 # through the walk: a stats_cheb_noisy query peaks at 1.002 MB.
 _LEAF_BATCH = 2
 
-# Columns of one tile of the noise-free pass: every power, the leaves' BLAS
+# Cells of one tile of the noise-free pass: every power, the leaves' BLAS
 # product over that many columns of the baby-step rows, then the walk, on
 # buffers that stay in cache.  A degree-1024 step at 2^16 slots, one BLAS
 # thread, in 16 tiles of 4096 columns: 10.8-11.2 ms, with a scratch of
@@ -377,7 +377,10 @@ class _Plan:
     giants: the giant powers g, in ascending order;
     built: every power i >= 2 that ``_power`` builds for them, ascending;
     scales: the leaves' coefficients over the baby-step powers, one row per
-        leaf, read-only.
+        leaf, read-only;
+    odd: whether c_0 != 0 and every even coefficient from c_2 up is zero,
+        as in the comparison step: then every quotient's constant is zero
+        and only the root adds c_0.
     """
 
     leaves: tuple[tuple[tuple[int, float], ...], ...]
@@ -386,6 +389,7 @@ class _Plan:
     giants: tuple[int, ...]
     built: tuple[int, ...]
     scales: np.ndarray
+    odd: bool
 
 
 # Bounded, unlike the kernel fits: ps_eval takes any caller's polynomial.
@@ -424,7 +428,8 @@ def _plan(coeffs: tuple[float, ...], bs: int) -> _Plan:
         for i, c in terms:
             row[baby.index(i)] = c
     scales.setflags(write=False)
-    return _Plan(tuple(leaves), tree, baby, tuple(sorted(giants)), tuple(sorted(built)), scales)
+    odd = coeffs[0] != 0.0 and not any(coeffs[2::2])
+    return _Plan(tuple(leaves), tree, baby, tuple(sorted(giants)), tuple(sorted(built)), scales, odd)
 
 
 def _leaves(engine: HESimulator, plan: _Plan, powers: dict[int, Ciphertext], rows: np.ndarray):
@@ -475,24 +480,37 @@ def _circuit(engine: HESimulator, t: Ciphertext, plan: _Plan) -> Ciphertext:
 
 def _tile_pass(t: np.ndarray, plan: _Plan) -> np.ndarray:
     """The noise-free value of ``_circuit`` on ``t``, to the double, in
-    column tiles of ``_TILE``.
+    tiles of ``_TILE`` cells, the last one ragged.
 
     Each tile builds every power with ``_power``'s recurrence into one
     scratch, the baby-step powers first, in order, takes one BLAS product of
     every leaf's scales over them, and runs ``_tile_walk`` in place in the
     product's rows.  No power but T_1, the input itself, is a full slot
     vector.
+
+    On an antisymmetric grid under an odd plan (``_mirror_cells``) the tiles
+    cover the upper triangle only, T_1 gathered into the scratch, and each
+    mirror cell is written as c_0 - o for the walk's value o there.  That is
+    the full pass's double: negation is exact, so every power, leaf and walk
+    step at -t negates its value at t, except for the sign of an exact zero,
+    which adding c_0 != 0 erases.
     """
-    n = t.size
-    width = min(_TILE, n)
+    mirror = _mirror_cells(t, plan)
+    cells = t.size if mirror is None else mirror[0].size
+    width = min(_TILE, cells)
     order = plan.baby + tuple(i for i in plan.built if i not in plan.baby)
+    if mirror is not None and 1 not in order:
+        order += (1,)  # the gathered input
     scratch = np.empty((len(order), width))
     product = np.empty((len(plan.leaves), width))
-    out = np.empty(n)
-    for lo in range(0, n, width):
-        cols = slice(lo, lo + width)
-        power = dict(zip(order, scratch))
-        if 1 in power:
+    out = np.empty(t.size)
+    for lo in range(0, cells, width):
+        cols = slice(lo, min(lo + width, cells))
+        w = cols.stop - lo
+        power = {i: row[:w] for i, row in zip(order, scratch)}
+        if mirror is not None:  # mode "raise" would buffer the output
+            np.take(t, mirror[0][cols], out=power[1], mode="clip")
+        elif 1 in power:
             np.copyto(power[1], t[cols])
         else:
             power[1] = t[cols]
@@ -504,13 +522,42 @@ def _tile_pass(t: np.ndarray, plan: _Plan) -> np.ndarray:
                 row += -1.0
             else:
                 row -= power[2 * g - i]
-        np.matmul(plan.scales, scratch[: len(plan.baby)], out=product)
-        value, const = _tile_walk(plan.tree, power, iter(product))
-        if const:
+        leaves = product[:, :w]
+        np.matmul(plan.scales, scratch[: len(plan.baby), :w], out=leaves)
+        value, const = _tile_walk(plan.tree, power, iter(leaves))
+        if mirror is not None:  # T_1's row is free once the walk is done
+            np.put(out, mirror[1][cols], np.subtract(const, value, out=power[1]), mode="clip")
+            value += const  # the diagonal cells, in both lists, read c_0 + o
+            np.put(out, mirror[0][cols], value, mode="clip")
+        elif const:
             np.add(value, const, out=out[cols])
         else:
             np.copyto(out[cols], value)
     return out
+
+
+def _mirror_cells(t: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray] | None:
+    """The flat indices of the upper triangle, diagonal included, of ``t``
+    read as a side x side grid, side^2 its size, and those of their mirror
+    cells, if ``plan`` is odd and the grid exactly antisymmetric, as a
+    comparison's difference grid x_c - x_r is; else None.  Row 0 is checked
+    against column 0 first, so that other inputs leave at once."""
+    side = math.isqrt(t.size)
+    if not plan.odd or side * side != t.size:
+        return None
+    grid = t.reshape(side, side)
+    if not (np.array_equal(grid[0], -grid[:, 0]) and np.array_equal(grid, -grid.T)):
+        return None
+    return _triangle(side)
+
+
+@lru_cache(maxsize=4)
+def _triangle(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of a side x side grid's upper triangle, row by row,
+    and of their transposes: 0.53 MB at side 256.  Writeable, since
+    ``np.take`` and ``np.put`` copy read-only indices at every call."""
+    rows, cols = np.triu_indices(side)
+    return rows * side + cols, cols * side + rows
 
 
 def _tile_walk(node: tuple, power: dict[int, np.ndarray], leaves) -> tuple:
@@ -555,9 +602,14 @@ def ps_eval(engine: HESimulator, x: Ciphertext, poly: ChebyshevPolynomial) -> Ci
     every noise draw falls where its op's value is read.  A noise-free
     engine runs it once on a zero-width probe of ``x``, which charges every
     op and raises ``DepthBudgetError`` where the full-width circuit would,
-    and computes the value in one pass over column tiles
+    and computes the value in one pass over tiles of the slots
     (``_tile_pass``), to the doubles of the full-width circuit: no power
-    but the input is ever a full slot vector.  The result is read-only.
+    but the input is ever a full slot vector.  When the polynomial is odd
+    about a nonzero c_0, as the comparison step is, and the mapped input
+    fills the slots as an exactly antisymmetric square grid, as a one-block
+    compare's differences x_c - x_r do, the pass covers the upper triangle
+    only and mirrors it: each comparison is computed once per pair, with
+    the same doubles and costs.  The result is read-only.
     """
     coeffs = _trim(np.asarray(poly.coeffs, dtype=np.float64))
     deg = len(coeffs) - 1

@@ -130,6 +130,13 @@ def require_integer(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value):
+    """Raise ``ValueError`` naming the field ``name`` unless ``value`` is a
+    Python or numpy real number; a ``bool`` or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HEParams:
     """Simulator parameters.
@@ -159,8 +166,7 @@ class HEParams:
         if self.max_level < 1:
             raise ValueError(f"max_level must be >= 1, got {self.max_level}")
         sigma = self.noise_sigma
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float, np.integer, np.floating)):
-            raise ValueError(f"noise_sigma must be a real number, got {sigma!r}")
+        require_real("noise_sigma", sigma)
         if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and non-negative, got {sigma}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:

@@ -45,7 +45,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .chebyshev import KernelConfig, fit_map, goldschmidt_inverse, indicator_kernel
-from .engine import Ciphertext, HESimulator, caller_path, require_integer
+from .engine import Ciphertext, HESimulator, caller_path, require_integer, require_real
 from .matrix import MatrixLayout, head_row_sums, rect_plain, sum_axis
 from .ranking import BlockVector, MultiRankPipeline, multi_rank_pipeline, one_block
 
@@ -76,6 +76,8 @@ class StatisticQuery:
             require_integer("k", self.k)
         if self.kind == "kth" and (self.k is None or self.k < 1):
             raise ValueError("kind='kth' needs k >= 1")
+        if self.kind == "percentile" and self.p is not None:
+            require_real("p", self.p)
         if self.kind == "percentile" and (self.p is None or not 0.0 <= self.p <= 100.0):
             raise ValueError("kind='percentile' needs p in [0, 100]")
 
@@ -207,4 +209,5 @@ def median(engine: HESimulator, ct: Ciphertext, n: int, cfg: KernelConfig) -> Ci
 
 def percentile(engine: HESimulator, ct: Ciphertext, n: int, p: float, cfg: KernelConfig) -> Ciphertext:
     """Nearest-rank percentile in slot 0; p=0 and p=100 are the min and max."""
+    require_real("p", p)  # before float() would take True or "5"
     return order_statistic_value(engine, ct, n, StatisticQuery("percentile", p=float(p)), cfg)

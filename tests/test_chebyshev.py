@@ -17,6 +17,7 @@ from slotrank import (
     KernelConfig,
     SortConfig,
     StatisticQuery,
+    block_merge,
     block_split,
     cheb_eval,
     cheb_fit,
@@ -396,21 +397,32 @@ def test_in_place_walk_writes_only_its_own_arrays(name, degree, sigma):
 )
 def test_walk_in_narrow_tiles_gives_the_pinned_doubles(monkeypatch, name, degree, sigma):
     # the noise-free pass's tile width changes how often each BLAS product
-    # and step runs, never a double: 8 tiles of 32 columns at 256 slots give
-    # the digests of one whole-width tile; a noisy engine runs no tile pass
-    monkeypatch.setattr(chebyshev, "_TILE", 32)
-    eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
-    x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
-    out = ps_eval(eng, x, IN_PLACE_POLYS[name](degree))
-    assert hashlib.sha256(out.slots.tobytes()).hexdigest()[:16] == PINNED_IN_PLACE[(name, degree, sigma)]
+    # and step runs, never a double: 8 tiles of 32 columns at 256 slots, or
+    # 5 of 48 and a ragged one of 16, give the digests of one whole-width
+    # tile; a noisy engine runs no tile pass
+    for tile in (32, 48):
+        monkeypatch.setattr(chebyshev, "_TILE", tile)
+        eng = HESimulator(HEParams(slot_count=256, max_level=40, noise_sigma=sigma, seed=7))
+        x = eng.encrypt(np.random.default_rng(17).uniform(-1.0, 1.0, 256))
+        out = ps_eval(eng, x, IN_PLACE_POLYS[name](degree))
+        assert hashlib.sha256(out.slots.tobytes()).hexdigest()[:16] == PINNED_IN_PLACE[(name, degree, sigma)], tile
 
 
-def warm_ps_eval_peak(slot_count, poly):
-    """The output and tracemalloc peak of ``ps_eval`` of ``poly`` on
-    ``slot_count`` uniform inputs in [-1, 1], noise-free, once its fit and
-    plan are cached."""
+def difference_grid(side, seed=0, levels=16):
+    """The flat side x side grid x_c - x_r of ``side`` values in [0, 1] on
+    ``levels`` steps, so that exact ties put +0 off the diagonal too: the
+    comparison's input on a one-block matrix that fills the slots."""
+    vals = np.random.default_rng(seed).integers(0, levels, side) / (levels - 1)
+    return (vals[None, :] - vals[:, None]).ravel()
+
+
+def warm_ps_eval_peak(slot_count, poly, xs=None):
+    """The output and tracemalloc peak of ``ps_eval`` of ``poly`` on ``xs``,
+    by default ``slot_count`` uniform inputs in [-1, 1], noise-free, once
+    its fit, plan and grid triangle are cached."""
     eng = make_engine(slot_count=slot_count, max_level=40)
-    xs = np.random.default_rng(0).uniform(-1.0, 1.0, slot_count)
+    if xs is None:
+        xs = np.random.default_rng(0).uniform(-1.0, 1.0, slot_count)
     ps_eval(eng, eng.encrypt(xs), poly)
     x = eng.encrypt(xs)
     tracemalloc.start()
@@ -429,10 +441,15 @@ def test_ps_eval_peak_at_the_benchmark_shape():
     # for the step and 2,344,113 for the centred window, which read
     # 2,865,568 while it built T_2 from the input at full width; 13,650,016
     # for the step when its 16 baby-step rows and 5 giant powers were built
-    # at full width
+    # at full width.  On a 256 x 256 difference grid the step's tiles cover
+    # the upper triangle and the mirror cells are written from the scratch:
+    # no temporary of the slot count but the antisymmetry check's, freed
+    # before the scratch is made
     for name in ("odd step", "centred window"):
         _, peak = warm_ps_eval_peak(1 << 16, IN_PLACE_POLYS[name](1024))
         assert peak <= 1.02 * 2_442_200, name
+    _, peak = warm_ps_eval_peak(1 << 16, IN_PLACE_POLYS["odd step"](1024), difference_grid(256))
+    assert peak <= 1.02 * 2_442_200, "odd step on a difference grid"
 
 
 def test_ps_eval_peak_does_not_grow_with_the_slot_count():
@@ -469,19 +486,138 @@ def test_tile_pass_gives_the_doubles_and_costs_of_the_circuit_op_by_op(name, deg
     # noise-free, ps_eval charges its circuit on a zero-width probe and takes
     # its value from the tile pass: the same doubles as the circuit issued
     # op by op on full-width ciphertexts, the noisy engine's code, and the
-    # same costs as that circuit, which are the probe's
+    # same costs as that circuit, which are the probe's.  On a 64 x 64
+    # difference grid with exact ties the step's pass covers the upper
+    # triangle and writes each mirror cell as c_0 - o: the same doubles too,
+    # +0 cells off the diagonal included
     poly = IN_PLACE_POLYS[name](degree)
     coeffs = chebyshev._trim(np.array(poly.coeffs))
     plan = chebyshev._plan(tuple(coeffs.tolist()), 1 << max(1, math.ceil(math.log2(len(coeffs))) // 2))
-    xs = np.random.default_rng(17).uniform(-1.0, 1.0, 1 << 12)
-    outs, costs = [], []
+    grid = difference_grid(64, seed=degree)
+    assert np.count_nonzero(grid == 0.0) > 64  # ties off the diagonal
+    for xs in (np.random.default_rng(17).uniform(-1.0, 1.0, 1 << 12), grid):
+        outs, costs = [], []
+        for run in (lambda e, x: ps_eval(e, x, poly), lambda e, x: chebyshev._circuit(e, x, plan)):
+            eng = HESimulator(HEParams(slot_count=1 << 12, max_level=40))
+            out = run(eng, eng.encrypt(xs))
+            outs.append(out.slots)
+            costs.append((eng.cost_snapshot(), out.level, out.rot_chain))
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert costs[0] == costs[1]
+
+
+def recorded_cells(monkeypatch) -> list[tuple[bool, int]]:
+    """Record, for each noise-free tile pass from now on, whether its plan
+    is odd about a nonzero c_0 and how many cells its tiles cover."""
+    mirror_cells, cells = chebyshev._mirror_cells, []
+
+    def recorded(t, plan):
+        mirror = mirror_cells(t, plan)
+        cells.append((plan.odd, t.size if mirror is None else mirror[0].size))
+        return mirror
+
+    monkeypatch.setattr(chebyshev, "_mirror_cells", recorded)
+    return cells
+
+
+def run_with_and_without_the_triangle(monkeypatch, run):
+    """``run(engine)``'s output, ``CostReport`` and rotation offsets, on a
+    fresh 40-level engine of 2^16 slots, with the cells each tile pass
+    covered, then with every tile pass made to cover its full grid."""
+    results = []
+    for mirror_cells in (chebyshev._mirror_cells, lambda t, plan: None):
+        monkeypatch.setattr(chebyshev, "_mirror_cells", mirror_cells)
+        cells = recorded_cells(monkeypatch)
+        eng = make_engine(slot_count=1 << 16, max_level=40)
+        out = run(eng)
+        results.append((cells, eng.cost_snapshot(), eng.rotation_offsets(), out))
+    return results
+
+
+def test_noise_free_sort_computes_the_compare_once_per_pair(monkeypatch):
+    # one block of 256 values fills 2^16 slots: its compare reads the 256 x
+    # 256 difference grid x_c - x_r, so the step's pass covers the upper
+    # triangle, and the placement window, an even plan, every cell.  Made
+    # to cover every cell, the compare gives the same doubles and costs
+    xs = np.random.default_rng(5).uniform(0.0, 1.0, 256)
+    cfg = SortConfig(kernel=cheb_cfg(1024))
+    tri, full = run_with_and_without_the_triangle(
+        monkeypatch, lambda eng: eng.decrypt(sort(eng, eng.encrypt(xs), 256, cfg))
+    )
+    assert tri[0] == [(True, 256 * 257 // 2), (False, 1 << 16)]
+    assert full[0] == [(True, 1 << 16), (False, 1 << 16)]
+    assert tri[1:3] == full[1:3] and tri[3].tobytes() == full[3].tobytes()
+
+
+def test_noise_free_multi_sort_halves_only_its_diagonal_compares(monkeypatch):
+    # three blocks of 256 cells that fill 2^16 slots, the last one padded:
+    # block i against itself compares on a difference grid, each on its
+    # upper triangle, padding included; block i against a later block j
+    # compares entries of j with entries of i, no antisymmetric grid, and
+    # each of the nine placement windows covers every cell
+    xs = np.random.default_rng(6).uniform(0.0, 1.0, 600)
+    cfg = SortConfig(kernel=cheb_cfg(64))
+    tri, full = run_with_and_without_the_triangle(
+        monkeypatch, lambda eng: block_merge(eng, multi_sort(eng, block_split(eng, xs), cfg))
+    )
+    half, whole = (True, 256 * 257 // 2), (True, 1 << 16)
+    assert tri[0] == [half, whole, whole, half, whole, half] + [(False, 1 << 16)] * 9
+    assert full[0] == [whole] * 6 + [(False, 1 << 16)] * 9
+    assert tri[1:3] == full[1:3] and tri[3].tobytes() == full[3].tobytes()
+
+
+def one_ulp_off_a_difference_grid():
+    grid = difference_grid(64)
+    grid[5 * 64 + 9] = np.nextafter(grid[5 * 64 + 9], 2.0)
+    return grid
+
+
+def step_without_its_constant():
+    step = chebyshev._step_poly(256)
+    return dataclasses.replace(step, coeffs=(0.0,) + step.coeffs[1:])
+
+
+def odd_poly_reading_no_t1():
+    # splits into leaves of T_3 and T_5 only: T_1 is no baby-step row
+    coeffs = np.zeros(36)
+    coeffs[[0, 3, 35]] = [0.5, 0.125, 0.25]
+    return ChebyshevPolynomial((-1.0, 1.0), tuple(coeffs))
+
+
+# input, polynomial, noise, and (plan odd, cells covered) of each tile pass:
+# the first case covers the triangle, and each other misses one condition
+TRIANGLE_CASES = {
+    "odd plan reading no T_1": (lambda: difference_grid(64), odd_poly_reading_no_t1, 0.0, [(True, 64 * 65 // 2)]),
+    "one cell off by an ulp": (one_ulp_off_a_difference_grid, lambda: chebyshev._step_poly(256), 0.0, [(True, 1 << 12)]),
+    "non-square slot count": (
+        lambda: np.concatenate((difference_grid(64), np.zeros(1 << 12))),
+        lambda: chebyshev._step_poly(256),
+        0.0,
+        [(True, 1 << 13)],
+    ),
+    "odd with c_0 = 0": (lambda: difference_grid(64), step_without_its_constant, 0.0, [(False, 1 << 12)]),
+    "noisy engine": (lambda: difference_grid(64), lambda: chebyshev._step_poly(256), 1e-9, []),
+}
+
+
+@pytest.mark.parametrize("case", TRIANGLE_CASES)
+def test_ps_eval_covers_the_triangle_only_where_an_odd_plan_meets_an_antisymmetric_grid(monkeypatch, case):
+    # every case gives the doubles of the circuit issued op by op on
+    # full-width ciphertexts: the triangle pass gathers T_1 into a row of
+    # its own where it is no baby-step row, and a noisy engine is that
+    # circuit, with no tile pass at all
+    make_xs, make_poly, sigma, want = TRIANGLE_CASES[case]
+    xs, poly = make_xs(), make_poly()
+    coeffs = chebyshev._trim(np.array(poly.coeffs))
+    plan = chebyshev._plan(tuple(coeffs.tolist()), 1 << max(1, math.ceil(math.log2(len(coeffs))) // 2))
+    assert (1 in plan.baby) == (case != "odd plan reading no T_1")
+    cells = recorded_cells(monkeypatch)
+    outs = []
     for run in (lambda e, x: ps_eval(e, x, poly), lambda e, x: chebyshev._circuit(e, x, plan)):
-        eng = HESimulator(HEParams(slot_count=1 << 12, max_level=40))
-        out = run(eng, eng.encrypt(xs))
-        outs.append(out.slots)
-        costs.append((eng.cost_snapshot(), out.level, out.rot_chain))
+        eng = HESimulator(HEParams(slot_count=xs.size, max_level=40, noise_sigma=sigma, seed=3))
+        outs.append(run(eng, eng.encrypt(xs)).slots)
+    assert cells == want
     assert outs[0].tobytes() == outs[1].tobytes()
-    assert costs[0] == costs[1]
 
 
 def test_ps_eval_leaves_nothing_for_the_garbage_collector():

@@ -43,6 +43,27 @@ def test_query_rejects_a_non_integer_k():
     assert StatisticQuery("kth", k=np.int64(2)).k == 2  # numpy integers pass
 
 
+def test_query_rejects_a_bool_percentile():
+    # True compared as 1 and was taken as the 1st percentile
+    with pytest.raises(ValueError, match="p must be a real number, got True"):
+        StatisticQuery("percentile", p=True)
+    assert StatisticQuery("percentile", p=np.float64(5.0)).p == 5.0  # numpy floats pass
+
+
+def test_query_rejects_a_string_percentile():
+    # "5" raised TypeError from the range comparison
+    with pytest.raises(ValueError, match="p must be a real number, got '5'"):
+        StatisticQuery("percentile", p="5")
+
+
+@pytest.mark.parametrize("p", [True, "5"])
+def test_percentile_rejects_a_percentile_that_is_no_real_number(p):
+    # percentile() converted p with float(), which took both
+    eng = make_engine(16)
+    with pytest.raises(ValueError, match=f"p must be a real number, got {p!r}"):
+        percentile(eng, eng.encrypt([0.1, 0.2, 0.3]), 3, p, IDEAL)
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         StatisticQuery("smallest")
